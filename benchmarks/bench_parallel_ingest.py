@@ -41,6 +41,7 @@ from repro.distributed import DEFAULT_RING_SLOTS, parallel_ingest
 from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
+    PipelineSpec,
     StreamingAggregator,
     make_backend,
 )
@@ -121,8 +122,9 @@ def test_parallel_scaling_gate(trace, report_writer):
         started = time.perf_counter()
         result = parallel_ingest(
             make_source(trace), FixedLengthResolver(PREFIX_LENGTH),
-            workers=workers, slot_seconds=SLOT_SECONDS,
-            backend="space-saving", capacity=CAPACITY,
+            slot_seconds=SLOT_SECONDS,
+            spec=PipelineSpec(workers=workers, backend="space-saving",
+                              capacity=CAPACITY),
         )
         elapsed = time.perf_counter() - started
         throughput[workers] = result.stats.packets_matched / elapsed

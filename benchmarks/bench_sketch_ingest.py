@@ -1,19 +1,20 @@
-"""Throughput gate for the array-native sketch engine.
+"""Throughput gate for the array-native sketch tables.
 
 The bounded-memory path is the configuration a line-rate monitor
 actually runs, so its ingestion throughput is a first-class deliverable
 next to its accuracy. This bench streams one synthetic backbone trace
 (persistent elephants over a deep tail of mice — the paper's regime,
 where most packets belong to flows the candidate table will never
-keep) through every sketch backend under both execution engines and
-reports packets per second.
+keep) through every sketch backend — the production array table
+``make_backend`` builds and the scalar reference class, built by class
+— and reports packets per second.
 
-The CI gate asserts the **array engine reaches >= 3x the scalar
-engine's packets/s for space-saving at K = 512**
+The CI gate asserts the **array table reaches >= 3x the scalar
+reference's packets/s for space-saving at K = 512**
 (:data:`MIN_SPEEDUP`) — space-saving is the fastest scalar baseline,
 so it is the binding ratio. The other backends' ratios ride along in
 ``BENCH_sketch_ingest.json`` so the perf trajectory stays
-machine-readable across PRs. Byte conservation between the engines is
+machine-readable across PRs. Byte conservation between the two is
 asserted unconditionally: speed that loses traffic does not count.
 """
 
@@ -30,12 +31,23 @@ from repro.pipeline import (
     StreamingAggregator,
     make_backend,
 )
+from repro.pipeline.backends import (
+    CountMinAggregation,
+    MisraGriesAggregation,
+    SpaceSavingAggregation,
+)
 from repro.routing.lpm import FixedLengthResolver
 
-#: The CI gate: array-engine vs scalar-engine packets/s, space-saving.
+#: The CI gate: array-table vs scalar-reference packets/s, space-saving.
 MIN_SPEEDUP = 3.0
 
-SKETCH_NAMES = ("space-saving", "misra-gries", "count-min")
+#: Each sketch name with its scalar reference class (the baseline).
+SCALAR_CLASSES = {
+    "space-saving": SpaceSavingAggregation,
+    "misra-gries": MisraGriesAggregation,
+    "count-min": CountMinAggregation,
+}
+SKETCH_NAMES = tuple(SCALAR_CLASSES)
 CAPACITY = 512
 PACKETS = 400_000
 NUM_ELEPHANTS = 12
@@ -80,16 +92,13 @@ def trace():
     return timestamps, destinations, sizes
 
 
-def ingest(trace, backend_name, engine=None):
+def ingest(trace, backend):
     """One full streaming pass; returns (packets/s, bytes accounted)."""
     timestamps, destinations, sizes = trace
-    kwargs = {}
-    if backend_name != "exact":
-        kwargs = {"capacity": CAPACITY, "engine": engine}
     aggregator = StreamingAggregator(
         FixedLengthResolver(PREFIX_LENGTH),
         slot_seconds=SLOT_SECONDS,
-        backend=make_backend(backend_name, **kwargs),
+        backend=backend,
     )
     source = ArrayPacketSource(
         timestamps, destinations, sizes, chunk_packets=CHUNK_PACKETS
@@ -106,13 +115,17 @@ def ingest(trace, backend_name, engine=None):
 
 
 def test_sketch_ingest_gate(trace, report_writer):
-    exact_pps, _ = ingest(trace, "exact")
+    exact_pps, _ = ingest(trace, make_backend("exact"))
     throughput = {}
     speedup = {}
     for name in SKETCH_NAMES:
-        scalar_pps, scalar_bytes = ingest(trace, name, engine="scalar")
-        array_pps, array_bytes = ingest(trace, name, engine="array")
-        # both engines must account for the same traffic to the byte
+        scalar_pps, scalar_bytes = ingest(
+            trace, SCALAR_CLASSES[name](CAPACITY)
+        )
+        array_pps, array_bytes = ingest(
+            trace, make_backend(name, capacity=CAPACITY)
+        )
+        # both must account for the same traffic to the byte
         assert np.isclose(scalar_bytes, array_bytes)
         throughput[name] = {"scalar": scalar_pps, "array": array_pps}
         speedup[name] = array_pps / scalar_pps

@@ -83,7 +83,6 @@ from repro.distributed.service import (
     MonitorClient,
     ResilientMonitorClient,
     parse_address,
-    publish_summaries,
     query_service,
 )
 from repro.errors import ReproError
@@ -104,11 +103,7 @@ from repro.pipeline.aggregator import (
 from repro.pipeline.backends import (
     ADMISSION_NAMES,
     BACKEND_NAMES,
-    SKETCH_ENGINES,
     AggregationBackend,
-    capacity_for_budget,
-    make_backend,
-    parse_memory_budget,
 )
 from repro.pipeline.engine import StreamingPipeline
 from repro.pipeline.sampling import SAMPLING_MODES
@@ -468,13 +463,6 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "flow; sketch backends bound tracked state",
     )
     parser.add_argument(
-        "--engine",
-        choices=SKETCH_ENGINES,
-        default="array",
-        help="sketch execution engine: vectorized array "
-        "tables or the scalar reference path",
-    )
-    parser.add_argument(
         "--capacity",
         type=int,
         default=None,
@@ -552,7 +540,7 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         default="none",
         help="candidate-admission pre-filter: bloom gates "
         "sketch entry on a counting-Bloom byte "
-        "threshold (array engine only)",
+        "threshold (array-table sketches only)",
     )
     parser.add_argument(
         "--admission-threshold",
@@ -682,54 +670,6 @@ def _load_rib_prefixes(path: str) -> CompiledLpm:
     if not prefixes:
         raise ReproError(f"no prefixes in RIB file {path}")
     return CompiledLpm(prefixes)
-
-
-def _capacity_from_args(
-    args: argparse.Namespace, shards: int
-) -> int | None:
-    """Resolve ``--capacity``/``--memory-budget`` to a total capacity.
-
-    Legacy shim: ``PipelineSpec.resolved_capacity`` is the same
-    computation behind the consolidated spec; this survives for
-    embedders that drive the old helper directly.
-
-    ``shards`` is whatever splits the table — ``--shards`` tables in
-    one process or ``--workers`` processes — so a byte budget buys N
-    tables of K/N entries either way, never N tables of K.
-    """
-    capacity = args.capacity
-    if args.memory_budget is not None:
-        if capacity is not None:
-            raise ReproError(
-                "--capacity and --memory-budget are alternatives; "
-                "give one"
-            )
-        budget = parse_memory_budget(args.memory_budget)
-        capacity = capacity_for_budget(
-            args.backend, budget, shards=shards
-        )
-    return capacity
-
-
-def _backend_from_args(
-    args: argparse.Namespace,
-) -> AggregationBackend | None:
-    """Build the aggregation backend the stream flags describe.
-
-    Legacy shim over ``PipelineSpec.from_args(args).build_backend()``;
-    the stream command itself now goes through the spec.
-
-    Returns ``None`` for the default exact backend so callers can keep
-    the aggregator's historical construction path.
-    """
-    capacity = _capacity_from_args(args, args.shards)
-    if args.backend == "exact" and capacity is None and args.shards == 1:
-        return None
-    # validation (exact rejects capacity, capacity >= 1, ...) lives in
-    # make_backend so the CLI and library fail identically
-    return make_backend(
-        args.backend, capacity=capacity, shards=args.shards
-    )
 
 
 def _load_matrix(path: str) -> RateMatrix:
@@ -866,141 +806,73 @@ def _spec_summary(
             summary["admission_rejected_bytes"] = rejected
 
 
-def _cmd_stream_parallel(
-    args: argparse.Namespace,
-    spec: PipelineSpec,
-    scheme: Scheme,
-    feature: Feature,
-) -> int:
-    """``repro stream --workers N``: reader → workers → collector."""
-    packet_input = _packet_input(args)
-    if packet_input is None:
-        raise ReproError(
-            "--workers needs a packet input (pcap capture, packet "
-            "csv, or flow-record csv); matrix replays have no "
-            "packets to partition"
-        )
-    source_spec, resolver = packet_input
-    spec = spec.replace(source=source_spec)
-    capacity = spec.resolved_capacity
-    ingest = parallel_ingest(
-        None,
-        resolver,
-        slot_seconds=args.slot_seconds,
-        spec=spec,
-    )
-    if all(not run for run in ingest.runs):
-        print("no slots in input", file=sys.stderr)
-        return 1
-    collector = ingest.collector(
-        scheme=scheme,
-        feature=feature,
-        config=_engine_config(args),
-    )
-    slots = 0
-    slot_entries: list[list[dict[str, object]]] = []
-    flow_rows: list[FlowInfoRecord] = []
-    for event in collector.events():
-        slots += 1
-        if args.json:
-            slot_entries.append(
-                elephant_entries(event.frame, event.verdict)
-            )
-        if args.flow_csv_out is not None:
-            flow_rows.extend(
-                slot_flow_records(
-                    event.frame,
-                    args.slot_seconds,
-                    first_flow_id=len(flow_rows),
-                )
-            )
-        if not (args.quiet or args.json):
-            _print_slot_line(event)
-    if args.summary_out is not None:
-        save_summaries(args.summary_out, collector.merged)
-    series = collector.series()
-    pipeline = collector.pipeline()
-    num_flows = (
-        pipeline.classifier.num_flows
-        if pipeline.classifier is not None
-        else 0
-    )
-    if num_flows > 0:
-        num_flows -= 1  # merged frames always carry a residual row
-    summary: dict[str, object] = {
-        "run": pipeline.label,
-        "backend": spec.backend,
-        "workers": spec.workers,
-        "num_slots": slots,
-        "num_flows": num_flows,
-        "mean_elephants_per_slot": series.mean_count,
-        "mean_traffic_fraction": series.mean_fraction,
-        "mean_residual_fraction": series.mean_residual_fraction,
-        "packets_seen": ingest.stats.packets_seen,
-        "packets_matched": ingest.stats.packets_matched,
-        "packets_unrouted": ingest.stats.packets_unrouted,
-        "packets_skipped": ingest.stats.packets_skipped,
-        "bytes_matched": ingest.stats.bytes_matched,
-    }
-    _spec_summary(summary, spec)
-    if capacity is not None:
-        summary["capacity"] = capacity
-    if args.summary_out is not None:
-        summary["summary_out"] = args.summary_out
-    if args.flow_csv_out is not None:
-        summary["flow_csv_out"] = args.flow_csv_out
-        summary["flow_records_written"] = write_flow_records(
-            args.flow_csv_out, flow_rows
-        )
-    if args.json:
-        summary = {
-            **result_envelope("stream", spec.describe(), slot_entries),
-            **summary,
-        }
-    if args.connect is not None:
-        # The fleet's summaries already met at the in-process
-        # collector; ship the merged run to the remote daemon as one
-        # monitor, after the fact.
-        plan = FaultPlan.from_env()
-        try:
-            stats = publish_summaries(
-                parse_address(args.connect),
-                collector.merged,
-                monitor=_monitor_name(args),
-                link=args.link_name,
-                retries=args.retry if args.retry > 0 else None,
-                backoff=args.retry_backoff,
-                faults=None if plan.is_empty else plan,
-            )
-        except OSError as exc:
-            raise ReproError(
-                f"cannot reach collector at {args.connect!r}: {exc}"
-            ) from exc
-        summary["connect"] = args.connect
-        summary.update(stats)
-    _print_summary(summary, args.json, "stream summary")
-    return 0
+def _env_faults() -> FaultPlan | None:
+    """The ``REPRO_FAULT_PLAN`` plan; ``None`` when it injects nothing."""
+    plan = FaultPlan.from_env()
+    return None if plan.is_empty else plan
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    """``repro stream``: in-process or, with ``--workers N``, a fleet.
+
+    The two modes share this one body. ``--workers`` only swaps where
+    the classified events, the packet stats and the published
+    summaries come from: reader → workers → collector, whose merged
+    summaries are the run's records, instead of an in-process
+    aggregator whose frames are summarized as they are classified.
+    """
     scheme, feature = _scheme_and_feature(args)
     spec = PipelineSpec.from_args(args)
+    config = _engine_config(args)
+    faults = _env_faults()
+    backend: AggregationBackend | None = None
+    stats = merged = None
     if spec.workers > 1:
-        return _cmd_stream_parallel(args, spec, scheme, feature)
-    backend = spec.build_backend()
-    source, aggregator, spec = _stream_source(args, spec, backend)
-    pipeline = StreamingPipeline(
-        source,
-        scheme=scheme,
-        feature=feature,
-        config=_engine_config(args),
-        backend=(backend if aggregator is None else None),
-        sampling=spec.sampling,
-    )
+        packet_input = _packet_input(args)
+        if packet_input is None:
+            raise ReproError(
+                "--workers needs a packet input (pcap capture, packet "
+                "csv, or flow-record csv); matrix replays have no "
+                "packets to partition"
+            )
+        source_spec, resolver = packet_input
+        spec = spec.replace(source=source_spec)
+        ingest = parallel_ingest(
+            None,
+            resolver,
+            spec=spec,
+            slot_seconds=args.slot_seconds,
+            faults=faults,
+        )
+        if all(not run for run in ingest.runs):
+            print("no slots in input", file=sys.stderr)
+            return 1
+        collector = ingest.collector(
+            scheme=scheme, feature=feature, config=config
+        )
+        pipeline = collector.pipeline()
+        stats = ingest.stats
+        merged = collector.merged
+    else:
+        backend = spec.build_backend()
+        source, aggregator, spec = _stream_source(args, spec, backend)
+        pipeline = StreamingPipeline(
+            source,
+            scheme=scheme,
+            feature=feature,
+            config=config,
+            backend=(backend if aggregator is None else None),
+            sampling=spec.sampling,
+        )
+        if aggregator is not None:
+            stats = aggregator.stats
+    slot_seconds = pipeline.source.slot_seconds
     client: MonitorClient | ResilientMonitorClient | None = None
     if args.connect is not None:
-        plan = FaultPlan.from_env()
-        faults = None if plan.is_empty else plan
+        # In-process slots go out live, as they are classified. A
+        # fleet's slots already met at its in-process collector, so
+        # its merged run ships after the fact, as one monitor —
+        # through the same client.
         try:
             if args.retry > 0:
                 client = ResilientMonitorClient(
@@ -1027,11 +899,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 f"cannot reach collector at {args.connect!r}: {exc}"
             ) from exc
     slots = 0
+    has_residual = False
     summaries: list[SlotSummary] = []
     slot_entries: list[list[dict[str, object]]] = []
     flow_rows: list[FlowInfoRecord] = []
     for event in pipeline.events():
-        slots += 1
+        has_residual = event.frame.residual_row is not None
         if args.json:
             slot_entries.append(
                 elephant_entries(event.frame, event.verdict)
@@ -1040,21 +913,24 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             flow_rows.extend(
                 slot_flow_records(
                     event.frame,
-                    source.slot_seconds,
+                    slot_seconds,
                     first_flow_id=len(flow_rows),
                 )
             )
         if args.summary_out is not None or client is not None:
-            record = SlotSummary.from_frame(
-                event.frame,
-                source.slot_seconds,
-                monitor=_monitor_name(args),
+            record = (
+                merged[slots]
+                if merged is not None
+                else SlotSummary.from_frame(
+                    event.frame,
+                    slot_seconds,
+                    monitor=_monitor_name(args),
+                )
             )
             if args.summary_out is not None:
                 summaries.append(record)
             if client is not None:
-                # live export: each sealed slot goes out as soon as
-                # it is classified, paced by the collector's acks
+                # paced by the collector's acks
                 try:
                     client.publish(record)
                 except OSError as exc:
@@ -1062,6 +938,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     raise ReproError(
                         f"collector connection lost: {exc}"
                     ) from exc
+        slots += 1
         if args.quiet or args.json:
             continue
         _print_slot_line(event)
@@ -1084,11 +961,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if pipeline.classifier is not None
         else 0
     )
-    if (
-        backend is not None
-        and backend.residual_row is not None
-        and num_flows > 0
-    ):
+    if has_residual and num_flows > 0:
         num_flows -= 1  # the residual accounting row is not a flow
     summary: dict[str, object] = {
         "run": pipeline.label,
@@ -1099,8 +972,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "mean_traffic_fraction": series.mean_fraction,
     }
     _spec_summary(summary, spec, backend)
-    if spec.shards > 1:
-        summary["shards"] = spec.shards
+    for split in ("shards", "workers"):
+        if getattr(spec, split) > 1:
+            summary[split] = getattr(spec, split)
     if backend is not None:
         summary.update(
             {
@@ -1110,18 +984,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 "population_rows": backend.num_rows,
             }
         )
-        if backend.residual_row is not None:
-            summary["mean_residual_fraction"] = (
-                series.mean_residual_fraction
-            )
-    if aggregator is not None:
+    elif spec.resolved_capacity is not None:
+        # a fleet's tables lived in the workers: the spec's total bound
+        # is the only table fact left to report
+        summary["capacity"] = spec.resolved_capacity
+    if has_residual:
+        summary["mean_residual_fraction"] = series.mean_residual_fraction
+    if stats is not None:
         summary.update(
             {
-                "packets_seen": aggregator.stats.packets_seen,
-                "packets_matched": aggregator.stats.packets_matched,
-                "packets_unrouted": aggregator.stats.packets_unrouted,
-                "packets_skipped": aggregator.stats.packets_skipped,
-                "bytes_matched": aggregator.stats.bytes_matched,
+                "packets_seen": stats.packets_seen,
+                "packets_matched": stats.packets_matched,
+                "packets_unrouted": stats.packets_unrouted,
+                "packets_skipped": stats.packets_skipped,
+                "bytes_matched": stats.bytes_matched,
             }
         )
     if args.summary_out is not None:
@@ -1245,7 +1121,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         raise ReproError("--max-inflight must be >= 1")
     if args.once is not None and args.once < 1:
         raise ReproError("--once must be >= 1")
-    faults = FaultPlan.from_env()
     service = CollectorService(
         host,
         port,
@@ -1257,7 +1132,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         once=args.once,
         state_dir=args.state_dir,
-        faults=None if faults.is_empty else faults,
+        faults=_env_faults(),
     )
 
     async def _serve() -> None:

@@ -101,12 +101,7 @@ class ClassificationEngine:
         return results
 
     def run_streaming(
-        self,
-        scheme: Scheme,
-        feature: Feature,
-        backend=None,
-        workers: int = 1,
-        spec=None,
+        self, scheme: Scheme, feature: Feature, spec=None
     ) -> ClassificationResult:
         """Classify through the streaming pipeline instead of in batch.
 
@@ -116,52 +111,35 @@ class ClassificationEngine:
         entry point — useful when validating streaming deployments
         against recorded matrices.
 
-        ``backend`` (an
-        :class:`~repro.pipeline.backends.AggregationBackend`) replays
-        the matrix under that backend's memory bound instead: the
-        result covers the tracked population plus a residual row, so it
-        approximates :meth:`run` with O(capacity) flow state.
+        ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`)
+        describes the deployment to validate. A sketch backend replays
+        the matrix under that backend's memory bound: the result covers
+        the tracked population plus a residual row, so it approximates
+        :meth:`run` with O(capacity) flow state.
 
-        ``workers > 1`` replays the matrix through *true multi-process
-        ingestion*: every active cell becomes a synthetic packet, the
-        reader deals rows to ``workers`` shard processes, and the
+        ``spec.workers > 1`` replays the matrix through *true
+        multi-process ingestion*: every active cell becomes a synthetic
+        packet, the reader deals rows to the shard processes, and the
         merged summaries classify at the collector. The result covers
         the merged population (active flows, first-appearance order,
         plus residual row 0) rather than the matrix's row order — same
         elephants, different shape — so it validates the distributed
         deployment, not byte-identity.
-
-        ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`) is the
-        consolidated form of the same knobs: its backend and workers
-        settings replace the two kwargs, which stay as thin shims.
         """
         # Imported here: repro.pipeline sits above the core layer.
         from repro.pipeline.engine import classify_matrix_streaming
 
+        backend = None
         if spec is not None:
-            if backend is not None or workers != 1:
-                raise ClassificationError(
-                    "give run_streaming a spec or the legacy "
-                    "backend/workers kwargs, not both"
-                )
             if spec.source is not None:
                 raise ClassificationError(
                     "run_streaming replays this engine's matrix; a "
                     "spec with source= belongs to the packet entry "
                     "points (spec.open_source, parallel_ingest)"
                 )
-            workers = spec.workers
-            if workers == 1:
-                backend = spec.build_backend()
-        if workers < 1:
-            raise ClassificationError("workers must be >= 1")
-        if workers > 1:
-            if backend is not None:
-                raise ClassificationError(
-                    "workers mode builds its own per-worker backends; "
-                    "pass backend=None"
-                )
-            return self._run_parallel(scheme, feature, workers, spec=spec)
+            if spec.workers > 1:
+                return self._run_parallel(scheme, feature, spec)
+            backend = spec.build_backend()
         return classify_matrix_streaming(
             self.matrix,
             scheme=scheme,
@@ -171,7 +149,7 @@ class ClassificationEngine:
         )
 
     def _run_parallel(
-        self, scheme: Scheme, feature: Feature, workers: int, spec=None
+        self, scheme: Scheme, feature: Feature, spec
     ) -> ClassificationResult:
         """Replay the matrix as packets through the worker fleet."""
         import math
@@ -199,10 +177,9 @@ class ClassificationEngine:
         ingest = parallel_ingest(
             ArrayPacketSource(timestamps, rows, volumes),
             RowResolver(self.matrix.prefixes),
-            workers=None if spec is not None else workers,
+            spec=spec,
             slot_seconds=seconds,
             start=float(anchor),
-            spec=spec,
         )
         # Workers only summarize slots that carried packets, but the
         # axis is authoritative here: idle leading/trailing slots (and

@@ -45,7 +45,6 @@ from repro.distributed.partition import StridedPacketSource
 from repro.distributed.runner import (
     ParallelIngestResult,
     RowResolver,
-    WorkerSpec,
     parallel_ingest,
 )
 from repro.distributed.service import (
@@ -96,7 +95,6 @@ __all__ = [
     "ShmRing",
     "SlotSummary",
     "StridedPacketSource",
-    "WorkerSpec",
     "elephant_entries",
     "encode_frame",
     "encode_json_frame",

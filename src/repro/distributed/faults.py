@@ -11,7 +11,8 @@ directive string and threaded through the runner
 (``CollectorService(..., faults=)``) and the client
 (``MonitorClient(..., faults=)``). The same plan object drives a unit
 test, the loopback chaos harness, and — via the ``REPRO_FAULT_PLAN``
-environment variable — a real ``repro collect`` daemon in CI.
+environment variable, the only one the CLI reads — a real
+``repro collect`` daemon or ``repro stream`` fleet in CI.
 
 Directive grammar (comma-separated, one directive per fault)::
 
@@ -26,10 +27,9 @@ Directive grammar (comma-separated, one directive per fault)::
     corrupt:<monitor>:<n>        corrupt the n-th frame the client sends
 
 Worker directives default to incarnation 0, so a supervised restart is
-not re-killed by the same rule; the legacy ``REPRO_RUNNER_FAULT``
-environment variable (which predates this module and is still honored
-by the runner) applies to *every* incarnation, which is how the
-restart-budget tests provoke a crash loop.
+not re-killed by the same rule; a crash loop (the restart-budget
+tests) names every incarnation it kills:
+``worker:0@0,worker:0@1,worker:0@2``.
 
 Client-side faults act at the socket boundary: :class:`FaultySocket`
 wraps a connected socket and consults the plan's per-monitor
@@ -51,10 +51,6 @@ from repro.errors import FaultPlanError
 
 #: A full fault plan, parsed by :meth:`FaultPlan.parse`.
 PLAN_ENV = "REPRO_FAULT_PLAN"
-#: The pre-PR-10 single-directive hook the runner still honors
-#: directly (it applies to every worker incarnation, unlike plan
-#: rules, which default to incarnation 0).
-LEGACY_ENV = "REPRO_RUNNER_FAULT"
 
 _WORKER_MODES = frozenset(("clean", "hard", "midslot"))
 _CLIENT_KINDS = frozenset(("sever", "blackhole", "corrupt"))
@@ -167,22 +163,9 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls, environ=None) -> "FaultPlan":
-        """The plan named by ``REPRO_FAULT_PLAN``, or the empty plan.
-
-        The legacy ``REPRO_RUNNER_FAULT`` single directive is folded
-        in for callers that want one unified view; note the runner
-        itself still reads the legacy variable directly so that those
-        faults hit every worker incarnation.
-        """
+        """The plan named by ``REPRO_FAULT_PLAN``, or the empty plan."""
         environ = os.environ if environ is None else environ
-        directives = [
-            text
-            for text in (environ.get(PLAN_ENV), environ.get(LEGACY_ENV))
-            if text
-        ]
-        if not directives:
-            return cls()
-        return cls.parse(",".join(directives))
+        return cls.parse(environ.get(PLAN_ENV) or "")
 
     @property
     def is_empty(self) -> bool:
@@ -305,7 +288,6 @@ class FaultySocket:
 
 
 __all__ = [
-    "LEGACY_ENV",
     "PLAN_ENV",
     "ClientFaultState",
     "FaultPlan",

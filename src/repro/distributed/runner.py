@@ -8,10 +8,9 @@ flow keys once, and deals each packet to the worker owning its key —
 the same Fibonacci hash (:func:`~repro.pipeline.sharded.shard_of`) the
 in-process sharder uses, so worker ``i`` sees exactly the sub-stream
 shard ``i`` would. Each **worker** process owns one aggregation backend
-(built through :func:`~repro.pipeline.backends.make_backend` with
-``shards=N``, so sketch capacity splits identically to a sharded
-single-process run), bins its sub-stream into slots, and serializes
-every completed slot as a
+(``spec.build_shard(i)`` — the very table shard ``i`` of a sharded
+single-process run holds), bins its sub-stream into slots, and
+serializes every completed slot as a
 :meth:`~repro.distributed.summary.SlotSummary.to_bytes` payload back to
 the **collector** — the calling process — which parses the wire records
 and classifies the merged link through the unchanged
@@ -73,7 +72,6 @@ from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ReproError
 from repro.flows.aggregate import AggregationStats
 from repro.net.prefix import Prefix
-from repro.pipeline.backends import AggregationBackend, make_backend
 from repro.pipeline.sharded import shard_of
 from repro.pipeline.sources import (
     DEFAULT_CHUNK_PACKETS,
@@ -87,12 +85,6 @@ if TYPE_CHECKING:
     from repro.distributed.collector import Collector
     from repro.pipeline.aggregator import PrefixResolver
     from repro.pipeline.spec import PipelineSpec
-
-#: Fault-injection hook for the crash-path tests: set to ``worker:<id>``
-#: (clean failure), ``worker:<id>:hard`` (exit without a message),
-#: ``worker:<id>:midslot`` (die while holding a ring slot) or
-#: ``reader`` to make that process fail deterministically.
-FAULT_ENV = "REPRO_RUNNER_FAULT"
 
 #: Force a multiprocessing start method (``fork``/``spawn``/
 #: ``forkserver``); the spawn-fallback tests use it to exercise the
@@ -142,54 +134,6 @@ class RowResolver:
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Keys pass through unchanged; they are already rows."""
         return np.asarray(addresses, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Backend recipe a worker rebuilds in its own process.
-
-    ``capacity`` is the *total* tracked-flow bound across the fleet;
-    each worker gets the same slice :func:`make_backend` gives shard
-    ``i`` of a ``shards=workers`` build (``ceil(capacity / workers)``
-    entries, seed ``seed + i``), so a ``--workers N`` run and a
-    ``--shards N`` run hold identical sketch state. ``admission``
-    (with its threshold) puts the same Bloom gate in front of every
-    worker's table.
-    """
-
-    backend: str = "exact"
-    capacity: int | None = None
-    seed: int = 0
-    engine: str = "array"
-    admission: str = "none"
-    admission_threshold: float | None = None
-
-    def validate(self, workers: int) -> None:
-        """Fail fast in the collector, before any process forks."""
-        self.build(0, workers)
-
-    def build(self, worker_id: int, workers: int) -> AggregationBackend:
-        """The inner backend worker ``worker_id`` of ``workers`` owns."""
-        kwargs: dict = {"engine": self.engine}
-        if self.admission != "none":
-            kwargs["admission"] = self.admission
-            if self.admission_threshold is not None:
-                kwargs["admission_threshold"] = self.admission_threshold
-        if workers == 1:
-            return make_backend(
-                self.backend,
-                capacity=self.capacity,
-                seed=self.seed,
-                **kwargs,
-            )
-        sharded = make_backend(
-            self.backend,
-            capacity=self.capacity,
-            seed=self.seed,
-            shards=workers,
-            **kwargs,
-        )
-        return sharded.shards[worker_id]
 
 
 @dataclass
@@ -536,9 +480,7 @@ def _reader_main(
     stats = {"packets_seen": 0, "packets_skipped": 0, "packets_unrouted": 0}
     dealer: _Dealer | None = None
     try:
-        if os.environ.get(FAULT_ENV) == "reader" or (
-            faults is not None and faults.reader_crash()
-        ):
+        if faults is not None and faults.reader_crash():
             raise ReproError("injected reader fault")
         dealer = _Dealer(
             resolver,
@@ -603,11 +545,9 @@ def _reader_main(
 
 def _worker_main(
     worker_id: int,
-    workers: int,
-    spec: WorkerSpec,
+    spec: "PipelineSpec",
     slot_seconds: float,
     start: float | None,
-    sample_rate: float,
     ring_spec: RingSpec,
     free_queue,
     data_queue,
@@ -631,18 +571,17 @@ def _worker_main(
     monitor = f"worker{worker_id}"
     ring = None
     try:
-        # The legacy env directive applies to every incarnation (crash
-        # loops for the restart-budget tests); plan rules default to
-        # incarnation 0, so a supervised restart is not re-killed.
-        fault = os.environ.get(FAULT_ENV, "")
+        # Plan rules name their incarnation (default 0), so a
+        # supervised restart is not re-killed by the rule that killed
+        # its predecessor.
         mode = (
             faults.worker_crash(worker_id, incarnation)
             if faults is not None
             else None
         )
-        if fault == f"worker:{worker_id}:hard" or mode == "hard":
+        if mode == "hard":
             os._exit(13)
-        if fault == f"worker:{worker_id}" or mode == "clean":
+        if mode == "clean":
             raise ReproError("injected worker fault")
         ring = ShmRing.attach(ring_spec)
         consumer = RingConsumer(ring, free_queue, data_queue)
@@ -651,8 +590,8 @@ def _worker_main(
             resolver,
             slot_seconds=slot_seconds,
             start=start,
-            backend=spec.build(worker_id, workers),
-            sample_rate=sample_rate,
+            backend=spec.build_shard(worker_id),
+            sample_rate=spec.sampling.applied_rate,
         )
 
         def ship(frames) -> None:
@@ -660,9 +599,8 @@ def _worker_main(
                 summary = SlotSummary.from_frame(frame, slot_seconds, monitor=monitor)
                 out_queue.put(("slot", worker_id, summary.to_bytes()))
 
-        midslot = fault == f"worker:{worker_id}:midslot" or mode == "midslot"
         for timestamps, keys, sizes, networks, lengths in consumer.batches():
-            if midslot:
+            if mode == "midslot":
                 # die while a ring slot descriptor is checked out: the
                 # crash tests assert the collector still unlinks the
                 # segment
@@ -816,45 +754,39 @@ class _Fleet:
 def parallel_ingest(
     source: PacketSource | None,
     resolver: "PrefixResolver",
-    workers: int | None = None,
+    *,
+    spec: "PipelineSpec",
     slot_seconds: float = 60.0,
-    backend: str = "exact",
-    capacity: int | None = None,
-    seed: int = 0,
     start: float | None = None,
-    ring_slots: int | None = None,
     ring_slot_packets: int | None = None,
-    spec: "PipelineSpec | None" = None,
-    sample_rate: float = 1.0,
     on_worker_crash: str = "abort",
     max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
     faults: FaultPlan | None = None,
 ) -> ParallelIngestResult:
-    """Ingest a packet stream across ``workers`` shard processes.
+    """Ingest a packet stream across ``spec.workers`` shard processes.
 
     Returns one summary run per worker plus fleet-wide aggregation
     stats. Classification output over the merged runs is equivalent to
-    a single-process run with ``make_backend(backend, shards=workers)``
-    on the same capture (asserted by the parallel-equivalence property
+    a single-process run of ``spec.replace(workers=1, shards=N)`` on
+    the same capture (asserted by the parallel-equivalence property
     suite): same elephants per slot — up to flows whose latent heat is
     numerically zero, where the summary wire format's float round trip
     may flip a knife-edge verdict — and every byte conserved.
 
     ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`) is the
-    consolidated configuration: its ``workers`` count sizes the fleet,
-    its backend/capacity/admission knobs build the per-worker tables,
-    its sampling policy wraps ``source`` in the reader process (the
-    serial stage — one thinned stream feeds the whole fleet), and its
-    ``sample_rate`` stamps every summary the workers ship. A spec that
-    also names its input (``source=SourceSpec(...)``) replaces the
+    whole configuration: its ``workers`` count sizes the fleet, each
+    worker builds its table with ``spec.build_shard(i)``, its sampling
+    policy wraps ``source`` in the reader process (the serial stage —
+    one thinned stream feeds the whole fleet) and stamps every summary
+    the workers ship, and its ``ring_slots`` bounds the batches in
+    flight per worker (the reader blocks when a ring is full). A spec
+    that also names its input (``source=SourceSpec(...)``) replaces the
     ``source`` argument outright — pass ``source=None`` then; giving
-    both is an error, the same mixing rule the other fields follow.
-    The legacy kwargs remain as shims; give one or the other.
+    both is an error.
 
-    ``ring_slots`` bounds the batches in flight per worker (the reader
-    blocks when a ring is full); ``ring_slot_packets`` sizes each slot
-    and defaults to the source's chunk size, so a dealt sub-batch
-    almost always fits one slot and stays zero-copy end to end.
+    ``ring_slot_packets`` sizes each ring slot and defaults to the
+    source's chunk size, so a dealt sub-batch almost always fits one
+    slot and stays zero-copy end to end.
 
     ``on_worker_crash`` picks the supervision policy (module docstring
     has the semantics): ``"abort"`` (default) raises on any worker
@@ -871,60 +803,30 @@ def parallel_ingest(
     outlives the error. The shared-memory rings are unlinked on every
     exit path.
     """
-    if spec is not None:
-        if workers is not None or backend != "exact" or capacity is not None:
-            raise ClassificationError(
-                "give parallel_ingest a spec or the legacy "
-                "workers/backend/capacity kwargs, not both"
-            )
-        if source is None:
-            # the spec names the input; open it raw — the sampling
-            # wrap below is the one thinning stage for the whole fleet
-            if spec.source is None:
-                raise ClassificationError(
-                    "parallel_ingest needs a packet source: pass one, "
-                    "or a spec with source=SourceSpec(...)"
-                )
-            source = spec.source.open()
-        elif spec.source is not None:
-            raise ClassificationError(
-                "give parallel_ingest a source or a spec with "
-                "source=, not both"
-            )
-        workers = spec.partitions
-        backend = spec.backend
-        capacity = spec.resolved_capacity
-        seed = spec.seed
-        if spec.ring_slots is not None:
-            ring_slots = spec.ring_slots
-        source = spec.wrap_source(source)
-        sample_rate = spec.sampling.applied_rate
-        worker_spec = WorkerSpec(
-            backend=backend,
-            capacity=capacity,
-            seed=seed,
-            engine=spec.engine,
-            admission=spec.admission,
-            admission_threshold=spec.admission_threshold,
-        )
-    else:
-        if source is None:
+    if source is None:
+        # the spec names the input; open it raw — the sampling wrap
+        # below is the one thinning stage for the whole fleet
+        if spec.source is None:
             raise ClassificationError(
                 "parallel_ingest needs a packet source: pass one, or "
                 "a spec with source=SourceSpec(...)"
             )
-        worker_spec = WorkerSpec(backend=backend, capacity=capacity, seed=seed)
-    if ring_slots is None:
-        ring_slots = DEFAULT_RING_SLOTS
-    if workers is None or workers < 1:
-        raise ClassificationError("workers must be >= 1")
+        source = spec.source.open()
+    elif spec.source is not None:
+        raise ClassificationError(
+            "give parallel_ingest a source or a spec with source=, "
+            "not both"
+        )
+    source = spec.wrap_source(source)
+    # workers rebuild their table from the spec; the input (possibly
+    # whole in-memory columns) stays with the reader
+    worker_spec = spec.replace(source=None)
+    workers = spec.partitions
+    ring_slots = (
+        DEFAULT_RING_SLOTS if spec.ring_slots is None else spec.ring_slots
+    )
     if slot_seconds <= 0:
         raise ClassificationError("slot_seconds must be positive")
-    if ring_slots < 1:
-        raise ClassificationError("ring_slots must be >= 1")
-    if sample_rate < 1.0:
-        raise ClassificationError("sample_rate must be >= 1")
-    worker_spec.validate(workers)
     if on_worker_crash not in CRASH_POLICIES:
         raise ClassificationError(
             f"on_worker_crash must be one of {CRASH_POLICIES}, "
@@ -950,11 +852,9 @@ def parallel_ingest(
                 target=_worker_main,
                 args=(
                     worker_id,
-                    workers,
                     worker_spec,
                     slot_seconds,
                     start,
-                    sample_rate,
                     rings[worker_id].spec,
                     free_queues[worker_id],
                     data_queues[worker_id],
@@ -1064,11 +964,9 @@ def parallel_ingest(
                 target=_worker_main,
                 args=(
                     worker_id,
-                    workers,
                     worker_spec,
                     slot_seconds,
                     origin,
-                    sample_rate,
                     ring.spec,
                     free_queues[worker_id],
                     data_queues[worker_id],
@@ -1134,10 +1032,8 @@ def parallel_ingest(
 __all__ = [
     "CRASH_POLICIES",
     "DEFAULT_MAX_WORKER_RESTARTS",
-    "FAULT_ENV",
     "ParallelIngestResult",
     "RowResolver",
     "START_METHOD_ENV",
-    "WorkerSpec",
     "parallel_ingest",
 ]

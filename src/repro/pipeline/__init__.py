@@ -18,7 +18,6 @@ from repro.pipeline.backends import (
     ADMISSION_NAMES,
     BACKEND_NAMES,
     RESIDUAL_PREFIX,
-    SKETCH_ENGINES,
     AggregationBackend,
     ArrayCountMinAggregation,
     ArrayMisraGriesAggregation,
@@ -77,7 +76,6 @@ __all__ = [
     "ExactAggregation",
     "MisraGriesAggregation",
     "RESIDUAL_PREFIX",
-    "SKETCH_ENGINES",
     "SampleHoldAggregation",
     "ShardedAggregation",
     "shard_of",

@@ -15,8 +15,8 @@ needs no time axis up front and no fixed flow population:
   exact backend gives every prefix its own permanent row the first
   time it carries bytes; sketch backends bound the tracked table at a
   fixed capacity and conserve untracked bytes in a residual row, with
-  the array engine (the default) running the per-batch accounting as
-  vectorized kernels end to end.
+  the array tables running the per-batch accounting as vectorized
+  kernels end to end.
 
 State is one open slot's accounting plus the backend's flow table —
 O(flows) for exact, O(capacity) *tracked* state for sketches. Sketch
@@ -44,11 +44,7 @@ from repro.flows.records import (
     TimeAxis,
 )
 from repro.net.prefix import Prefix
-from repro.pipeline.backends import (
-    AggregationBackend,
-    ExactAggregation,
-    make_backend,
-)
+from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
 from repro.routing.lpm import NO_ROUTE, CompiledLpm
 from repro.routing.rib import RoutingTable
@@ -73,13 +69,10 @@ class StreamingAggregator:
     :class:`~repro.routing.rib.RoutingTable` (compiled on entry).
     ``start`` pins slot 0's timestamp; by default it is the first
     packet's timestamp floored to the ``slot_seconds`` grid.
-    ``backend`` selects the flow-table strategy: an
-    :class:`~repro.pipeline.backends.AggregationBackend` instance, a
-    backend name (with ``capacity`` for the sketch backends), or
-    ``None`` for the exact table. ``shards`` partitions a named backend
-    across that many inner tables
-    (:class:`~repro.pipeline.sharded.ShardedAggregation`), with
-    ``capacity`` as the total bound.
+    ``backend`` is the flow-table strategy: a built
+    :class:`~repro.pipeline.backends.AggregationBackend`
+    (``PipelineSpec.build_backend()`` or ``make_backend(...)`` — sketch,
+    sharded, gated), or ``None`` for the exact table.
 
     ``sample_rate`` stamps every emitted frame: set it to the sampling
     front-end's applied inversion factor
@@ -94,9 +87,7 @@ class StreamingAggregator:
         resolver: PrefixResolver | RoutingTable,
         slot_seconds: float = DEFAULT_SLOT_SECONDS,
         start: float | None = None,
-        backend: AggregationBackend | str | None = None,
-        capacity: int | None = None,
-        shards: int = 1,
+        backend: AggregationBackend | None = None,
         sample_rate: float = 1.0,
     ) -> None:
         if slot_seconds <= 0:
@@ -106,23 +97,7 @@ class StreamingAggregator:
         if isinstance(resolver, RoutingTable):
             resolver = CompiledLpm.from_table(resolver)
         self.resolver = resolver
-        if backend is None and shards > 1:
-            backend = "exact"
-        if backend is None:
-            backend = ExactAggregation()
-        elif isinstance(backend, str):
-            backend = make_backend(
-                backend, capacity=capacity, shards=shards
-            )
-        elif shards > 1:
-            # an instance backend cannot be re-partitioned here; going
-            # on with one table would silently drop the caller's
-            # sharding request
-            raise ClassificationError(
-                "shards only applies to backends built by name; pass "
-                "make_backend(name, capacity=..., shards=...) instead"
-            )
-        self.backend = backend
+        self.backend = ExactAggregation() if backend is None else backend
         self.sample_rate = float(sample_rate)
         self.slot_seconds = float(slot_seconds)
         self.start = start

@@ -14,18 +14,21 @@ memory bill. This module makes the flow table a strategy object:
   ``0.0.0.0/0``, always row 0), so every emitted slot still sums to
   the traffic that arrived.
 
-Every bounded summary ships in two engines. The **scalar** engine
-(:class:`SketchAggregation` family) feeds the reference dict-and-heap
-sketches in :mod:`repro.sketches` one key at a time — the semantics
-oracle the property suite tests against. The **array** engine
-(:class:`ArraySketchAggregation` family, the default) runs the same
-summaries as flat struct-of-arrays candidate tables
-(:mod:`repro.sketches.array_tables`) with one vectorized
+Space-Saving, Misra–Gries and Count-Min run on the production path as
+flat struct-of-arrays candidate tables
+(:class:`ArraySketchAggregation` family over
+:mod:`repro.sketches.array_tables`) with one vectorized
 probe/admit/evict pass per batch and per-slot accumulators held as
-parallel arrays — no Python work per key on the hot path. For
-single-key batches the engines agree exactly; for real batches the
-array engine follows the tables' documented batch semantics and the
-CI bench gates its throughput against the scalar baseline.
+parallel arrays — no Python work per key on the hot path;
+:func:`make_backend` builds these, and only these, by name. The
+**scalar** classes (:class:`SketchAggregation` family) feed the
+reference dict-and-heap sketches in :mod:`repro.sketches` one key at a
+time. They are the semantics oracle — the property suite and the CI
+bench construct them by class and hold the array tables to them (exact
+agreement on single-key batches, the tables' documented batch
+semantics otherwise) — and Sample-and-Hold, which has no batch
+formulation, is the one name :func:`make_backend` maps to a scalar
+class.
 
 Row semantics under a sketch: a flow earns a stream row the first time
 it is still tracked when a slot closes — surviving one slot boundary is
@@ -311,7 +314,7 @@ class SketchAggregation(AggregationBackend):
     :meth:`_tracked`. This class owns the slot-local candidate
     accounting, the prune-on-eviction step that keeps the candidate
     table at ``capacity``, and the row assignment at slot close. It is
-    the reference implementation the array engine is tested against.
+    the reference implementation the array tables are tested against.
     """
 
     residual_row = 0
@@ -563,7 +566,7 @@ class SampleHoldAggregation(SummaryGatedAggregation):
     evicted, so the candidate table fills monotonically up to
     ``capacity``. Admission draws the seeded RNG once per offer, so
     there is no order-free batch formulation — this backend has no
-    array engine and always runs scalar.
+    array table and is the one scalar class on the production path.
     """
 
     name = "sample-hold"
@@ -594,8 +597,8 @@ class ArraySketchAggregation(AggregationBackend):
     loop left runs at slot close, over the slots that earned a row.
 
     Residual-row conservation, slot-close row admission and positional
-    row identity match the scalar engine exactly; the property suite
-    drives both engines packet-by-packet to pin the equivalence.
+    row identity match the scalar reference exactly; the property
+    suite drives both packet-by-packet to pin the equivalence.
     """
 
     residual_row = 0
@@ -903,8 +906,7 @@ class SketchSlotSource:
             )
 
 
-#: CLI names accepted by :func:`make_backend`, which holds the actual
-#: name → class mapping.
+#: CLI names accepted by :func:`make_backend`.
 BACKEND_NAMES = (
     "exact",
     "space-saving",
@@ -913,27 +915,23 @@ BACKEND_NAMES = (
     "sample-hold",
 )
 
-#: Sketch execution engines accepted by :func:`make_backend`.
-SKETCH_ENGINES = ("array", "scalar")
-
 #: Admission policies accepted by :func:`make_backend`. ``"bloom"``
 #: puts a counting-Bloom byte-threshold gate in front of the array
 #: candidate tables (:mod:`repro.sketches.bloom`).
 ADMISSION_NAMES = ("none", "bloom")
 
-_SCALAR_CLASSES: dict[str, type[AggregationBackend]] = {
-    "space-saving": SpaceSavingAggregation,
-    "misra-gries": MisraGriesAggregation,
-    "count-min": CountMinAggregation,
-    "sample-hold": SampleHoldAggregation,
-}
+#: Sketch names whose candidate table is an array table — the ones a
+#: Bloom admission gate can front.
+ARRAY_SKETCH_NAMES = ("space-saving", "misra-gries", "count-min")
 
-#: Array-engine counterparts; sample-hold is inherently sequential
-#: (one RNG draw per offer) and always runs on the scalar engine.
-_ARRAY_CLASSES: dict[str, type[AggregationBackend]] = {
+#: The one production class per sketch name. The three summaries with a
+#: batch formulation run as array tables; sample-hold is inherently
+#: sequential (one RNG draw per offer) and runs the scalar sketch.
+_SKETCH_CLASSES: dict[str, type[AggregationBackend]] = {
     "space-saving": ArraySpaceSavingAggregation,
     "misra-gries": ArrayMisraGriesAggregation,
     "count-min": ArrayCountMinAggregation,
+    "sample-hold": SampleHoldAggregation,
 }
 
 
@@ -942,7 +940,6 @@ def make_backend(
     capacity: int | None = None,
     seed: int = 0,
     shards: int = 1,
-    engine: str = "array",
     admission: str | None = None,
     **kwargs,
 ) -> AggregationBackend:
@@ -953,80 +950,69 @@ def make_backend(
     ``sampling_probability`` for ``sample-hold``, or the
     ``admission_*`` tuning knobs of the Bloom gate).
 
-    ``engine`` selects the sketch execution engine: ``"array"`` (the
-    default) runs the vectorized candidate tables, ``"scalar"`` the
-    dict-and-heap reference path. ``sample-hold`` always runs scalar;
-    ``exact`` ignores the engine (its one implementation is already
-    vectorized).
-
     ``admission`` selects the candidate-admission pre-filter:
-    ``"bloom"`` gates entry to the (array-engine) candidate table on a
-    counting-Bloom byte threshold, so tail flows stop churning the
-    table. Only the array engine's sketch backends support it.
+    ``"bloom"`` gates entry to the candidate table on a counting-Bloom
+    byte threshold, so tail flows stop churning the table. Only the
+    array-table backends (every sketch but ``sample-hold``) support it.
 
-    ``shards > 1`` wraps ``shards`` inner backends of the same spec in
-    a :class:`~repro.pipeline.sharded.ShardedAggregation`. ``capacity``
+    ``shards > 1`` wraps ``shards`` inner backends of the same spec
+    (:func:`make_shard`) in a
+    :class:`~repro.pipeline.sharded.ShardedAggregation`. ``capacity``
     stays the *total* tracked-flow bound: each shard gets
     ``ceil(capacity / shards)`` entries, so a sharded run never holds
     more than one extra entry per shard beyond the requested K.
     """
-    if engine not in SKETCH_ENGINES:
-        raise ClassificationError(
-            f"unknown sketch engine {engine!r}; expected one of "
-            f"{', '.join(SKETCH_ENGINES)}"
-        )
     if shards < 1:
         raise ClassificationError("shards must be >= 1")
+    inners = [
+        make_shard(name, i, shards, capacity, seed, admission, **kwargs)
+        for i in range(shards)
+    ]
+    if shards == 1:
+        return inners[0]
+    # imported here: sharded sits above this module
+    from repro.pipeline.sharded import ShardedAggregation
+
+    return ShardedAggregation(inners)
+
+
+def make_shard(
+    name: str,
+    index: int,
+    shards: int,
+    capacity: int | None = None,
+    seed: int = 0,
+    admission: str | None = None,
+    **kwargs,
+) -> AggregationBackend:
+    """The inner backend partition ``index`` of a ``shards``-way split owns.
+
+    The split rule lives here and nowhere else, so an in-process
+    ``--shards N`` table and the table worker ``index`` of a
+    ``--workers N`` fleet builds in its own process are the same
+    object: ``ceil(capacity / shards)`` entries, hash seed
+    ``seed + index`` (distinct seeds decorrelate the hash-based
+    shards' errors), and a Bloom gate seeded with the fleet-wide
+    ``seed``.
+    """
+    if name not in BACKEND_NAMES:
+        raise ClassificationError(
+            f"unknown backend {name!r}; expected one of "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
     if admission is not None and admission not in ADMISSION_NAMES:
         raise ClassificationError(
             f"unknown admission policy {admission!r}; expected one of "
             f"{', '.join(ADMISSION_NAMES)}"
         )
-    if admission == "none":
-        admission = None
-    if admission is not None:
-        if engine != "array" or name not in _ARRAY_CLASSES:
+    if admission not in (None, "none"):
+        if name not in ARRAY_SKETCH_NAMES:
             raise ClassificationError(
-                "admission gating needs an array-engine sketch "
-                f"backend ({', '.join(sorted(_ARRAY_CLASSES))}); "
-                f"got {name!r} on the {engine!r} engine"
+                "admission gating needs an array-table sketch backend "
+                f"({', '.join(ARRAY_SKETCH_NAMES)}); got {name!r}"
             )
         kwargs.setdefault("admission_seed", seed)
         kwargs["admission"] = admission
-    if shards > 1:
-        # imported here: sharded sits above this module
-        from repro.pipeline.sharded import ShardedAggregation
-
-        if name == "exact":
-            if capacity is not None:
-                raise ClassificationError(
-                    "the exact backend tracks every flow; --capacity "
-                    "only applies to sketch backends"
-                )
-            inners: list[AggregationBackend] = [
-                ExactAggregation(**kwargs) for _ in range(shards)
-            ]
-        else:
-            if capacity is None:
-                raise ClassificationError(
-                    f"backend {name!r} needs --capacity or "
-                    "--memory-budget"
-                )
-            if capacity < 1:
-                raise ClassificationError("capacity must be >= 1")
-            per_shard = -(-capacity // shards)
-            # distinct seeds decorrelate the hash-based shards' errors
-            inners = [
-                make_backend(
-                    name,
-                    capacity=per_shard,
-                    seed=seed + i,
-                    engine=engine,
-                    **kwargs,
-                )
-                for i in range(shards)
-            ]
-        return ShardedAggregation(inners)
     if name == "exact":
         if capacity is not None:
             raise ClassificationError(
@@ -1034,14 +1020,6 @@ def make_backend(
                 "applies to sketch backends"
             )
         return ExactAggregation(**kwargs)
-    classes = dict(_SCALAR_CLASSES)
-    if engine == "array":
-        classes.update(_ARRAY_CLASSES)
-    if name not in classes:
-        raise ClassificationError(
-            f"unknown backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}"
-        )
     if capacity is None:
         raise ClassificationError(
             f"backend {name!r} needs --capacity or --memory-budget"
@@ -1049,8 +1027,8 @@ def make_backend(
     if capacity < 1:
         raise ClassificationError("capacity must be >= 1")
     if name in ("count-min", "sample-hold"):
-        kwargs.setdefault("seed", seed)
-    return classes[name](capacity, **kwargs)
+        kwargs.setdefault("seed", seed + index)
+    return _SKETCH_CLASSES[name](-(-capacity // shards), **kwargs)
 
 
 def parse_memory_budget(text: str) -> int:

@@ -35,7 +35,6 @@ from repro.net.prefix import Prefix
 from repro.pipeline.backends import AggregationBackend, SketchSlotSource
 from repro.pipeline.sampling import UNSAMPLED, SamplingSpec
 from repro.pipeline.sources import MatrixSlotSource, SlotFrame, SlotSource
-from repro.pipeline.spec import PipelineSpec
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,11 @@ class StreamingPipeline:
     inputs should pass the backend to the aggregator instead, where the
     bound applies before any per-flow state exists.
 
-    ``spec`` configures both in one step: its backend bounds the source
-    (unless an explicit ``backend`` is given) and its sampling policy
-    sizes the variance guard. ``sampling`` alone sets just the guard —
-    pass it when the aggregator upstream already applied the backend
-    and the sampling mask. Frames carry their own ``sample_rate``; the
-    guard only engages on frames that declare one above 1.
+    ``sampling`` (the deployment's
+    :class:`~repro.pipeline.sampling.SamplingSpec`) sizes the variance
+    guard; the mask itself is applied upstream, at the packet source.
+    Frames carry their own ``sample_rate``; the guard only engages on
+    frames that declare one above 1.
     """
 
     def __init__(
@@ -86,18 +84,7 @@ class StreamingPipeline:
         config: EngineConfig | None = None,
         backend: AggregationBackend | None = None,
         sampling: SamplingSpec | None = None,
-        spec: PipelineSpec | None = None,
     ) -> None:
-        if spec is not None:
-            if spec.workers > 1:
-                raise ClassificationError(
-                    "spec.workers > 1 is multi-process ingestion; use "
-                    "StreamingPipeline.parallel(..., spec=spec)"
-                )
-            if sampling is None:
-                sampling = spec.sampling
-            if backend is None:
-                backend = spec.build_backend()
         self.sampling = sampling if sampling is not None else UNSAMPLED
         if backend is not None:
             source = SketchSlotSource(source, backend)
@@ -107,72 +94,12 @@ class StreamingPipeline:
         self.config = config or EngineConfig()
         self.config.validate()
         self.classifier: OnlineClassifier | None = None
-        #: Fleet-wide ingestion stats when built by :meth:`parallel`.
-        self.ingest_stats = None
         detector = make_detector(scheme, beta=self.config.beta)
         self._label = f"{detector.name} {feature.value}"
         self._builder = ElephantSeriesBuilder(
             label=self._label,
             slot_seconds=source.slot_seconds,
         )
-
-    @classmethod
-    def parallel(
-        cls,
-        packets,
-        resolver,
-        workers: int | None = None,
-        slot_seconds: float = 60.0,
-        backend: str = "exact",
-        capacity: int | None = None,
-        seed: int = 0,
-        start: float | None = None,
-        k: int | None = None,
-        scheme: Scheme = Scheme.CONSTANT_LOAD,
-        feature: Feature = Feature.LATENT_HEAT,
-        config: EngineConfig | None = None,
-        spec: PipelineSpec | None = None,
-    ) -> "StreamingPipeline":
-        """A pipeline fed by multi-process ingestion.
-
-        Runs the capture through
-        :func:`~repro.distributed.runner.parallel_ingest` — one reader
-        process dealing packets to ``workers`` shard workers, each
-        owning a slice of a ``make_backend(backend, shards=workers)``
-        split — then returns a pipeline over the merged slot stream.
-        Ingestion happens *here*, eagerly (the merged population must
-        exist before classification); iterate :meth:`events` for the
-        classification pass. Fleet-wide packet accounting lands in
-        :attr:`ingest_stats`; the merged summaries are reachable as
-        ``pipeline.source.merged``. The CLI's ``stream --workers``
-        inlines this same ingest → collector sequence because it also
-        needs the empty-capture exit-1 contract and the collector
-        artefacts for ``--summary-out``.
-        """
-        # Imported lazily: repro.distributed sits above this module.
-        from repro.distributed.runner import parallel_ingest
-
-        ingest = parallel_ingest(
-            packets,
-            resolver,
-            workers=workers,
-            slot_seconds=slot_seconds,
-            backend=backend,
-            capacity=capacity,
-            seed=seed,
-            start=start,
-            spec=spec,
-        )
-        collector = ingest.collector(
-            k=k, scheme=scheme, feature=feature, config=config
-        )
-        pipeline = cls(
-            collector.source(), scheme=scheme, feature=feature,
-            config=config,
-            sampling=spec.sampling if spec is not None else None,
-        )
-        pipeline.ingest_stats = ingest.stats
-        return pipeline
 
     @property
     def label(self) -> str:
@@ -335,7 +262,6 @@ def run_stream(
     feature: Feature = Feature.LATENT_HEAT,
     config: EngineConfig | None = None,
     backend: AggregationBackend | None = None,
-    spec: PipelineSpec | None = None,
 ) -> tuple[ClassificationResult, ElephantSeries]:
     """Run a slot source end to end and collect the batch-shaped result.
 
@@ -347,8 +273,11 @@ def run_stream(
     """
     config = config or EngineConfig()
     pipeline = StreamingPipeline(
-        source, scheme=scheme, feature=feature, config=config,
-        backend=backend, spec=spec,
+        source,
+        scheme=scheme,
+        feature=feature,
+        config=config,
+        backend=backend,
     )
     collector = StreamCollector().collect(pipeline.events())
     detector = make_detector(scheme, beta=config.beta)

@@ -6,10 +6,12 @@ layer, ``shards`` on another, ``workers``/``ring_slots`` on a third —
 with the cross-field rules (shards vs workers, capacity vs budget,
 exact vs sketch) re-checked ad hoc at each call site. This module
 consolidates them: a :class:`PipelineSpec` is a frozen dataclass that
-validates every cross-field constraint once, at construction, and the
-entry points (``make_backend``, ``StreamingPipeline``,
-``engine.run_streaming``, ``parallel_ingest``, the CLI) all accept one.
-The old kwargs still work everywhere as thin shims over a spec.
+validates every cross-field constraint once, at construction, and it
+is the only configuration the entry points (``engine.run_streaming``,
+``parallel_ingest``, the CLI) take. Components below them
+(``StreamingAggregator``, ``StreamingPipeline``) take the objects a
+spec builds — :meth:`PipelineSpec.build_backend`,
+:meth:`PipelineSpec.open_source` — never the knobs themselves.
 
 The spec also carries the sampling policy
 (:class:`~repro.pipeline.sampling.SamplingSpec`) and the Bloom
@@ -26,11 +28,12 @@ from dataclasses import dataclass, field, replace
 from repro.errors import ClassificationError
 from repro.pipeline.backends import (
     ADMISSION_NAMES,
+    ARRAY_SKETCH_NAMES,
     BACKEND_NAMES,
-    SKETCH_ENGINES,
     AggregationBackend,
     capacity_for_budget,
     make_backend,
+    make_shard,
     parse_memory_budget,
 )
 from repro.pipeline.sampling import (
@@ -211,13 +214,14 @@ class PipelineSpec:
     - the exact backend takes neither; sketch backends need one.
     - ``shards`` (one process, N tables) and ``workers`` (N processes)
       are alternatives; give one.
-    - admission gating needs an array-engine sketch backend.
+    - admission gating needs an array-table sketch backend.
 
     ``memory_budget`` takes bytes or a ``"512k"``-style string; the
     budget → capacity split accounts for however many partitions the
-    deployment has (shards or workers). ``ring_slots`` is the
-    shared-memory ring depth per worker; ``None`` means the transport
-    default.
+    deployment has (shards or workers), and is resolved at
+    construction, so a malformed or too-small budget fails here rather
+    than at first use. ``ring_slots`` is the shared-memory ring depth
+    per worker; ``None`` means the transport default.
 
     ``source`` optionally names the packet input (a
     :class:`SourceSpec`); :meth:`open_source` opens it behind the
@@ -226,7 +230,6 @@ class PipelineSpec:
     """
 
     backend: str = "exact"
-    engine: str = "array"
     capacity: int | None = None
     memory_budget: int | str | None = None
     shards: int = 1
@@ -243,11 +246,6 @@ class PipelineSpec:
             raise ClassificationError(
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{', '.join(BACKEND_NAMES)}"
-            )
-        if self.engine not in SKETCH_ENGINES:
-            raise ClassificationError(
-                f"unknown sketch engine {self.engine!r}; expected one "
-                f"of {', '.join(SKETCH_ENGINES)}"
             )
         if self.admission not in ADMISSION_NAMES:
             raise ClassificationError(
@@ -286,12 +284,17 @@ class PipelineSpec:
                 f"backend {self.backend!r} needs --capacity or "
                 "--memory-budget"
             )
-        if self.admission != "none" and (
-            self.engine != "array"
-            or self.backend not in ("space-saving", "misra-gries", "count-min")
-        ):
+        if self.memory_budget is not None:
+            # resolved here for its errors: an unparsable budget, or
+            # one below an entry per partition, fails construction
+            # instead of the first resolved_capacity / describe() call
+            capacity_for_budget(
+                self.backend, self.budget_bytes, shards=self.partitions
+            )
+        if self.admission != "none" and self.backend not in ARRAY_SKETCH_NAMES:
             raise ClassificationError(
-                "admission gating needs an array-engine sketch backend"
+                "admission gating needs an array-table sketch backend "
+                f"({', '.join(ARRAY_SKETCH_NAMES)})"
             )
         if (
             self.admission_threshold is not None
@@ -343,24 +346,43 @@ class PipelineSpec:
 
         Returns ``None`` for the plain exact table (the aggregator's
         default — callers pass it straight through). Worker processes
-        build their own shard-sized backends instead; see
-        ``parallel_ingest(spec=...)``.
+        each build their own partition instead; see :meth:`build_shard`.
         """
         if self.backend == "exact" and self.shards == 1:
             return None
-        kwargs: dict = {}
-        if self.admission != "none":
-            kwargs["admission"] = self.admission
-            if self.admission_threshold is not None:
-                kwargs["admission_threshold"] = self.admission_threshold
         return make_backend(
             self.backend,
             capacity=self.resolved_capacity,
             seed=self.seed,
             shards=self.shards,
-            engine=self.engine,
-            **kwargs,
+            **self._admission_kwargs(),
         )
+
+    def build_shard(self, index: int) -> AggregationBackend:
+        """The flow table partition ``index`` of this deployment owns.
+
+        What worker ``index`` of a ``workers=N`` fleet builds in its
+        own process — the same table shard ``index`` of the
+        ``shards=N`` backend holds (capacity slice, hash seed and
+        Bloom gate; asserted by the property suite), without building
+        the other ``N - 1``.
+        """
+        return make_shard(
+            self.backend,
+            index,
+            self.partitions,
+            capacity=self.resolved_capacity,
+            seed=self.seed,
+            **self._admission_kwargs(),
+        )
+
+    def _admission_kwargs(self) -> dict[str, object]:
+        if self.admission == "none":
+            return {}
+        kwargs: dict[str, object] = {"admission": self.admission}
+        if self.admission_threshold is not None:
+            kwargs["admission_threshold"] = self.admission_threshold
+        return kwargs
 
     def wrap_source(self, source):
         """``source`` behind this spec's sampling front-end."""
@@ -373,9 +395,9 @@ class PipelineSpec:
         input (:class:`SourceSpec`) and the sampling policy, so a
         deployment's whole ingest path — what it reads, what it
         samples — opens from the spec alone. Raises when the spec
-        carries no source; entry points that also accept a legacy
-        positional path treat "both given" as an error (the same
-        spec-vs-kwargs mixing rule the other fields follow).
+        carries no source; entry points that also accept an opened
+        source argument (``parallel_ingest``) treat "both given" as an
+        error.
         """
         if self.source is None:
             raise ClassificationError(
@@ -394,7 +416,6 @@ class PipelineSpec:
         """
         facts: dict[str, object] = {
             "backend": self.backend,
-            "engine": self.engine,
             "capacity": self.resolved_capacity,
             "shards": self.shards,
             "workers": self.workers,
@@ -425,7 +446,6 @@ class PipelineSpec:
         )
         return cls(
             backend=getattr(args, "backend", "exact"),
-            engine=getattr(args, "engine", "array"),
             capacity=getattr(args, "capacity", None),
             memory_budget=getattr(args, "memory_budget", None),
             shards=getattr(args, "shards", 1),

@@ -46,6 +46,7 @@ from repro.errors import (
     ServiceProtocolError,
 )
 from repro.pipeline.sources import ArrayPacketSource
+from repro.pipeline.spec import PipelineSpec
 from repro.routing.lpm import FixedLengthResolver
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -421,7 +422,7 @@ def fleet_run(workers=2, seed=9, **kwargs):
     return parallel_ingest(
         source,
         FixedLengthResolver(16),
-        workers=workers,
+        spec=PipelineSpec(workers=workers),
         slot_seconds=SLOT_SECONDS,
         **kwargs,
     )
@@ -482,11 +483,15 @@ class TestSupervisedWorkers:
         # the merged classification still runs over what survived
         assert list(degraded.collector().events())
 
-    def test_restart_budget_exhaustion_aborts(self, monkeypatch):
-        # the legacy env directive hits every incarnation: a crash loop
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "worker:0")
+    def test_restart_budget_exhaustion_aborts(self):
+        # a rule per incarnation: the original and both restarts die
+        loop = FaultPlan.parse("worker:0@0,worker:0@1,worker:0@2")
         with pytest.raises(ReproError, match="restart budget"):
-            fleet_run(on_worker_crash="restart", max_worker_restarts=2)
+            fleet_run(
+                on_worker_crash="restart",
+                max_worker_restarts=2,
+                faults=loop,
+            )
         assert_no_orphans()
 
     def test_reader_crash_always_aborts(self):

@@ -14,9 +14,7 @@ import socket
 import pytest
 
 from repro.distributed.faults import (
-    LEGACY_ENV,
     PLAN_ENV,
-    ClientFaultState,
     FaultPlan,
     FaultRule,
     FaultySocket,
@@ -93,8 +91,8 @@ class TestDirectiveParsing:
         with pytest.raises(ValueError):
             FaultPlan.parse("explode")
 
-    def test_from_env_merges_plan_and_legacy(self):
-        env = {PLAN_ENV: "sever:mon-a:3", LEGACY_ENV: "worker:1:hard"}
+    def test_from_env_reads_the_plan_variable(self):
+        env = {PLAN_ENV: "sever:mon-a:3,worker:1:hard"}
         plan = FaultPlan.from_env(env)
         assert {rule.kind for rule in plan.rules} == {
             "sever",

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.distributed import (
+    FaultPlan,
     ParallelIngestResult,
     RowResolver,
     SlotSummary,
-    WorkerSpec,
     parallel_ingest,
 )
 from repro.distributed.shm_ring import SHM_NAME_PREFIX
@@ -27,6 +27,7 @@ from repro.net.prefix import Prefix
 from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
+    PipelineSpec,
     StreamingAggregator,
     StreamingPipeline,
     make_backend,
@@ -49,10 +50,10 @@ def ingest(workers, backend="exact", capacity=None, **kwargs):
     timestamps, destinations, sizes = packet_arrays()
     source = ArrayPacketSource(timestamps, destinations, sizes,
                                chunk_packets=600)
+    spec = PipelineSpec(workers=workers, backend=backend, capacity=capacity)
     return parallel_ingest(
-        source, FixedLengthResolver(16), workers=workers,
-        slot_seconds=SLOT_SECONDS, backend=backend, capacity=capacity,
-        **kwargs,
+        source, FixedLengthResolver(16), spec=spec,
+        slot_seconds=SLOT_SECONDS, **kwargs,
     )
 
 
@@ -121,7 +122,8 @@ class TestParallelIngest:
         # a one-prefix table: everything outside 10.0.0.0/16 unrouted
         resolver = CompiledLpm([Prefix.parse("10.0.0.0/16")])
         source = ArrayPacketSource(timestamps, destinations, sizes)
-        result = parallel_ingest(source, resolver, workers=2,
+        result = parallel_ingest(source, resolver,
+                                 spec=PipelineSpec(workers=2),
                                  slot_seconds=SLOT_SECONDS)
         routed = int((destinations >> 16 == (10 << 8)).sum())
         assert result.stats.packets_matched == routed
@@ -131,7 +133,8 @@ class TestParallelIngest:
         source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),
                                    np.zeros(0, np.int64))
         result = parallel_ingest(source, FixedLengthResolver(16),
-                                 workers=2, slot_seconds=SLOT_SECONDS)
+                                 spec=PipelineSpec(workers=2),
+                                 slot_seconds=SLOT_SECONDS)
         assert all(not run for run in result.runs)
         with pytest.raises(ClassificationError):
             result.collector()
@@ -141,35 +144,34 @@ class TestParallelIngest:
         source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),
                                    np.zeros(0, np.int64))
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16), workers=0)
+            parallel_ingest(source, FixedLengthResolver(16),
+                            spec=PipelineSpec(workers=0))
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16), workers=2,
-                            backend="space-saving")  # needs capacity
+            parallel_ingest(source, FixedLengthResolver(16),
+                            spec=PipelineSpec(workers=2,
+                                              backend="space-saving"))
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16), workers=2,
-                            slot_seconds=0.0)
+            parallel_ingest(source, FixedLengthResolver(16),
+                            spec=PipelineSpec(workers=2), slot_seconds=0.0)
         assert_no_orphans()
 
 
 class TestCrashHandling:
-    def test_worker_failure_is_one_clean_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "worker:0")
+    def test_worker_failure_is_one_clean_error(self):
         with pytest.raises(ReproError, match="worker0"):
-            ingest(workers=2)
+            ingest(workers=2, faults=FaultPlan.parse("worker:0"))
         assert_no_orphans()
         assert_no_ring_segments()
 
-    def test_hard_worker_crash_detected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "worker:1:hard")
+    def test_hard_worker_crash_detected(self):
         with pytest.raises(ReproError, match="worker 1 exited"):
-            ingest(workers=2)
+            ingest(workers=2, faults=FaultPlan.parse("worker:1:hard"))
         assert_no_orphans()
         assert_no_ring_segments()
 
-    def test_reader_failure_is_one_clean_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "reader")
+    def test_reader_failure_is_one_clean_error(self):
         with pytest.raises(ReproError, match="reader"):
-            ingest(workers=2)
+            ingest(workers=2, faults=FaultPlan.parse("reader"))
         assert_no_orphans()
         assert_no_ring_segments()
 
@@ -202,25 +204,17 @@ class TestParallelIngestResult:
         assert result.num_slots == 2
 
 
-class TestWorkerSpec:
+class TestBuildShard:
     def test_single_worker_gets_the_whole_backend(self):
-        backend = WorkerSpec("space-saving", capacity=8).build(0, 1)
-        assert backend.capacity == 8
+        spec = PipelineSpec(backend="space-saving", capacity=8)
+        assert spec.build_shard(0).capacity == 8
 
     def test_fleet_splits_capacity_like_make_backend(self):
         sharded = make_backend("space-saving", capacity=10, shards=3)
-        spec = WorkerSpec("space-saving", capacity=10)
+        spec = PipelineSpec(backend="space-saving", capacity=10, workers=3)
         for worker_id in range(3):
-            built = spec.build(worker_id, 3)
+            built = spec.build_shard(worker_id)
             assert built.capacity == sharded.shards[worker_id].capacity
-
-    def test_validate_rejects_bad_specs(self):
-        with pytest.raises(ClassificationError):
-            WorkerSpec("space-saving").validate(2)
-        with pytest.raises(ClassificationError):
-            WorkerSpec("exact", capacity=4).validate(2)
-        with pytest.raises(ClassificationError):
-            WorkerSpec("no-such-backend", capacity=4).validate(2)
 
 
 class TestRowResolver:
@@ -233,16 +227,15 @@ class TestRowResolver:
         assert resolver.prefixes[1] == Prefix.parse("10.1.0.0/16")
 
 
-class TestPipelineParallel:
-    def test_pipeline_classmethod_carries_fleet_stats(self):
+class TestFleetCollector:
+    def test_ingest_result_carries_fleet_stats(self):
         timestamps, destinations, sizes = packet_arrays(packets=2000)
-        pipeline = StreamingPipeline.parallel(
+        ingest = parallel_ingest(
             ArrayPacketSource(timestamps, destinations, sizes),
-            FixedLengthResolver(16), workers=2,
+            FixedLengthResolver(16), spec=PipelineSpec(workers=2),
             slot_seconds=SLOT_SECONDS,
         )
-        events = list(pipeline.events())
+        events = list(ingest.collector().events())
         assert events
-        assert pipeline.ingest_stats is not None
-        assert pipeline.ingest_stats.packets_matched == timestamps.size
+        assert ingest.stats.packets_matched == timestamps.size
         assert_no_orphans()

@@ -18,8 +18,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.distributed import parallel_ingest
-from repro.distributed.runner import FAULT_ENV, START_METHOD_ENV
+from repro.distributed import FaultPlan, parallel_ingest
+from repro.distributed.runner import START_METHOD_ENV
 from repro.distributed.shm_ring import (
     SHM_NAME_PREFIX,
     RingConsumer,
@@ -30,6 +30,7 @@ from repro.errors import ClassificationError, ReproError
 from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
+    PipelineSpec,
     StreamingAggregator,
     StreamingPipeline,
     make_backend,
@@ -214,7 +215,11 @@ class TestRing:
         assert name not in ring_segments()
 
 
-def fleet_ingest(chunk_packets=500, workers=2, **kwargs):
+def fleet_ingest(
+    chunk_packets=500, ring_slot_packets=None, faults=None, **spec_fields
+):
+    """Run the fixed trace through a fleet; ``spec_fields`` override
+    the two-worker exact :class:`PipelineSpec`."""
     rng = np.random.default_rng(3)
     packets = 3000
     timestamps = np.sort(rng.uniform(0.0, 180.0, packets))
@@ -226,9 +231,10 @@ def fleet_ingest(chunk_packets=500, workers=2, **kwargs):
     result = parallel_ingest(
         source,
         FixedLengthResolver(16),
-        workers=workers,
+        spec=PipelineSpec(**{"workers": 2, **spec_fields}),
         slot_seconds=60.0,
-        **kwargs,
+        ring_slot_packets=ring_slot_packets,
+        faults=faults,
     )
     return result, int(sizes.sum())
 
@@ -285,10 +291,9 @@ class TestFleetLifecycle:
         assert merged == reference
         assert ring_segments() == []
 
-    def test_midslot_crash_leaves_no_segment(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "worker:0:midslot")
+    def test_midslot_crash_leaves_no_segment(self):
         with pytest.raises(ReproError, match="worker 0 exited"):
-            fleet_ingest()
+            fleet_ingest(faults=FaultPlan.parse("worker:0:midslot"))
         assert multiprocessing.active_children() == []
         assert ring_segments() == []
 

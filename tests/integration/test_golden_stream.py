@@ -25,7 +25,10 @@ from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
 from repro.pipeline import (
     AggregatingSlotSource,
+    CountMinAggregation,
+    MisraGriesAggregation,
     PcapPacketSource,
+    SpaceSavingAggregation,
     StreamingAggregator,
     StreamingPipeline,
     make_backend,
@@ -127,14 +130,15 @@ def test_array_engine_elephants_match_scalar_engine(tmp_path):
     output is pinned engine-independent."""
     path = os.path.join(str(tmp_path), "golden.pcap")
     prefixes, _ = _write_capture(path)
-    for name in ("space-saving", "misra-gries", "count-min"):
+    scalar_classes = {
+        "space-saving": SpaceSavingAggregation,
+        "misra-gries": MisraGriesAggregation,
+        "count-min": CountMinAggregation,
+    }
+    for name, scalar in scalar_classes.items():
         runs = {
-            engine: _run(
-                path,
-                prefixes,
-                make_backend(name, capacity=6, engine=engine),
-            )
-            for engine in ("array", "scalar")
+            "array": _run(path, prefixes, make_backend(name, capacity=6)),
+            "scalar": _run(path, prefixes, scalar(6)),
         }
         assert runs["array"]["elephant_counts"] == \
             runs["scalar"]["elephant_counts"], name

@@ -9,6 +9,7 @@ from repro.flows.records import TimeAxis
 from repro.net import ipv4
 from repro.net.prefix import Prefix
 from repro.pipeline.aggregator import StreamingAggregator
+from repro.pipeline.backends import make_backend
 from repro.pipeline.sources import PacketBatch
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.lpm import CompiledLpm, FixedLengthResolver
@@ -293,7 +294,6 @@ class TestOutOfOrderAccounting:
             aggregator = StreamingAggregator(
                 make_table("10.0.0.0/8", "20.0.0.0/8"),
                 slot_seconds=10.0, start=0.0, backend=backend,
-                capacity=4 if backend else None,
             )
             aggregator.ingest(batch([(25.0, "10.0.0.1", 100)]))
             aggregator.ingest(batch([
@@ -302,4 +302,4 @@ class TestOutOfOrderAccounting:
             aggregator.finish()
             return aggregator.stats
 
-        assert run(backend_name) == run(None)
+        assert run(make_backend(backend_name, capacity=4)) == run(None)

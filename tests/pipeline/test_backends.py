@@ -23,16 +23,35 @@ from repro.pipeline import (
     make_backend,
     parse_memory_budget,
 )
-from repro.pipeline.backends import TRACKED_ENTRY_BYTES
+from repro.pipeline.backends import (
+    TRACKED_ENTRY_BYTES,
+    CountMinAggregation,
+    MisraGriesAggregation,
+    SampleHoldAggregation,
+    SpaceSavingAggregation,
+)
 from repro.pipeline.sources import PacketBatch
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.routing.lpm import FixedLengthResolver
 
 SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
-#: Execution engines for the bounded backends; the invariants below
-#: must hold identically under both (sample-hold always runs scalar).
+#: The invariants below must hold identically for the production
+#: backends ``make_backend`` builds ("array"; sample-hold's is scalar)
+#: and for the scalar reference classes, which are built by class.
 ENGINES = ("array", "scalar")
+SCALAR_CLASSES = {
+    "space-saving": SpaceSavingAggregation,
+    "misra-gries": MisraGriesAggregation,
+    "count-min": CountMinAggregation,
+    "sample-hold": SampleHoldAggregation,
+}
+
+
+def build(name, capacity=None, engine="array", **kwargs):
+    if engine == "scalar":
+        return SCALAR_CLASSES[name](capacity, **kwargs)
+    return make_backend(name, capacity=capacity, **kwargs)
 
 
 def batch(rows):
@@ -86,7 +105,7 @@ class TestCapacityBound:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_tracked_state_never_exceeds_capacity(self, name, engine):
         capacity = 8
-        backend = make_backend(name, capacity=capacity, engine=engine)
+        backend = build(name, capacity, engine)
         rows = heavy_tailed_rows()
         aggregator = StreamingAggregator(FixedLengthResolver(24),
                                          slot_seconds=10.0,
@@ -103,10 +122,10 @@ class TestCapacityBound:
         # sample-hold never evicts, so held mice occupy entries for the
         # whole run: give it headroom and a sampling rate that catches
         # the heavy flows quickly but rarely holds a 64-byte mouse
-        backend = (make_backend(name, capacity=8, engine=engine)
+        backend = (build(name, 8, engine)
                    if name != "sample-hold"
-                   else make_backend(name, capacity=16, engine=engine,
-                                     sampling_probability=1e-4))
+                   else build(name, 16, engine,
+                              sampling_probability=1e-4))
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
         heavy = {Prefix.parse(f"10.{i}.0.0/24") for i in range(5)}
         assert heavy <= set(aggregator.prefixes)
@@ -121,8 +140,8 @@ class TestCountMinHeapBound:
     def test_candidate_heap_stays_bounded_on_long_streams(self):
         """Re-offering a stable candidate set must not grow the lazy
         heap with the stream (stale entries are pruned by rebuild).
-        Scalar-engine specific: the array engine has no lazy heap."""
-        backend = make_backend("count-min", capacity=8, engine="scalar")
+        Scalar-reference specific: the array table has no lazy heap."""
+        backend = CountMinAggregation(8)
         aggregator = StreamingAggregator(FixedLengthResolver(24),
                                          slot_seconds=1.0,
                                          backend=backend)
@@ -139,7 +158,7 @@ class TestResidualSemantics:
     @pytest.mark.parametrize("name", SKETCH_NAMES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bytes_conserved_including_residual(self, name, engine):
-        backend = make_backend(name, capacity=6, engine=engine)
+        backend = build(name, 6, engine)
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend,
                                               chunks=7)
         recovered = sum(float(f.rates.sum()) for f in frames) * 10.0 / 8.0
@@ -226,7 +245,7 @@ class TestResidualSemantics:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_residual_record_accounts_untracked_packets(self, engine):
-        backend = make_backend("misra-gries", capacity=4, engine=engine)
+        backend = build("misra-gries", 4, engine)
         aggregator, _ = run_backend_over(heavy_tailed_rows(), backend)
         records = aggregator.flow_records()
         assert records[0].prefix == RESIDUAL_PREFIX
@@ -239,7 +258,7 @@ class TestRowIdentity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_rows_stable_across_eviction_and_readmission(self, engine):
         """A flow evicted mid-run keeps its row when it comes back."""
-        backend = make_backend("space-saving", capacity=2, engine=engine)
+        backend = build("space-saving", 2, engine)
         aggregator = StreamingAggregator(FixedLengthResolver(24),
                                          slot_seconds=10.0,
                                          backend=backend)
@@ -273,7 +292,9 @@ class TestExactBackendCompatibility:
     def test_default_and_named_exact_identical(self):
         rows = heavy_tailed_rows(num_heavy=3, num_mice=30, num_slots=4)
         default, default_frames = run_backend_over(rows, None, chunks=3)
-        named, named_frames = run_backend_over(rows, "exact", chunks=3)
+        named, named_frames = run_backend_over(
+            rows, make_backend("exact"), chunks=3
+        )
         assert default.prefixes == named.prefixes
         assert len(default_frames) == len(named_frames)
         for a, b in zip(default_frames, named_frames):
@@ -371,7 +392,7 @@ class TestEmptyBatches:
     ])
     def test_empty_accumulate_is_noop(self, spec):
         name, kwargs = spec
-        backend = make_backend(name, **kwargs)
+        backend = build(name, **kwargs)
         empty = np.empty(0, dtype=np.int64)
         backend.accumulate(empty, empty, np.empty(0), lambda key: None)
         assert backend.tracked_flows == 0
@@ -379,41 +400,21 @@ class TestEmptyBatches:
         assert float(vector.sum()) == 0.0
 
 
-class TestEngineSelection:
-    def test_default_engine_is_array(self):
+class TestFactoryClasses:
+    def test_sketch_names_build_array_tables(self):
         from repro.pipeline import ArraySketchAggregation
         backend = make_backend("space-saving", capacity=4)
         assert isinstance(backend, ArraySketchAggregation)
         assert backend.name == "space-saving"
 
-    def test_scalar_engine_builds_reference_classes(self):
-        from repro.pipeline import SketchAggregation
-        backend = make_backend("space-saving", capacity=4,
-                               engine="scalar")
-        assert isinstance(backend, SketchAggregation)
+    def test_sample_hold_builds_the_scalar_class(self):
+        backend = make_backend("sample-hold", capacity=4)
+        assert isinstance(backend, SampleHoldAggregation)
 
-    def test_sample_hold_always_scalar(self):
-        from repro.pipeline import SampleHoldAggregation
-        for engine in ENGINES:
-            backend = make_backend("sample-hold", capacity=4,
-                                   engine=engine)
-            assert isinstance(backend, SampleHoldAggregation)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ClassificationError, match="engine"):
-            make_backend("space-saving", capacity=4, engine="gpu")
-
-    def test_sharded_backends_inherit_engine(self):
-        from repro.pipeline import (
-            ArraySketchAggregation,
-            SketchAggregation,
-        )
+    def test_sharded_backends_hold_array_tables(self):
+        from repro.pipeline import ArraySketchAggregation
         sharded = make_backend("misra-gries", capacity=8, shards=2)
         assert all(isinstance(s, ArraySketchAggregation)
-                   for s in sharded.shards)
-        sharded = make_backend("misra-gries", capacity=8, shards=2,
-                               engine="scalar")
-        assert all(isinstance(s, SketchAggregation)
                    for s in sharded.shards)
 
 
@@ -437,7 +438,7 @@ class TestRowKeys:
     @pytest.mark.parametrize("name", SKETCH_NAMES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sketch_rows_offset_past_residual(self, name, engine):
-        backend = make_backend(name, capacity=6, engine=engine)
+        backend = build(name, 6, engine)
         rows = heavy_tailed_rows(num_heavy=3, num_mice=10, num_slots=2)
         aggregator, _ = run_backend_over(rows, backend)
         keys = backend.row_keys()

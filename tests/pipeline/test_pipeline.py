@@ -17,7 +17,6 @@ from repro.core.engine import (
     Feature,
     Scheme,
 )
-from repro.errors import ClassificationError
 from repro.flows.aggregate import aggregate_pcap
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
@@ -26,9 +25,9 @@ from repro.pipeline import (
     AggregatingSlotSource,
     MatrixSlotSource,
     PcapPacketSource,
+    PipelineSpec,
     StreamingAggregator,
     StreamingPipeline,
-    make_backend,
     run_stream,
 )
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
@@ -89,15 +88,17 @@ class TestMatrixStreamingEquivalence:
 
 
 class TestMatrixParallelReplay:
-    """`run_streaming(workers=N)` replays the matrix through real
-    worker processes; the verdicts must agree with batch per slot."""
+    """`run_streaming(spec=PipelineSpec(workers=N))` replays the matrix
+    through real worker processes; the verdicts must agree with batch
+    per slot."""
 
     def test_workers_mode_matches_batch_elephants(self):
         matrix = _separated_matrix()
         engine = ClassificationEngine(matrix)
         batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
         parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT, workers=2,
+            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
+            spec=PipelineSpec(workers=2),
         )
         assert parallel.matrix.num_slots == matrix.num_slots
         batch_sets = _elephant_sets(batch)
@@ -118,7 +119,8 @@ class TestMatrixParallelReplay:
         engine = ClassificationEngine(shifted)
         batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
         parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT, workers=2,
+            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
+            spec=PipelineSpec(workers=2),
         )
         assert parallel.matrix.num_slots == shifted.num_slots
         residual = Prefix.parse("0.0.0.0/0")
@@ -135,7 +137,8 @@ class TestMatrixParallelReplay:
         quiet_tail = RateMatrix(matrix.prefixes, matrix.axis, rates)
         engine = ClassificationEngine(quiet_tail)
         parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT, workers=2,
+            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
+            spec=PipelineSpec(workers=2),
         )
         assert parallel.matrix.num_slots == quiet_tail.num_slots
         batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
@@ -158,19 +161,8 @@ class TestMatrixParallelReplay:
             engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
         with pytest.raises(InsufficientDataError):
             engine.run_streaming(Scheme.CONSTANT_LOAD,
-                                 Feature.LATENT_HEAT, workers=2)
-
-    def test_workers_mode_rejects_backend(self):
-        engine = ClassificationEngine(_separated_matrix())
-        with pytest.raises(ClassificationError):
-            engine.run_streaming(Scheme.CONSTANT_LOAD,
                                  Feature.LATENT_HEAT,
-                                 backend=make_backend("space-saving",
-                                                      capacity=4),
-                                 workers=2)
-        with pytest.raises(ClassificationError):
-            engine.run_streaming(Scheme.CONSTANT_LOAD,
-                                 Feature.LATENT_HEAT, workers=0)
+                                 spec=PipelineSpec(workers=2))
 
 
 def _separated_matrix(num_flows=12, num_slots=6):

@@ -16,6 +16,7 @@ from repro.errors import ClassificationError
 from repro.net import ipv4
 from repro.pipeline import (
     RESIDUAL_PREFIX,
+    PipelineSpec,
     ShardedAggregation,
     StreamingAggregator,
     capacity_for_budget,
@@ -138,22 +139,16 @@ class TestConstruction:
         with pytest.raises(ClassificationError):
             make_backend("exact", capacity=8, shards=2)
 
-    def test_aggregator_rejects_shards_with_instance_backend(self):
-        # shards only threads through named backends; silently running
-        # one table against an explicit shards=4 would lie to the caller
-        instance = make_backend("space-saving", capacity=8)
-        with pytest.raises(ClassificationError):
-            StreamingAggregator(FixedLengthResolver(24), backend=instance,
-                                shards=4)
-
-    def test_aggregator_builds_sharded_backend_by_name(self):
+    def test_aggregator_takes_spec_built_sharded_backends(self):
+        spec = PipelineSpec(backend="space-saving", capacity=8, shards=2)
         aggregator = StreamingAggregator(
-            FixedLengthResolver(24), backend="space-saving",
-            capacity=8, shards=2,
+            FixedLengthResolver(24), backend=spec.build_backend()
         )
         assert isinstance(aggregator.backend, ShardedAggregation)
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         shards=3)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(24),
+            backend=PipelineSpec(shards=3).build_backend(),
+        )
         assert isinstance(aggregator.backend, ShardedAggregation)
         assert aggregator.backend.residual_row is None
 

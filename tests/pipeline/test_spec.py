@@ -36,10 +36,6 @@ class TestValidation:
         with pytest.raises(ClassificationError, match="unknown backend"):
             PipelineSpec(backend="lossy")
 
-    def test_unknown_engine(self):
-        with pytest.raises(ClassificationError, match="sketch engine"):
-            PipelineSpec(engine="gpu")
-
     def test_unknown_admission(self):
         with pytest.raises(ClassificationError, match="admission"):
             PipelineSpec(admission="cuckoo")
@@ -63,19 +59,28 @@ class TestValidation:
             PipelineSpec(backend="space-saving")
 
     def test_admission_needs_array_sketch(self):
-        with pytest.raises(ClassificationError, match="array-engine"):
+        with pytest.raises(ClassificationError, match="array-table"):
             PipelineSpec(backend="exact", admission="bloom")
-        with pytest.raises(ClassificationError, match="array-engine"):
-            PipelineSpec(
-                backend="space-saving",
-                capacity=64,
-                engine="scalar",
-                admission="bloom",
-            )
-        with pytest.raises(ClassificationError, match="array-engine"):
+        with pytest.raises(ClassificationError, match="array-table"):
             PipelineSpec(
                 backend="sample-hold", capacity=64, admission="bloom"
             )
+
+    def test_unparsable_budget_fails_at_construction(self):
+        with pytest.raises(ClassificationError, match="bad memory budget"):
+            PipelineSpec(backend="space-saving", memory_budget="abc")
+
+    def test_budget_below_one_entry_per_shard_fails_at_construction(self):
+        # 1 kB buys three ~320 B entries: enough for one table, not for
+        # an entry in each of four
+        PipelineSpec(backend="space-saving", memory_budget="1k")
+        for split in ({"shards": 4}, {"workers": 4}):
+            with pytest.raises(
+                ClassificationError, match="below one tracked entry"
+            ):
+                PipelineSpec(
+                    backend="space-saving", memory_budget="1k", **split
+                )
 
     def test_bounds_checked(self):
         with pytest.raises(ClassificationError):
@@ -106,10 +111,9 @@ class TestDerivedViews:
         spec = PipelineSpec(backend="space-saving", memory_budget=4096)
         assert spec.budget_bytes == 4096
 
-    def test_budget_bytes_rejects_nonpositive_int(self):
-        spec = PipelineSpec(backend="space-saving", memory_budget=0)
-        with pytest.raises(ClassificationError):
-            spec.budget_bytes
+    def test_nonpositive_int_budget_rejected(self):
+        with pytest.raises(ClassificationError, match="positive"):
+            PipelineSpec(backend="space-saving", memory_budget=0)
 
     def test_resolved_capacity_passthrough(self):
         spec = PipelineSpec(backend="space-saving", capacity=64)
@@ -174,7 +178,6 @@ class TestFromArgs:
     def test_full_namespace(self):
         ns = argparse.Namespace(
             backend="space-saving",
-            engine="array",
             capacity=128,
             memory_budget=None,
             shards=1,

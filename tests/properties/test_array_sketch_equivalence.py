@@ -28,6 +28,11 @@ from hypothesis import strategies as st
 
 from repro.pipeline import make_backend
 from repro.pipeline.aggregator import StreamingAggregator
+from repro.pipeline.backends import (
+    CountMinAggregation,
+    MisraGriesAggregation,
+    SpaceSavingAggregation,
+)
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
 from repro.sketches.array_tables import (
@@ -40,6 +45,14 @@ from repro.sketches.misra_gries import MisraGries
 from repro.sketches.space_saving import SpaceSaving
 
 SKETCH_NAMES = ("space-saving", "misra-gries", "count-min")
+
+#: The scalar reference backends, built by class — ``make_backend``
+#: only builds the production (array) class for each name.
+SCALAR = {
+    "space-saving": SpaceSavingAggregation,
+    "misra-gries": MisraGriesAggregation,
+    "count-min": CountMinAggregation,
+}
 
 #: Weights mix a small repeat-heavy set (count ties occur often — the
 #: tie-break agreement is part of what is under test) with non-dyadic
@@ -164,11 +177,11 @@ class TestBackendsAgreePacketByPacket:
         self, batches, capacity, name
     ):
         scalar, scalar_frames = run_backend(
-            make_backend(name, capacity=capacity, engine="scalar"),
+            SCALAR[name](capacity),
             batches,
         )
         array, array_frames = run_backend(
-            make_backend(name, capacity=capacity, engine="array"),
+            make_backend(name, capacity=capacity),
             batches,
         )
         assert scalar.prefixes == array.prefixes
@@ -224,7 +237,7 @@ class TestBatchedGuarantees:
     def test_capacity_and_byte_conservation(
         self, batches, capacity, name
     ):
-        backend = make_backend(name, capacity=capacity, engine="array")
+        backend = make_backend(name, capacity=capacity)
         aggregator, frames = run_batched(backend, batches)
         assert backend.peak_tracked <= capacity
         recovered = sum(float(f.rates.sum()) for f in frames) * 1e9 / 8
@@ -274,12 +287,12 @@ class TestBatchedGuarantees:
         batched array run must equal the scalar run frame-for-frame."""
         flows = len({key for batch in batches for key, _ in batch})
         scalar, scalar_frames = run_batched(
-            make_backend(name, capacity=flows, engine="scalar"),
+            SCALAR[name](flows),
             batches,
             slot_seconds=2.0,
         )
         array, array_frames = run_batched(
-            make_backend(name, capacity=flows, engine="array"),
+            make_backend(name, capacity=flows),
             batches,
             slot_seconds=2.0,
         )

@@ -17,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import parallel_ingest
+from repro.net.prefix import Prefix
 from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
+    PipelineSpec,
     StreamingAggregator,
     StreamingPipeline,
     make_backend,
+    shard_of,
 )
 from repro.routing.lpm import FixedLengthResolver
 
@@ -102,8 +105,9 @@ def multi_process_run(workload, backend_name, capacity):
     result = parallel_ingest(
         ArrayPacketSource(timestamps, destinations, sizes,
                           chunk_packets=chunk),
-        FixedLengthResolver(16), workers=workers, slot_seconds=seconds,
-        backend=backend_name, capacity=capacity,
+        FixedLengthResolver(16), slot_seconds=seconds,
+        spec=PipelineSpec(workers=workers, backend=backend_name,
+                          capacity=capacity),
     )
     slots = classified_slots(result.collector().events())
     merged_bytes = sum(summary.total_bytes
@@ -164,3 +168,97 @@ def test_sketch_workers_classify_like_sketch_shards(workload, capacity):
     assert abs(merged_bytes - matched_bytes) <= 1e-9 * max(
         matched_bytes, 1,
     )
+
+
+@st.composite
+def partitioned_specs(draw):
+    """A 1-4 way deployment: exact or sketch, with or without the gate."""
+    backend = draw(st.sampled_from(
+        ["exact", "space-saving", "misra-gries", "count-min",
+         "sample-hold"]
+    ))
+    fields = {"workers": draw(st.integers(min_value=1, max_value=4))}
+    if backend != "exact":
+        fields["capacity"] = draw(st.integers(min_value=1, max_value=12))
+        fields["seed"] = draw(st.integers(min_value=0, max_value=5))
+        if backend != "sample-hold" and draw(st.booleans()):
+            fields["admission"] = "bloom"
+            fields["admission_threshold"] = draw(
+                st.sampled_from([None, 300.0])
+            )
+    return PipelineSpec(backend=backend, **fields)
+
+
+#: Per slot, per batch: (flow key, bytes) packets.
+SLOTTED_PACKETS = st.lists(
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40),
+                      st.integers(min_value=64, max_value=1500)),
+            min_size=1, max_size=30,
+        ),
+        min_size=1, max_size=3,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=partitioned_specs(), slots=SLOTTED_PACKETS)
+def test_build_shard_is_the_sharded_backends_shard(spec, slots):
+    """Worker ``i``'s table is shard ``i``'s table.
+
+    ``spec.build_shard(i)`` fed shard ``i``'s sub-stream must end in
+    the state shard ``i`` of the ``shards=N`` twin reaches inside the
+    in-process sharder: same population, same slot vectors, same
+    capacity slice, same bytes turned away at the Bloom gate.
+    """
+    parts = spec.partitions
+    twin = spec.replace(workers=1, shards=parts).build_backend()
+    twin = make_backend("exact") if twin is None else twin
+    twin_shards = getattr(twin, "shards", [twin])
+    twin_vectors = [[] for _ in twin_shards]
+    for shard, log in zip(twin_shards, twin_vectors):
+        def close_slot(close=shard.close_slot, log=log):
+            log.append(close())
+            return log[-1]
+        shard.close_slot = close_slot
+    built = [spec.build_shard(index) for index in range(parts)]
+    built_vectors = [[] for _ in built]
+
+    def prefix_of(key):
+        return Prefix((10 << 24) | (int(key) << 8), 24)
+
+    clock = 0.0
+    for batches in slots:
+        for batch in batches:
+            keys = np.array([key for key, _ in batch], dtype=np.int64)
+            sizes = np.array([size for _, size in batch], dtype=np.int64)
+            stamps = clock + np.arange(keys.size, dtype=np.float64)
+            clock += keys.size
+            twin.accumulate(keys, sizes, stamps, prefix_of)
+            homes = shard_of(keys, parts)
+            for index, shard in enumerate(built):
+                mine = homes == index
+                if mine.any():
+                    shard.accumulate(
+                        keys[mine], sizes[mine], stamps[mine], prefix_of
+                    )
+        twin.close_slot()
+        for shard, log in zip(built, built_vectors):
+            log.append(shard.close_slot())
+
+    assert len(twin_shards) == parts
+    for mine, theirs, my_log, their_log in zip(
+        built, twin_shards, built_vectors, twin_vectors
+    ):
+        assert type(mine) is type(theirs)
+        assert mine.prefixes == theirs.prefixes
+        assert mine.capacity == theirs.capacity
+        assert len(my_log) == len(their_log)
+        for left, right in zip(my_log, their_log):
+            assert np.array_equal(left, right)
+        assert mine.peak_tracked == theirs.peak_tracked
+        assert getattr(mine, "admission_rejected_bytes", 0.0) == getattr(
+            theirs, "admission_rejected_bytes", 0.0
+        )

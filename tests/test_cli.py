@@ -435,6 +435,51 @@ class TestMerge:
 
 
 class TestStreamParallel:
+    #: `stream --json` answers in the shared envelope plus these keys.
+    COMMON_KEYS = {
+        "schema",
+        "command",
+        "spec",
+        "elephants",
+        "elephants_by_slot",
+        "series",
+        "run",
+        "backend",
+        "num_slots",
+        "num_flows",
+        "mean_elephants_per_slot",
+        "mean_traffic_fraction",
+        "mean_residual_fraction",
+        "capacity",
+        "packets_seen",
+        "packets_matched",
+        "packets_unrouted",
+        "packets_skipped",
+        "bytes_matched",
+    }
+    TABLE_KEYS = {"tracked_flows", "peak_tracked_flows", "population_rows"}
+
+    @pytest.mark.parametrize(
+        "split, extra",
+        [
+            ([], TABLE_KEYS),
+            (["--shards", "2"], TABLE_KEYS | {"shards"}),
+            (["--workers", "2"], {"workers"}),
+        ],
+    )
+    def test_summary_keys_per_mode(self, stream_capture, capsys, split, extra):
+        """One `stream` body serves all three modes; each keeps its own
+        key set (a fleet's tables died with its workers, so it has no
+        table-occupancy facts to report)."""
+        sketch = ["--backend", "space-saving", "--capacity", "8"]
+        code = main(
+            ["stream", stream_capture["pcap"], "--json", *sketch, *split]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert set(summary) == self.COMMON_KEYS | extra
+        assert "engine" not in summary["spec"]
+
     def test_workers_match_single_process_stream(
         self, stream_capture, capsys
     ):
@@ -513,37 +558,26 @@ class TestStreamParallel:
         assert main(["stream", stream_capture["pcap"], "--workers", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_crashing_worker_exits_2_cleanly(
-        self, stream_capture, monkeypatch, capsys
+    @pytest.mark.parametrize("plan", ["worker:0", "worker:1:hard", "reader"])
+    def test_injected_fleet_fault_exits_2_cleanly(
+        self, stream_capture, monkeypatch, capsys, plan
     ):
-        """A dead worker is one error: line, exit 2, no traceback, no
-        orphaned processes — the contract a monitor wrapper keys on."""
+        """A dead worker or reader is one error: line, exit 2, no
+        traceback, no orphaned processes — the contract a monitor
+        wrapper keys on. ``REPRO_FAULT_PLAN`` is the only variable the
+        CLI reads, and ``--workers`` must hand its plan to the fleet."""
         import multiprocessing
 
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "worker:0")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
         code = main(
             ["stream", stream_capture["pcap"], "--quiet", "--workers", "2"]
         )
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert "Traceback" not in captured.out
-        assert multiprocessing.active_children() == []
-
-    def test_hard_crash_exits_2_cleanly(
-        self, stream_capture, monkeypatch, capsys
-    ):
-        import multiprocessing
-
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "worker:1:hard")
-        code = main(
-            ["stream", stream_capture["pcap"], "--quiet", "--workers", "2"]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
 
 
