@@ -108,7 +108,11 @@ from repro.pipeline.backends import (
 from repro.pipeline.engine import StreamingPipeline
 from repro.pipeline.sampling import SAMPLING_MODES
 from repro.pipeline.spec import PipelineSpec, SourceSpec
-from repro.pipeline.sources import MatrixSlotSource, SlotSource
+from repro.pipeline.sources import (
+    MatrixSlotSource,
+    SlotSource,
+    text_lines,
+)
 from repro.routing.lpm import CompiledLpm, FixedLengthResolver
 from repro.traffic.scenarios import east_coast_link, west_coast_link
 
@@ -652,21 +656,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_text(path: str, what: str):
-    """Open a text input, folding I/O failures into ReproError."""
-    try:
-        return open(path)
-    except OSError as exc:
-        raise ReproError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
 def _load_rib_prefixes(path: str) -> CompiledLpm:
     prefixes = []
-    with _open_text(path, "RIB file") as stream:
-        for line in stream:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                prefixes.append(Prefix.parse(line))
+    for line in text_lines(path, "RIB file"):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            prefixes.append(Prefix.parse(line))
     if not prefixes:
         raise ReproError(f"no prefixes in RIB file {path}")
     return CompiledLpm(prefixes)
@@ -697,8 +692,7 @@ def _packet_input(args: argparse.Namespace):
     if path.endswith(".npz"):
         return None
     if path.endswith(".csv"):
-        with _open_text(path, "capture") as stream:
-            header = stream.readline()
+        header = next(text_lines(path, "capture"), "")
         if header.startswith("prefix"):
             return None
     else:
@@ -821,6 +815,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     summaries are the run's records, instead of an in-process
     aggregator whose frames are summarized as they are classified.
     """
+    if args.retry < 0 or args.retry_backoff < 0:
+        raise ReproError("--retry and --retry-backoff must be >= 0")
     scheme, feature = _scheme_and_feature(args)
     spec = PipelineSpec.from_args(args)
     config = _engine_config(args)

@@ -964,12 +964,16 @@ class ResilientMonitorClient:
         jitter_seed: int = 0,
         faults: FaultPlan | None = None,
     ) -> None:
+        if retries < 0 or backoff < 0 or backoff_cap < 0:
+            raise ClassificationError(
+                "retries, backoff and backoff_cap must be >= 0"
+            )
         self.address = address
         self.monitor = monitor
         self.link = link
         self.timeout = timeout
         self.max_inflight = max_inflight
-        self.retries = max(0, retries)
+        self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self._rng = random.Random(jitter_seed)

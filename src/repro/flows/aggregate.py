@@ -5,13 +5,14 @@ performed: every captured packet is mapped to its BGP destination prefix
 by longest-prefix match, and byte counts are accumulated per prefix per
 measurement slot. Dividing by the slot length yields ``x_i(t)``.
 
-Two ingestion paths produce identical matrices: the per-packet
-:meth:`FlowAggregator.add` (one radix lookup and one dict probe per
-packet — the reference implementation) and the vectorized
-:meth:`FlowAggregator.add_batch`, which resolves a whole columnar batch
-with one :class:`~repro.routing.lpm.CompiledLpm` search and bins it
-with ``np.add.at``. :func:`aggregate_pcap` uses the vectorized path by
-default.
+:class:`FlowAggregator` is the per-packet reference: one radix lookup
+and one dict probe per packet over a fixed axis, plus a per-flow
+:class:`~repro.flows.records.FlowRecord` ledger. It is the one oracle
+the suite holds the streaming pipeline to. :func:`aggregate_pcap` is
+the batch entry point and a thin wrapper over that pipeline — the
+chunked capture scan feeding a
+:class:`~repro.pipeline.aggregator.StreamingAggregator` — so there is
+one vectorized aggregation path, not two.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.matrix import RateMatrix
-from repro.flows.records import FlowRecord, TimeAxis, grouped_packet_stats
+from repro.flows.records import FlowRecord, TimeAxis
 from repro.net.prefix import Prefix
 from repro.pcap.packet import PacketSummary
-from repro.pcap.pcapfile import PcapReader
-from repro.pcap.packet import summarize_record
-from repro.routing.lpm import NO_ROUTE, CompiledLpm
 from repro.routing.rib import RoutingTable
 
 
@@ -68,8 +66,6 @@ class FlowAggregator:
     def __post_init__(self) -> None:
         self._bytes: dict[Prefix, np.ndarray] = {}
         self._records: dict[Prefix, FlowRecord] = {}
-        self._lpm: CompiledLpm | None = None
-        self._lpm_generation = -1
 
     def add(self, packet: PacketSummary) -> bool:
         """Account one packet; returns ``True`` if it was matched."""
@@ -100,64 +96,6 @@ class FlowAggregator:
                 matched += 1
         return matched
 
-    def add_batch(self, timestamps: np.ndarray, destinations: np.ndarray,
-                  wire_bytes: np.ndarray) -> int:
-        """Account a columnar batch of packets; returns the matched count.
-
-        Semantically identical to calling :meth:`add` per packet (same
-        matrix, same records, same stats) but the longest-prefix match
-        is one sorted-array search over the whole batch and slot binning
-        is one ``np.add.at`` per touched prefix — no Python-level work
-        per packet.
-        """
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-        wire_bytes = np.asarray(wire_bytes, dtype=np.int64)
-        count = timestamps.size
-        self.stats.packets_seen += count
-        if count == 0:
-            return 0
-        if self._lpm is None or self._lpm_generation != self.table.generation:
-            self._lpm = CompiledLpm.from_table(self.table)
-            self._lpm_generation = self.table.generation
-
-        in_axis = ((timestamps >= self.axis.start)
-                   & (timestamps < self.axis.end))
-        self.stats.packets_outside_axis += int((~in_axis).sum())
-        rows = self._lpm.lookup(destinations)
-        routed = rows != NO_ROUTE
-        self.stats.packets_unrouted += int((in_axis & ~routed).sum())
-        keep = in_axis & routed
-        if not keep.any():
-            return 0
-
-        rows = rows[keep]
-        sizes = wire_bytes[keep]
-        stamps = timestamps[keep]
-        slots = ((stamps - self.axis.start)
-                 // self.axis.slot_seconds).astype(np.int64)
-        unique, inverse = np.unique(rows, return_inverse=True)
-        deltas = np.zeros((unique.size, self.axis.num_slots))
-        np.add.at(deltas, (inverse, slots), sizes)
-        packet_counts, byte_counts, first_seen, last_seen = \
-            grouped_packet_stats(inverse, sizes, stamps, unique.size)
-
-        for index, row in enumerate(unique.tolist()):
-            prefix = self._lpm.prefixes[row]
-            if prefix not in self._bytes:
-                self._bytes[prefix] = np.zeros(self.axis.num_slots)
-                self._records[prefix] = FlowRecord(prefix)
-            self._bytes[prefix] += deltas[index]
-            self._records[prefix].add_group(
-                int(packet_counts[index]), int(byte_counts[index]),
-                float(first_seen[index]), float(last_seen[index]),
-            )
-
-        matched = int(keep.sum())
-        self.stats.packets_matched += matched
-        self.stats.bytes_matched += int(sizes.sum())
-        return matched
-
     def flow_records(self) -> list[FlowRecord]:
         """Per-flow accounting records, sorted by prefix."""
         return [self._records[p] for p in sorted(self._records)]
@@ -184,31 +122,58 @@ class FlowAggregator:
         return RateMatrix(list(prefixes), self.axis, rates)
 
 
-def aggregate_pcap(path: str, table: RoutingTable, axis: TimeAxis,
-                   vectorized: bool = True,
-                   chunk_packets: int = 65536,
-                   ) -> tuple[RateMatrix, AggregationStats]:
-    """Read a pcap file and aggregate it into a rate matrix.
+def aggregate_pcap(
+    path: str,
+    table: RoutingTable,
+    axis: TimeAxis,
+    chunk_packets: int = 65536,
+) -> tuple[RateMatrix, AggregationStats]:
+    """Read a pcap file and aggregate it into a rate matrix on ``axis``.
 
-    The default path streams the capture through the pipeline's chunked
-    columnar scan and bins each chunk with :meth:`FlowAggregator.add_batch`
-    — memory stays bounded by ``chunk_packets`` however long the capture
-    is. ``vectorized=False`` keeps the original packet-object loop (the
-    reference semantics, also the strict path: it *raises* on non-IPv4
-    frames where the scan counts them in ``stats.packets_skipped``).
+    A thin wrapper over the streaming pipeline: the chunked columnar
+    capture scan feeds a streaming aggregator pinned to the caller's
+    grid, and the emitted slot frames are laid out as a matrix with one
+    row per prefix that carried bytes, sorted by prefix — the matrix
+    and stats :class:`FlowAggregator` produces packet by packet on a
+    chronological capture. Memory during the scan stays bounded by
+    ``chunk_packets`` however long the capture is; non-IPv4 frames are
+    counted in ``stats.packets_skipped``.
     """
-    aggregator = FlowAggregator(table, axis)
-    if vectorized:
-        # Imported here: repro.pipeline sits above the flows layer.
-        from repro.pipeline.sources import PcapPacketSource
-        source = PcapPacketSource(path, chunk_packets=chunk_packets)
-        for batch in source.batches():
-            aggregator.add_batch(batch.timestamps, batch.destinations,
-                                 batch.wire_bytes)
-            aggregator.stats.packets_seen += batch.packets_skipped
-            aggregator.stats.packets_skipped += batch.packets_skipped
-    else:
-        with PcapReader.open(path) as reader:
-            for record in reader:
-                aggregator.add(summarize_record(record, reader.linktype))
-    return aggregator.to_rate_matrix(), aggregator.stats
+    # Imported here: repro.pipeline sits above the flows layer.
+    from repro.pipeline.aggregator import StreamingAggregator
+    from repro.pipeline.sources import PacketBatch, PcapPacketSource
+
+    aggregator = StreamingAggregator(
+        table, slot_seconds=axis.slot_seconds, start=axis.start
+    )
+    stats = aggregator.stats
+    frames = []
+    for batch in PcapPacketSource(path, chunk_packets).batches():
+        in_axis = batch.timestamps < axis.end
+        late = batch.num_packets - int(in_axis.sum())
+        if late:
+            # A stream has a start but no end: packets past the
+            # caller's axis are turned away here, before they can open
+            # slots the matrix has no column for.
+            batch = PacketBatch(
+                timestamps=batch.timestamps[in_axis],
+                sources=batch.sources[in_axis],
+                destinations=batch.destinations[in_axis],
+                protocols=batch.protocols[in_axis],
+                wire_bytes=batch.wire_bytes[in_axis],
+                packets_seen=batch.packets_seen - late,
+            )
+            stats.packets_seen += late
+            stats.packets_outside_axis += late
+        frames.extend(aggregator.ingest(batch))
+    frames.extend(aggregator.finish())
+
+    prefixes = aggregator.prefixes
+    if not prefixes:
+        raise ClassificationError("no flows to build a matrix from")
+    rates = np.zeros((len(prefixes), axis.num_slots))
+    for frame in frames:
+        rates[: frame.num_flows, frame.slot] = frame.rates
+    order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+    matrix = RateMatrix([prefixes[row] for row in order], axis, rates[order])
+    return matrix, stats

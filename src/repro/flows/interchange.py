@@ -194,18 +194,15 @@ def _parse_row(line: str, where: str) -> FlowInfoRecord:
 
 
 def _iter_rows(path: str) -> Iterator[FlowInfoRecord]:
-    try:
-        stream = open(path)
-    except OSError as exc:
-        raise ClassificationError(
-            f"cannot read flow records {path!r}: {exc}"
-        ) from exc
-    with stream:
-        for number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("flow_id"):
-                continue
-            yield _parse_row(line, f"{path}:{number}")
+    # imported here: repro.pipeline sits above the flows layer
+    from repro.pipeline.sources import text_lines
+
+    lines = text_lines(path, "flow records")
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("flow_id"):
+            continue
+        yield _parse_row(line, f"{path}:{number}")
 
 
 def read_flow_records(path: str) -> list[FlowInfoRecord]:

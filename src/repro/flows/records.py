@@ -3,8 +3,9 @@
 The paper discretises time into slots of length ``T`` (5 minutes by
 default) and works with the average bandwidth of each prefix-flow per
 slot. :class:`TimeAxis` owns that discretisation; :class:`FlowRecord`
-carries per-flow byte/packet accounting between the packet layer and
-the rate matrix.
+is the per-flow byte/packet ledger of the per-packet reference
+aggregator (:class:`~repro.flows.aggregate.FlowAggregator`) — the
+streaming pipeline counts bytes per slot and keeps no such record.
 """
 
 from __future__ import annotations
@@ -122,31 +123,6 @@ class FlowRecord:
         if timestamp > self.last_seen:
             self.last_seen = timestamp
 
-    def add_group(
-        self,
-        packets: int,
-        wire_bytes: int,
-        first_seen: float,
-        last_seen: float,
-    ) -> None:
-        """Account a pre-aggregated group of packets (vectorized paths).
-
-        An empty group (``packets == 0``) is an explicit no-op: the
-        ``inf``/``-inf`` sentinels callers pass for first/last must not
-        leak into ``first_seen``/``last_seen``, and a later real group
-        must still count as the first traffic seen.
-        """
-        if wire_bytes < 0 or packets < 0:
-            raise ClassificationError("group totals cannot be negative")
-        if packets == 0:
-            return
-        self.bytes_total += wire_bytes
-        self.packets += packets
-        if first_seen < self.first_seen:
-            self.first_seen = first_seen
-        if last_seen > self.last_seen:
-            self.last_seen = last_seen
-
     @property
     def mean_packet_size(self) -> float:
         """Average packet size in bytes (0 when no packets)."""
@@ -160,26 +136,3 @@ class FlowRecord:
         if self.packets == 0:
             return 0.0
         return max(0.0, self.last_seen - self.first_seen)
-
-
-def grouped_packet_stats(
-    groups: np.ndarray,
-    sizes: np.ndarray,
-    timestamps: np.ndarray,
-    num_groups: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group packet counts, byte sums, and first/last timestamps.
-
-    The shared accumulation kernel behind both vectorized ingestion
-    paths (:meth:`FlowAggregator.add_batch` and the streaming
-    aggregator): one ``bincount``/``ufunc.at`` pass instead of a Python
-    loop per packet. Groups with no packets report ``inf``/``-inf``
-    first/last — callers skip rows where ``counts`` is zero.
-    """
-    counts = np.bincount(groups, minlength=num_groups)
-    byte_sums = np.bincount(groups, weights=sizes, minlength=num_groups)
-    first = np.full(num_groups, np.inf)
-    last = np.full(num_groups, -np.inf)
-    np.minimum.at(first, groups, timestamps)
-    np.maximum.at(last, groups, timestamps)
-    return counts, byte_sums, first, last

@@ -4,8 +4,12 @@ This is the pipeline's middle stage. It consumes the columnar batches a
 :class:`~repro.pipeline.sources.PacketSource` produces and emits one
 :class:`~repro.pipeline.sources.SlotFrame` per measurement slot, as
 soon as the slot is known to be complete (i.e. a later packet arrives).
-Unlike the batch :class:`~repro.flows.aggregate.FlowAggregator`, it
-needs no time axis up front and no fixed flow population:
+Unlike the per-packet reference
+:class:`~repro.flows.aggregate.FlowAggregator` it needs no time axis up
+front and no fixed flow population, and it carries bytes per slot only
+— no per-flow packet ledger. Batch aggregation
+(:func:`~repro.flows.aggregate.aggregate_pcap`) is a thin wrapper over
+this class:
 
 - the axis grows forward from the first packet's slot (aligned to the
   ``slot_seconds`` grid), one slot at a time, for as long as the
@@ -38,11 +42,7 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.aggregate import AggregationStats
-from repro.flows.records import (
-    DEFAULT_SLOT_SECONDS,
-    FlowRecord,
-    TimeAxis,
-)
+from repro.flows.records import DEFAULT_SLOT_SECONDS, TimeAxis
 from repro.net.prefix import Prefix
 from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
@@ -140,10 +140,6 @@ class StreamingAggregator:
             self.slot_seconds,
             self._frames_emitted,
         )
-
-    def flow_records(self) -> list[FlowRecord]:
-        """Per-flow accounting records, in row order."""
-        return self.backend.flow_records()
 
     # ------------------------------------------------------------------
     # ingestion

@@ -3,7 +3,9 @@
 The streaming aggregator owes its O(flows) state to one design choice:
 every prefix that ever carries a byte gets a row and a counter. On a
 backbone capture with millions of active prefixes that choice *is* the
-memory bill. This module makes the flow table a strategy object:
+memory bill. This module makes the flow table a strategy object that
+counts bytes per row per slot — the one number per flow the classifier
+reads — and keeps no other per-flow ledger:
 
 - :class:`ExactAggregation` keeps the original semantics — every flow
   tracked exactly, no residual, state O(distinct flows);
@@ -48,13 +50,11 @@ from __future__ import annotations
 
 import abc
 import heapq
-import math
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import ClassificationError
-from repro.flows.records import FlowRecord
 from repro.net.prefix import Prefix
 from repro.pipeline.sources import SlotFrame, SlotSource
 from repro.sketches.array_tables import (
@@ -82,14 +82,11 @@ from repro.sketches.space_saving import SpaceSaving
 RESIDUAL_PREFIX = Prefix(0, 0)
 
 #: Rough per-tracked-entry cost in bytes for the scalar engine: sketch
-#: dict slot, pending slot accumulator, row map entry and FlowRecord,
-#: amortised. The byte-budget sizing keeps using this conservative
-#: number for both engines, so a budgeted deployment never under-buys.
+#: dict slot, pending slot accumulator and row map entry, amortised.
+#: The byte-budget sizing keeps using this conservative number for both
+#: engines (the array tables' flat layout costs well under half of it),
+#: so a budgeted deployment never under-buys.
 TRACKED_ENTRY_BYTES = 320
-#: Per-tracked-entry cost of the array engine's flat layout: key,
-#: count, error, six pending-accumulator cells and the row cache at
-#: 8 B each, plus a 4x open-addressing bucket index.
-ARRAY_ENTRY_BYTES = 112
 #: Extra Count-Min table cells per unit of capacity (width factor x
 #: depth x 8-byte counters).
 _CM_WIDTH_FACTOR = 4
@@ -107,6 +104,10 @@ class AggregationBackend(abc.ABC):
     every slot boundary to harvest the byte vector. ``prefixes`` is the
     live, append-only population — frames share it by reference, so row
     ``i`` means the same flow in every frame a run emits.
+
+    A backend counts bytes per row per slot and nothing else: the
+    classifier reads one bandwidth per flow per slot, so no packet
+    counts or first/last-seen stamps are kept at this layer.
     """
 
     #: CLI / report name of the backend.
@@ -118,7 +119,6 @@ class AggregationBackend(abc.ABC):
 
     def __init__(self) -> None:
         self.prefixes: list[Prefix] = []
-        self._records: list[FlowRecord] = []
         self._row_of: dict[int, int] = {}
         #: High-water mark of :attr:`tracked_flows` across the run.
         self.peak_tracked = 0
@@ -138,15 +138,18 @@ class AggregationBackend(abc.ABC):
         timestamps: np.ndarray,
         prefix_of: PrefixOf,
     ) -> None:
-        """Account one group of same-slot packets, keyed by flow."""
+        """Account one group of same-slot packets, keyed by flow.
+
+        ``keys``, ``sizes`` and ``timestamps`` are parallel per-packet
+        arrays in arrival order. No bundled backend reads
+        ``timestamps`` — the slot is already decided by the caller and
+        only bytes are counted — but the argument is part of the
+        signature callers and wrappers name, so it is always passed.
+        """
 
     @abc.abstractmethod
     def close_slot(self) -> np.ndarray:
         """Byte counts per stream row for the closing slot; resets it."""
-
-    def flow_records(self) -> list[FlowRecord]:
-        """Per-row accounting records (row order, residual included)."""
-        return list(self._records)
 
     def row_keys(self) -> list[int]:
         """Flow keys in row order, excluding any residual row.
@@ -183,35 +186,10 @@ class ExactAggregation(AggregationBackend):
         super().__init__()
         self._open = np.zeros(0)
         self._key_row = np.full(0, -1, dtype=np.int64)
-        # flat per-row lifetime accumulators; FlowRecord objects are
-        # materialised on demand in flow_records(), never on the hot
-        # path
-        self._rec_packets = np.zeros(0, dtype=np.int64)
-        self._rec_bytes = np.zeros(0)
-        self._rec_first = np.full(0, np.inf)
-        self._rec_last = np.full(0, -np.inf)
 
     @property
     def tracked_flows(self) -> int:
         return len(self.prefixes)
-
-    def _grow_rows(self, population: int) -> None:
-        """Grow every per-row array geometrically to ``population``."""
-        size = self._open.size
-        if population <= size:
-            return
-        grown = max(population, 2 * size)
-
-        def extend(array: np.ndarray, fill, dtype=None) -> np.ndarray:
-            out = np.full(grown, fill, dtype=dtype)
-            out[:size] = array
-            return out
-
-        self._open = extend(self._open, 0.0)
-        self._rec_packets = extend(self._rec_packets, 0, np.int64)
-        self._rec_bytes = extend(self._rec_bytes, 0.0)
-        self._rec_first = extend(self._rec_first, np.inf)
-        self._rec_last = extend(self._rec_last, -np.inf)
 
     def accumulate(
         self,
@@ -243,15 +221,12 @@ class ExactAggregation(AggregationBackend):
                 self._key_row[key] = row
                 self.prefixes.append(prefix_of(key))
         population = len(self.prefixes)
-        self._grow_rows(population)
-        rows = self._key_row[keys]
-        np.add.at(self._open, rows, sizes)
-        # lifetime accounting stays in the flat arrays: four ufunc.at
-        # passes over the group instead of a Python loop per active row
-        np.add.at(self._rec_packets, rows, 1)
-        np.add.at(self._rec_bytes, rows, sizes)
-        np.minimum.at(self._rec_first, rows, timestamps)
-        np.maximum.at(self._rec_last, rows, timestamps)
+        size = self._open.size
+        if population > size:
+            grown = np.zeros(max(population, 2 * size))
+            grown[:size] = self._open
+            self._open = grown
+        np.add.at(self._open, self._key_row[keys], sizes)
         self.peak_tracked = max(self.peak_tracked, population)
 
     def close_slot(self) -> np.ndarray:
@@ -263,47 +238,15 @@ class ExactAggregation(AggregationBackend):
         self.slots_closed += 1
         return closed
 
-    def flow_records(self) -> list[FlowRecord]:
-        """Materialise per-row records from the flat accumulators.
-
-        Each call builds a fresh snapshot; callers holding an earlier
-        list do not see later traffic (the live-object behaviour of the
-        scalar sketch backends is not part of the contract).
-        """
-        records: list[FlowRecord] = []
-        for row, prefix in enumerate(self.prefixes):
-            record = FlowRecord(prefix)
-            packets = int(self._rec_packets[row])
-            if packets:
-                record.add_group(
-                    packets,
-                    int(self._rec_bytes[row]),
-                    float(self._rec_first[row]),
-                    float(self._rec_last[row]),
-                )
-            records.append(record)
-        return records
-
 
 class _PendingEntry:
-    """Slot-local accumulator for one candidate flow."""
+    """Slot-local byte accumulator for one candidate flow."""
 
-    __slots__ = ("bytes", "packets", "first", "last", "prefix")
+    __slots__ = ("bytes", "prefix")
 
     def __init__(self, prefix: Prefix) -> None:
         self.bytes = 0.0
-        self.packets = 0
-        self.first = math.inf
-        self.last = -math.inf
         self.prefix = prefix
-
-    def add(
-        self, weight: float, packets: int, first: float, last: float
-    ) -> None:
-        self.bytes += weight
-        self.packets += packets
-        self.first = min(self.first, first)
-        self.last = max(self.last, last)
 
 
 class SketchAggregation(AggregationBackend):
@@ -325,9 +268,8 @@ class SketchAggregation(AggregationBackend):
         super().__init__()
         self.capacity = capacity
         self.prefixes = [RESIDUAL_PREFIX]
-        self._records = [FlowRecord(RESIDUAL_PREFIX)]
         self._pending: dict[int, _PendingEntry] = {}
-        self._residual = _PendingEntry(RESIDUAL_PREFIX)
+        self._residual = 0.0
 
     @abc.abstractmethod
     def _offer(self, key: int, weight: float) -> bool:
@@ -349,12 +291,7 @@ class SketchAggregation(AggregationBackend):
         unique, first_index, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
-        packets = np.bincount(inverse)
         weights = np.bincount(inverse, weights=sizes)
-        first = np.full(unique.size, np.inf)
-        np.minimum.at(first, inverse, timestamps)
-        last = np.full(unique.size, -np.inf)
-        np.maximum.at(last, inverse, timestamps)
         # Offer keys in first-traffic order: admission/eviction races
         # then resolve the way a per-packet monitor would, and row
         # assignment at slot close inherits the same chunk-independent
@@ -362,65 +299,43 @@ class SketchAggregation(AggregationBackend):
         for i in np.argsort(first_index).tolist():
             key = int(unique[i])
             weight = float(weights[i])
-            group = (
-                weight,
-                int(packets[i]),
-                float(first[i]),
-                float(last[i]),
-            )
             if self._offer(key, weight):
                 entry = self._pending.get(key)
                 if entry is None:
                     entry = _PendingEntry(prefix_of(key))
                     self._pending[key] = entry
-                entry.add(*group)
+                entry.bytes += weight
             else:
-                self._residual.add(*group)
+                self._residual += weight
         # Candidates evicted by later arrivals in this group fall back
         # to the residual — this prune is what bounds the slot-local
         # table at the sketch's capacity.
         evicted = [key for key in self._pending if not self._tracked(key)]
         for key in evicted:
-            entry = self._pending.pop(key)
-            self._residual.add(
-                entry.bytes, entry.packets, entry.first, entry.last
-            )
+            self._residual += self._pending.pop(key).bytes
         self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
 
     def close_slot(self) -> np.ndarray:
-        attributed: list[tuple[int, _PendingEntry]] = []
+        attributed: list[tuple[int, float]] = []
         for key, entry in self._pending.items():
             if entry.prefix == RESIDUAL_PREFIX:
                 # A tracked default route is indistinguishable from the
                 # "other traffic" row; fold it in rather than emitting
                 # a duplicate 0.0.0.0/0 population entry.
-                self._residual.add(
-                    entry.bytes, entry.packets, entry.first, entry.last
-                )
+                self._residual += entry.bytes
                 continue
             row = self._row_of.get(key)
             if row is None:
                 row = len(self.prefixes)
                 self._row_of[key] = row
                 self.prefixes.append(entry.prefix)
-                self._records.append(FlowRecord(entry.prefix))
-            attributed.append((row, entry))
+            attributed.append((row, entry.bytes))
         vector = np.zeros(len(self.prefixes))
-        for row, entry in attributed:
-            vector[row] += entry.bytes
-            self._records[row].add_group(
-                entry.packets, int(entry.bytes), entry.first, entry.last
-            )
-        if self._residual.packets or self._residual.bytes:
-            vector[self.residual_row] += self._residual.bytes
-            self._records[self.residual_row].add_group(
-                self._residual.packets,
-                int(self._residual.bytes),
-                self._residual.first,
-                self._residual.last,
-            )
+        for row, volume in attributed:
+            vector[row] += volume
+        vector[self.residual_row] += self._residual
         self._pending = {}
-        self._residual = _PendingEntry(RESIDUAL_PREFIX)
+        self._residual = 0.0
         self.slots_closed += 1
         return vector
 
@@ -588,13 +503,13 @@ class ArraySketchAggregation(AggregationBackend):
 
     The candidate summary is an array table from
     :mod:`repro.sketches.array_tables`; all slot-local accounting —
-    pending bytes, packets, first/last timestamps, activation order and
-    the slot → row cache — lives in parallel ``capacity``-sized arrays
-    indexed by table slot. ``accumulate`` aggregates the batch per
-    unique key, hands the aggregate to the table's one-pass batch
-    update, flushes evicted slots into the residual scalars, and adds
-    the surviving contributions with pure array ops; the only Python
-    loop left runs at slot close, over the slots that earned a row.
+    pending bytes, activation order and the slot → row cache — lives
+    in parallel ``capacity``-sized arrays indexed by table slot.
+    ``accumulate`` aggregates the batch per unique key, hands the
+    aggregate to the table's one-pass batch update, flushes evicted
+    slots into the residual scalar, and adds the surviving
+    contributions with pure array ops; the only Python loop left runs
+    at slot close, over the slots that earned a row.
 
     Residual-row conservation, slot-close row admission and positional
     row identity match the scalar reference exactly; the property
@@ -618,7 +533,6 @@ class ArraySketchAggregation(AggregationBackend):
         super().__init__()
         self.capacity = capacity
         self.prefixes = [RESIDUAL_PREFIX]
-        self._records = [FlowRecord(RESIDUAL_PREFIX)]
         self._table = self._make_table(capacity)
         if admission in (None, "none"):
             self.admission = None
@@ -638,17 +552,11 @@ class ArraySketchAggregation(AggregationBackend):
                 f"of {', '.join(ADMISSION_NAMES)}"
             )
         self._pend_bytes = np.zeros(capacity)
-        self._pend_packets = np.zeros(capacity, dtype=np.int64)
-        self._pend_first = np.full(capacity, np.inf)
-        self._pend_last = np.full(capacity, -np.inf)
         self._pend_active = np.zeros(capacity, dtype=bool)
         self._pend_seq = np.zeros(capacity, dtype=np.int64)
         self._slot_row = np.full(capacity, -1, dtype=np.int64)
         self._seq = 0
         self._res_bytes = 0.0
-        self._res_packets = 0
-        self._res_first = math.inf
-        self._res_last = -math.inf
         self._resolve: PrefixOf | None = None
 
     @abc.abstractmethod
@@ -674,9 +582,9 @@ class ArraySketchAggregation(AggregationBackend):
         if keys.size == 0:
             return
         self._resolve = prefix_of
-        # Group the batch per unique key with one stable sort plus
-        # reduceat passes — the same aggregates np.unique + bincount +
-        # ufunc.at produce, at roughly half the cost.
+        # Group the batch per unique key with one stable sort plus a
+        # reduceat pass — the same aggregate np.unique + bincount
+        # produce, at roughly half the cost.
         count = keys.size
         sort_idx = np.argsort(keys, kind="stable")
         sorted_keys = keys[sort_idx]
@@ -689,35 +597,15 @@ class ArraySketchAggregation(AggregationBackend):
         weights = np.add.reduceat(
             np.asarray(sizes, dtype=np.float64)[sort_idx], starts
         )
-        packets = np.empty(starts.size, dtype=np.int64)
-        packets[:-1] = starts[1:] - starts[:-1]
-        packets[-1] = count - starts[-1]
-        sorted_times = timestamps[sort_idx]
-        first = np.minimum.reduceat(sorted_times, starts)
-        last = np.maximum.reduceat(sorted_times, starts)
         order = np.argsort(first_index)
         update = self._table.update_batch(unique, weights, order)
         self._flush_evicted(update.evicted)
         slots = update.slots
         tracked = slots >= 0
         if not tracked.all():
-            gone = ~tracked
-            self._residual_add(
-                float(weights[gone].sum()),
-                int(packets[gone].sum()),
-                float(first[gone].min()),
-                float(last[gone].max()),
-            )
+            self._res_bytes += float(weights[~tracked].sum())
         if tracked.any():
-            spots = slots[tracked]
-            self._pend_bytes[spots] += weights[tracked]
-            self._pend_packets[spots] += packets[tracked]
-            self._pend_first[spots] = np.minimum(
-                self._pend_first[spots], first[tracked]
-            )
-            self._pend_last[spots] = np.maximum(
-                self._pend_last[spots], last[tracked]
-            )
+            self._pend_bytes[slots[tracked]] += weights[tracked]
             # Activation order follows first-traffic order, mirroring
             # the scalar engine's pending-dict insertion order, so row
             # numbering at slot close is engine-independent.
@@ -730,14 +618,6 @@ class ArraySketchAggregation(AggregationBackend):
                 self._pend_active[fresh] = True
         self.peak_tracked = max(self.peak_tracked, len(self._table))
 
-    def _residual_add(
-        self, weight: float, packets: int, first: float, last: float
-    ) -> None:
-        self._res_bytes += weight
-        self._res_packets += packets
-        self._res_first = min(self._res_first, first)
-        self._res_last = max(self._res_last, last)
-
     def _flush_evicted(self, evicted: np.ndarray) -> None:
         """Evicted slots spill their pending accounting to residual."""
         if evicted.size == 0:
@@ -745,19 +625,11 @@ class ArraySketchAggregation(AggregationBackend):
         self._slot_row[evicted] = -1
         live = evicted[self._pend_active[evicted]]
         if live.size:
-            self._residual_add(
-                float(self._pend_bytes[live].sum()),
-                int(self._pend_packets[live].sum()),
-                float(self._pend_first[live].min()),
-                float(self._pend_last[live].max()),
-            )
+            self._res_bytes += float(self._pend_bytes[live].sum())
             self._reset_pending(live)
 
     def _reset_pending(self, spots: np.ndarray) -> None:
         self._pend_bytes[spots] = 0.0
-        self._pend_packets[spots] = 0
-        self._pend_first[spots] = np.inf
-        self._pend_last[spots] = -np.inf
         self._pend_active[spots] = False
 
     def close_slot(self) -> np.ndarray:
@@ -776,43 +648,21 @@ class ArraySketchAggregation(AggregationBackend):
                     if prefix == RESIDUAL_PREFIX:
                         # A tracked default route folds into the
                         # residual row; see the scalar engine.
-                        self._residual_add(
-                            float(self._pend_bytes[spot]),
-                            int(self._pend_packets[spot]),
-                            float(self._pend_first[spot]),
-                            float(self._pend_last[spot]),
-                        )
+                        self._res_bytes += float(self._pend_bytes[spot])
                         continue
                     row = len(self.prefixes)
                     self._row_of[key] = row
                     self.prefixes.append(prefix)
-                    self._records.append(FlowRecord(prefix))
                 else:
                     row = cached
                 self._slot_row[spot] = row
             rows.append(row)
             kept.append(spot)
         vector = np.zeros(len(self.prefixes))
-        for row, spot in zip(rows, kept):
-            vector[row] += self._pend_bytes[spot]
-            self._records[row].add_group(
-                int(self._pend_packets[spot]),
-                int(self._pend_bytes[spot]),
-                float(self._pend_first[spot]),
-                float(self._pend_last[spot]),
-            )
-        if self._res_packets or self._res_bytes:
-            vector[self.residual_row] += self._res_bytes
-            self._records[self.residual_row].add_group(
-                self._res_packets,
-                int(self._res_bytes),
-                self._res_first,
-                self._res_last,
-            )
-            self._res_bytes = 0.0
-            self._res_packets = 0
-            self._res_first = math.inf
-            self._res_last = -math.inf
+        # one table slot per key and one row per key: rows are distinct
+        vector[rows] = self._pend_bytes[kept]
+        vector[self.residual_row] += self._res_bytes
+        self._res_bytes = 0.0
         if active.size:
             self._reset_pending(active)
         end_slot = getattr(self._table, "end_slot", None)
@@ -1033,13 +883,13 @@ def make_shard(
 
 def parse_memory_budget(text: str) -> int:
     """Parse ``"512k"``/``"8m"``/``"1g"``/plain-byte budget strings."""
-    text = text.strip().lower()
+    digits = text.strip().lower()
     multiplier = 1
-    if text and text[-1] in "kmg":
-        multiplier = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}[text[-1]]
-        text = text[:-1]
+    if digits and digits[-1] in "kmg":
+        multiplier = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}[digits[-1]]
+        digits = digits[:-1]
     try:
-        value = int(text)
+        value = int(digits)
     except ValueError:
         raise ClassificationError(
             f"bad memory budget {text!r}; use bytes or k/m/g suffixes"
@@ -1056,9 +906,9 @@ def capacity_for_budget(
 
     Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model; Count-Min
     additionally pays for its counter table, which scales with capacity
-    through the default width factor. The array engine's flat layout
-    costs less (:data:`ARRAY_ENTRY_BYTES` per entry), so a budget sized
-    here is an upper bound under either engine.
+    through the default width factor. The array tables' flat layout
+    costs less per entry, so a budget sized here is an upper bound
+    under either engine.
 
     ``shards`` sizes a sharded deployment: the budget buys ``shards``
     tables of ``K / shards`` entries each, and the returned capacity is

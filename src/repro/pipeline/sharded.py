@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ClassificationError
-from repro.flows.records import FlowRecord
 from repro.pipeline.backends import (
     RESIDUAL_PREFIX,
     AggregationBackend,
@@ -181,35 +180,6 @@ class ShardedAggregation(AggregationBackend):
                 np.add.at(merged, rows, vector)
         self.slots_closed += 1
         return merged
-
-    def flow_records(self) -> list[FlowRecord]:
-        """Merged per-row records, re-fetched from the shards per call.
-
-        Exact shards materialise their records lazily at call time, so
-        the merged view rebuilds from every shard's current snapshot
-        instead of adopting live record objects; sketch residuals fold
-        into row 0 as before.
-        """
-        for index in range(self.num_shards):
-            self._extend_map(index)
-        records = [FlowRecord(prefix) for prefix in self.prefixes]
-        offset = 1 if self._sketched else 0
-        if self._sketched:
-            merged = records[0]
-            for shard in self.shards:
-                inner = shard.flow_records()[0]
-                if inner.packets or inner.bytes_total:
-                    merged.add_group(
-                        inner.packets,
-                        inner.bytes_total,
-                        inner.first_seen,
-                        inner.last_seen,
-                    )
-        for index, shard in enumerate(self.shards):
-            shard_records = shard.flow_records()
-            for inner_index, row in enumerate(self._shard_rows[index]):
-                records[row] = shard_records[offset + inner_index]
-        return records
 
     # ------------------------------------------------------------------
     # internals

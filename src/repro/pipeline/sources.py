@@ -61,6 +61,23 @@ def _uint32_at(raw: np.ndarray, offsets: np.ndarray, little: bool) -> np.ndarray
     return value
 
 
+def text_lines(path: str, what: str) -> Iterator[str]:
+    """Lines of a text input file, read lazily.
+
+    Text inputs come from outside the program: an unreadable path or
+    bytes that are not UTF-8 — up front or a megabyte in — end in one
+    ``cannot read`` :class:`~repro.errors.ClassificationError`, never a
+    raw ``OSError``/``UnicodeDecodeError``.
+    """
+    try:
+        with open(path) as stream:
+            yield from stream
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ClassificationError(
+            f"cannot read {what} {path!r}: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class PacketBatch:
     """A columnar chunk of packets: parallel per-packet fact arrays.
@@ -340,32 +357,31 @@ class CsvPacketSource:
         self.chunk_packets = chunk_packets
 
     def batches(self) -> Iterator[PacketBatch]:
-        with open(self.path) as stream:
-            timestamps: list[float] = []
-            destinations: list[int] = []
-            sizes: list[int] = []
-            for line in stream:
-                line = line.strip()
-                if not line or line.startswith("timestamp"):
-                    continue
-                cells = line.split(",")
-                if len(cells) < 3:
-                    raise ClassificationError(
-                        f"flow-record row needs 3 columns: {line!r}"
-                    )
-                timestamps.append(float(cells[0]))
-                destination = cells[1].strip()
-                destinations.append(
-                    ipv4.parse_ipv4(destination)
-                    if "." in destination
-                    else int(destination)
+        timestamps: list[float] = []
+        destinations: list[int] = []
+        sizes: list[int] = []
+        for line in text_lines(self.path, "capture"):
+            line = line.strip()
+            if not line or line.startswith("timestamp"):
+                continue
+            cells = line.split(",")
+            if len(cells) < 3:
+                raise ClassificationError(
+                    f"flow-record row needs 3 columns: {line!r}"
                 )
-                sizes.append(int(cells[2]))
-                if len(timestamps) >= self.chunk_packets:
-                    yield self._build(timestamps, destinations, sizes)
-                    timestamps, destinations, sizes = [], [], []
-            if timestamps:
+            timestamps.append(float(cells[0]))
+            destination = cells[1].strip()
+            destinations.append(
+                ipv4.parse_ipv4(destination)
+                if "." in destination
+                else int(destination)
+            )
+            sizes.append(int(cells[2]))
+            if len(timestamps) >= self.chunk_packets:
                 yield self._build(timestamps, destinations, sizes)
+                timestamps, destinations, sizes = [], [], []
+        if timestamps:
+            yield self._build(timestamps, destinations, sizes)
 
     @staticmethod
     def _build(

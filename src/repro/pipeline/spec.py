@@ -45,6 +45,7 @@ from repro.pipeline.sources import (
     CsvPacketSource,
     PacketSource,
     PcapPacketSource,
+    text_lines,
 )
 
 #: Valid :attr:`SourceSpec.kind` values.
@@ -134,13 +135,7 @@ class SourceSpec:
         """
         kind = "pcap"
         if path.endswith(".csv"):
-            try:
-                with open(path) as stream:
-                    header = stream.readline()
-            except OSError as exc:
-                raise ClassificationError(
-                    f"cannot read capture {path!r}: {exc}"
-                ) from exc
+            header = next(text_lines(path, "capture"), "")
             kind = (
                 "flow-csv"
                 if header.startswith("flow_id")

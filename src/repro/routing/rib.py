@@ -53,7 +53,6 @@ class RoutingTable:
 
     def __init__(self, routes: Iterable[Route] = ()) -> None:
         self._tree: RadixTree[Route] = RadixTree()
-        self._generation = 0
         for route in routes:
             self.add(route)
 
@@ -67,26 +66,13 @@ class RoutingTable:
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix in self._tree
 
-    @property
-    def generation(self) -> int:
-        """Mutation counter: bumps on every add/withdraw.
-
-        Lets snapshot consumers (the compiled LPM cache) detect *any*
-        churn, including same-size replace-one-route updates that a
-        ``len()`` comparison would miss.
-        """
-        return self._generation
-
     def add(self, route: Route) -> None:
         """Insert (or replace) the route for ``route.prefix``."""
         self._tree.insert(route.prefix, route)
-        self._generation += 1
 
     def withdraw(self, prefix: Prefix) -> Route:
         """Remove the route for ``prefix``; raises if absent."""
-        route = self._tree.delete(prefix)
-        self._generation += 1
-        return route
+        return self._tree.delete(prefix)
 
     def route_for(self, prefix: Prefix) -> Optional[Route]:
         """Exact-match route lookup."""

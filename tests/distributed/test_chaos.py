@@ -176,6 +176,14 @@ class TestResilientClient:
             offline([chaos_runs[0], chaos_runs[1], chaos_runs[2][:3]]),
         )
 
+    @pytest.mark.parametrize(
+        "bad", [{"retries": -1}, {"backoff": -1.0}, {"backoff_cap": -0.5}]
+    )
+    def test_negative_retry_settings_refused_before_dialing(self, bad):
+        # port 9 (discard) is closed: reaching it would raise OSError
+        with pytest.raises(ClassificationError, match=">= 0"):
+            ResilientMonitorClient(("127.0.0.1", 9), "mon-a", **bad)
+
     def test_handshake_failure_closes_the_socket(self, live, monkeypatch):
         """Regression: a refused hello must not leak the socket."""
         created = []

@@ -1,6 +1,5 @@
 """Unit tests for packet-to-flow aggregation."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ClassificationError
@@ -23,8 +22,10 @@ def make_table(*texts):
 
 def packet(ts, destination, size=1000):
     return PacketSummary(
-        timestamp=ts, source=ipv4.parse_ipv4("198.51.100.1"),
-        destination=ipv4.parse_ipv4(destination), protocol=6,
+        timestamp=ts,
+        source=ipv4.parse_ipv4("198.51.100.1"),
+        destination=ipv4.parse_ipv4(destination),
+        protocol=6,
         wire_bytes=size,
     )
 
@@ -45,11 +46,12 @@ class TestFlowAggregator:
         table = make_table("10.0.0.0/8", "10.1.0.0/16")
         axis = TimeAxis(0.0, 100.0, 1)
         aggregator = FlowAggregator(table, axis)
-        aggregator.add(packet(0.0, "10.1.2.3"))   # /16
-        aggregator.add(packet(0.0, "10.2.2.2"))   # /8
+        aggregator.add(packet(0.0, "10.1.2.3"))  # /16
+        aggregator.add(packet(0.0, "10.2.2.2"))  # /8
         matrix = aggregator.to_rate_matrix()
-        by_prefix = {str(p): matrix.rates[i, 0]
-                     for i, p in enumerate(matrix.prefixes)}
+        by_prefix = {
+            str(p): matrix.rates[i, 0] for i, p in enumerate(matrix.prefixes)
+        }
         assert by_prefix["10.1.0.0/16"] == pytest.approx(80.0)
         assert by_prefix["10.0.0.0/8"] == pytest.approx(80.0)
 
@@ -69,11 +71,13 @@ class TestFlowAggregator:
     def test_add_all_and_stats(self):
         table = make_table("10.0.0.0/8")
         aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        matched = aggregator.add_all([
-            packet(0.0, "10.0.0.1", 100),
-            packet(1.0, "10.0.0.2", 200),
-            packet(2.0, "172.16.0.1", 300),
-        ])
+        matched = aggregator.add_all(
+            [
+                packet(0.0, "10.0.0.1", 100),
+                packet(1.0, "10.0.0.2", 200),
+                packet(2.0, "172.16.0.1", 300),
+            ]
+        )
         assert matched == 2
         assert aggregator.stats.packets_seen == 3
         assert aggregator.stats.bytes_matched == 300
@@ -103,86 +107,3 @@ class TestFlowAggregator:
         assert len(records) == 1
         assert records[0].bytes_total == 400
         assert records[0].packets == 2
-
-
-class TestAddBatch:
-    """The vectorized path must be indistinguishable from per-packet."""
-
-    def _random_packets(self, count=400, seed=3):
-        rng = np.random.default_rng(seed)
-        timestamps = rng.uniform(-20.0, 220.0, count)
-        destinations = rng.integers(
-            ipv4.parse_ipv4("10.0.0.0"), ipv4.parse_ipv4("11.255.0.0"),
-            size=count,
-        )
-        sizes = rng.integers(64, 1500, size=count)
-        return timestamps, destinations, sizes
-
-    def test_matches_per_packet_path(self):
-        table = make_table("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24")
-        axis = TimeAxis(0.0, 100.0, 2)
-        timestamps, destinations, sizes = self._random_packets()
-
-        reference = FlowAggregator(table, axis)
-        for ts, dest, size in zip(timestamps, destinations, sizes):
-            reference.add(PacketSummary(
-                timestamp=float(ts), source=0, destination=int(dest),
-                protocol=17, wire_bytes=int(size),
-            ))
-        batched = FlowAggregator(table, axis)
-        matched = batched.add_batch(timestamps, destinations, sizes)
-
-        assert matched == reference.stats.packets_matched
-        assert batched.stats == reference.stats
-        ref_matrix = reference.to_rate_matrix()
-        batch_matrix = batched.to_rate_matrix()
-        assert ref_matrix.prefixes == batch_matrix.prefixes
-        assert np.allclose(ref_matrix.rates, batch_matrix.rates)
-        for ref_rec, batch_rec in zip(reference.flow_records(),
-                                      batched.flow_records()):
-            assert ref_rec == batch_rec
-
-    def test_batch_splitting_is_invariant(self):
-        table = make_table("10.0.0.0/8")
-        axis = TimeAxis(0.0, 100.0, 2)
-        timestamps, destinations, sizes = self._random_packets(seed=8)
-
-        whole = FlowAggregator(table, axis)
-        whole.add_batch(timestamps, destinations, sizes)
-        pieces = FlowAggregator(table, axis)
-        for lo in range(0, timestamps.size, 37):
-            hi = lo + 37
-            pieces.add_batch(timestamps[lo:hi], destinations[lo:hi],
-                             sizes[lo:hi])
-        assert whole.stats == pieces.stats
-        assert np.array_equal(whole.to_rate_matrix().rates,
-                              pieces.to_rate_matrix().rates)
-
-    def test_empty_batch(self):
-        table = make_table("10.0.0.0/8")
-        aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        assert aggregator.add_batch(np.empty(0), np.empty(0, dtype=int),
-                                    np.empty(0, dtype=int)) == 0
-        assert aggregator.stats.packets_seen == 0
-
-    def test_same_size_table_churn_recompiles_lpm(self):
-        """Withdraw+add keeping len(table) equal must not serve stale
-        routes from the compiled LPM cache."""
-        table = make_table("10.0.0.0/8")
-        aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        aggregator.add_batch(np.array([1.0]),
-                             np.array([ipv4.parse_ipv4("10.0.0.1")]),
-                             np.array([100]))
-        table.withdraw(Prefix.parse("10.0.0.0/8"))
-        table.add(make_table("20.0.0.0/8").route_for(
-            Prefix.parse("20.0.0.0/8")))
-        matched = aggregator.add_batch(
-            np.array([2.0, 3.0]),
-            np.array([ipv4.parse_ipv4("10.0.0.2"),
-                      ipv4.parse_ipv4("20.0.0.1")]),
-            np.array([50, 60]),
-        )
-        # 10.0.0.2 is now unrouted; 20.0.0.1 is routed
-        assert matched == 1
-        assert aggregator.stats.packets_unrouted == 1
-        assert Prefix.parse("20.0.0.0/8") in aggregator._bytes

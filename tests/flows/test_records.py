@@ -94,32 +94,3 @@ class TestFlowRecord:
         record = FlowRecord(Prefix.parse("10.0.0.0/8"))
         with pytest.raises(ClassificationError):
             record.add_packet(0.0, -1)
-
-    def test_add_group_accumulates(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        record.add_group(3, 600, 5.0, 9.0)
-        assert record.packets == 3
-        assert record.bytes_total == 600
-        assert record.first_seen == 5.0
-        assert record.last_seen == 9.0
-
-    def test_add_group_empty_is_noop(self):
-        # vectorized callers pass inf/-inf sentinels for an empty
-        # group; they must not leak into the seen-timestamps
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        record.add_group(0, 0, float("inf"), float("-inf"))
-        assert record.packets == 0
-        assert record.bytes_total == 0
-        assert record.first_seen == float("inf")
-        assert record.last_seen == float("-inf")
-        # a later real group still counts as the first traffic seen
-        record.add_group(1, 100, 7.0, 7.0)
-        assert record.first_seen == 7.0
-        assert record.last_seen == 7.0
-
-    def test_add_group_negative_rejected(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        with pytest.raises(ClassificationError):
-            record.add_group(-1, 0, 0.0, 0.0)
-        with pytest.raises(ClassificationError):
-            record.add_group(1, -5, 0.0, 0.0)

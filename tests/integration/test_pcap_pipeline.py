@@ -9,10 +9,12 @@ packets and re-aggregating them must recover the original bandwidths
 import numpy as np
 import pytest
 
-from repro.flows.aggregate import aggregate_pcap
+from repro.flows.aggregate import FlowAggregator, aggregate_pcap
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
+from repro.pcap.packet import summarize_record
+from repro.pcap.pcapfile import PcapReader
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable
 from repro.traffic.packetize import PacketizerConfig, write_pcap
@@ -69,33 +71,57 @@ class TestPcapPipeline:
         assert stats.bytes_matched >= 0.9 * original_bytes
 
 
-class TestVectorizedEquivalence:
-    """The vectorized scan must recover exactly what the packet loop does."""
+def per_packet_reference(path, table, axis):
+    """The packet-object loop: strict PcapReader + FlowAggregator.add."""
+    aggregator = FlowAggregator(table, axis)
+    with PcapReader.open(path) as reader:
+        for record in reader:
+            aggregator.add(summarize_record(record, reader.linktype))
+    return aggregator.to_rate_matrix(), aggregator.stats
 
-    @pytest.fixture(scope="class")
-    def both_paths(self, tmp_path_factory):
+
+class TestVectorizedEquivalence:
+    """The streaming wrapper must recover what the packet loop does."""
+
+    #: capture name -> (aggregation axis, routed prefixes out of 8). The
+    #: capture always spans slots 0..5 of a 60 s grid over 8 prefixes;
+    #: "clipped" aggregates a 3-slot window of it through a table that
+    #: lacks two of the prefixes, so it carries packets before
+    #: ``axis.start``, at/after ``axis.end`` and unrouted ones.
+    CAPTURES = {
+        "full": (TimeAxis(0.0, 60.0, 6), 8),
+        "clipped": (TimeAxis(60.0, 60.0, 3), 6),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CAPTURES))
+    def both_paths(self, request, tmp_path_factory):
+        axis, routed = self.CAPTURES[request.param]
         rng = np.random.default_rng(99)
         prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(8)]
         routes = [
             Route(prefix, AsPath((65000 + i,)),
                   AutonomousSystem(65000 + i, AsTier.STUB))
-            for i, prefix in enumerate(prefixes)
+            for i, prefix in enumerate(prefixes[:routed])
         ]
         table = RoutingTable(routes)
-        axis = TimeAxis(0.0, 60.0, 4)
-        rates = rng.uniform(0.0, 3e5, size=(8, 4))
-        matrix = RateMatrix(prefixes, axis, rates)
+        rates = rng.uniform(0.0, 3e5, size=(8, 6))
+        matrix = RateMatrix(prefixes, TimeAxis(0.0, 60.0, 6), rates)
         path = str(tmp_path_factory.mktemp("vec") / "link.pcap")
         write_pcap(matrix, path, PacketizerConfig(seed=6))
-        per_packet = aggregate_pcap(path, table, axis, vectorized=False)
-        vectorized = aggregate_pcap(path, table, axis, vectorized=True)
-        chunked = aggregate_pcap(path, table, axis, vectorized=True,
-                                 chunk_packets=1000)
-        return per_packet, vectorized, chunked
+        per_packet = per_packet_reference(path, table, axis)
+        streamed = aggregate_pcap(path, table, axis)
+        chunked = aggregate_pcap(path, table, axis, chunk_packets=1000)
+        if request.param == "clipped":
+            stats = per_packet[1]
+            assert stats.packets_unrouted > 0
+            assert stats.packets_outside_axis > 0
+            assert stats.packets_matched > 0
+        return per_packet, streamed, chunked
 
     def test_matrices_identical(self, both_paths):
         (slow, _), (fast, _), (chunked, _) = both_paths
         assert slow.prefixes == fast.prefixes == chunked.prefixes
+        assert slow.axis == fast.axis == chunked.axis
         assert np.allclose(slow.rates, fast.rates)
         assert np.array_equal(fast.rates, chunked.rates)
 

@@ -157,18 +157,6 @@ class TestStreamingAggregator:
         assert streaming.stats.bytes_matched == \
             reference.stats.bytes_matched
 
-    def test_flow_records_accounting(self):
-        aggregator = StreamingAggregator(make_table("10.0.0.0/8"),
-                                         slot_seconds=100.0)
-        aggregator.ingest(batch([
-            (1.0, "10.0.0.1", 100), (2.0, "10.0.0.2", 300),
-        ]))
-        (record,) = aggregator.flow_records()
-        assert record.packets == 2
-        assert record.bytes_total == 400
-        assert record.first_seen == pytest.approx(1.0)
-        assert record.last_seen == pytest.approx(2.0)
-
     def test_late_start_axis_counts_only_emitted_frames(self):
         """Explicit start with silent lead-in slots: the axis begins at
         the first emitted frame, not slot 0."""
@@ -259,9 +247,6 @@ class TestOutOfOrderAccounting:
         assert aggregator.stats.bytes_matched == 200
         assert sum(float(f.rates.sum()) for f in frames) \
             == pytest.approx(200 * 8 / 10.0)
-        (record,) = aggregator.flow_records()
-        assert record.packets == 2
-        assert record.bytes_total == 200
 
     def test_late_packets_counted_across_many_batches(self):
         aggregator = StreamingAggregator(make_table("10.0.0.0/8"),

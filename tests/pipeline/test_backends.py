@@ -246,12 +246,12 @@ class TestResidualSemantics:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_residual_record_accounts_untracked_packets(self, engine):
         backend = build("misra-gries", 4, engine)
-        aggregator, _ = run_backend_over(heavy_tailed_rows(), backend)
-        records = aggregator.flow_records()
-        assert records[0].prefix == RESIDUAL_PREFIX
-        assert records[0].packets > 0
-        total = sum(r.packets for r in records)
-        assert total == aggregator.stats.packets_matched
+        aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
+        assert aggregator.prefixes[0] == RESIDUAL_PREFIX
+        volumes = [frame.rates * 10.0 / 8.0 for frame in frames]
+        assert sum(float(v[0]) for v in volumes) > 0
+        total = sum(float(v.sum()) for v in volumes)
+        assert total == pytest.approx(aggregator.stats.bytes_matched)
 
 
 class TestRowIdentity:
@@ -358,9 +358,12 @@ class TestFactoryAndBudget:
     def test_parse_memory_budget(self, text, expected):
         assert parse_memory_budget(text) == expected
 
-    def test_parse_memory_budget_rejects_garbage(self):
-        with pytest.raises(ClassificationError):
-            parse_memory_budget("lots")
+    @pytest.mark.parametrize("text", ["lots", "k", " 12Q "])
+    def test_parse_memory_budget_rejects_garbage(self, text):
+        """The error echoes what the user typed, suffix and all."""
+        with pytest.raises(ClassificationError) as raised:
+            parse_memory_budget(text)
+        assert repr(text) in str(raised.value)
 
     def test_capacity_for_budget_scales(self):
         small = capacity_for_budget("space-saving", 64 << 10)

@@ -207,14 +207,11 @@ class TestShardedSketch:
     def test_flow_records_merge_and_conserve(self):
         rows = heavy_tailed_rows()
         backend = make_backend("space-saving", capacity=8, shards=3)
-        aggregator, _ = run_rows(rows, backend)
-        records = backend.flow_records()
-        assert records[0].prefix == RESIDUAL_PREFIX
-        assert len(records) == backend.num_rows
-        total = sum(record.bytes_total for record in records)
+        aggregator, frames = run_rows(rows, backend)
+        assert backend.prefixes[0] == RESIDUAL_PREFIX
+        assert frames[-1].num_flows == backend.num_rows
+        total = sum(float(f.rates.sum()) for f in frames) * 10.0 / 8.0
         assert total == pytest.approx(aggregator.stats.bytes_matched)
-        packets = sum(record.packets for record in records)
-        assert packets == aggregator.stats.packets_matched
 
 
 class TestShardedExact:
@@ -231,15 +228,12 @@ class TestShardedExact:
 
     def test_flow_records_match_single_exact(self):
         rows = heavy_tailed_rows()
-        single, _ = run_rows(rows, None)
-        sharded, _ = run_rows(rows, make_backend("exact", shards=4))
-        for mine, theirs in zip(sharded.flow_records(),
-                                single.flow_records()):
-            assert mine.prefix == theirs.prefix
-            assert mine.bytes_total == theirs.bytes_total
-            assert mine.packets == theirs.packets
-            assert mine.first_seen == theirs.first_seen
-            assert mine.last_seen == theirs.last_seen
+        single, reference = run_rows(rows, None)
+        sharded, frames = run_rows(rows, make_backend("exact", shards=4))
+        assert sharded.prefixes == single.prefixes
+        assert len(frames) == len(reference)
+        for mine, theirs in zip(frames, reference):
+            assert np.array_equal(mine.rates, theirs.rates)
 
 
 class TestCapacityForBudgetSharded:

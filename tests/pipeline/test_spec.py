@@ -262,6 +262,10 @@ class TestSourceSpec:
     def test_from_path_unreadable_csv(self, tmp_path):
         with pytest.raises(ClassificationError, match="cannot read"):
             SourceSpec.from_path(str(tmp_path / "missing.csv"))
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\x00x\n")  # not UTF-8
+        with pytest.raises(ClassificationError, match="cannot read"):
+            SourceSpec.from_path(str(binary))
 
     def test_open_builds_matching_source(self, tmp_path):
         flow_csv = tmp_path / "flows.csv"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.engine import ClassificationEngine, Feature, Scheme
 from repro.flows.aggregate import FlowAggregator
 from repro.net.prefix import Prefix
+from repro.pcap.packet import PacketSummary
 from repro.pipeline import StreamingAggregator, run_stream
 from repro.pipeline.sources import PacketBatch
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
@@ -99,7 +100,11 @@ def stream_result(num_flows, slot_seconds, chunks, scheme, feature):
 def batch_result(num_flows, axis, packets, scheme, feature):
     stamps, dests, sizes = packets
     aggregator = FlowAggregator(make_table(num_flows), axis)
-    aggregator.add_batch(stamps, dests, sizes)
+    for stamp, dest, size in zip(stamps, dests, sizes):
+        aggregator.add(PacketSummary(
+            timestamp=float(stamp), source=0, destination=int(dest),
+            protocol=17, wire_bytes=int(size),
+        ))
     matrix = aggregator.to_rate_matrix()
     return ClassificationEngine(matrix).run(scheme, feature), matrix
 

