@@ -81,7 +81,6 @@ from repro.distributed.service import (
     DEFAULT_MAX_INFLIGHT,
     CollectorService,
     MonitorClient,
-    ResilientMonitorClient,
     parse_address,
     query_service,
 )
@@ -224,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="with --connect: survive transport failures by "
-        "redialing up to N consecutive times per disruption, "
+        help="with --connect: the monitor's redial budget; a "
+        "transport failure is redialed up to N consecutive times, "
         "replaying unacked summaries (0 = fail fast)",
     )
     stream.add_argument(
@@ -863,33 +862,21 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if aggregator is not None:
             stats = aggregator.stats
     slot_seconds = pipeline.source.slot_seconds
-    client: MonitorClient | ResilientMonitorClient | None = None
+    client: MonitorClient | None = None
     if args.connect is not None:
         # In-process slots go out live, as they are classified. A
         # fleet's slots already met at its in-process collector, so
         # its merged run ships after the fact, as one monitor —
         # through the same client.
         try:
-            if args.retry > 0:
-                client = ResilientMonitorClient(
-                    parse_address(args.connect),
-                    _monitor_name(args),
-                    link=args.link_name,
-                    retries=args.retry,
-                    backoff=args.retry_backoff,
-                    faults=faults,
-                )
-            else:
-                client = MonitorClient(
-                    parse_address(args.connect),
-                    _monitor_name(args),
-                    link=args.link_name,
-                    faults=(
-                        faults.client_state(_monitor_name(args))
-                        if faults is not None
-                        else None
-                    ),
-                )
+            client = MonitorClient(
+                parse_address(args.connect),
+                _monitor_name(args),
+                link=args.link_name,
+                retries=args.retry,
+                backoff=args.retry_backoff,
+                faults=faults,
+            )
         except OSError as exc:
             raise ReproError(
                 f"cannot reach collector at {args.connect!r}: {exc}"
@@ -926,11 +913,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             if args.summary_out is not None:
                 summaries.append(record)
             if client is not None:
-                # paced by the collector's acks
+                # paced by the collector's acks; a failure that gets
+                # out has spent the redial budget and closed the socket
                 try:
                     client.publish(record)
                 except OSError as exc:
-                    client.abort()
                     raise ReproError(
                         f"collector connection lost: {exc}"
                     ) from exc
@@ -942,7 +929,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         try:
             client.close()
         except OSError as exc:
-            client.abort()
             raise ReproError(
                 f"collector connection lost: {exc}"
             ) from exc
@@ -1010,10 +996,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 "published": client.published,
                 "stale": client.stale,
                 "skipped": client.skipped,
+                "reconnects": client.reconnects,
             }
         )
-        if isinstance(client, ResilientMonitorClient):
-            summary["reconnects"] = client.reconnects
     if args.json:
         summary = {
             **result_envelope("stream", spec.describe(), slot_entries),
@@ -1115,6 +1100,8 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     host, port = parse_address(args.listen)
     if args.max_inflight < 1:
         raise ReproError("--max-inflight must be >= 1")
+    if args.k is not None and args.k < 0:
+        raise ReproError("--k must be >= 0")
     if args.once is not None and args.once < 1:
         raise ReproError("--once must be >= 1")
     service = CollectorService(

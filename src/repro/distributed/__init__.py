@@ -52,7 +52,6 @@ from repro.distributed.service import (
     LiveCollector,
     LiveLink,
     MonitorClient,
-    ResilientMonitorClient,
     ServiceHandle,
     parse_address,
     publish_summaries,
@@ -86,7 +85,6 @@ __all__ = [
     "MonitorClient",
     "ParallelIngestResult",
     "RESULT_SCHEMA",
-    "ResilientMonitorClient",
     "RingConsumer",
     "RingSpec",
     "RingWriter",

@@ -8,11 +8,12 @@ module centralises the failure vocabulary: a :class:`FaultPlan` is a
 seeded, declarative list of failures to inject, parsed from a compact
 directive string and threaded through the runner
 (``parallel_ingest(..., faults=)``), the service
-(``CollectorService(..., faults=)``) and the client
-(``MonitorClient(..., faults=)``). The same plan object drives a unit
-test, the loopback chaos harness, and — via the ``REPRO_FAULT_PLAN``
-environment variable, the only one the CLI reads — a real
-``repro collect`` daemon or ``repro stream`` fleet in CI.
+(``CollectorService(..., faults=)``) and the one monitor client
+(``MonitorClient(..., faults=)``, which resolves its per-monitor state
+once so one-shot faults span its redials). The same plan object
+drives a unit test, the loopback chaos harness, and — via the
+``REPRO_FAULT_PLAN`` environment variable, the only one the CLI reads
+— a real ``repro collect`` daemon or ``repro stream`` fleet in CI.
 
 Directive grammar (comma-separated, one directive per fault)::
 

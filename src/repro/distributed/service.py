@@ -32,7 +32,9 @@ Backpressure is credit-based and end-to-end: the service merges one
 summary at a time per connection and acks only after the merge, while
 :class:`MonitorClient` keeps at most ``max_inflight`` unacked
 summaries on the wire — a slow collector therefore stalls its
-monitors instead of buffering unboundedly.
+monitors instead of buffering unboundedly. That window is also the
+one client's replay buffer: given a redial budget (``retries``, 0 by
+default) it rides out a dead transport by redialing and re-sending it.
 
 Everything here is importable without a running event loop:
 :class:`ServiceHandle` runs the service on a background thread (the
@@ -50,7 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.core.engine import EngineConfig, Feature, Scheme
 from repro.distributed.checkpoint import CheckpointStore
@@ -59,7 +61,7 @@ from repro.distributed.collector import (
     elephant_entries,
     result_envelope,
 )
-from repro.distributed.faults import ClientFaultState, FaultPlan, FaultySocket
+from repro.distributed.faults import FaultPlan, FaultySocket
 from repro.distributed.framing import (
     KIND_ACK,
     KIND_BYE,
@@ -800,6 +802,17 @@ class _BlockingFrames:
         return decode_json(payload)
 
 
+#: Errors the client's redial budget covers, as transient transport
+#: loss. ``OSError`` covers refused/reset/severed sockets and ack-read
+#: timeouts; ``ServiceProtocolError`` covers the collector closing the
+#: connection mid-stream (EOF reads, error frames) — including the
+#: transient "monitor already attached" a fast reconnect sees while
+#: the server has not yet reaped the dead connection.
+_RETRYABLE = (OSError, ServiceProtocolError)
+
+_T = TypeVar("_T")
+
+
 class MonitorClient:
     """A monitor's blocking-socket connection to the collector.
 
@@ -811,144 +824,21 @@ class MonitorClient:
     up — after it returns, the collector has fully absorbed the run.
     :meth:`abort` slams the socket shut, which is how the tests
     simulate a monitor crash.
-    """
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        monitor: str,
-        link: str = DEFAULT_LINK,
-        timeout: float = 10.0,
-        max_inflight: int | None = None,
-        faults: ClientFaultState | None = None,
-    ) -> None:
-        self.monitor = monitor
-        self.link = link
-        #: Optional per-ack observer (``on_ack(status)``), called after
-        #: the counters update; :class:`ResilientMonitorClient` uses it
-        #: to retire summaries from its unacked replay buffer.
-        self.on_ack: Callable[[str], None] | None = None
-        sock: socket.socket | FaultySocket = socket.create_connection(
-            address, timeout=timeout
-        )
-        if faults is not None:
-            sock = FaultySocket(sock, faults)
-        self._sock = sock
-        try:
-            self._frames = _BlockingFrames(self._sock)
-            self._sock.sendall(
-                encode_json_frame(
-                    KIND_HELLO, {"monitor": monitor, "link": link}
-                )
-            )
-            reply = self._frames.expect(KIND_REPLY)
-        except BaseException:
-            # A failed handshake (error frame, timeout, EOF) must not
-            # leak the connected socket.
-            self._sock.close()
-            raise
-        resume = reply.get("resume_cell")
-        #: First cell the collector will accept; lower cells are sealed
-        #: history and are skipped client-side without a round trip.
-        self.resume_cell = int(resume) if resume is not None else None
-        granted = int(reply.get("max_inflight") or DEFAULT_MAX_INFLIGHT)
-        self.max_inflight = max(
-            1,
-            min(granted, max_inflight) if max_inflight else granted,
-        )
-        self.inflight = 0
-        self.published = 0
-        self.stale = 0
-        self.skipped = 0
-
-    def __enter__(self) -> "MonitorClient":
-        return self
-
-    def __exit__(self, exc_type: object, *exc_info: object) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-    def publish(self, summary: SlotSummary) -> bool:
-        """Send one summary (False if skipped as pre-resume history)."""
-        cell = grid_cell(summary.start, summary.slot_seconds)
-        if self.resume_cell is not None and cell < self.resume_cell:
-            self.skipped += 1
-            return False
-        while self.inflight >= self.max_inflight:
-            self._read_ack()
-        self._sock.sendall(encode_summary(summary))
-        self.inflight += 1
-        return True
-
-    def drain(self) -> None:
-        """Wait out every outstanding ack."""
-        while self.inflight:
-            self._read_ack()
-
-    def _read_ack(self) -> None:
-        message = self._frames.expect(KIND_ACK)
-        self.inflight -= 1
-        status = str(message.get("status"))
-        if status == "stale":
-            self.stale += 1
-        else:
-            self.published += 1
-        if self.on_ack is not None:
-            self.on_ack(status)
-
-    def query(self, link: str | None = None) -> dict:
-        """Query over this same connection (acks must be drained)."""
-        self.drain()
-        self._sock.sendall(
-            encode_json_frame(KIND_QUERY, {"link": link or self.link})
-        )
-        return self._frames.expect(KIND_REPLY)
-
-    def close(self) -> None:
-        """Clean end-of-run: drain, BYE, wait for the collector's EOF."""
-        try:
-            self.drain()
-            self._sock.sendall(encode_frame(KIND_BYE))
-            while True:
-                if not self._sock.recv(_CHUNK_BYTES):
-                    break
-        finally:
-            self._sock.close()
-
-    def abort(self) -> None:
-        """Crash: drop the connection with no BYE and no draining."""
-        self._sock.close()
-
-
-#: Errors a reconnecting client treats as transient transport loss.
-#: ``OSError`` covers refused/reset/severed sockets and ack-read
-#: timeouts; ``ServiceProtocolError`` covers the collector closing the
-#: connection mid-stream (EOF reads, error frames) — including the
-#: transient "monitor already attached" a fast reconnect sees while
-#: the server has not yet reaped the dead connection.
-_RETRYABLE = (OSError, ServiceProtocolError)
-
-
-class ResilientMonitorClient:
-    """A :class:`MonitorClient` that survives transport failure.
-
-    Wraps the plain client with redial-on-error: any retryable failure
-    (see ``_RETRYABLE``) tears the connection down and re-dials with
-    capped exponential backoff plus seeded jitter, re-handshakes, and
-    replays every summary the dead connection had not acked. Delivery
-    stays exactly-once *in the collector's accounting*: the server's
-    ``resume_cell`` skip-ahead and stale-ack watermarks absorb any
-    replayed duplicate, so the merged answers equal an uninterrupted
-    run's.
-
-    ``retries`` bounds the *consecutive* failed attempts per
-    disruption (each successful reconnect resets the budget);
-    ``backoff`` doubles per attempt up to ``backoff_cap`` seconds,
+    The unacked window is held by reference, so a transport failure
+    (see ``_RETRYABLE``) is survivable: every operation gets one try
+    plus at most ``retries`` redials, each after a capped exponential
+    backoff (``backoff`` doubling up to ``backoff_cap`` seconds,
     jittered by a :class:`random.Random` seeded with ``jitter_seed``
-    so tests are reproducible. Counters (``published``/``stale``/
-    ``skipped``/``reconnects``) aggregate across all connections.
+    so tests are reproducible), a fresh handshake and a replay of the
+    window. Delivery stays exactly-once *in the collector's
+    accounting*: its ``resume_cell`` skip-ahead and stale-ack
+    watermarks absorb any replayed duplicate, so the merged answers
+    equal an uninterrupted run's. With the budget spent — at once when
+    ``retries`` is 0, the fail-fast default — the socket is closed and
+    the transport error propagates as it was raised. Counters
+    (``published``/``stale``/``skipped``/``reconnects``) aggregate
+    across all connections.
     """
 
     def __init__(
@@ -958,7 +848,7 @@ class ResilientMonitorClient:
         link: str = DEFAULT_LINK,
         timeout: float = 10.0,
         max_inflight: int | None = None,
-        retries: int = 5,
+        retries: int = 0,
         backoff: float = 0.25,
         backoff_cap: float = 5.0,
         jitter_seed: int = 0,
@@ -972,30 +862,31 @@ class ResilientMonitorClient:
         self.monitor = monitor
         self.link = link
         self.timeout = timeout
-        self.max_inflight = max_inflight
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self._rng = random.Random(jitter_seed)
+        self._window_cap = max_inflight
         #: One fault state for the client's whole life: frame counters
         #: and one-shot budgets span reconnects, so an injected sever
         #: fires once and the retried connection survives.
         self._faults = (
-            (faults or FaultPlan()).client_state(monitor)
-            if faults is not None
-            else None
+            faults.client_state(monitor) if faults is not None else None
         )
-        #: Summaries sent but not yet acked, oldest first — the replay
-        #: buffer a fresh connection re-publishes.
-        self._pending: deque[SlotSummary] = deque()
-        self.reconnects = 0
+        #: Summaries handed to :meth:`publish` and not yet acked,
+        #: oldest first — what a fresh connection replays. The first
+        #: ``inflight`` of them are on the current connection's wire.
+        self._unacked: deque[SlotSummary] = deque()
+        self.inflight = 0
         self.published = 0
         self.stale = 0
         self.skipped = 0
-        self._client: MonitorClient | None = None
-        self._dial()
+        #: Redials made, a collector unreachable at start-up included.
+        self.reconnects = 0
+        self._sock: socket.socket | FaultySocket | None = None
+        self._attempt(lambda: None)  # dial in: one try + ``retries`` more
 
-    def __enter__(self) -> "ResilientMonitorClient":
+    def __enter__(self) -> "MonitorClient":
         return self
 
     def __exit__(self, exc_type: object, *exc_info: object) -> None:
@@ -1004,140 +895,116 @@ class ResilientMonitorClient:
         else:
             self.abort()
 
-    @property
-    def resume_cell(self) -> int | None:
-        return (
-            self._client.resume_cell
-            if self._client is not None
-            else None
+    def _connect(self) -> None:
+        """One dial: connect, hello, adopt the collector's grant."""
+        sock: socket.socket | FaultySocket = socket.create_connection(
+            self.address, timeout=self.timeout
         )
+        if self._faults is not None:
+            sock = FaultySocket(sock, self._faults)
+        try:
+            frames = _BlockingFrames(sock)
+            sock.sendall(
+                encode_json_frame(
+                    KIND_HELLO, {"monitor": self.monitor, "link": self.link}
+                )
+            )
+            reply = frames.expect(KIND_REPLY)
+        except BaseException:
+            # A failed handshake (error frame, timeout, EOF) must not
+            # leak the connected socket.
+            sock.close()
+            raise
+        self._sock, self._frames = sock, frames
+        resume = reply.get("resume_cell")
+        #: First cell the collector will accept; lower cells are sealed
+        #: history and are skipped client-side without a round trip.
+        self.resume_cell = int(resume) if resume is not None else None
+        granted = int(reply.get("max_inflight") or DEFAULT_MAX_INFLIGHT)
+        self.max_inflight = max(1, min(granted, self._window_cap or granted))
 
-    def _delay(self, failures: int) -> float:
-        base = min(
-            self.backoff_cap, self.backoff * (2 ** (failures - 1))
-        )
-        return base * (0.5 + 0.5 * self._rng.random())
+    def _attempt(self, step: Callable[[], _T]) -> _T:
+        """Run ``step`` on a live connection, within the redial budget.
 
-    def _on_ack(self, status: str) -> None:
-        if self._pending:
-            self._pending.popleft()
-        if status == "stale":
+        A dead connection (first use, after :meth:`abort`, after a
+        failure) is dialed first. Every step starts by putting the
+        unacked window back on the wire, so a failed replay spends
+        budget exactly like a failed dial.
+        """
+        failures = 0
+        while True:
+            try:
+                if self._sock is None:
+                    self._connect()
+                return step()
+            except _RETRYABLE:
+                self.abort()
+                if failures >= self.retries:
+                    raise
+            failures += 1
+            self.reconnects += 1
+            base = min(self.backoff_cap, self.backoff * 2 ** (failures - 1))
+            time.sleep(base * (0.5 + 0.5 * self._rng.random()))
+
+    def _pump(self) -> None:
+        """Send every windowed summary this connection has not carried.
+
+        A summary below the connection's resume cell is sealed
+        history the collector will never ack: it leaves the window,
+        counted skipped.
+        """
+        while self.inflight < len(self._unacked):
+            summary = self._unacked[self.inflight]
+            cell = grid_cell(summary.start, summary.slot_seconds)
+            if self.resume_cell is not None and cell < self.resume_cell:
+                del self._unacked[self.inflight]
+                self.skipped += 1
+                continue
+            while self.inflight >= self.max_inflight:
+                self._read_ack()
+            self._sock.sendall(encode_summary(summary))
+            self.inflight += 1
+
+    def _read_ack(self) -> None:
+        message = self._frames.expect(KIND_ACK)
+        self._unacked.popleft()
+        self.inflight -= 1
+        if str(message.get("status")) == "stale":
             self.stale += 1
         else:
             self.published += 1
 
-    def _drop_client(self) -> None:
-        if self._client is not None:
-            with contextlib.suppress(Exception):
-                self._client.abort()
-            self._client = None
+    def _drain(self) -> None:
+        self._pump()
+        while self._unacked:
+            self._read_ack()
 
-    def _dial_once(self) -> MonitorClient:
-        client = MonitorClient(
-            self.address,
-            self.monitor,
-            link=self.link,
-            timeout=self.timeout,
-            max_inflight=self.max_inflight,
-            faults=self._faults,
-        )
-        client.on_ack = self._on_ack
-        self._client = client
-        return client
+    def _query(self, link: str) -> dict:
+        self._drain()
+        self._sock.sendall(encode_json_frame(KIND_QUERY, {"link": link}))
+        return self._frames.expect(KIND_REPLY)
 
-    def _dial(self) -> None:
-        """Establish the first connection, with the same backoff."""
-        failures = 0
-        while True:
-            try:
-                self._dial_once()
-                return
-            except _RETRYABLE:
-                failures += 1
-                if failures > self.retries:
-                    raise
-                time.sleep(self._delay(failures))
-
-    def _replay(self, client: MonitorClient) -> set[int]:
-        """Re-publish the unacked backlog; returns skipped identities.
-
-        A replayed summary below the fresh connection's resume cell is
-        sealed history the collector will never ack — drop it from the
-        pending buffer (by identity: summaries hold numpy arrays, so
-        ``==`` is not usable) and count it skipped.
-        """
-        skipped: set[int] = set()
-        for summary in list(self._pending):
-            if not client.publish(summary):
-                skipped.add(id(summary))
-                self._pending = deque(
-                    entry
-                    for entry in self._pending
-                    if entry is not summary
-                )
-                self.skipped += 1
-        return skipped
-
-    def _redial(self) -> set[int]:
-        """Reconnect, re-handshake, replay; bounded by ``retries``."""
-        last: Exception | None = None
-        for attempt in range(self.retries + 1):
-            self._drop_client()
-            if attempt:
-                time.sleep(self._delay(attempt))
-            self.reconnects += 1
-            try:
-                client = self._dial_once()
-                return self._replay(client)
-            except _RETRYABLE as exc:
-                last = exc
-        self._drop_client()
-        assert last is not None
-        raise last
-
-    def _ensure(self) -> MonitorClient:
-        if self._client is None:
-            self._redial()
-        assert self._client is not None
-        return self._client
+    def _goodbye(self) -> None:
+        self._drain()
+        self._sock.sendall(encode_frame(KIND_BYE))
+        while self._sock.recv(_CHUNK_BYTES):
+            pass
 
     def publish(self, summary: SlotSummary) -> bool:
-        """Send one summary, redialing through any transport failure.
-
-        Returns False when the summary was dropped client-side as
-        sealed history (below the resume cell), True otherwise.
-        """
-        client = self._ensure()
-        self._pending.append(summary)
-        try:
-            sent = client.publish(summary)
-        except _RETRYABLE:
-            skipped = self._redial()
-            return id(summary) not in skipped
-        if not sent:
-            self._pending = deque(
-                entry for entry in self._pending if entry is not summary
-            )
-            self.skipped += 1
-        return sent
+        """Send one summary (False if skipped as pre-resume history)."""
+        self._unacked.append(summary)
+        self._attempt(self._pump)
+        # the newest summary is sent last and acks retire the oldest,
+        # so it either still ends the window or was skipped out of it
+        return bool(self._unacked) and self._unacked[-1] is summary
 
     def drain(self) -> None:
-        """Wait out every outstanding ack, reconnecting as needed."""
-        while True:
-            client = self._ensure()
-            try:
-                client.drain()
-                return
-            except _RETRYABLE:
-                self._redial()
+        """Wait out every outstanding ack."""
+        self._attempt(self._drain)
 
     def query(self, link: str | None = None) -> dict:
-        while True:
-            client = self._ensure()
-            try:
-                return client.query(link)
-            except _RETRYABLE:
-                self._redial()
+        """Query over this same connection (outstanding acks drain first)."""
+        return self._attempt(lambda: self._query(link or self.link))
 
     def ensure_connected(self) -> int | None:
         """Probe the transport end-to-end, redialing if it is dead.
@@ -1148,23 +1015,22 @@ class ResilientMonitorClient:
         only, so the first monitor to re-attach and publish would seal
         its cells alone and its peers' copies would land as stale.
         """
-        self.query(self.link)
+        self.query()
         return self.resume_cell
 
     def close(self) -> None:
-        """Drain, BYE, and hang up — retrying the whole goodbye."""
-        while True:
-            client = self._ensure()
-            try:
-                client.drain()
-                client.close()
-                self._client = None
-                return
-            except _RETRYABLE:
-                self._redial()
+        """Clean end-of-run: drain, BYE, wait for the collector's EOF."""
+        try:
+            self._attempt(self._goodbye)
+        finally:
+            self.abort()
 
     def abort(self) -> None:
-        self._drop_client()
+        """Crash: drop the connection with no BYE and no draining."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self.inflight = 0
 
 
 def publish_summaries(
@@ -1174,58 +1040,36 @@ def publish_summaries(
     link: str = DEFAULT_LINK,
     timeout: float = 10.0,
     max_inflight: int | None = None,
-    retries: int | None = None,
+    retries: int = 0,
     backoff: float = 0.25,
     faults: FaultPlan | None = None,
 ) -> dict[str, int]:
     """Stream one monitor run into a live collector and disconnect.
 
-    ``retries`` (when given) upgrades the transport to a
-    :class:`ResilientMonitorClient` that redials through up to that
-    many consecutive failures; ``None`` keeps the plain
-    fail-fast client. Returns the delivery accounting: summaries
-    ``published`` (accepted), ``stale`` (rejected as sealed history),
-    and ``skipped`` (dropped client-side below the resume cell) — plus
-    ``reconnects`` when resilient.
+    ``retries`` and ``backoff`` are the :class:`MonitorClient` redial
+    budget (0 = fail fast). Returns the delivery accounting: summaries
+    ``published`` (accepted), ``stale`` (rejected as sealed history)
+    and ``skipped`` (dropped client-side below the resume cell), plus
+    the ``reconnects`` it took.
     """
-    if retries is not None:
-        client: MonitorClient | ResilientMonitorClient = (
-            ResilientMonitorClient(
-                address,
-                monitor,
-                link=link,
-                timeout=timeout,
-                max_inflight=max_inflight,
-                retries=retries,
-                backoff=backoff,
-                faults=faults,
-            )
-        )
-    else:
-        client = MonitorClient(
-            address,
-            monitor,
-            link=link,
-            timeout=timeout,
-            max_inflight=max_inflight,
-            faults=(
-                faults.client_state(monitor)
-                if faults is not None and not faults.is_empty
-                else None
-            ),
-        )
-    with client:
+    with MonitorClient(
+        address,
+        monitor,
+        link=link,
+        timeout=timeout,
+        max_inflight=max_inflight,
+        retries=retries,
+        backoff=backoff,
+        faults=faults,
+    ) as client:
         for summary in summaries:
             client.publish(summary)
-        client.drain()
-    stats = {
+    return {
         "published": client.published,
         "stale": client.stale,
         "skipped": client.skipped,
+        "reconnects": client.reconnects,
     }
-    if retries is not None:
-        stats["reconnects"] = client.reconnects
-    return stats
 
 
 def query_service(
@@ -1250,7 +1094,6 @@ __all__ = [
     "LiveLink",
     "MonitorClient",
     "MonitorStatus",
-    "ResilientMonitorClient",
     "ServiceHandle",
     "parse_address",
     "publish_summaries",

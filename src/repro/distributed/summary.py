@@ -28,6 +28,7 @@ the coarsest rate. Version 1 records parse unchanged with
 
 from __future__ import annotations
 
+import math
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -81,6 +82,17 @@ class SlotSummary:
         volumes = np.asarray(self.volumes, dtype=np.float64)
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "prefixes", tuple(self.prefixes))
+        scalars = (
+            self.start,
+            self.slot_seconds,
+            self.residual_bytes,
+            self.sample_rate,
+        )
+        # NaN slips through every ordering check below (nan <= 0 and
+        # nan < 0 are both false) and inf through most of them
+        finite = all(map(math.isfinite, scalars))
+        if not (finite and np.isfinite(volumes).all()):
+            raise ClassificationError("summary fields must be finite")
         if self.slot_seconds <= 0:
             raise ClassificationError("slot_seconds must be positive")
         if self.sample_rate < 1.0:
@@ -245,7 +257,7 @@ class SlotSummary:
                 f"summary record is {len(payload)} bytes; header "
                 f"promises {expected}"
             )
-        monitor = payload[offset:offset + monitor_len].decode("utf-8")
+        name = payload[offset : offset + monitor_len]
         offset += monitor_len
         networks = np.frombuffer(
             payload, dtype=">u4", count=count, offset=offset
@@ -272,10 +284,10 @@ class SlotSummary:
                 prefixes=prefixes,
                 volumes=volumes.astype(np.float64),
                 residual_bytes=residual,
-                monitor=monitor,
+                monitor=name.decode("utf-8"),
                 sample_rate=sample_rate,
             )
-        except ReproError as exc:
+        except (ReproError, UnicodeDecodeError) as exc:
             raise SummaryFormatError(
                 f"summary record carries invalid data: {exc}"
             ) from exc

@@ -4,7 +4,7 @@ The acceptance bar for the resilience layer, end to end:
 
 - a collector killed mid-run (``SIGKILL``, no cleanup) and restarted
   from ``--state-dir`` — with monitors reconnecting through
-  :class:`ResilientMonitorClient` — answers ``query`` field-for-field
+  ``MonitorClient(retries=…)`` — answers ``query`` field-for-field
   identically to an uninterrupted run and to the offline ``merge_runs``
   baseline;
 - a ``parallel_ingest`` fleet that loses a worker mid-slot under
@@ -28,11 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.distributed import (
-    FaultPlan,
-    ResilientMonitorClient,
-    parallel_ingest,
-)
+from repro.distributed import FaultPlan, parallel_ingest
 from repro.distributed.service import (
     CollectorService,
     MonitorClient,
@@ -78,10 +74,33 @@ def live():
         yield handle
 
 
+@pytest.fixture()
+def dialed(monkeypatch):
+    """Every socket ``socket.create_connection`` hands out, in order."""
+    created = []
+    real = socket.create_connection
+
+    def tracking(*args, **kwargs):
+        sock = real(*args, **kwargs)
+        created.append(sock)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", tracking)
+    return created
+
+
+def fault_frame(where, run):
+    """Index of a frame on a monitor's first connection.
+
+    A client sends its hello, one frame per summary, then the BYE.
+    """
+    return {"hello": 0, "first": 1, "mid": 3, "bye": len(run) + 1}[where]
+
+
 class TestResilientClient:
     def resilient_fleet(self, address, faults=None):
         return [
-            ResilientMonitorClient(
+            MonitorClient(
                 address,
                 name,
                 retries=20,
@@ -130,7 +149,7 @@ class TestResilientClient:
         # exhausts its retries — a monitor death the survivors ride out
         plan = FaultPlan.parse("blackhole:mon-c:4")
         survivors = [
-            ResilientMonitorClient(
+            MonitorClient(
                 live.address,
                 name,
                 retries=20,
@@ -139,7 +158,7 @@ class TestResilientClient:
             )
             for name in MONITORS[:2]
         ]
-        doomed = ResilientMonitorClient(
+        doomed = MonitorClient(
             live.address,
             "mon-c",
             timeout=0.3,
@@ -176,30 +195,90 @@ class TestResilientClient:
             offline([chaos_runs[0], chaos_runs[1], chaos_runs[2][:3]]),
         )
 
+    @pytest.mark.parametrize("where", ["hello", "first", "mid", "bye"])
+    @pytest.mark.parametrize("kind", ["sever", "corrupt"])
+    def test_fault_on_any_frame_redials_to_equality(
+        self, live, chaos_runs, offline, kind, where
+    ):
+        index = fault_frame(where, chaos_runs[1])
+        plan = FaultPlan.parse(f"{kind}:mon-b:{index}")
+        clients = self.resilient_fleet(live.address, faults=plan)
+        stream_round_robin(clients, chaos_runs)
+        for client in clients:
+            client.close()
+        for run, client in zip(chaos_runs, clients):
+            delivered = client.published + client.stale + client.skipped
+            assert delivered == len(run)
+        if (kind, where) == ("corrupt", "bye"):
+            # the collector answers a mangled BYE by hanging up, which
+            # is all close() waits for: nothing to redial
+            assert clients[1].reconnects == 0
+        else:
+            assert clients[1].reconnects >= 1
+        assert_matches_offline(
+            query_service(live.address), offline(chaos_runs)
+        )
+
+    @pytest.mark.parametrize(
+        "kind, where, error",
+        [
+            ("sever", "hello", ConnectionError),
+            ("sever", "first", ConnectionError),
+            ("sever", "mid", ConnectionError),
+            ("sever", "bye", ConnectionError),
+            ("corrupt", "hello", ServiceProtocolError),
+            ("corrupt", "first", ServiceProtocolError),
+            ("corrupt", "mid", ServiceProtocolError),
+        ],
+    )
+    def test_without_retries_the_same_fault_is_fatal(
+        self, live, chaos_runs, offline, dialed, kind, where, error
+    ):
+        """``retries=0`` is the pre-merge fail-fast client.
+
+        ``error`` is what that client raised for the same plan (a
+        corrupted BYE raised nothing, so it has no row here); the
+        collector must be left holding exactly the acked prefix.
+        """
+        run = chaos_runs[0]
+        index = fault_frame(where, run)
+        plan = FaultPlan.parse(f"{kind}:mon-a:{index}")
+        acked = 0
+        with pytest.raises(error):
+            with MonitorClient(live.address, "mon-a", faults=plan) as client:
+                for summary in run:
+                    client.publish(summary)
+                    client.drain()
+                    acked += 1
+        assert acked == max(index - 1, 0)
+        collector = live.service.collector
+        deadline = time.monotonic() + 5.0
+        while collector.any_connected() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not collector.any_connected()
+        statuses = collector.monitors.values()
+        assert sum(s.slots_received for s in statuses) == acked
+        if acked:
+            assert_matches_offline(
+                query_service(live.address), offline([run[:acked]])
+            )
+        assert dialed and all(sock.fileno() == -1 for sock in dialed)
+
     @pytest.mark.parametrize(
         "bad", [{"retries": -1}, {"backoff": -1.0}, {"backoff_cap": -0.5}]
     )
     def test_negative_retry_settings_refused_before_dialing(self, bad):
         # port 9 (discard) is closed: reaching it would raise OSError
         with pytest.raises(ClassificationError, match=">= 0"):
-            ResilientMonitorClient(("127.0.0.1", 9), "mon-a", **bad)
+            MonitorClient(("127.0.0.1", 9), "mon-a", **bad)
 
-    def test_handshake_failure_closes_the_socket(self, live, monkeypatch):
+    def test_handshake_failure_closes_the_socket(self, live, dialed):
         """Regression: a refused hello must not leak the socket."""
-        created = []
-        real = socket.create_connection
-
-        def tracking(*args, **kwargs):
-            sock = real(*args, **kwargs)
-            created.append(sock)
-            return sock
-
-        monkeypatch.setattr(socket, "create_connection", tracking)
         holder = MonitorClient(live.address, "mon-a")
         with pytest.raises(ServiceProtocolError, match="already"):
             MonitorClient(live.address, "mon-a")
-        assert len(created) == 2
-        assert created[1].fileno() == -1  # the refused socket closed
+        assert len(dialed) == 2
+        assert dialed[1].fileno() == -1  # the refused socket closed
         holder.close()
 
 
@@ -248,7 +327,7 @@ class TestCollectorRestart:
             assert probe.resume_cell == 3
             probe.abort()
             clients = [
-                ResilientMonitorClient(
+                MonitorClient(
                     handle.address, name, retries=5, backoff=0.02
                 )
                 for name in MONITORS
@@ -336,7 +415,7 @@ class TestKillRestartAcceptance:
         try:
             address = wait_for_daemon(port_file, daemon)
             clients = [
-                ResilientMonitorClient(
+                MonitorClient(
                     address,
                     name,
                     retries=40,

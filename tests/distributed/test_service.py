@@ -211,6 +211,7 @@ class TestLoopbackEquivalence:
             "published": len(runs[0]),
             "stale": 0,
             "skipped": 0,
+            "reconnects": 0,
         }
         report = query_service(live.address)
         assert report["slots"] == len(runs[0])
@@ -347,6 +348,22 @@ class TestServiceRobustness:
         client.drain()
         client.close()
         assert query_service(live.address)["slots"] == 2
+
+    def test_non_finite_summary_kills_only_that_connection(self, live, runs):
+        """A NaN ``start`` earns an error frame, not a daemon traceback."""
+        record = bytearray(runs[0][0].to_bytes())
+        struct.pack_into(">d", record, 14, float("nan"))  # the start field
+        with socket.create_connection(live.address, timeout=5.0) as s:
+            s.sendall(encode_json_frame(KIND_HELLO, {"monitor": "mon-a"}))
+            assert b"resume_cell" in s.recv(65536)
+            s.sendall(encode_frame(KIND_SUMMARY, bytes(record)))
+            assert b"invalid data" in s.recv(65536)
+            assert s.recv(65536) == b""  # ...then the collector hangs up
+        stats = publish_summaries(live.address, runs[1], monitor="mon-b")
+        assert stats["published"] == len(runs[1])
+        report = query_service(live.address)
+        assert report["slots"] == len(runs[1])
+        assert report["monitors"]["mon-a"]["slots_received"] == 0
 
     def test_query_unknown_link_is_an_error(self, live, runs):
         publish_summaries(live.address, runs[0][:1], monitor="mon-a")

@@ -1,5 +1,7 @@
 """Tests for the per-slot summary wire formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,35 +17,47 @@ from repro.pipeline import RESIDUAL_PREFIX
 from repro.pipeline.sources import SlotFrame
 
 
-def summary(slot=0, entries=((("10.0.0.0/16"), 1000.0),
-                             (("10.1.0.0/16"), 500.0)),
-            residual=25.0, monitor="mon-a", start=None):
+def summary(
+    slot=0,
+    entries=(("10.0.0.0/16", 1000.0), ("10.1.0.0/16", 500.0)),
+    residual=25.0,
+    monitor="mon-a",
+    start=None,
+):
     prefixes = tuple(Prefix.parse(p) for p, _ in entries)
     volumes = np.array([v for _, v in entries])
     return SlotSummary(
-        slot=slot, start=(slot * 60.0 if start is None else start),
-        slot_seconds=60.0, prefixes=prefixes, volumes=volumes,
-        residual_bytes=residual, monitor=monitor,
+        slot=slot,
+        start=slot * 60.0 if start is None else start,
+        slot_seconds=60.0,
+        prefixes=prefixes,
+        volumes=volumes,
+        residual_bytes=residual,
+        monitor=monitor,
     )
 
 
 class TestValidation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ClassificationError):
-            SlotSummary(0, 0.0, 60.0,
-                        (Prefix.parse("10.0.0.0/16"),),
-                        np.array([1.0, 2.0]))
+            SlotSummary(
+                0,
+                0.0,
+                60.0,
+                (Prefix.parse("10.0.0.0/16"),),
+                np.array([1.0, 2.0]),
+            )
 
     def test_rejects_duplicates(self):
         prefix = Prefix.parse("10.0.0.0/16")
         with pytest.raises(ClassificationError):
-            SlotSummary(0, 0.0, 60.0, (prefix, prefix),
-                        np.array([1.0, 2.0]))
+            SlotSummary(0, 0.0, 60.0, (prefix, prefix), np.array([1.0, 2.0]))
 
     def test_rejects_negative_volumes(self):
         with pytest.raises(ClassificationError):
-            SlotSummary(0, 0.0, 60.0, (Prefix.parse("10.0.0.0/16"),),
-                        np.array([-1.0]))
+            SlotSummary(
+                0, 0.0, 60.0, (Prefix.parse("10.0.0.0/16"),), np.array([-1.0])
+            )
         with pytest.raises(ClassificationError):
             summary(residual=-0.5)
 
@@ -55,17 +69,76 @@ class TestValidation:
         assert summary().total_bytes == pytest.approx(1525.0)
 
 
+#: Where each float64 sits in a version-2 record: the header is magic
+#: (4 bytes), version (2), slot (8), then start, slot_seconds,
+#: residual_bytes and sample_rate; the volume table ends the record.
+WIRE_OFFSETS = {
+    "start": 14,
+    "slot_seconds": 22,
+    "residual_bytes": 30,
+    "sample_rate": 38,
+    "volumes": -8,
+}
+
+
+class TestHostileRecords:
+    """NaN/inf fields and undecodable names are refused at every door.
+
+    The constructor, the wire record and the ``.npz`` artefact alike.
+    """
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    @pytest.mark.parametrize("field", sorted(WIRE_OFFSETS))
+    def test_non_finite_field_is_refused(self, field, value):
+        fields = {
+            "slot": 0,
+            "start": 0.0,
+            "slot_seconds": 60.0,
+            "prefixes": (Prefix.parse("10.0.0.0/16"),),
+            "volumes": np.array([1.0]),
+        }
+        fields[field] = np.array([value]) if field == "volumes" else value
+        with pytest.raises(ClassificationError):
+            SlotSummary(**fields)
+        payload = bytearray(summary().to_bytes())
+        offset = WIRE_OFFSETS[field] % len(payload)
+        struct.pack_into(">d", payload, offset, value)
+        with pytest.raises(SummaryFormatError, match="invalid data"):
+            SlotSummary.from_bytes(bytes(payload))
+
+    def test_undecodable_monitor_name_is_a_format_error(self):
+        payload = bytearray(summary(monitor="mon-a").to_bytes())
+        payload[payload.index(b"mon-a")] = 0xFF  # never valid in UTF-8
+        with pytest.raises(SummaryFormatError, match="invalid data"):
+            SlotSummary.from_bytes(bytes(payload))
+
+    def test_non_finite_npz_field_is_a_format_error(self, tmp_path):
+        path = str(tmp_path / "mon.npz")
+        save_summaries(path, [summary()])
+        with np.load(path) as archive:
+            data = dict(archive)
+        data["residuals"] = np.array([float("nan")])
+        with open(path, "wb") as stream:
+            np.savez(stream, **data)
+        with pytest.raises(SummaryFormatError, match="finite"):
+            load_summaries(path)
+
+
 class TestFromFrame:
     def frame(self, rates, residual_row=None):
-        population = [RESIDUAL_PREFIX] + [
-            Prefix.parse(f"10.{i}.0.0/16") for i in range(len(rates) - 1)
-        ] if residual_row is not None else [
-            Prefix.parse(f"10.{i}.0.0/16") for i in range(len(rates))
-        ]
-        return SlotFrame(slot=3, start=180.0,
-                         rates=np.array(rates, dtype=float),
-                         population=population,
-                         residual_row=residual_row)
+        tracked = len(rates) - (residual_row is not None)
+        population = [Prefix.parse(f"10.{i}.0.0/16") for i in range(tracked)]
+        if residual_row is not None:
+            population.insert(0, RESIDUAL_PREFIX)
+        return SlotFrame(
+            slot=3,
+            start=180.0,
+            rates=np.array(rates, dtype=float),
+            population=population,
+            residual_row=residual_row,
+        )
 
     def test_zero_rows_dropped(self):
         got = SlotSummary.from_frame(self.frame([8.0, 0.0, 16.0]), 60.0)
@@ -77,7 +150,8 @@ class TestFromFrame:
 
     def test_residual_row_split_out(self):
         got = SlotSummary.from_frame(
-            self.frame([8.0, 16.0, 0.0], residual_row=0), 60.0,
+            self.frame([8.0, 16.0, 0.0], residual_row=0),
+            60.0,
             monitor="tap-1",
         )
         assert got.num_entries == 1
@@ -87,7 +161,7 @@ class TestFromFrame:
 
     def test_top_k_spills_into_residual(self):
         got = SlotSummary.from_frame(
-            self.frame([8.0, 16.0, 24.0]), 60.0, top_k=1,
+            self.frame([8.0, 16.0, 24.0]), 60.0, top_k=1
         )
         assert got.num_entries == 1
         assert got.volumes.tolist() == [180.0]
@@ -102,13 +176,17 @@ class TestTruncated:
 
     def test_deterministic_tie_break(self):
         tied = SlotSummary(
-            0, 0.0, 60.0,
+            0,
+            0.0,
+            60.0,
             tuple(Prefix.parse(f"10.{i}.0.0/16") for i in range(4)),
             np.array([5.0, 5.0, 5.0, 5.0]),
         )
         got = tied.truncated(2)
-        assert [str(p) for p in got.prefixes] == \
-            ["10.0.0.0/16", "10.1.0.0/16"]
+        assert [str(p) for p in got.prefixes] == [
+            "10.0.0.0/16",
+            "10.1.0.0/16",
+        ]
         assert got.residual_bytes == 10.0
 
     def test_rejects_negative_k(self):
@@ -129,8 +207,9 @@ class TestWireFormat:
         assert got.monitor == original.monitor
 
     def test_empty_summary_round_trip(self):
-        original = SlotSummary(0, 0.0, 60.0, (), np.zeros(0),
-                               residual_bytes=12.5)
+        original = SlotSummary(
+            0, 0.0, 60.0, (), np.zeros(0), residual_bytes=12.5
+        )
         got = SlotSummary.from_bytes(original.to_bytes())
         assert got.num_entries == 0
         assert got.residual_bytes == 12.5
@@ -175,8 +254,15 @@ class TestNpzFormat:
     def test_empty_slots_survive(self, tmp_path):
         run = [
             summary(slot=0),
-            SlotSummary(1, 60.0, 60.0, (), np.zeros(0),
-                        residual_bytes=3.0, monitor="mon-a"),
+            SlotSummary(
+                1,
+                60.0,
+                60.0,
+                (),
+                np.zeros(0),
+                residual_bytes=3.0,
+                monitor="mon-a",
+            ),
         ]
         path = str(tmp_path / "mon.npz")
         save_summaries(path, run)
@@ -191,13 +277,13 @@ class TestNpzFormat:
     def test_rejects_mixed_grids(self, tmp_path):
         odd = SlotSummary(1, 30.0, 30.0, (), np.zeros(0))
         with pytest.raises(ClassificationError):
-            save_summaries(str(tmp_path / "mon.npz"),
-                           [summary(slot=0), odd])
+            save_summaries(str(tmp_path / "mon.npz"), [summary(slot=0), odd])
 
     def test_rejects_unordered_slots(self, tmp_path):
         with pytest.raises(ClassificationError):
-            save_summaries(str(tmp_path / "mon.npz"),
-                           [summary(slot=2), summary(slot=1)])
+            save_summaries(
+                str(tmp_path / "mon.npz"), [summary(slot=2), summary(slot=1)]
+            )
 
     def test_extensionless_path_written_verbatim(self, tmp_path):
         # numpy appends ".npz" to bare string paths; the writer must
@@ -210,8 +296,7 @@ class TestNpzFormat:
 
     def test_unwritable_path_is_repro_error(self, tmp_path):
         with pytest.raises(ReproError):
-            save_summaries(str(tmp_path / "no-dir" / "mon.npz"),
-                           [summary()])
+            save_summaries(str(tmp_path / "no-dir" / "mon.npz"), [summary()])
 
     def test_unreadable_file_is_format_error(self, tmp_path):
         path = tmp_path / "garbage.npz"

@@ -832,6 +832,34 @@ class TestCollectorServiceCli:
         assert summary["stale"] == 0
         assert summary["skipped"] == 0
 
+    def test_stream_connect_json_keys_do_not_depend_on_retry(
+        self, stream_capture, live, capsys
+    ):
+        """One client, one summary shape: --retry only sets a budget."""
+        reports = []
+        for link, flags in (("plain", []), ("budget", ["--retry", "3"])):
+            code = main(
+                [
+                    "stream",
+                    stream_capture["npz"],
+                    "--quiet",
+                    "--json",
+                    "--connect",
+                    self._address(live),
+                    "--monitor",
+                    "mon-cli",
+                    "--link-name",
+                    link,
+                    *flags,
+                ]
+            )
+            assert code == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, budget = reports
+        assert plain["reconnects"] == 0
+        assert plain["published"] == plain["num_slots"]
+        assert plain == budget
+
     def test_stream_connect_severed_fails_fast_without_retry(
         self, stream_capture, live, capsys, monkeypatch
     ):
@@ -1046,6 +1074,9 @@ class TestCollectorServiceCli:
         assert "error:" in capsys.readouterr().err
         assert main(["collect", "--once", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+        # refused before binding, not at every monitor's first seal
+        assert main(["collect", "--k", "-1"]) == 2
+        assert "error: --k" in capsys.readouterr().err
 
 
 class TestFigures:
