@@ -72,7 +72,7 @@ from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ReproError
 from repro.flows.aggregate import AggregationStats
 from repro.net.prefix import Prefix
-from repro.pipeline.sharded import shard_of
+from repro.pipeline.sharded import shard_segments
 from repro.pipeline.sources import (
     DEFAULT_CHUNK_PACKETS,
     PacketBatch,
@@ -102,6 +102,28 @@ CRASH_POLICIES = ("abort", "restart", "degrade")
 DEFAULT_MAX_WORKER_RESTARTS = 3
 
 
+class _PrefixColumns(Sequence[Prefix]):
+    """A prefix table kept as two integer columns.
+
+    A worker is told every network the reader discovers but its table
+    asks only for the rows it admits, so a :class:`Prefix` is built
+    (and validated) when its row is read, not once per sync entry.
+    """
+
+    def __init__(self) -> None:
+        self.networks: list[int] = []
+        self.lengths: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.networks)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            pairs = zip(self.networks[row], self.lengths[row])
+            return [Prefix(network, length) for network, length in pairs]
+        return Prefix(self.networks[row], self.lengths[row])
+
+
 class RowResolver:
     """Identity resolver over pre-resolved keys.
 
@@ -114,7 +136,11 @@ class RowResolver:
     """
 
     def __init__(self, prefixes: Sequence[Prefix] = ()) -> None:
-        self.prefixes: list[Prefix] = list(prefixes)
+        self.prefixes = _PrefixColumns()
+        self.extend(
+            [prefix.network for prefix in prefixes],
+            [prefix.length for prefix in prefixes],
+        )
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -123,13 +149,11 @@ class RowResolver:
         """Append newly discovered prefixes (reader → worker sync).
 
         Accepts any integer sequences, including the numpy column views
-        the ring transport hands the worker — one conversion per sync,
-        not one Python object per prefix on the sender side.
+        the ring transport hands the worker — two list extends per
+        sync; a :class:`Prefix` is built only when its row is read.
         """
-        for network, length in zip(
-            np.asarray(networks).tolist(), np.asarray(lengths).tolist()
-        ):
-            self.prefixes.append(Prefix(int(network), int(length)))
+        self.prefixes.networks.extend(np.asarray(networks).tolist())
+        self.prefixes.lengths.extend(np.asarray(lengths).tolist())
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Keys pass through unchanged; they are already rows."""
@@ -513,12 +537,10 @@ def _reader_main(
                 # one stable sort splits the batch into contiguous
                 # per-worker segments (order within a worker's
                 # sub-stream preserved, like the in-process sharder)
-                homes = shard_of(keys, workers)
-                order = np.argsort(homes, kind="stable")
+                order, bounds = shard_segments(keys, workers)
                 timestamps = timestamps[order]
                 keys = keys[order]
                 sizes = sizes[order]
-                bounds = np.searchsorted(homes[order], np.arange(workers + 1))
             else:
                 bounds = np.array([0, keys.size])
             for worker_id in range(workers):

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+import itertools
 from typing import Callable, Iterator
 
 import numpy as np
@@ -93,6 +94,27 @@ _CM_WIDTH_FACTOR = 4
 _CM_DEPTH = 4
 
 PrefixOf = Callable[[int], Prefix]
+
+
+def group_by_row(
+    keys: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group one non-empty batch of packets by flow key, without sorting.
+
+    Flow keys are dense resolver rows, so the group-by is an index
+    into ``max(keys) + 1`` bins rather than a sort. Returns
+    ``(unique, weights, first_index)``: the distinct keys ascending,
+    the float64 sum of ``sizes`` per key (added in arrival order, so
+    integer byte counts stay exact) and the position of each key's
+    first packet — what ``np.unique(keys, return_index=True)`` plus a
+    weighted ``np.bincount`` of its inverse give, in O(batch + max key).
+    """
+    # bincount first: it refuses a negative key, minimum.at would wrap
+    sums = np.bincount(keys, weights=sizes)
+    first = np.full(sums.size, keys.size, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    unique = np.flatnonzero(first < keys.size)
+    return unique, sums[unique], first[unique]
 
 
 class AggregationBackend(abc.ABC):
@@ -141,7 +163,11 @@ class AggregationBackend(abc.ABC):
         """Account one group of same-slot packets, keyed by flow.
 
         ``keys``, ``sizes`` and ``timestamps`` are parallel per-packet
-        arrays in arrival order. No bundled backend reads
+        arrays in arrival order. Keys are dense non-negative rows (the
+        resolver's, or a slot source's): backends index flat arrays by
+        key, so work and memory per call are O(batch + largest key),
+        and ``-1`` is reserved as the "no entry" marker of
+        :class:`~repro.hash_index.HashIndex`. No bundled backend reads
         ``timestamps`` — the slot is already decided by the caller and
         only bytes are counted — but the argument is part of the
         signature callers and wrappers name, so it is always passed.
@@ -151,16 +177,17 @@ class AggregationBackend(abc.ABC):
     def close_slot(self) -> np.ndarray:
         """Byte counts per stream row for the closing slot; resets it."""
 
-    def row_keys(self) -> list[int]:
+    def row_keys(self, start: int = 0) -> list[int]:
         """Flow keys in row order, excluding any residual row.
 
         ``row_keys()[i]`` is the integer flow key that owns row
-        ``i + 1`` when the backend has a residual row, else row ``i``.
+        ``i + 1`` when the backend has a residual row, else row ``i``;
+        ``row_keys(start)`` lists only the tail from index ``start``.
         Rows are assigned sequentially, so the list only ever grows;
         :class:`~repro.pipeline.sharded.ShardedAggregation` relies on
         this to map shard-local rows onto its merged population.
         """
-        return list(self._row_of)
+        return list(itertools.islice(self._row_of, start, None))
 
     @property
     def num_rows(self) -> int:
@@ -200,15 +227,14 @@ class ExactAggregation(AggregationBackend):
     ) -> None:
         if keys.size == 0:
             return
-        unique, first_index = np.unique(keys, return_index=True)
+        unique, weights, first_index = group_by_row(keys, sizes)
         top = int(unique[-1]) + 1
         size = self._key_row.size
         if top > size:
             grown = np.full(max(top, 2 * size), -1, dtype=np.int64)
             grown[:size] = self._key_row
             self._key_row = grown
-        known = self._key_row[unique]
-        new = known < 0
+        new = self._key_row[unique] < 0
         if new.any():
             # Rows are assigned in first-traffic order (keys arrive
             # time-ordered within a slot group), so the numbering does
@@ -226,7 +252,8 @@ class ExactAggregation(AggregationBackend):
             grown = np.zeros(max(population, 2 * size))
             grown[:size] = self._open
             self._open = grown
-        np.add.at(self._open, self._key_row[keys], sizes)
+        # one key, one row: the rows are distinct, a plain add suffices
+        self._open[self._key_row[unique]] += weights
         self.peak_tracked = max(self.peak_tracked, population)
 
     def close_slot(self) -> np.ndarray:
@@ -582,21 +609,7 @@ class ArraySketchAggregation(AggregationBackend):
         if keys.size == 0:
             return
         self._resolve = prefix_of
-        # Group the batch per unique key with one stable sort plus a
-        # reduceat pass — the same aggregate np.unique + bincount
-        # produce, at roughly half the cost.
-        count = keys.size
-        sort_idx = np.argsort(keys, kind="stable")
-        sorted_keys = keys[sort_idx]
-        fresh = np.empty(count, dtype=bool)
-        fresh[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=fresh[1:])
-        starts = np.flatnonzero(fresh)
-        unique = sorted_keys[starts]
-        first_index = sort_idx[starts]
-        weights = np.add.reduceat(
-            np.asarray(sizes, dtype=np.float64)[sort_idx], starts
-        )
+        unique, weights, first_index = group_by_row(keys, sizes)
         order = np.argsort(first_index)
         update = self._table.update_batch(unique, weights, order)
         self._flush_evicted(update.evicted)

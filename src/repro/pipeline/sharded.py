@@ -31,25 +31,47 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ClassificationError
+from repro.hash_index import FIBONACCI_MULTIPLIER
 from repro.pipeline.backends import (
     RESIDUAL_PREFIX,
     AggregationBackend,
     PrefixOf,
+    group_by_row,
 )
 
-#: Fibonacci-hash multiplier (2**64 / golden ratio), the classic
-#: avalanche step for sequential integer keys — resolver rows are
-#: sequential, so a plain modulo would stripe, not shard.
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(33)
+
+#: Shard indices are sorted as ``uint16`` (numpy's radix path).
+MAX_SHARDS = 1 << 16
 
 
 def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:
     """Deterministic shard index per flow key (Fibonacci hashing)."""
     if num_shards < 1:
         raise ClassificationError("num_shards must be >= 1")
-    hashed = keys.astype(np.uint64) * _HASH_MULTIPLIER
+    hashed = keys.astype(np.uint64) * FIBONACCI_MULTIPLIER
     return ((hashed >> _HASH_SHIFT) % np.uint64(num_shards)).astype(np.int64)
+
+
+def shard_segments(
+    keys: np.ndarray, num_shards: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split one batch into contiguous per-shard segments.
+
+    Returns ``(order, bounds)``: ``order`` is the stable permutation
+    that groups packets by home shard (arrival order kept within a
+    shard) and shard ``i`` owns positions ``bounds[i]:bounds[i + 1]``
+    of the permuted columns. One sort per batch instead of
+    ``num_shards`` full-array mask scans; the sort key is a ``uint16``
+    copy of the shard indices, which numpy radix-sorts.
+    """
+    if num_shards > MAX_SHARDS:
+        raise ClassificationError(f"at most {MAX_SHARDS} shards")
+    homes = shard_of(keys, num_shards)
+    order = np.argsort(homes.astype(np.uint16), kind="stable")
+    bounds = np.zeros(num_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(homes, minlength=num_shards), out=bounds[1:])
+    return order, bounds
 
 
 class ShardedAggregation(AggregationBackend):
@@ -98,7 +120,7 @@ class ShardedAggregation(AggregationBackend):
         self._sketched = shards[0].residual_row is not None
         #: Per shard: outer row of inner row ``offset + i`` (the
         #: residual row, when present, is handled separately).
-        self._shard_rows: list[list[int]] = [[] for _ in shards]
+        self._shard_rows = [np.empty(0, dtype=np.int64) for _ in shards]
         #: Dense key → outer row map mirroring ``_row_of`` (flow keys
         #: are resolver rows, so a flat vector beats the dict walk on
         #: the exact-shard hot path).
@@ -135,29 +157,23 @@ class ShardedAggregation(AggregationBackend):
             # Exact shards: the outer population must number rows in
             # global first-traffic order (interleaved across shards) to
             # stay byte-identical with a single exact backend.
-            self._assign_rows(keys, prefix_of)
-        homes = shard_of(keys, self.num_shards)
-        # one stable sort splits the batch into per-shard segments
-        # (time order preserved within each), instead of N full-array
-        # mask scans per batch
-        order = np.argsort(homes, kind="stable")
-        sorted_homes = homes[order]
+            self._assign_rows(keys, sizes, prefix_of)
+        order, bounds = shard_segments(keys, self.num_shards)
         keys, sizes, timestamps = (
             keys[order],
             sizes[order],
             timestamps[order],
         )
-        boundaries = np.flatnonzero(np.diff(sorted_homes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_homes.size]))
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            shard = self.shards[int(sorted_homes[start])]
-            shard.accumulate(
-                keys[start:end],
-                sizes[start:end],
-                timestamps[start:end],
-                prefix_of,
-            )
+        for shard, start, end in zip(
+            self.shards, bounds[:-1].tolist(), bounds[1:].tolist()
+        ):
+            if start < end:
+                shard.accumulate(
+                    keys[start:end],
+                    sizes[start:end],
+                    timestamps[start:end],
+                    prefix_of,
+                )
         self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
 
     def close_slot(self) -> np.ndarray:
@@ -171,13 +187,8 @@ class ShardedAggregation(AggregationBackend):
             if self._sketched:
                 merged[0] += vector[0]
                 vector = vector[1:]
-            rows = np.asarray(
-                self._shard_rows[index][: vector.size], dtype=np.int64
-            )
-            if rows.size:
-                # keys are disjoint across shards, but the residual fold
-                # above already shows why add-at is the safe idiom here
-                np.add.at(merged, rows, vector)
+            # a shard maps each of its rows to one outer row of its own
+            merged[self._shard_rows[index]] += vector
         self.slots_closed += 1
         return merged
 
@@ -185,17 +196,18 @@ class ShardedAggregation(AggregationBackend):
     # internals
     # ------------------------------------------------------------------
 
-    def _assign_rows(self, keys: np.ndarray, prefix_of: PrefixOf) -> None:
+    def _assign_rows(
+        self, keys: np.ndarray, sizes: np.ndarray, prefix_of: PrefixOf
+    ) -> None:
         """Mirror ExactAggregation's first-traffic row numbering."""
-        unique, first_index = np.unique(keys, return_index=True)
+        unique, _, first_index = group_by_row(keys, sizes)
         top = int(unique[-1]) + 1
         size = self._key_row.size
         if top > size:
             grown = np.full(max(top, 2 * size), -1, dtype=np.int64)
             grown[:size] = self._key_row
             self._key_row = grown
-        known = self._key_row[unique]
-        new = known < 0
+        new = self._key_row[unique] < 0
         if not new.any():
             return
         # only genuinely-new keys reach Python; repeat traffic stays in
@@ -212,17 +224,21 @@ class ShardedAggregation(AggregationBackend):
         """Map any new rows of shard ``index`` onto the population."""
         shard = self.shards[index]
         row_map = self._shard_rows[index]
-        keys = shard.row_keys()
-        if len(keys) == len(row_map):
-            return
         offset = 1 if self._sketched else 0
-        for inner_index in range(len(row_map), len(keys)):
-            key = keys[inner_index]
+        if len(shard.prefixes) - offset == row_map.size:
+            return
+        added: list[int] = []
+        for inner_index, key in enumerate(
+            shard.row_keys(row_map.size), offset + row_map.size
+        ):
             row = self._row_of.get(key)
             if row is None:
                 # sketch shards surface a key only at slot close; give
                 # it its outer row now, in (shard, inner-row) order
                 row = len(self.prefixes)
                 self._row_of[key] = row
-                self.prefixes.append(shard.prefixes[offset + inner_index])
-            row_map.append(row)
+                self.prefixes.append(shard.prefixes[inner_index])
+            added.append(row)
+        self._shard_rows[index] = np.concatenate(
+            (row_map, np.asarray(added, dtype=np.int64))
+        )

@@ -13,6 +13,13 @@ bounds — O(log n) per address with no Python-level work per packet.
 after compilation are not seen. The aggregation layer recompiles when it
 detects a table-size change; callers holding a long-lived compiled
 matcher across RIB churn should recompile explicitly.
+
+:class:`FixedLengthResolver` covers captures without a RIB: flows are
+the /L networks the traffic itself shows. With one length there is
+nothing to search — an address's network number is a shift — so the
+network → row step is one :class:`~repro.hash_index.HashIndex` probe
+per address, O(1) however many networks are known, in O(networks)
+memory for every L.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import RoutingError
+from repro.errors import AddressError, RoutingError
+from repro.hash_index import ABSENT, HashIndex
+from repro.net.ipv4 import MAX_ADDRESS
 from repro.net.prefix import Prefix
 from repro.routing.rib import RoutingTable
 
@@ -87,8 +96,10 @@ class CompiledLpm:
             closed_end, _ = stack.pop()
             emit(closed_end, stack[-1][1] if stack else NO_ROUTE)
 
-        return (np.array(bounds, dtype=np.int64),
-                np.array(owners, dtype=np.int64))
+        return (
+            np.array(bounds, dtype=np.int64),
+            np.array(owners, dtype=np.int64),
+        )
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Longest-prefix match a batch of integer addresses.
@@ -112,8 +123,10 @@ class FixedLengthResolver:
     This is the "/L granularity" fallback for captures without routing
     data: every destination belongs to the /``length`` prefix containing
     it, and the flow population is discovered from the traffic itself.
-    Rows are assigned in order of first appearance, so the mapping is
-    dynamic — exactly what the streaming aggregator expects.
+    Rows are assigned in order of first appearance (sorted within the
+    batch that discovers them), so the mapping is dynamic — exactly
+    what the streaming aggregator expects. Memory is O(flows seen) for
+    every length, /32 host flows included.
     """
 
     def __init__(self, length: int) -> None:
@@ -121,37 +134,43 @@ class FixedLengthResolver:
             raise RoutingError(f"prefix length {length} out of range 0..32")
         self.length = length
         self._shift = 32 - length
-        # known networks kept sorted, with their rows aligned, so the
-        # steady-state lookup is one binary search and one gather — no
-        # per-network Python work once the population stops growing
-        self._known = np.empty(0, dtype=np.int64)
-        self._known_rows = np.empty(0, dtype=np.int64)
+        # network number (address >> shift) → row: a lookup is one hash
+        # probe per packet however many networks are known
+        self._index = HashIndex()
         self.prefixes: list[Prefix] = []
 
     def __len__(self) -> int:
         return len(self.prefixes)
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
-        """Resolve a batch of addresses, growing the population as needed."""
+        """Resolve a batch of addresses, growing the population as needed.
+
+        A batch holding an address outside ``0..2**32 - 1`` raises
+        :class:`~repro.errors.AddressError` and changes nothing.
+        """
         addresses = np.asarray(addresses, dtype=np.int64)
-        networks = (addresses >> self._shift) << self._shift
-        if self._known.size:
-            positions = np.searchsorted(self._known, networks)
-            clipped = np.minimum(positions, self._known.size - 1)
-            if (self._known[clipped] == networks).all():
-                return self._known_rows[clipped]
-            fresh = np.unique(networks[self._known[clipped] != networks])
-        else:
-            fresh = np.unique(networks)
-        # new networks earn rows in sorted order per batch, matching
-        # the historical np.unique-iteration numbering
-        rows = np.arange(len(self.prefixes),
-                         len(self.prefixes) + fresh.size, dtype=np.int64)
-        for network in fresh.tolist():
-            self.prefixes.append(Prefix(int(network), self.length))
-        spots = np.searchsorted(self._known, fresh)
-        self._known = np.insert(self._known, spots, fresh)
-        self._known_rows = np.insert(self._known_rows, spots, rows)
-        clipped = np.minimum(np.searchsorted(self._known, networks),
-                             self._known.size - 1)
-        return self._known_rows[clipped]
+        if addresses.size == 0:
+            return np.empty(0, dtype=np.int64)
+        low, high = int(addresses.min()), int(addresses.max())
+        if low < 0 or high > MAX_ADDRESS:
+            raise AddressError(
+                f"address {low if low < 0 else high} out of IPv4 range"
+            )
+        networks = addresses >> self._shift
+        rows = self._index.find(networks)
+        unknown = np.flatnonzero(rows == ABSENT)
+        if unknown.size:
+            # new networks earn rows in sorted order per batch, so the
+            # numbering depends on batch boundaries but not on packet
+            # order within a batch
+            fresh, inverse = np.unique(networks[unknown], return_inverse=True)
+            base = len(self.prefixes)
+            shift, length = self._shift, self.length
+            self.prefixes.extend(
+                Prefix(number << shift, length) for number in fresh.tolist()
+            )
+            self._index.insert(
+                fresh, np.arange(base, base + fresh.size, dtype=np.int64)
+            )
+            rows[unknown] = base + inverse
+        return rows

@@ -13,11 +13,12 @@ Layout, shared by every table:
 
 - ``key``/``count`` — parallel ``capacity``-sized arrays, one slot per
   tracked flow (``key == -1`` marks a free slot);
-- an open-addressing **bucket index** (size the next power of two at or
-  above ``4 x capacity``, so load stays under 25%) mapping
-  Fibonacci-hashed keys to slots with vectorized linear probing. The
-  index is rebuilt from the live slots after any batch that evicts —
-  cheaper and simpler than tombstone bookkeeping at these table sizes.
+- a :class:`~repro.hash_index.HashIndex` mapping keys to slots — the
+  one open-addressing index of the code base (Fibonacci hashing,
+  vectorized linear probing, load at most 1/4), shared with the
+  fixed-length resolver. It has no delete: after any batch that evicts
+  it is cleared and refilled from the live slots — cheaper and simpler
+  than tombstone bookkeeping at these table sizes.
 
 Batch semantics: each call to :meth:`update_batch` receives the
 batch's **unique** keys with their aggregated weights plus the
@@ -43,15 +44,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ClassificationError
+from repro.hash_index import ABSENT, HashIndex
 from repro.sketches.count_min import CountMinSketch
 
-#: Slot / bucket value meaning "no entry".
-NO_SLOT = -1
-
-#: Fibonacci-hash multiplier (2**64 / golden ratio) — the same
-#: avalanche step the sharding hash uses; flow keys are sequential
-#: resolver rows, so hashing must scatter them.
-_FIB = np.uint64(0x9E3779B97F4A7C15)
+#: Slot value meaning "no entry" — what the key index answers for an
+#: untracked key.
+NO_SLOT = ABSENT
 
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
@@ -74,22 +72,18 @@ def _check_weights(weights: np.ndarray) -> None:
 
 
 class _KeyTable:
-    """Slot storage plus the open-addressing key index.
+    """Slot storage plus the key → slot index.
 
-    Subclasses implement :meth:`update_batch`; this base owns probing,
-    vectorized index insertion and the post-eviction rebuild.
+    Subclasses implement :meth:`update_batch`; this base owns the slot
+    arrays and keeps the index in step with them (insertion on fill,
+    rebuild after eviction).
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ClassificationError("capacity must be >= 1")
         self.capacity = capacity
-        size = 8
-        while size < 4 * capacity:
-            size <<= 1
-        self._mask = np.int64(size - 1)
-        self._shift = np.uint64(64 - (size.bit_length() - 1))
-        self._bucket = np.full(size, NO_SLOT, dtype=np.int64)
+        self._index = HashIndex(capacity)
         self.key = np.full(capacity, NO_SLOT, dtype=np.int64)
         self.count = np.zeros(capacity, dtype=np.float64)
         self._live = 0
@@ -140,76 +134,20 @@ class _KeyTable:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # open-addressing index
+    # key index
     # ------------------------------------------------------------------
-
-    def _hash(self, keys: np.ndarray) -> np.ndarray:
-        hashed = keys.astype(np.uint64) * _FIB
-        return (hashed >> self._shift).astype(np.int64)
 
     def _probe(self, queries: np.ndarray) -> np.ndarray:
         """Slot per query key, ``NO_SLOT`` for untracked (vectorized)."""
-        slots = np.full(queries.size, NO_SLOT, dtype=np.int64)
-        if queries.size == 0:
-            return slots
-        idx = self._hash(queries)
-        held = self._bucket[idx]
-        occupied = held >= 0
-        matched = occupied & (
-            self.key[np.where(occupied, held, 0)] == queries
-        )
-        slots[matched] = held[matched]
-        # an empty bucket proves absence; a foreign key means the
-        # chain continues one bucket to the right — at the <= 25% load
-        # factor almost everything resolves on this first pass
-        pending = np.flatnonzero(occupied & ~matched)
-        if pending.size == 0:
-            return slots
-        idx = idx[pending]
-        chasing = queries[pending]
-        for _ in range(self._bucket.size):
-            idx = (idx + 1) & self._mask
-            held = self._bucket[idx]
-            occupied = held >= 0
-            matched = occupied & (
-                self.key[np.where(occupied, held, 0)] == chasing
-            )
-            slots[pending[matched]] = held[matched]
-            cont = occupied & ~matched
-            if not cont.any():
-                return slots
-            pending = pending[cont]
-            idx = idx[cont]
-            chasing = chasing[cont]
-        raise ClassificationError(
-            "key-table probe did not terminate; index corrupted"
-        )
+        return self._index.find(queries)
 
     def _index_insert(self, new_slots: np.ndarray) -> None:
         """Register ``new_slots`` (already holding keys) in the index."""
-        keys = self.key[new_slots]
-        idx = self._hash(keys)
-        pending = np.arange(keys.size)
-        for _ in range(self._bucket.size):
-            spots = idx[pending]
-            free = self._bucket[spots] == NO_SLOT
-            # concurrent inserts may race for one bucket: write all,
-            # then keep only the winners the read-back confirms
-            self._bucket[spots[free]] = new_slots[pending[free]]
-            settled = self._bucket[spots] == new_slots[pending]
-            pending = pending[~settled]
-            if pending.size == 0:
-                return
-            idx[pending] = (idx[pending] + 1) & self._mask
-        raise ClassificationError(
-            "key-table insert did not terminate; index corrupted"
-        )
+        self._index.insert(self.key[new_slots], new_slots)
 
     def _rebuild_index(self) -> None:
-        self._bucket.fill(NO_SLOT)
-        live = self.occupied()
-        if live.size:
-            self._index_insert(live)
+        self._index.clear()
+        self._index_insert(self.occupied())
 
     def _fill_free(
         self, offers: np.ndarray, keys: np.ndarray, values: np.ndarray

@@ -31,11 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ClassificationError
+from repro.hash_index import FIBONACCI_MULTIPLIER
 from repro.sketches.array_tables import NO_SLOT, BatchUpdate, _KeyTable
 
 #: Golden-ratio multiplier for the per-row key mix (same family as the
 #: candidate-table bucket hash, salted per row so rows are independent).
-_FIB = np.uint64(0x9E3779B97F4A7C15)
+_FIB = FIBONACCI_MULTIPLIER
 
 #: Default admission threshold in (decayed) Bloom-counted bytes: about
 #: 44 full-size packets — a flow must show sustained volume, not one

@@ -21,7 +21,7 @@ from repro.distributed import (
     parallel_ingest,
 )
 from repro.distributed.shm_ring import SHM_NAME_PREFIX
-from repro.errors import ClassificationError, ReproError
+from repro.errors import AddressError, ClassificationError, ReproError
 from repro.flows.aggregate import AggregationStats
 from repro.net.prefix import Prefix
 from repro.pipeline import (
@@ -225,6 +225,24 @@ class TestRowResolver:
         keys = resolver.lookup(np.array([1, 0, 1]))
         assert keys.tolist() == [1, 0, 1]
         assert resolver.prefixes[1] == Prefix.parse("10.1.0.0/16")
+
+    def test_table_is_columns_until_a_row_is_read(self):
+        # a worker is told every network the reader finds and reads
+        # back only the rows its table admits: a sync builds nothing
+        wanted = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
+        resolver = RowResolver(wanted[:2])
+        resolver.extend(
+            np.array([p.network for p in wanted[2:]]), np.array([16, 16, 16])
+        )
+        assert list(resolver.prefixes) == wanted
+        assert resolver.prefixes[-1] == wanted[-1]
+        assert resolver.prefixes[1:4] == wanted[1:4]  # the reader's sync slice
+        with pytest.raises(IndexError):
+            resolver.prefixes[5]
+        resolver.extend([1], [16])  # host bits set: refused when read
+        assert len(resolver) == 6
+        with pytest.raises(AddressError):
+            resolver.prefixes[5]
 
 
 class TestFleetCollector:

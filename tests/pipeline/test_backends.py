@@ -29,6 +29,7 @@ from repro.pipeline.backends import (
     MisraGriesAggregation,
     SampleHoldAggregation,
     SpaceSavingAggregation,
+    group_by_row,
 )
 from repro.pipeline.sources import PacketBatch
 from repro.flows.matrix import RateMatrix
@@ -403,6 +404,64 @@ class TestEmptyBatches:
         assert float(vector.sum()) == 0.0
 
 
+def group_by_unique(keys, sizes):
+    """The sort-based group-by ``group_by_row`` replaced."""
+    unique, first_index, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    return unique, np.bincount(inverse, weights=sizes), first_index
+
+
+class TestGroupByRow:
+    """The dense group-by under every backend equals the np.unique
+    one: same keys, same first packet, same per-key sums."""
+
+    @pytest.mark.parametrize("keys", [
+        [7],
+        [3, 3, 3, 3],
+        list(range(40, 0, -1)),
+        [5, 0, 5, 9, 0, 5, 2],
+        [0] * 65_536,
+    ], ids=["single", "repeated", "distinct", "mixed", "one-key-65k"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_equals_sorting_oracle(self, keys, dtype):
+        keys = np.asarray(keys, dtype=np.int64)
+        rng = np.random.default_rng(keys.size)
+        sizes = rng.integers(40, 1501, keys.size).astype(dtype)
+        for got, expected in zip(
+            group_by_row(keys, sizes), group_by_unique(keys, sizes)
+        ):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_dense_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        population = int(rng.integers(1, 30_000))
+        keys = rng.zipf(1.3, 65_536) % population
+        sizes = rng.uniform(0.0, 1500.0, keys.size)
+        unique, weights, first = group_by_row(keys, sizes)
+        expected = group_by_unique(keys, sizes)
+        assert np.array_equal(unique, expected[0])
+        assert np.array_equal(first, expected[2])
+        # both add each key's packets in arrival order: bit-equal
+        assert np.array_equal(weights, expected[1])
+
+    def test_integer_byte_counts_stay_exact(self):
+        keys = np.zeros(100_000, dtype=np.int64)
+        sizes = np.full(keys.size, 1499, dtype=np.int64)
+        _, weights, _ = group_by_row(keys, sizes)
+        assert weights.tolist() == [1499.0 * keys.size]
+
+    def test_zero_byte_keys_are_still_groups(self):
+        unique, weights, first = group_by_row(
+            np.array([4, 2, 4]), np.array([0.0, 0.0, 0.0])
+        )
+        assert unique.tolist() == [2, 4]
+        assert weights.tolist() == [0.0, 0.0]
+        assert first.tolist() == [1, 0]
+
+
 class TestFactoryClasses:
     def test_sketch_names_build_array_tables(self):
         from repro.pipeline import ArraySketchAggregation
@@ -432,6 +491,8 @@ class TestRowKeys:
         aggregator, _ = run_backend_over(rows, backend)
         keys = backend.row_keys()
         assert len(keys) == backend.num_rows
+        assert backend.row_keys(2) == keys[2:]
+        assert backend.row_keys(len(keys)) == []
         for index, key in enumerate(keys):
             # re-resolve through the aggregator's resolver: row i's key
             # must map to prefix i of the emitted population

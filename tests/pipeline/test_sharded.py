@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ClassificationError
 from repro.net import ipv4
+from repro.net.prefix import Prefix
 from repro.pipeline import (
     RESIDUAL_PREFIX,
     PipelineSpec,
@@ -24,8 +25,13 @@ from repro.pipeline import (
     shard_of,
 )
 from repro.pipeline.backends import TRACKED_ENTRY_BYTES, ExactAggregation
+from repro.pipeline.sharded import MAX_SHARDS, shard_segments
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
+
+
+def ipv4_prefix(key):
+    return Prefix((10 << 24) | (int(key) << 8), 24)
 
 
 def batch(rows):
@@ -90,6 +96,20 @@ class TestShardRouting:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ClassificationError):
             shard_of(np.arange(4), 0)
+        with pytest.raises(ClassificationError):
+            shard_segments(np.arange(4), MAX_SHARDS + 1)
+
+    @pytest.mark.parametrize("shards", [1, 2, 7, 300])
+    def test_segments_equal_per_shard_masks(self, shards):
+        # 300 shards: indices past one byte still sort as uint16
+        keys = np.random.default_rng(shards).integers(0, 5000, 20_000)
+        order, bounds = shard_segments(keys, shards)
+        assert shard_of(keys, shards).dtype == np.int64
+        assert bounds[0] == 0 and bounds[-1] == keys.size
+        homes = shard_of(keys, shards)
+        for index in range(shards):
+            mine = order[bounds[index]:bounds[index + 1]]
+            assert np.array_equal(mine, np.flatnonzero(homes == index))
 
 
 class TestConstruction:
@@ -234,6 +254,36 @@ class TestShardedExact:
         assert len(frames) == len(reference)
         for mine, theirs in zip(frames, reference):
             assert np.array_equal(mine.rates, theirs.rates)
+
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("exact", {}), ("space-saving", {"capacity": 8}),
+    ])
+    def test_slot_close_lists_only_new_rows(self, name, kwargs):
+        """A slot that adds no row walks no shard's key map; one that
+        adds a row lists that row only."""
+        backend = make_backend(name, shards=2, **kwargs)
+        listed = []
+        for shard in backend.shards:
+            def row_keys(start=0, inner=shard.row_keys):
+                listed.append(inner(start))
+                return listed[-1]
+            shard.row_keys = row_keys
+        prefix_of = ipv4_prefix
+        keys = np.array([0, 1, 2, 3, 0, 1])
+        sizes = np.full(keys.size, 100)
+        stamps = np.zeros(keys.size)
+        backend.accumulate(keys, sizes, stamps, prefix_of)
+        first = backend.close_slot()
+        assert sorted(key for tail in listed for key in tail) == [0, 1, 2, 3]
+        del listed[:]
+        backend.accumulate(keys, sizes, stamps, prefix_of)
+        assert np.array_equal(backend.close_slot(), first)
+        assert listed == []
+        backend.accumulate(np.array([9, 0]), sizes[:2], stamps[:2], prefix_of)
+        backend.close_slot()
+        assert listed == [[9]]
+        assert backend.prefixes[-1] == ipv4_prefix(9)
 
 
 class TestCapacityForBudgetSharded:
