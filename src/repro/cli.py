@@ -94,7 +94,6 @@ from repro.flows.interchange import (
     write_flow_records,
 )
 from repro.flows.matrix import RateMatrix
-from repro.net.prefix import Prefix
 from repro.pipeline.aggregator import (
     AggregatingSlotSource,
     StreamingAggregator,
@@ -112,7 +111,8 @@ from repro.pipeline.sources import (
     SlotSource,
     text_lines,
 )
-from repro.routing.lpm import CompiledLpm, FixedLengthResolver
+from repro.routing.lpm import FixedLengthResolver
+from repro.routing.ribfile import read_rib
 from repro.traffic.scenarios import east_coast_link, west_coast_link
 
 
@@ -655,17 +655,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_rib_prefixes(path: str) -> CompiledLpm:
-    prefixes = []
-    for line in text_lines(path, "RIB file"):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            prefixes.append(Prefix.parse(line))
-    if not prefixes:
-        raise ReproError(f"no prefixes in RIB file {path}")
-    return CompiledLpm(prefixes)
-
-
 def _load_matrix(path: str) -> RateMatrix:
     """Load a matrix artefact, folding load failures into ReproError."""
     try:
@@ -705,7 +694,7 @@ def _packet_input(args: argparse.Namespace):
             ) from exc
     source = SourceSpec.from_path(path)
     if args.rib:
-        resolver = _load_rib_prefixes(args.rib)
+        resolver = read_rib(args.rib)
     else:
         resolver = FixedLengthResolver(args.prefix_length)
     return source, resolver

@@ -71,7 +71,7 @@ from repro.distributed.shm_ring import (
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ReproError
 from repro.flows.aggregate import AggregationStats
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.sharded import shard_segments
 from repro.pipeline.sources import (
     DEFAULT_CHUNK_PACKETS,
@@ -102,28 +102,6 @@ CRASH_POLICIES = ("abort", "restart", "degrade")
 DEFAULT_MAX_WORKER_RESTARTS = 3
 
 
-class _PrefixColumns(Sequence[Prefix]):
-    """A prefix table kept as two integer columns.
-
-    A worker is told every network the reader discovers but its table
-    asks only for the rows it admits, so a :class:`Prefix` is built
-    (and validated) when its row is read, not once per sync entry.
-    """
-
-    def __init__(self) -> None:
-        self.networks: list[int] = []
-        self.lengths: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.networks)
-
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            pairs = zip(self.networks[row], self.lengths[row])
-            return [Prefix(network, length) for network, length in pairs]
-        return Prefix(self.networks[row], self.lengths[row])
-
-
 class RowResolver:
     """Identity resolver over pre-resolved keys.
 
@@ -136,24 +114,16 @@ class RowResolver:
     """
 
     def __init__(self, prefixes: Sequence[Prefix] = ()) -> None:
-        self.prefixes = _PrefixColumns()
-        self.extend(
-            [prefix.network for prefix in prefixes],
-            [prefix.length for prefix in prefixes],
-        )
+        self.prefixes = PrefixColumns.of(prefixes)[:]  # a copy: it grows
 
     def __len__(self) -> int:
         return len(self.prefixes)
 
     def extend(self, networks: Sequence[int], lengths: Sequence[int]) -> None:
-        """Append newly discovered prefixes (reader → worker sync).
-
-        Accepts any integer sequences, including the numpy column views
-        the ring transport hands the worker — two list extends per
-        sync; a :class:`Prefix` is built only when its row is read.
-        """
-        self.prefixes.networks.extend(np.asarray(networks).tolist())
-        self.prefixes.lengths.extend(np.asarray(lengths).tolist())
+        """Append newly discovered prefixes (reader → worker sync), as
+        the integer columns the ring transport hands the worker; a
+        :class:`Prefix` is built only when its row is read."""
+        self.prefixes.extend(networks, lengths)
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Keys pass through unchanged; they are already rows."""
@@ -237,21 +207,6 @@ class ParallelIngestResult:
             fill_gaps=fill_gaps,
             check_skew=False,
         )
-
-
-def _sync_arrays(
-    prefixes: Sequence[Prefix], lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # the prefix sync rides the ring as two flat int64 columns — one
-    # buffer write for N prefixes instead of 2N boxed ints on a queue
-    new = prefixes[lo:hi]
-    networks = np.fromiter(
-        (prefix.network for prefix in new), dtype=np.int64, count=len(new)
-    )
-    lengths = np.fromiter(
-        (prefix.length for prefix in new), dtype=np.int64, count=len(new)
-    )
-    return networks, lengths
 
 
 class _SendAborted(Exception):
@@ -422,13 +377,13 @@ class _Dealer:
         keys: np.ndarray,
         sizes: np.ndarray,
     ) -> None:
-        table_size = len(self.resolver.prefixes)
-        networks, lengths = _sync_arrays(
-            self.resolver.prefixes, self.sent[worker_id], table_size
-        )
-        self.sent[worker_id] = table_size
+        # the prefix sync rides the ring as two flat int64 columns:
+        # the rows of the resolver's table this worker has not seen
+        table = self.resolver.prefixes
+        news = slice(self.sent[worker_id], len(table))
+        self.sent[worker_id] = news.stop
         self.writers[worker_id].send(
-            timestamps, keys, sizes, networks, lengths
+            timestamps, keys, sizes, table.network[news], table.length[news]
         )
 
     def deal(

@@ -7,7 +7,7 @@ from repro.net.ipv4 import (
     netmask,
     parse_ipv4,
 )
-from repro.net.prefix import DEFAULT_ROUTE, Prefix
+from repro.net.prefix import DEFAULT_ROUTE, Prefix, PrefixColumns
 from repro.net.checksum import internet_checksum, verify_checksum
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "MAX_ADDRESS",
     "DEFAULT_ROUTE",
     "Prefix",
+    "PrefixColumns",
     "format_ipv4",
     "internet_checksum",
     "netmask",

@@ -5,12 +5,18 @@ prefixes, so prefixes are the primary flow identifiers throughout the
 library. :class:`Prefix` is immutable, hashable, and totally ordered
 (first by network address, then by length), which makes it usable as a
 dict key and sortable for deterministic reports.
+
+A *table* of prefixes — a RIB, a resolver's population — is a
+:class:`PrefixColumns`: two integer arrays, with a :class:`Prefix`
+built only for the rows somebody reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import AddressError
 from repro.net import ipv4
@@ -28,13 +34,14 @@ class Prefix:
     length: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= ipv4.ADDRESS_BITS:
-            raise AddressError(f"prefix length {self.length} out of range 0..32")
-        if not 0 <= self.network <= ipv4.MAX_ADDRESS:
-            raise AddressError(f"network {self.network!r} out of IPv4 range")
-        if not ipv4.is_network_address(self.network, self.length):
+        network, length = self.network, self.length
+        if not 0 <= length <= 32:
+            raise AddressError(f"prefix length {length} out of range 0..32")
+        if not 0 <= network <= 0xFFFFFFFF:
+            raise AddressError(f"network {network!r} out of IPv4 range")
+        if network & ((1 << (32 - length)) - 1):
             raise AddressError(
-                f"{ipv4.format_ipv4(self.network)}/{self.length} has host bits set"
+                f"{ipv4.format_ipv4(network)}/{length} has host bits set"
             )
 
     @classmethod
@@ -49,7 +56,7 @@ class Prefix:
         else:
             addr_text, length = text, ipv4.ADDRESS_BITS
         address = ipv4.parse_ipv4(addr_text)
-        if not ipv4.is_network_address(address, length):
+        if length <= 32 and address & ((1 << (32 - length)) - 1):
             raise AddressError(f"{text!r} has host bits set")
         return cls(address, length)
 
@@ -85,17 +92,16 @@ class Prefix:
 
     def contains(self, other: "Prefix") -> bool:
         """Return ``True`` if ``other`` is equal to or more specific."""
-        return (
-            other.length >= self.length
-            and ipv4.network_address(other.network, self.length) == self.network
-        )
+        if other.length < self.length:
+            return False
+        return ipv4.network_address(other.network, self.length) == self.network
 
     def overlaps(self, other: "Prefix") -> bool:
         """Return ``True`` if the address ranges intersect at all."""
         return self.contains(other) or other.contains(self)
 
     def supernet(self, new_length: int | None = None) -> "Prefix":
-        """Return the enclosing prefix of ``new_length`` (default one bit shorter)."""
+        """The enclosing prefix of ``new_length`` (default one bit shorter)."""
         if new_length is None:
             new_length = self.length - 1
         if not 0 <= new_length <= self.length:
@@ -110,8 +116,10 @@ class Prefix:
             raise AddressError("cannot subnet a /32")
         child_length = self.length + 1
         yield Prefix(self.network, child_length)
-        yield Prefix(self.network | (1 << (ipv4.ADDRESS_BITS - child_length)),
-                     child_length)
+        yield Prefix(
+            self.network | (1 << (ipv4.ADDRESS_BITS - child_length)),
+            child_length,
+        )
 
     def bit_at(self, position: int) -> int:
         """Bit ``position`` (from MSB) of the network address."""
@@ -120,3 +128,70 @@ class Prefix:
 
 #: The default route, matching every address.
 DEFAULT_ROUTE = Prefix(0, 0)
+
+
+class PrefixColumns(Sequence[Prefix]):
+    """A prefix table as two int64 columns, boxed only where it is read.
+
+    Row ``i`` is ``network[i]/length[i]`` (both arrays are views: do
+    not write). Tables are append-only and are sorted, matched and
+    shipped between processes as arrays; reading a row builds — and so
+    validates — one :class:`Prefix`. Compares equal to any sequence of
+    the same prefixes in the same order.
+    """
+
+    def __init__(
+        self, network: Sequence[int] = (), length: Sequence[int] = ()
+    ) -> None:
+        self._rows = np.empty((2, 0), dtype=np.int64)
+        self._size = 0
+        self.extend(network, length)
+
+    @classmethod
+    def of(cls, prefixes: Sequence[Prefix]) -> "PrefixColumns":
+        """Columns of any prefix sequence (itself, if it already is one)."""
+        if isinstance(prefixes, cls):
+            return prefixes
+        network = [prefix.network for prefix in prefixes]
+        return cls(network, [prefix.length for prefix in prefixes])
+
+    def keys(self) -> np.ndarray:
+        """``network << 6 | length``: an int64 that sorts as prefixes do."""
+        return self.network << 6 | self.length
+
+    def valid(self) -> np.ndarray:
+        """Per row: would :class:`Prefix` accept it (its checks, as a mask)?"""
+        bits = np.clip(self.length, 0, 32)
+        index = self.network >> (32 - bits)  # which /bits network it is
+        whole = (bits == self.length) & (index << (32 - bits) == self.network)
+        return whole & (0 <= index) & (index < 1 << bits)
+
+    def extend(self, network: Sequence[int], length: Sequence[int]) -> None:
+        """Append rows (amortised O(1) each); nothing is boxed or checked."""
+        held, size = self._size, self._size + len(network)
+        if size > self._rows.shape[1]:
+            grown = np.empty((2, max(size, 2 * held)), dtype=np.int64)
+            grown[:, :held] = self._rows[:, :held]
+            self._rows = grown
+        self._rows[:, held:size] = network, length
+        self._size = size
+        self.network, self.length = self._rows[:, :size]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return PrefixColumns(self.network[row], self.length[row])
+        if row < 0:
+            row += self._size
+        if not 0 <= row < self._size:
+            raise IndexError("prefix row out of range")
+        # .item() hands back Python ints: this is the one per-row cost
+        # of a table that earns traffic, so it skips the column views
+        return Prefix(self._rows.item(0, row), self._rows.item(1, row))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and list(self) == list(other)
+        return NotImplemented

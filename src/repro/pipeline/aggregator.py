@@ -36,14 +36,14 @@ one-pass monitor has to do.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Protocol
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.aggregate import AggregationStats
 from repro.flows.records import DEFAULT_SLOT_SECONDS, TimeAxis
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
 from repro.routing.lpm import NO_ROUTE, CompiledLpm
@@ -51,9 +51,13 @@ from repro.routing.rib import RoutingTable
 
 
 class PrefixResolver(Protocol):
-    """Batch address → prefix-row resolution (the aggregation key)."""
+    """Batch address → prefix-row resolution (the aggregation key).
 
-    prefixes: Sequence[Prefix]
+    ``prefixes`` is the resolver's table as columns: the backend boxes
+    a row into a :class:`Prefix` the first time it earns traffic.
+    """
+
+    prefixes: PrefixColumns
 
     def lookup(self, addresses: np.ndarray) -> np.ndarray:
         """Rows into :attr:`prefixes` (:data:`NO_ROUTE` for no match)."""
@@ -204,7 +208,7 @@ class StreamingAggregator:
                 timestamps[order],
             )
         boundaries = np.flatnonzero(np.diff(slots)) + 1
-        prefix_of = self._prefix_of
+        prefix_of = self.resolver.prefixes.__getitem__
         for group_slots, group_rows, group_sizes, group_times in zip(
             np.split(slots, boundaries),
             np.split(rows, boundaries),
@@ -239,9 +243,6 @@ class StreamingAggregator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _prefix_of(self, row: int) -> Prefix:
-        return self.resolver.prefixes[row]
 
     def _emit_open(self) -> SlotFrame:
         assert self._open_slot is not None and self.start is not None

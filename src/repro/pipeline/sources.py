@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ClassificationError, PcapFormatError
 from repro.flows.matrix import RateMatrix
@@ -50,15 +51,6 @@ _ETHERNET_HEADER = 14
 _ETHERTYPE_IPV4 = 0x0800
 #: Size of a pcap per-record header (ts_sec, ts_frac, incl_len, orig_len).
 _RECORD_HEADER_BYTES = 16
-
-
-def _uint32_at(raw: np.ndarray, offsets: np.ndarray, little: bool) -> np.ndarray:
-    """Gather 32-bit unsigned fields at ``offsets`` from a byte array."""
-    shifts = (0, 8, 16, 24) if little else (24, 16, 8, 0)
-    value = raw[offsets].astype(np.int64) << shifts[0]
-    for byte, shift in enumerate(shifts[1:], start=1):
-        value |= raw[offsets + byte].astype(np.int64) << shift
-    return value
 
 
 def text_lines(path: str, what: str) -> Iterator[str]:
@@ -195,12 +187,16 @@ class SlotSource(Protocol):
 class PcapPacketSource:
     """Chunked, vectorized scan of a classic pcap capture file.
 
-    The per-record Python work is one header unpack and four list
-    appends; every per-packet field (ethertype check, IPv4 version,
-    destination, wire size) is extracted with numpy over the whole
-    chunk. Non-IPv4 frames and records too truncated to carry an IPv4
-    fixed header are counted and skipped rather than raised — a
-    monitor keeps running when an LLDP frame goes by.
+    Every per-packet field (ethertype check, IPv4 version, destination,
+    wire size) is extracted with numpy from an ``(n, width)`` matrix of
+    the chunk's record headers. Where the records a buffer refill holds
+    all captured the same number of bytes — any snaplen-truncated
+    monitor capture — one vector compare shows them a constant stride
+    apart and the matrix is a reshape; otherwise the record chain is
+    chased, one header unpack and one list append per record. Non-IPv4
+    frames and records too truncated to carry an IPv4 fixed header are
+    counted and skipped rather than raised — a monitor keeps running
+    when an LLDP frame goes by.
     """
 
     def __init__(self, path: str, chunk_packets: int = DEFAULT_CHUNK_PACKETS) -> None:
@@ -215,23 +211,35 @@ class PcapPacketSource:
             if header.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
                 raise PcapFormatError(f"unsupported linktype {header.linktype}")
             byte_order = "little" if header.byte_order == "<" else "big"
-            divisor = 1e9 if header.nanosecond else 1e6
             # Reject over-snaplen lengths inside the chase loop: a
             # corrupt length field must fail at that record, not after
             # buffering the rest of the file hunting for its "end".
             max_captured = header.snaplen if header.snaplen > 0 else 0x7FFFFFFF
             buffer = bytearray()  # += extends in place, no quadratic copy
             position = 0
-            pending: list[int] = []  # record-header offsets into buffer
+            # record-header offsets into buffer: a list while chasing,
+            # a range when the whole batch is one equal-length run
+            pending: list[int] | range = []
+            run = stride = 0  # whole records at `position`, `stride` apart
             eof = False
             from_bytes = int.from_bytes  # the one call per record
             while True:
-                # Chase the record chain as far as the buffer allows.
+                want = self.chunk_packets
+                room = want - len(pending)
+                if run >= room or (run and eof):
+                    take = min(run, room)
+                    span = range(position, position + take * stride, stride)
+                    position, run = span.stop, run - take
+                    if pending or take < want:
+                        pending.extend(span)
+                    else:
+                        pending = span
+                # Chase the record chain as far as the buffer allows
+                # (mixed-length captures, and whatever follows a run).
                 # This loop is the only per-record Python work in the
                 # whole ingestion path — keep its body minimal.
                 limit = len(buffer) - _RECORD_HEADER_BYTES
-                want = self.chunk_packets
-                while len(pending) < want and position <= limit:
+                while not run and len(pending) < want and position <= limit:
                     incl = from_bytes(buffer[position + 8 : position + 12], byte_order)
                     if incl > max_captured:
                         raise PcapFormatError(
@@ -243,8 +251,8 @@ class PcapPacketSource:
                         break
                     pending.append(position)
                     position = jump
-                if len(pending) >= self.chunk_packets:
-                    yield self._emit(buffer, position, pending, header, divisor)
+                if len(pending) >= want:
+                    yield self._emit(buffer, position, pending, header)
                     del buffer[:position]
                     position = 0
                     pending = []
@@ -255,91 +263,94 @@ class PcapPacketSource:
                     if position < len(buffer):
                         raise PcapFormatError("truncated pcap record header")
                     if pending:
-                        yield self._emit(buffer, position, pending, header, divisor)
+                        yield self._emit(buffer, position, pending, header)
                     return
                 block = stream.read(READ_BLOCK_BYTES)
-                if block:
-                    buffer += block
-                else:
-                    eof = True
-
-    def _emit(
-        self,
-        buffer: bytearray,
-        position: int,
-        pending: list[int],
-        header: PcapHeader,
-        divisor: float,
-    ) -> PacketBatch:
-        # Copy out of the mutable bytearray: holding a view would make
-        # the `del buffer[:position]` reclaim a BufferError.
-        raw = np.frombuffer(bytes(memoryview(buffer)[:position]), dtype=np.uint8)
-        starts = np.array(pending, dtype=np.int64)
-        little = header.byte_order == "<"
-        seconds = _uint32_at(raw, starts, little)
-        fractions = _uint32_at(raw, starts + 4, little)
-        capture_len = _uint32_at(raw, starts + 8, little)
-        original_len = _uint32_at(raw, starts + 12, little)
-        return self._build_batch(
-            raw,
-            header.linktype,
-            divisor,
-            seconds,
-            fractions,
-            capture_len,
-            original_len,
-            starts + _RECORD_HEADER_BYTES,
-        )
+                eof = not block
+                buffer += block
+                # One compare per refill: are the whole records now held
+                # an equal-length run? (At EOF, the same answer again.)
+                run, stride = _equal_run(
+                    buffer, position, header.byte_order, max_captured
+                )
 
     @staticmethod
-    def _build_batch(
-        raw: np.ndarray,
-        linktype: int,
-        divisor: float,
-        seconds: np.ndarray,
-        fractions: np.ndarray,
-        capture_len: np.ndarray,
-        original_len: np.ndarray,
-        offset: np.ndarray,
+    def _emit(
+        buffer: bytearray, end: int, starts: list[int] | range, header: PcapHeader
     ) -> PacketBatch:
-        scanned = offset.size
-        overhead = _ETHERNET_HEADER if linktype == LINKTYPE_ETHERNET else 0
-
-        valid = capture_len >= overhead + _IP_MIN_HEADER
-        if linktype == LINKTYPE_ETHERNET:
-            eth = offset[valid] + _ETHERTYPE_OFFSET
-            ethertype = (raw[eth].astype(np.int64) << 8) | raw[eth + 1]
-            keep = np.flatnonzero(valid)[ethertype == _ETHERTYPE_IPV4]
-            valid = np.zeros_like(valid)
-            valid[keep] = True
-        ip = offset[valid] + overhead
-        version = raw[ip] >> 4
-        keep = np.flatnonzero(valid)[version == 4]
-
-        ip = offset[keep] + overhead
-        high = raw[ip + _IP_TOTAL_LENGTH].astype(np.int64)
-        total_length = (high << 8) | raw[ip + _IP_TOTAL_LENGTH + 1]
-        truncated = original_len[keep] > capture_len[keep]
-        wire = np.where(truncated, original_len[keep], overhead + total_length)
-
-        def dword(base: np.ndarray) -> np.ndarray:
-            value = raw[base].astype(np.int64)
-            for byte in range(1, 4):
-                value = (value << 8) | raw[base + byte]
-            return value
-
-        timestamps = (
-            seconds.astype(np.float64)[keep]
-            + fractions.astype(np.float64)[keep] / divisor
+        """The batch of the records at ``starts``, all in ``buffer[:end]``."""
+        ethernet = header.linktype == LINKTYPE_ETHERNET
+        overhead = _ETHERNET_HEADER if ethernet else 0
+        ip = _RECORD_HEADER_BYTES + overhead
+        width = ip + _IP_MIN_HEADER
+        # Copy out of the mutable bytearray: holding a view would make
+        # the `del buffer[:position]` reclaim a BufferError.
+        if isinstance(starts, range) and starts.step >= width:
+            view = memoryview(buffer)[starts.start : starts.stop]
+            raw = np.frombuffer(bytes(view), dtype=np.uint8)
+            matrix = raw.reshape(len(starts), starts.step)[:, :width]
+        else:
+            # `width` bytes from each start: a record shorter than that
+            # reads on into what follows it (zeros after the last), and
+            # no field past its captured length is used
+            raw = np.zeros(end + width, dtype=np.uint8)
+            raw[:end] = np.frombuffer(buffer, dtype=np.uint8, count=end)
+            rows = np.array(starts, dtype=np.int64)
+            matrix = sliding_window_view(raw, width)[rows]
+        order = header.byte_order
+        (capture_len,) = _uint32_fields(matrix, 8, order)
+        keep = capture_len >= overhead + _IP_MIN_HEADER
+        if ethernet:
+            ethertype = _RECORD_HEADER_BYTES + _ETHERTYPE_OFFSET
+            keep &= matrix[:, ethertype] == _ETHERTYPE_IPV4 // 256
+            keep &= matrix[:, ethertype + 1] == _ETHERTYPE_IPV4 % 256
+        keep &= (matrix[:, ip] >> 4) == 4
+        if not keep.all():
+            matrix = matrix[keep]
+        seconds, fractions, capture_len, original_len = _uint32_fields(
+            matrix, 0, order, 4
         )
+        high = matrix[:, ip + _IP_TOTAL_LENGTH].astype(np.int64)
+        total_length = (high << 8) | matrix[:, ip + _IP_TOTAL_LENGTH + 1]
+        source, destination = _uint32_fields(matrix, ip + _IP_SOURCE, ">", 2)
+        truncated = original_len > capture_len
         return PacketBatch(
-            timestamps=timestamps,
-            sources=dword(ip + _IP_SOURCE),
-            destinations=dword(ip + _IP_DESTINATION),
-            protocols=raw[ip + _IP_PROTOCOL].astype(np.int64),
-            wire_bytes=wire,
-            packets_seen=scanned,
+            timestamps=seconds + fractions / (1e9 if header.nanosecond else 1e6),
+            sources=source,
+            destinations=destination,
+            protocols=matrix[:, ip + _IP_PROTOCOL].astype(np.int64),
+            wire_bytes=np.where(truncated, original_len, overhead + total_length),
+            packets_seen=len(starts),
         )
+
+
+def _equal_run(
+    buffer: bytearray, position: int, order: str, max_captured: int
+) -> tuple[int, int]:
+    """``(count, stride)`` of the whole records from ``position`` if each
+    claims the captured length the first claims, else ``(0, 0)``.
+
+    The claims of an equal-length run are one strided column of the
+    buffer; if any differs, the first that does is a real record's. An
+    over-snaplen first claim is no run: the chase raises it.
+    """
+    if position + _RECORD_HEADER_BYTES > len(buffer):
+        return 0, 0
+    (incl,) = np.ndarray((1,), order + "u4", buffer, position + 8).tolist()
+    stride = _RECORD_HEADER_BYTES + incl
+    whole = (len(buffer) - position) // stride
+    claims = np.ndarray((whole,), order + "u4", buffer, position + 8, (stride,))
+    if incl > max_captured or not (claims == incl).all():
+        return 0, 0
+    return whole, stride
+
+
+def _uint32_fields(
+    matrix: np.ndarray, column: int, order: str, count: int = 1
+) -> np.ndarray:
+    """``count`` 32-bit fields from byte ``column`` on, one int64 row each."""
+    fields = np.ascontiguousarray(matrix[:, column : column + 4 * count])
+    return np.ascontiguousarray(fields.view(order + "u4").T, dtype=np.int64)
 
 
 class CsvPacketSource:

@@ -4,6 +4,7 @@ from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.lpm import NO_ROUTE, CompiledLpm, FixedLengthResolver
 from repro.routing.radix import RadixTree, brute_force_lookup
 from repro.routing.rib import Route, RoutingTable
+from repro.routing.ribfile import parse_prefix_lines, read_rib
 from repro.routing.ribgen import (
     DEFAULT_LENGTH_WEIGHTS,
     RibGeneratorConfig,
@@ -24,4 +25,6 @@ __all__ = [
     "RoutingTable",
     "brute_force_lookup",
     "generate_rib",
+    "parse_prefix_lines",
+    "read_rib",
 ]

@@ -1,7 +1,12 @@
 """Tests for packet and slot sources."""
 
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClassificationError, PcapFormatError
 from repro.flows.matrix import RateMatrix
@@ -14,11 +19,17 @@ from repro.pcap.packet import (
     summarize_record,
 )
 from repro.pcap.pcapfile import (
+    LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    MAGIC_NSEC,
+    MAGIC_USEC,
     CaptureRecord,
     PcapReader,
     PcapWriter,
+    read_header,
+    read_records,
 )
+from repro.pipeline import sources
 from repro.pipeline.sources import (
     ArrayPacketSource,
     CsvPacketSource,
@@ -30,8 +41,11 @@ from repro.pipeline.sources import (
 
 def udp_record(timestamp, destination, payload=100):
     packet = build_udp_packet(
-        ipv4.parse_ipv4("198.51.100.1"), ipv4.parse_ipv4(destination),
-        4000, 80, b"\x00" * payload,
+        ipv4.parse_ipv4("198.51.100.1"),
+        ipv4.parse_ipv4(destination),
+        4000,
+        80,
+        b"\x00" * payload,
     )
     return CaptureRecord(timestamp=timestamp, data=build_frame(packet))
 
@@ -40,8 +54,9 @@ def udp_record(timestamp, destination, payload=100):
 def capture(tmp_path):
     """A small capture plus its per-packet reference summaries."""
     records = [
-        udp_record(float(i) * 0.5, f"10.{i % 7}.0.{i % 250}",
-                   payload=50 + i % 400)
+        udp_record(
+            float(i) * 0.5, f"10.{i % 7}.0.{i % 250}", payload=50 + i % 400
+        )
         for i in range(500)
     ]
     path = str(tmp_path / "small.pcap")
@@ -79,13 +94,15 @@ class TestPcapPacketSource:
 
     def test_raw_ip_linktype(self, tmp_path):
         packet = build_udp_packet(
-            ipv4.parse_ipv4("198.51.100.1"), ipv4.parse_ipv4("10.0.0.9"),
-            4000, 80, b"\x00" * 64,
+            ipv4.parse_ipv4("198.51.100.1"),
+            ipv4.parse_ipv4("10.0.0.9"),
+            4000,
+            80,
+            b"\x00" * 64,
         )
         path = str(tmp_path / "raw.pcap")
         with PcapWriter.open(path, linktype=LINKTYPE_RAW_IP) as writer:
-            writer.write(CaptureRecord(timestamp=2.0,
-                                       data=packet.encode()))
+            writer.write(CaptureRecord(timestamp=2.0, data=packet.encode()))
         (batch,) = PcapPacketSource(path).batches()
         assert batch.num_packets == 1
         assert int(batch.destinations[0]) == ipv4.parse_ipv4("10.0.0.9")
@@ -128,11 +145,193 @@ class TestPcapPacketSource:
         data = bytearray(open(path, "rb").read())
         # second record's header sits right after the first record
         offset = 24 + 16 + len(good.data)
-        data[offset + 8:offset + 12] = (0xFFFFFFF0).to_bytes(4, "little")
+        data[offset + 8 : offset + 12] = (0xFFFFFFF0).to_bytes(4, "little")
         with open(path, "wb") as stream:
             stream.write(data)
         with pytest.raises(PcapFormatError, match="above snaplen"):
             list(PcapPacketSource(path).batches())
+
+
+COLUMNS = ("timestamps", "sources", "destinations", "protocols", "wire_bytes")
+
+
+def scalar_scan(path, chunk_packets):
+    """What ``PcapPacketSource`` owes, one record at a time (the oracle).
+
+    Records come from :func:`repro.pcap.pcapfile.read_records`; fields
+    are unpacked one packet at a time. Returns the batches as
+    ``(rows, packets_seen)`` — a row is the five column values of one
+    IPv4 packet — and the format error that ended the scan, if any:
+    every full batch before a fault is delivered, the partial one the
+    fault interrupts is not.
+    """
+    batches, rows, seen = [], [], 0
+    with open(path, "rb") as stream:
+        header = read_header(stream)
+        overhead = 14 if header.linktype == LINKTYPE_ETHERNET else 0
+        try:
+            for record in read_records(stream, header):
+                data = record.data
+                ip = data[overhead : overhead + 20]
+                is_ip = overhead == 0 or data[12:14] == b"\x08\x00"
+                if is_ip and len(ip) == 20 and ip[0] >> 4 == 4:
+                    total_length, protocol = struct.unpack(">2xH5xB", ip[:10])
+                    source, destination = struct.unpack(">II", ip[12:])
+                    cut_short = record.original_length > len(data)
+                    wire = (
+                        record.original_length
+                        if cut_short
+                        else overhead + total_length
+                    )
+                    rows.append(
+                        (record.timestamp, source, destination, protocol, wire)
+                    )
+                seen += 1
+                if seen == chunk_packets:
+                    batches.append((rows, seen))
+                    rows, seen = [], 0
+        except PcapFormatError as exc:
+            return batches, str(exc)
+    if seen:
+        batches.append((rows, seen))
+    return batches, None
+
+
+def vector_scan(path, chunk_packets):
+    """The same shape from the source under test, dtypes asserted."""
+    batches = []
+    try:
+        for batch in PcapPacketSource(path, chunk_packets).batches():
+            columns = [getattr(batch, name) for name in COLUMNS]
+            assert columns[0].dtype == np.float64
+            assert all(column.dtype == np.int64 for column in columns[1:])
+            assert all(column.shape == columns[0].shape for column in columns)
+            rows = list(zip(*(column.tolist() for column in columns)))
+            batches.append((rows, batch.packets_seen))
+    except PcapFormatError as exc:
+        return batches, str(exc)
+    return batches, None
+
+
+def frame(kind, payload, seed):
+    """Captured bytes of one record, by kind, ``payload`` bytes long
+    past the headers (or in total, for the kind with no headers)."""
+    if kind == "short":
+        return bytes(payload % 34)
+    ip = struct.pack(
+        ">BBHHHBBHII",
+        0x65 if kind == "version6" else 0x45,
+        0,
+        20 + payload + seed % 3,
+        seed & 0xFFFF,
+        0,
+        64,
+        (6, 17, 1)[seed % 3],
+        0,
+        0x0A000000 | seed % 251,
+        (0xC0000200 + seed * 2654435761) & 0xFFFFFFFF,
+    )
+    ethertype = {"arp": 0x0806, "ipv6": 0x86DD}.get(kind, 0x0800)
+    return bytes(12) + struct.pack(">H", ethertype) + ip + bytes(payload)
+
+
+KINDS = ["ipv4", "ipv4", "ipv4", "arp", "ipv6", "version6", "short"]
+
+
+@st.composite
+def captures(draw):
+    """Bytes of a capture file: equal-length runs, mixed stretches, odd
+    records inside and at the edges of runs, then maybe one fault."""
+    order = draw(st.sampled_from("<>"))
+    nanosecond = draw(st.booleans())
+    raw_ip = draw(st.booleans())
+    snaplen = draw(st.sampled_from([0, 96, 65535]))
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):  # a run of equal captured lengths
+            payload = draw(st.integers(0, 40))
+            count = draw(st.integers(1, 40))
+            kinds = [draw(st.sampled_from(KINDS[:6]))] * count
+            payloads = [payload] * count
+        else:
+            payloads = draw(st.lists(st.integers(0, 40), max_size=12))
+            kinds = [draw(st.sampled_from(KINDS)) for _ in payloads]
+        for kind, payload in zip(kinds, payloads):
+            data = frame(kind, payload, len(records))
+            if raw_ip and kind != "short":
+                data = data[14:]
+            longer = draw(st.sampled_from([0, 0, 40]))
+            records.append((data, len(data) + longer))
+    blob = struct.pack(
+        order + "IHHiIII",
+        MAGIC_NSEC if nanosecond else MAGIC_USEC,
+        2,
+        4,
+        0,
+        0,
+        snaplen,
+        LINKTYPE_RAW_IP if raw_ip else LINKTYPE_ETHERNET,
+    )
+    offsets = []
+    for index, (data, original) in enumerate(records):
+        offsets.append(len(blob))
+        stamp = (1000 + index // 7, index * 1001)
+        blob += struct.pack(order + "IIII", *stamp, len(data), original)
+        blob += data
+    fault = draw(st.sampled_from(["none", "none", "cut", "claim"]))
+    if fault == "cut" and records:
+        # EOF inside the last record: in its body, or in its header
+        blob = blob[: -draw(st.integers(1, 15 + len(records[-1][0])))]
+    elif fault == "claim" and records and snaplen:
+        # a length above snaplen: before, inside or right after a run
+        at = offsets[draw(st.integers(0, len(records) - 1))] + 8
+        claim = struct.pack(order + "I", snaplen + draw(st.integers(1, 9)))
+        blob = blob[:at] + claim + blob[at + 4 :]
+    return blob
+
+
+@pytest.fixture(scope="module")
+def capture_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("captures") / "generated.pcap")
+
+
+class TestPcapAgainstTheScalarReader:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        blob=captures(),
+        chunk_packets=st.sampled_from([1, 7, 65536]),
+        block=st.sampled_from([50, 300, 1 << 22]),
+    )
+    def test_same_batches_or_same_error(
+        self, capture_path, blob, chunk_packets, block
+    ):
+        with open(capture_path, "wb") as stream:
+            stream.write(blob)
+        # a small read block puts buffer refills — where the reader
+        # probes for an equal-length run — inside these small files
+        with mock.patch.object(sources, "READ_BLOCK_BYTES", block):
+            got = vector_scan(capture_path, chunk_packets)
+        assert got == scalar_scan(capture_path, chunk_packets)
+
+    @pytest.mark.parametrize("odd_at", [None, 100, 699, 700, 701, 2999])
+    @pytest.mark.parametrize("chunk_packets", [700, 65536])
+    def test_a_long_run_with_one_odd_record(
+        self, tmp_path, odd_at, chunk_packets
+    ):
+        """Runs long enough to span several refills and chunks: the odd
+        record mid-chunk, on either side of a chunk edge, and last."""
+        path = str(tmp_path / "run.pcap")
+        with PcapWriter.open(path, snaplen=64) as writer:
+            for index in range(3000):
+                record = udp_record(index * 0.01, f"10.{index % 200}.0.1")
+                if index == odd_at:
+                    record = udp_record(index * 0.01, "10.9.9.9", payload=3)
+                writer.write(record)
+        with mock.patch.object(sources, "READ_BLOCK_BYTES", 16384):
+            got = vector_scan(path, chunk_packets)
+        assert got == scalar_scan(path, chunk_packets)
+        assert got[1] is None
+        assert sum(seen for _, seen in got[0]) == 3000
 
 
 class TestCsvPacketSource:
@@ -169,8 +368,9 @@ class TestArrayPacketSource:
         timestamps = np.arange(10, dtype=float)
         destinations = np.arange(10, dtype=np.int64) + 100
         sizes = np.full(10, 64, dtype=np.int64)
-        source = ArrayPacketSource(timestamps, destinations, sizes,
-                                   chunk_packets=4)
+        source = ArrayPacketSource(
+            timestamps, destinations, sizes, chunk_packets=4
+        )
         batches = list(source.batches())
         assert [b.num_packets for b in batches] == [4, 4, 2]
         assert sum(b.packets_seen for b in batches) == 10
@@ -179,20 +379,26 @@ class TestArrayPacketSource:
         assert all(b.packets_skipped == 0 for b in batches)
 
     def test_empty_source_yields_nothing(self):
-        source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),
-                                   np.zeros(0, np.int64))
+        source = ArrayPacketSource(
+            np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        )
         assert list(source.batches()) == []
         assert source.num_packets == 0
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ClassificationError):
-            ArrayPacketSource(np.zeros(3), np.zeros(2, np.int64),
-                              np.zeros(3, np.int64))
+            ArrayPacketSource(
+                np.zeros(3), np.zeros(2, np.int64), np.zeros(3, np.int64)
+            )
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ClassificationError):
-            ArrayPacketSource(np.zeros(1), np.zeros(1, np.int64),
-                              np.zeros(1, np.int64), chunk_packets=0)
+            ArrayPacketSource(
+                np.zeros(1),
+                np.zeros(1, np.int64),
+                np.zeros(1, np.int64),
+                chunk_packets=0,
+            )
 
 
 class TestSlotSources:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.errors import AddressError, RoutingError
 from repro.net import ipv4
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.routing.lpm import NO_ROUTE, CompiledLpm, FixedLengthResolver
+from repro.routing.radix import RadixTree
 from repro.routing.ribgen import RibGeneratorConfig, generate_rib
 
 
@@ -92,6 +93,145 @@ class TestCompiledLpm:
         found = lpm.lookup_one(ipv4.parse_ipv4("10.5.5.5"))
         assert found == Prefix.parse("10.0.0.0/8")
         assert lpm.lookup_one(ipv4.parse_ipv4("11.0.0.1")) is None
+
+
+def sweep_flatten(prefixes):
+    """The scalar stack sweep the vector flatten replaced (the oracle).
+
+    Prefixes sorted by (network, length) visit every parent before its
+    children; a stack of open intervals tracks the deepest cover.
+    """
+    bounds, owners, stack = [0], [NO_ROUTE], []
+
+    def emit(position, owner):
+        if bounds[-1] == position:
+            owners[-1] = owner
+        elif owners[-1] != owner:
+            bounds.append(position)
+            owners.append(owner)
+
+    for row, prefix in enumerate(prefixes):
+        while stack and stack[-1][0] <= prefix.network:
+            closed_end, _ = stack.pop()
+            emit(closed_end, stack[-1][1] if stack else NO_ROUTE)
+        emit(prefix.network, row)
+        stack.append((prefix.broadcast + 1, row))
+    while stack:
+        closed_end, _ = stack.pop()
+        emit(closed_end, stack[-1][1] if stack else NO_ROUTE)
+    return bounds, owners
+
+
+#: Shapes a random draw rarely hits: the default route, a prefix that
+#: ends at 2**32, a /8 over 256 root buckets, hosts, adjacent siblings.
+LANDMARKS = [
+    "0.0.0.0/0",
+    "128.0.0.0/1",
+    "255.0.0.0/8",
+    "255.255.255.255/32",
+    "0.0.0.0/32",
+    "10.0.0.0/8",
+    "10.1.0.0/16",
+    "10.1.0.0/17",
+    "10.1.128.0/17",
+    "10.1.128.0/24",
+    "10.1.129.0/24",
+    "10.1.129.7/32",
+    "10.1.129.8/32",
+]
+
+
+def laminar_families():
+    """Any set of CIDR prefixes is laminar; bias towards deep nests."""
+    nested = st.builds(
+        Prefix.from_host,
+        st.integers(0x0A000000, 0x0A03FFFF),
+        st.integers(8, 32),
+    )
+    anywhere = st.builds(
+        Prefix.from_host,
+        st.integers(0, ipv4.MAX_ADDRESS),
+        st.integers(0, 32),
+    )
+    landmark = st.sampled_from(LANDMARKS).map(Prefix.parse)
+    return st.lists(
+        st.one_of(nested, anywhere, landmark), max_size=40, unique=True
+    )
+
+
+class TestCompiledLpmAgainstScalarOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(family=laminar_families(), extra=st.lists(st.integers(0, 1 << 32)))
+    def test_flatten_and_root_lookup(self, family, extra):
+        lpm = CompiledLpm(family)
+        assert lpm.prefixes == sorted(family)
+        bounds, owners = sweep_flatten(sorted(family))
+        assert lpm._bounds.tolist() == bounds
+        assert lpm._owners.tolist() == owners
+        tree = RadixTree()
+        for prefix in family:
+            tree.insert(prefix, None)
+        probes = {0, ipv4.MAX_ADDRESS, *extra}
+        for bound in bounds:
+            probes.update((bound - 1, bound, bound + 1))
+        probes = sorted(p for p in probes if 0 <= p <= ipv4.MAX_ADDRESS)
+        rows = lpm.lookup(np.array(probes, dtype=np.int64))
+        for address, row in zip(probes, rows.tolist()):
+            got = None if row == NO_ROUTE else lpm.prefixes[row]
+            assert got == tree.lookup_prefix(address), address
+
+    def test_single_prefix_and_empty_tables(self):
+        lonely = compiled("192.0.2.0/24")
+        inside = ipv4.parse_ipv4("192.0.2.0")
+        rows = lonely.lookup(np.array([inside - 1, inside, inside + 256]))
+        assert rows.tolist() == [NO_ROUTE, 0, NO_ROUTE]
+        empty = CompiledLpm([])
+        assert len(empty) == 0
+        assert empty.lookup(np.array([0, ipv4.MAX_ADDRESS])).tolist() == [
+            NO_ROUTE,
+            NO_ROUTE,
+        ]
+        assert empty.lookup(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_deep_root_bucket(self):
+        # 256 /24s and 256 hosts under one /16: the bucket's descent
+        # runs nine steps where a neighbouring bucket needs none
+        family = [Prefix.parse("10.7.0.0/16"), Prefix.parse("10.8.0.0/16")]
+        base = ipv4.parse_ipv4("10.7.0.0")
+        family += [Prefix(base + (i << 8), 24) for i in range(256)]
+        family += [Prefix(base + (i << 8) + 9, 32) for i in range(256)]
+        lpm = CompiledLpm(family)
+        probes = base + np.arange(1 << 17, dtype=np.int64)
+        rows = lpm.lookup(probes)
+        next_door = probes >= base + (1 << 16)
+        hosts = ~next_door & (probes & 0xFF == 9)
+        length = np.where(next_door, 16, np.where(hosts, 32, 24))
+        assert np.array_equal(lpm.prefixes.length[rows], length)
+        host_bits = 32 - length
+        assert np.array_equal(
+            lpm.prefixes.network[rows], probes >> host_bits << host_bits
+        )
+
+    def test_compiles_from_columns_and_rejects_malformed_ones(self):
+        columns = PrefixColumns([10 << 24, 0], [8, 0])
+        lpm = CompiledLpm(columns)
+        assert lpm.prefixes == [Prefix(0, 0), Prefix(10 << 24, 8)]
+        for network, length in ((1, 24), (0, 33), (-256, 24), (1 << 32, 32)):
+            with pytest.raises(AddressError):
+                CompiledLpm(PrefixColumns([network], [length]))
+
+
+@pytest.mark.parametrize(
+    "resolver",
+    [FixedLengthResolver(24), CompiledLpm([Prefix.parse("0.0.0.0/0")])],
+    ids=["fixed-length", "compiled-lpm"],
+)
+@pytest.mark.parametrize("bad", [-1, 1 << 32, -(1 << 40), 1 << 40])
+def test_address_outside_ipv4_is_refused_not_unrouted(resolver, bad):
+    """An int64 that is not an address (a flow CSV's integer column is
+    not range-checked) raises the same error from either resolver."""
+    with pytest.raises(AddressError, match=f"address {bad} out of IPv4"):
+        resolver.lookup(np.array([167772161, bad]))
 
 
 class TestFixedLengthResolver:

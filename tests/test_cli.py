@@ -771,6 +771,31 @@ class TestStreamErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "RIB" in err
 
+    def test_rib_fault_names_file_and_line(
+        self, stream_capture, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.rib"
+        path.write_text("10.0.0.0/8\n# a comment\n10.1.2.3/16\n")
+        argv = ["stream", stream_capture["pcap"], "--rib", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: RIB file {path} line 3: "
+            "'10.1.2.3/16' has host bits set\n"
+        )
+
+    def test_rib_listing_a_prefix_twice_loads(
+        self, stream_capture, tmp_path, capsys
+    ):
+        once = open(stream_capture["rib"]).read()
+        path = tmp_path / "paths.rib"
+        path.write_text(once + once)
+        argv = ["stream", stream_capture["pcap"], "--json", "--rib"]
+        assert main(argv + [stream_capture["rib"]]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert main(argv + [str(path)]) == 0
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["elephants_by_slot"] == expected["elephants_by_slot"]
+
     def test_mismatched_matrix_csv_header(self, tmp_path, capsys):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as stream:
