@@ -14,6 +14,14 @@ under-represents small flows, so every merged frame carries residual
 row 0 (conserving the unseen mass) and the classifier excludes it from
 elephant verdicts, exactly as it does for single-monitor sketch runs.
 
+The merged population is a :class:`~repro.net.prefix.PrefixColumns`
+and the prefix → row map a :class:`~repro.hash_index.HashIndex` on its
+``keys()``: a frame is one ``find``, one ``extend`` for the rows that
+are new and one ``bincount``. :func:`elephant_entries` formats the
+rows it prints from the two integers, so the collector builds no
+``Prefix`` object at all; a caller that reads ``population[row]`` gets
+one.
+
 :class:`Collector` is the batch flavour (all runs in hand, merge once,
 classify); the live network service in
 :mod:`repro.distributed.service` drives the same
@@ -34,8 +42,9 @@ from repro.core.streaming import SlotVerdict
 from repro.distributed.merge import merge_runs
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError
-from repro.net.prefix import Prefix
-from repro.pipeline.backends import RESIDUAL_PREFIX
+from repro.hash_index import ABSENT, HashIndex
+from repro.net.prefix import PrefixColumns
+from repro.pipeline.backends import RESIDUAL_PREFIX, sum_by_row
 from repro.pipeline.engine import StreamEvent, StreamingPipeline, run_stream
 from repro.pipeline.sources import SlotFrame
 
@@ -102,13 +111,12 @@ def elephant_entries(
     summaries) differ at ~1e-9 relative, and the envelope promises
     field-for-field equality, not equality-up-to-noise.
     """
+    rows = verdict.elephants()
+    rows = rows[rows != frame.residual_row]
+    names = PrefixColumns.take(frame.population, rows).texts()
     entries = [
-        {
-            "prefix": str(frame.population[row]),
-            "rate_bps": round(float(frame.rates[row]), 6),
-        }
-        for row in verdict.elephants().tolist()
-        if row != frame.residual_row
+        {"prefix": name, "rate_bps": round(rate, 6)}
+        for name, rate in zip(names, frame.rates[rows].tolist())
     ]
     entries.sort(key=lambda entry: (-entry["rate_bps"], entry["prefix"]))
     return entries
@@ -139,12 +147,14 @@ class MergedSlotSource:
         if not merged and slot_seconds is None:
             raise ClassificationError("no merged slots to stream")
         self.merged = merged
-        self.slot_seconds = (
-            merged[0].slot_seconds if merged else slot_seconds
-        )
+        self.slot_seconds = merged[0].slot_seconds if merged else slot_seconds
         self.residual_row = 0
-        self.prefixes: list[Prefix] = [RESIDUAL_PREFIX]
-        self._row_of: dict[Prefix, int] = {}
+        #: The live population, as columns (frames share it).
+        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
+        # key → row; 0.0.0.0/0 is in the map too, so a tracked default
+        # route folds into the residual row by construction
+        self._row_of = HashIndex()
+        self._row_of.insert(self.prefixes.keys(), [self.residual_row])
 
     def frame_of(self, summary: SlotSummary) -> SlotFrame:
         """The next slot frame, growing the population as needed.
@@ -157,20 +167,17 @@ class MergedSlotSource:
                 f"summary on a {summary.slot_seconds}s grid pushed "
                 f"into a {self.slot_seconds}s source"
             )
-        residual = summary.residual_bytes
-        for prefix in summary.prefixes:
-            if prefix not in self._row_of and prefix != RESIDUAL_PREFIX:
-                self._row_of[prefix] = len(self.prefixes)
-                self.prefixes.append(prefix)
-        rates = np.zeros(len(self.prefixes))
-        for prefix, volume in zip(
-            summary.prefixes, summary.volumes.tolist()
-        ):
-            if prefix == RESIDUAL_PREFIX:
-                residual += volume
-                continue
-            rates[self._row_of[prefix]] += volume
-        rates[0] = residual
+        table = summary.prefixes
+        keys = table.keys()
+        rows = self._row_of.find(keys)
+        fresh = np.flatnonzero(rows == ABSENT)
+        if fresh.size:
+            first = len(self.prefixes)
+            rows[fresh] = np.arange(first, first + fresh.size)
+            self._row_of.insert(keys[fresh], rows[fresh])
+            self.prefixes.extend(table.network[fresh], table.length[fresh])
+        rates = sum_by_row(rows, summary.volumes, len(self.prefixes))
+        rates[self.residual_row] += summary.residual_bytes
         rates *= 8.0 / self.slot_seconds
         return SlotFrame(
             slot=summary.slot,

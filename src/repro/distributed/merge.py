@@ -16,6 +16,13 @@ a time through the same primitives — :func:`grid_cell`,
 :func:`merge_summaries`, :func:`gap_summary` — which is what keeps its
 answers slot-identical to an offline merge of the same summaries.
 
+The merge is an index over integer keys, not a walk over ``Prefix``
+objects: the inputs' ``prefixes`` are columns, their ``keys()``
+(``network << 6 | length``) are concatenated, :func:`first_seen_rows`
+numbers them as a dict filled in arrival order would, and one
+``bincount`` adds each row's volumes in input order — the sums of the
+per-entry fold this replaced, bit for bit.
+
 Alignment is by grid cell, which *trusts monitor clocks*: a monitor
 whose clock drifts past a slot boundary silently mis-bins its traffic.
 :func:`estimate_clock_skew` is the collector-side check — it compares
@@ -39,7 +46,8 @@ import numpy as np
 
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ClockSkewWarning
-from repro.net.prefix import Prefix
+from repro.net.prefix import PrefixColumns
+from repro.pipeline.backends import sum_by_row
 
 #: Widest clock offset, in slots, the skew estimator scans for.
 MAX_SKEW_SLOTS = 3
@@ -66,9 +74,43 @@ def grid_cell(start: float, slot_seconds: float) -> int:
 
     Starts are grid-aligned by construction; ``round`` guards the
     float division, it does not re-bin off-grid starts (those fail the
-    exact start check inside :func:`merge_summaries`).
+    exact start check inside :func:`merge_summaries`, and a live link
+    refuses them on arrival).
     """
     return int(round(start / slot_seconds))
+
+
+def misaligned(
+    summary: SlotSummary, start: float, slot_seconds: float
+) -> ClassificationError:
+    """The error for a summary that does not cover the interval given."""
+    return ClassificationError(
+        f"summary interval (start {summary.start}, grid "
+        f"{summary.slot_seconds}s) does not align with "
+        f"(start {start}, grid {slot_seconds}s); "
+        "monitors must share the slot grid"
+    )
+
+
+def first_seen_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in first-seen order.
+
+    Returns ``(rows, firsts)``: the row of every entry, and per row the
+    position of the entry that introduced it — the numbering a dict
+    filled in arrival order hands out, from one stable sort (not
+    ``np.unique``: several times slower on a few thousand keys).
+    """
+    order = np.argsort(keys, kind="stable")  # equal keys meet, earliest first
+    ranked = keys[order]
+    lead = np.ones(keys.size, dtype=bool)
+    lead[1:] = ranked[1:] != ranked[:-1]
+    leaders = order[lead]  # per distinct key, the entry that introduced it
+    opens = np.zeros(keys.size, dtype=bool)
+    opens[leaders] = True
+    row_at = np.cumsum(opens) - 1  # the row an introducing entry opens
+    rows = np.empty(keys.size, dtype=np.int64)
+    rows[order] = row_at[leaders][np.cumsum(lead) - 1]
+    return rows, np.flatnonzero(opens)
 
 
 def merge_summaries(
@@ -82,10 +124,10 @@ def merge_summaries(
     ``slot_seconds``. Monitor-local slot *numbers* may disagree (each
     monitor counts from its own first packet); pass ``slot`` to give
     the merged summary a canonical number, else the first input's is
-    kept. Volumes are summed per prefix (first-seen order, so merging
-    is deterministic in the input order), residuals are summed, and
-    ``k`` re-truncates the merged table with the overflow conserved in
-    the residual.
+    kept. Volumes are summed per prefix (rows in first-seen order,
+    each row's additions left to right, so merging is deterministic in
+    the input order), residuals are summed, and ``k`` re-truncates the
+    merged table with the overflow conserved in the residual.
 
     Monitors may sample at different rates: their volumes are already
     inverted to full-traffic estimates, so the sums stay unbiased. The
@@ -97,37 +139,26 @@ def merge_summaries(
         raise ClassificationError("no summaries to merge")
     head = summaries[0]
     for summary in summaries[1:]:
-        if (
-            summary.start != head.start
-            or summary.slot_seconds != head.slot_seconds
-        ):
-            raise ClassificationError(
-                f"summary interval (start {summary.start}, grid "
-                f"{summary.slot_seconds}s) does not align with "
-                f"(start {head.start}, grid {head.slot_seconds}s); "
-                "monitors must share the slot grid"
-            )
-    totals: dict[Prefix, float] = {}
-    residual = 0.0
-    for summary in summaries:
-        residual += summary.residual_bytes
-        for prefix, volume in zip(
-            summary.prefixes, summary.volumes.tolist()
-        ):
-            totals[prefix] = totals.get(prefix, 0.0) + volume
+        interval = (summary.start, summary.slot_seconds)
+        if interval != (head.start, head.slot_seconds):
+            raise misaligned(summary, head.start, head.slot_seconds)
+    tables = [summary.prefixes for summary in summaries]
+    entries = PrefixColumns(
+        np.concatenate([table.network for table in tables]),
+        np.concatenate([table.length for table in tables]),
+    )
+    rows, firsts = first_seen_rows(entries.keys())
     merged = SlotSummary(
         slot=head.slot if slot is None else slot,
         start=head.start,
         slot_seconds=head.slot_seconds,
-        prefixes=tuple(totals),
-        volumes=np.fromiter(
-            totals.values(), dtype=np.float64, count=len(totals)
+        prefixes=entries[firsts],
+        volumes=sum_by_row(
+            rows, np.concatenate([s.volumes for s in summaries]), firsts.size
         ),
-        residual_bytes=residual,
+        residual_bytes=sum((s.residual_bytes for s in summaries), 0.0),
         monitor=f"merged[{len(summaries)}]",
-        sample_rate=max(
-            summary.sample_rate for summary in summaries
-        ),
+        sample_rate=max(summary.sample_rate for summary in summaries),
     )
     if k is not None:
         merged = merged.truncated(k)
@@ -346,9 +377,7 @@ def merge_runs(
     )
     for index, offset in skew.items():
         if offset:
-            monitor = next(
-                (s.monitor for s in runs[index] if s.monitor), ""
-            )
+            monitor = next((s.monitor for s in runs[index] if s.monitor), "")
             label = f" ({monitor})" if monitor else ""
             warnings.warn(
                 ClockSkewWarning(
@@ -373,9 +402,7 @@ def merge_runs(
     for cell in cells:
         if cell in by_cell:
             merged.append(
-                merge_summaries(
-                    by_cell[cell], k=k, slot=cell - first_cell
-                )
+                merge_summaries(by_cell[cell], k=k, slot=cell - first_cell)
             )
         else:
             merged.append(gap_summary(cell, first_cell, seconds))
@@ -391,4 +418,5 @@ __all__ = [
     "grid_cell",
     "merge_runs",
     "merge_summaries",
+    "misaligned",
 ]

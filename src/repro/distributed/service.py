@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import random
 import socket
 import threading
@@ -82,6 +83,7 @@ from repro.distributed.merge import (
     gap_summary,
     grid_cell,
     merge_summaries,
+    misaligned,
 )
 from repro.distributed.summary import SlotSummary
 from repro.errors import (
@@ -108,9 +110,7 @@ def parse_address(text: str) -> tuple[str, int]:
     try:
         port = int(port_text)
     except ValueError:
-        raise AddressError(
-            f"{text!r} is not a HOST:PORT address"
-        ) from None
+        raise AddressError(f"{text!r} is not a HOST:PORT address") from None
     if not 0 <= port <= 65535:
         raise AddressError(f"port {port} is out of range")
     return host, port
@@ -150,11 +150,13 @@ class LiveLink:
         self.first_cell: int | None = None
         #: The lowest cell not yet sealed; everything below is history.
         self.next_cell: int | None = None
-        self._pending: dict[int, list[SlotSummary]] = {}
+        #: Unsealed cells: the one summary each monitor sent for it.
+        self._pending: dict[int, dict[str, SlotSummary]] = {}
         self._watermark: dict[str, int] = {}
         self._active: set[str] = set()
-        #: Monitor names in first-hello order — the run order the
-        #: offline skew estimator would have seen.
+        #: Monitor names in first-hello order — the run order an
+        #: offline ``merge_runs`` (and its skew estimator) would see,
+        #: and the order a cell merges in, whichever frame came first.
         self._order: list[str] = []
         self._totals: dict[str, dict[int, float]] = {}
         self._source: MergedSlotSource | None = None
@@ -183,14 +185,19 @@ class LiveLink:
                 f"{self.name!r}"
             )
         self._active.add(monitor)
-        if monitor not in self._order:
-            self._order.append(monitor)
-            self._totals[monitor] = {}
+        self._totals_of(monitor)
         if self.next_cell is not None:
             floor = self.next_cell - 1
             current = self._watermark.get(monitor, floor)
             self._watermark[monitor] = max(current, floor)
         return self.next_cell
+
+    def _totals_of(self, monitor: str) -> dict[int, float]:
+        """The monitor's per-cell byte totals; first sight enlists it."""
+        if monitor not in self._totals:
+            self._order.append(monitor)
+            self._totals[monitor] = {}
+        return self._totals[monitor]
 
     def detach(self, monitor: str) -> None:
         """Drop a monitor from frontier gating and re-advance.
@@ -209,25 +216,39 @@ class LiveLink:
         Returns ``(cell, status)`` for the ack: ``"ok"`` when the
         summary joined the pending merge, ``"stale"`` when it landed
         at or below sealed history (or re-sent a cell this monitor
-        already covered) and was dropped without touching state.
+        already covered) and was dropped without touching state. A
+        summary off the grid, or off the interval its cell's pending
+        summaries cover, is refused here — on the connection that sent
+        it — rather than failing the merge at seal time.
         """
-        if self.slot_seconds is None:
-            self.slot_seconds = summary.slot_seconds
-        elif summary.slot_seconds != self.slot_seconds:
+        seconds = self.slot_seconds or summary.slot_seconds
+        if summary.slot_seconds != seconds:
             raise ClassificationError(
                 f"monitor {monitor!r} streams a {summary.slot_seconds}s "
                 f"grid into link {self.name!r} running "
                 f"{self.slot_seconds}s slots"
             )
-        cell = grid_cell(summary.start, self.slot_seconds)
+        cell = grid_cell(summary.start, seconds)
         watermark = self._watermark.get(monitor)
         if (self.next_cell is not None and cell < self.next_cell) or (
             watermark is not None and cell <= watermark
         ):
             return cell, "stale"
-        self._pending.setdefault(cell, []).append(summary)
+        held = self._pending.get(cell)
+        if held:
+            # merge_summaries demands equal starts within a cell
+            start = next(iter(held.values())).start
+            aligned = summary.start == start
+        else:
+            # start + slot * seconds may round an ulp off cell * seconds
+            start = cell * seconds
+            aligned = abs(summary.start - start) <= 4 * math.ulp(start)
+        if not aligned:
+            raise misaligned(summary, start, seconds)
+        self.slot_seconds = seconds
+        self._pending.setdefault(cell, {})[monitor] = summary
         self._watermark[monitor] = cell
-        totals = self._totals.setdefault(monitor, {})
+        totals = self._totals_of(monitor)
         totals[cell] = totals.get(cell, 0.0) + summary.total_bytes
         self._advance()
         return cell, "ok"
@@ -258,15 +279,14 @@ class LiveLink:
             cell = self.next_cell
             self.next_cell += 1
             if cell in self._pending:
+                held = self._pending.pop(cell)
                 merged = merge_summaries(
-                    self._pending.pop(cell),
+                    [held[name] for name in self._order if name in held],
                     k=self.k,
                     slot=cell - self.first_cell,
                 )
             elif self.fill_gaps:
-                merged = gap_summary(
-                    cell, self.first_cell, self.slot_seconds
-                )
+                merged = gap_summary(cell, self.first_cell, self.slot_seconds)
             else:
                 continue
             self._seal(merged)
@@ -302,9 +322,7 @@ class LiveLink:
             # even if the process dies between here and the classify.
             self.on_seal(merged)
         if self._pipeline is None:
-            self._source = MergedSlotSource(
-                [], slot_seconds=self.slot_seconds
-            )
+            self._source = MergedSlotSource([], slot_seconds=self.slot_seconds)
             self._pipeline = StreamingPipeline(
                 self._source,
                 scheme=self.scheme,
@@ -312,9 +330,7 @@ class LiveLink:
                 config=self.config,
             )
         event = self._pipeline.observe(self._source.frame_of(merged))
-        self._slot_entries.append(
-            elephant_entries(event.frame, event.verdict)
-        )
+        self._slot_entries.append(elephant_entries(event.frame, event.verdict))
         self._bytes_total += merged.total_bytes
         self._residual_total += merged.residual_bytes
 
@@ -425,9 +441,7 @@ class LiveCollector:
             if self.checkpoint is not None:
                 checkpoint = self.checkpoint
 
-                def on_seal(
-                    merged: SlotSummary, _link: str = name
-                ) -> None:
+                def on_seal(merged: SlotSummary, _link: str = name) -> None:
                     checkpoint.append(_link, merged)
 
             self.links[name] = LiveLink(
@@ -480,9 +494,7 @@ class LiveCollector:
             if len(names) == 1:
                 link = names[0]
             elif not names:
-                raise ServiceProtocolError(
-                    "the collector has no links yet"
-                )
+                raise ServiceProtocolError("the collector has no links yet")
             else:
                 raise ServiceProtocolError(
                     f"multiple links live ({', '.join(names)}); "
@@ -536,9 +548,7 @@ class CollectorService:
         #: Durable sealed-slot store (``--state-dir``); opening it
         #: restores any previous run's sealed history into the
         #: collector before the first connection is accepted.
-        self.checkpoint = (
-            CheckpointStore(state_dir) if state_dir else None
-        )
+        self.checkpoint = CheckpointStore(state_dir) if state_dir else None
         self.collector = LiveCollector(
             k=k,
             fill_gaps=fill_gaps,
@@ -662,9 +672,7 @@ class CollectorService:
                         await writer.drain()
                     elif kind == KIND_BYE:
                         if attached:
-                            self.collector.detach(
-                                monitor, link, clean=True
-                            )
+                            self.collector.detach(monitor, link, clean=True)
                             attached = False
                             self._maybe_done()
                         finished = True

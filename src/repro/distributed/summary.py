@@ -17,6 +17,14 @@ deployment, so they serialize two ways:
 Byte counts are carried as float64 because the aggregation path
 accumulates float byte volumes; totals are conserved, not re-quantised.
 
+Entries stay columns end to end: ``prefixes`` is a
+:class:`~repro.net.prefix.PrefixColumns` (the wire record already *is*
+two integer columns and a float column), so parsing, serializing and
+truncating are array operations and a ``Prefix`` exists only for a row
+somebody reads. Every check on outside data is still made, as a mask;
+a failing record boxes its first offending row, so the error text is
+the scalar one.
+
 Version 2 added ``sample_rate``: the inversion factor a sampling
 front-end already applied to the monitor's byte counts (1.0 for a full
 packet stream). It rides in the header so a collector merging monitors
@@ -28,17 +36,16 @@ the coarsest rate. Version 1 records parse unchanged with
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 import zipfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ClassificationError, ReproError, SummaryFormatError
-from repro.net.prefix import Prefix
-from repro.pipeline.backends import RESIDUAL_PREFIX
+from repro.net.prefix import Prefix, PrefixColumns
 
 if TYPE_CHECKING:
     from repro.pipeline.sources import SlotFrame
@@ -56,7 +63,7 @@ _HEADER_V1 = struct.Struct(">4sHqdddIH")
 _PREAMBLE = struct.Struct(">4sH")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SlotSummary:
     """One monitor's candidate table for one measurement slot.
 
@@ -72,7 +79,7 @@ class SlotSummary:
     slot: int
     start: float
     slot_seconds: float
-    prefixes: tuple[Prefix, ...]
+    prefixes: Sequence[Prefix]
     volumes: np.ndarray
     residual_bytes: float = 0.0
     monitor: str = ""
@@ -80,8 +87,12 @@ class SlotSummary:
 
     def __post_init__(self) -> None:
         volumes = np.asarray(self.volumes, dtype=np.float64)
+        # any prefix sequence, held as columns (shared, not copied,
+        # when it already is one: do not extend it afterwards)
+        columns = PrefixColumns.of(self.prefixes)
         object.__setattr__(self, "volumes", volumes)
-        object.__setattr__(self, "prefixes", tuple(self.prefixes))
+        object.__setattr__(self, "prefixes", columns)
+        columns.check()
         scalars = (
             self.start,
             self.slot_seconds,
@@ -97,15 +108,14 @@ class SlotSummary:
             raise ClassificationError("slot_seconds must be positive")
         if self.sample_rate < 1.0:
             raise ClassificationError("sample_rate must be >= 1")
-        if len(self.prefixes) != volumes.size:
+        if len(columns) != volumes.size:
             raise ClassificationError(
-                f"{len(self.prefixes)} prefixes for {volumes.size} "
+                f"{len(columns)} prefixes for {volumes.size} "
                 "volume entries"
             )
-        if len(set(self.prefixes)) != len(self.prefixes):
-            raise ClassificationError(
-                "summary entries must be duplicate-free"
-            )
+        keys = np.sort(columns.keys())  # np.unique is ~10x slower here
+        if (keys[1:] == keys[:-1]).any():
+            raise ClassificationError("summary entries must be duplicate-free")
         if self.residual_bytes < 0 or (volumes < 0).any():
             raise ClassificationError("byte volumes cannot be negative")
 
@@ -146,7 +156,7 @@ class SlotSummary:
             slot=frame.slot,
             start=frame.start,
             slot_seconds=slot_seconds,
-            prefixes=tuple(frame.population[row] for row in rows),
+            prefixes=PrefixColumns.take(frame.population, rows),
             volumes=volumes[rows],
             residual_bytes=residual,
             monitor=monitor,
@@ -160,7 +170,8 @@ class SlotSummary:
         """The top-``k`` entries by volume; the rest joins the residual.
 
         Ties break by row order (stable sort), so truncation is
-        deterministic. Total bytes are conserved exactly.
+        deterministic. The spill is the sum of the cut entries
+        themselves (never negative): totals are conserved to rounding.
         """
         if k < 0:
             raise ClassificationError("k must be non-negative")
@@ -168,16 +179,12 @@ class SlotSummary:
             return self
         order = np.argsort(-self.volumes, kind="stable")
         keep = np.sort(order[:k])
-        spilled = float(self.volumes.sum() - self.volumes[keep].sum())
-        return SlotSummary(
-            slot=self.slot,
-            start=self.start,
-            slot_seconds=self.slot_seconds,
-            prefixes=tuple(self.prefixes[i] for i in keep.tolist()),
+        spilled = float(self.volumes[order[k:]].sum())
+        return dataclasses.replace(
+            self,
+            prefixes=self.prefixes[keep],
             volumes=self.volumes[keep],
             residual_bytes=self.residual_bytes + spilled,
-            monitor=self.monitor,
-            sample_rate=self.sample_rate,
         )
 
     # ------------------------------------------------------------------
@@ -200,20 +207,13 @@ class SlotSummary:
             self.num_entries,
             len(monitor),
         )
-        networks = np.array(
-            [prefix.network for prefix in self.prefixes], dtype=">u4"
-        )
-        lengths = np.array(
-            [prefix.length for prefix in self.prefixes], dtype=np.uint8
-        )
-        volumes = self.volumes.astype(">f8")
         return b"".join(
             (
                 header,
                 monitor,
-                networks.tobytes(),
-                lengths.tobytes(),
-                volumes.tobytes(),
+                self.prefixes.network.astype(">u4").tobytes(),
+                self.prefixes.length.astype(np.uint8).tobytes(),
+                self.volumes.astype(">f8").tobytes(),
             )
         )
 
@@ -231,11 +231,8 @@ class SlotSummary:
             raise SummaryFormatError(
                 f"bad summary magic {magic!r}; expected {MAGIC!r}"
             )
-        if version == VERSION:
-            header = _HEADER
-        elif version == 1:
-            header = _HEADER_V1
-        else:
+        header = {VERSION: _HEADER, 1: _HEADER_V1}.get(version)
+        if header is None:
             raise SummaryFormatError(
                 f"summary version {version} unsupported (speaks "
                 f"{VERSION})"
@@ -243,13 +240,9 @@ class SlotSummary:
         if len(payload) < header.size:
             raise SummaryFormatError("summary record truncated")
         fields = header.unpack_from(payload)
-        if version == VERSION:
-            (_, _, slot, start, slot_seconds, residual, sample_rate,
-             count, monitor_len) = fields
-        else:
-            (_, _, slot, start, slot_seconds, residual, count,
-             monitor_len) = fields
-            sample_rate = 1.0
+        slot, start, slot_seconds, residual, *rate = fields[2:-2]
+        count, monitor_len = fields[-2:]
+        sample_rate = rate[0] if rate else 1.0  # version 1 carries none
         offset = header.size
         expected = offset + monitor_len + count * (4 + 1 + 8)
         if len(payload) != expected:
@@ -259,24 +252,12 @@ class SlotSummary:
             )
         name = payload[offset : offset + monitor_len]
         offset += monitor_len
-        networks = np.frombuffer(
-            payload, dtype=">u4", count=count, offset=offset
-        )
-        offset += 4 * count
-        lengths = np.frombuffer(
-            payload, dtype=np.uint8, count=count, offset=offset
-        )
-        offset += count
-        volumes = np.frombuffer(
-            payload, dtype=">f8", count=count, offset=offset
-        )
+        networks = np.frombuffer(payload, ">u4", count, offset)
+        lengths = np.frombuffer(payload, np.uint8, count, offset + 4 * count)
+        volumes = np.frombuffer(payload, ">f8", count, offset + 5 * count)
         try:
-            prefixes = tuple(
-                Prefix(int(network), int(length))
-                for network, length in zip(
-                    networks.tolist(), lengths.tolist()
-                )
-            )
+            prefixes = PrefixColumns(networks, lengths)
+            prefixes.check()  # ahead of a bad name, as a boxed parse would
             return cls(
                 slot=slot,
                 start=start,
@@ -313,79 +294,30 @@ def save_summaries(path: str, summaries: Sequence[SlotSummary]) -> None:
         raise ClassificationError(
             "summaries must be slot-ordered and duplicate-free"
         )
-    counts = np.array(
-        [summary.num_entries for summary in summaries], dtype=np.int64
-    )
-    networks = np.array(
-        [
-            prefix.network
-            for summary in summaries
-            for prefix in summary.prefixes
-        ],
-        dtype=np.uint32,
-    )
-    lengths = np.array(
-        [
-            prefix.length
-            for summary in summaries
-            for prefix in summary.prefixes
-        ],
-        dtype=np.uint8,
-    )
-    volumes = (
-        np.concatenate([summary.volumes for summary in summaries])
-        if networks.size
-        else np.zeros(0)
-    )
-    try:
-        _write_npz(path, summaries, counts, networks, lengths, volumes)
-    except OSError as exc:
-        raise ReproError(f"cannot write summaries {path!r}: {exc}") from exc
-
-
-def _write_npz(
-    path: str,
-    summaries: list[SlotSummary],
-    counts: np.ndarray,
-    networks: np.ndarray,
-    lengths: np.ndarray,
-    volumes: np.ndarray,
-) -> None:
-    # savez on an open handle writes to exactly the path given; on a
-    # bare string numpy silently appends ".npz", and the caller would
-    # then report a file that does not exist
-    with open(path, "wb") as stream:
-        _savez(stream, summaries, counts, networks, lengths, volumes)
-
-
-def _savez(
-    stream,
-    summaries: list[SlotSummary],
-    counts: np.ndarray,
-    networks: np.ndarray,
-    lengths: np.ndarray,
-    volumes: np.ndarray,
-) -> None:
-    np.savez_compressed(
-        stream,
+    tables = [summary.prefixes for summary in summaries]
+    networks = np.concatenate([table.network for table in tables])
+    lengths = np.concatenate([table.length for table in tables])
+    arrays = dict(
         version=np.int64(VERSION),
         slot_seconds=np.float64(summaries[0].slot_seconds),
         monitor=np.str_(summaries[0].monitor),
-        slots=np.array(
-            [summary.slot for summary in summaries], dtype=np.int64
-        ),
+        slots=np.array(slots, dtype=np.int64),
         starts=np.array([summary.start for summary in summaries]),
-        residuals=np.array(
-            [summary.residual_bytes for summary in summaries]
-        ),
-        sample_rates=np.array(
-            [summary.sample_rate for summary in summaries]
-        ),
-        counts=counts,
-        networks=networks,
-        lengths=lengths,
-        volumes=volumes,
+        residuals=np.array([s.residual_bytes for s in summaries]),
+        sample_rates=np.array([s.sample_rate for s in summaries]),
+        counts=np.array([len(table) for table in tables], dtype=np.int64),
+        networks=networks.astype(np.uint32),
+        lengths=lengths.astype(np.uint8),
+        volumes=np.concatenate([s.volumes for s in summaries]),
     )
+    try:
+        # savez on an open handle writes to exactly the path given; on
+        # a bare string numpy silently appends ".npz", and the caller
+        # would then report a file that does not exist
+        with open(path, "wb") as stream:
+            np.savez_compressed(stream, **arrays)
+    except OSError as exc:
+        raise ReproError(f"cannot write summaries {path!r}: {exc}") from exc
 
 
 def load_summaries(path: str) -> list[SlotSummary]:
@@ -415,26 +347,21 @@ def load_summaries(path: str) -> list[SlotSummary]:
         else:
             sample_rates = np.ones(counts.size)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        if bounds[-1] != data["networks"].size:
+        networks = data["networks"].astype(np.int64)
+        lengths = data["lengths"].astype(np.int64)
+        if not bounds[-1] == networks.size == lengths.size:
             raise SummaryFormatError(
                 "summary file entry counts disagree with its tables"
             )
         summaries = []
         for index in range(counts.size):
             lo, hi = int(bounds[index]), int(bounds[index + 1])
-            prefixes = tuple(
-                Prefix(int(network), int(length))
-                for network, length in zip(
-                    data["networks"][lo:hi].tolist(),
-                    data["lengths"][lo:hi].tolist(),
-                )
-            )
             summaries.append(
                 SlotSummary(
                     slot=int(data["slots"][index]),
                     start=float(data["starts"][index]),
                     slot_seconds=slot_seconds,
-                    prefixes=prefixes,
+                    prefixes=PrefixColumns(networks[lo:hi], lengths[lo:hi]),
                     volumes=data["volumes"][lo:hi],
                     residual_bytes=float(data["residuals"][index]),
                     monitor=monitor,
@@ -453,7 +380,6 @@ def load_summaries(path: str) -> list[SlotSummary]:
 __all__ = [
     "MAGIC",
     "VERSION",
-    "RESIDUAL_PREFIX",
     "SlotSummary",
     "load_summaries",
     "save_summaries",

@@ -174,6 +174,6 @@ def aggregate_pcap(
     rates = np.zeros((len(prefixes), axis.num_slots))
     for frame in frames:
         rates[: frame.num_flows, frame.slot] = frame.rates
-    order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
-    matrix = RateMatrix([prefixes[row] for row in order], axis, rates[order])
+    order = np.argsort(prefixes.keys())  # keys sort as prefixes do
+    matrix = RateMatrix(list(prefixes[order]), axis, rates[order])
     return matrix, stats

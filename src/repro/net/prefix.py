@@ -155,6 +155,16 @@ class PrefixColumns(Sequence[Prefix]):
         network = [prefix.network for prefix in prefixes]
         return cls(network, [prefix.length for prefix in prefixes])
 
+    @classmethod
+    def take(
+        cls, prefixes: Sequence[Prefix], rows: np.ndarray
+    ) -> "PrefixColumns":
+        """Columns of ``prefixes[row]`` for each of ``rows``; only those
+        rows are unboxed when ``prefixes`` is not columns already."""
+        if isinstance(prefixes, cls):
+            return prefixes[rows]
+        return cls.of([prefixes[row] for row in rows.tolist()])
+
     def keys(self) -> np.ndarray:
         """``network << 6 | length``: an int64 that sorts as prefixes do."""
         return self.network << 6 | self.length
@@ -165,6 +175,19 @@ class PrefixColumns(Sequence[Prefix]):
         index = self.network >> (32 - bits)  # which /bits network it is
         whole = (bits == self.length) & (index << (32 - bits) == self.network)
         return whole & (0 <= index) & (index < 1 << bits)
+
+    def check(self) -> None:
+        """Raise what :class:`Prefix` raises for the first row it refuses."""
+        valid = self.valid()
+        if not valid.all():
+            self[int(np.argmin(valid))]
+
+    def texts(self) -> list[str]:
+        """``str(prefix)`` per row, formatted straight from the two
+        integers: no :class:`Prefix` is built (or checked)."""
+        octets = ((self.network >> s & 0xFF).tolist() for s in (24, 16, 8, 0))
+        fields = zip(*octets, self.length.tolist())
+        return ["%d.%d.%d.%d/%d" % row for row in fields]
 
     def extend(self, network: Sequence[int], length: Sequence[int]) -> None:
         """Append rows (amortised O(1) each); nothing is boxed or checked."""
@@ -181,7 +204,7 @@ class PrefixColumns(Sequence[Prefix]):
         return self._size
 
     def __getitem__(self, row):
-        if isinstance(row, slice):
+        if isinstance(row, (slice, np.ndarray)):  # a table of those rows
             return PrefixColumns(self.network[row], self.length[row])
         if row < 0:
             row += self._size

@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import ClassificationError
 from repro.flows.aggregate import AggregationStats
 from repro.flows.records import DEFAULT_SLOT_SECONDS, TimeAxis
-from repro.net.prefix import Prefix, PrefixColumns
+from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
 from repro.routing.lpm import NO_ROUTE, CompiledLpm
@@ -53,8 +53,9 @@ from repro.routing.rib import RoutingTable
 class PrefixResolver(Protocol):
     """Batch address → prefix-row resolution (the aggregation key).
 
-    ``prefixes`` is the resolver's table as columns: the backend boxes
-    a row into a :class:`Prefix` the first time it earns traffic.
+    ``prefixes`` is the resolver's table as columns; the aggregator
+    hands it to the backend as it is, and a flow that earns a row is
+    admitted as a slice of it — no :class:`Prefix` is built.
     """
 
     prefixes: PrefixColumns
@@ -112,8 +113,8 @@ class StreamingAggregator:
         self._finished = False
 
     @property
-    def prefixes(self) -> list[Prefix]:
-        """Emitted population, in row order (the backend's live list)."""
+    def prefixes(self) -> PrefixColumns:
+        """Emitted population, in row order (the backend's live table)."""
         return self.backend.prefixes
 
     @property
@@ -208,7 +209,7 @@ class StreamingAggregator:
                 timestamps[order],
             )
         boundaries = np.flatnonzero(np.diff(slots)) + 1
-        prefix_of = self.resolver.prefixes.__getitem__
+        table = self.resolver.prefixes
         for group_slots, group_rows, group_sizes, group_times in zip(
             np.split(slots, boundaries),
             np.split(rows, boundaries),
@@ -221,7 +222,7 @@ class StreamingAggregator:
             while self._open_slot < slot:
                 frames.append(self._emit_open())
             self.backend.accumulate(
-                group_rows, group_sizes, group_times, prefix_of
+                group_rows, group_sizes, group_times, table
             )
         return frames
 

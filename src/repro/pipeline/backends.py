@@ -40,6 +40,15 @@ permanent (the positional identity downstream classifiers depend on);
 a flow evicted later keeps its row, its subsequent bytes simply fall
 into the residual until it is re-admitted.
 
+Populations are columns: ``backend.prefixes`` is a
+:class:`~repro.net.prefix.PrefixColumns`, and a flow that earns a row
+is admitted as a slice of the table that travels in the fourth
+``accumulate`` argument (:data:`PrefixOf`: the resolver's own
+``PrefixColumns`` on the production path, a ``key -> Prefix`` callable
+from tests and slot-altitude replays) — one array step shared by every
+array backend (:meth:`AggregationBackend._admit`). Only the scalar
+oracles build a ``Prefix`` per candidate.
+
 Backends also speak the slot altitude: :class:`SketchSlotSource`
 filters any :class:`~repro.pipeline.sources.SlotSource` (for instance a
 replayed matrix) through a backend, which is how
@@ -50,13 +59,12 @@ from __future__ import annotations
 
 import abc
 import heapq
-import itertools
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import ClassificationError
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.sources import SlotFrame, SlotSource
 from repro.sketches.array_tables import (
     ArrayCountMin,
@@ -93,7 +101,18 @@ TRACKED_ENTRY_BYTES = 320
 _CM_WIDTH_FACTOR = 4
 _CM_DEPTH = 4
 
-PrefixOf = Callable[[int], Prefix]
+#: The fourth ``accumulate`` argument, what gives flow keys their
+#: prefixes: the resolver's table itself (the aggregator's; new flows
+#: are admitted as slices of it) or a ``key -> Prefix`` callable
+#: (tests, slot-altitude replays), asked once per admitted key.
+PrefixOf = PrefixColumns | Callable[[int], Prefix]
+
+
+def prefixes_of(prefix_of: PrefixOf, keys: np.ndarray) -> PrefixColumns:
+    """The prefixes of flow keys ``keys``, as columns."""
+    if isinstance(prefix_of, PrefixColumns):
+        return prefix_of[keys]
+    return PrefixColumns.of([prefix_of(key) for key in keys.tolist()])
 
 
 def group_by_row(
@@ -117,15 +136,26 @@ def group_by_row(
     return unique, sums[unique], first[unique]
 
 
+def sum_by_row(rows: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """float64 sums of ``weights`` per row of a ``size``-row vector,
+    each row's added in input order from zero — a per-entry fold's
+    sums, bit for bit."""
+    sums = np.bincount(rows, weights=weights, minlength=size)
+    # bincount answers an empty input with integer zeros
+    return sums.astype(np.float64, copy=False)
+
+
 class AggregationBackend(abc.ABC):
     """Per-slot flow-table strategy behind the streaming aggregator.
 
     The aggregator feeds each slot's traffic through
-    :meth:`accumulate` (integer flow keys, byte sizes, timestamps and a
-    key → :class:`Prefix` resolver) and calls :meth:`close_slot` at
-    every slot boundary to harvest the byte vector. ``prefixes`` is the
-    live, append-only population — frames share it by reference, so row
-    ``i`` means the same flow in every frame a run emits.
+    :meth:`accumulate` (integer flow keys, byte sizes, timestamps and
+    what gives the keys their prefixes, see :data:`PrefixOf`) and calls
+    :meth:`close_slot` at every slot boundary to harvest the byte
+    vector. ``prefixes`` is the live, append-only population, a
+    :class:`~repro.net.prefix.PrefixColumns` — frames share it by
+    reference, so row ``i`` means the same flow in every frame a run
+    emits, and a :class:`Prefix` is built only for a row somebody reads.
 
     A backend counts bytes per row per slot and nothing else: the
     classifier reads one bandwidth per flow per slot, so no packet
@@ -140,8 +170,11 @@ class AggregationBackend(abc.ABC):
     capacity: int | None = None
 
     def __init__(self) -> None:
-        self.prefixes: list[Prefix] = []
-        self._row_of: dict[int, int] = {}
+        self.prefixes = PrefixColumns()
+        #: Flow key → row (-1: none yet); keys are dense resolver rows.
+        self._key_row = np.full(0, -1, dtype=np.int64)
+        #: Row → flow key, any residual row excluded (:meth:`row_keys`).
+        self._keys: list[int] = []
         #: High-water mark of :attr:`tracked_flows` across the run.
         self.peak_tracked = 0
         #: Slots this backend has closed (backends are single-use).
@@ -187,7 +220,45 @@ class AggregationBackend(abc.ABC):
         :class:`~repro.pipeline.sharded.ShardedAggregation` relies on
         this to map shard-local rows onto its merged population.
         """
-        return list(itertools.islice(self._row_of, start, None))
+        return self._keys[start:]
+
+    def _rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each key, -1 where it has none yet."""
+        top, size = int(keys.max(initial=-1)) + 1, self._key_row.size
+        if top > size:
+            grown = np.full(max(top, 2 * size), -1, dtype=np.int64)
+            grown[:size] = self._key_row
+            self._key_row = grown
+        return self._key_row[keys]
+
+    def _admit(self, keys: np.ndarray, table: PrefixColumns) -> None:
+        """Give ``keys`` (distinct, rowless, seen by :meth:`_rows_of`)
+        the next rows, in order; ``table[i]`` is the prefix of
+        ``keys[i]``. The one new-flow step of every array backend: two
+        column appends and a vector write of the key → row map."""
+        if self.residual_row is not None:
+            # a tracked default route is indistinguishable from the
+            # "other traffic" row: it shares that row rather than
+            # putting a second 0.0.0.0/0 into the population
+            real = table.keys() != 0
+            self._key_row[keys[~real]] = self.residual_row
+            keys, table = keys[real], table[real]
+        first = len(self.prefixes)
+        self.prefixes.extend(table.network, table.length)
+        self._key_row[keys] = np.arange(first, first + keys.size)
+        self._keys.extend(keys.tolist())
+
+    def _admit_first_traffic(
+        self, unique: np.ndarray, first_index: np.ndarray, prefix_of: PrefixOf
+    ) -> None:
+        """Rows for the grouped keys that have none, numbered in
+        first-traffic order (keys arrive time-ordered within a slot
+        group), so the numbering does not depend on how the capture was
+        chunked into batches."""
+        new = self._rows_of(unique) < 0
+        if new.any():
+            fresh = unique[new][np.argsort(first_index[new])]
+            self._admit(fresh, prefixes_of(prefix_of, fresh))
 
     @property
     def num_rows(self) -> int:
@@ -212,7 +283,6 @@ class ExactAggregation(AggregationBackend):
     def __init__(self) -> None:
         super().__init__()
         self._open = np.zeros(0)
-        self._key_row = np.full(0, -1, dtype=np.int64)
 
     @property
     def tracked_flows(self) -> int:
@@ -228,24 +298,7 @@ class ExactAggregation(AggregationBackend):
         if keys.size == 0:
             return
         unique, weights, first_index = group_by_row(keys, sizes)
-        top = int(unique[-1]) + 1
-        size = self._key_row.size
-        if top > size:
-            grown = np.full(max(top, 2 * size), -1, dtype=np.int64)
-            grown[:size] = self._key_row
-            self._key_row = grown
-        new = self._key_row[unique] < 0
-        if new.any():
-            # Rows are assigned in first-traffic order (keys arrive
-            # time-ordered within a slot group), so the numbering does
-            # not depend on how the capture was chunked into batches.
-            fresh = unique[new]
-            arrival = np.argsort(first_index[new])
-            for key in fresh[arrival].tolist():
-                row = len(self.prefixes)
-                self._row_of[key] = row
-                self._key_row[key] = row
-                self.prefixes.append(prefix_of(key))
+        self._admit_first_traffic(unique, first_index, prefix_of)
         population = len(self.prefixes)
         size = self._open.size
         if population > size:
@@ -294,7 +347,8 @@ class SketchAggregation(AggregationBackend):
             raise ClassificationError("capacity must be >= 1")
         super().__init__()
         self.capacity = capacity
-        self.prefixes = [RESIDUAL_PREFIX]
+        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
+        self._row_of: dict[int, int] = {}
         self._pending: dict[int, _PendingEntry] = {}
         self._residual = 0.0
 
@@ -315,6 +369,10 @@ class SketchAggregation(AggregationBackend):
     ) -> None:
         if keys.size == 0:
             return
+        if isinstance(prefix_of, PrefixColumns):
+            # the oracle stays boxed: one Prefix per candidate, read
+            # from the resolver's table as it is asked of a callable
+            prefix_of = prefix_of.__getitem__
         unique, first_index, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
@@ -355,7 +413,10 @@ class SketchAggregation(AggregationBackend):
             if row is None:
                 row = len(self.prefixes)
                 self._row_of[key] = row
-                self.prefixes.append(entry.prefix)
+                self._keys.append(key)
+                self.prefixes.extend(
+                    [entry.prefix.network], [entry.prefix.length]
+                )
             attributed.append((row, entry.bytes))
         vector = np.zeros(len(self.prefixes))
         for row, volume in attributed:
@@ -473,9 +534,7 @@ class CountMinAggregation(SketchAggregation):
                 return key, estimate
             heapq.heappop(self._heap)
         # Staleness drained the heap: rebuild from the live table.
-        self._heap = [
-            (value, key) for key, value in self._candidates.items()
-        ]
+        self._heap = [(value, key) for key, value in self._candidates.items()]
         heapq.heapify(self._heap)
         estimate, key = self._heap[0]
         return key, estimate
@@ -530,13 +589,14 @@ class ArraySketchAggregation(AggregationBackend):
 
     The candidate summary is an array table from
     :mod:`repro.sketches.array_tables`; all slot-local accounting —
-    pending bytes, activation order and the slot → row cache — lives
-    in parallel ``capacity``-sized arrays indexed by table slot.
+    pending bytes and activation order — lives in parallel
+    ``capacity``-sized arrays indexed by table slot.
     ``accumulate`` aggregates the batch per unique key, hands the
     aggregate to the table's one-pass batch update, flushes evicted
     slots into the residual scalar, and adds the surviving
-    contributions with pure array ops; the only Python loop left runs
-    at slot close, over the slots that earned a row.
+    contributions with pure array ops; slot close places the slots
+    that earned a row with the same array admission step the exact
+    table uses, so no Python loop runs per key or per row anywhere.
 
     Residual-row conservation, slot-close row admission and positional
     row identity match the scalar reference exactly; the property
@@ -559,7 +619,7 @@ class ArraySketchAggregation(AggregationBackend):
             raise ClassificationError("capacity must be >= 1")
         super().__init__()
         self.capacity = capacity
-        self.prefixes = [RESIDUAL_PREFIX]
+        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
         self._table = self._make_table(capacity)
         if admission in (None, "none"):
             self.admission = None
@@ -581,7 +641,6 @@ class ArraySketchAggregation(AggregationBackend):
         self._pend_bytes = np.zeros(capacity)
         self._pend_active = np.zeros(capacity, dtype=bool)
         self._pend_seq = np.zeros(capacity, dtype=np.int64)
-        self._slot_row = np.full(capacity, -1, dtype=np.int64)
         self._seq = 0
         self._res_bytes = 0.0
         self._resolve: PrefixOf | None = None
@@ -633,9 +692,6 @@ class ArraySketchAggregation(AggregationBackend):
 
     def _flush_evicted(self, evicted: np.ndarray) -> None:
         """Evicted slots spill their pending accounting to residual."""
-        if evicted.size == 0:
-            return
-        self._slot_row[evicted] = -1
         live = evicted[self._pend_active[evicted]]
         if live.size:
             self._res_bytes += float(self._pend_bytes[live].sum())
@@ -648,32 +704,15 @@ class ArraySketchAggregation(AggregationBackend):
     def close_slot(self) -> np.ndarray:
         active = np.flatnonzero(self._pend_active)
         active = active[np.argsort(self._pend_seq[active])]
-        rows: list[int] = []
-        kept: list[int] = []
-        for spot in active.tolist():
-            row = int(self._slot_row[spot])
-            if row < 0:
-                key = int(self._table.key[spot])
-                cached = self._row_of.get(key)
-                if cached is None:
-                    assert self._resolve is not None
-                    prefix = self._resolve(key)
-                    if prefix == RESIDUAL_PREFIX:
-                        # A tracked default route folds into the
-                        # residual row; see the scalar engine.
-                        self._res_bytes += float(self._pend_bytes[spot])
-                        continue
-                    row = len(self.prefixes)
-                    self._row_of[key] = row
-                    self.prefixes.append(prefix)
-                else:
-                    row = cached
-                self._slot_row[spot] = row
-            rows.append(row)
-            kept.append(spot)
-        vector = np.zeros(len(self.prefixes))
-        # one table slot per key and one row per key: rows are distinct
-        vector[rows] = self._pend_bytes[kept]
+        keys = self._table.key[active]
+        fresh = keys[self._rows_of(keys) < 0]
+        if fresh.size:
+            self._admit(fresh, prefixes_of(self._resolve, fresh))
+        # a tracked default route sits on the residual row (see
+        # _admit), every other key on a row of its own
+        vector = sum_by_row(
+            self._key_row[keys], self._pend_bytes[active], len(self.prefixes)
+        )
         vector[self.residual_row] += self._res_bytes
         self._res_bytes = 0.0
         if active.size:
@@ -751,13 +790,12 @@ class SketchSlotSource:
         for frame in self.source.slots():
             volumes = frame.rates * seconds / 8.0
             active = np.flatnonzero(volumes > 0)
-            population = frame.population
             if active.size:
                 self.backend.accumulate(
                     active,
                     volumes[active],
                     np.full(active.size, frame.start),
-                    lambda key: population[key],
+                    frame.population.__getitem__,
                 )
             closed = self.backend.close_slot()
             yield SlotFrame(
@@ -912,9 +950,7 @@ def parse_memory_budget(text: str) -> int:
     return value * multiplier
 
 
-def capacity_for_budget(
-    name: str, budget_bytes: int, shards: int = 1
-) -> int:
+def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
     """Convert a byte budget into a tracked-flow capacity for ``name``.
 
     Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model; Count-Min

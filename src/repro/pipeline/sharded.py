@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.hash_index import FIBONACCI_MULTIPLIER
+from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import (
     RESIDUAL_PREFIX,
     AggregationBackend,
@@ -121,13 +122,9 @@ class ShardedAggregation(AggregationBackend):
         #: Per shard: outer row of inner row ``offset + i`` (the
         #: residual row, when present, is handled separately).
         self._shard_rows = [np.empty(0, dtype=np.int64) for _ in shards]
-        #: Dense key → outer row map mirroring ``_row_of`` (flow keys
-        #: are resolver rows, so a flat vector beats the dict walk on
-        #: the exact-shard hot path).
-        self._key_row = np.full(0, -1, dtype=np.int64)
         if self._sketched:
             self.residual_row = 0
-            self.prefixes = [RESIDUAL_PREFIX]
+            self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
             self.capacity = sum(
                 shard.capacity for shard in shards if shard.capacity is not None
             )
@@ -156,8 +153,10 @@ class ShardedAggregation(AggregationBackend):
         if not self._sketched:
             # Exact shards: the outer population must number rows in
             # global first-traffic order (interleaved across shards) to
-            # stay byte-identical with a single exact backend.
-            self._assign_rows(keys, sizes, prefix_of)
+            # stay byte-identical with a single exact backend — the
+            # same admission step, over the whole batch.
+            unique, _, first_index = group_by_row(keys, sizes)
+            self._admit_first_traffic(unique, first_index, prefix_of)
         order, bounds = shard_segments(keys, self.num_shards)
         keys, sizes, timestamps = (
             keys[order],
@@ -196,30 +195,6 @@ class ShardedAggregation(AggregationBackend):
     # internals
     # ------------------------------------------------------------------
 
-    def _assign_rows(
-        self, keys: np.ndarray, sizes: np.ndarray, prefix_of: PrefixOf
-    ) -> None:
-        """Mirror ExactAggregation's first-traffic row numbering."""
-        unique, _, first_index = group_by_row(keys, sizes)
-        top = int(unique[-1]) + 1
-        size = self._key_row.size
-        if top > size:
-            grown = np.full(max(top, 2 * size), -1, dtype=np.int64)
-            grown[:size] = self._key_row
-            self._key_row = grown
-        new = self._key_row[unique] < 0
-        if not new.any():
-            return
-        # only genuinely-new keys reach Python; repeat traffic stays in
-        # the vector compare above
-        fresh = unique[new]
-        arrival = np.argsort(first_index[new])
-        for key in fresh[arrival].tolist():
-            row = len(self.prefixes)
-            self._row_of[key] = row
-            self._key_row[key] = row
-            self.prefixes.append(prefix_of(key))
-
     def _extend_map(self, index: int) -> None:
         """Map any new rows of shard ``index`` onto the population."""
         shard = self.shards[index]
@@ -227,18 +202,13 @@ class ShardedAggregation(AggregationBackend):
         offset = 1 if self._sketched else 0
         if len(shard.prefixes) - offset == row_map.size:
             return
-        added: list[int] = []
-        for inner_index, key in enumerate(
-            shard.row_keys(row_map.size), offset + row_map.size
-        ):
-            row = self._row_of.get(key)
-            if row is None:
-                # sketch shards surface a key only at slot close; give
-                # it its outer row now, in (shard, inner-row) order
-                row = len(self.prefixes)
-                self._row_of[key] = row
-                self.prefixes.append(shard.prefixes[inner_index])
-            added.append(row)
+        keys = np.array(shard.row_keys(row_map.size), dtype=np.int64)
+        new = np.flatnonzero(self._rows_of(keys) < 0)
+        if new.size:
+            # sketch shards surface a key only at slot close; give it
+            # its outer row now, in (shard, inner-row) order
+            inner = new + (offset + row_map.size)
+            self._admit(keys[new], shard.prefixes[inner])
         self._shard_rows[index] = np.concatenate(
-            (row_map, np.asarray(added, dtype=np.int64))
+            (row_map, self._key_row[keys])
         )

@@ -15,6 +15,7 @@ from repro.distributed import (
     StridedPacketSource,
     elephant_entries,
 )
+from repro.net.prefix import Prefix
 from repro.pipeline import AggregatingSlotSource, StreamingAggregator
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
@@ -43,6 +44,12 @@ class ChunkedArraySource:
                 wire_bytes=self.sizes[lo:hi],
                 packets_seen=hi - lo,
             )
+
+
+@pytest.fixture(scope="session")
+def array_source():
+    """The chunked in-memory packet source class, injectable per test."""
+    return ChunkedArraySource
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +110,47 @@ def offline_answers(monitor_runs):
         "elephants_by_slot": entries,
         "residual_fraction": residual / total if total else 0.0,
     }
+
+
+@pytest.fixture
+def golden_run():
+    """The run the golden byte literals were recorded from.
+
+    On the parent commit, before summaries held columns: ``to_bytes``
+    and ``.npz`` in test_wire_oracle.py, a seal frame and a WAL in
+    test_checkpoint.py. A default route, a host route, a zero volume,
+    a non-ASCII name, an empty slot and a gap in the slot numbers.
+    """
+    first = SlotSummary(
+        slot=3,
+        start=180.0,
+        slot_seconds=60.0,
+        prefixes=(
+            Prefix.parse("10.0.0.0/8"),
+            Prefix.parse("192.168.4.0/22"),
+            Prefix.parse("0.0.0.0/0"),
+            Prefix.parse("203.0.113.7/32"),
+        ),
+        volumes=np.array([1500.0, 0.0, 2.5e9, 64.125]),
+        residual_bytes=12345.5,
+        monitor="mon-é",
+        sample_rate=50.0,
+    )
+    second = SlotSummary(
+        slot=4,
+        start=240.0,
+        slot_seconds=60.0,
+        prefixes=(),
+        volumes=np.zeros(0),
+        monitor="mon-é",
+    )
+    third = SlotSummary(
+        slot=6,
+        start=360.0,
+        slot_seconds=60.0,
+        prefixes=(Prefix.parse("172.16.0.0/12"), Prefix.parse("10.0.0.0/8")),
+        volumes=np.array([7.0, 1e-3]),
+        residual_bytes=1.0,
+        monitor="mon-é",
+    )
+    return [first, second, third]

@@ -154,3 +154,56 @@ class TestCheckpointStore:
             assert [r.slot for r in restored.sealed["l"]] == list(
                 range(6)
             )
+
+
+# -- golden bytes, recorded from the parent commit ---------------------
+
+#: ``encode_seal("link-ü", golden_run[0])`` and the WAL left by
+#: appending ``golden_run`` (conftest.py) to links link0, link1, link0
+#: — as written before summaries held columns.
+GOLDEN_SEAL = bytes.fromhex(
+    "4c0000007700076c696e6b2dc3bc5253554d000200000000000000034066800000000000"
+    "404e00000000000040c81cc00000000040490000000000000000000400066d6f6e2dc3a9"
+    "0a000000c0a8040000000000cb0071070816002040977000000000000000000000000000"
+    "41e2a05f200000004050080000000000"
+)
+GOLDEN_WAL = bytes.fromhex(
+    "4c0000007500056c696e6b305253554d000200000000000000034066800000000000404e"
+    "00000000000040c81cc00000000040490000000000000000000400066d6f6e2dc3a90a00"
+    "0000c0a8040000000000cb007107081600204097700000000000000000000000000041e2"
+    "a05f2000000040500800000000004c0000004100056c696e6b315253554d000200000000"
+    "00000004406e000000000000404e00000000000000000000000000003ff0000000000000"
+    "0000000000066d6f6e2dc3a94c0000005b00056c696e6b305253554d0002000000000000"
+    "00064076800000000000404e0000000000003ff00000000000003ff00000000000000000"
+    "000200066d6f6e2dc3a9ac1000000a0000000c08401c0000000000003f50624dd2f1a9fc"
+)
+
+
+class TestGoldenBytes:
+    """A daemon upgraded in place keeps its state directory."""
+
+    def test_seal_frame_is_the_parents(self, golden_run):
+        assert encode_seal("link-ü", golden_run[0]) == GOLDEN_SEAL
+        link, decoded = decode_seal(GOLDEN_SEAL[5:])
+        assert link == "link-ü"
+        assert decoded.to_bytes() == golden_run[0].to_bytes()
+
+    def test_appends_write_the_parents_wal(self, golden_run, tmp_path):
+        links = ("link0", "link1", "link0")
+        with CheckpointStore(tmp_path, compact_every=100) as store:
+            for link, record in zip(links, golden_run):
+                store.append(link, record)
+            assert store.wal_path.read_bytes() == GOLDEN_WAL
+
+    def test_the_parents_wal_restores(self, golden_run, tmp_path):
+        (tmp_path / WAL_NAME).write_bytes(GOLDEN_WAL)
+        first, second, third = golden_run
+        with CheckpointStore(tmp_path) as store:
+            assert not store.recovered_torn_tail
+            assert wire(store) == {
+                "link0": [first.to_bytes(), third.to_bytes()],
+                "link1": [second.to_bytes()],
+            }
+            # restore folded the WAL into a snapshot a parent reads
+            # back: the same three frames, grouped by link
+            assert len(store.snapshot_path.read_bytes()) == len(GOLDEN_WAL)

@@ -62,8 +62,9 @@ def workload():
     count = 8000
     stamps = np.sort(rng.uniform(0, 8 * SLOT_SECONDS, count))
     heavy = rng.random(count) < 0.6
-    flow = np.where(heavy, rng.integers(0, 4, count),
-                    rng.integers(4, 34, count))
+    flow = np.where(
+        heavy, rng.integers(0, 4, count), rng.integers(4, 34, count)
+    )
     dests = (10 << 24) + flow * (1 << 16) + 1
     sizes = np.where(heavy, 1500, 72)
     return stamps, dests, sizes
@@ -71,12 +72,16 @@ def workload():
 
 def monitor_run(source, backend=None):
     """Stream one monitor's packets into per-slot summaries."""
-    aggregator = StreamingAggregator(FixedLengthResolver(16),
-                                     slot_seconds=SLOT_SECONDS,
-                                     start=0.0, backend=backend)
+    aggregator = StreamingAggregator(
+        FixedLengthResolver(16),
+        slot_seconds=SLOT_SECONDS,
+        start=0.0,
+        backend=backend,
+    )
     slots = AggregatingSlotSource(source, aggregator)
-    return [SlotSummary.from_frame(frame, SLOT_SECONDS)
-            for frame in slots.slots()]
+    return [
+        SlotSummary.from_frame(frame, SLOT_SECONDS) for frame in slots.slots()
+    ]
 
 
 def elephant_sets(events):
@@ -90,13 +95,17 @@ class TestMergedSlotSource:
 
     def test_population_grows_and_rows_are_permanent(self):
         merged = [
-            SlotSummary(0, 0.0, 60.0,
-                        (Prefix.parse("10.0.0.0/16"),),
-                        np.array([60.0])),
-            SlotSummary(1, 60.0, 60.0,
-                        (Prefix.parse("10.1.0.0/16"),
-                         Prefix.parse("10.0.0.0/16")),
-                        np.array([30.0, 15.0]), residual_bytes=7.5),
+            SlotSummary(
+                0, 0.0, 60.0, (Prefix.parse("10.0.0.0/16"),), np.array([60.0])
+            ),
+            SlotSummary(
+                1,
+                60.0,
+                60.0,
+                (Prefix.parse("10.1.0.0/16"), Prefix.parse("10.0.0.0/16")),
+                np.array([30.0, 15.0]),
+                residual_bytes=7.5,
+            ),
         ]
         frames = list(MergedSlotSource(merged).slots())
         assert frames[0].num_flows == 2  # residual + first prefix
@@ -108,31 +117,112 @@ class TestMergedSlotSource:
         assert frames[1].rates[2] == pytest.approx(4.0)
 
     def test_default_route_entry_folds_into_residual(self):
-        merged = [SlotSummary(
-            0, 0.0, 60.0,
-            (RESIDUAL_PREFIX, Prefix.parse("10.0.0.0/16")),
-            np.array([30.0, 60.0]), residual_bytes=30.0,
-        )]
+        merged = [
+            SlotSummary(
+                0,
+                0.0,
+                60.0,
+                (RESIDUAL_PREFIX, Prefix.parse("10.0.0.0/16")),
+                np.array([30.0, 60.0]),
+                residual_bytes=30.0,
+            )
+        ]
         frames = list(MergedSlotSource(merged).slots())
         assert frames[0].num_flows == 2
         assert frames[0].rates[0] == pytest.approx(8.0)
 
 
+class DictSlotSource:
+    """``MergedSlotSource.frame_of`` as it was before populations were
+    columns: a ``dict[Prefix, int]`` row map and a per-prefix walk. The
+    oracle the index-and-``bincount`` version is held to."""
+
+    def __init__(self, slot_seconds):
+        self.slot_seconds = slot_seconds
+        self.prefixes = [RESIDUAL_PREFIX]
+        self._row_of = {}
+
+    def rates_of(self, summary):
+        residual = summary.residual_bytes
+        for prefix in summary.prefixes:
+            if prefix not in self._row_of and prefix != RESIDUAL_PREFIX:
+                self._row_of[prefix] = len(self.prefixes)
+                self.prefixes.append(prefix)
+        rates = np.zeros(len(self.prefixes))
+        for prefix, volume in zip(summary.prefixes, summary.volumes.tolist()):
+            if prefix == RESIDUAL_PREFIX:
+                residual += volume
+                continue
+            rates[self._row_of[prefix]] += volume
+        rates[0] = residual
+        rates *= 8.0 / self.slot_seconds
+        return rates
+
+
+class TestFrameOfAgainstTheDictWalk:
+    def test_fifty_churning_slots(self):
+        """Flows come and go, the default route is tracked now and
+        then, some entries carry nothing: every frame's rates equal the
+        dict walk's with ``==``, the population row for row."""
+        rng = np.random.default_rng(23)
+        pool = [RESIDUAL_PREFIX] + [
+            Prefix((10 << 24) | (row << 8), 24) for row in range(300)
+        ]
+        source = MergedSlotSource([], slot_seconds=60.0)
+        oracle = DictSlotSource(60.0)
+        tracked_default = 0
+        for slot in range(50):
+            # a window sliding over the pool, so rows retire and return
+            window = pool[: 40 + 5 * slot] if slot % 3 else pool[slot:]
+            size = int(rng.integers(0, min(len(window), 80)))
+            picks = rng.permutation(len(window))[:size].tolist()
+            volumes = rng.uniform(0.0, 1e9, size) * (rng.random(size) < 0.9)
+            summary = SlotSummary(
+                slot,
+                slot * 60.0,
+                60.0,
+                [window[pick] for pick in picks],
+                volumes,
+                residual_bytes=float(rng.uniform(0.0, 1e8)),
+            )
+            frame = source.frame_of(summary)
+            assert frame.rates.tolist() == oracle.rates_of(summary).tolist()
+            assert list(frame.population) == oracle.prefixes
+            assert frame.residual_row == 0
+            if RESIDUAL_PREFIX in summary.prefixes:
+                tracked_default += 1
+                row = summary.prefixes.index(RESIDUAL_PREFIX)
+                folded = summary.residual_bytes + float(volumes[row])
+                assert frame.rates[0] == folded * (8.0 / 60.0)
+        assert tracked_default >= 5
+        # the default route never earned a row of its own
+        assert list(source.prefixes).count(RESIDUAL_PREFIX) == 1
+        assert len(source.prefixes) > 150
+
+
 class TestCollectorEquivalence:
-    def test_partitioned_exact_monitors_match_single_monitor(
-            self, workload):
+    def test_partitioned_exact_monitors_match_single_monitor(self, workload):
         stamps, dests, sizes = workload
-        reference = StreamingPipeline(AggregatingSlotSource(
-            ArraySource(stamps, dests, sizes),
-            StreamingAggregator(FixedLengthResolver(16),
-                                slot_seconds=SLOT_SECONDS, start=0.0),
-        ))
+        reference = StreamingPipeline(
+            AggregatingSlotSource(
+                ArraySource(stamps, dests, sizes),
+                StreamingAggregator(
+                    FixedLengthResolver(16),
+                    slot_seconds=SLOT_SECONDS,
+                    start=0.0,
+                ),
+            )
+        )
         truth = elephant_sets(reference.events())
 
         runs = [
-            monitor_run(StridedPacketSource(
-                ArraySource(stamps, dests, sizes), 3, offset,
-            ))
+            monitor_run(
+                StridedPacketSource(
+                    ArraySource(stamps, dests, sizes),
+                    3,
+                    offset,
+                )
+            )
             for offset in range(3)
         ]
         collector = Collector(runs)
@@ -147,8 +237,9 @@ class TestCollectorEquivalence:
         stamps, dests, sizes = workload
         runs = [
             monitor_run(
-                StridedPacketSource(ArraySource(stamps, dests, sizes),
-                                    3, offset),
+                StridedPacketSource(
+                    ArraySource(stamps, dests, sizes), 3, offset
+                ),
                 backend=make_backend("space-saving", capacity=10),
             )
             for offset in range(3)
@@ -165,8 +256,9 @@ class TestCollectorEquivalence:
         stamps, dests, sizes = workload
         runs = [
             monitor_run(
-                StridedPacketSource(ArraySource(stamps, dests, sizes),
-                                    2, offset),
+                StridedPacketSource(
+                    ArraySource(stamps, dests, sizes), 2, offset
+                ),
                 backend=make_backend("misra-gries", capacity=8),
             )
             for offset in range(2)
@@ -178,8 +270,9 @@ class TestCollectorEquivalence:
     def test_classify_returns_batch_shaped_result(self, workload):
         stamps, dests, sizes = workload
         runs = [monitor_run(ArraySource(stamps, dests, sizes))]
-        collector = Collector(runs, k=16, scheme=Scheme.CONSTANT_LOAD,
-                              feature=Feature.SINGLE)
+        collector = Collector(
+            runs, k=16, scheme=Scheme.CONSTANT_LOAD, feature=Feature.SINGLE
+        )
         result, series = collector.classify()
         assert result.matrix.num_slots == collector.num_slots
         assert result.matrix.prefixes[0] == RESIDUAL_PREFIX

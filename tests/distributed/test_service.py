@@ -11,6 +11,7 @@ to the offline flatten order and makes the comparison exact, float for
 float.
 """
 
+import dataclasses
 import socket
 import struct
 import time
@@ -23,6 +24,7 @@ from repro.distributed import (
     SlotSummary,
     StridedPacketSource,
     elephant_entries,
+    merge_runs,
 )
 from repro.distributed.framing import (
     KIND_HELLO,
@@ -33,6 +35,7 @@ from repro.distributed.framing import (
 )
 from repro.distributed.service import (
     CollectorService,
+    LiveCollector,
     LiveLink,
     MonitorClient,
     ServiceHandle,
@@ -42,8 +45,10 @@ from repro.distributed.service import (
 )
 from repro.errors import (
     AddressError,
+    ClassificationError,
     ServiceProtocolError,
 )
+from repro.net.prefix import Prefix
 from repro.pipeline import (
     AggregatingSlotSource,
     StreamingAggregator,
@@ -417,6 +422,148 @@ class TestServiceRobustness:
             for _ in range(2):
                 s.sendall(encode_json_frame(KIND_QUERY, {"link": None}))
                 assert s.recv(65536)
+
+
+def wait_until_gone(address, monitor):
+    """Poll until the service has noticed ``monitor``'s dropped socket."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        if not query_service(address)["monitors"][monitor]["connected"]:
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"{monitor} still attached")
+
+
+class TestMergeOrder:
+    """A cell merges in first-hello order, whichever frame came first.
+
+    ``merge_summaries`` numbers rows first-seen and adds left to right,
+    so the order of its inputs decides the merged row order, the
+    tie-break of the re-truncation and the last ulp of every sum; it
+    used to be the order the sockets happened to be read in.
+    """
+
+    K = 20
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        """Three overlapping runs with fractional volumes and ties."""
+        rng = np.random.default_rng(7)
+        pool = [Prefix((10 << 24) | (row << 16), 16) for row in range(40)]
+
+        def run(name):
+            summaries = []
+            for cell in range(6):
+                picks = rng.permutation(len(pool))[:30].tolist()
+                volumes = rng.uniform(0.1, 1e6, 30)
+                volumes[:8] = 0.1  # ties: the cut depends on row order
+                summaries.append(
+                    SlotSummary(
+                        slot=cell,
+                        start=cell * SLOT_SECONDS,
+                        slot_seconds=SLOT_SECONDS,
+                        prefixes=[pool[pick] for pick in picks],
+                        volumes=volumes,
+                        residual_bytes=float(rng.uniform(0.0, 10.0)),
+                        monitor=name,
+                    )
+                )
+            return summaries
+
+        return [run(name) for name in MONITORS]
+
+    def sealed_bytes(self, fleet, state_dir, arrival):
+        """Every sealed slot's wire record, the monitors greeting in
+        MONITORS order and each cell's frames arriving in ``arrival``."""
+        service = CollectorService(k=self.K, state_dir=str(state_dir))
+        with ServiceHandle(service) as handle:
+            clients = [MonitorClient(handle.address, n) for n in MONITORS]
+            for cell in range(6):
+                for index in arrival:
+                    clients[index].publish(fleet[index][cell])
+                    clients[index].drain()
+            for client in clients:
+                client.close()
+            assert query_service(handle.address)["slots"] == 6
+        sealed = service.checkpoint.sealed["link0"]
+        return [summary.to_bytes() for summary in sealed]
+
+    def test_interleaving_does_not_reach_the_sealed_bytes(
+        self, fleet, tmp_path
+    ):
+        forward = self.sealed_bytes(fleet, tmp_path / "forward", (0, 1, 2))
+        reverse = self.sealed_bytes(fleet, tmp_path / "reverse", (2, 1, 0))
+        mixed = self.sealed_bytes(fleet, tmp_path / "mixed", (1, 2, 0))
+        assert forward == reverse == mixed
+        # ...and are what the offline merge makes of the same runs
+        offline = merge_runs(fleet, k=self.K, check_skew=False)
+        assert forward == [summary.to_bytes() for summary in offline]
+
+
+def shifted(summary, seconds):
+    return dataclasses.replace(summary, start=summary.start + seconds)
+
+
+class TestOffGridStart:
+    """A summary whose start is off its grid cell is refused at the
+    door, on the connection that sent it. It used to be binned by a
+    rounded cell and fail the merge at seal time — with the cell
+    already popped, in the handler of whichever monitor's summary
+    happened to move the frontier."""
+
+    def test_live_collector_refuses_it_and_touches_nothing(self, runs):
+        collector = LiveCollector()
+        collector.attach("mon-a", "l")
+        collector.attach("mon-b", "l")
+        collector.add_summary("mon-a", "l", runs[0][0])
+        with pytest.raises(ClassificationError, match="does not align"):
+            collector.add_summary("mon-b", "l", shifted(runs[1][0], 1e-7))
+        link = collector.links["l"]
+        assert link.slots_sealed == 0
+        assert collector.monitors[("l", "mon-b")].slots_received == 0
+        # mon-b's cell is still open to the aligned summary
+        assert collector.add_summary("mon-b", "l", runs[1][0]) == (0, "ok")
+        assert link.slots_sealed == 1
+
+    def test_the_first_arrival_is_held_to_the_grid(self, runs):
+        link = LiveLink("l")
+        link.attach("mon-a")
+        off = shifted(runs[0][3], 1e-7)
+        with pytest.raises(ClassificationError, match="start 30.0, grid"):
+            link.add_summary("mon-a", off)
+        assert link.slot_seconds is None
+        assert link.add_summary("mon-a", runs[0][3]) == (3, "ok")
+
+    def test_an_ulp_of_rounding_is_not_off_the_grid(self):
+        """A monitor's start is ``origin + slot * seconds``; on a grid
+        that is not a binary fraction that lands an ulp off
+        ``cell * seconds`` now and then, and is still that cell."""
+        start = 1 * 0.1 + 5 * 0.1
+        assert start != 6 * 0.1
+        link = LiveLink("l")
+        link.attach("mon-a")
+        summary = SlotSummary(5, start, 0.1, (), np.zeros(0), 600.0)
+        assert link.add_summary("mon-a", summary) == (6, "ok")
+
+    def test_service_fails_the_offender_and_seals_the_rest(self, live, runs):
+        good = MonitorClient(live.address, "mon-a")
+        bad = MonitorClient(live.address, "mon-b")
+        good.publish(runs[0][0])
+        good.drain()
+        bad.publish(shifted(runs[1][0], 1e-7))
+        with pytest.raises(ServiceProtocolError, match="does not align"):
+            bad.drain()
+        wait_until_gone(live.address, "mon-b")
+        # the other monitor never hears of it: its run seals every cell
+        for summary in runs[0][1:]:
+            good.publish(summary)
+            good.drain()
+        good.close()
+        report = query_service(live.address)
+        assert report["slots"] == len(runs[0])
+        expected = offline_report([runs[0]])
+        assert report["elephants_by_slot"] == expected["elephants_by_slot"]
+        assert report["monitors"]["mon-b"]["slots_received"] == 0
 
 
 class TestOnceCondition:

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import SlotSummary, load_summaries, save_summaries
 from repro.distributed.summary import MAGIC, VERSION
@@ -193,6 +195,59 @@ class TestTruncated:
         with pytest.raises(ClassificationError):
             summary().truncated(-1)
 
+    def test_cutting_empty_entries_spills_exactly_nothing(self):
+        """The spill is the cut entries' own sum, not a difference of
+        two sums taken in different orders: when everything cut carried
+        zero bytes (a monitor may send such entries) it used to come
+        out a few ulps either side of zero — negative raised from the
+        constructor, positive grew bytes nobody sent."""
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            size = int(rng.integers(10, 401))
+            keep = int(rng.integers(1, size))
+            volumes = np.zeros(size)
+            live = rng.permutation(size)[:keep]
+            volumes[live] = rng.uniform(1.0, 1e9, keep)
+            whole = SlotSummary(
+                0,
+                0.0,
+                60.0,
+                [Prefix(row << 8, 24) for row in range(size)],
+                volumes,
+            )
+            cut = whole.truncated(keep)
+            assert cut.residual_bytes == 0.0
+            assert sorted(cut.volumes.tolist()) == sorted(
+                volumes[live].tolist()
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        volumes=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e15)), max_size=40
+        ),
+        residual=st.floats(0.0, 1e15),
+        k=st.integers(0, 45),
+    )
+    def test_truncation_conserves_bytes(self, volumes, residual, k):
+        whole = SlotSummary(
+            0,
+            0.0,
+            60.0,
+            [Prefix(row << 8, 24) for row in range(len(volumes))],
+            np.array(volumes),
+            residual_bytes=residual,
+        )
+        cut = whole.truncated(k)
+        assert cut.num_entries == min(k, len(volumes))
+        assert cut.residual_bytes >= residual
+        assert cut.total_bytes == pytest.approx(whole.total_bytes)
+        # the table keeps the k largest, in the order they stood
+        kept = set(np.argsort(-np.array(volumes), kind="stable")[:k].tolist())
+        assert cut.volumes.tolist() == [
+            volume for row, volume in enumerate(volumes) if row in kept
+        ]
+
 
 class TestWireFormat:
     def test_round_trip(self):
@@ -235,6 +290,11 @@ class TestWireFormat:
 
     def test_magic_is_stable(self):
         assert summary().to_bytes()[:4] == MAGIC
+
+    def test_name_too_long_for_its_length_field(self):
+        assert summary(monitor="m" * 0xFFFF).to_bytes()
+        with pytest.raises(ClassificationError, match="too long"):
+            summary(monitor="m" * 0x10000).to_bytes()
 
 
 class TestNpzFormat:
