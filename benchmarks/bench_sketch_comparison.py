@@ -9,7 +9,7 @@ set, while latent-heat elephants persist.
 from repro.analysis.report import format_table
 from repro.core.engine import Feature, Scheme
 from repro.core.states import HoldingTimeSummary, transition_counts
-from repro.sketches.compare import (
+from repro.sketches.streaming_eval import (
     exact_top_k_per_slot,
     mask_agreement,
     space_saving_per_slot,

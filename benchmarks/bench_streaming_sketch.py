@@ -21,8 +21,13 @@ import pytest
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
-from repro.pipeline import PcapPacketSource, make_backend
+from repro.pipeline import (
+    ArraySketchAggregation,
+    PcapPacketSource,
+    make_backend,
+)
 from repro.routing.lpm import CompiledLpm
+from repro.sketches import ArraySampleHold
 from repro.sketches.streaming_eval import (
     COMPARISON_COLUMNS,
     evaluate_backends,
@@ -81,8 +86,8 @@ def test_sketch_backend_accuracy(capture, report_writer):
         make_backend(name, capacity=capacity)
         if name != "sample-hold"
         # per-byte sampling sized to catch ~100 kB flows on this trace
-        else make_backend(name, capacity=capacity,
-                          sampling_probability=1e-4)
+        else ArraySketchAggregation(
+            ArraySampleHold(capacity, 1e-4, 0), "sample-hold")
         for name in names
     ]
     comparisons = []

@@ -543,7 +543,7 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         default="none",
         help="candidate-admission pre-filter: bloom gates "
         "sketch entry on a counting-Bloom byte "
-        "threshold (array-table sketches only)",
+        "threshold (sketch backends only)",
     )
     parser.add_argument(
         "--admission-threshold",
@@ -551,7 +551,8 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="BYTES",
         help="bytes a flow must accumulate in the Bloom "
-        "pre-filter before it may enter the table",
+        "pre-filter before it may enter the table "
+        "(with --admission bloom)",
     )
 
 
@@ -783,8 +784,9 @@ def _spec_summary(
         summary["inverted"] = spec.sampling.invert
     if spec.admission != "none":
         summary["admission"] = spec.admission
-        rejected = getattr(backend, "admission_rejected_bytes", None)
-        if rejected is not None:
+        if backend is not None:
+            # a fleet's gates lived in the workers, as its tables did
+            rejected = backend.admission_rejected_bytes
             summary["admission_rejected_bytes"] = rejected
 
 

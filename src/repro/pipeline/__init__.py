@@ -19,17 +19,10 @@ from repro.pipeline.backends import (
     BACKEND_NAMES,
     RESIDUAL_PREFIX,
     AggregationBackend,
-    ArrayCountMinAggregation,
-    ArrayMisraGriesAggregation,
     ArraySketchAggregation,
-    ArraySpaceSavingAggregation,
-    CountMinAggregation,
     ExactAggregation,
-    MisraGriesAggregation,
-    SampleHoldAggregation,
     SketchAggregation,
     SketchSlotSource,
-    SpaceSavingAggregation,
     capacity_for_budget,
     make_backend,
     parse_memory_budget,
@@ -65,23 +58,16 @@ __all__ = [
     "ADMISSION_NAMES",
     "AggregatingSlotSource",
     "AggregationBackend",
-    "ArrayCountMinAggregation",
-    "ArrayMisraGriesAggregation",
     "ArrayPacketSource",
     "ArraySketchAggregation",
-    "ArraySpaceSavingAggregation",
     "BACKEND_NAMES",
-    "CountMinAggregation",
     "CsvPacketSource",
     "ExactAggregation",
-    "MisraGriesAggregation",
     "RESIDUAL_PREFIX",
-    "SampleHoldAggregation",
     "ShardedAggregation",
     "shard_of",
     "SketchAggregation",
     "SketchSlotSource",
-    "SpaceSavingAggregation",
     "capacity_for_budget",
     "make_backend",
     "parse_memory_budget",

@@ -16,21 +16,19 @@ reads — and keeps no other per-flow ledger:
   ``0.0.0.0/0``, always row 0), so every emitted slot still sums to
   the traffic that arrived.
 
-Space-Saving, Misra–Gries and Count-Min run on the production path as
-flat struct-of-arrays candidate tables
-(:class:`ArraySketchAggregation` family over
-:mod:`repro.sketches.array_tables`) with one vectorized
-probe/admit/evict pass per batch and per-slot accumulators held as
-parallel arrays — no Python work per key on the hot path;
-:func:`make_backend` builds these, and only these, by name. The
-**scalar** classes (:class:`SketchAggregation` family) feed the
-reference dict-and-heap sketches in :mod:`repro.sketches` one key at a
-time. They are the semantics oracle — the property suite and the CI
-bench construct them by class and hold the array tables to them (exact
-agreement on single-key batches, the tables' documented batch
-semantics otherwise) — and Sample-and-Hold, which has no batch
-formulation, is the one name :func:`make_backend` maps to a scalar
-class.
+A bounded backend is handed its summary, built, instead of subclassing
+per summary. :class:`ArraySketchAggregation` runs any candidate table
+of :mod:`repro.sketches.array_tables` — bare, or behind a Bloom
+admission gate (:func:`~repro.sketches.bloom.gated_table`) — with one
+vectorized probe/admit/evict pass per batch and per-slot accumulators
+held as parallel arrays: no Python work per key on the hot path.
+:func:`make_backend` builds it for every sketch name from one
+name → table dict. The **scalar** :class:`SketchAggregation` feeds any
+dict-and-heap summary of :mod:`repro.sketches` one key at a time: the
+semantics oracle, which tests build by hand
+(``SketchAggregation(SpaceSaving(K), K, "space-saving")``) and hold the
+array tables to — exact agreement on single-key batches (any batch for
+Sample-and-Hold), the tables' documented batch semantics otherwise.
 
 Row semantics under a sketch: a flow earns a stream row the first time
 it is still tracked when a slot closes — surviving one slot boundary is
@@ -43,11 +41,10 @@ into the residual until it is re-admitted.
 Populations are columns: ``backend.prefixes`` is a
 :class:`~repro.net.prefix.PrefixColumns`, and a flow that earns a row
 is admitted as a slice of the table that travels in the fourth
-``accumulate`` argument (:data:`PrefixOf`: the resolver's own
-``PrefixColumns`` on the production path, a ``key -> Prefix`` callable
-from tests and slot-altitude replays) — one array step shared by every
-array backend (:meth:`AggregationBackend._admit`). Only the scalar
-oracles build a ``Prefix`` per candidate.
+``accumulate`` argument (the resolver's own ``PrefixColumns``; a
+slot-altitude replay hands over the frame population) — one array step
+shared by every array backend (:meth:`AggregationBackend._admit`).
+Only the scalar oracle builds a ``Prefix`` per candidate.
 
 Backends also speak the slot altitude: :class:`SketchSlotSource`
 filters any :class:`~repro.pipeline.sources.SlotSource` (for instance a
@@ -58,7 +55,6 @@ replayed matrix) through a backend, which is how
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Callable, Iterator
 
 import numpy as np
@@ -69,19 +65,15 @@ from repro.pipeline.sources import SlotFrame, SlotSource
 from repro.sketches.array_tables import (
     ArrayCountMin,
     ArrayMisraGries,
+    ArraySampleHold,
     ArraySpaceSaving,
     _KeyTable,
 )
 from repro.sketches.bloom import (
     DEFAULT_ADMISSION_THRESHOLD,
-    DEFAULT_BLOOM_DECAY,
-    DEFAULT_BLOOM_DEPTH,
+    BloomGatedTable,
     gated_table,
 )
-from repro.sketches.count_min import CountMinSketch
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.sample_hold import SampleAndHold
-from repro.sketches.space_saving import SpaceSaving
 
 #: The population entry that absorbs untracked ("other") traffic. A
 #: *real* default-route flow (a 0.0.0.0/0 RIB entry, or
@@ -90,29 +82,15 @@ from repro.sketches.space_saving import SpaceSaving
 #: must stay duplicate-free.
 RESIDUAL_PREFIX = Prefix(0, 0)
 
-#: Rough per-tracked-entry cost in bytes for the scalar engine: sketch
-#: dict slot, pending slot accumulator and row map entry, amortised.
-#: The byte-budget sizing keeps using this conservative number for both
-#: engines (the array tables' flat layout costs well under half of it),
-#: so a budgeted deployment never under-buys.
+#: What the byte-budget sizing charges per tracked entry: table slot,
+#: key index, pending slot accumulator and row map entry, amortised. A
+#: conservative budget constant — the array tables' flat layout costs
+#: well under half of it — so a budgeted deployment never under-buys.
 TRACKED_ENTRY_BYTES = 320
 #: Extra Count-Min table cells per unit of capacity (width factor x
 #: depth x 8-byte counters).
 _CM_WIDTH_FACTOR = 4
 _CM_DEPTH = 4
-
-#: The fourth ``accumulate`` argument, what gives flow keys their
-#: prefixes: the resolver's table itself (the aggregator's; new flows
-#: are admitted as slices of it) or a ``key -> Prefix`` callable
-#: (tests, slot-altitude replays), asked once per admitted key.
-PrefixOf = PrefixColumns | Callable[[int], Prefix]
-
-
-def prefixes_of(prefix_of: PrefixOf, keys: np.ndarray) -> PrefixColumns:
-    """The prefixes of flow keys ``keys``, as columns."""
-    if isinstance(prefix_of, PrefixColumns):
-        return prefix_of[keys]
-    return PrefixColumns.of([prefix_of(key) for key in keys.tolist()])
 
 
 def group_by_row(
@@ -150,7 +128,7 @@ class AggregationBackend(abc.ABC):
 
     The aggregator feeds each slot's traffic through
     :meth:`accumulate` (integer flow keys, byte sizes, timestamps and
-    what gives the keys their prefixes, see :data:`PrefixOf`) and calls
+    the prefix table the keys are rows of) and calls
     :meth:`close_slot` at every slot boundary to harvest the byte
     vector. ``prefixes`` is the live, append-only population, a
     :class:`~repro.net.prefix.PrefixColumns` — frames share it by
@@ -168,6 +146,8 @@ class AggregationBackend(abc.ABC):
     residual_row: int | None = None
     #: Tracked-flow bound (``None`` for unbounded/exact backends).
     capacity: int | None = None
+    #: Bytes turned away by an admission gate (0 without one).
+    admission_rejected_bytes = 0.0
 
     def __init__(self) -> None:
         self.prefixes = PrefixColumns()
@@ -191,19 +171,21 @@ class AggregationBackend(abc.ABC):
         keys: np.ndarray,
         sizes: np.ndarray,
         timestamps: np.ndarray,
-        prefix_of: PrefixOf,
+        table: PrefixColumns,
     ) -> None:
         """Account one group of same-slot packets, keyed by flow.
 
         ``keys``, ``sizes`` and ``timestamps`` are parallel per-packet
-        arrays in arrival order. Keys are dense non-negative rows (the
-        resolver's, or a slot source's): backends index flat arrays by
-        key, so work and memory per call are O(batch + largest key),
-        and ``-1`` is reserved as the "no entry" marker of
-        :class:`~repro.hash_index.HashIndex`. No bundled backend reads
-        ``timestamps`` — the slot is already decided by the caller and
-        only bytes are counted — but the argument is part of the
-        signature callers and wrappers name, so it is always passed.
+        arrays in arrival order. Keys are dense non-negative rows of
+        ``table`` (the resolver's prefixes, or a slot source's
+        population; new flows are admitted as slices of it): backends
+        index flat arrays by key, so work and memory per call are
+        O(batch + largest key), and ``-1`` is reserved as the "no
+        entry" marker of :class:`~repro.hash_index.HashIndex`. No
+        bundled backend reads ``timestamps`` — the slot is already
+        decided by the caller and only bytes are counted — but the
+        argument is part of the signature callers and wrappers name, so
+        it is always passed.
         """
 
     @abc.abstractmethod
@@ -249,16 +231,16 @@ class AggregationBackend(abc.ABC):
         self._keys.extend(keys.tolist())
 
     def _admit_first_traffic(
-        self, unique: np.ndarray, first_index: np.ndarray, prefix_of: PrefixOf
+        self, unique: np.ndarray, first: np.ndarray, table: PrefixColumns
     ) -> None:
         """Rows for the grouped keys that have none, numbered in
-        first-traffic order (keys arrive time-ordered within a slot
-        group), so the numbering does not depend on how the capture was
-        chunked into batches."""
+        first-traffic order (``first``: each key's first packet; keys
+        arrive time-ordered within a slot group), so the numbering does
+        not depend on how the capture was chunked into batches."""
         new = self._rows_of(unique) < 0
         if new.any():
-            fresh = unique[new][np.argsort(first_index[new])]
-            self._admit(fresh, prefixes_of(prefix_of, fresh))
+            fresh = unique[new][np.argsort(first[new])]
+            self._admit(fresh, table[fresh])
 
     @property
     def num_rows(self) -> int:
@@ -293,12 +275,12 @@ class ExactAggregation(AggregationBackend):
         keys: np.ndarray,
         sizes: np.ndarray,
         timestamps: np.ndarray,
-        prefix_of: PrefixOf,
+        table: PrefixColumns,
     ) -> None:
         if keys.size == 0:
             return
         unique, weights, first_index = group_by_row(keys, sizes)
-        self._admit_first_traffic(unique, first_index, prefix_of)
+        self._admit_first_traffic(unique, first_index, table)
         population = len(self.prefixes)
         size = self._open.size
         if population > size:
@@ -330,11 +312,13 @@ class _PendingEntry:
 
 
 class SketchAggregation(AggregationBackend):
-    """Base for scalar bounded backends: sketch + residual bookkeeping.
+    """The scalar bounded backend: any reference summary, key by key.
 
-    Subclasses provide the summary itself via :meth:`_offer` (feed one
-    weighted key, report whether it is tracked afterwards) and
-    :meth:`_tracked`. This class owns the slot-local candidate
+    ``sketch`` is a built :mod:`repro.sketches` summary that speaks
+    ``update(key, weight)``, ``estimate(key)`` (positive iff tracked)
+    and ``len()`` — ``SpaceSaving``, ``MisraGries``,
+    ``CountMinCandidates``, ``SampleAndHold`` — holding at most
+    ``capacity`` keys. This class owns the slot-local candidate
     accounting, the prune-on-eviction step that keeps the candidate
     table at ``capacity``, and the row assignment at slot close. It is
     the reference implementation the array tables are tested against.
@@ -342,37 +326,32 @@ class SketchAggregation(AggregationBackend):
 
     residual_row = 0
 
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ClassificationError("capacity must be >= 1")
+    def __init__(self, sketch, capacity: int, name: str) -> None:
         super().__init__()
+        self.name = name
         self.capacity = capacity
         self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
+        self._sketch = sketch
         self._row_of: dict[int, int] = {}
         self._pending: dict[int, _PendingEntry] = {}
         self._residual = 0.0
 
-    @abc.abstractmethod
-    def _offer(self, key: int, weight: float) -> bool:
-        """Feed one weighted key to the sketch; is it tracked now?"""
+    @property
+    def tracked_flows(self) -> int:
+        return len(self._sketch)
 
-    @abc.abstractmethod
     def _tracked(self, key: int) -> bool:
-        """Is ``key`` currently held by the sketch?"""
+        return self._sketch.estimate(key) > 0.0
 
     def accumulate(
         self,
         keys: np.ndarray,
         sizes: np.ndarray,
         timestamps: np.ndarray,
-        prefix_of: PrefixOf,
+        table: PrefixColumns,
     ) -> None:
         if keys.size == 0:
             return
-        if isinstance(prefix_of, PrefixColumns):
-            # the oracle stays boxed: one Prefix per candidate, read
-            # from the resolver's table as it is asked of a callable
-            prefix_of = prefix_of.__getitem__
         unique, first_index, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
@@ -384,10 +363,12 @@ class SketchAggregation(AggregationBackend):
         for i in np.argsort(first_index).tolist():
             key = int(unique[i])
             weight = float(weights[i])
-            if self._offer(key, weight):
+            self._sketch.update(key, weight)
+            if self._tracked(key):
                 entry = self._pending.get(key)
                 if entry is None:
-                    entry = _PendingEntry(prefix_of(key))
+                    # the oracle stays boxed: one Prefix per candidate
+                    entry = _PendingEntry(table[key])
                     self._pending[key] = entry
                 entry.bytes += weight
             else:
@@ -428,169 +409,13 @@ class SketchAggregation(AggregationBackend):
         return vector
 
 
-class SummaryGatedAggregation(SketchAggregation):
-    """Sketches whose summary object *is* the membership test.
-
-    Space-Saving, Misra–Gries and Sample-and-Hold all expose the same
-    shape — ``update(key, weight)``, ``estimate(key)`` (positive iff
-    tracked), ``len()`` — so the offer/tracked logic lives here once;
-    subclasses only construct ``self._sketch``.
-    """
-
-    _sketch: SpaceSaving[int] | MisraGries[int] | SampleAndHold[int]
-
-    @property
-    def tracked_flows(self) -> int:
-        return len(self._sketch)
-
-    def _offer(self, key: int, weight: float) -> bool:
-        self._sketch.update(key, weight)
-        return self._sketch.estimate(key) > 0.0
-
-    def _tracked(self, key: int) -> bool:
-        return self._sketch.estimate(key) > 0.0
-
-
-class SpaceSavingAggregation(SummaryGatedAggregation):
-    """Space-Saving candidate table: overflow evicts the minimum count.
-
-    Every newcomer is admitted (inheriting the victim's count), so the
-    slot-close survival rule does the real gating: a mouse admitted and
-    evicted within one slot never earns a row.
-    """
-
-    name = "space-saving"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._sketch = SpaceSaving(capacity)
-
-
-class MisraGriesAggregation(SummaryGatedAggregation):
-    """Misra–Gries counters: light newcomers decrement, heavy ones stay.
-
-    Deterministic and admission-selective — a flow lighter than the
-    current minimum counter is never tracked at all, so the candidate
-    table churns less than Space-Saving's at equal capacity.
-    """
-
-    name = "misra-gries"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._sketch = MisraGries(capacity)
-
-
-class CountMinAggregation(SketchAggregation):
-    """Count-Min sketch + a ``capacity``-entry candidate heap.
-
-    The sketch carries the frequency estimates; the candidate table
-    admits a key when its estimate beats the current minimum candidate,
-    found through a lazy min-heap (stale entries are discarded on peek,
-    as in :class:`~repro.sketches.space_saving.SpaceSaving`) so each
-    untracked key costs O(log capacity), not a table scan. Hash-based,
-    so unlike the counter summaries it never forgets a flow's history —
-    at the price of one-sided over-estimation.
-    """
-
-    name = "count-min"
-
-    def __init__(
-        self,
-        capacity: int,
-        seed: int = 0,
-        width: int | None = None,
-        depth: int = _CM_DEPTH,
-    ) -> None:
-        super().__init__(capacity)
-        if width is None:
-            width = max(16, _CM_WIDTH_FACTOR * capacity)
-        self._sketch = CountMinSketch(width=width, depth=depth, seed=seed)
-        self._candidates: dict[int, float] = {}
-        self._heap: list[tuple[float, int]] = []
-
-    @property
-    def tracked_flows(self) -> int:
-        return len(self._candidates)
-
-    def _admit(self, key: int, estimate: float) -> None:
-        self._candidates[key] = estimate
-        heapq.heappush(self._heap, (estimate, key))
-        # Stale entries (superseded estimates) accumulate faster than
-        # peeks discard them on a stable candidate set; rebuild once
-        # they dominate so heap memory stays O(capacity), not O(stream).
-        if len(self._heap) > 4 * self.capacity:
-            self._heap = [
-                (value, tracked)
-                for tracked, value in self._candidates.items()
-            ]
-            heapq.heapify(self._heap)
-
-    def _peek_minimum(self) -> tuple[int, float]:
-        """The current smallest candidate, skipping stale heap entries."""
-        while self._heap:
-            estimate, key = self._heap[0]
-            if self._candidates.get(key) == estimate:
-                return key, estimate
-            heapq.heappop(self._heap)
-        # Staleness drained the heap: rebuild from the live table.
-        self._heap = [(value, key) for key, value in self._candidates.items()]
-        heapq.heapify(self._heap)
-        estimate, key = self._heap[0]
-        return key, estimate
-
-    def _offer(self, key: int, weight: float) -> bool:
-        self._sketch.update(key, weight)
-        estimate = self._sketch.estimate(key)
-        if key in self._candidates:
-            self._admit(key, estimate)
-            return True
-        if len(self._candidates) < self.capacity:
-            self._admit(key, estimate)
-            return True
-        minimum, minimum_estimate = self._peek_minimum()
-        if estimate > minimum_estimate:
-            del self._candidates[minimum]
-            self._admit(key, estimate)
-            return True
-        return False
-
-    def _tracked(self, key: int) -> bool:
-        return key in self._candidates
-
-
-class SampleHoldAggregation(SummaryGatedAggregation):
-    """Sample-and-Hold: byte-sampled admission, exact counting after.
-
-    ``sampling_probability`` is per byte; with the default ``1e-5`` a
-    flow is caught after ~100 kB in expectation. Held flows are never
-    evicted, so the candidate table fills monotonically up to
-    ``capacity``. Admission draws the seeded RNG once per offer, so
-    there is no order-free batch formulation — this backend has no
-    array table and is the one scalar class on the production path.
-    """
-
-    name = "sample-hold"
-
-    def __init__(
-        self,
-        capacity: int,
-        sampling_probability: float = 1e-5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(capacity)
-        self._sketch = SampleAndHold(
-            sampling_probability, seed=seed, max_entries=capacity
-        )
-
-
 class ArraySketchAggregation(AggregationBackend):
-    """Array-engine bounded backend: batch kernels, flat accumulators.
+    """The bounded production backend: batch kernels, flat accumulators.
 
-    The candidate summary is an array table from
-    :mod:`repro.sketches.array_tables`; all slot-local accounting —
-    pending bytes and activation order — lives in parallel
-    ``capacity``-sized arrays indexed by table slot.
+    ``table`` is a built :mod:`repro.sketches.array_tables` candidate
+    table, bare or wrapped by :func:`~repro.sketches.bloom.gated_table`;
+    all slot-local accounting — pending bytes and activation order —
+    lives in parallel ``capacity``-sized arrays indexed by table slot.
     ``accumulate`` aggregates the batch per unique key, hands the
     aggregate to the table's one-pass batch update, flushes evicted
     slots into the residual scalar, and adds the surviving
@@ -605,49 +430,18 @@ class ArraySketchAggregation(AggregationBackend):
 
     residual_row = 0
 
-    def __init__(
-        self,
-        capacity: int,
-        admission: str | None = None,
-        admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
-        admission_width: int | None = None,
-        admission_depth: int = DEFAULT_BLOOM_DEPTH,
-        admission_decay: float = DEFAULT_BLOOM_DECAY,
-        admission_seed: int = 0,
-    ) -> None:
-        if capacity < 1:
-            raise ClassificationError("capacity must be >= 1")
+    def __init__(self, table: _KeyTable | BloomGatedTable, name: str) -> None:
         super().__init__()
-        self.capacity = capacity
+        self.name = name
+        self.capacity = table.capacity
         self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
-        self._table = self._make_table(capacity)
-        if admission in (None, "none"):
-            self.admission = None
-        elif admission == "bloom":
-            self.admission = admission
-            self._table = gated_table(
-                self._table,
-                threshold_bytes=admission_threshold,
-                width=admission_width,
-                depth=admission_depth,
-                decay=admission_decay,
-                seed=admission_seed,
-            )
-        else:
-            raise ClassificationError(
-                f"unknown admission policy {admission!r}; expected one "
-                f"of {', '.join(ADMISSION_NAMES)}"
-            )
-        self._pend_bytes = np.zeros(capacity)
-        self._pend_active = np.zeros(capacity, dtype=bool)
-        self._pend_seq = np.zeros(capacity, dtype=np.int64)
+        self._table = table
+        self._pend_bytes = np.zeros(table.capacity)
+        self._pend_active = np.zeros(table.capacity, dtype=bool)
+        self._pend_seq = np.zeros(table.capacity, dtype=np.int64)
         self._seq = 0
         self._res_bytes = 0.0
-        self._resolve: PrefixOf | None = None
-
-    @abc.abstractmethod
-    def _make_table(self, capacity: int) -> _KeyTable:
-        """Build the array candidate table for this summary."""
+        self._resolve: PrefixColumns | None = None
 
     @property
     def tracked_flows(self) -> int:
@@ -655,19 +449,18 @@ class ArraySketchAggregation(AggregationBackend):
 
     @property
     def admission_rejected_bytes(self) -> float:
-        """Bytes turned away by the admission gate (0 without one)."""
-        return float(getattr(self._table, "rejected_weight", 0.0))
+        return float(self._table.rejected_weight)
 
     def accumulate(
         self,
         keys: np.ndarray,
         sizes: np.ndarray,
         timestamps: np.ndarray,
-        prefix_of: PrefixOf,
+        table: PrefixColumns,
     ) -> None:
         if keys.size == 0:
             return
-        self._resolve = prefix_of
+        self._resolve = table
         unique, weights, first_index = group_by_row(keys, sizes)
         order = np.argsort(first_index)
         update = self._table.update_batch(unique, weights, order)
@@ -679,8 +472,8 @@ class ArraySketchAggregation(AggregationBackend):
         if tracked.any():
             self._pend_bytes[slots[tracked]] += weights[tracked]
             # Activation order follows first-traffic order, mirroring
-            # the scalar engine's pending-dict insertion order, so row
-            # numbering at slot close is engine-independent.
+            # the scalar oracle's pending-dict insertion order, so row
+            # numbering at slot close is the same under either class.
             offers = order[tracked[order]]
             ospots = slots[offers]
             fresh = ospots[~self._pend_active[ospots]]
@@ -707,7 +500,7 @@ class ArraySketchAggregation(AggregationBackend):
         keys = self._table.key[active]
         fresh = keys[self._rows_of(keys) < 0]
         if fresh.size:
-            self._admit(fresh, prefixes_of(self._resolve, fresh))
+            self._admit(fresh, self._resolve[fresh])
         # a tracked default route sits on the residual row (see
         # _admit), every other key on a row of its own
         vector = sum_by_row(
@@ -717,54 +510,11 @@ class ArraySketchAggregation(AggregationBackend):
         self._res_bytes = 0.0
         if active.size:
             self._reset_pending(active)
-        end_slot = getattr(self._table, "end_slot", None)
-        if end_slot is not None:
-            # slot-boundary hook — the Bloom admission gate ages its
-            # counters here so the threshold tracks recent bytes
-            end_slot()
+        # slot-boundary hook — the Bloom admission gate ages its
+        # counters here so the threshold tracks recent bytes
+        self._table.end_slot()
         self.slots_closed += 1
         return vector
-
-
-class ArraySpaceSavingAggregation(ArraySketchAggregation):
-    """Array-engine Space-Saving (see :class:`SpaceSavingAggregation`)."""
-
-    name = "space-saving"
-
-    def _make_table(self, capacity: int) -> _KeyTable:
-        return ArraySpaceSaving(capacity)
-
-
-class ArrayMisraGriesAggregation(ArraySketchAggregation):
-    """Array-engine Misra–Gries (see :class:`MisraGriesAggregation`)."""
-
-    name = "misra-gries"
-
-    def _make_table(self, capacity: int) -> _KeyTable:
-        return ArrayMisraGries(capacity)
-
-
-class ArrayCountMinAggregation(ArraySketchAggregation):
-    """Array-engine Count-Min (see :class:`CountMinAggregation`)."""
-
-    name = "count-min"
-
-    def __init__(
-        self,
-        capacity: int,
-        seed: int = 0,
-        width: int | None = None,
-        depth: int = _CM_DEPTH,
-        **admission,
-    ) -> None:
-        if width is None:
-            width = max(16, _CM_WIDTH_FACTOR * capacity)
-        self._cm_params = (width, depth, seed)
-        super().__init__(capacity, **admission)
-
-    def _make_table(self, capacity: int) -> _KeyTable:
-        width, depth, seed = self._cm_params
-        return ArrayCountMin(capacity, width=width, depth=depth, seed=seed)
 
 
 class SketchSlotSource:
@@ -787,7 +537,13 @@ class SketchSlotSource:
 
     def slots(self) -> Iterator[SlotFrame]:
         seconds = self.slot_seconds
+        seen = table = None
         for frame in self.source.slots():
+            if seen is not frame.population or len(table) < frame.num_flows:
+                # unboxed once per population the source hands out
+                # (again if a live boxed one has grown), not per slot
+                seen = frame.population
+                table = PrefixColumns.of(seen)
             volumes = frame.rates * seconds / 8.0
             active = np.flatnonzero(volumes > 0)
             if active.size:
@@ -795,7 +551,7 @@ class SketchSlotSource:
                     active,
                     volumes[active],
                     np.full(active.size, frame.start),
-                    frame.population.__getitem__,
+                    table,
                 )
             closed = self.backend.close_slot()
             yield SlotFrame(
@@ -807,33 +563,58 @@ class SketchSlotSource:
             )
 
 
+#: One builder per sketch name: ``(capacity, seed) -> table``. A new
+#: summary is one entry here; :data:`BACKEND_NAMES`, the CLI choices,
+#: sharding, the Bloom gate and the byte budget follow from it.
+_TABLES: dict[str, Callable[[int, int], _KeyTable]] = {
+    "space-saving": lambda k, seed: ArraySpaceSaving(k),
+    "misra-gries": lambda k, seed: ArrayMisraGries(k),
+    "count-min": lambda k, seed: ArrayCountMin(
+        k, width=max(16, _CM_WIDTH_FACTOR * k), depth=_CM_DEPTH, seed=seed
+    ),
+    "sample-hold": lambda k, seed: ArraySampleHold(k, seed=seed),
+}
+
 #: CLI names accepted by :func:`make_backend`.
-BACKEND_NAMES = (
-    "exact",
-    "space-saving",
-    "misra-gries",
-    "count-min",
-    "sample-hold",
-)
+BACKEND_NAMES = ("exact", *_TABLES)
 
 #: Admission policies accepted by :func:`make_backend`. ``"bloom"``
-#: puts a counting-Bloom byte-threshold gate in front of the array
-#: candidate tables (:mod:`repro.sketches.bloom`).
+#: puts a counting-Bloom byte-threshold gate in front of the candidate
+#: table (:mod:`repro.sketches.bloom`).
 ADMISSION_NAMES = ("none", "bloom")
 
-#: Sketch names whose candidate table is an array table — the ones a
-#: Bloom admission gate can front.
-ARRAY_SKETCH_NAMES = ("space-saving", "misra-gries", "count-min")
 
-#: The one production class per sketch name. The three summaries with a
-#: batch formulation run as array tables; sample-hold is inherently
-#: sequential (one RNG draw per offer) and runs the scalar sketch.
-_SKETCH_CLASSES: dict[str, type[AggregationBackend]] = {
-    "space-saving": ArraySpaceSavingAggregation,
-    "misra-gries": ArrayMisraGriesAggregation,
-    "count-min": ArrayCountMinAggregation,
-    "sample-hold": SampleHoldAggregation,
-}
+def check_backend(
+    name: str, capacity: int | None, admission: str = "none"
+) -> None:
+    """Raise unless ``name`` / ``capacity`` / ``admission`` combine: the
+    one place these rules are written, which :func:`make_shard` and
+    :class:`~repro.pipeline.spec.PipelineSpec` both call."""
+    if name not in BACKEND_NAMES:
+        raise ClassificationError(
+            f"unknown backend {name!r}; expected one of "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    if admission not in ADMISSION_NAMES:
+        raise ClassificationError(
+            f"unknown admission policy {admission!r}; expected one of "
+            f"{', '.join(ADMISSION_NAMES)}"
+        )
+    if capacity is not None and capacity < 1:
+        raise ClassificationError("capacity must be >= 1")
+    if name == "exact" and capacity is not None:
+        raise ClassificationError(
+            "the exact backend tracks every flow; --capacity only "
+            "applies to sketch backends"
+        )
+    if name == "exact" and admission != "none":
+        raise ClassificationError(
+            "the exact backend has no array-table for --admission to gate"
+        )
+    if name != "exact" and capacity is None:
+        raise ClassificationError(
+            f"backend {name!r} needs --capacity or --memory-budget"
+        )
 
 
 def make_backend(
@@ -841,20 +622,19 @@ def make_backend(
     capacity: int | None = None,
     seed: int = 0,
     shards: int = 1,
-    admission: str | None = None,
-    **kwargs,
+    admission: str = "none",
+    admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> AggregationBackend:
     """Build a backend by CLI name.
 
-    ``exact`` takes no capacity; every sketch backend requires one.
-    Extra keyword arguments go to the backend constructor (for example
-    ``sampling_probability`` for ``sample-hold``, or the
-    ``admission_*`` tuning knobs of the Bloom gate).
+    ``exact`` takes no capacity and no admission gate; a sketch name
+    needs a capacity and builds an :class:`ArraySketchAggregation`
+    over that name's candidate table.
 
     ``admission`` selects the candidate-admission pre-filter:
-    ``"bloom"`` gates entry to the candidate table on a counting-Bloom
-    byte threshold, so tail flows stop churning the table. Only the
-    array-table backends (every sketch but ``sample-hold``) support it.
+    ``"bloom"`` gates entry to the candidate table — any of them — on a
+    counting-Bloom byte threshold (``admission_threshold``), so tail
+    flows stop churning the table.
 
     ``shards > 1`` wraps ``shards`` inner backends of the same spec
     (:func:`make_shard`) in a
@@ -866,7 +646,9 @@ def make_backend(
     if shards < 1:
         raise ClassificationError("shards must be >= 1")
     inners = [
-        make_shard(name, i, shards, capacity, seed, admission, **kwargs)
+        make_shard(
+            name, i, shards, capacity, seed, admission, admission_threshold
+        )
         for i in range(shards)
     ]
     if shards == 1:
@@ -883,53 +665,28 @@ def make_shard(
     shards: int,
     capacity: int | None = None,
     seed: int = 0,
-    admission: str | None = None,
-    **kwargs,
+    admission: str = "none",
+    admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> AggregationBackend:
     """The inner backend partition ``index`` of a ``shards``-way split owns.
 
     The split rule lives here and nowhere else, so an in-process
     ``--shards N`` table and the table worker ``index`` of a
     ``--workers N`` fleet builds in its own process are the same
-    object: ``ceil(capacity / shards)`` entries, hash seed
-    ``seed + index`` (distinct seeds decorrelate the hash-based
-    shards' errors), and a Bloom gate seeded with the fleet-wide
-    ``seed``.
+    object: ``ceil(capacity / shards)`` entries, table seed
+    ``seed + index`` (distinct seeds decorrelate the hashed and the
+    sampled shards' errors), and a Bloom gate seeded with the
+    fleet-wide ``seed``.
     """
-    if name not in BACKEND_NAMES:
-        raise ClassificationError(
-            f"unknown backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}"
-        )
-    if admission is not None and admission not in ADMISSION_NAMES:
-        raise ClassificationError(
-            f"unknown admission policy {admission!r}; expected one of "
-            f"{', '.join(ADMISSION_NAMES)}"
-        )
-    if admission not in (None, "none"):
-        if name not in ARRAY_SKETCH_NAMES:
-            raise ClassificationError(
-                "admission gating needs an array-table sketch backend "
-                f"({', '.join(ARRAY_SKETCH_NAMES)}); got {name!r}"
-            )
-        kwargs.setdefault("admission_seed", seed)
-        kwargs["admission"] = admission
+    check_backend(name, capacity, admission)
     if name == "exact":
-        if capacity is not None:
-            raise ClassificationError(
-                "the exact backend tracks every flow; --capacity only "
-                "applies to sketch backends"
-            )
-        return ExactAggregation(**kwargs)
-    if capacity is None:
-        raise ClassificationError(
-            f"backend {name!r} needs --capacity or --memory-budget"
+        return ExactAggregation()
+    table = _TABLES[name](-(-capacity // shards), seed + index)
+    if admission == "bloom":
+        table = gated_table(
+            table, threshold_bytes=admission_threshold, seed=seed
         )
-    if capacity < 1:
-        raise ClassificationError("capacity must be >= 1")
-    if name in ("count-min", "sample-hold"):
-        kwargs.setdefault("seed", seed + index)
-    return _SKETCH_CLASSES[name](-(-capacity // shards), **kwargs)
+    return ArraySketchAggregation(table, name)
 
 
 def parse_memory_budget(text: str) -> int:
@@ -956,8 +713,7 @@ def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
     Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model; Count-Min
     additionally pays for its counter table, which scales with capacity
     through the default width factor. The array tables' flat layout
-    costs less per entry, so a budget sized here is an upper bound
-    under either engine.
+    costs less per entry, so a budget sized here is an upper bound.
 
     ``shards`` sizes a sharded deployment: the budget buys ``shards``
     tables of ``K / shards`` entries each, and the returned capacity is

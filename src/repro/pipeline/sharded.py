@@ -36,7 +36,6 @@ from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import (
     RESIDUAL_PREFIX,
     AggregationBackend,
-    PrefixOf,
     group_by_row,
 )
 
@@ -141,12 +140,16 @@ class ShardedAggregation(AggregationBackend):
     def tracked_flows(self) -> int:
         return sum(shard.tracked_flows for shard in self.shards)
 
+    @property
+    def admission_rejected_bytes(self) -> float:
+        return sum(shard.admission_rejected_bytes for shard in self.shards)
+
     def accumulate(
         self,
         keys: np.ndarray,
         sizes: np.ndarray,
         timestamps: np.ndarray,
-        prefix_of: PrefixOf,
+        table: PrefixColumns,
     ) -> None:
         if keys.size == 0:
             return
@@ -156,7 +159,7 @@ class ShardedAggregation(AggregationBackend):
             # stay byte-identical with a single exact backend — the
             # same admission step, over the whole batch.
             unique, _, first_index = group_by_row(keys, sizes)
-            self._admit_first_traffic(unique, first_index, prefix_of)
+            self._admit_first_traffic(unique, first_index, table)
         order, bounds = shard_segments(keys, self.num_shards)
         keys, sizes, timestamps = (
             keys[order],
@@ -171,7 +174,7 @@ class ShardedAggregation(AggregationBackend):
                     keys[start:end],
                     sizes[start:end],
                     timestamps[start:end],
-                    prefix_of,
+                    table,
                 )
         self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
 

@@ -27,11 +27,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ClassificationError
 from repro.pipeline.backends import (
-    ADMISSION_NAMES,
-    ARRAY_SKETCH_NAMES,
-    BACKEND_NAMES,
     AggregationBackend,
     capacity_for_budget,
+    check_backend,
     make_backend,
     make_shard,
     parse_memory_budget,
@@ -47,6 +45,7 @@ from repro.pipeline.sources import (
     PcapPacketSource,
     text_lines,
 )
+from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 #: Valid :attr:`SourceSpec.kind` values.
 SOURCE_KINDS = ("pcap", "packet-csv", "flow-csv", "array")
@@ -203,13 +202,16 @@ class SourceSpec:
 class PipelineSpec:
     """Everything the ingest pipeline needs to configure itself.
 
-    Cross-field rules enforced here (and nowhere else):
+    Cross-field rules enforced here (those about the table itself by
+    :func:`~repro.pipeline.backends.check_backend`, which a direct
+    ``make_backend`` call runs too):
 
     - ``capacity`` and ``memory_budget`` are alternatives; give one.
     - the exact backend takes neither; sketch backends need one.
     - ``shards`` (one process, N tables) and ``workers`` (N processes)
       are alternatives; give one.
-    - admission gating needs an array-table sketch backend.
+    - an admission gate fronts a sketch backend, and
+      ``admission_threshold`` needs one to set.
 
     ``memory_budget`` takes bytes or a ``"512k"``-style string; the
     budget → capacity split accounts for however many partitions the
@@ -237,16 +239,6 @@ class PipelineSpec:
     source: SourceSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ClassificationError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}"
-            )
-        if self.admission not in ADMISSION_NAMES:
-            raise ClassificationError(
-                f"unknown admission policy {self.admission!r}; "
-                f"expected one of {', '.join(ADMISSION_NAMES)}"
-            )
         if self.shards < 1:
             raise ClassificationError("shards must be >= 1")
         if self.workers < 1:
@@ -264,38 +256,18 @@ class PipelineSpec:
                 "--capacity and --memory-budget are alternatives; "
                 "give one"
             )
-        if self.capacity is not None and self.capacity < 1:
-            raise ClassificationError("capacity must be >= 1")
-        bounded = (
-            self.capacity is not None or self.memory_budget is not None
-        )
-        if self.backend == "exact" and bounded:
-            raise ClassificationError(
-                "the exact backend tracks every flow; --capacity only "
-                "applies to sketch backends"
-            )
-        if self.backend != "exact" and not bounded:
-            raise ClassificationError(
-                f"backend {self.backend!r} needs --capacity or "
-                "--memory-budget"
-            )
-        if self.memory_budget is not None:
-            # resolved here for its errors: an unparsable budget, or
-            # one below an entry per partition, fails construction
-            # instead of the first resolved_capacity / describe() call
-            capacity_for_budget(
-                self.backend, self.budget_bytes, shards=self.partitions
-            )
-        if self.admission != "none" and self.backend not in ARRAY_SKETCH_NAMES:
-            raise ClassificationError(
-                "admission gating needs an array-table sketch backend "
-                f"({', '.join(ARRAY_SKETCH_NAMES)})"
-            )
-        if (
-            self.admission_threshold is not None
-            and self.admission_threshold < 0
-        ):
-            raise ClassificationError("admission threshold must be >= 0")
+        # a budget is resolved here for its errors: an unparsable one,
+        # or one below an entry per partition, fails construction
+        # instead of the first resolved_capacity / describe() call
+        check_backend(self.backend, self.resolved_capacity, self.admission)
+        if self.admission_threshold is not None:
+            if self.admission == "none":
+                raise ClassificationError(
+                    "--admission-threshold sets the Bloom gate's byte "
+                    "threshold; it needs --admission bloom"
+                )
+            if self.admission_threshold < 0:
+                raise ClassificationError("admission threshold must be >= 0")
         if self.sampling is None:
             object.__setattr__(self, "sampling", UNSAMPLED)
 
@@ -330,6 +302,13 @@ class PipelineSpec:
             self.backend, budget, shards=self.partitions
         )
 
+    @property
+    def resolved_admission_threshold(self) -> float:
+        """Bytes the admission gate asks of a flow (default applied)."""
+        if self.admission_threshold is None:
+            return DEFAULT_ADMISSION_THRESHOLD
+        return self.admission_threshold
+
     def replace(self, **changes) -> "PipelineSpec":
         """A copy with fields replaced (re-validated)."""
         return replace(self, **changes)
@@ -350,7 +329,8 @@ class PipelineSpec:
             capacity=self.resolved_capacity,
             seed=self.seed,
             shards=self.shards,
-            **self._admission_kwargs(),
+            admission=self.admission,
+            admission_threshold=self.resolved_admission_threshold,
         )
 
     def build_shard(self, index: int) -> AggregationBackend:
@@ -368,16 +348,9 @@ class PipelineSpec:
             self.partitions,
             capacity=self.resolved_capacity,
             seed=self.seed,
-            **self._admission_kwargs(),
+            admission=self.admission,
+            admission_threshold=self.resolved_admission_threshold,
         )
-
-    def _admission_kwargs(self) -> dict[str, object]:
-        if self.admission == "none":
-            return {}
-        kwargs: dict[str, object] = {"admission": self.admission}
-        if self.admission_threshold is not None:
-            kwargs["admission_threshold"] = self.admission_threshold
-        return kwargs
 
     def wrap_source(self, source):
         """``source`` behind this spec's sampling front-end."""
@@ -407,7 +380,8 @@ class PipelineSpec:
         The stable, serialisable view of the spec that
         ``repro ... --json`` embeds under the envelope's ``"spec"``
         key: scalar fields verbatim, sampling flattened to its policy
-        triple, the source as its :meth:`SourceSpec.describe` facts.
+        triple, the admission threshold a gated run ran with (default
+        resolved), the source as its :meth:`SourceSpec.describe` facts.
         """
         facts: dict[str, object] = {
             "backend": self.backend,
@@ -422,6 +396,8 @@ class PipelineSpec:
             },
             "admission": self.admission,
         }
+        if self.admission != "none":
+            facts["admission_threshold"] = self.resolved_admission_threshold
         if self.source is not None:
             facts["source"] = self.source.describe()
         return facts

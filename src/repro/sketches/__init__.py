@@ -4,12 +4,14 @@ Misra–Gries, Space-Saving, Count-Min and Sample-and-Hold, plus adapters
 that run them per slot so their volatility can be compared against the
 paper's latent-heat elephants. The scalar classes are the reference
 semantics; :mod:`repro.sketches.array_tables` carries the vectorized
-batch-update counterparts the aggregation hot path runs on.
+batch-update counterpart of each, which the aggregation hot path runs
+on.
 """
 
 from repro.sketches.array_tables import (
     ArrayCountMin,
     ArrayMisraGries,
+    ArraySampleHold,
     ArraySpaceSaving,
     BatchUpdate,
 )
@@ -18,13 +20,7 @@ from repro.sketches.bloom import (
     CountingBloom,
     gated_table,
 )
-from repro.sketches.compare import (
-    SketchRun,
-    exact_top_k_per_slot,
-    mask_agreement,
-    space_saving_per_slot,
-)
-from repro.sketches.count_min import CountMinSketch
+from repro.sketches.count_min import CountMinCandidates, CountMinSketch
 from repro.sketches.misra_gries import MisraGries
 from repro.sketches.sample_hold import SampleAndHold
 from repro.sketches.space_saving import SpaceSaving
@@ -32,20 +28,26 @@ from repro.sketches.streaming_eval import (
     COMPARISON_COLUMNS,
     BackendComparison,
     BackendRun,
+    SketchRun,
     evaluate_backends,
+    exact_top_k_per_slot,
+    mask_agreement,
     run_backend,
     score_against,
+    space_saving_per_slot,
 )
 
 __all__ = [
     "ArrayCountMin",
     "ArrayMisraGries",
+    "ArraySampleHold",
     "ArraySpaceSaving",
     "BackendComparison",
     "BackendRun",
     "BatchUpdate",
     "BloomGatedTable",
     "COMPARISON_COLUMNS",
+    "CountMinCandidates",
     "CountMinSketch",
     "CountingBloom",
     "gated_table",

@@ -1,7 +1,8 @@
 """Array-native heavy-hitter candidate tables (batch-update kernels).
 
 The scalar sketches in this package (:mod:`~repro.sketches.space_saving`,
-:mod:`~repro.sketches.misra_gries`, :mod:`~repro.sketches.count_min`)
+:mod:`~repro.sketches.misra_gries`, :mod:`~repro.sketches.count_min`,
+:mod:`~repro.sketches.sample_hold`)
 are dict-and-heap objects fed one key at a time — the right shape for
 reference semantics and property tests, the wrong shape for a monitor
 ingesting millions of packets per second. This module lays the same
@@ -25,12 +26,14 @@ batch's **unique** keys with their aggregated weights plus the
 first-traffic order, applies all hits in one array op, then resolves
 admissions (a merge tournament plus the scalar last-newcomer rule for
 Space-Saving, the exact weighted-decrement chain for Misra–Gries, an
-estimate tournament for Count-Min). Every table treats the batch as
+estimate tournament for Count-Min, seeded draws in first-traffic order
+for Sample-and-Hold). Every table treats the batch as
 "hits first, then newcomers"; for single-key batches that *is* the
 scalar order, so each table reproduces its scalar reference
 *exactly*, eviction tie-breaks included — the scalar lazy heaps
 resolve ties by smallest ``(count, key)`` pair, which the batch paths
-mirror. The property suite pins both regimes.
+mirror. (Sample-and-Hold never evicts, so hits and newcomers commute
+and it is exact for any batch.) The property suite pins both regimes.
 
 Flat arrays are also cheaply picklable, which is what keeps the
 worker-queue overhead of the multi-process runner low.
@@ -78,6 +81,10 @@ class _KeyTable:
     arrays and keeps the index in step with them (insertion on fill,
     rebuild after eviction).
     """
+
+    #: Weight turned away before reaching the table: none, for a bare
+    #: table (a :class:`~repro.sketches.bloom.BloomGatedTable` counts).
+    rejected_weight = 0.0
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -132,6 +139,9 @@ class _KeyTable:
     ) -> BatchUpdate:
         """Apply one batch of unique, weight-aggregated keys."""
         raise NotImplementedError
+
+    def end_slot(self) -> None:
+        """Slot-boundary hook; a bare table keeps nothing per slot."""
 
     # ------------------------------------------------------------------
     # key index
@@ -516,9 +526,73 @@ class ArrayCountMin(_KeyTable):
         return BatchUpdate(self._final_slots(slots, keys), evicted)
 
 
+class ArraySampleHold(_KeyTable):
+    """Batch Sample-and-Hold: one vector draw, unused draws handed back.
+
+    Hits add their aggregated weight in one array op. Held flows are
+    never evicted, so the table fills monotonically: while it has room
+    the batch's misses are offered in first-traffic order, each against
+    one draw of the seeded generator — taken for the whole batch in one
+    vector draw — and a sampled flow is held from half its triggering
+    weight. The scalar table stops drawing the moment it is full; when
+    that happens mid-batch the generator is rewound and only the draws
+    the scalar loop would have made are redrawn. Counts *and* generator
+    state therefore equal
+    :class:`~repro.sketches.sample_hold.SampleAndHold` (``max_entries
+    = capacity``, same seed) after any batch, not only single-key ones.
+
+    ``sampling_probability`` is per byte; the default catches a flow
+    after ~100 kB in expectation.
+    """
+
+    def __init__(
+        self, capacity: int, sampling_probability: float = 1e-5, seed: int = 0
+    ) -> None:
+        super().__init__(capacity)
+        if not 0.0 < sampling_probability <= 1.0:
+            raise ClassificationError("sampling probability must be in (0, 1]")
+        self.sampling_probability = sampling_probability
+        self._rng = np.random.default_rng(seed)
+
+    def update_batch(
+        self,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        order: np.ndarray | None = None,
+    ) -> BatchUpdate:
+        keys = np.asarray(keys, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        _check_weights(weights)
+        self._total += float(weights.sum())
+        slots = self._probe(keys)
+        hits = slots >= 0
+        if hits.any():
+            self.count[slots[hits]] += weights[hits]
+        misses = self._misses(slots, weights, order)
+        room = self.capacity - self._live
+        if misses.size and room:
+            state = self._rng.bit_generator.state
+            draws = self._rng.random(misses.size)
+            unsampled = (1.0 - self.sampling_probability) ** weights[misses]
+            sampled = np.flatnonzero(draws < 1.0 - unsampled)
+            if sampled.size >= room:
+                # the table fills at offer sampled[room - 1]: the
+                # scalar loop draws for no offer after that one
+                used = int(sampled[room - 1]) + 1
+                if used < misses.size:
+                    self._rng.bit_generator.state = state
+                    self._rng.random(used)
+            fill, spots, _ = self._fill_free(
+                misses[sampled], keys, weights / 2.0
+            )
+            slots[fill] = spots
+        return BatchUpdate(slots, _EMPTY_SLOTS)
+
+
 __all__ = [
     "ArrayCountMin",
     "ArrayMisraGries",
+    "ArraySampleHold",
     "ArraySpaceSaving",
     "BatchUpdate",
     "NO_SLOT",

@@ -22,6 +22,14 @@ Reported per backend:
 Sources are consumed once per run, so the evaluator takes *factories*:
 ``make_source`` builds a fresh packet source and ``make_resolver`` a
 fresh resolver for every backend run.
+
+The second half of the module asks the paper's own question of the
+sketches: volume-only heavy-hitter detection — what they do — produces
+volatile elephants. :func:`space_saving_per_slot` and
+:func:`exact_top_k_per_slot` run a sketch (or the top-k oracle)
+independently on every slot of a rate matrix and turn its winners into
+an "elephant mask" of the shape the classifiers produce, so the
+analysis layer compares churn and holding times on equal footing.
 """
 
 from __future__ import annotations
@@ -32,8 +40,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.engine import EngineConfig, Feature, Scheme
+from repro.core.states import HoldingTimeSummary
 from repro.errors import ClassificationError
+from repro.flows.matrix import RateMatrix
 from repro.net.prefix import Prefix
+from repro.sketches.space_saving import SpaceSaving
 
 if TYPE_CHECKING:  # pipeline sits above sketches; import lazily at runtime
     from repro.pipeline.aggregator import PrefixResolver
@@ -215,3 +226,85 @@ def evaluate_backends(make_source: SourceFactory,
                                 feature=feature, config=config)
         comparisons.append(score_against(reference, candidate))
     return reference, comparisons
+
+
+@dataclass(frozen=True)
+class SketchRun:
+    """Mask and bookkeeping from a per-slot sketch sweep."""
+
+    name: str
+    mask: np.ndarray
+    per_slot_counts: np.ndarray
+
+    def holding_summary(self) -> HoldingTimeSummary:
+        """Holding-time statistics of the sketch's heavy-hitter sets."""
+        return HoldingTimeSummary.from_mask(self.mask)
+
+
+def space_saving_per_slot(matrix: RateMatrix, capacity: int,
+                          top_k: int) -> SketchRun:
+    """Run an independent Space-Saving per slot, keep its top-k rows.
+
+    ``capacity`` is the sketch size; ``top_k`` how many flows per slot
+    are declared heavy hitters (typically sized to match the elephant
+    count of the classifier being compared against).
+    """
+    if top_k < 1:
+        raise ClassificationError("top_k must be >= 1")
+    if top_k > capacity:
+        raise ClassificationError("top_k cannot exceed sketch capacity")
+    mask = np.zeros((matrix.num_flows, matrix.num_slots), dtype=bool)
+    counts = np.zeros(matrix.num_slots, dtype=int)
+    for slot, rates in matrix.iter_slots():
+        sketch: SpaceSaving[int] = SpaceSaving(capacity)
+        active = np.flatnonzero(rates > 0)
+        for row in active:
+            sketch.update(int(row), float(rates[row]))
+        winners = sketch.top_k(top_k)
+        for row, _estimate in winners:
+            mask[row, slot] = True
+        counts[slot] = len(winners)
+    return SketchRun(
+        name=f"space-saving(c={capacity},k={top_k})",
+        mask=mask,
+        per_slot_counts=counts,
+    )
+
+
+def exact_top_k_per_slot(matrix: RateMatrix, top_k: int) -> SketchRun:
+    """Oracle baseline: the true top-k flows of every slot.
+
+    The upper bound on what any volume-only per-slot method can do —
+    if even the oracle churns, volatility is inherent to the
+    single-feature definition, which is exactly the paper's argument.
+    """
+    if top_k < 1:
+        raise ClassificationError("top_k must be >= 1")
+    mask = np.zeros((matrix.num_flows, matrix.num_slots), dtype=bool)
+    for slot, rates in matrix.iter_slots():
+        active = min(top_k, int((rates > 0).sum()))
+        if active == 0:
+            continue
+        winners = np.argpartition(rates, -active)[-active:]
+        mask[winners, slot] = True
+    return SketchRun(
+        name=f"exact-top-{top_k}",
+        mask=mask,
+        per_slot_counts=mask.sum(axis=0),
+    )
+
+
+def mask_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+    """Mean per-slot Jaccard agreement between two elephant masks."""
+    if mask_a.shape != mask_b.shape:
+        raise ClassificationError("masks must have identical shape")
+    scores = []
+    for t in range(mask_a.shape[1]):
+        union = int(np.logical_or(mask_a[:, t], mask_b[:, t]).sum())
+        if union == 0:
+            continue
+        intersection = int(np.logical_and(mask_a[:, t], mask_b[:, t]).sum())
+        scores.append(intersection / union)
+    if not scores:
+        return 1.0
+    return float(np.mean(scores))

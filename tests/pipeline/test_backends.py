@@ -12,46 +12,42 @@ import numpy as np
 import pytest
 
 from repro.errors import ClassificationError
+from oracles import scalar_backend
 from repro.net import ipv4
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline import (
     RESIDUAL_PREFIX,
+    ArraySketchAggregation,
     MatrixSlotSource,
+    SketchAggregation,
+    SlotFrame,
     SketchSlotSource,
     StreamingAggregator,
     capacity_for_budget,
     make_backend,
     parse_memory_budget,
 )
-from repro.pipeline.backends import (
-    TRACKED_ENTRY_BYTES,
-    CountMinAggregation,
-    MisraGriesAggregation,
-    SampleHoldAggregation,
-    SpaceSavingAggregation,
-    group_by_row,
-)
+from repro.pipeline.backends import TRACKED_ENTRY_BYTES, group_by_row
 from repro.pipeline.sources import PacketBatch
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.routing.lpm import FixedLengthResolver
+from repro.sketches import ArraySampleHold, CountMinCandidates
 
 SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
 #: The invariants below must hold identically for the production
-#: backends ``make_backend`` builds ("array"; sample-hold's is scalar)
-#: and for the scalar reference classes, which are built by class.
+#: backends ``make_backend`` builds ("array") and for the scalar
+#: oracle over the reference summaries (``oracles.scalar_backend``).
 ENGINES = ("array", "scalar")
-SCALAR_CLASSES = {
-    "space-saving": SpaceSavingAggregation,
-    "misra-gries": MisraGriesAggregation,
-    "count-min": CountMinAggregation,
-    "sample-hold": SampleHoldAggregation,
-}
 
 
 def build(name, capacity=None, engine="array", **kwargs):
     if engine == "scalar":
-        return SCALAR_CLASSES[name](capacity, **kwargs)
+        return scalar_backend(name, capacity, **kwargs)
+    if "sampling_probability" in kwargs:
+        # not a factory argument: the backend is handed a table
+        table = ArraySampleHold(capacity, kwargs["sampling_probability"])
+        return ArraySketchAggregation(table, name)
     return make_backend(name, capacity=capacity, **kwargs)
 
 
@@ -142,7 +138,8 @@ class TestCountMinHeapBound:
         """Re-offering a stable candidate set must not grow the lazy
         heap with the stream (stale entries are pruned by rebuild).
         Scalar-reference specific: the array table has no lazy heap."""
-        backend = CountMinAggregation(8)
+        candidates = CountMinCandidates(8, width=32, depth=4)
+        backend = SketchAggregation(candidates, 8, "count-min")
         aggregator = StreamingAggregator(FixedLengthResolver(24),
                                          slot_seconds=1.0,
                                          backend=backend)
@@ -151,7 +148,7 @@ class TestCountMinHeapBound:
                 (float(slot) + 0.1 * i, f"10.{i}.0.1", 1000)
                 for i in range(8)
             ]))
-        assert len(backend._heap) <= 4 * backend.capacity
+        assert len(candidates._heap) <= 4 * backend.capacity
         assert backend.tracked_flows <= backend.capacity
 
 
@@ -332,6 +329,39 @@ class TestSketchSlotSource:
                 matrix.rates[i, -1])
         assert backend.peak_tracked <= 8
 
+    def test_boxed_population_is_unboxed_per_population_not_per_slot(self):
+        """The backend is handed the frame population as columns: a
+        boxed one is unboxed when first seen, and again only when a
+        live one has grown."""
+        class Population(list):
+            walks = 0
+
+            def __iter__(self):
+                Population.walks += 1
+                return super().__iter__()
+
+        population = Population(
+            Prefix.parse(f"10.{i}.0.0/16") for i in range(3))
+
+        class Source:
+            slot_seconds = 60.0
+
+            def slots(self):
+                for slot in range(8):
+                    if slot == 3:
+                        population.append(Prefix.parse("10.9.0.0/16"))
+                    yield SlotFrame(slot, 60.0 * slot,
+                                    np.full(len(population), 8e3),
+                                    population)
+
+        frames = list(SketchSlotSource(
+            Source(), make_backend("space-saving", capacity=8)).slots())
+        assert len(frames) == 8
+        assert 0 < Population.walks < len(frames)
+        assert list(frames[-1].population) == [RESIDUAL_PREFIX, *population]
+        assert [frame.rates.sum() for frame in frames] == \
+            [8e3 * (3 if frame.slot < 3 else 4) for frame in frames]
+
 
 class TestFactoryAndBudget:
     def test_unknown_backend_rejected(self):
@@ -398,7 +428,7 @@ class TestEmptyBatches:
         name, kwargs = spec
         backend = build(name, **kwargs)
         empty = np.empty(0, dtype=np.int64)
-        backend.accumulate(empty, empty, np.empty(0), lambda key: None)
+        backend.accumulate(empty, empty, np.empty(0), PrefixColumns())
         assert backend.tracked_flows == 0
         vector = backend.close_slot()
         assert float(vector.sum()) == 0.0
@@ -469,9 +499,11 @@ class TestFactoryClasses:
         assert isinstance(backend, ArraySketchAggregation)
         assert backend.name == "space-saving"
 
-    def test_sample_hold_builds_the_scalar_class(self):
-        backend = make_backend("sample-hold", capacity=4)
-        assert isinstance(backend, SampleHoldAggregation)
+    @pytest.mark.parametrize("name", SKETCH_NAMES)
+    def test_no_name_builds_the_scalar_class(self, name):
+        backend = make_backend(name, capacity=4)
+        assert isinstance(backend, ArraySketchAggregation)
+        assert backend.name == name
 
     def test_sharded_backends_hold_array_tables(self):
         from repro.pipeline import ArraySketchAggregation

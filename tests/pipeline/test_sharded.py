@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ClassificationError
 from repro.net import ipv4
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline import (
     RESIDUAL_PREFIX,
     PipelineSpec,
@@ -126,8 +126,8 @@ class TestConstruction:
 
     def test_rejects_used_backends(self):
         used = ExactAggregation()
-        used.accumulate(np.array([1]), np.array([10.0]),
-                        np.array([0.0]), lambda key: RESIDUAL_PREFIX)
+        used.accumulate(np.array([1]), np.array([10.0]), np.array([0.0]),
+                        PrefixColumns.of([RESIDUAL_PREFIX] * 2))
         used.close_slot()
         with pytest.raises(ClassificationError):
             ShardedAggregation([used, ExactAggregation()])
@@ -192,6 +192,21 @@ class TestShardedSketch:
         rows = heavy_tailed_rows()
         backend = make_backend("misra-gries", capacity=8, shards=4)
         aggregator, frames = run_rows(rows, backend)
+        streamed = sum(float(f.rates.sum()) * 10.0 / 8.0 for f in frames)
+        assert streamed == pytest.approx(aggregator.stats.bytes_matched)
+
+    @pytest.mark.parametrize("name", ["space-saving", "sample-hold"])
+    def test_gate_rejections_are_summed_over_shards(self, name):
+        """The sharder reports what its shards' Bloom gates turned
+        away (it used to have no such attribute at all), and gated
+        shards conserve bytes like bare ones."""
+        backend = make_backend(name, capacity=8, shards=2, admission="bloom",
+                               admission_threshold=5000.0)
+        aggregator, frames = run_rows(heavy_tailed_rows(), backend)
+        rejected = [s.admission_rejected_bytes for s in backend.shards]
+        assert all(share > 0 for share in rejected)
+        assert backend.admission_rejected_bytes == sum(rejected)
+        assert make_backend("exact", shards=2).admission_rejected_bytes == 0
         streamed = sum(float(f.rates.sum()) * 10.0 / 8.0 for f in frames)
         assert streamed == pytest.approx(aggregator.stats.bytes_matched)
 
@@ -269,18 +284,18 @@ class TestShardedExact:
                 listed.append(inner(start))
                 return listed[-1]
             shard.row_keys = row_keys
-        prefix_of = ipv4_prefix
+        table = PrefixColumns.of([ipv4_prefix(key) for key in range(10)])
         keys = np.array([0, 1, 2, 3, 0, 1])
         sizes = np.full(keys.size, 100)
         stamps = np.zeros(keys.size)
-        backend.accumulate(keys, sizes, stamps, prefix_of)
+        backend.accumulate(keys, sizes, stamps, table)
         first = backend.close_slot()
         assert sorted(key for tail in listed for key in tail) == [0, 1, 2, 3]
         del listed[:]
-        backend.accumulate(keys, sizes, stamps, prefix_of)
+        backend.accumulate(keys, sizes, stamps, table)
         assert np.array_equal(backend.close_slot(), first)
         assert listed == []
-        backend.accumulate(np.array([9, 0]), sizes[:2], stamps[:2], prefix_of)
+        backend.accumulate(np.array([9, 0]), sizes[:2], stamps[:2], table)
         backend.close_slot()
         assert listed == [[9]]
         assert backend.prefixes[-1] == ipv4_prefix(9)

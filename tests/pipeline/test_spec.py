@@ -12,7 +12,7 @@ from repro.flows.interchange import (
     write_flow_records,
 )
 from repro.pipeline.backends import (
-    ArraySpaceSavingAggregation,
+    ArraySketchAggregation,
     ExactAggregation,
 )
 from repro.pipeline.sampling import SamplingSpec
@@ -23,6 +23,8 @@ from repro.pipeline.sources import (
     PcapPacketSource,
 )
 from repro.pipeline.spec import SOURCE_KINDS, PipelineSpec, SourceSpec
+from repro.sketches import ArraySampleHold, BloomGatedTable
+from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 
 class TestValidation:
@@ -61,10 +63,14 @@ class TestValidation:
     def test_admission_needs_array_sketch(self):
         with pytest.raises(ClassificationError, match="array-table"):
             PipelineSpec(backend="exact", admission="bloom")
-        with pytest.raises(ClassificationError, match="array-table"):
-            PipelineSpec(
-                backend="sample-hold", capacity=64, admission="bloom"
-            )
+
+    def test_admission_threshold_needs_admission(self):
+        """A threshold with no gate to set was accepted and ignored."""
+        for backend in ({}, {"backend": "space-saving", "capacity": 64}):
+            with pytest.raises(
+                ClassificationError, match="--admission bloom"
+            ):
+                PipelineSpec(admission_threshold=3000.0, **backend)
 
     def test_unparsable_budget_fails_at_construction(self):
         with pytest.raises(ClassificationError, match="bad memory budget"):
@@ -152,7 +158,8 @@ class TestBuildBackend:
         backend = PipelineSpec(
             backend="space-saving", capacity=64
         ).build_backend()
-        assert isinstance(backend, ArraySpaceSavingAggregation)
+        assert isinstance(backend, ArraySketchAggregation)
+        assert backend.name == "space-saving"
         assert backend.capacity == 64
 
     def test_admission_builds_gated_table(self):
@@ -162,8 +169,20 @@ class TestBuildBackend:
             admission="bloom",
             admission_threshold=1000.0,
         ).build_backend()
-        assert backend.admission == "bloom"
+        assert isinstance(backend._table, BloomGatedTable)
         assert backend._table.threshold_bytes == 1000.0
+
+    @pytest.mark.parametrize("split", [{}, {"shards": 2}])
+    def test_sample_hold_is_gated_and_sharded_like_the_rest(self, split):
+        spec = PipelineSpec(
+            backend="sample-hold", capacity=64, admission="bloom", **split
+        )
+        backend = spec.build_backend()
+        for index, shard in enumerate(getattr(backend, "shards", [backend])):
+            assert isinstance(shard, ArraySketchAggregation)
+            assert isinstance(shard._table, BloomGatedTable)
+            assert isinstance(shard._table.inner, ArraySampleHold)
+            assert type(spec.build_shard(index)) is type(shard)
 
     def test_wrap_source_null(self):
         marker = object()
@@ -355,6 +374,16 @@ class TestPipelineSpecSource:
 
     def test_describe_without_source(self):
         assert "source" not in PipelineSpec().describe()
+
+    def test_describe_says_what_threshold_a_gated_run_ran_with(self):
+        assert "admission_threshold" not in PipelineSpec().describe()
+        gated = PipelineSpec(
+            backend="misra-gries", capacity=8, admission="bloom"
+        )
+        facts = gated.describe()
+        assert facts["admission_threshold"] == DEFAULT_ADMISSION_THRESHOLD
+        facts = gated.replace(admission_threshold=3000.0).describe()
+        assert facts["admission_threshold"] == 3000.0
 
     def test_run_streaming_rejects_source_bearing_spec(self):
         from repro.core.engine import (

@@ -8,6 +8,11 @@ equivalence are pinned here:
   table IS its scalar sketch: same tracked keys, same counts, same
   inherited errors, eviction tie-breaks included (both resolve ties by
   the smallest ``(count, key)`` pair).
+- **Sample-and-Hold is exact for any batch.** It never evicts, so hits
+  and newcomers commute: multi-key batches in any offer order leave the
+  array table with the scalar table's counts *and* its generator where
+  the scalar one's is — including when the table fills mid-batch and
+  the unused draws are handed back.
 - **Backend runs are exact packet-by-packet.** Driving the scalar and
   array aggregation backends with one-packet batches must produce
   identical populations, per-slot byte vectors, flow records and peak
@@ -26,33 +31,39 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import make_backend
+from oracles import scalar_backend
+from repro.pipeline import ArraySketchAggregation, make_backend
 from repro.pipeline.aggregator import StreamingAggregator
-from repro.pipeline.backends import (
-    CountMinAggregation,
-    MisraGriesAggregation,
-    SpaceSavingAggregation,
-)
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
 from repro.sketches.array_tables import (
     ArrayCountMin,
     ArrayMisraGries,
+    ArraySampleHold,
     ArraySpaceSaving,
 )
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.misra_gries import MisraGries
+from repro.sketches.sample_hold import SampleAndHold
 from repro.sketches.space_saving import SpaceSaving
 
-SKETCH_NAMES = ("space-saving", "misra-gries", "count-min")
+SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
 
-#: The scalar reference backends, built by class — ``make_backend``
-#: only builds the production (array) class for each name.
-SCALAR = {
-    "space-saving": SpaceSavingAggregation,
-    "misra-gries": MisraGriesAggregation,
-    "count-min": CountMinAggregation,
-}
+#: Per-byte sampling probability of the sample-hold twins below: the
+#: production default (1e-5) would hold next to nothing of these
+#: few-hundred-byte streams, and a table that stays empty proves
+#: nothing. 0.02 holds some flows, misses others and fills small tables.
+SAMPLING = 0.02
+
+
+def twin_backends(name, capacity, seed=0):
+    """``(scalar oracle, production backend)`` for one sketch name."""
+    scalar = scalar_backend(name, capacity, seed, SAMPLING)
+    if name != "sample-hold":
+        return scalar, make_backend(name, capacity=capacity, seed=seed)
+    table = ArraySampleHold(capacity, SAMPLING, seed)
+    return scalar, ArraySketchAggregation(table, name)
+
 
 #: Weights mix a small repeat-heavy set (count ties occur often — the
 #: tie-break agreement is part of what is under test) with non-dyadic
@@ -141,6 +152,63 @@ class TestSingleKeyStreamsAreExact:
         )
 
 
+#: Sample-and-Hold batches: distinct keys in *offer* order, weights from
+#: nothing to a full-size packet train (zero weights draw nothing).
+HELD_BATCHES = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),
+            st.sampled_from([0.0, 0.5, 1.0, 40.0, 700.0, 1500.0, 9000.0]),
+        ),
+        min_size=1,
+        max_size=25,
+        unique_by=lambda offer: offer[0],
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestSampleHoldIsExactForAnyBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=HELD_BATCHES,
+        capacity=st.integers(1, 12),
+        probability=st.sampled_from([1.0, 0.5, 0.05, 0.001]),
+        seed=st.integers(0, 7),
+    )
+    def test_counts_and_generator_match_after_every_batch(
+        self, batches, capacity, probability, seed
+    ):
+        scalar = SampleAndHold(probability, seed=seed, max_entries=capacity)
+        table = ArraySampleHold(capacity, probability, seed)
+        for batch in batches:
+            for key, weight in batch:
+                scalar.update(key, weight)
+            # the backend hands a table its keys ascending, with the
+            # first-traffic (here: offer) order as a permutation of
+            # them: keys[order] is the batch as it was offered
+            offered = np.array([key for key, _ in batch], dtype=np.int64)
+            order = np.argsort(np.argsort(offered))
+            keys = np.sort(offered)
+            weights = np.empty(keys.size)
+            weights[order] = [weight for _, weight in batch]
+            update = table.update_batch(keys, weights, order)
+            assert table.items() == scalar._counts
+            assert update.evicted.size == 0
+            held = {int(k) for k in keys[update.slots >= 0]}
+            assert held == set(scalar._counts) & set(offered.tolist())
+            # equal states: the next draw of the two generators is the
+            # same one, also when the table filled mid-batch and the
+            # draws past that offer were handed back
+            assert (
+                table._rng.bit_generator.state
+                == scalar._rng.bit_generator.state
+            )
+            assert table._rng.random() == scalar._rng.random()
+        assert len(table) <= capacity
+
+
 def run_backend(backend, batches, slot_seconds=4.0):
     aggregator = StreamingAggregator(
         FixedLengthResolver(32),
@@ -176,14 +244,9 @@ class TestBackendsAgreePacketByPacket:
     def test_populations_frames_and_records_match(
         self, batches, capacity, name
     ):
-        scalar, scalar_frames = run_backend(
-            SCALAR[name](capacity),
-            batches,
-        )
-        array, array_frames = run_backend(
-            make_backend(name, capacity=capacity),
-            batches,
-        )
+        oracle, backend = twin_backends(name, capacity)
+        scalar, scalar_frames = run_backend(oracle, batches)
+        array, array_frames = run_backend(backend, batches)
         assert scalar.prefixes == array.prefixes
         assert len(scalar_frames) == len(array_frames)
         for left, right in zip(scalar_frames, array_frames):
@@ -279,20 +342,34 @@ class TestBatchedGuarantees:
         """With room for every flow no eviction can occur, so the
         batched array run must equal the scalar run frame-for-frame."""
         flows = len({key for batch in batches for key, _ in batch})
-        scalar, scalar_frames = run_batched(
-            SCALAR[name](flows),
-            batches,
-            slot_seconds=2.0,
-        )
-        array, array_frames = run_batched(
-            make_backend(name, capacity=flows),
-            batches,
-            slot_seconds=2.0,
-        )
+        oracle, backend = twin_backends(name, flows)
+        scalar, scalar_frames = run_batched(oracle, batches, slot_seconds=2.0)
+        array, array_frames = run_batched(backend, batches, slot_seconds=2.0)
         assert scalar.prefixes == array.prefixes
         assert len(scalar_frames) == len(array_frames)
         for left, right in zip(scalar_frames, array_frames):
             assert np.allclose(left.rates, right.rates)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches=BATCHES,
+        capacity=st.integers(1, 6),
+        seed=st.integers(0, 3),
+    )
+    def test_sample_hold_batching_is_invisible_at_any_capacity(
+        self, batches, capacity, seed
+    ):
+        """Sample-and-Hold needs no room to spare: its array table is
+        the scalar one for any batch, so batched runs match frame for
+        frame even while the table is full and turning flows away."""
+        oracle, backend = twin_backends("sample-hold", capacity, seed)
+        scalar, scalar_frames = run_batched(oracle, batches, slot_seconds=2.0)
+        array, array_frames = run_batched(backend, batches, slot_seconds=2.0)
+        assert scalar.prefixes == array.prefixes
+        assert len(scalar_frames) == len(array_frames)
+        for left, right in zip(scalar_frames, array_frames):
+            assert np.allclose(left.rates, right.rates)
+        assert oracle.peak_tracked == backend.peak_tracked
 
     @settings(max_examples=40, deadline=None)
     @given(stream=STREAMS, capacity=st.integers(1, 8))

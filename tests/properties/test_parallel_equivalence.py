@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import parallel_ingest
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
@@ -226,8 +226,10 @@ def test_build_shard_is_the_sharded_backends_shard(spec, slots):
     built = [spec.build_shard(index) for index in range(parts)]
     built_vectors = [[] for _ in built]
 
-    def prefix_of(key):
-        return Prefix((10 << 24) | (int(key) << 8), 24)
+    # flow keys are 0..40 (SLOTTED_PACKETS): key -> 10.0.key.0/24
+    table = PrefixColumns.of(
+        [Prefix((10 << 24) | (key << 8), 24) for key in range(41)]
+    )
 
     clock = 0.0
     for batches in slots:
@@ -236,13 +238,13 @@ def test_build_shard_is_the_sharded_backends_shard(spec, slots):
             sizes = np.array([size for _, size in batch], dtype=np.int64)
             stamps = clock + np.arange(keys.size, dtype=np.float64)
             clock += keys.size
-            twin.accumulate(keys, sizes, stamps, prefix_of)
+            twin.accumulate(keys, sizes, stamps, table)
             homes = shard_of(keys, parts)
             for index, shard in enumerate(built):
                 mine = homes == index
                 if mine.any():
                     shard.accumulate(
-                        keys[mine], sizes[mine], stamps[mine], prefix_of
+                        keys[mine], sizes[mine], stamps[mine], table
                     )
         twin.close_slot()
         for shard, log in zip(built, built_vectors):

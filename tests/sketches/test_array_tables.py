@@ -19,14 +19,17 @@ from repro.sketches.array_tables import (
     NO_SLOT,
     ArrayCountMin,
     ArrayMisraGries,
+    ArraySampleHold,
     ArraySpaceSaving,
 )
+from repro.sketches.bloom import gated_table
 from repro.sketches.count_min import CountMinSketch
 
 TABLES = (
     ("space-saving", lambda k: ArraySpaceSaving(k)),
     ("misra-gries", lambda k: ArrayMisraGries(k)),
     ("count-min", lambda k: ArrayCountMin(k, width=4 * k, depth=4)),
+    ("sample-hold", lambda k: ArraySampleHold(k, 0.05, seed=3)),
 )
 
 
@@ -74,6 +77,16 @@ class TestKeyIndex:
     def test_capacity_validated(self):
         with pytest.raises(ClassificationError):
             ArraySpaceSaving(0)
+
+    @pytest.mark.parametrize("name,make", TABLES)
+    def test_bare_table_has_no_gate_and_no_slot_state(self, name, make):
+        """What the backend asks of any table, gated or not."""
+        table = make(4)
+        offer(table, [1, 2, 3], [5.0, 6.0, 7.0])
+        before = table.items()
+        table.end_slot()
+        assert table.items() == before
+        assert table.rejected_weight == 0.0
 
 
 class TestBatchContract:
@@ -240,3 +253,38 @@ class TestCountMinCandidates:
         table = ArrayCountMin(4, width=64, depth=2)
         offer(table, [1, 2], [3.0, 4.0])
         assert table.total_weight == pytest.approx(7.0)
+
+
+class TestArraySampleHold:
+    @pytest.mark.parametrize("probability", [0.0, -0.1, 1.5])
+    def test_probability_validated(self, probability):
+        with pytest.raises(ClassificationError, match="probability"):
+            ArraySampleHold(4, probability)
+
+    def test_certain_sampling_holds_first_traffic_until_full(self):
+        table = ArraySampleHold(2, 1.0)
+        keys = np.array([3, 5, 7, 9], dtype=np.int64)
+        weights = np.array([10.0, 0.0, 20.0, 30.0])
+        # offered 9, 5 (no bytes: never held), 3, 7 (table full by then)
+        update = table.update_batch(keys, weights, np.array([3, 1, 0, 2]))
+        assert table.items() == {9: 15.0, 3: 5.0}
+        assert (update.slots >= 0).tolist() == [True, False, False, True]
+        assert update.evicted.size == 0
+        offer(table, [3, 7], [4.0, 99.0])
+        assert table.items() == {9: 15.0, 3: 9.0}
+        assert table.total_weight == 163.0
+
+    def test_full_table_draws_nothing(self):
+        table = ArraySampleHold(1, 1.0, seed=8)
+        offer(table, [1], [10.0])
+        state = table._rng.bit_generator.state
+        offer(table, [2, 3, 1], [10.0, 10.0, 1.0])
+        assert table._rng.bit_generator.state == state
+        assert table.items() == {1: 6.0}
+
+    def test_gate_fronts_it_like_any_table(self):
+        table = gated_table(ArraySampleHold(4, 1.0), threshold_bytes=100.0)
+        update = offer(table, [1, 2], [500.0, 40.0])
+        assert (update.slots >= 0).tolist() == [True, False]
+        assert table.items() == {1: 250.0}
+        assert table.rejected_weight == 40.0

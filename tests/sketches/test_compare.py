@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.engine import Feature, Scheme
 from repro.errors import ClassificationError
-from repro.sketches.compare import (
+from repro.sketches.streaming_eval import (
     exact_top_k_per_slot,
     mask_agreement,
     space_saving_per_slot,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ClassificationError
-from repro.sketches.count_min import CountMinSketch
+from repro.sketches.count_min import CountMinCandidates, CountMinSketch
 
 
 class TestBasics:
@@ -73,3 +73,34 @@ class TestGuarantees:
         # e/width total is the Markov bound; the vast majority of keys
         # must fall inside it.
         assert within / len(errors) > 0.9
+
+
+class TestCandidates:
+    def test_speaks_update_estimate_len(self):
+        table = CountMinCandidates(2, width=64, depth=4)
+        table.update(1, 10.0)
+        table.update(2, 5.0)
+        table.update(1, 1.0)
+        assert len(table) == 2
+        assert table.estimate(1) == 11.0 and table.estimate(2) == 5.0
+        assert table.estimate(3) == 0.0
+
+    def test_newcomer_must_beat_the_minimum(self):
+        table = CountMinCandidates(2, width=64, depth=4)
+        for key, weight in ((1, 10.0), (2, 5.0), (3, 4.0)):
+            table.update(key, weight)
+        assert table.estimate(3) == 0.0  # 4 does not beat 5
+        table.update(3, 4.0)  # the sketch remembers: 8 does
+        assert table.estimate(3) == 8.0 and table.estimate(2) == 0.0
+        assert len(table) == 2
+
+    def test_zero_weight_is_no_offer(self):
+        table = CountMinCandidates(2, width=64, depth=4)
+        table.update(1, 0.0)
+        assert len(table) == 0 and table.sketch.total_weight == 0.0
+        with pytest.raises(ClassificationError):
+            table.update(1, -1.0)
+
+    def test_capacity_validated(self):
+        with pytest.raises(ClassificationError):
+            CountMinCandidates(0, width=64, depth=4)

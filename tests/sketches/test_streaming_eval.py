@@ -12,9 +12,10 @@ import pytest
 
 from repro.errors import ClassificationError
 from repro.net import ipv4
-from repro.pipeline import make_backend
+from repro.pipeline import ArraySketchAggregation, make_backend
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
+from repro.sketches import ArraySampleHold
 from repro.sketches.streaming_eval import (
     COMPARISON_COLUMNS,
     BackendRun,
@@ -93,8 +94,8 @@ class TestAcceptance:
         make_source, make_resolver = factories(trace)
         reference = run_backend(make_source, make_resolver, SLOT_SECONDS)
         capacity = 4 * reference.peak_elephants
-        backend = make_backend("sample-hold", capacity=capacity,
-                               sampling_probability=1e-3)
+        backend = ArraySketchAggregation(
+            ArraySampleHold(capacity, 1e-3), "sample-hold")
         comparison = score_against(
             reference,
             run_backend(make_source, make_resolver, SLOT_SECONDS,

@@ -262,6 +262,109 @@ class TestStreamBackends:
         assert "mean_residual_fraction" in out
 
 
+class TestStreamAdmission:
+    GATED = ["--backend", "space-saving", "--capacity", "64"]
+    # a slot of the capture's flows is 0.75-3.75 MB: some stay outside
+    GATE = ["--admission", "bloom", "--admission-threshold", "2e6"]
+
+    @pytest.mark.parametrize("split", [[], ["--shards", "2"]])
+    def test_gated_runs_report_rejected_bytes(
+        self, stream_capture, capsys, split
+    ):
+        """`--shards` used to drop the number the unsharded run
+        reports: the sharder had no such attribute to probe for."""
+        code = main(
+            [
+                "stream",
+                stream_capture["pcap"],
+                "--json",
+                *self.GATED,
+                *self.GATE,
+                *split,
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["admission"] == "bloom"
+        assert summary["admission_rejected_bytes"] > 0.0
+        assert summary["spec"]["admission_threshold"] == 2e6
+
+    def test_fleet_has_no_gate_left_to_read(self, stream_capture, capsys):
+        code = main(
+            [
+                "stream",
+                stream_capture["pcap"],
+                "--json",
+                *self.GATED,
+                "--admission",
+                "bloom",
+                "--workers",
+                "2",
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["admission"] == "bloom"
+        assert "admission_rejected_bytes" not in summary
+        assert summary["spec"]["admission_threshold"] == 65536.0
+
+    @pytest.mark.parametrize("backend", [[], GATED], ids=["exact", "sketch"])
+    def test_threshold_without_gate_is_refused(
+        self, stream_capture, capsys, backend
+    ):
+        """It used to be accepted and ignored, even by `exact`."""
+        code = main(
+            [
+                "stream",
+                stream_capture["pcap"],
+                *backend,
+                "--admission-threshold",
+                "3000",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "--admission bloom" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--admission", "bloom", "--admission-threshold", "3000"],
+            ["--shards", "2"],
+            ["--workers", "2"],
+        ],
+        ids=["plain", "bloom", "shards", "workers"],
+    )
+    def test_sample_hold_runs_like_any_sketch(
+        self, stream_capture, capsys, extra
+    ):
+        """Sample-and-Hold is an array table: gated, sharded and
+        fleet-partitioned through the same code as the other three."""
+        code = main(
+            [
+                "stream",
+                stream_capture["pcap"],
+                "--json",
+                "--backend",
+                "sample-hold",
+                "--capacity",
+                "6",
+                "--seed",
+                "3",
+                *extra,
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["backend"] == "sample-hold"
+        assert summary["capacity"] == 6
+        assert summary.get("peak_tracked_flows", 0) <= 6
+        assert 0.0 <= summary["mean_residual_fraction"] <= 1.0
+        assert summary["bytes_matched"] > 0
+
+
 class TestStreamSharded:
     def test_sharded_exact_matches_single(self, stream_capture, capsys):
         assert main(["stream", stream_capture["pcap"], "--json"]) == 0
