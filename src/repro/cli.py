@@ -351,6 +351,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="connection timeout in seconds",
     )
+    query.add_argument(
+        "--since-cell",
+        type=int,
+        default=None,
+        metavar="CELL",
+        help="list in elephants_by_slot only the slots sealed at or "
+        "above this grid cell (the next_cell of your previous reply; "
+        "the reply's since_cell is the cell its first listed slot "
+        "covers); everything else still describes the whole link",
+    )
     _add_output_options(
         query, quiet=None, json_help="print the raw JSON report"
     )
@@ -1154,6 +1164,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             parse_address(args.address),
             link=args.link,
             timeout=args.timeout,
+            since_cell=args.since_cell,
         )
     except OSError as exc:
         raise ReproError(

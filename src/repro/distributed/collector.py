@@ -59,6 +59,8 @@ def result_envelope(
     command: str,
     spec: dict[str, object],
     slot_entries: Sequence[list[dict[str, object]]],
+    first: int = 0,
+    counts: Sequence[int] | None = None,
 ) -> dict[str, object]:
     """The versioned result envelope every ``--json`` surface shares.
 
@@ -74,18 +76,25 @@ def result_envelope(
     ``slot_entries`` is the per-slot :func:`elephant_entries` lists in
     slot order. The derived ``series`` block is computed here from the
     entries alone, so every producer agrees on it by construction.
+
+    ``first`` and ``counts`` are the live service's partial reply:
+    ``elephants_by_slot`` lists the slots from index ``first`` on,
+    while ``elephants`` and ``series`` still describe every slot —
+    ``series`` from the per-slot entry counts the caller kept as it
+    went, when it hands them in, so that nothing here walks the
+    history a reader already holds.
     """
-    entries = [list(slot) for slot in slot_entries]
-    counts = [len(slot) for slot in entries]
+    if counts is None:
+        counts = [len(slot) for slot in slot_entries]
     return {
         "schema": RESULT_SCHEMA,
         "command": command,
         "spec": dict(spec),
-        "elephants": entries[-1] if entries else [],
-        "elephants_by_slot": entries,
+        "elephants": list(slot_entries[-1]) if slot_entries else [],
+        "elephants_by_slot": [list(slot) for slot in slot_entries[first:]],
         "series": {
-            "num_slots": len(entries),
-            "elephants_per_slot": counts,
+            "num_slots": len(counts),
+            "elephants_per_slot": list(counts),
             "mean_elephants_per_slot": (
                 sum(counts) / len(counts) if counts else 0.0
             ),

@@ -13,7 +13,8 @@ JSON control messages side by side:
 - ``KIND_ACK`` — JSON ``{"cell": c, "status": ...}``; the collector's
   per-summary receipt, which is also the client's pacing credit.
 - ``KIND_QUERY`` / ``KIND_REPLY`` — JSON request/response for the live
-  merged state.
+  merged state; a query may name the ``since_cell`` it holds history
+  up to, and is then listed only the slots sealed since.
 - ``KIND_ERROR`` — JSON ``{"error": message}``; sent before the
   collector abandons a misbehaving connection.
 - ``KIND_BYE`` — empty payload; a monitor's clean end-of-run (anything
@@ -91,7 +92,9 @@ def decode_json(payload: bytes) -> dict:
     """Parse a control frame's JSON payload."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError is bad UTF-8, bad JSON and an integer literal past
+        # the interpreter's digit limit; RecursionError is "[[[[…"
         raise SummaryFormatError(
             f"control frame carries invalid JSON: {exc}"
         ) from exc

@@ -36,6 +36,19 @@ monitors instead of buffering unboundedly. That window is also the
 one client's replay buffer: given a redial budget (``retries``, 0 by
 default) it rides out a dead transport by redialing and re-sending it.
 
+Reads are a QUERY frame, ``{"link": name, "since_cell": cell}`` with
+both keys optional, answered by one REPLY: the shared result envelope
+plus the link's liveness facts (:meth:`LiveLink.report`). ``since_cell``
+is a reader saying it already holds every sealed slot below that grid
+cell — the ``next_cell`` of its previous reply — so ``elephants_by_slot``
+lists the slots sealed since and a poller pays for what is new; every
+other field describes the whole link, and the reply's own ``since_cell``
+names the cell its first listed slot covers. A query without the key is
+answered in full, as is one this link's history cannot continue (the
+daemon restarted without state): nothing is kept per reader, the
+question carries all the state there is. :meth:`MonitorClient.query`
+keeps the slots it was given and asks for the rest.
+
 Everything here is importable without a running event loop:
 :class:`ServiceHandle` runs the service on a background thread (the
 test harness), and :class:`MonitorClient` / :func:`query_service` are
@@ -51,6 +64,7 @@ import random
 import socket
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -91,6 +105,7 @@ from repro.errors import (
     ClassificationError,
     ReproError,
     ServiceProtocolError,
+    SummaryFormatError,
 )
 from repro.pipeline.engine import StreamingPipeline
 
@@ -114,6 +129,24 @@ def parse_address(text: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise AddressError(f"port {port} is out of range")
     return host, port
+
+
+def _query_frame(link: str | None, since_cell: int | None) -> bytes:
+    """The QUERY both readers send; ``None`` leaves a field open."""
+    return encode_json_frame(
+        KIND_QUERY, {"link": link, "since_cell": since_cell}
+    )
+
+
+def _asked_cell(value: object) -> int | None:
+    """A QUERY's ``since_cell`` as it came off the wire, checked."""
+    if value is None:
+        return None
+    if type(value) is not int or not 0 <= value < 1 << 63:
+        raise ServiceProtocolError(
+            "since_cell must be a non-negative integer cell"
+        )
+    return value
 
 
 class LiveLink:
@@ -162,6 +195,12 @@ class LiveLink:
         self._source: MergedSlotSource | None = None
         self._pipeline: StreamingPipeline | None = None
         self._slot_entries: list[list[dict[str, object]]] = []
+        #: Beside each sealed slot's entries, the grid cell it covers —
+        #: a link that does not fill gaps skips cells, so a slot's
+        #: index is not its cell minus the first — and its elephant
+        #: count, so a reply's ``series`` walks no history.
+        self._slot_cells: list[int] = []
+        self._slot_counts: list[int] = []
         self._bytes_total = 0.0
         self._residual_total = 0.0
 
@@ -289,7 +328,7 @@ class LiveLink:
                 merged = gap_summary(cell, self.first_cell, self.slot_seconds)
             else:
                 continue
-            self._seal(merged)
+            self._seal(cell, merged)
 
     def restore(self, run: list[SlotSummary]) -> None:
         """Rebuild sealed state from checkpointed merged summaries.
@@ -314,9 +353,11 @@ class LiveLink:
                 # the original origin is recoverable from any record
                 self.first_cell = cell - merged.slot
             self.next_cell = cell + 1
-            self._seal(merged, checkpoint=False)
+            self._seal(cell, merged, checkpoint=False)
 
-    def _seal(self, merged: SlotSummary, checkpoint: bool = True) -> None:
+    def _seal(
+        self, cell: int, merged: SlotSummary, checkpoint: bool = True
+    ) -> None:
         if checkpoint and self.on_seal is not None:
             # WAL first: a slot acked to a monitor is always on disk,
             # even if the process dies between here and the classify.
@@ -330,7 +371,10 @@ class LiveLink:
                 config=self.config,
             )
         event = self._pipeline.observe(self._source.frame_of(merged))
-        self._slot_entries.append(elephant_entries(event.frame, event.verdict))
+        entries = elephant_entries(event.frame, event.verdict)
+        self._slot_entries.append(entries)
+        self._slot_cells.append(cell)
+        self._slot_counts.append(len(entries))
         self._bytes_total += merged.total_bytes
         self._residual_total += merged.residual_bytes
 
@@ -345,7 +389,7 @@ class LiveLink:
             for index, monitor in enumerate(self._order)
         }
 
-    def report(self) -> dict[str, object]:
+    def report(self, since_cell: int | None = None) -> dict[str, object]:
         """The query-visible state of this link.
 
         The reply is the shared result envelope
@@ -354,7 +398,26 @@ class LiveLink:
         ``series``, identical field for field to what ``repro
         stream/merge/offload --json`` emit for the same slots) plus
         the service-only liveness facts.
+
+        ``since_cell`` is a reader saying "I hold every sealed slot
+        below this cell" (the ``next_cell`` of its previous reply):
+        ``elephants_by_slot`` then lists only the slots sealed at or
+        above it, and every other field still describes the whole
+        link. The reply's own ``since_cell`` is the cell the first
+        listed slot covers (``next_cell`` when none is listed). A
+        question this link's history cannot be a continuation of —
+        none, one below the first sealed cell or one above
+        ``next_cell`` — is answered in full, and the field, being the
+        first sealed cell then, says so.
         """
+        cells = self._slot_cells
+        first = 0
+        if (
+            since_cell is not None
+            and cells
+            and cells[0] <= since_cell <= self.next_cell
+        ):
+            first = bisect_left(cells, since_cell)
         report = result_envelope(
             "query",
             {
@@ -364,6 +427,8 @@ class LiveLink:
                 "fill_gaps": self.fill_gaps,
             },
             self._slot_entries,
+            first=first,
+            counts=self._slot_counts,
         )
         report.update(
             {
@@ -371,6 +436,9 @@ class LiveLink:
                 "slot_seconds": self.slot_seconds,
                 "slots": self.slots_sealed,
                 "next_cell": self.next_cell,
+                "since_cell": (
+                    cells[first] if first < len(cells) else self.next_cell
+                ),
                 "pending_cells": sorted(self._pending),
                 "residual_fraction": (
                     self._residual_total / self._bytes_total
@@ -487,8 +555,14 @@ class LiveCollector:
         """Is any monitor currently attached, on any link?"""
         return any(status.connected for status in self.monitors.values())
 
-    def query(self, link: str | None = None) -> dict[str, object]:
-        """The report for ``link`` (or the only link, when unnamed)."""
+    def query(
+        self, link: str | None = None, since_cell: int | None = None
+    ) -> dict[str, object]:
+        """The report for ``link`` (or the only link, when unnamed).
+
+        ``since_cell`` is :meth:`LiveLink.report`'s: the reader holds
+        the sealed slots below that cell and is listed the rest.
+        """
         names = sorted(self.links)
         if link is None:
             if len(names) == 1:
@@ -505,7 +579,7 @@ class LiveCollector:
                 f"unknown link {link!r}; live links: "
                 f"{', '.join(names) or 'none'}"
             )
-        report = self.links[link].report()
+        report = self.links[link].report(since_cell)
         report["monitors"] = {
             monitor: status.as_dict()
             for (owner, monitor), status in sorted(self.monitors.items())
@@ -662,13 +736,20 @@ class CollectorService:
                         message = decode_json(payload)
                         requested = message.get("link")
                         report = self.collector.query(
-                            str(requested) if requested else None
+                            str(requested) if requested else None,
+                            _asked_cell(message.get("since_cell")),
                         )
-                        writer.write(
-                            encode_json_frame(
+                        try:
+                            reply = encode_json_frame(
                                 KIND_REPLY, {"status": "ok", **report}
                             )
-                        )
+                        except SummaryFormatError as exc:
+                            raise ServiceProtocolError(
+                                f"{exc}; ask for less: since_cell / repro "
+                                "query --since-cell CELL; this link's "
+                                f"next_cell is {report['next_cell']}"
+                            ) from None
+                        writer.write(reply)
                         await writer.drain()
                     elif kind == KIND_BYE:
                         if attached:
@@ -924,6 +1005,12 @@ class MonitorClient:
             sock.close()
             raise
         self._sock, self._frames = sock, frames
+        #: What :meth:`query` has been given over *this* connection,
+        #: per link: the first sealed cell, the ``next_cell`` to ask
+        #: from, and the entries of every slot sealed below it. A
+        #: daemon loses or changes sealed history only by dying, which
+        #: kills the socket, so a fresh dial starts from nothing.
+        self._history: dict[str, tuple[int | None, int | None, list]] = {}
         resume = reply.get("resume_cell")
         #: First cell the collector will accept; lower cells are sealed
         #: history and are skipped client-side without a round trip.
@@ -987,10 +1074,25 @@ class MonitorClient:
         while self._unacked:
             self._read_ack()
 
-    def _query(self, link: str) -> dict:
+    def _ask(self, link: str, since_cell: int | None) -> dict:
         self._drain()
-        self._sock.sendall(encode_json_frame(KIND_QUERY, {"link": link}))
+        self._sock.sendall(_query_frame(link, since_cell))
         return self._frames.expect(KIND_REPLY)
+
+    def _query(self, link: str) -> dict:
+        first, cursor, slots = self._history.get(link, (None, None, []))
+        reply = self._ask(link, cursor)
+        listed_from = reply.get("since_cell")
+        if cursor is None or listed_from is None or listed_from < cursor:
+            # the whole history: asked for, or the collector's choice,
+            # or a collector that predates since_cell and ignored it
+            first, slots = listed_from, []
+        slots.extend(reply.get("elephants_by_slot", ()))
+        self._history[link] = (first, reply.get("next_cell"), slots)
+        reply["elephants_by_slot"] = list(slots)
+        if first is not None:
+            reply["since_cell"] = first
+        return reply
 
     def _goodbye(self) -> None:
         self._drain()
@@ -1011,7 +1113,19 @@ class MonitorClient:
         self._attempt(self._drain)
 
     def query(self, link: str | None = None) -> dict:
-        """Query over this same connection (outstanding acks drain first)."""
+        """Query over this same connection (outstanding acks drain first).
+
+        Returns the link's whole report, and pays for what is new: the
+        client keeps, per link, the sealed slots' entries its earlier
+        queries on this connection were given, asks the collector for
+        the slots sealed since (``since_cell``), and puts the two
+        together — field for field what an unqualified
+        :func:`query_service` would answer at that moment. The slot
+        lists inside ``elephants_by_slot`` are the retained ones; read
+        them, do not edit them. Everything retained is dropped when the
+        connection is (:meth:`abort`, a redial): whatever answers next
+        may be a collector with another history.
+        """
         return self._attempt(lambda: self._query(link or self.link))
 
     def ensure_connected(self) -> int | None:
@@ -1022,8 +1136,13 @@ class MonitorClient:
         publishes: the frontier gates on currently-attached monitors
         only, so the first monitor to re-attach and publish would seal
         its cells alone and its peers' copies would land as stale.
+
+        The probe is a query from the resume cell — on a connection
+        just dialed that lists nothing, however much history the
+        collector restored — and its reply is thrown away: what
+        :meth:`query` retains is untouched.
         """
-        self.query()
+        self._attempt(lambda: self._ask(self.link, self.resume_cell))
         return self.resume_cell
 
     def close(self) -> None:
@@ -1084,11 +1203,18 @@ def query_service(
     address: tuple[str, int],
     link: str | None = None,
     timeout: float = 10.0,
+    since_cell: int | None = None,
 ) -> dict:
-    """One-shot query against a live collector service."""
+    """One-shot query against a live collector service.
+
+    ``since_cell`` — the ``next_cell`` of an earlier reply — asks for
+    the slots sealed at or above that cell only; the reply is returned
+    as received (see :meth:`LiveLink.report`), for a poller that keeps
+    its own history.
+    """
     with socket.create_connection(address, timeout=timeout) as sock:
         frames = _BlockingFrames(sock)
-        sock.sendall(encode_json_frame(KIND_QUERY, {"link": link}))
+        sock.sendall(_query_frame(link, since_cell))
         reply = frames.expect(KIND_REPLY)
         sock.sendall(encode_frame(KIND_BYE))
     return reply

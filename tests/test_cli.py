@@ -1139,6 +1139,45 @@ class TestCollectorServiceCli:
         assert not thread.is_alive()
         assert outcome["code"] == 0
 
+    def test_query_since_cell_head_plus_delta_is_full(
+        self, stream_capture, live, capsys
+    ):
+        """`--since-cell N` lists the slots from cell N on, as received;
+        everything else in the reply still describes the whole link."""
+        address = self._address(live)
+        code = main(
+            ["stream", stream_capture["npz"], "--quiet", "--connect", address]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+        def query(*flags):
+            assert main(["query", address, *flags]) == 0
+            return capsys.readouterr().out
+
+        full = json.loads(query("--json"))
+        assert full["slots"] == 4
+        cell = full["since_cell"] + 2
+        delta = json.loads(query("--since-cell", str(cell), "--json"))
+        head = full["elephants_by_slot"][:2]
+        assert head + delta["elephants_by_slot"] == full["elephants_by_slot"]
+        assert delta.pop("since_cell") == cell
+        assert len(delta.pop("elephants_by_slot")) == 2
+        assert delta.items() <= full.items()
+        # the next poll's cursor is this reply's next_cell: nothing new
+        cursor = str(delta["next_cell"])
+        latest = json.loads(query("--since-cell", cursor, "--json"))
+        assert latest["elephants_by_slot"] == []
+        # the table describes the whole link either way
+        assert query("--since-cell", cursor) == query()
+
+    @pytest.mark.parametrize("cell", ["-1", "9223372036854775808"])
+    def test_query_since_cell_off_the_grid_exits_2(self, live, capsys, cell):
+        assert main(["query", self._address(live), "--since-cell", cell]) == 2
+        captured = capsys.readouterr()
+        error = "error: since_cell must be a non-negative integer cell\n"
+        assert (captured.out, captured.err) == ("", error)
+
     def test_query_unreachable_address_exits_2(self, capsys):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
