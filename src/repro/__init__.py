@@ -24,69 +24,55 @@ See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    AestThreshold,
-    ClassificationEngine,
-    ClassificationResult,
-    ConstantLoadThreshold,
-    Feature,
-    LatentHeatClassifier,
-    Scheme,
-    SingleFeatureClassifier,
-    ThresholdTracker,
-)
-from repro.errors import ReproError
-from repro.flows import FlowAggregator, RateMatrix, TimeAxis, aggregate_pcap
-from repro.net import Prefix
-from repro.pipeline import (
-    MatrixSlotSource,
-    PcapPacketSource,
-    StreamingAggregator,
-    StreamingPipeline,
-    run_stream,
-)
-from repro.routing import CompiledLpm, RoutingTable, generate_rib
-from repro.stats import aest, hill_estimator
-from repro.traffic import (
-    LinkWorkload,
-    east_coast_link,
-    simulate_link,
-    west_coast_link,
-    write_pcap,
-)
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AestThreshold",
-    "ClassificationEngine",
-    "ClassificationResult",
-    "CompiledLpm",
-    "ConstantLoadThreshold",
-    "Feature",
-    "FlowAggregator",
-    "LatentHeatClassifier",
-    "LinkWorkload",
-    "MatrixSlotSource",
-    "PcapPacketSource",
-    "Prefix",
-    "RateMatrix",
-    "ReproError",
-    "RoutingTable",
-    "Scheme",
-    "SingleFeatureClassifier",
-    "StreamingAggregator",
-    "StreamingPipeline",
-    "ThresholdTracker",
-    "TimeAxis",
-    "aest",
-    "aggregate_pcap",
-    "run_stream",
-    "east_coast_link",
-    "generate_rib",
-    "hill_estimator",
-    "simulate_link",
-    "west_coast_link",
-    "write_pcap",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "core": (
+            "AestThreshold",
+            "ClassificationEngine",
+            "ClassificationResult",
+            "ConstantLoadThreshold",
+            "Feature",
+            "LatentHeatClassifier",
+            "Scheme",
+            "SingleFeatureClassifier",
+            "ThresholdTracker",
+        ),
+        "errors": ("ReproError",),
+        "flows": (
+            "FlowAggregator",
+            "RateMatrix",
+            "TimeAxis",
+            "aggregate_pcap",
+        ),
+        "net": ("Prefix",),
+        "pipeline": (
+            "MatrixSlotSource",
+            "PcapPacketSource",
+            "StreamingAggregator",
+            "StreamingPipeline",
+            "run_stream",
+        ),
+        "routing": ("CompiledLpm", "RoutingTable", "generate_rib"),
+        "stats": ("aest", "hill_estimator"),
+        "traffic": (
+            "LinkWorkload",
+            "east_coast_link",
+            "simulate_link",
+            "west_coast_link",
+            "write_pcap",
+        ),
+        # export nothing up here; listed so that ``repro.analysis`` is
+        # an attribute of ``repro`` whether or not anyone imported it
+        "analysis": (),
+        "distributed": (),
+        "experiments": (),
+        "pcap": (),
+        "sketches": (),
+    },
+)
+__all__ += ["__version__"]

@@ -1,69 +1,44 @@
 """Analysis of classification results: the paper's metrics and reports."""
 
-from repro.analysis.busy import DEFAULT_BUSY_HOURS, BusyPeriod, find_busy_period
-from repro.analysis.churn import ChurnReport, churn_reduction
-from repro.analysis.elephants import (
-    ElephantSeries,
-    ElephantSeriesBuilder,
-    working_hours_lift,
-    working_hours_mask,
-)
-from repro.analysis.holding import (
-    FIG1C_MAX_SLOTS,
-    HoldingTimeAnalysis,
-    busy_period_result,
-    holding_time_ratio,
-)
-from repro.analysis.offload import (
-    DEFAULT_COOLDOWN_SLOTS,
-    EVICTION_POLICIES,
-    FlowTableSimulator,
-    OffloadReport,
-    OffloadSlot,
-    OffloadSpec,
-    simulate_offload,
-)
-from repro.analysis.persistence import (
-    PersistenceCurve,
-    persistence_curve,
-    persistence_from_result,
-    persistence_gain,
-)
-from repro.analysis.prefixes import OriginTierReport, PrefixLengthReport
-from repro.analysis.report import (
-    format_paper_comparison,
-    format_series_summary,
-    format_table,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BusyPeriod",
-    "ChurnReport",
-    "DEFAULT_BUSY_HOURS",
-    "DEFAULT_COOLDOWN_SLOTS",
-    "EVICTION_POLICIES",
-    "ElephantSeries",
-    "ElephantSeriesBuilder",
-    "FIG1C_MAX_SLOTS",
-    "FlowTableSimulator",
-    "HoldingTimeAnalysis",
-    "OffloadReport",
-    "OffloadSlot",
-    "OffloadSpec",
-    "OriginTierReport",
-    "PersistenceCurve",
-    "PrefixLengthReport",
-    "busy_period_result",
-    "churn_reduction",
-    "find_busy_period",
-    "simulate_offload",
-    "format_paper_comparison",
-    "format_series_summary",
-    "format_table",
-    "holding_time_ratio",
-    "persistence_curve",
-    "persistence_from_result",
-    "persistence_gain",
-    "working_hours_lift",
-    "working_hours_mask",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "busy": ("DEFAULT_BUSY_HOURS", "BusyPeriod", "find_busy_period"),
+        "churn": ("ChurnReport", "churn_reduction"),
+        "elephants": (
+            "ElephantSeries",
+            "ElephantSeriesBuilder",
+            "working_hours_lift",
+            "working_hours_mask",
+        ),
+        "holding": (
+            "FIG1C_MAX_SLOTS",
+            "HoldingTimeAnalysis",
+            "busy_period_result",
+            "holding_time_ratio",
+        ),
+        "offload": (
+            "DEFAULT_COOLDOWN_SLOTS",
+            "EVICTION_POLICIES",
+            "FlowTableSimulator",
+            "OffloadReport",
+            "OffloadSlot",
+            "OffloadSpec",
+            "simulate_offload",
+        ),
+        "persistence": (
+            "PersistenceCurve",
+            "persistence_curve",
+            "persistence_from_result",
+            "persistence_gain",
+        ),
+        "prefixes": ("OriginTierReport", "PrefixLengthReport"),
+        "report": (
+            "format_paper_comparison",
+            "format_series_summary",
+            "format_table",
+        ),
+    },
+)

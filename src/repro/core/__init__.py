@@ -6,73 +6,49 @@ classification over per-prefix bandwidth series, with the "aest" and
 smoothing.
 """
 
-from repro.core.alternatives import (
-    CapacityFractionThreshold,
-    MeanPlusStdThreshold,
-    TopKThreshold,
-)
-from repro.core.engine import (
-    ClassificationEngine,
-    EngineConfig,
-    Feature,
-    Scheme,
-    make_detector,
-)
-from repro.core.latent_heat import (
-    DEFAULT_WINDOW_SLOTS,
-    LatentHeatClassifier,
-    latent_heat_series,
-)
-from repro.core.result import ClassificationResult
-from repro.core.single_feature import SingleFeatureClassifier
-from repro.core.smoothing import (
-    DEFAULT_ALPHA,
-    SlotThreshold,
-    ThresholdSeries,
-    ThresholdTracker,
-)
-from repro.core.streaming import OnlineClassifier, SlotVerdict
-from repro.core.states import (
-    HoldingTimeSummary,
-    mean_holding_times,
-    run_lengths,
-    total_elephant_slots,
-    transition_counts,
-)
-from repro.core.thresholds import (
-    AestThreshold,
-    ConstantLoadThreshold,
-    QuantileThreshold,
-    ThresholdDetector,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AestThreshold",
-    "CapacityFractionThreshold",
-    "ClassificationEngine",
-    "ClassificationResult",
-    "ConstantLoadThreshold",
-    "DEFAULT_ALPHA",
-    "DEFAULT_WINDOW_SLOTS",
-    "EngineConfig",
-    "Feature",
-    "HoldingTimeSummary",
-    "LatentHeatClassifier",
-    "MeanPlusStdThreshold",
-    "OnlineClassifier",
-    "QuantileThreshold",
-    "Scheme",
-    "SingleFeatureClassifier",
-    "SlotThreshold",
-    "SlotVerdict",
-    "ThresholdDetector",
-    "ThresholdSeries",
-    "TopKThreshold",
-    "ThresholdTracker",
-    "latent_heat_series",
-    "make_detector",
-    "mean_holding_times",
-    "run_lengths",
-    "total_elephant_slots",
-    "transition_counts",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "alternatives": (
+            "CapacityFractionThreshold",
+            "MeanPlusStdThreshold",
+            "TopKThreshold",
+        ),
+        "engine": (
+            "ClassificationEngine",
+            "EngineConfig",
+            "Feature",
+            "Scheme",
+            "make_detector",
+        ),
+        "latent_heat": (
+            "DEFAULT_WINDOW_SLOTS",
+            "LatentHeatClassifier",
+            "latent_heat_series",
+        ),
+        "result": ("ClassificationResult",),
+        "single_feature": ("SingleFeatureClassifier",),
+        "smoothing": (
+            "DEFAULT_ALPHA",
+            "SlotThreshold",
+            "ThresholdSeries",
+            "ThresholdTracker",
+        ),
+        "states": (
+            "HoldingTimeSummary",
+            "mean_holding_times",
+            "run_lengths",
+            "total_elephant_slots",
+            "transition_counts",
+        ),
+        "streaming": ("OnlineClassifier", "SlotVerdict"),
+        "thresholds": (
+            "AestThreshold",
+            "ConstantLoadThreshold",
+            "QuantileThreshold",
+            "ThresholdDetector",
+        ),
+    },
+)

@@ -19,93 +19,54 @@ incrementally through the very same merge primitives.
 whose clocks drifted past a slot boundary.
 """
 
-from repro.distributed.collector import (
-    RESULT_SCHEMA,
-    Collector,
-    MergedSlotSource,
-    elephant_entries,
-    result_envelope,
-)
-from repro.distributed.checkpoint import CheckpointStore
-from repro.distributed.faults import FaultPlan, FaultRule
-from repro.distributed.framing import (
-    FrameDecoder,
-    encode_frame,
-    encode_json_frame,
-    encode_summary,
-)
-from repro.distributed.merge import (
-    MergedRun,
-    estimate_clock_skew,
-    estimate_skew_from_totals,
-    merge_runs,
-    merge_summaries,
-)
-from repro.distributed.partition import StridedPacketSource
-from repro.distributed.runner import (
-    ParallelIngestResult,
-    RowResolver,
-    parallel_ingest,
-)
-from repro.distributed.service import (
-    CollectorService,
-    LiveCollector,
-    LiveLink,
-    MonitorClient,
-    ServiceHandle,
-    parse_address,
-    publish_summaries,
-    query_service,
-)
-from repro.distributed.shm_ring import (
-    DEFAULT_RING_SLOTS,
-    RingConsumer,
-    RingSpec,
-    RingWriter,
-    ShmRing,
-)
-from repro.distributed.summary import (
-    SlotSummary,
-    load_summaries,
-    save_summaries,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CheckpointStore",
-    "Collector",
-    "CollectorService",
-    "DEFAULT_RING_SLOTS",
-    "FaultPlan",
-    "FaultRule",
-    "FrameDecoder",
-    "LiveCollector",
-    "LiveLink",
-    "MergedRun",
-    "MergedSlotSource",
-    "MonitorClient",
-    "ParallelIngestResult",
-    "RESULT_SCHEMA",
-    "RingConsumer",
-    "RingSpec",
-    "RingWriter",
-    "RowResolver",
-    "ServiceHandle",
-    "ShmRing",
-    "SlotSummary",
-    "StridedPacketSource",
-    "elephant_entries",
-    "encode_frame",
-    "encode_json_frame",
-    "encode_summary",
-    "estimate_clock_skew",
-    "estimate_skew_from_totals",
-    "load_summaries",
-    "merge_runs",
-    "merge_summaries",
-    "parallel_ingest",
-    "parse_address",
-    "publish_summaries",
-    "query_service",
-    "result_envelope",
-    "save_summaries",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "checkpoint": ("CheckpointStore",),
+        "client": (
+            "MonitorClient",
+            "parse_address",
+            "publish_summaries",
+            "query_service",
+        ),
+        "collector": (
+            "RESULT_SCHEMA",
+            "Collector",
+            "MergedSlotSource",
+            "elephant_entries",
+            "result_envelope",
+        ),
+        "faults": ("FaultPlan", "FaultRule"),
+        "framing": (
+            "FrameDecoder",
+            "encode_frame",
+            "encode_json_frame",
+            "encode_summary",
+        ),
+        "merge": (
+            "MergedRun",
+            "estimate_clock_skew",
+            "estimate_skew_from_totals",
+            "merge_runs",
+            "merge_summaries",
+        ),
+        "partition": ("StridedPacketSource",),
+        "runner": ("ParallelIngestResult", "RowResolver", "parallel_ingest"),
+        "service": (
+            "CollectorService",
+            "LiveCollector",
+            "LiveLink",
+            "ServiceHandle",
+        ),
+        "shm_ring": (
+            "DEFAULT_RING_SLOTS",
+            "RingConsumer",
+            "RingSpec",
+            "RingWriter",
+            "ShmRing",
+        ),
+        "summary": ("SlotSummary", "load_summaries", "save_summaries"),
+    },
+)

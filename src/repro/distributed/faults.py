@@ -45,10 +45,13 @@ exercise the *real* error paths, not simulated ones.
 from __future__ import annotations
 
 import os
-import socket
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import FaultPlanError
+
+if TYPE_CHECKING:
+    import socket
 
 #: A full fault plan, parsed by :meth:`FaultPlan.parse`.
 PLAN_ENV = "REPRO_FAULT_PLAN"

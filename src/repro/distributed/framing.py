@@ -36,9 +36,12 @@ from __future__ import annotations
 
 import json
 import struct
+from typing import TYPE_CHECKING
 
-from repro.distributed.summary import SlotSummary
 from repro.errors import SummaryFormatError
+
+if TYPE_CHECKING:
+    from repro.distributed.summary import SlotSummary
 
 KIND_HELLO = b"H"
 KIND_SUMMARY = b"S"
@@ -69,6 +72,28 @@ MAX_PAYLOAD_BYTES = 1 << 26
 
 #: Kind tag + big-endian payload length.
 _FRAME_HEADER = struct.Struct(">cI")
+
+#: Link monitors land on when their hello names none.
+DEFAULT_LINK = "link0"
+#: Unacked summaries a monitor may keep on the wire.
+DEFAULT_MAX_INFLIGHT = 32
+#: One socket read's worth of stream.
+CHUNK_BYTES = 1 << 16
+
+
+def grid_cell(start: float, slot_seconds: float) -> int:
+    """The slot-grid cell containing the interval starting at ``start``.
+
+    Starts are grid-aligned by construction; ``round`` guards the
+    float division, it does not re-bin off-grid starts (those fail the
+    exact start check inside
+    :func:`~repro.distributed.merge.merge_summaries`, and a live link
+    refuses them on arrival). Here because every ``cell`` on the wire
+    (acks, ``resume_cell``, ``since_cell``) is this number, and the
+    client has to count as the collector does without importing its
+    merge.
+    """
+    return int(round(start / slot_seconds))
 
 
 def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:
@@ -112,6 +137,10 @@ def encode_summary(summary: SlotSummary) -> bytes:
 
 def decode_summary(payload: bytes) -> SlotSummary:
     """Parse a ``KIND_SUMMARY`` payload (raises on corrupt records)."""
+    # imported on use: the record brings numpy, and the protocol's
+    # readers (`repro query`, a poller) never decode one
+    from repro.distributed.summary import SlotSummary
+
     return SlotSummary.from_bytes(payload)
 
 
@@ -162,6 +191,9 @@ class FrameDecoder:
 
 
 __all__ = [
+    "CHUNK_BYTES",
+    "DEFAULT_LINK",
+    "DEFAULT_MAX_INFLIGHT",
     "FRAME_KINDS",
     "KIND_ACK",
     "KIND_BYE",
@@ -178,4 +210,5 @@ __all__ = [
     "encode_frame",
     "encode_json_frame",
     "encode_summary",
+    "grid_cell",
 ]

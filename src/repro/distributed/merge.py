@@ -12,9 +12,10 @@ the merged slot still conserves every byte any monitor saw.
 :func:`merge_runs` aligns whole monitor runs slot by slot, tolerating
 monitors that missed slots (their contribution is simply absent). The
 live collector service performs the identical computation one cell at
-a time through the same primitives — :func:`grid_cell`,
-:func:`merge_summaries`, :func:`gap_summary` — which is what keeps its
-answers slot-identical to an offline merge of the same summaries.
+a time through the same primitives —
+:func:`~repro.distributed.framing.grid_cell`, :func:`merge_summaries`,
+:func:`gap_summary` — which is what keeps its answers slot-identical to
+an offline merge of the same summaries.
 
 The merge is an index over integer keys, not a walk over ``Prefix``
 objects: the inputs' ``prefixes`` are columns, their ``keys()``
@@ -44,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.distributed.framing import grid_cell
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ClockSkewWarning
 from repro.net.prefix import PrefixColumns
@@ -67,17 +69,6 @@ SKEW_MIN_CORRELATION = 0.9
 #: per-merge false-positive rate well under a percent while a real
 #: shifted clock (r ~ 1) passes at any overlap.
 SKEW_MIN_T_STATISTIC = 8.0
-
-
-def grid_cell(start: float, slot_seconds: float) -> int:
-    """The slot-grid cell containing the interval starting at ``start``.
-
-    Starts are grid-aligned by construction; ``round`` guards the
-    float division, it does not re-bin off-grid starts (those fail the
-    exact start check inside :func:`merge_summaries`, and a live link
-    refuses them on arrival).
-    """
-    return int(round(start / slot_seconds))
 
 
 def misaligned(
@@ -415,7 +406,6 @@ __all__ = [
     "estimate_clock_skew",
     "estimate_skew_from_totals",
     "gap_summary",
-    "grid_cell",
     "merge_runs",
     "merge_summaries",
     "misaligned",

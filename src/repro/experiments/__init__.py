@@ -1,44 +1,30 @@
 """Experiment harness: canonical runs, figure builders, text statistics."""
 
-from repro.experiments.ascii_plot import histogram_chart, line_chart
-from repro.experiments.config import (
-    DEFAULT_BENCH_SCALE,
-    SCALE_ENV_VAR,
-    ExperimentConfig,
-    bench_config,
-    bench_scale,
-)
-from repro.experiments.figures import Figure1a, Figure1b, Figure1c
-from repro.experiments.runner import (
-    LINK_NAMES,
-    PaperRun,
-    cached_paper_run,
-    run_paper_experiment,
-)
-from repro.experiments.textstats import (
-    SingleVsTwoFeature,
-    VolatilityStats,
-    prefix_reports,
-    volatility_grid,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_BENCH_SCALE",
-    "ExperimentConfig",
-    "Figure1a",
-    "Figure1b",
-    "Figure1c",
-    "LINK_NAMES",
-    "PaperRun",
-    "SCALE_ENV_VAR",
-    "SingleVsTwoFeature",
-    "VolatilityStats",
-    "bench_config",
-    "bench_scale",
-    "cached_paper_run",
-    "histogram_chart",
-    "line_chart",
-    "prefix_reports",
-    "run_paper_experiment",
-    "volatility_grid",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ascii_plot": ("histogram_chart", "line_chart"),
+        "config": (
+            "DEFAULT_BENCH_SCALE",
+            "SCALE_ENV_VAR",
+            "ExperimentConfig",
+            "bench_config",
+            "bench_scale",
+        ),
+        "figures": ("Figure1a", "Figure1b", "Figure1c"),
+        "runner": (
+            "LINK_NAMES",
+            "PaperRun",
+            "cached_paper_run",
+            "run_paper_experiment",
+        ),
+        "textstats": (
+            "SingleVsTwoFeature",
+            "VolatilityStats",
+            "prefix_reports",
+            "volatility_grid",
+        ),
+    },
+)

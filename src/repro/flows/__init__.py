@@ -1,43 +1,26 @@
 """Flow accounting: time axes, rate matrices, packet aggregation."""
 
-from repro.flows.aggregate import (
-    AggregationStats,
-    FlowAggregator,
-    aggregate_pcap,
-)
-from repro.flows.granularity import (
-    AsAggregation,
-    aggregate_fixed_length,
-    aggregate_origin_as,
-    granularity_sweep,
-)
-from repro.flows.interchange import (
-    FLOW_INFO_COLUMNS,
-    FlowInfoRecord,
-    FlowRecordSource,
-    read_flow_records,
-    slot_flow_records,
-    write_flow_records,
-)
-from repro.flows.matrix import RateMatrix
-from repro.flows.records import DEFAULT_SLOT_SECONDS, FlowRecord, TimeAxis
+from repro._lazy import attach
 
-__all__ = [
-    "AggregationStats",
-    "AsAggregation",
-    "DEFAULT_SLOT_SECONDS",
-    "FLOW_INFO_COLUMNS",
-    "FlowAggregator",
-    "FlowInfoRecord",
-    "FlowRecord",
-    "FlowRecordSource",
-    "RateMatrix",
-    "TimeAxis",
-    "aggregate_fixed_length",
-    "aggregate_origin_as",
-    "aggregate_pcap",
-    "granularity_sweep",
-    "read_flow_records",
-    "slot_flow_records",
-    "write_flow_records",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "aggregate": ("AggregationStats", "FlowAggregator", "aggregate_pcap"),
+        "granularity": (
+            "AsAggregation",
+            "aggregate_fixed_length",
+            "aggregate_origin_as",
+            "granularity_sweep",
+        ),
+        "interchange": (
+            "FLOW_INFO_COLUMNS",
+            "FlowInfoRecord",
+            "FlowRecordSource",
+            "read_flow_records",
+            "slot_flow_records",
+            "write_flow_records",
+        ),
+        "matrix": ("RateMatrix",),
+        "records": ("DEFAULT_SLOT_SECONDS", "FlowRecord", "TimeAxis"),
+    },
+)

@@ -18,16 +18,18 @@ one vectorized aggregation path, not two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import FlowRecord, TimeAxis
-from repro.net.prefix import Prefix
-from repro.pcap.packet import PacketSummary
-from repro.routing.rib import RoutingTable
+
+if TYPE_CHECKING:
+    from repro.net.prefix import Prefix
+    from repro.pcap.packet import PacketSummary
+    from repro.routing.rib import RoutingTable
 
 
 @dataclass

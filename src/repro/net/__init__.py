@@ -1,24 +1,18 @@
 """Low-level IPv4 networking primitives (addresses, prefixes, checksums)."""
 
-from repro.net.ipv4 import (
-    ADDRESS_BITS,
-    MAX_ADDRESS,
-    format_ipv4,
-    netmask,
-    parse_ipv4,
-)
-from repro.net.prefix import DEFAULT_ROUTE, Prefix, PrefixColumns
-from repro.net.checksum import internet_checksum, verify_checksum
+from repro._lazy import attach
 
-__all__ = [
-    "ADDRESS_BITS",
-    "MAX_ADDRESS",
-    "DEFAULT_ROUTE",
-    "Prefix",
-    "PrefixColumns",
-    "format_ipv4",
-    "internet_checksum",
-    "netmask",
-    "parse_ipv4",
-    "verify_checksum",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "checksum": ("internet_checksum", "verify_checksum"),
+        "ipv4": (
+            "ADDRESS_BITS",
+            "MAX_ADDRESS",
+            "format_ipv4",
+            "netmask",
+            "parse_ipv4",
+        ),
+        "prefix": ("DEFAULT_ROUTE", "Prefix", "PrefixColumns"),
+    },
+)

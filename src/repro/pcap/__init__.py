@@ -1,55 +1,32 @@
 """Packet capture substrate: classic pcap files and protocol codecs."""
 
-from repro.pcap.ethernet import ETHERTYPE_IPV4, EthernetFrame, decode_ethernet
-from repro.pcap.ip import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    Ipv4Packet,
-    decode_ipv4,
-)
-from repro.pcap.packet import (
-    PacketSummary,
-    build_frame,
-    build_tcp_packet,
-    build_udp_packet,
-    summarize_record,
-)
-from repro.pcap.pcapfile import (
-    LINKTYPE_ETHERNET,
-    LINKTYPE_RAW_IP,
-    CaptureRecord,
-    PcapReader,
-    PcapWriter,
-)
-from repro.pcap.transport import (
-    TcpSegment,
-    UdpDatagram,
-    decode_tcp,
-    decode_udp,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CaptureRecord",
-    "ETHERTYPE_IPV4",
-    "EthernetFrame",
-    "Ipv4Packet",
-    "LINKTYPE_ETHERNET",
-    "LINKTYPE_RAW_IP",
-    "PROTO_ICMP",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "PacketSummary",
-    "PcapReader",
-    "PcapWriter",
-    "TcpSegment",
-    "UdpDatagram",
-    "build_frame",
-    "build_tcp_packet",
-    "build_udp_packet",
-    "decode_ethernet",
-    "decode_ipv4",
-    "decode_tcp",
-    "decode_udp",
-    "summarize_record",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ethernet": ("ETHERTYPE_IPV4", "EthernetFrame", "decode_ethernet"),
+        "ip": (
+            "PROTO_ICMP",
+            "PROTO_TCP",
+            "PROTO_UDP",
+            "Ipv4Packet",
+            "decode_ipv4",
+        ),
+        "packet": (
+            "PacketSummary",
+            "build_frame",
+            "build_tcp_packet",
+            "build_udp_packet",
+            "summarize_record",
+        ),
+        "pcapfile": (
+            "LINKTYPE_ETHERNET",
+            "LINKTYPE_RAW_IP",
+            "CaptureRecord",
+            "PcapReader",
+            "PcapWriter",
+        ),
+        "transport": ("TcpSegment", "UdpDatagram", "decode_tcp", "decode_udp"),
+    },
+)

@@ -9,87 +9,54 @@ capture length. Batch execution is a thin wrapper: collect the stream
 and you get exactly what the batch engine computes.
 """
 
-from repro.pipeline.aggregator import (
-    AggregatingSlotSource,
-    PrefixResolver,
-    StreamingAggregator,
-)
-from repro.pipeline.backends import (
-    ADMISSION_NAMES,
-    BACKEND_NAMES,
-    RESIDUAL_PREFIX,
-    AggregationBackend,
-    ArraySketchAggregation,
-    ExactAggregation,
-    SketchAggregation,
-    SketchSlotSource,
-    capacity_for_budget,
-    make_backend,
-    parse_memory_budget,
-)
-from repro.pipeline.engine import (
-    StreamCollector,
-    StreamEvent,
-    StreamingPipeline,
-    classify_matrix_streaming,
-    run_stream,
-)
-from repro.pipeline.sampling import (
-    SAMPLING_MODES,
-    UNSAMPLED,
-    SampledPacketSource,
-    SamplingSpec,
-)
-from repro.pipeline.sharded import ShardedAggregation, shard_of
-from repro.pipeline.sources import (
-    ArrayPacketSource,
-    CsvPacketSource,
-    MatrixSlotSource,
-    PacketBatch,
-    PacketSource,
-    PcapPacketSource,
-    ScenarioSlotSource,
-    SlotFrame,
-    SlotSource,
-)
-from repro.pipeline.spec import SOURCE_KINDS, PipelineSpec, SourceSpec
+from repro._lazy import attach
 
-__all__ = [
-    "ADMISSION_NAMES",
-    "AggregatingSlotSource",
-    "AggregationBackend",
-    "ArrayPacketSource",
-    "ArraySketchAggregation",
-    "BACKEND_NAMES",
-    "CsvPacketSource",
-    "ExactAggregation",
-    "RESIDUAL_PREFIX",
-    "ShardedAggregation",
-    "shard_of",
-    "SketchAggregation",
-    "SketchSlotSource",
-    "capacity_for_budget",
-    "make_backend",
-    "parse_memory_budget",
-    "MatrixSlotSource",
-    "PacketBatch",
-    "PacketSource",
-    "PcapPacketSource",
-    "PipelineSpec",
-    "PrefixResolver",
-    "SAMPLING_MODES",
-    "SOURCE_KINDS",
-    "SourceSpec",
-    "SampledPacketSource",
-    "SamplingSpec",
-    "ScenarioSlotSource",
-    "SlotFrame",
-    "SlotSource",
-    "StreamCollector",
-    "StreamEvent",
-    "StreamingAggregator",
-    "StreamingPipeline",
-    "UNSAMPLED",
-    "classify_matrix_streaming",
-    "run_stream",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "aggregator": (
+            "AggregatingSlotSource",
+            "PrefixResolver",
+            "StreamingAggregator",
+        ),
+        "backends": (
+            "ADMISSION_NAMES",
+            "BACKEND_NAMES",
+            "RESIDUAL_PREFIX",
+            "AggregationBackend",
+            "ArraySketchAggregation",
+            "ExactAggregation",
+            "SketchAggregation",
+            "SketchSlotSource",
+            "capacity_for_budget",
+            "make_backend",
+            "parse_memory_budget",
+        ),
+        "engine": (
+            "StreamCollector",
+            "StreamEvent",
+            "StreamingPipeline",
+            "classify_matrix_streaming",
+            "run_stream",
+        ),
+        "sampling": (
+            "SAMPLING_MODES",
+            "UNSAMPLED",
+            "SampledPacketSource",
+            "SamplingSpec",
+        ),
+        "sharded": ("ShardedAggregation", "shard_of"),
+        "sources": (
+            "ArrayPacketSource",
+            "CsvPacketSource",
+            "MatrixSlotSource",
+            "PacketBatch",
+            "PacketSource",
+            "PcapPacketSource",
+            "ScenarioSlotSource",
+            "SlotFrame",
+            "SlotSource",
+        ),
+        "spec": ("SOURCE_KINDS", "PipelineSpec", "SourceSpec"),
+    },
+)

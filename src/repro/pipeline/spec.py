@@ -22,8 +22,8 @@ is one value that can be validated, logged, and shipped around.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ClassificationError
 from repro.pipeline.backends import (
@@ -46,6 +46,9 @@ from repro.pipeline.sources import (
     text_lines,
 )
 from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Valid :attr:`SourceSpec.kind` values.
 SOURCE_KINDS = ("pcap", "packet-csv", "flow-csv", "array")

@@ -27,7 +27,7 @@ memory for every L.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from repro.errors import AddressError, RoutingError
 from repro.hash_index import ABSENT, HashIndex
 from repro.net.ipv4 import MAX_ADDRESS
 from repro.net.prefix import Prefix, PrefixColumns
-from repro.routing.rib import RoutingTable
+
+if TYPE_CHECKING:
+    from repro.routing.rib import RoutingTable
 
 #: Row value meaning "no covering prefix" in lookup results.
 NO_ROUTE = -1

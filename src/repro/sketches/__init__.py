@@ -8,57 +8,34 @@ batch-update counterpart of each, which the aggregation hot path runs
 on.
 """
 
-from repro.sketches.array_tables import (
-    ArrayCountMin,
-    ArrayMisraGries,
-    ArraySampleHold,
-    ArraySpaceSaving,
-    BatchUpdate,
-)
-from repro.sketches.bloom import (
-    BloomGatedTable,
-    CountingBloom,
-    gated_table,
-)
-from repro.sketches.count_min import CountMinCandidates, CountMinSketch
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.sample_hold import SampleAndHold
-from repro.sketches.space_saving import SpaceSaving
-from repro.sketches.streaming_eval import (
-    COMPARISON_COLUMNS,
-    BackendComparison,
-    BackendRun,
-    SketchRun,
-    evaluate_backends,
-    exact_top_k_per_slot,
-    mask_agreement,
-    run_backend,
-    score_against,
-    space_saving_per_slot,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ArrayCountMin",
-    "ArrayMisraGries",
-    "ArraySampleHold",
-    "ArraySpaceSaving",
-    "BackendComparison",
-    "BackendRun",
-    "BatchUpdate",
-    "BloomGatedTable",
-    "COMPARISON_COLUMNS",
-    "CountMinCandidates",
-    "CountMinSketch",
-    "CountingBloom",
-    "gated_table",
-    "MisraGries",
-    "SampleAndHold",
-    "SketchRun",
-    "SpaceSaving",
-    "evaluate_backends",
-    "exact_top_k_per_slot",
-    "mask_agreement",
-    "run_backend",
-    "score_against",
-    "space_saving_per_slot",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "array_tables": (
+            "ArrayCountMin",
+            "ArrayMisraGries",
+            "ArraySampleHold",
+            "ArraySpaceSaving",
+            "BatchUpdate",
+        ),
+        "bloom": ("BloomGatedTable", "CountingBloom", "gated_table"),
+        "count_min": ("CountMinCandidates", "CountMinSketch"),
+        "misra_gries": ("MisraGries",),
+        "sample_hold": ("SampleAndHold",),
+        "space_saving": ("SpaceSaving",),
+        "streaming_eval": (
+            "COMPARISON_COLUMNS",
+            "BackendComparison",
+            "BackendRun",
+            "SketchRun",
+            "evaluate_backends",
+            "exact_top_k_per_slot",
+            "mask_agreement",
+            "run_backend",
+            "score_against",
+            "space_saving_per_slot",
+        ),
+    },
+)

@@ -1,44 +1,37 @@
 """Statistical machinery: ECDF/LLCD, EWMA, Hill and aest tail estimators."""
 
-from repro.stats.aest import (
-    AestConfig,
-    AestResult,
-    aest,
-    aest_tail_onset,
-    aggregate_sums,
-)
-from repro.stats.ecdf import ShareCurve, ccdf, ecdf, llcd_points, quantile
-from repro.stats.ewma import Ewma, smooth_series
-from repro.stats.histogram import (
-    Histogram,
-    integer_histogram,
-    log_spaced_histogram,
-)
-from repro.stats.tail import (
-    hill_estimator,
-    hill_plot,
-    mass_share_of_top,
-    top_fraction_for_share,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AestConfig",
-    "AestResult",
-    "Ewma",
-    "Histogram",
-    "ShareCurve",
-    "aest",
-    "aest_tail_onset",
-    "aggregate_sums",
-    "ccdf",
-    "ecdf",
-    "hill_estimator",
-    "hill_plot",
-    "integer_histogram",
-    "llcd_points",
-    "log_spaced_histogram",
-    "mass_share_of_top",
-    "quantile",
-    "smooth_series",
-    "top_fraction_for_share",
-]
+# ``aest`` and ``ecdf`` are functions named like the modules that define
+# them, and loading a submodule binds it on its package: left lazy, each
+# would turn into its module as soon as anything imported that. Bound
+# here, after and over the modules, they stay functions (both modules
+# are on every classifying path anyway).
+from repro.stats.aest import aest
+from repro.stats.ecdf import ecdf
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "aest": (
+            "AestConfig",
+            "AestResult",
+            "aest_tail_onset",
+            "aggregate_sums",
+        ),
+        "ecdf": ("ShareCurve", "ccdf", "llcd_points", "quantile"),
+        "ewma": ("Ewma", "smooth_series"),
+        "histogram": (
+            "Histogram",
+            "integer_histogram",
+            "log_spaced_histogram",
+        ),
+        "tail": (
+            "hill_estimator",
+            "hill_plot",
+            "mass_share_of_top",
+            "top_fraction_for_share",
+        ),
+    },
+)
+__all__ += ["aest", "ecdf"]

@@ -1,70 +1,44 @@
 """Synthetic backbone workloads: distributions, diurnal profiles,
 flow-rate processes, link simulation and packetisation."""
 
-from repro.traffic.distributions import (
-    BoundedPareto,
-    Lognormal,
-    PacketSizeMix,
-    Pareto,
-)
-from repro.traffic.diurnal import (
-    EAST_COAST_PROFILE,
-    FLAT_PROFILE,
-    WEST_COAST_PROFILE,
-    DiurnalProfile,
-)
-from repro.traffic.flowmodel import (
-    FlowModelConfig,
-    FlowPopulation,
-    generate_rate_matrix_values,
-    simulate_flat_population,
-)
-from repro.traffic.linksim import (
-    OC12_CAPACITY_BPS,
-    LinkConfig,
-    LinkWorkload,
-    simulate_link,
-)
-from repro.traffic.packetize import (
-    PacketizerConfig,
-    packetize_matrix,
-    write_pcap,
-)
-from repro.traffic.scenarios import (
-    PAPER_NUM_FLOWS,
-    PAPER_NUM_SLOTS,
-    both_links,
-    east_coast_config,
-    east_coast_link,
-    west_coast_config,
-    west_coast_link,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BoundedPareto",
-    "DiurnalProfile",
-    "EAST_COAST_PROFILE",
-    "FLAT_PROFILE",
-    "FlowModelConfig",
-    "FlowPopulation",
-    "LinkConfig",
-    "LinkWorkload",
-    "Lognormal",
-    "OC12_CAPACITY_BPS",
-    "PAPER_NUM_FLOWS",
-    "PAPER_NUM_SLOTS",
-    "PacketSizeMix",
-    "PacketizerConfig",
-    "Pareto",
-    "WEST_COAST_PROFILE",
-    "both_links",
-    "east_coast_config",
-    "east_coast_link",
-    "generate_rate_matrix_values",
-    "packetize_matrix",
-    "simulate_flat_population",
-    "simulate_link",
-    "west_coast_config",
-    "west_coast_link",
-    "write_pcap",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "distributions": (
+            "BoundedPareto",
+            "Lognormal",
+            "PacketSizeMix",
+            "Pareto",
+        ),
+        "diurnal": (
+            "EAST_COAST_PROFILE",
+            "FLAT_PROFILE",
+            "WEST_COAST_PROFILE",
+            "DiurnalProfile",
+        ),
+        "flowmodel": (
+            "FlowModelConfig",
+            "FlowPopulation",
+            "generate_rate_matrix_values",
+            "simulate_flat_population",
+        ),
+        "linksim": (
+            "OC12_CAPACITY_BPS",
+            "LinkConfig",
+            "LinkWorkload",
+            "simulate_link",
+        ),
+        "packetize": ("PacketizerConfig", "packetize_matrix", "write_pcap"),
+        "scenarios": (
+            "PAPER_NUM_FLOWS",
+            "PAPER_NUM_SLOTS",
+            "both_links",
+            "east_coast_config",
+            "east_coast_link",
+            "west_coast_config",
+            "west_coast_link",
+        ),
+    },
+)

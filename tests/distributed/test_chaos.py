@@ -29,13 +29,12 @@ import numpy as np
 import pytest
 
 from repro.distributed import FaultPlan, parallel_ingest
-from repro.distributed.service import (
-    CollectorService,
+from repro.distributed.client import (
     MonitorClient,
-    ServiceHandle,
     publish_summaries,
     query_service,
 )
+from repro.distributed.service import CollectorService, ServiceHandle
 from repro.errors import (
     ClassificationError,
     ReproError,
@@ -351,7 +350,8 @@ def daemon_env():
     return env
 
 
-def start_daemon(listen, state_dir, port_file, extra=()):
+def start_daemon(listen, state_dir, port_file, extra=(), **popen):
+    """A quiet daemon, unless ``popen`` says where its stdout goes."""
     return subprocess.Popen(
         [
             sys.executable,
@@ -364,13 +364,13 @@ def start_daemon(listen, state_dir, port_file, extra=()):
             str(state_dir),
             "--port-file",
             str(port_file),
-            "--quiet",
+            *(() if "stdout" in popen else ("--quiet",)),
             *extra,
         ],
         env=daemon_env(),
         cwd=str(REPO_ROOT),
-        stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
+        **{"stdout": subprocess.DEVNULL, **popen},
     )
 
 
@@ -491,6 +491,62 @@ class TestKillRestartAcceptance:
                 daemon.wait(timeout=10.0)
         assert daemon.returncode == 0
         assert not port_file.exists()
+
+    def test_sigint_stops_a_daemon_that_inherited_it_ignored(self, tmp_path):
+        """What `repro collect ... &` gets from a non-interactive shell."""
+        port_file = tmp_path / "collector.port"
+        daemon = start_daemon(
+            "127.0.0.1:0",
+            tmp_path / "state",
+            port_file,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            wait_for_daemon(port_file, daemon)
+            daemon.send_signal(signal.SIGINT)
+            daemon.wait(timeout=10.0)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=10.0)
+        assert daemon.returncode == 0
+        assert not port_file.exists()
+
+    def test_sigterm_is_a_clean_stop(self, tmp_path, chaos_runs):
+        """SIGTERM — systemd, `docker stop`, `kill` — ends the daemon as
+        `--once` does: service stopped (the WAL folded into its
+        snapshot), port file gone, the closing line, exit 0; and the
+        next daemon on the state dir answers as this one did."""
+        state = tmp_path / "state"
+        port_file = tmp_path / "collector.port"
+        daemon = start_daemon(
+            "127.0.0.1:0", state, port_file, stdout=subprocess.PIPE
+        )
+        try:
+            address = wait_for_daemon(port_file, daemon)
+            publish_summaries(address, chaos_runs[0][:2], monitor="mon-a")
+            before = query_service(address)
+            daemon.send_signal(signal.SIGTERM)
+            said, _ = daemon.communicate(timeout=10.0)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=10.0)
+        assert daemon.returncode == 0
+        assert not port_file.exists()
+        assert said.endswith(
+            b"collector done: 1 monitor runs, 1 links, 2 slots sealed\n"
+        )
+        daemon = start_daemon("127.0.0.1:0", state, port_file)
+        try:
+            after = query_service(wait_for_daemon(port_file, daemon))
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            daemon.wait(timeout=10.0)
+        assert daemon.returncode == 0
+        assert before["slots"] == 2
+        for key in ("slots", "next_cell", "elephants_by_slot", "series"):
+            assert after[key] == before[key], key
 
 
 SLOT_SECONDS = 60.0

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import estimate_clock_skew, merge_runs, merge_summaries
-from repro.distributed.merge import first_seen_rows, grid_cell
+from repro.distributed.framing import grid_cell
+from repro.distributed.merge import first_seen_rows
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ClockSkewWarning
 from repro.net.prefix import Prefix

@@ -33,15 +33,17 @@ from repro.distributed.framing import (
     encode_frame,
     encode_json_frame,
 )
+from repro.distributed.client import (
+    MonitorClient,
+    parse_address,
+    publish_summaries,
+    query_service,
+)
 from repro.distributed.service import (
     CollectorService,
     LiveCollector,
     LiveLink,
-    MonitorClient,
     ServiceHandle,
-    parse_address,
-    publish_summaries,
-    query_service,
 )
 from repro.errors import (
     AddressError,

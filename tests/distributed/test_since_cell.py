@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.distributed import framing
+from repro.distributed.client import MonitorClient, query_service
 from repro.distributed.framing import (
+    DEFAULT_LINK,
     KIND_ERROR,
     KIND_QUERY,
     KIND_REPLY,
@@ -25,13 +27,10 @@ from repro.distributed.framing import (
     encode_json_frame,
 )
 from repro.distributed.service import (
-    DEFAULT_LINK,
     CollectorService,
     LiveCollector,
     LiveLink,
-    MonitorClient,
     ServiceHandle,
-    query_service,
 )
 from repro.distributed.summary import SlotSummary
 from repro.errors import ServiceProtocolError

@@ -34,12 +34,8 @@ from hypothesis.stateful import (
 )
 
 from repro.distributed import Collector, SlotSummary, elephant_entries
-from repro.distributed.service import (
-    CollectorService,
-    MonitorClient,
-    ServiceHandle,
-    query_service,
-)
+from repro.distributed.client import MonitorClient, query_service
+from repro.distributed.service import CollectorService, ServiceHandle
 from repro.net.prefix import Prefix
 
 SLOT_SECONDS = 10.0
