@@ -263,16 +263,15 @@ class FlowRecordSource:
         destinations: list[int],
         sizes: list[int],
     ) -> "PacketBatch":
-        from repro.pipeline.sources import PacketBatch
+        from repro.pipeline.sources import PacketBatch, zero_column
 
-        count = len(timestamps)
         return PacketBatch(
             timestamps=np.array(timestamps, dtype=np.float64),
             sources=np.array(sources, dtype=np.int64),
             destinations=np.array(destinations, dtype=np.int64),
-            protocols=np.zeros(count, dtype=np.int64),
+            protocols=zero_column(len(timestamps)),
             wire_bytes=np.array(sizes, dtype=np.int64),
-            packets_seen=count,
+            packets_seen=len(timestamps),
         )
 
 

@@ -12,8 +12,12 @@ per-flow verdicts against the variance the inversion amplifies.
 :class:`~repro.pipeline.sources.PacketSource` with
 :meth:`SamplingSpec.wrap` yields a :class:`SampledPacketSource` whose
 batches contain only the selected packets, with ``wire_bytes`` already
-scaled by N (integer multiply — int64 columns stay int64, so sampled
-batches travel the shared-memory ring unchanged). The applied scale
+scaled by N (integer multiply — integer columns come out int64, so
+sampled batches travel the shared-memory ring unchanged). The batch
+contract is every :class:`PacketSource`'s: at most ``chunk_packets``
+rows — a sampled source re-chunks what it keeps, so downstream is paid
+per kept row — and ``packets_seen`` is conserved over the run, not per
+inner batch (:class:`SampledPacketSource`). The applied scale
 travels with every frame as ``SlotFrame.sample_rate`` and with every
 wire summary as ``SlotSummary.sample_rate``, so a collector can merge
 monitors running at different rates and keep the variance guard of the
@@ -28,20 +32,25 @@ Three modes:
 - ``probabilistic`` — i.i.d. per-packet coin flips with p = 1/N from a
   seeded generator; the textbook unbiased estimator.
 - ``flow-records`` — deterministic 1-in-N selection followed by
-  per-batch aggregation of surviving packets into one record per flow
-  key, emulating a router exporting sampled flow records instead of
-  packets. Record timestamps are the first sampled packet's.
+  aggregation of surviving packets into one record per flow key per
+  batch of the inner source (the export interval), emulating a router
+  exporting sampled flow records instead of packets. Record timestamps
+  are the first sampled packet's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import ClassificationError
-from repro.pipeline.sources import PacketBatch, PacketSource
+from repro.pipeline.sources import (
+    DEFAULT_CHUNK_PACKETS,
+    PacketBatch,
+    PacketSource,
+)
 
 #: Valid ``SamplingSpec.mode`` values.
 SAMPLING_MODES = ("deterministic", "probabilistic", "flow-records")
@@ -129,41 +138,52 @@ class SamplingSpec:
 UNSAMPLED = SamplingSpec()
 
 
-def _aggregate_flow_records(batch: PacketBatch) -> PacketBatch:
-    """Collapse a batch to one row per flow key, NetFlow-style.
+def _flow_records(columns: tuple) -> tuple:
+    """Collapse packet columns to one row per flow key, NetFlow-style.
 
     Bytes are summed per destination key; the record keeps the first
     sampled packet's timestamp, source, and protocol, and rows are
     emitted in first-appearance order so time stays monotone.
     """
-    if batch.num_packets == 0:
-        return batch
+    timestamps, sources, destinations, protocols, wire = columns
+    if wire.size == 0:
+        return columns
     _, first, inverse = np.unique(
-        batch.destinations, return_index=True, return_inverse=True
+        destinations, return_index=True, return_inverse=True
     )
-    volumes = np.zeros(first.size, dtype=batch.wire_bytes.dtype)
-    np.add.at(volumes, inverse, batch.wire_bytes)
+    volumes = np.zeros(first.size, dtype=wire.dtype)
+    np.add.at(volumes, inverse, wire)
     order = np.argsort(first, kind="stable")
     first = first[order]
-    return PacketBatch(
-        timestamps=batch.timestamps[first],
-        sources=batch.sources[first],
-        destinations=batch.destinations[first],
-        protocols=batch.protocols[first],
-        wire_bytes=volumes[order],
-        packets_seen=batch.packets_seen,
+    return (
+        timestamps[first],
+        sources[first],
+        destinations[first],
+        protocols[first],
+        volumes[order],
     )
 
 
 class SampledPacketSource:
     """A :class:`PacketSource` showing the sampled view of another.
 
-    Selection is a vectorized mask per batch; surviving rows are
-    sliced out and (when ``spec.invert``) their ``wire_bytes`` are
-    multiplied by N in the original integer dtype. Packets sampled
-    away count toward each batch's ``packets_seen`` (they were scanned
-    but produced no row), so conservation accounting downstream keeps
-    working.
+    Per offered packet the sampler pays for the selection draw and
+    nothing else: selection yields the kept *row indices* of each inner
+    batch, the columns are taken by index, and (when ``spec.invert``)
+    the kept ``wire_bytes`` are multiplied by N — integer sizes as
+    int64 whatever width the inner source handed over, floats as float.
+    In flow-records mode the kept rows are then aggregated per *inner*
+    batch: a record never swallows bytes from a later export interval.
+
+    What is kept is held and re-chunked: every yielded batch but the
+    last has exactly :attr:`chunk_packets` rows, the last fewer — so
+    resolver, slot split, table update and ring hop run once per
+    ``chunk_packets`` *kept* rows, with less than one chunk in hand
+    between inner batches (which must not overwrite what they yielded).
+    ``packets_seen`` is conserved, not per-inner-batch: over the
+    yielded batches it sums to what it sums to over the inner ones
+    (sampled-away packets count — scanned, no row — those after the
+    last kept row included), and is ``>= num_packets`` batch by batch.
 
     Counters (reset at each ``batches()`` call): ``packets_offered``
     rows seen from the inner source, ``packets_selected`` rows kept,
@@ -174,7 +194,10 @@ class SampledPacketSource:
     def __init__(self, source: PacketSource, spec: SamplingSpec) -> None:
         self.source = source
         self.spec = spec
-        self.chunk_packets = getattr(source, "chunk_packets", None)
+        #: Rows per yielded batch: the inner source's chunk size.
+        self.chunk_packets: int = (
+            getattr(source, "chunk_packets", None) or DEFAULT_CHUNK_PACKETS
+        )
         self.packets_offered = 0
         self.packets_selected = 0
         self.records_emitted = 0
@@ -184,44 +207,85 @@ class SampledPacketSource:
         """The ``sample_rate`` frames built from this source carry."""
         return self.spec.applied_rate
 
-    def _select(self, batch: PacketBatch, state: dict) -> np.ndarray:
+    def _selector(self) -> Callable[[int], np.ndarray | slice]:
+        """``select(n)``: the kept rows of the next ``n`` offered packets."""
         spec = self.spec
-        n = batch.num_packets
         if spec.rate == 1:
-            return np.ones(n, dtype=bool)
+            return lambda n: slice(None)
         if spec.mode == "probabilistic":
-            return state["rng"].random(n) < spec.probability
-        counter = state["counter"]
-        mask = (counter + np.arange(n, dtype=np.int64)) % spec.rate == 0
-        state["counter"] = (counter + n) % spec.rate
-        return mask
+            rng = np.random.default_rng(spec.seed)
+            probability = spec.probability
+            return lambda n: np.flatnonzero(rng.random(n) < probability)
+        # count-based, packet i kept when (seed + i) % rate == 0: the
+        # rows until the next kept one are carried across batches
+        phase = -spec.seed % spec.rate
+
+        def select(n: int) -> np.ndarray:
+            nonlocal phase
+            rows = np.arange(phase, n, spec.rate)
+            phase = (phase - n) % spec.rate
+            return rows
+
+        return select
 
     def batches(self) -> Iterator[PacketBatch]:
         spec = self.spec
+        chunk = self.chunk_packets
+        select = self._selector()
         self.packets_offered = 0
         self.packets_selected = 0
         self.records_emitted = 0
-        state = {
-            "counter": spec.seed % spec.rate,
-            "rng": np.random.default_rng(spec.seed),
-        }
+        held: list[tuple] = []  # kept columns no batch has carried yet
+        held_rows = 0
+        seen = 0  # inner packets_seen no yielded batch has claimed yet
         for batch in self.source.batches():
             self.packets_offered += batch.num_packets
-            mask = self._select(batch, state)
-            if spec.rate > 1:
-                wire = batch.wire_bytes[mask]
-                if spec.invert:
-                    wire = wire * spec.rate
-                batch = PacketBatch(
-                    timestamps=batch.timestamps[mask],
-                    sources=batch.sources[mask],
-                    destinations=batch.destinations[mask],
-                    protocols=batch.protocols[mask],
-                    wire_bytes=wire,
-                    packets_seen=batch.packets_seen,
-                )
-            self.packets_selected += batch.num_packets
+            seen += batch.packets_seen
+            rows = select(batch.num_packets)
+            wire = batch.wire_bytes[rows]
+            if wire.dtype.kind in "iu":
+                # a compact size column would wrap under the inversion
+                wire = wire.astype(np.int64, copy=False)
+            if spec.invert and spec.rate > 1:
+                wire = wire * spec.rate
+            columns = (
+                batch.timestamps[rows],
+                batch.sources[rows],
+                batch.destinations[rows],
+                batch.protocols[rows],
+                wire,
+            )
+            self.packets_selected += wire.size
             if spec.mode == "flow-records":
-                batch = _aggregate_flow_records(batch)
-            self.records_emitted += batch.num_packets
-            yield batch
+                columns = _flow_records(columns)
+            self.records_emitted += columns[0].size
+            # the first part is held even when empty: it carries the
+            # dtypes of a tail batch that keeps nothing
+            if columns[0].size or not held:
+                held.append(columns)
+                held_rows += columns[0].size
+            if held_rows < chunk:
+                continue
+            ready = _drain(held)
+            full = held_rows - held_rows % chunk
+            for lo in range(0, full, chunk):
+                # leave one seen packet behind per row still held
+                left = held_rows - lo - chunk
+                yield _batch(ready, lo, lo + chunk, seen - left)
+                seen = left
+            held.append(tuple(column[full:] for column in ready))
+            held_rows -= full
+        if held_rows or seen:
+            yield _batch(_drain(held), 0, held_rows, seen)
+
+
+def _drain(parts: list[tuple]) -> tuple:
+    """The held column tuples as one, and ``parts`` emptied — what is
+    yielded is not also kept in pieces while downstream works on it."""
+    columns = tuple(np.concatenate(column) for column in zip(*parts))
+    parts.clear()
+    return columns
+
+
+def _batch(columns: tuple, lo: int, hi: int, seen: int) -> PacketBatch:
+    return PacketBatch(*(c[lo:hi] for c in columns), packets_seen=seen)

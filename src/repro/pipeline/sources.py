@@ -70,6 +70,12 @@ def text_lines(path: str, what: str) -> Iterator[str]:
         ) from exc
 
 
+def zero_column(count: int) -> np.ndarray:
+    """``count`` int64 zeros in eight bytes (a zero-stride read-only
+    view), for a column a source has no facts for and nothing reads."""
+    return np.broadcast_to(np.int64(0), (count,))
+
+
 @dataclass(frozen=True)
 class PacketBatch:
     """A columnar chunk of packets: parallel per-packet fact arrays.
@@ -90,15 +96,15 @@ class PacketBatch:
     def of_flows(
         cls, timestamps: np.ndarray, keys: np.ndarray, wire_bytes: np.ndarray
     ) -> "PacketBatch":
-        """A batch over pre-resolved flow keys, without padding copies.
+        """A batch of the three columns the aggregation path reads.
 
-        The shared-memory ring ships only the three columns the
-        aggregation path reads; the unused source/protocol columns are
-        zero-stride broadcast views, so building the batch allocates
-        nothing — the columns can be ingested in place, straight out of
-        a ring slot.
+        ``keys`` are destinations, or flow keys already resolved (the
+        shared-memory ring ships only these three columns). The unused
+        source/protocol columns are zero-stride views, so building the
+        batch allocates nothing — the columns can be ingested in place,
+        straight out of a ring slot or a source's own arrays.
         """
-        zeros = np.broadcast_to(np.int64(0), (timestamps.size,))
+        zeros = zero_column(timestamps.size)
         return cls(
             timestamps=timestamps,
             sources=zeros,
@@ -131,7 +137,13 @@ class PacketBatch:
 
 
 class PacketSource(Protocol):
-    """Anything that can stream packets as columnar batches."""
+    """Anything that can stream packets as columnar batches.
+
+    A source with a ``chunk_packets`` attribute yields batches of at
+    most that many rows (ring slots are sized by it). A sampled source
+    re-chunks what it keeps to that size, so its ``packets_seen`` is
+    conserved over a run, not per batch of the source underneath.
+    """
 
     def batches(self) -> Iterator[PacketBatch]:
         """Yield packet batches in capture (time) order."""
@@ -398,14 +410,10 @@ class CsvPacketSource:
     def _build(
         timestamps: list[float], destinations: list[int], sizes: list[int]
     ) -> PacketBatch:
-        count = len(timestamps)
-        return PacketBatch(
-            timestamps=np.array(timestamps, dtype=np.float64),
-            sources=np.zeros(count, dtype=np.int64),
-            destinations=np.array(destinations, dtype=np.int64),
-            protocols=np.zeros(count, dtype=np.int64),
-            wire_bytes=np.array(sizes, dtype=np.int64),
-            packets_seen=count,
+        return PacketBatch.of_flows(
+            np.array(timestamps, dtype=np.float64),
+            np.array(destinations, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
         )
 
 
@@ -414,10 +422,12 @@ class ArrayPacketSource:
 
     The columnar twin of a recorded capture: callers supply
     timestamps, destinations and wire sizes (sources/protocols default
-    to zero) and get standard chunked batches back. Being a plain
-    bundle of arrays it pickles cheaply, which makes it the packet
-    source of choice for feeding synthetic traffic to worker processes
-    in tests and benchmarks.
+    to zero) and get standard chunked batches back. Integer sizes are
+    held as int64, so a sampler's inversion cannot wrap a compact
+    column; float sizes stay float. Being a plain bundle of arrays it
+    pickles cheaply, which makes it the packet source of choice for
+    feeding synthetic traffic to worker processes in tests and
+    benchmarks.
     """
 
     def __init__(
@@ -432,6 +442,8 @@ class ArrayPacketSource:
         timestamps = np.asarray(timestamps, dtype=np.float64)
         destinations = np.asarray(destinations, dtype=np.int64)
         wire_bytes = np.asarray(wire_bytes)
+        if wire_bytes.dtype.kind in "iu":
+            wire_bytes = wire_bytes.astype(np.int64, copy=False)
         if not (timestamps.size == destinations.size == wire_bytes.size):
             raise ClassificationError("packet arrays must be parallel (equal length)")
         self.timestamps = timestamps
@@ -446,14 +458,11 @@ class ArrayPacketSource:
 
     def batches(self) -> Iterator[PacketBatch]:
         for lo in range(0, self.num_packets, self.chunk_packets):
-            hi = min(lo + self.chunk_packets, self.num_packets)
-            yield PacketBatch(
-                timestamps=self.timestamps[lo:hi],
-                sources=np.zeros(hi - lo, dtype=np.int64),
-                destinations=self.destinations[lo:hi],
-                protocols=np.zeros(hi - lo, dtype=np.int64),
-                wire_bytes=self.wire_bytes[lo:hi],
-                packets_seen=hi - lo,
+            hi = lo + self.chunk_packets
+            yield PacketBatch.of_flows(
+                self.timestamps[lo:hi],
+                self.destinations[lo:hi],
+                self.wire_bytes[lo:hi],
             )
 
 

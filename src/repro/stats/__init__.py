@@ -1,4 +1,4 @@
-"""Statistical machinery: ECDF/LLCD, EWMA, Hill and aest tail estimators."""
+"""Statistical machinery: ECDF/LLCD, Hill and aest tail estimators."""
 
 from repro._lazy import attach
 
@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = attach(
             "aggregate_sums",
         ),
         "ecdf": ("ShareCurve", "ccdf", "llcd_points", "quantile"),
-        "ewma": ("Ewma", "smooth_series"),
         "histogram": (
             "Histogram",
             "integer_histogram",

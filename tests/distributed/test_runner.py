@@ -28,6 +28,7 @@ from repro.pipeline import (
     AggregatingSlotSource,
     ArrayPacketSource,
     PipelineSpec,
+    SamplingSpec,
     StreamingAggregator,
     StreamingPipeline,
     make_backend,
@@ -128,6 +129,36 @@ class TestParallelIngest:
         routed = int((destinations >> 16 == (10 << 8)).sum())
         assert result.stats.packets_matched == routed
         assert result.stats.packets_unrouted == timestamps.size - routed
+
+    def test_sampled_source_without_chunk_packets(self, array_source):
+        # a foreign PacketSource names no chunk_packets; sampled, its
+        # wrapper said None and the ring sizing died on `None < 1`
+        timestamps, destinations, sizes = packet_arrays()
+        plain = array_source(timestamps, destinations, sizes)
+        assert not hasattr(plain, "chunk_packets")
+        sampling = SamplingSpec(rate=10)
+        result = parallel_ingest(
+            plain, FixedLengthResolver(16),
+            spec=PipelineSpec(workers=2, sampling=sampling),
+            slot_seconds=SLOT_SECONDS,
+        )
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(16), slot_seconds=SLOT_SECONDS,
+            backend=make_backend("exact", shards=2),
+            sample_rate=sampling.applied_rate,
+        )
+        twin = StreamingPipeline(
+            AggregatingSlotSource(sampling.wrap(plain), aggregator),
+            sampling=sampling,
+        )
+        reference = elephants_by_start(twin.events())
+        merged = elephants_by_start(result.collector().events())
+        assert merged == reference and any(reference.values())
+        assert result.stats == aggregator.stats
+        assert result.stats.packets_seen == timestamps.size
+        assert result.stats.packets_matched == timestamps.size // 10
+        assert_no_orphans()
+        assert_no_ring_segments()
 
     def test_empty_source_produces_no_runs(self):
         source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),

@@ -10,7 +10,11 @@ from repro.pipeline.sampling import (
     SampledPacketSource,
     SamplingSpec,
 )
-from repro.pipeline.sources import ArrayPacketSource
+from repro.pipeline.sources import (
+    DEFAULT_CHUNK_PACKETS,
+    ArrayPacketSource,
+    PacketBatch,
+)
 
 
 def source_of(n=1000, flows=7, size=100, chunk=256):
@@ -125,9 +129,15 @@ class TestDeterministicSampling:
         assert batches[0].wire_bytes.dtype == np.int64
 
     def test_packets_seen_counts_sampled_away(self):
-        source = source_of(n=100, chunk=50)
+        # conserved over the run, not per inner batch: 105 offered in
+        # chunks of 3, the 11 kept come out as 3 + 3 + 3 + 2, and the
+        # four packets sampled away after the last kept one still count
+        source = source_of(n=105, chunk=3)
         batches, _, _ = drain(SamplingSpec(rate=10).wrap(source))
-        assert [b.packets_seen for b in batches] == [50, 50]
+        assert [b.num_packets for b in batches] == [3, 3, 3, 2]
+        assert sum(b.packets_seen for b in batches) == 105
+        assert all(b.packets_seen >= b.num_packets for b in batches)
+        assert all(b.packets_skipped >= 0 for b in batches)
 
 
 class TestProbabilisticSampling:
@@ -195,6 +205,116 @@ class TestCountersAndResets:
         source = source_of(chunk=123)
         sampled = SamplingSpec(rate=10).wrap(source)
         assert sampled.chunk_packets == 123
+
+    def test_chunk_packets_is_always_an_int(self):
+        # it is the size the sampler emits, so a source that names none
+        # gets the default — never None (which crashed the fleet runner)
+        sampled = SamplingSpec(rate=10).wrap(ForeignColumns(np.ones(100)))
+        assert sampled.chunk_packets == DEFAULT_CHUNK_PACKETS
+        assert sum(b.num_packets for b in sampled.batches()) == 10
+
+
+class ForeignColumns:
+    """A foreign ``PacketSource``: it names no ``chunk_packets`` and
+    hands over whatever size column it was given."""
+
+    def __init__(self, wire, chunk=256):
+        self.wire = wire
+        self.chunk = chunk
+
+    def batches(self):
+        stamps = np.arange(self.wire.size, dtype=float)
+        for lo in range(0, self.wire.size, self.chunk):
+            hi = lo + self.chunk
+            keys = np.zeros(stamps[lo:hi].size, np.int64)
+            yield PacketBatch.of_flows(stamps[lo:hi], keys, self.wire[lo:hi])
+
+
+class TestInversionDtypes:
+    """``wire * rate`` must not wrap a compact size column (NEP 50
+    keeps a uint16 array uint16 under a Python-int multiply)."""
+
+    @pytest.mark.parametrize("rate", [50, 10**6])
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.int32, np.uint32]
+    )
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_compact_integer_columns_invert_exactly(
+        self, dtype, rate, foreign
+    ):
+        n = 20 * rate if rate == 50 else 2 * rate + 5
+        size = min(1500, np.iinfo(dtype).max)
+        wire = np.full(n, size, dtype=dtype)
+        if foreign:
+            source = ForeignColumns(wire, chunk=4096)
+        else:
+            source = ArrayPacketSource(
+                np.arange(n, dtype=float), np.zeros(n, np.int64), wire
+            )
+        batches, total, rows = drain(SamplingSpec(rate=rate).wrap(source))
+        assert rows == -(-n // rate)
+        assert total == rows * size * rate
+        assert all(b.wire_bytes.dtype == np.int64 for b in batches)
+
+    def test_float_columns_stay_float(self):
+        source = ForeignColumns(np.full(100, 1500.0))
+        batches, _, _ = drain(SamplingSpec(rate=10).wrap(source))
+        assert batches[0].wire_bytes.dtype == np.float64
+        assert batches[0].wire_bytes.tolist() == [15000.0] * 10
+
+
+class Counting:
+    """A proxy that counts the calls made to one method."""
+
+    def __init__(self, inner, method):
+        self.inner = inner
+        self.calls = 0
+        self._method = method
+
+    def __getattr__(self, name):
+        value = getattr(self.inner, name)
+        if name != self._method:
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return value(*args, **kwargs)
+
+        return counted
+
+
+class TestDownstreamIsPaidPerKeptRow:
+    """A count, not a stopwatch: behind a 1-in-R sampler the resolver
+    and the backend are called per ``chunk_packets`` *kept* rows, not
+    once per inner batch."""
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES[:2])
+    @pytest.mark.parametrize("chunk", [64, 100, 4096])
+    def test_lookup_and_accumulate_calls(self, mode, chunk):
+        from repro.pipeline.aggregator import StreamingAggregator
+        from repro.pipeline.backends import ExactAggregation
+        from repro.routing.lpm import FixedLengthResolver
+
+        n, rate, slot_seconds = 20_000, 10, 60.0
+        rng = np.random.default_rng(1)
+        stamps = np.sort(rng.uniform(0.0, 4 * slot_seconds, n))
+        dests = (10 << 24) | (rng.integers(0, 40, n) << 8)
+        source = ArrayPacketSource(
+            stamps, dests, np.full(n, 100), chunk_packets=chunk
+        )
+        sampled = SamplingSpec(rate=rate, mode=mode, seed=3).wrap(source)
+        resolver = Counting(FixedLengthResolver(24), "lookup")
+        backend = Counting(ExactAggregation(), "accumulate")
+        aggregator = StreamingAggregator(
+            resolver, slot_seconds, backend=backend, sample_rate=rate
+        )
+        frames = list(aggregator.frames(sampled))
+        kept = sampled.packets_selected
+        inner_batches = -(-n // chunk)
+        calls = -(-kept // chunk)
+        assert calls < inner_batches  # what it was: one per inner batch
+        assert resolver.calls == calls
+        assert calls <= backend.calls <= calls + len(frames)
 
 
 class TestEmptyBatchesAfterSampling:

@@ -348,6 +348,14 @@ class TestCsvPacketSource:
         assert int(first.destinations[1]) == ipv4.parse_ipv4("10.0.0.1")
         assert int(first.wire_bytes[2]) == 102
 
+    def test_no_zero_column_is_allocated_per_batch(self, tmp_path):
+        path = str(tmp_path / "flows.csv")
+        with open(path, "w") as stream:
+            stream.write("0.5,10.0.0.1,100\n1.5,10.0.0.2,200\n")
+        (batch,) = CsvPacketSource(path).batches()
+        assert batch.sources.strides == batch.protocols.strides == (0,)
+        assert batch.sources.tolist() == batch.protocols.tolist() == [0, 0]
+
     def test_integer_destinations_accepted(self, tmp_path):
         path = str(tmp_path / "flows.csv")
         with open(path, "w") as stream:
@@ -377,6 +385,27 @@ class TestArrayPacketSource:
         rejoined = np.concatenate([b.destinations for b in batches])
         assert np.array_equal(rejoined, destinations)
         assert all(b.packets_skipped == 0 for b in batches)
+
+    def test_no_zero_column_is_allocated_per_batch(self):
+        # nothing on the pipeline reads sources/protocols: they are the
+        # zero-stride zeros of PacketBatch.of_flows, not a fresh
+        # np.zeros(chunk) each per batch
+        source = ArrayPacketSource(
+            np.arange(10.0), np.arange(10), np.full(10, 64), chunk_packets=4
+        )
+        for batch in source.batches():
+            for column in (batch.sources, batch.protocols):
+                assert column.strides == (0,)
+                assert column.shape == (batch.num_packets,)
+                assert column.dtype == np.int64 and not column.any()
+
+    def test_integer_sizes_are_held_as_int64_floats_stay(self):
+        stamps, dests = np.arange(3.0), np.arange(3)
+        for dtype in (np.uint8, np.uint16, np.int32, np.uint32, np.int64):
+            source = ArrayPacketSource(stamps, dests, np.ones(3, dtype))
+            assert source.wire_bytes.dtype == np.int64
+        source = ArrayPacketSource(stamps, dests, np.ones(3, np.float32))
+        assert source.wire_bytes.dtype == np.float32
 
     def test_empty_source_yields_nothing(self):
         source = ArrayPacketSource(
