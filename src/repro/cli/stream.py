@@ -119,7 +119,7 @@ def run(args: argparse.Namespace) -> int:
 
     The two modes share this one body. ``--workers`` only swaps where
     the classified events, the packet stats and the published
-    summaries come from: reader → workers → collector, whose merged
+    summaries come from: this process → workers → back here, whose merged
     summaries are the run's records, instead of an in-process
     aggregator whose frames are summarized as they are classified.
     """

@@ -7,8 +7,8 @@ mergeable candidate table plus a byte-conserving residual), a
 :class:`Collector` sums the summaries prefix-wise, re-truncates to a
 capacity, and classifies the merged stream through the ordinary online
 pipeline. :func:`parallel_ingest` runs the same dataflow across real
-processes on one host — a reader dealing hash-partitioned packets to
-worker-owned backends whose slot summaries meet at the collector —
+processes on one host — the caller dealing hash-partitioned packets to
+worker-owned backends whose slot summaries meet back in the caller —
 while :class:`~repro.pipeline.sharded.ShardedAggregation` remains the
 in-process flavour of the identical split.
 :class:`CollectorService` is the over-the-network flavour: a live TCP

@@ -17,7 +17,7 @@ drives a unit test, the loopback chaos harness, and — via the
 
 Directive grammar (comma-separated, one directive per fault)::
 
-    reader                       kill the reader process
+    reader                       fail the read loop before its first batch
     worker:<id>                  clean failure (error message, exit)
     worker:<id>:hard             exit without a message
     worker:<id>:midslot          die while holding a ring slot

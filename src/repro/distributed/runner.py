@@ -1,8 +1,9 @@
-"""True multi-process ingestion: reader → shm rings → workers → collector.
+"""True multi-process ingestion: caller → shm rings → workers → caller.
 
 :class:`~repro.pipeline.sharded.ShardedAggregation` rehearses the
 partitioned dataflow inside one process; this module performs it for
-real. :func:`parallel_ingest` forks one **reader** process that scans a
+real. A fleet is the process that calls :func:`parallel_ingest` and
+its workers, nothing else. The **caller** scans a
 :class:`~repro.pipeline.sources.PacketSource`, resolves destinations to
 flow keys once, and deals each packet to the worker owning its key —
 the same Fibonacci hash (:func:`~repro.pipeline.sharded.shard_of`) the
@@ -12,23 +13,25 @@ shard ``i`` would. Each **worker** process owns one aggregation backend
 single-process run holds), bins its sub-stream into slots, and
 serializes every completed slot as a
 :meth:`~repro.distributed.summary.SlotSummary.to_bytes` payload back to
-the **collector** — the calling process — which parses the wire records
-and classifies the merged link through the unchanged
+the caller, which parses the wire records between batches and
+classifies the merged link through the unchanged
 :func:`~repro.distributed.merge.merge_summaries` +
 :class:`~repro.distributed.collector.Collector` path.
 
-Packets never cross a pickled queue. The reader writes each dealt
+Packets never cross a pickled queue. The caller writes each dealt
 sub-batch's column arrays straight into a per-worker shared-memory
 ring (:mod:`~repro.distributed.shm_ring`), and only tiny slot
 descriptors travel over queues; workers ingest numpy views of the ring
 pages in place. The ring's free list is the backpressure bound: with
-all ``ring_slots`` slots in flight the reader blocks instead of
-buffering the capture. The collector creates the rings and always
-unlinks them — success, error, or crash — so no ``/dev/shm`` segment
-outlives :func:`parallel_ingest`. Worker and reader crashes surface as
-:class:`~repro.errors.ReproError` at the collector — with every child
-process terminated first, never orphaned — which the CLI maps to exit
-code 2.
+all ``ring_slots`` slots in flight the caller blocks instead of
+buffering the capture — receiving summaries and watching that worker's
+liveness while it waits. One queue comes up from the workers, carrying
+``slot``, ``done`` and ``error``. The caller creates the rings and
+always unlinks them — success, error, or crash — so no ``/dev/shm``
+segment outlives :func:`parallel_ingest`. A worker crash, or an error
+of the source or the resolver, surfaces as
+:class:`~repro.errors.ReproError` — with every child process
+terminated first, never orphaned — which the CLI maps to exit code 2.
 
 Captures are assumed chronological (pcap order). Out-of-order packets
 are dropped per worker against the worker's own open slot, which can
@@ -36,14 +39,16 @@ admit a straggler a single-process run would have dropped; equivalence
 with :class:`ShardedAggregation` is exact for in-order input.
 
 Supervision (``on_worker_crash``): by default a dead worker aborts the
-whole run, exactly as before. Under ``"restart"`` the collector
-respawns the worker with a fresh ring and the reader replays only the
-spans the dead incarnation had not sealed — the reader retains every
-dealt span until the collector confirms (over the control queue) that
-a summary *covering* it was durably received, so the restarted
-worker's summaries are byte-identical to a crash-free run's. Under
-``"degrade"`` the dead worker's shard is dropped: the run completes on
-the surviving workers and the result reports the degraded shard, with
+whole run. Under ``"restart"`` the caller keeps a copy of every dealt
+span until it holds a summary *covering* it, and recovers a dead worker
+in line: reap it, take its trailing messages, start a fresh process on
+a fresh ring and queues, and replay only the spans the dead incarnation
+had not sealed — so the restarted worker's summaries are byte-identical
+to a crash-free run's. A send waiting on the dead worker's own ring is
+abandoned and recovered at once; any other death is acted on at the
+next batch boundary. Under ``"degrade"`` the dead worker's shard is
+dropped (nothing is retained for it): the run completes on the
+surviving workers and the result reports the degraded shard, with
 ``fill_gaps`` covering any cell only that shard populated. Fleet
 *stats* (not summaries) may undercount after a restart: the dead
 incarnation's matched-packet counters die with it.
@@ -55,6 +60,7 @@ import math
 import multiprocessing
 import os
 import queue as queue_module
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -105,9 +111,9 @@ DEFAULT_MAX_WORKER_RESTARTS = 3
 class RowResolver:
     """Identity resolver over pre-resolved keys.
 
-    Workers receive flow keys the reader already resolved, so their
+    Workers receive flow keys the caller already resolved, so their
     aggregator's "resolution" is the identity; the prefix table that
-    gives keys meaning is grown incrementally from the reader's
+    gives keys meaning is grown incrementally from the caller's
     messages (``prefixes`` is append-only, like every repo resolver).
     Also useful wherever keys *are* the rows, e.g. replaying a rate
     matrix whose row indices double as flow keys.
@@ -120,7 +126,7 @@ class RowResolver:
         return len(self.prefixes)
 
     def extend(self, networks: Sequence[int], lengths: Sequence[int]) -> None:
-        """Append newly discovered prefixes (reader → worker sync), as
+        """Append newly discovered prefixes (caller → worker sync), as
         the integer columns the ring transport hands the worker; a
         :class:`Prefix` is built only when its row is read."""
         self.prefixes.extend(networks, lengths)
@@ -210,314 +216,13 @@ class ParallelIngestResult:
 
 
 class _SendAborted(Exception):
-    """Internal: the in-flight send's target worker was replaced.
+    """Internal: the worker a send was blocked on is dead.
 
-    Raised out of the restart/drop control handlers when the message
-    being written targets the very worker that just changed rings; the
-    handler has already replayed (or discarded) the retained spans, so
-    the aborted send must simply not resume on the dead ring.
+    Raised by a writer's ``on_wait`` hook out of :meth:`RingWriter.send`
+    so the send does not resume on a ring nobody consumes; answered
+    with :meth:`_Fleet.recover`, whose replay of the retained spans
+    already covers the one the aborted send carried.
     """
-
-
-def _drain_queue(q, grace: float = _DRAIN_GRACE_SECONDS) -> None:
-    """Discard everything a dead peer left on a queue."""
-    while True:
-        try:
-            q.get(timeout=grace)
-        except queue_module.Empty:
-            return
-
-
-class _Dealer:
-    """The reader's dealing state: writers, prefix sync, retention.
-
-    In supervised mode every dealt span (the reader-local copy of one
-    sub-batch's columns) is retained until the collector confirms a
-    sealed summary covering it, and the control queue can swap a
-    worker's ring out underneath an in-flight send (``on_wait``). In
-    abort mode this is exactly the old dealing loop: no retention, no
-    control traffic, no polling.
-    """
-
-    def __init__(
-        self,
-        resolver: "PrefixResolver",
-        workers: int,
-        ring_specs: list[RingSpec],
-        free_queues: list,
-        data_queues: list,
-        out_queue,
-        control_queue,
-        supervise: bool,
-    ) -> None:
-        self.resolver = resolver
-        self.workers = workers
-        self.free_queues = free_queues
-        self.data_queues = data_queues
-        self.out_queue = out_queue
-        self.control = control_queue
-        self.supervise = supervise
-        self.sent = [0] * workers
-        #: Retained spans per worker: ``(max_ts, timestamps, keys,
-        #: sizes)`` copies, oldest first, chronological within and
-        #: across spans (capture order).
-        self.spans: list[list[tuple]] = [[] for _ in range(workers)]
-        self.dropped: set[int] = set()
-        self.finished: set[int] = set()
-        self.eof = False
-        self._deferred: list[tuple] = []
-        self.writers = [
-            self._make_writer(worker_id, spec)
-            for worker_id, spec in enumerate(ring_specs)
-        ]
-
-    def _make_writer(self, worker_id: int, spec: RingSpec) -> RingWriter:
-        on_wait = None
-        if self.supervise:
-
-            def on_wait(worker_id: int = worker_id) -> None:
-                self.pump_control(active=worker_id)
-
-        return RingWriter(
-            ShmRing.attach(spec),
-            self.free_queues[worker_id],
-            self.data_queues[worker_id],
-            on_wait=on_wait,
-        )
-
-    # -- control-queue handling -------------------------------------
-
-    def pump_control(self, active: int | None = None) -> None:
-        """Handle queued control messages.
-
-        ``active`` is the worker an in-flight send targets, if any:
-        ring swaps (restart/drop) for *other* workers are deferred —
-        their queues may be entangled with a send several frames up
-        the stack — and are picked up by the next batch-level pump.
-        """
-        if self.control is None:
-            return
-        backlog, self._deferred = self._deferred, []
-        for message in backlog:
-            self._dispatch(message, active)
-        while True:
-            try:
-                message = self.control.get_nowait()
-            except queue_module.Empty:
-                return
-            self._dispatch(message, active)
-
-    def _dispatch(self, message: tuple, active: int | None) -> None:
-        tag, worker_id = message[0], message[1]
-        if tag == "sealed":
-            _, _, end_time = message
-            self.spans[worker_id] = [
-                span
-                for span in self.spans[worker_id]
-                if span[0] >= end_time
-            ]
-        elif tag == "finished":
-            self.finished.add(worker_id)
-        elif tag in ("restart", "drop"):
-            if active is not None and worker_id != active:
-                self._deferred.append(message)
-                return
-            try:
-                if tag == "restart":
-                    self._handle_restart(message, active)
-                else:
-                    self._handle_drop(worker_id, active)
-            except _SendAborted:
-                if active is not None:
-                    raise
-                # active None: the batch-level pump has no send to
-                # abort; a nested handler already did the replay.
-        else:  # pragma: no cover - protocol invariant
-            raise ReproError(f"unknown control message {tag!r}")
-
-    def _handle_restart(
-        self, message: tuple, active: int | None
-    ) -> None:
-        _, worker_id, ring_spec = message
-        old = self.writers[worker_id]
-        old.ring.close()
-        # The dead incarnation's unconsumed descriptors and returned
-        # slots reference the old ring; both queues must be empty
-        # before the replacement writer reuses them.
-        _drain_queue(self.data_queues[worker_id])
-        _drain_queue(self.free_queues[worker_id])
-        writer = self._make_writer(worker_id, ring_spec)
-        self.writers[worker_id] = writer
-        # Ack first: the collector spawns the fresh worker on receipt,
-        # so the replay below has a consumer and cannot deadlock on a
-        # ring smaller than the retained backlog.
-        self.out_queue.put(("restarted", worker_id))
-        self.sent[worker_id] = 0
-        for span in list(self.spans[worker_id]):
-            _, timestamps, keys, sizes = span
-            self._send_wire(worker_id, timestamps, keys, sizes)
-        if self.eof:
-            writer.close()
-        if active == worker_id:
-            raise _SendAborted()
-
-    def _handle_drop(self, worker_id: int, active: int | None) -> None:
-        self.dropped.add(worker_id)
-        self.spans[worker_id] = []
-        self.writers[worker_id].ring.close()
-        if active == worker_id:
-            raise _SendAborted()
-
-    # -- dealing -----------------------------------------------------
-
-    def _send_wire(
-        self,
-        worker_id: int,
-        timestamps: np.ndarray,
-        keys: np.ndarray,
-        sizes: np.ndarray,
-    ) -> None:
-        # the prefix sync rides the ring as two flat int64 columns:
-        # the rows of the resolver's table this worker has not seen
-        table = self.resolver.prefixes
-        news = slice(self.sent[worker_id], len(table))
-        self.sent[worker_id] = news.stop
-        self.writers[worker_id].send(
-            timestamps, keys, sizes, table.network[news], table.length[news]
-        )
-
-    def deal(
-        self,
-        worker_id: int,
-        timestamps: np.ndarray,
-        keys: np.ndarray,
-        sizes: np.ndarray,
-    ) -> None:
-        if worker_id in self.dropped:
-            return
-        if self.supervise:
-            # Retain before sending: if the send aborts on a restart,
-            # the handler's replay already covers this span.
-            self.spans[worker_id].append(
-                (
-                    float(timestamps[-1]),
-                    np.array(timestamps),
-                    np.array(keys),
-                    np.array(sizes),
-                )
-            )
-        try:
-            self._send_wire(worker_id, timestamps, keys, sizes)
-        except _SendAborted:
-            pass
-
-    def finish(self) -> None:
-        """Sentinel every live worker; in supervised mode, wait until
-        the collector confirms each one finished (late crashes must
-        still be replayable)."""
-        self.eof = True
-        for worker_id, writer in enumerate(self.writers):
-            if worker_id not in self.dropped:
-                writer.close()
-        if not self.supervise:
-            return
-        while any(
-            worker_id not in self.finished
-            and worker_id not in self.dropped
-            for worker_id in range(self.workers)
-        ):
-            try:
-                message = self.control.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                continue
-            self._dispatch(message, None)
-            self.pump_control(active=None)
-
-    def teardown(self) -> None:
-        """Final sentinels (crash paths) and ring unmapping."""
-        if not self.eof:
-            for worker_id, data_queue in enumerate(self.data_queues):
-                if worker_id not in self.dropped:
-                    data_queue.put(None)
-        for writer in self.writers:
-            writer.ring.close()
-
-
-def _reader_main(
-    source: PacketSource,
-    resolver: "PrefixResolver",
-    workers: int,
-    ring_specs: list[RingSpec],
-    free_queues: list,
-    data_queues: list,
-    out_queue,
-    control_queue=None,
-    supervise: bool = False,
-    faults: "FaultPlan | None" = None,
-) -> None:
-    """Scan, resolve and deal packets; always sentinel the workers."""
-    stats = {"packets_seen": 0, "packets_skipped": 0, "packets_unrouted": 0}
-    dealer: _Dealer | None = None
-    try:
-        if faults is not None and faults.reader_crash():
-            raise ReproError("injected reader fault")
-        dealer = _Dealer(
-            resolver,
-            workers,
-            ring_specs,
-            free_queues,
-            data_queues,
-            out_queue,
-            control_queue,
-            supervise,
-        )
-        for batch in source.batches():
-            stats["packets_seen"] += batch.packets_seen
-            stats["packets_skipped"] += batch.packets_skipped
-            dealer.pump_control()
-            if batch.num_packets == 0:
-                continue
-            rows = resolver.lookup(batch.destinations)
-            routed = rows != NO_ROUTE
-            stats["packets_unrouted"] += int((~routed).sum())
-            keys = rows[routed]
-            if keys.size == 0:
-                continue
-            # sliced once per batch, not once per worker: the reader
-            # is the serial stage, so per-batch work bounds fleet
-            # scaling
-            timestamps = batch.timestamps[routed]
-            sizes = batch.wire_bytes[routed]
-            if workers > 1:
-                # one stable sort splits the batch into contiguous
-                # per-worker segments (order within a worker's
-                # sub-stream preserved, like the in-process sharder)
-                order, bounds = shard_segments(keys, workers)
-                timestamps = timestamps[order]
-                keys = keys[order]
-                sizes = sizes[order]
-            else:
-                bounds = np.array([0, keys.size])
-            for worker_id in range(workers):
-                lo, hi = int(bounds[worker_id]), int(bounds[worker_id + 1])
-                if lo == hi:
-                    continue
-                dealer.deal(
-                    worker_id,
-                    timestamps[lo:hi],
-                    keys[lo:hi],
-                    sizes[lo:hi],
-                )
-        dealer.finish()
-        out_queue.put(("reader", stats))
-    except BaseException as exc:  # noqa: BLE001 - crosses a process
-        out_queue.put(("error", "reader", f"{exc}"))
-    finally:
-        if dealer is not None:
-            dealer.teardown()
-        else:
-            for data_queue in data_queues:
-                data_queue.put(None)
 
 
 def _worker_main(
@@ -537,7 +242,7 @@ def _worker_main(
 
     A restarted incarnation (``incarnation > 0``) receives the dead
     worker's slot-grid origin as ``start`` and the end of its last
-    sealed slot as ``resume_time``: the reader replays whole retained
+    sealed slot as ``resume_time``: the caller replays whole retained
     spans, so packets below ``resume_time`` are sealed history the
     previous incarnation already shipped and are filtered out here —
     which makes the restarted summary sequence byte-identical to a
@@ -597,7 +302,7 @@ def _worker_main(
                         continue
             # the columns are views straight into the ring slot; the
             # aggregator consumes them before the loop advances (and
-            # thereby frees the slot for the reader to overwrite)
+            # thereby frees the slot for the caller to overwrite)
             ship(aggregator.ingest(PacketBatch.of_flows(timestamps, keys, sizes)))
         ship(aggregator.finish())
         out_queue.put(
@@ -619,113 +324,349 @@ def _worker_main(
 
 
 def _context():
-    """Prefer fork (no pickling of sources/resolvers), else default."""
+    """Prefer fork (the cheapest start), else the platform default."""
+    methods = multiprocessing.get_all_start_methods()
     forced = os.environ.get(START_METHOD_ENV)
     if forced:
+        if forced not in methods:
+            raise ClassificationError(
+                f"{START_METHOD_ENV} must be one of {methods}, "
+                f"not {forced!r}"
+            )
         return multiprocessing.get_context(forced)
-    if "fork" in multiprocessing.get_all_start_methods():
+    if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-def _shutdown(processes: list) -> None:
-    """Terminate and reap every child; never leave an orphan."""
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - terminate refused
-            process.kill()
-            process.join(timeout=5.0)
+def _read(
+    source: PacketSource,
+    resolver: "PrefixResolver",
+    stats: AggregationStats,
+    faults: FaultPlan | None,
+):
+    """Scan and resolve: one routed ``(timestamps, keys, sizes)`` per batch.
+
+    The serial stage of the fleet, run where it is called from. What
+    the source or the resolver raises leaves as a ``ReproError`` naming
+    the reader, the original as its cause; an exception of the loop
+    that consumes the batches is never thrown in here.
+    """
+    try:
+        if faults is not None and faults.reader_crash():
+            raise ReproError("injected reader fault")
+        for batch in source.batches():
+            stats.packets_seen += batch.packets_seen
+            stats.packets_skipped += batch.packets_skipped
+            if batch.num_packets == 0:
+                continue
+            rows = resolver.lookup(batch.destinations)
+            routed = rows != NO_ROUTE
+            stats.packets_unrouted += int((~routed).sum())
+            keys = rows[routed]
+            if keys.size == 0:
+                continue
+            # sliced once per batch, not once per worker: this loop is
+            # the serial stage, so per-batch work bounds fleet scaling
+            yield batch.timestamps[routed], keys, batch.wire_bytes[routed]
+    except Exception as exc:
+        raise ReproError(
+            f"parallel ingestion failed in reader: {exc}"
+        ) from exc
 
 
 @dataclass
 class _Fleet:
-    """Collector-side view of the running reader + workers.
+    """The caller's side of a run: all there is to know of the workers.
 
-    ``absorb`` returns a supervision event (``("crash", worker_id)``
-    or ``("restarted", worker_id)``) when the message needs the
-    supervisor's attention, or ``None`` for plain bookkeeping. In
-    abort mode (``control is None``) behavior is exactly the
-    pre-supervision protocol: worker errors raise.
+    One object owns the rings and their writers, the worker processes,
+    the spans retained for replay and the summary runs received so
+    far, so the code that learns a worker died is the code that deals
+    to it. What the workers send — ``slot``, ``done``, ``error`` —
+    arrives on the one ``out_queue`` and is absorbed between batches,
+    while a send waits on a full ring, and after the last batch until
+    every worker is done.
     """
 
-    reader: object
-    workers: list
-    runs: list[list[SlotSummary]] = field(default_factory=list)
-    stats: AggregationStats = field(default_factory=AggregationStats)
-    done: set = field(default_factory=set)
-    reader_done: bool = False
-    mode: str = "abort"
-    control: object = None
-    restarts: dict = field(default_factory=dict)
-    degraded: set = field(default_factory=set)
-    pending_restart: set = field(default_factory=set)
+    resolver: "PrefixResolver"
+    spec: "PipelineSpec"
+    workers: int
+    slot_seconds: float
+    start: float | None
+    ring_shape: tuple[int, int]
+    policy: str
+    max_restarts: int
+    faults: FaultPlan | None
 
-    @property
-    def finished(self) -> bool:
-        return self.reader_done and len(self.done) == len(self.workers)
+    def __post_init__(self) -> None:
+        workers = self.workers
+        self.context = _context()
+        self.out_queue = self.context.Queue()
+        self.runs: list[list[SlotSummary]] = [[] for _ in range(workers)]
+        self.stats = AggregationStats()
+        self.done: set[int] = set()
+        self.degraded: set[int] = set()
+        self.restarts: dict[int, int] = {}
+        #: When each unfinished worker was found dead; ``-inf`` for one
+        #: that reported its own failure (supervised modes).
+        self.dead_since: dict[int, float] = {}
+        #: Retained spans per worker (``restart`` only): ``(max_ts,
+        #: timestamps, keys, sizes)`` copies, oldest first,
+        #: chronological within and across spans (capture order).
+        self.spans: list[list[tuple]] = [[] for _ in range(workers)]
+        #: Rows of the resolver's table each worker has been told.
+        self.sent = [0] * workers
+        self.eof = False
+        self.writers: list = [None] * workers
+        self.processes: list = [None] * workers
+        #: Every ring created and process started, dead incarnations'
+        #: included: what :meth:`shutdown` has to leave nothing of.
+        self.rings: list[ShmRing] = []
+        self.started: list = []
 
-    def crashed(self) -> str | None:
-        """Name a participant that died without reporting, if any."""
-        if not self.reader_done and not self.reader.is_alive():
-            return "reader"
-        for worker_id, process in enumerate(self.workers):
-            if (
-                worker_id not in self.done
-                and worker_id not in self.pending_restart
-                and not process.is_alive()
-            ):
-                return f"worker {worker_id}"
-        return None
+    def launch(self) -> None:
+        """Start incarnation 0 of every worker."""
+        for worker_id in range(self.workers):
+            self._spawn(worker_id, self.start, None)
 
-    def absorb(self, message: tuple) -> tuple | None:
-        tag = message[0]
+    def _spawn(
+        self, worker_id: int, origin: float | None, resume_time: float | None
+    ) -> None:
+        """Start the worker's next incarnation, on a ring and queues of
+        its own: what a dead one left in flight — unconsumed
+        descriptors, returned slots — names the old ring, and stays on
+        the old queues."""
+        ring = ShmRing.create(*self.ring_shape)
+        self.rings.append(ring)
+        free_queue, data_queue = self.context.Queue(), self.context.Queue()
+        incarnation = self.restarts.get(worker_id, 0)
+        name = f"repro-worker-{worker_id}"
+        process = self.context.Process(
+            target=_worker_main,
+            args=(
+                worker_id,
+                self.spec,
+                self.slot_seconds,
+                origin,
+                ring.spec,
+                free_queue,
+                data_queue,
+                self.out_queue,
+                incarnation,
+                resume_time,
+                self.faults,
+            ),
+            daemon=True,
+            name=f"{name}-r{incarnation}" if incarnation else name,
+        )
+
+        def on_wait() -> None:
+            # A send is waiting on this worker's full ring: keep
+            # receiving, and do not wait on a consumer that is gone.
+            self.drain()
+            if self._dead(worker_id):
+                raise _SendAborted()
+
+        self.writers[worker_id] = RingWriter(
+            ring, free_queue, data_queue, on_wait=on_wait
+        )
+        self.sent[worker_id] = 0
+        self.processes[worker_id] = process
+        self.started.append(process)
+        process.start()
+
+    # -- receiving ---------------------------------------------------
+
+    def drain(self, grace: float = 0.0) -> None:
+        """Absorb what has arrived, until the queue is quiet for ``grace``."""
+        while True:
+            try:
+                message = self.out_queue.get(timeout=grace)
+            except queue_module.Empty:
+                return
+            self.absorb(message)
+
+    def absorb(self, message: tuple) -> None:
+        tag, worker_id, body = message
         if tag == "slot":
-            _, worker_id, payload = message
-            summary = SlotSummary.from_bytes(payload)
+            summary = SlotSummary.from_bytes(body)
             self.runs[worker_id].append(summary)
-            if self.control is not None:
-                # Seal receipt, relayed to the reader: spans wholly
-                # below this time are durably summarized and need no
-                # replay on a restart. Relaying from here (not the
-                # worker) guarantees the collector really holds the
-                # summary before the reader forgets the packets.
-                self.control.put(
-                    (
-                        "sealed",
-                        worker_id,
-                        summary.start + summary.slot_seconds,
-                    )
-                )
+            # Pruned here, where the summary is held: spans wholly
+            # below its end are summarized and need no replay.
+            sealed = summary.start + summary.slot_seconds
+            self.spans[worker_id] = [
+                span for span in self.spans[worker_id] if span[0] >= sealed
+            ]
         elif tag == "done":
-            _, worker_id, stats = message
             self.done.add(worker_id)
-            self.stats.packets_matched += stats["packets_matched"]
-            self.stats.packets_outside_axis += stats["packets_outside_axis"]
-            self.stats.bytes_matched += stats["bytes_matched"]
-            if self.control is not None:
-                self.control.put(("finished", worker_id))
-        elif tag == "reader":
-            _, stats = message
-            self.reader_done = True
-            self.stats.packets_seen += stats["packets_seen"]
-            self.stats.packets_skipped += stats["packets_skipped"]
-            self.stats.packets_unrouted += stats["packets_unrouted"]
-        elif tag == "restarted":
-            _, worker_id = message
-            return ("restarted", worker_id)
+            self.stats.packets_matched += body["packets_matched"]
+            self.stats.packets_outside_axis += body["packets_outside_axis"]
+            self.stats.bytes_matched += body["bytes_matched"]
         elif tag == "error":
-            _, who, detail = message
-            if self.mode != "abort" and who.startswith("worker"):
-                worker_id = int(who.removeprefix("worker"))
-                if worker_id not in self.done:
-                    return ("crash", worker_id)
-            raise ReproError(f"parallel ingestion failed in {who}: {detail}")
+            # an error names its sender as the summaries do: "worker3"
+            who, worker_id = worker_id, int(worker_id.removeprefix("worker"))
+            if self.policy == "abort" or worker_id in self.done:
+                raise ReproError(f"parallel ingestion failed in {who}: {body}")
+            self.dead_since[worker_id] = -math.inf
         else:  # pragma: no cover - protocol invariant
             raise ReproError(f"unknown runner message {tag!r}")
-        return None
+
+    # -- supervision -------------------------------------------------
+
+    def _dead(self, worker_id: int) -> bool:
+        """Whether to act on this worker as a corpse.
+
+        A worker that reported its own failure is one at once. One
+        that only looks dead gets ``_CRASH_GRACE_SECONDS`` first — the
+        queue may still hold its final messages (``done`` or an error
+        report included).
+        """
+        if worker_id in self.done:
+            return False
+        if worker_id not in self.dead_since:
+            if self.processes[worker_id].is_alive():
+                return False
+            self.dead_since[worker_id] = time.monotonic()
+        waited = time.monotonic() - self.dead_since[worker_id]
+        return waited >= _CRASH_GRACE_SECONDS
+
+    def poll(self) -> None:
+        """Batch boundary: receive, then recover whichever worker died —
+        one a blocked send was not waiting on is only noted until here."""
+        self.drain()
+        for worker_id in range(self.workers):
+            if self._dead(worker_id):
+                self.recover(worker_id)
+
+    def recover(self, worker_id: int) -> None:
+        """Act on a dead worker as the crash policy says.
+
+        Loops while a replacement dies during the replay of its own
+        retained spans; the restart budget bounds it.
+        """
+        while True:
+            # Reap the corpse first: once joined, its final messages
+            # are all in the pipe, so the trailing drain leaves
+            # runs[worker_id] complete — the resume point must not
+            # miss a sealed slot still in flight, or the replay would
+            # double-count it.
+            self.processes[worker_id].join(timeout=5.0)
+            self.drain(_DRAIN_GRACE_SECONDS)
+            self.dead_since.pop(worker_id, None)
+            if worker_id in self.done:
+                return
+            if self.policy == "abort":
+                raise ReproError(
+                    f"parallel ingestion failed: worker {worker_id} exited "
+                    "without finishing (killed or crashed hard)"
+                )
+            if self.policy == "degrade":
+                self.degraded.add(worker_id)
+                self.done.add(worker_id)
+                return
+            try:
+                return self._restart(worker_id)
+            except _SendAborted:
+                pass  # the replacement died during its own replay
+
+    def _restart(self, worker_id: int) -> None:
+        """Replace a reaped worker and replay what it had not sealed."""
+        count = self.restarts.get(worker_id, 0)
+        if count >= self.max_restarts:
+            raise ReproError(
+                f"parallel ingestion failed: worker {worker_id} "
+                f"crashed {count + 1} times "
+                f"(restart budget {self.max_restarts})"
+            )
+        self.restarts[worker_id] = count + 1
+        run = self.runs[worker_id]
+        if run:
+            last = run[-1]
+            origin = last.start - last.slot * last.slot_seconds
+            resume_time = last.start + last.slot_seconds
+        else:
+            origin, resume_time = self.start, None
+        # Spawn first: the replay below has a consumer and cannot
+        # deadlock on a ring smaller than the retained backlog.
+        self._spawn(worker_id, origin, resume_time)
+        for _, *columns in list(self.spans[worker_id]):
+            self._send(worker_id, *columns)
+        if self.eof:
+            self.writers[worker_id].close()
+
+    # -- dealing -----------------------------------------------------
+
+    def _send(self, worker_id: int, *columns: np.ndarray) -> None:
+        """One ``(timestamps, keys, sizes)`` message into the ring."""
+        # the prefix sync rides the ring as two flat int64 columns:
+        # the rows of the resolver's table this worker has not seen
+        table = self.resolver.prefixes
+        news = slice(self.sent[worker_id], len(table))
+        self.sent[worker_id] = news.stop
+        self.writers[worker_id].send(
+            *columns, table.network[news], table.length[news]
+        )
+
+    def deal(
+        self, timestamps: np.ndarray, keys: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Hand each worker its share of one routed batch."""
+        if self.workers > 1:
+            # one stable sort splits the batch into contiguous
+            # per-worker segments (order within a worker's sub-stream
+            # preserved, like the in-process sharder)
+            order, bounds = shard_segments(keys, self.workers)
+            timestamps = timestamps[order]
+            keys = keys[order]
+            sizes = sizes[order]
+        else:
+            bounds = np.array([0, keys.size])
+        for worker_id in range(self.workers):
+            lo, hi = int(bounds[worker_id]), int(bounds[worker_id + 1])
+            if lo == hi or worker_id in self.degraded:
+                continue
+            span = (timestamps[lo:hi], keys[lo:hi], sizes[lo:hi])
+            if self.policy == "restart":
+                # Retained before sending: if the send aborts, the
+                # recovery's replay already covers this span. Copies —
+                # the ring slot is overwritten long before a replay.
+                # A dropped shard is never replayed, so ``degrade``
+                # keeps nothing.
+                self.spans[worker_id].append(
+                    (float(span[0][-1]), *(np.array(col) for col in span))
+                )
+            try:
+                self._send(worker_id, *span)
+            except _SendAborted:
+                self.recover(worker_id)
+
+    def finish(self) -> None:
+        """Sentinel every live worker, then receive until all are done
+        (a late crash is still recovered: the spans are still here)."""
+        self.eof = True
+        for worker_id, writer in enumerate(self.writers):
+            if worker_id not in self.degraded:
+                writer.close()
+        while len(self.done) < self.workers:
+            try:
+                self.absorb(self.out_queue.get(timeout=_POLL_SECONDS))
+            except queue_module.Empty:
+                pass
+            self.poll()
+
+    def shutdown(self) -> None:
+        """Terminate and reap every child — never leave an orphan —
+        then unlink every ring."""
+        for process in self.started:
+            if process.is_alive():
+                process.terminate()
+        for process in self.started:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - terminate refused
+                process.kill()
+                process.join(timeout=5.0)
+        for ring in self.rings:
+            ring.destroy()
 
 
 def parallel_ingest(
@@ -753,10 +694,10 @@ def parallel_ingest(
     ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`) is the
     whole configuration: its ``workers`` count sizes the fleet, each
     worker builds its table with ``spec.build_shard(i)``, its sampling
-    policy wraps ``source`` in the reader process (the serial stage —
-    one thinned stream feeds the whole fleet) and stamps every summary
-    the workers ship, and its ``ring_slots`` bounds the batches in
-    flight per worker (the reader blocks when a ring is full). A spec
+    policy wraps ``source`` before it is read (the serial stage — one
+    thinned stream feeds the whole fleet) and stamps every summary the
+    workers ship, and its ``ring_slots`` bounds the batches in flight
+    per worker (the caller blocks when a ring is full). A spec
     that also names its input (``source=SourceSpec(...)``) replaces the
     ``source`` argument outright — pass ``source=None`` then; giving
     both is an error.
@@ -770,15 +711,22 @@ def parallel_ingest(
     death, ``"restart"`` respawns the worker — at most
     ``max_worker_restarts`` times each — replaying its unsealed spans,
     ``"degrade"`` finishes the run without the dead worker's shard.
-    ``faults`` injects a deterministic :class:`FaultPlan` into the
-    children (the chaos suite's lever; production callers leave it
-    ``None``). A dead *reader* always aborts — nothing retains its
-    position in the capture.
+    ``faults`` injects a deterministic :class:`FaultPlan` (the chaos
+    suite's lever; production callers leave it ``None``).
 
-    Raises :class:`~repro.errors.ReproError` when the reader or any
-    worker fails — after terminating the whole fleet, so no child
-    outlives the error. The shared-memory rings are unlinked on every
-    exit path.
+    The calling process is the reader: ``source`` is consumed and
+    ``resolver`` is looked up here, so a resolver that discovers its
+    table (:class:`~repro.routing.lpm.FixedLengthResolver`) is **grown
+    in place** and holds the run's prefixes afterwards, and neither
+    has to be picklable under any start method.
+
+    Raises :class:`~repro.errors.ReproError` when a worker fails or
+    when the source or the resolver raises (``parallel ingestion
+    failed in reader: …``, the original as ``__cause__``; nothing
+    retains a position in the capture, so no policy restarts that) —
+    after terminating the whole fleet, so no child outlives the error.
+    The shared-memory rings are unlinked on every exit path,
+    ``KeyboardInterrupt`` included.
     """
     if source is None:
         # the spec names the input; open it raw — the sampling wrap
@@ -796,7 +744,7 @@ def parallel_ingest(
         )
     source = spec.wrap_source(source)
     # workers rebuild their table from the spec; the input (possibly
-    # whole in-memory columns) stays with the reader
+    # whole in-memory columns) stays with the caller
     worker_spec = spec.replace(source=None)
     workers = spec.partitions
     ring_slots = (
@@ -812,190 +760,25 @@ def parallel_ingest(
     if ring_slot_packets is None:
         ring_slot_packets = getattr(source, "chunk_packets", DEFAULT_CHUNK_PACKETS)
 
-    supervise = on_worker_crash != "abort"
-    context = _context()
-    rings: list[ShmRing] = []
-    processes: list = []
+    fleet = _Fleet(
+        resolver,
+        worker_spec,
+        workers,
+        slot_seconds,
+        start,
+        (ring_slots, ring_slot_packets),
+        on_worker_crash,
+        max_worker_restarts,
+        faults,
+    )
     try:
-        rings = [
-            ShmRing.create(ring_slots, ring_slot_packets) for _ in range(workers)
-        ]
-        out_queue = context.Queue()
-        control_queue = context.Queue() if supervise else None
-        free_queues = [context.Queue() for _ in range(workers)]
-        data_queues = [context.Queue() for _ in range(workers)]
-        worker_processes = [
-            context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    worker_spec,
-                    slot_seconds,
-                    start,
-                    rings[worker_id].spec,
-                    free_queues[worker_id],
-                    data_queues[worker_id],
-                    out_queue,
-                    0,
-                    None,
-                    faults,
-                ),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
-            )
-            for worker_id in range(workers)
-        ]
-        reader = context.Process(
-            target=_reader_main,
-            args=(
-                source,
-                resolver,
-                workers,
-                [ring.spec for ring in rings],
-                free_queues,
-                data_queues,
-                out_queue,
-                control_queue,
-                supervise,
-                faults,
-            ),
-            daemon=True,
-            name="repro-reader",
-        )
-        fleet = _Fleet(
-            reader=reader,
-            workers=worker_processes,
-            runs=[[] for _ in range(workers)],
-            mode=on_worker_crash,
-            control=control_queue,
-        )
-        #: Ring + resume coordinates for workers awaiting the reader's
-        #: ("restarted", id) ack.
-        restart_info: dict[int, tuple[ShmRing, float | None, float | None]] = {}
-
-        def absorb_trailing() -> list[tuple]:
-            """Absorb in-flight messages until the queue goes quiet."""
-            events: list[tuple] = []
-            while True:
-                try:
-                    message = out_queue.get(timeout=_DRAIN_GRACE_SECONDS)
-                except queue_module.Empty:
-                    return events
-                event = fleet.absorb(message)
-                if event is not None:
-                    events.append(event)
-
-        def handle_event(event: tuple) -> None:
-            tag, worker_id = event
-            if tag == "crash":
-                handle_crash(worker_id)
-            else:  # "restarted"
-                spawn_restart(worker_id)
-
-        def handle_crash(worker_id: int) -> None:
-            if worker_id in fleet.done or worker_id in fleet.pending_restart:
-                return
-            # Reap the corpse first: once joined, its final messages
-            # are all in the pipe, so the trailing absorb below leaves
-            # runs[worker_id] complete — the resume point must not
-            # miss a sealed slot still in flight, or the replay would
-            # double-count it.
-            fleet.workers[worker_id].join(timeout=5.0)
-            trailing = absorb_trailing()
-            if worker_id not in fleet.done:
-                if on_worker_crash == "degrade":
-                    fleet.degraded.add(worker_id)
-                    fleet.done.add(worker_id)
-                    control_queue.put(("drop", worker_id))
-                else:
-                    restart(worker_id)
-            for event in trailing:
-                handle_event(event)
-
-        def restart(worker_id: int) -> None:
-            count = fleet.restarts.get(worker_id, 0)
-            if count >= max_worker_restarts:
-                raise ReproError(
-                    f"parallel ingestion failed: worker {worker_id} "
-                    f"crashed {count + 1} times "
-                    f"(restart budget {max_worker_restarts})"
-                )
-            fleet.restarts[worker_id] = count + 1
-            ring = ShmRing.create(ring_slots, ring_slot_packets)
-            rings.append(ring)
-            run = fleet.runs[worker_id]
-            if run:
-                last = run[-1]
-                origin = last.start - last.slot * last.slot_seconds
-                resume_time = last.start + last.slot_seconds
-            else:
-                origin, resume_time = start, None
-            restart_info[worker_id] = (ring, origin, resume_time)
-            fleet.pending_restart.add(worker_id)
-            control_queue.put(("restart", worker_id, ring.spec))
-
-        def spawn_restart(worker_id: int) -> None:
-            ring, origin, resume_time = restart_info.pop(worker_id)
-            incarnation = fleet.restarts[worker_id]
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    worker_spec,
-                    slot_seconds,
-                    origin,
-                    ring.spec,
-                    free_queues[worker_id],
-                    data_queues[worker_id],
-                    out_queue,
-                    incarnation,
-                    resume_time,
-                    faults,
-                ),
-                daemon=True,
-                name=f"repro-worker-{worker_id}-r{incarnation}",
-            )
-            fleet.workers[worker_id] = process
-            processes.append(process)
-            process.start()
-            fleet.pending_restart.discard(worker_id)
-
-        processes = [reader, *worker_processes]
-        for process in processes:
-            process.start()
-        # Consecutive idle polls a dead-looking process gets before the
-        # collector acts on the corpse — its queue may still hold its
-        # final messages (error reports included).
-        grace_polls = max(1, int(_CRASH_GRACE_SECONDS / _POLL_SECONDS))
-        idle_polls: dict[str, int] = {}
-        while not fleet.finished:
-            try:
-                message = out_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                crashed = fleet.crashed()
-                if crashed is None:
-                    idle_polls.clear()
-                    continue
-                polls = idle_polls.get(crashed, 0) + 1
-                idle_polls[crashed] = polls
-                if polls < grace_polls:
-                    continue
-                del idle_polls[crashed]
-                if crashed == "reader" or not supervise:
-                    raise ReproError(
-                        f"parallel ingestion failed: {crashed} exited "
-                        "without finishing (killed or crashed hard)"
-                    )
-                handle_crash(int(crashed.split()[1]))
-                continue
-            idle_polls.clear()
-            event = fleet.absorb(message)
-            if event is not None:
-                handle_event(event)
+        fleet.launch()
+        for columns in _read(source, resolver, fleet.stats, faults):
+            fleet.poll()
+            fleet.deal(*columns)
+        fleet.finish()
     finally:
-        _shutdown(processes)
-        for ring in rings:
-            ring.destroy()
+        fleet.shutdown()
     return ParallelIngestResult(
         runs=fleet.runs,
         stats=fleet.stats,

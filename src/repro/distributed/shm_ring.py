@@ -5,7 +5,7 @@ PR 4's multi-process runner moved every packet batch through a pickled
 fleet's bottleneck: adding workers *lost* throughput. This module is
 the replacement transport. Each worker owns one
 :class:`~multiprocessing.shared_memory.SharedMemory` ring partitioned
-into fixed-size slots; the reader writes a dealt sub-batch's column
+into fixed-size slots; the writer writes a dealt sub-batch's column
 arrays (timestamps float64, flow keys int64, wire bytes int64) plus
 the incremental prefix-table sync straight into a free slot, and only
 a tiny ``(slot, final)`` descriptor crosses a queue. The worker
@@ -25,7 +25,7 @@ Slot layout (host byte order)::
 Flow control is the free list: every slot index is either in the
 writer's idle pool, referenced by an in-flight descriptor, or with the
 consumer, and the writer blocks on the free-list queue when the ring
-is exhausted. That blocking *is* the reader's backpressure bound — it
+is exhausted. That blocking *is* the read loop's backpressure bound — it
 replaces the bounded pickle queue's ``queue_batches`` semantics. A
 message larger than one slot spans several descriptors; the consumer
 reassembles the logical batch (copying only in that rare spill case,
@@ -34,17 +34,18 @@ whole ring cannot deadlock against the writer) and therefore preserves
 the reader's batch boundaries exactly — which is what keeps sketch
 semantics identical to the in-process sharded run.
 
-Lifecycle: the collector process creates the rings and is the only
-unlinker. Reader and workers attach by name; CPython registers
-attachers with the ``resource_tracker`` too, but the whole fleet
-shares the collector's tracker daemon (fork inherits its pipe, spawn
-passes the fd explicitly) and the tracker's cache is a set, so the
-re-registrations collapse into the creator's single entry and the one
-``unlink`` balances it. :func:`~repro.distributed.runner.parallel_ingest`
-destroys the rings in a ``finally`` block after the fleet is reaped,
-so no ``/dev/shm`` segment survives any exit path — success,
+Lifecycle: the process that calls
+:func:`~repro.distributed.runner.parallel_ingest` creates the rings,
+writes into them and is the only unlinker. Workers attach by name;
+CPython registers attachers with the ``resource_tracker`` too, but the
+whole fleet shares the creator's tracker daemon (fork inherits its
+pipe, spawn passes the fd explicitly) and the tracker's cache is a
+set, so the re-registrations collapse into the creator's single entry
+and the one ``unlink`` balances it. ``parallel_ingest`` destroys the
+rings in a ``finally`` block after the fleet is reaped, so no
+``/dev/shm`` segment survives any exit path — success,
 :class:`~repro.errors.ReproError`, or a hard-killed child; if the
-collector itself dies uncleanly, the shared tracker reclaims the
+creator itself dies uncleanly, the shared tracker reclaims the
 segments at shutdown.
 """
 
@@ -63,7 +64,7 @@ import numpy as np
 from repro.errors import ClassificationError
 
 #: Ring slots per worker — the in-flight batch bound. With slots sized
-#: to the source chunk (the runner's default) this bounds reader-side
+#: to the source chunk (the runner's default) this bounds writer-side
 #: lead exactly like PR 4's eight-batch queue did.
 DEFAULT_RING_SLOTS = 8
 
@@ -98,7 +99,7 @@ class ShmRing:
     """One worker's shared-memory ring of columnar batch slots.
 
     Create with :meth:`create` (the owning side — the only process
-    allowed to unlink) or :meth:`attach` (reader and worker sides).
+    allowed to unlink) or :meth:`attach` (every other process).
     :meth:`pack`/:meth:`unpack` are symmetric: the writer copies column
     segments into a slot once, the consumer gets numpy views of the
     same bytes back.
@@ -224,11 +225,11 @@ class RingWriter:
     columns themselves move exactly once, into shared memory.
 
     ``on_wait`` (optional) is called periodically while the writer is
-    blocked on a full ring. The supervised runner uses it to keep
-    servicing control messages — a writer stuck on a *dead* consumer's
-    ring would otherwise never learn that consumer is being replaced.
-    The hook may raise to abort the send; with no hook the wait is the
-    plain blocking ``get`` it always was.
+    blocked on a full ring. The runner uses it to keep receiving what
+    its workers send and to check that the consumer is alive — a
+    writer stuck on a *dead* consumer's ring would otherwise wait for
+    ever. The hook may raise to abort the send; with no hook the wait
+    is the plain blocking ``get`` it always was.
     """
 
     def __init__(
@@ -250,7 +251,7 @@ class RingWriter:
         if self._idle:
             return self._idle.popleft()
         # Ring exhausted: block until the consumer returns a slot.
-        # This wait is the transport's backpressure — the reader
+        # This wait is the transport's backpressure — the writer
         # stalls instead of buffering the capture or dropping batches.
         if self._on_wait is None:
             return self._free.get()

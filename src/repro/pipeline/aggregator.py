@@ -36,7 +36,7 @@ one-pass monitor has to do.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 import numpy as np
 
@@ -46,8 +46,10 @@ from repro.flows.records import DEFAULT_SLOT_SECONDS, TimeAxis
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
-from repro.routing.lpm import NO_ROUTE, CompiledLpm
-from repro.routing.rib import RoutingTable
+from repro.routing.lpm import NO_ROUTE
+
+if TYPE_CHECKING:
+    from repro.routing.rib import RoutingTable
 
 
 class PrefixResolver(Protocol):
@@ -71,7 +73,8 @@ class StreamingAggregator:
     ``resolver`` maps destination addresses to prefixes — a
     :class:`~repro.routing.lpm.CompiledLpm`, a
     :class:`~repro.routing.lpm.FixedLengthResolver`, or a
-    :class:`~repro.routing.rib.RoutingTable` (compiled on entry).
+    :class:`~repro.routing.rib.RoutingTable` (anything without a
+    ``lookup`` is asked for its ``compiled()`` resolver on entry).
     ``start`` pins slot 0's timestamp; by default it is the first
     packet's timestamp floored to the ``slot_seconds`` grid.
     ``backend`` is the flow-table strategy: a built
@@ -99,8 +102,8 @@ class StreamingAggregator:
             raise ClassificationError("slot_seconds must be positive")
         if sample_rate < 1.0:
             raise ClassificationError("sample_rate must be >= 1")
-        if isinstance(resolver, RoutingTable):
-            resolver = CompiledLpm.from_table(resolver)
+        if not hasattr(resolver, "lookup"):
+            resolver = resolver.compiled()
         self.resolver = resolver
         self.backend = ExactAggregation() if backend is None else backend
         self.sample_rate = float(sample_rate)

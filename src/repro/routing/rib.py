@@ -9,12 +9,15 @@ the packet-to-flow mapping used by the aggregation layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import RoutingError
 from repro.net.prefix import Prefix
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.radix import RadixTree
+
+if TYPE_CHECKING:
+    from repro.routing.lpm import CompiledLpm
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,12 @@ class RoutingTable:
     def prefixes(self) -> list[Prefix]:
         """All announced prefixes in deterministic order."""
         return self._tree.prefixes()
+
+    def compiled(self) -> CompiledLpm:
+        """This snapshot as a batch resolver (what an aggregator runs)."""
+        from repro.routing.lpm import CompiledLpm
+
+        return CompiledLpm.from_table(self)
 
     def prefix_length_histogram(self) -> dict[int, int]:
         """Count of routes per prefix length (used by the T3 analysis)."""

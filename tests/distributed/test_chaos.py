@@ -17,7 +17,9 @@ Every fault here comes from a seeded :class:`FaultPlan` — nothing is
 timing-dependent beyond "the collector noticed the socket died".
 """
 
+import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.distributed import FaultPlan, parallel_ingest
+from repro.distributed import FaultPlan, parallel_ingest, runner
 from repro.distributed.client import (
     MonitorClient,
     publish_summaries,
@@ -37,12 +39,14 @@ from repro.distributed.client import (
 from repro.distributed.service import CollectorService, ServiceHandle
 from repro.errors import (
     ClassificationError,
+    PcapFormatError,
     ReproError,
     ServiceProtocolError,
 )
 from repro.pipeline.sources import ArrayPacketSource
 from repro.pipeline.spec import PipelineSpec
 from repro.routing.lpm import FixedLengthResolver
+from test_runner import assert_no_ring_segments
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 MONITORS = ("mon-a", "mon-b", "mon-c")  # matches the chaos_runs fixture
@@ -552,20 +556,27 @@ class TestKillRestartAcceptance:
 SLOT_SECONDS = 60.0
 
 
-def fleet_run(workers=2, seed=9, **kwargs):
+FLEET_FLOWS = 30
+
+
+def fleet_run(
+    workers=2, seed=9, ring_slots=None, wrap=None, resolver=None, **kwargs
+):
+    """One small capture through a fleet. ``wrap`` gets the source
+    (which now runs in this process) before the fleet does."""
     rng = np.random.default_rng(seed)
     packets = 4000
     stamps = np.sort(rng.uniform(0.0, 240.0, packets))
-    flow = rng.integers(0, 30, packets)
+    flow = rng.integers(0, FLEET_FLOWS, packets)
     dests = (10 << 24) | (flow << 16) | 5
     sizes = (rng.pareto(1.3, packets) * 250 + 64).clip(64, 1500)
     source = ArrayPacketSource(
         stamps, dests, sizes.astype(np.int64), chunk_packets=600
     )
     return parallel_ingest(
-        source,
-        FixedLengthResolver(16),
-        spec=PipelineSpec(workers=workers),
+        source if wrap is None else wrap(source),
+        FixedLengthResolver(16) if resolver is None else resolver,
+        spec=PipelineSpec(workers=workers, ring_slots=ring_slots),
         slot_seconds=SLOT_SECONDS,
         **kwargs,
     )
@@ -648,3 +659,204 @@ class TestSupervisedWorkers:
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ClassificationError, match="on_worker_crash"):
             fleet_run(on_worker_crash="panic")
+
+
+# -- the hazards that moved into the caller ---------------------------
+#
+# The process that calls ``parallel_ingest`` is the one that reads,
+# resolves and deals, so it is also the one a dead worker's full ring
+# would hang. Every test below runs under a wall-clock bound: a hang
+# fails the test instead of stalling tier-1.
+
+WALL_CLOCK_BOUND = 60
+
+
+@pytest.fixture
+def wall_clock_bound():
+    """SIGALRM raises in the main thread — the thread that deals — so
+    an overrun unwinds through ``parallel_ingest``'s own teardown."""
+
+    def expire(signum, frame):
+        raise TimeoutError(
+            f"no answer within the {WALL_CLOCK_BOUND} s wall-clock bound"
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(WALL_CLOCK_BOUND)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class Observed:
+    """A packet source that calls ``watch`` before each batch it hands
+    out — from inside the read loop, mid-run."""
+
+    def __init__(self, inner, watch):
+        self.inner = inner
+        self.chunk_packets = inner.chunk_packets
+        self.watch = watch
+
+    def batches(self):
+        for batch in self.inner.batches():
+            self.watch()
+            yield batch
+
+
+class Truncated:
+    """A capture that turns out malformed after ``good`` batches."""
+
+    def __init__(self, inner, good=3):
+        self.inner = inner
+        self.chunk_packets = inner.chunk_packets
+        self.good = good
+
+    def batches(self):
+        for index, batch in enumerate(self.inner.batches()):
+            if index == self.good:
+                raise PcapFormatError("truncated packet record")
+            yield batch
+
+
+@pytest.fixture
+def fleets(monkeypatch):
+    """Every ``_Fleet`` a run builds, for the tests that look at what
+    the caller retained."""
+    made = []
+
+    class Recorded(runner._Fleet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "_Fleet", Recorded)
+    return made
+
+
+@pytest.mark.usefixtures("wall_clock_bound")
+class TestCallerReads:
+    def test_a_fleet_is_the_caller_and_its_workers(self):
+        seen = []
+
+        def watch():
+            seen.append(
+                sorted(p.name for p in multiprocessing.active_children())
+            )
+
+        result = fleet_run(workers=3, wrap=lambda s: Observed(s, watch))
+        assert seen and all(
+            names == ["repro-worker-0", "repro-worker-1", "repro-worker-2"]
+            for names in seen
+        )
+        assert result.stats.packets_matched == 4000
+        assert_no_orphans()
+
+    def test_resolver_is_grown_in_the_calling_process(self):
+        resolver = FixedLengthResolver(16)
+        fleet_run(resolver=resolver)
+        assert len(resolver.prefixes) == FLEET_FLOWS
+
+    def test_full_ring_of_a_dead_worker_aborts_in_seconds(self):
+        # one slot, held by the corpse: the next send to worker 0
+        # waits on a ring nobody will ever free
+        began = time.monotonic()
+        with pytest.raises(ReproError, match="worker 0 exited"):
+            fleet_run(ring_slots=1, faults=FaultPlan.parse("worker:0:midslot"))
+        assert time.monotonic() - began < 15.0
+        assert_no_orphans()
+        assert_no_ring_segments()
+
+    def test_full_ring_of_a_dead_worker_restarts_byte_identical(self):
+        baseline = fleet_run(ring_slots=1)
+        crashed = fleet_run(
+            ring_slots=1,
+            on_worker_crash="restart",
+            faults=FaultPlan.parse("worker:0:midslot"),
+        )
+        assert crashed.restarts == {0: 1}
+        assert run_bytes(crashed) == run_bytes(baseline)
+        assert_no_ring_segments()
+
+    def test_full_ring_of_a_dead_worker_degrades(self):
+        baseline = fleet_run(ring_slots=1)
+        degraded = fleet_run(
+            ring_slots=1,
+            on_worker_crash="degrade",
+            faults=FaultPlan.parse("worker:0:midslot"),
+        )
+        assert degraded.degraded == [0]
+        assert run_bytes(degraded)[1] == run_bytes(baseline)[1]
+        assert_no_ring_segments()
+
+    def test_worker_dying_during_its_own_replay_restarts_twice(self):
+        # incarnation 1 dies on the first replayed span, holding the
+        # one slot the second replayed span needs
+        baseline = fleet_run(ring_slots=1)
+        crashed = fleet_run(
+            ring_slots=1,
+            on_worker_crash="restart",
+            faults=FaultPlan.parse("worker:0:midslot@0,worker:0:midslot@1"),
+        )
+        assert crashed.restarts == {0: 2}
+        assert run_bytes(crashed) == run_bytes(baseline)
+        assert_no_orphans()
+        assert_no_ring_segments()
+
+    @pytest.mark.parametrize("policy", ["abort", "restart", "degrade"])
+    def test_source_error_after_dealing_keeps_text_and_cause(self, policy):
+        with pytest.raises(ReproError) as raised:
+            fleet_run(wrap=Truncated, on_worker_crash=policy)
+        assert str(raised.value) == (
+            "parallel ingestion failed in reader: truncated packet record"
+        )
+        assert isinstance(raised.value.__cause__, PcapFormatError)
+        assert_no_orphans()
+        assert_no_ring_segments()
+
+    def test_spawn_pickles_neither_source_nor_resolver(self, monkeypatch):
+        # only the spec, the ring spec and the queues cross a process
+        # boundary: a source a spawned reader could not have received
+        def wrap(source):
+            watched = Observed(source, lambda: None)
+            with pytest.raises(Exception, match="pickle"):
+                pickle.dumps(watched)
+            return watched
+
+        forked = fleet_run(wrap=wrap)
+        monkeypatch.setenv("REPRO_RUNNER_START_METHOD", "spawn")
+        spawned = fleet_run(wrap=wrap)
+        assert run_bytes(spawned) == run_bytes(forked)
+        assert spawned.stats == forked.stats
+
+    @pytest.mark.parametrize("plan", [None, "worker:1:hard"])
+    def test_degrade_retains_nothing(self, fleets, plan):
+        retained = []
+
+        def watch():
+            retained.extend(len(spans) for spans in fleets[-1].spans)
+
+        result = fleet_run(
+            wrap=lambda s: Observed(s, watch),
+            on_worker_crash="degrade",
+            faults=None if plan is None else FaultPlan.parse(plan),
+        )
+        assert result.degraded == ([] if plan is None else [1])
+        assert retained and not any(retained)
+        assert fleets[-1].spans == [[], []]
+
+    def test_restart_retains_only_the_unsealed_tail(self, fleets):
+        dealt = []
+
+        def watch():
+            fleet = fleets[-1]
+            dealt.append(sum(len(spans) for spans in fleet.spans))
+            for run, spans in zip(fleet.runs, fleet.spans):
+                if run:
+                    sealed = run[-1].start + run[-1].slot_seconds
+                    assert all(span[0] >= sealed for span in spans)
+
+        fleet_run(wrap=lambda s: Observed(s, watch), on_worker_crash="restart")
+        assert any(dealt)  # spans were held while their slots were open
+        assert fleets[-1].spans == [[], []]  # and every one was sealed

@@ -683,6 +683,40 @@ class TestStreamParallel:
         assert "Traceback" not in captured.out
         assert multiprocessing.active_children() == []
 
+    def test_unknown_start_method_exits_2_before_starting(
+        self, stream_capture, monkeypatch, capsys
+    ):
+        """An environment variable is outside input: a start method
+        the platform lacks is one error: line naming the variable and
+        the choices, not multiprocessing's ValueError traceback."""
+        import multiprocessing
+
+        from repro.distributed import shm_ring
+
+        def refuse(*args):
+            raise AssertionError("a ring was created")
+
+        monkeypatch.setattr(shm_ring.ShmRing, "create", refuse)
+        monkeypatch.setenv("REPRO_RUNNER_START_METHOD", "bogus")
+        code = main(
+            [
+                "stream",
+                stream_capture["pcap"],
+                "--prefix-length",
+                "24",
+                "--workers",
+                "2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: REPRO_RUNNER_START_METHOD")
+        assert captured.err.count("\n") == 1
+        for method in multiprocessing.get_all_start_methods():
+            assert method in captured.err
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
 
 class TestMergeFormatErrors:
     def test_truncated_summary_file_is_clean_exit_2(

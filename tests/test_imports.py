@@ -254,6 +254,10 @@ class TestImportBoundaries:
             "repro.distributed.runner",
             "repro.distributed.shm_ring",
             "repro.distributed.checkpoint",
+            # route objects: a stream resolves through compiled columns
+            "repro.routing.rib",
+            "repro.routing.radix",
+            "repro.routing.aspath",
         )
 
     def test_stream_workers_loads_the_fleet(self, tiny_pcap):
