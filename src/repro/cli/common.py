@@ -108,17 +108,17 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="fork N shard worker processes fed by a "
-        "reader process (true multi-process "
-        "ingestion; packet inputs only)",
+        help="fork N shard worker processes that this "
+        "process reads and deals batches to (true "
+        "multi-process ingestion; packet inputs only)",
     )
     parser.add_argument(
         "--ring-slots",
         type=int,
         default=None,
         help="shared-memory ring slots per worker: the "
-        "batches in flight before the reader "
-        "blocks (backpressure bound)",
+        "batches in flight before reading blocks "
+        "(backpressure bound)",
     )
     parser.add_argument(
         "--seed",

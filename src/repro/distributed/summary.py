@@ -106,6 +106,11 @@ class SlotSummary:
             raise ClassificationError("summary fields must be finite")
         if self.slot_seconds <= 0:
             raise ClassificationError("slot_seconds must be positive")
+        # the slot-grid cell (start / slot_seconds) must be a number too
+        if not math.isfinite(float(self.start) / float(self.slot_seconds)):
+            raise ClassificationError(
+                "start / slot_seconds overflows the slot grid"
+            )
         if self.sample_rate < 1.0:
             raise ClassificationError("sample_rate must be >= 1")
         if len(columns) != volumes.size:

@@ -223,11 +223,13 @@ class ArraySpaceSaving(_KeyTable):
     reference sketch exactly. Estimates stay one-sided
     (``estimate >= true weight`` for every tracked key, over-estimate
     recorded per slot), every untracked key's true weight stays below
-    the minimum count, heavy entries are never displaced by lighter
-    pressure, and the whole admission is O(K log K) array work per
-    batch regardless of how many newcomers churn through. The one
-    classical bound batching relaxes: rejected-weight inflation can
-    push the minimum above ``total / capacity``, so the worst-case
+    the minimum count, and heavy entries are never displaced by lighter
+    pressure. Only a newcomer heavier than the table minimum can win,
+    so admitting *n* newcomers of which *m* are that heavy costs one
+    O(n) compare, an O(m log m) sort and an O(K log K) table order:
+    the mice that churn through a full table are compared, not sorted.
+    The one classical bound batching relaxes: rejected-weight inflation
+    can push the minimum above ``total / capacity``, so the worst-case
     "heavier than total/(K+1) implies tracked" promise holds per
     update, not across adversarial batch mixes.
     """
@@ -275,30 +277,40 @@ class ArraySpaceSaving(_KeyTable):
         merge-admitted newcomer the final scalar step displaces again
         (it stays transient, as it would in the sequential sketch).
         """
-        victims = _EMPTY_SLOTS
-        losers = _EMPTY_SLOTS
-        rank = np.lexsort((self.key, self.count))
-        floor = float(self.count[rank[0]])
+        floor = float(self.count.min())
         head = rest[:-1]
-        if head.size:
-            by_weight = head[np.argsort(-weights[head], kind="stable")]
+        head_weights = weights[head]
+        # Newcomers by descending weight pair against entries by
+        # ascending count, so the winners are a prefix of that order
+        # and none weighs at most the minimum: only the heavier ones
+        # are sorted (their order is the full sort's, restricted).
+        heavy = head_weights > floor
+        by_weight = head[heavy]
+        admit = victims = _EMPTY_SLOTS
+        if by_weight.size:
+            by_weight = by_weight[
+                np.argsort(-weights[by_weight], kind="stable")
+            ]
             pairs = min(by_weight.size, self.capacity)
-            contenders = by_weight[:pairs]
-            smallest = rank[:pairs]
-            beat = weights[contenders] > self.count[smallest]
-            # weights descend while counts ascend, so `beat` is a
-            # prefix: once a newcomer loses, all lighter ones do too
-            admit = contenders[beat]
+            smallest = np.lexsort((self.key, self.count))[:pairs]
+            beat = weights[by_weight[:pairs]] > self.count[smallest]
+            admit = by_weight[:pairs][beat]
             victims = smallest[beat]
-            losers = by_weight[admit.size :]
-            if admit.size:
-                bound = float(self.count[victims[-1]])
-                if losers.size:
-                    bound = max(bound, float(weights[losers[0]]))
-                self.key[victims] = keys[admit]
-                self.count[victims] = weights[admit] + bound
-                self.error[victims] = bound
-                slots[admit] = victims
+        # the heaviest weight turned away: the first heavy newcomer that
+        # lost, else the heaviest of the light ones
+        top_loser = None
+        if admit.size < by_weight.size:
+            top_loser = float(weights[by_weight[admit.size]])
+        elif by_weight.size < head.size:
+            top_loser = float(head_weights[~heavy].max())
+        if admit.size:
+            bound = float(self.count[victims[-1]])
+            if top_loser is not None:
+                bound = max(bound, top_loser)
+            self.key[victims] = keys[admit]
+            self.count[victims] = weights[admit] + bound
+            self.error[victims] = bound
+            slots[admit] = victims
         # the batch's last newcomer always enters, evicting the current
         # (count, key)-minimum and inheriting its count — the scalar
         # rule verbatim, which keeps single-key batches exact
@@ -309,7 +321,7 @@ class ArraySpaceSaving(_KeyTable):
         self.count[min_slot] = minimum + float(weights[last_offer])
         self.error[min_slot] = minimum
         slots[last_offer] = min_slot
-        if losers.size:
+        if top_loser is not None:
             # Rejected weight must still push the minimum up, or a
             # later re-admission could under-cover the key's history
             # (the scalar sketch never rejects, which is what its
@@ -317,7 +329,7 @@ class ArraySpaceSaving(_KeyTable):
             # ``pre-batch min + heaviest rejected weight`` to that
             # level — error inflated in step, so lower bounds keep —
             # restores the invariant "untracked true <= current min".
-            level = floor + float(weights[losers[0]])
+            level = floor + top_loser
             low = self.count < level
             if low.any():
                 self.error[low] += level - self.count[low]
@@ -508,22 +520,40 @@ class ArrayCountMin(_KeyTable):
             fill, spots, rest = self._fill_free(misses, keys, estimates)
             slots[fill] = spots
             if rest.size:
-                contenders = rest[
-                    np.argsort(-estimates[rest], kind="stable")
-                ]
-                pairs = min(contenders.size, self.capacity)
-                contenders = contenders[:pairs]
-                candidates = np.lexsort((self.key, self.count))[:pairs]
-                beat = estimates[contenders] > self.count[candidates]
-                admit = contenders[beat]
-                victims = candidates[beat]
-                if victims.size:
-                    self.key[victims] = keys[admit]
-                    self.count[victims] = estimates[admit]
-                    slots[admit] = victims
-                    evicted = victims
+                evicted = self._admit_newcomers(slots, keys, estimates, rest)
+                if evicted.size:
                     self._rebuild_index()
         return BatchUpdate(self._final_slots(slots, keys), evicted)
+
+    def _admit_newcomers(
+        self,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        estimates: np.ndarray,
+        rest: np.ndarray,
+    ) -> np.ndarray:
+        """Run the estimate tournament for ``rest``; returns victims.
+
+        As for Space-Saving, the winners are a prefix of the
+        descending-estimate order and each beats the smallest stored
+        count, so only the estimates above that count are sorted.
+        """
+        contenders = rest[estimates[rest] > self.count.min()]
+        if contenders.size == 0:
+            return _EMPTY_SLOTS
+        contenders = contenders[
+            np.argsort(-estimates[contenders], kind="stable")
+        ]
+        pairs = min(contenders.size, self.capacity)
+        contenders = contenders[:pairs]
+        candidates = np.lexsort((self.key, self.count))[:pairs]
+        beat = estimates[contenders] > self.count[candidates]
+        admit = contenders[beat]
+        victims = candidates[beat]
+        self.key[victims] = keys[admit]
+        self.count[victims] = estimates[admit]
+        slots[admit] = victims
+        return victims
 
 
 class ArraySampleHold(_KeyTable):

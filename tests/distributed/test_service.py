@@ -324,6 +324,22 @@ class TestCrashAndReconnect:
             assert all(entry["rate_bps"] == 0.0 for entry in entries)
 
 
+def refused_alone(address, record, runs):
+    """``record`` earns its sender an error frame and a hang-up; the
+    collector goes on to serve another monitor's whole run."""
+    with socket.create_connection(address, timeout=5.0) as s:
+        s.sendall(encode_json_frame(KIND_HELLO, {"monitor": "mon-a"}))
+        assert b"resume_cell" in s.recv(65536)
+        s.sendall(encode_frame(KIND_SUMMARY, record))
+        assert b"invalid data" in s.recv(65536)
+        assert s.recv(65536) == b""  # ...then the collector hangs up
+    stats = publish_summaries(address, runs[1], monitor="mon-b")
+    assert stats["published"] == len(runs[1])
+    report = query_service(address)
+    assert report["slots"] == len(runs[1])
+    assert report["monitors"]["mon-a"]["slots_received"] == 0
+
+
 class TestServiceRobustness:
     def test_duplicate_monitor_name_is_refused(self, live):
         first = MonitorClient(live.address, "mon-a")
@@ -360,17 +376,15 @@ class TestServiceRobustness:
         """A NaN ``start`` earns an error frame, not a daemon traceback."""
         record = bytearray(runs[0][0].to_bytes())
         struct.pack_into(">d", record, 14, float("nan"))  # the start field
-        with socket.create_connection(live.address, timeout=5.0) as s:
-            s.sendall(encode_json_frame(KIND_HELLO, {"monitor": "mon-a"}))
-            assert b"resume_cell" in s.recv(65536)
-            s.sendall(encode_frame(KIND_SUMMARY, bytes(record)))
-            assert b"invalid data" in s.recv(65536)
-            assert s.recv(65536) == b""  # ...then the collector hangs up
-        stats = publish_summaries(live.address, runs[1], monitor="mon-b")
-        assert stats["published"] == len(runs[1])
-        report = query_service(live.address)
-        assert report["slots"] == len(runs[1])
-        assert report["monitors"]["mon-a"]["slots_received"] == 0
+        refused_alone(live.address, bytes(record), runs)
+
+    def test_overflowing_grid_cell_kills_only_that_connection(
+        self, live, runs
+    ):
+        """Finite ``start`` and ``slot_seconds`` whose cell is not."""
+        record = bytearray(runs[0][0].to_bytes())
+        struct.pack_into(">dd", record, 14, 1e308, 1e-308)
+        refused_alone(live.address, bytes(record), runs)
 
     def test_query_unknown_link_is_an_error(self, live, runs):
         publish_summaries(live.address, runs[0][:1], monitor="mon-a")

@@ -127,6 +127,29 @@ class TestHostileRecords:
         with pytest.raises(SummaryFormatError, match="finite"):
             load_summaries(path)
 
+    def test_overflowing_grid_cell_is_refused(self, tmp_path):
+        """Finite fields whose cell ``start / slot_seconds`` is not."""
+        start, slot_seconds = 1e308, 1e-308
+        with pytest.raises(ClassificationError, match="slot grid"):
+            SlotSummary(0, start, slot_seconds, (), np.zeros(0))
+        payload = bytearray(summary().to_bytes())
+        struct.pack_into(">d", payload, WIRE_OFFSETS["start"], start)
+        struct.pack_into(
+            ">d", payload, WIRE_OFFSETS["slot_seconds"], slot_seconds
+        )
+        with pytest.raises(SummaryFormatError, match="slot grid"):
+            SlotSummary.from_bytes(bytes(payload))
+        path = str(tmp_path / "mon.npz")
+        save_summaries(path, [summary()])
+        with np.load(path) as archive:
+            data = dict(archive)
+        data["starts"] = np.array([start])
+        data["slot_seconds"] = np.float64(slot_seconds)
+        with open(path, "wb") as stream:
+            np.savez(stream, **data)
+        with pytest.raises(SummaryFormatError, match="slot grid"):
+            load_summaries(path)
+
 
 class TestFromFrame:
     def frame(self, rates, residual_row=None):

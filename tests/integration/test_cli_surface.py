@@ -21,11 +21,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cli import main
 from repro.distributed import CollectorService, ServiceHandle
+from repro.flows.matrix import RateMatrix
+from repro.flows.records import TimeAxis
+from repro.net.prefix import Prefix
+from repro.traffic.packetize import PacketizerConfig, write_pcap
 
 from test_golden_stream import _write_capture
 
@@ -65,6 +70,17 @@ CASES = {
         )
         for mode in ("deterministic", "probabilistic", "flow-records")
     },
+    # recorded before the full-table admission kernels were rewritten:
+    # a K = 8 table over 100 heavy-tailed flows is full and churning on
+    # every batch, so each answer rides on the tournament's tie-breaks
+    **{
+        f"stream-churn-{backend}{suffix}-json": (
+            f"stream churn.pcap --backend {backend} --capacity 8"
+            f"{flags} --json"
+        )
+        for backend in ("space-saving", "count-min")
+        for suffix, flags in (("", ""), ("-shards2", " --shards 2"))
+    },
 }
 REFUSED_QUERY = "query-negative-since-cell"
 
@@ -102,11 +118,21 @@ def _golden_path(name):
     return os.path.join(GOLDEN_DIR, f"{name}.txt")
 
 
+def _write_churn_capture(path):
+    """100 Pareto-rate /16 flows over 8 slots: mostly mice, few heavy."""
+    rng = np.random.default_rng(2027)
+    prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(100)]
+    rates = 8e2 * (1.0 + rng.pareto(1.2, size=(len(prefixes), 8)))
+    matrix = RateMatrix(prefixes, TimeAxis(0.0, 60.0, 8), rates)
+    write_pcap(matrix, path, PacketizerConfig(seed=7))
+
+
 def _write_inputs(path):
-    """The golden capture and its RIB, by the names ``CASES`` uses."""
+    """The capture files and the RIB, by the names ``CASES`` uses."""
     prefixes, _ = _write_capture(os.path.join(path, "golden.pcap"))
     with open(os.path.join(path, "golden.rib"), "w") as stream:
         stream.writelines(f"{prefix}\n" for prefix in prefixes)
+    _write_churn_capture(os.path.join(path, "churn.pcap"))
 
 
 @pytest.fixture(scope="module")

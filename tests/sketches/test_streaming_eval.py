@@ -4,12 +4,14 @@ Includes the acceptance bar for the sketch backends themselves: on a
 synthetic trace with a known elephant population, a candidate table of
 ``4 x`` the true elephant count must recover >= 90% of the exact run's
 elephant verdicts — while never holding more than its capacity in
-tracked state.
+tracked state. The sketch-vs-classifier comparison adapters (per-slot
+top-k, exact and Space-Saving, and mask agreement) are tested here too.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.engine import Feature, Scheme
 from repro.errors import ClassificationError
 from repro.net import ipv4
 from repro.pipeline import ArraySketchAggregation, make_backend
@@ -20,8 +22,11 @@ from repro.sketches.streaming_eval import (
     COMPARISON_COLUMNS,
     BackendRun,
     evaluate_backends,
+    exact_top_k_per_slot,
+    mask_agreement,
     run_backend,
     score_against,
+    space_saving_per_slot,
 )
 
 NUM_ELEPHANTS = 5
@@ -49,43 +54,62 @@ def trace():
         t0 = slot * SLOT_SECONDS
         for i in range(NUM_ELEPHANTS):
             for _ in range(40):
-                rows.append((t0 + rng.uniform(0, SLOT_SECONDS),
-                             ipv4.parse_ipv4(f"10.{i}.0.1"), 1500))
+                rows.append(
+                    (
+                        t0 + rng.uniform(0, SLOT_SECONDS),
+                        ipv4.parse_ipv4(f"10.{i}.0.1"),
+                        1500,
+                    )
+                )
         for _ in range(60):
             mouse = int(rng.integers(0, NUM_MICE))
-            rows.append((t0 + rng.uniform(0, SLOT_SECONDS),
-                         ipv4.parse_ipv4(f"172.16.{mouse}.1"), 80))
+            rows.append(
+                (
+                    t0 + rng.uniform(0, SLOT_SECONDS),
+                    ipv4.parse_ipv4(f"172.16.{mouse}.1"),
+                    80,
+                )
+            )
     rows.sort(key=lambda r: r[0])
     batches = []
     for start in range(0, len(rows), 100):
-        chunk = rows[start:start + 100]
-        batches.append(PacketBatch(
-            timestamps=np.array([r[0] for r in chunk]),
-            sources=np.zeros(len(chunk), dtype=np.int64),
-            destinations=np.array([r[1] for r in chunk], dtype=np.int64),
-            protocols=np.zeros(len(chunk), dtype=np.int64),
-            wire_bytes=np.array([r[2] for r in chunk], dtype=np.int64),
-            packets_seen=len(chunk),
-        ))
+        chunk = rows[start : start + 100]
+        batches.append(
+            PacketBatch(
+                timestamps=np.array([r[0] for r in chunk]),
+                sources=np.zeros(len(chunk), dtype=np.int64),
+                destinations=np.array([r[1] for r in chunk], dtype=np.int64),
+                protocols=np.zeros(len(chunk), dtype=np.int64),
+                wire_bytes=np.array([r[2] for r in chunk], dtype=np.int64),
+                packets_seen=len(chunk),
+            )
+        )
     return batches
 
 
 def factories(trace):
-    return (lambda: ListPacketSource(trace)), (lambda:
-                                               FixedLengthResolver(24))
+    return (
+        lambda: ListPacketSource(trace),
+        lambda: FixedLengthResolver(24),
+    )
 
 
 class TestAcceptance:
-    @pytest.mark.parametrize("name", ["space-saving", "misra-gries",
-                                      "count-min"])
+    @pytest.mark.parametrize(
+        "name", ["space-saving", "misra-gries", "count-min"]
+    )
     def test_recall_at_four_times_true_count(self, trace, name):
         make_source, make_resolver = factories(trace)
         reference = run_backend(make_source, make_resolver, SLOT_SECONDS)
         capacity = 4 * reference.peak_elephants
         comparison = score_against(
             reference,
-            run_backend(make_source, make_resolver, SLOT_SECONDS,
-                        backend=make_backend(name, capacity=capacity)),
+            run_backend(
+                make_source,
+                make_resolver,
+                SLOT_SECONDS,
+                backend=make_backend(name, capacity=capacity),
+            ),
         )
         assert comparison.recall >= 0.9
         assert comparison.run.peak_tracked <= capacity
@@ -95,11 +119,13 @@ class TestAcceptance:
         reference = run_backend(make_source, make_resolver, SLOT_SECONDS)
         capacity = 4 * reference.peak_elephants
         backend = ArraySketchAggregation(
-            ArraySampleHold(capacity, 1e-3), "sample-hold")
+            ArraySampleHold(capacity, 1e-3), "sample-hold"
+        )
         comparison = score_against(
             reference,
-            run_backend(make_source, make_resolver, SLOT_SECONDS,
-                        backend=backend),
+            run_backend(
+                make_source, make_resolver, SLOT_SECONDS, backend=backend
+            ),
         )
         assert comparison.recall >= 0.9
         assert comparison.run.peak_tracked <= capacity
@@ -126,12 +152,16 @@ class TestEvaluation:
     def test_evaluate_backends_orders_results(self, trace):
         make_source, make_resolver = factories(trace)
         reference, comparisons = evaluate_backends(
-            make_source, make_resolver, SLOT_SECONDS,
-            [make_backend("space-saving", capacity=8),
-             make_backend("misra-gries", capacity=8)],
+            make_source,
+            make_resolver,
+            SLOT_SECONDS,
+            [
+                make_backend("space-saving", capacity=8),
+                make_backend("misra-gries", capacity=8),
+            ],
         )
-        assert [c.run.backend for c in comparisons] == \
-            ["space-saving", "misra-gries"]
+        backends = [c.run.backend for c in comparisons]
+        assert backends == ["space-saving", "misra-gries"]
         for comparison in comparisons:
             assert 0.0 <= comparison.recall <= 1.0
             assert 0.0 <= comparison.precision <= 1.0
@@ -141,29 +171,31 @@ class TestEvaluation:
     def test_tiny_capacity_pushes_traffic_to_residual(self, trace):
         make_source, make_resolver = factories(trace)
         starved = run_backend(
-            make_source, make_resolver, SLOT_SECONDS,
+            make_source,
+            make_resolver,
+            SLOT_SECONDS,
             backend=make_backend("space-saving", capacity=2),
         )
         roomy = run_backend(
-            make_source, make_resolver, SLOT_SECONDS,
+            make_source,
+            make_resolver,
+            SLOT_SECONDS,
             backend=make_backend("space-saving", capacity=64),
         )
-        assert starved.mean_residual_fraction \
-            > roomy.mean_residual_fraction
+        assert starved.mean_residual_fraction > roomy.mean_residual_fraction
 
     def test_used_backend_instance_rejected(self, trace):
         make_source, make_resolver = factories(trace)
         backend = make_backend("space-saving", capacity=8)
-        run_backend(make_source, make_resolver, SLOT_SECONDS,
-                    backend=backend)
+        run_backend(make_source, make_resolver, SLOT_SECONDS, backend=backend)
         with pytest.raises(ClassificationError, match="single-use"):
-            run_backend(make_source, make_resolver, SLOT_SECONDS,
-                        backend=backend)
+            run_backend(
+                make_source, make_resolver, SLOT_SECONDS, backend=backend
+            )
 
     def test_slot_count_mismatch_rejected(self):
         one = BackendRun("exact", None, [frozenset()], 0, 0, 0.0)
-        two = BackendRun("exact", None, [frozenset(), frozenset()],
-                         0, 0, 0.0)
+        two = BackendRun("exact", None, [frozenset(), frozenset()], 0, 0, 0.0)
         with pytest.raises(ClassificationError):
             score_against(one, two)
 
@@ -172,7 +204,82 @@ class TestEvaluation:
         run = BackendRun("exact", None, sets, 0, 0, 0.0)
         assert run.churn() == 0.0
         flipping = BackendRun(
-            "exact", None,
-            [frozenset({1}), frozenset({2}), frozenset({1})], 0, 0, 0.0,
+            "exact",
+            None,
+            [frozenset({1}), frozenset({2}), frozenset({1})],
+            0,
+            0,
+            0.0,
         )
         assert flipping.churn() == 1.0
+
+
+class TestExactTopK:
+    def test_selects_largest(self, small_matrix):
+        run = exact_top_k_per_slot(small_matrix, top_k=10)
+        assert run.mask.shape == small_matrix.rates.shape
+        for slot in (0, small_matrix.num_slots - 1):
+            rates = small_matrix.slot_rates(slot)
+            selected = rates[run.mask[:, slot]]
+            unselected = rates[~run.mask[:, slot] & (rates > 0)]
+            if selected.size and unselected.size:
+                assert selected.min() >= unselected.max() - 1e-9
+
+    def test_bad_k_rejected(self, small_matrix):
+        with pytest.raises(ClassificationError):
+            exact_top_k_per_slot(small_matrix, top_k=0)
+
+
+class TestSpaceSavingPerSlot:
+    def test_high_capacity_matches_exact_top_k(self, small_matrix):
+        """With capacity >> active flows, Space-Saving is exact."""
+        exact = exact_top_k_per_slot(small_matrix, top_k=20)
+        sketched = space_saving_per_slot(
+            small_matrix,
+            capacity=small_matrix.num_flows + 1,
+            top_k=20,
+        )
+        agreement = mask_agreement(exact.mask, sketched.mask)
+        assert agreement > 0.95
+
+    def test_capacity_validated(self, small_matrix):
+        with pytest.raises(ClassificationError):
+            space_saving_per_slot(small_matrix, capacity=5, top_k=10)
+
+    def test_per_slot_counts(self, small_matrix):
+        run = space_saving_per_slot(small_matrix, capacity=64, top_k=16)
+        assert np.all(run.per_slot_counts <= 16)
+
+
+class TestVolatilityComparison:
+    def test_per_slot_heavy_hitters_churn_more_than_latent_heat(
+        self, small_grid, small_matrix
+    ):
+        """The paper's thesis stated against the OSS toolbox: per-slot
+        top-k (even exact) holds elephant state for far shorter runs
+        than the latent-heat classifier."""
+        latent = small_grid[(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)]
+        k = max(1, int(latent.elephants_per_slot().mean()))
+        oracle = exact_top_k_per_slot(small_matrix, top_k=k)
+        oracle_holding = oracle.holding_summary().mean_holding_slots
+        latent_holding = latent.holding_summary().mean_holding_slots
+        assert latent_holding > 1.5 * oracle_holding
+
+
+class TestMaskAgreement:
+    def test_identical(self):
+        mask = np.random.default_rng(0).random((5, 6)) > 0.5
+        assert mask_agreement(mask, mask) == 1.0
+
+    def test_disjoint(self):
+        a = np.zeros((4, 3), dtype=bool)
+        b = np.ones((4, 3), dtype=bool)
+        assert mask_agreement(a, b) == 0.0
+
+    def test_empty_slots_counted_as_agreement(self):
+        a = np.zeros((4, 3), dtype=bool)
+        assert mask_agreement(a, a) == 1.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ClassificationError):
+            mask_agreement(np.zeros((2, 2), bool), np.zeros((2, 3), bool))
