@@ -750,8 +750,8 @@ def parallel_ingest(
     ring_slots = (
         DEFAULT_RING_SLOTS if spec.ring_slots is None else spec.ring_slots
     )
-    if slot_seconds <= 0:
-        raise ClassificationError("slot_seconds must be positive")
+    if not 0.0 < slot_seconds < math.inf:
+        raise ClassificationError("slot_seconds must be finite and > 0")
     if on_worker_crash not in CRASH_POLICIES:
         raise ClassificationError(
             f"on_worker_crash must be one of {CRASH_POLICIES}, "

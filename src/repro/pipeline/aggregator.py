@@ -98,8 +98,8 @@ class StreamingAggregator:
         backend: AggregationBackend | None = None,
         sample_rate: float = 1.0,
     ) -> None:
-        if slot_seconds <= 0:
-            raise ClassificationError("slot_seconds must be positive")
+        if not 0.0 < slot_seconds < math.inf:
+            raise ClassificationError("slot_seconds must be finite and > 0")
         if sample_rate < 1.0:
             raise ClassificationError("sample_rate must be >= 1")
         if not hasattr(resolver, "lookup"):
@@ -163,6 +163,13 @@ class StreamingAggregator:
             return []
 
         timestamps = batch.timestamps
+        # every slot index below must fit int64; the extremes bound them
+        reach = np.abs([timestamps.min(), timestamps.max(), self.start or 0])
+        if not (reach < 2.0**61 * self.slot_seconds).all():
+            raise ClassificationError(
+                f"timestamps out of reach of {self.slot_seconds:g} s "
+                "slots: a slot index must fit 64 bits"
+            )
         if self.start is None:
             first = float(timestamps[0])
             self.start = (

@@ -18,10 +18,11 @@ reads — and keeps no other per-flow ledger:
 
 A bounded backend is handed its summary, built, instead of subclassing
 per summary. :class:`ArraySketchAggregation` runs any candidate table
-of :mod:`repro.sketches.array_tables` — bare, or behind a Bloom
-admission gate (:func:`~repro.sketches.bloom.gated_table`) — with one
-vectorized probe/admit/evict pass per batch and per-slot accumulators
-held as parallel arrays: no Python work per key on the hot path.
+of :mod:`repro.sketches.array_tables` — with or without a Bloom
+admission gate inside its batch kernel
+(:func:`~repro.sketches.bloom.gated_table`) — with one vectorized
+probe/admit/evict pass per batch and per-slot accumulators held as
+parallel arrays: no Python work per key on the hot path.
 :func:`make_backend` builds it for every sketch name from one
 name → table dict. The **scalar** :class:`SketchAggregation` feeds any
 dict-and-heap summary of :mod:`repro.sketches` one key at a time: the
@@ -69,11 +70,7 @@ from repro.sketches.array_tables import (
     ArraySpaceSaving,
     _KeyTable,
 )
-from repro.sketches.bloom import (
-    DEFAULT_ADMISSION_THRESHOLD,
-    BloomGatedTable,
-    gated_table,
-)
+from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD, gated_table
 
 #: The population entry that absorbs untracked ("other") traffic. A
 #: *real* default-route flow (a 0.0.0.0/0 RIB entry, or
@@ -413,7 +410,7 @@ class ArraySketchAggregation(AggregationBackend):
     """The bounded production backend: batch kernels, flat accumulators.
 
     ``table`` is a built :mod:`repro.sketches.array_tables` candidate
-    table, bare or wrapped by :func:`~repro.sketches.bloom.gated_table`;
+    table, gated or not (:func:`~repro.sketches.bloom.gated_table`);
     all slot-local accounting — pending bytes and activation order —
     lives in parallel ``capacity``-sized arrays indexed by table slot.
     ``accumulate`` aggregates the batch per unique key, hands the
@@ -430,7 +427,7 @@ class ArraySketchAggregation(AggregationBackend):
 
     residual_row = 0
 
-    def __init__(self, table: _KeyTable | BloomGatedTable, name: str) -> None:
+    def __init__(self, table: _KeyTable, name: str) -> None:
         super().__init__()
         self.name = name
         self.capacity = table.capacity
@@ -510,7 +507,7 @@ class ArraySketchAggregation(AggregationBackend):
         self._res_bytes = 0.0
         if active.size:
             self._reset_pending(active)
-        # slot-boundary hook — the Bloom admission gate ages its
+        # slot-boundary hook — a table's Bloom admission gate ages its
         # counters here so the threshold tracks recent bytes
         self._table.end_slot()
         self.slots_closed += 1
@@ -676,16 +673,21 @@ def make_shard(
     object: ``ceil(capacity / shards)`` entries, table seed
     ``seed + index`` (distinct seeds decorrelate the hashed and the
     sampled shards' errors), and a Bloom gate seeded with the
-    fleet-wide ``seed``.
+    fleet-wide ``seed``. A table too large to allocate is a
+    :class:`~repro.errors.ClassificationError` naming it.
     """
     check_backend(name, capacity, admission)
     if name == "exact":
         return ExactAggregation()
-    table = _TABLES[name](-(-capacity // shards), seed + index)
-    if admission == "bloom":
-        table = gated_table(
-            table, threshold_bytes=admission_threshold, seed=seed
-        )
+    try:
+        table = _TABLES[name](-(-capacity // shards), seed + index)
+        if admission == "bloom":
+            gated_table(table, threshold_bytes=admission_threshold, seed=seed)
+    except (MemoryError, ValueError) as error:
+        # numpy refuses an array past the address space with ValueError
+        raise ClassificationError(
+            f"cannot allocate a {name} table of capacity {capacity}: {error}"
+        ) from None
     return ArraySketchAggregation(table, name)
 
 

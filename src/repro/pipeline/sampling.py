@@ -96,6 +96,10 @@ class SamplingSpec:
                 f"unknown sampling mode {self.mode!r}; "
                 f"choose from {', '.join(SAMPLING_MODES)}"
             )
+        if not 0 <= self.seed < 2**63:
+            raise ClassificationError(
+                f"sampling seed {self.seed} not in [0, 2**63)"
+            )
         if self.guard_packets < 0:
             raise ClassificationError("guard_packets must be >= 0")
         if self.guard_packet_bytes <= 0:

@@ -22,6 +22,7 @@ is one value that can be validated, logged, and shipped around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -254,6 +255,8 @@ class PipelineSpec:
             )
         if self.ring_slots is not None and self.ring_slots < 1:
             raise ClassificationError("ring_slots must be >= 1")
+        if not 0 <= self.seed < 2**63:
+            raise ClassificationError(f"seed {self.seed} not in [0, 2**63)")
         if self.capacity is not None and self.memory_budget is not None:
             raise ClassificationError(
                 "--capacity and --memory-budget are alternatives; "
@@ -269,8 +272,10 @@ class PipelineSpec:
                     "--admission-threshold sets the Bloom gate's byte "
                     "threshold; it needs --admission bloom"
                 )
-            if self.admission_threshold < 0:
-                raise ClassificationError("admission threshold must be >= 0")
+            if not 0.0 <= self.admission_threshold < math.inf:
+                raise ClassificationError(
+                    "admission threshold must be a finite number >= 0"
+                )
         if self.sampling is None:
             object.__setattr__(self, "sampling", UNSAMPLED)
 

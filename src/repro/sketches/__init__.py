@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = attach(
             "ArraySpaceSaving",
             "BatchUpdate",
         ),
-        "bloom": ("BloomGatedTable", "CountingBloom", "gated_table"),
+        "bloom": ("BloomGate", "CountingBloom", "gated_table"),
         "count_min": ("CountMinCandidates", "CountMinSketch"),
         "misra_gries": ("MisraGries",),
         "sample_hold": ("SampleAndHold",),

@@ -21,19 +21,23 @@ Layout, shared by every table:
   it is cleared and refilled from the live slots — cheaper and simpler
   than tombstone bookkeeping at these table sizes.
 
-Batch semantics: each call to :meth:`update_batch` receives the
-batch's **unique** keys with their aggregated weights plus the
-first-traffic order, applies all hits in one array op, then resolves
-admissions (a merge tournament plus the scalar last-newcomer rule for
-Space-Saving, the exact weighted-decrement chain for Misra–Gries, an
-estimate tournament for Count-Min, seeded draws in first-traffic order
-for Sample-and-Hold). Every table treats the batch as
-"hits first, then newcomers"; for single-key batches that *is* the
-scalar order, so each table reproduces its scalar reference
-*exactly*, eviction tie-breaks included — the scalar lazy heaps
-resolve ties by smallest ``(count, key)`` pair, which the batch paths
-mirror. (Sample-and-Hold never evicts, so hits and newcomers commute
-and it is exact for any batch.) The property suite pins both regimes.
+One kernel, :meth:`_KeyTable.update_batch`, runs every table: it
+receives the batch's **unique** keys with their aggregated weights
+plus the first-traffic order, probes the index once, lets an optional
+admission gate (:class:`~repro.sketches.bloom.BloomGate`) turn away
+untracked keys, applies all hits in one array op, fills free slots in
+first-traffic order and hands the newcomers left over to the table's
+admission rule: a merge tournament plus the scalar last-newcomer rule
+for Space-Saving, the exact weighted-decrement chain for Misra–Gries,
+an estimate tournament for Count-Min — the two tournaments share
+:meth:`_KeyTable._tournament` — and seeded draws in first-traffic order
+for Sample-and-Hold. Every table treats the batch as "hits first, then
+newcomers"; for single-key batches that *is* the scalar order, so each
+table reproduces its scalar reference *exactly*, eviction tie-breaks
+included — the scalar lazy heaps resolve ties by smallest
+``(count, key)`` pair, which the batch paths mirror. (Sample-and-Hold
+never evicts, so hits and newcomers commute and it is exact for any
+batch.) The property suite pins both regimes.
 
 Flat arrays are also cheaply picklable, which is what keeps the
 worker-queue overhead of the multi-process runner low.
@@ -42,13 +46,16 @@ worker-queue overhead of the multi-process runner low.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.hash_index import ABSENT, HashIndex
 from repro.sketches.count_min import CountMinSketch
+
+if TYPE_CHECKING:
+    from repro.sketches.bloom import BloomGate
 
 #: Slot value meaning "no entry" — what the key index answers for an
 #: untracked key.
@@ -69,22 +76,18 @@ class BatchUpdate(NamedTuple):
     evicted: np.ndarray
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    if weights.size and float(weights.min()) < 0.0:
-        raise ClassificationError("weights must be non-negative")
-
-
 class _KeyTable:
-    """Slot storage plus the key → slot index.
+    """Slot storage, the key → slot index and the one batch kernel.
 
-    Subclasses implement :meth:`update_batch`; this base owns the slot
-    arrays and keeps the index in step with them (insertion on fill,
-    rebuild after eviction).
+    :meth:`update_batch` is the kernel; a table says only what differs
+    — how a batch is counted (:meth:`_count`) and how newcomers enter
+    a full table (:meth:`_admit_newcomers`). The base keeps the index
+    in step with the slots (insertion on fill, rebuild after eviction).
     """
 
-    #: Weight turned away before reaching the table: none, for a bare
-    #: table (a :class:`~repro.sketches.bloom.BloomGatedTable` counts).
-    rejected_weight = 0.0
+    #: Admission gate consulted before every update; ``None`` admits
+    #: everything (:func:`~repro.sketches.bloom.gated_table` sets one).
+    gate: BloomGate | None = None
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -101,8 +104,13 @@ class _KeyTable:
 
     @property
     def total_weight(self) -> float:
-        """Total weight offered so far."""
+        """Total weight offered so far (past any gate)."""
         return self._total
+
+    @property
+    def rejected_weight(self) -> float:
+        """Weight the gate turned away before it reached the table."""
+        return 0.0 if self.gate is None else self.gate.rejected_weight
 
     def occupied(self) -> np.ndarray:
         """Slot indices currently holding a tracked key."""
@@ -111,9 +119,7 @@ class _KeyTable:
     def items(self) -> dict[int, float]:
         """Tracked ``key -> count`` pairs (slot order)."""
         live = self.occupied()
-        return dict(
-            zip(self.key[live].tolist(), self.count[live].tolist())
-        )
+        return dict(zip(self.key[live].tolist(), self.count[live].tolist()))
 
     def estimate(self, key: int) -> float:
         """Stored count for ``key`` (0 when untracked)."""
@@ -137,11 +143,114 @@ class _KeyTable:
         weights: np.ndarray,
         order: np.ndarray | None = None,
     ) -> BatchUpdate:
-        """Apply one batch of unique, weight-aggregated keys."""
-        raise NotImplementedError
+        """Apply one batch of unique, weight-aggregated keys.
+
+        ``order`` lists the keys in first-traffic order (``None``: as
+        given). Keys the gate turns away are untracked: ``NO_SLOT``.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.size and float(weights.min()) < 0.0:
+            raise ClassificationError("weights must be non-negative")
+        slots = self._probe(keys)
+        if self.gate is None:
+            return self._update(keys, weights, slots, order)
+        offer = self.gate.admit(keys, weights, slots)
+        if order is not None:
+            position = np.full(keys.size, NO_SLOT, dtype=np.int64)
+            position[offer] = np.arange(offer.size)
+            order = position[order]
+            order = order[order != NO_SLOT]
+        update = self._update(keys[offer], weights[offer], slots[offer], order)
+        slots = np.full(keys.size, NO_SLOT, dtype=np.int64)
+        slots[offer] = update.slots
+        return BatchUpdate(slots, update.evicted)
 
     def end_slot(self) -> None:
-        """Slot-boundary hook; a bare table keeps nothing per slot."""
+        """Slot-boundary hook: a gate ages its counters."""
+        if self.gate is not None:
+            self.gate.end_slot()
+
+    # ------------------------------------------------------------------
+    # the kernel's steps
+    # ------------------------------------------------------------------
+
+    def _update(
+        self,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        slots: np.ndarray,
+        order: np.ndarray | None,
+    ) -> BatchUpdate:
+        """Hits, free-slot fill in first-traffic order, admission of
+        the rest into the full table, index rebuild after eviction."""
+        values = self._count(keys, weights, slots)
+        misses = self._misses(slots, weights, order)
+        evicted = _EMPTY_SLOTS
+        if misses.size:
+            fill, spots, rest = self._fill_free(misses, keys, values)
+            slots[fill] = spots
+            if rest.size:
+                evicted = self._admit_newcomers(slots, keys, values, rest)
+        if evicted.size:
+            live = self.occupied()
+            self._index.clear()
+            self._index.insert(self.key[live], live)
+            # a key whose slot now holds another key left in this batch
+            tracked = np.flatnonzero(slots >= 0)
+            stale = tracked[self.key[slots[tracked]] != keys[tracked]]
+            slots[stale] = NO_SLOT
+        return BatchUpdate(slots, evicted)
+
+    def _count(
+        self, keys: np.ndarray, weights: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """Count the batch: hits add their weight. Returns the values
+        newcomers are ranked and stored by — here the weights."""
+        self._total += float(weights.sum())
+        hits = slots >= 0
+        if hits.any():
+            self.count[slots[hits]] += weights[hits]
+        return weights
+
+    def _admit_newcomers(
+        self,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        rest: np.ndarray,
+    ) -> np.ndarray:
+        """Newcomers ``rest`` meet a full table: each tournament winner
+        replaces the entry it beat. Returns the evicted slots."""
+        _, admit, victims = self._tournament(values, rest)
+        self.key[victims] = keys[admit]
+        self.count[victims] = values[admit]
+        slots[admit] = victims
+        return victims
+
+    def _tournament(
+        self, values: np.ndarray, offers: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair newcomers by descending value with entries by ascending
+        ``(count, key)``; newcomer *j* wins entry *j* when its value
+        strictly beats that count.
+
+        The winners are a prefix of that order and none is worth at
+        most the table minimum, so only the ``contenders`` above it are
+        sorted (their order is the full sort's, restricted): *n*
+        newcomers of which *m* are that heavy cost one O(n) compare, an
+        O(m log m) sort and an O(K log K) table order. Returns
+        ``(contenders, admit, victims)`` — the contenders in descending
+        order, the winners, the entries they beat.
+        """
+        contenders = offers[values[offers] > self.count.min()]
+        if contenders.size == 0:
+            return contenders, _EMPTY_SLOTS, _EMPTY_SLOTS
+        contenders = contenders[np.argsort(-values[contenders], kind="stable")]
+        pairs = min(contenders.size, self.capacity)
+        smallest = np.lexsort((self.key, self.count))[:pairs]
+        beat = values[contenders[:pairs]] > self.count[smallest]
+        return contenders, contenders[:pairs][beat], smallest[beat]
 
     # ------------------------------------------------------------------
     # key index
@@ -150,14 +259,6 @@ class _KeyTable:
     def _probe(self, queries: np.ndarray) -> np.ndarray:
         """Slot per query key, ``NO_SLOT`` for untracked (vectorized)."""
         return self._index.find(queries)
-
-    def _index_insert(self, new_slots: np.ndarray) -> None:
-        """Register ``new_slots`` (already holding keys) in the index."""
-        self._index.insert(self.key[new_slots], new_slots)
-
-    def _rebuild_index(self) -> None:
-        self._index.clear()
-        self._index_insert(self.occupied())
 
     def _fill_free(
         self, offers: np.ndarray, keys: np.ndarray, values: np.ndarray
@@ -177,19 +278,8 @@ class _KeyTable:
         self.key[spots] = keys[fill]
         self.count[spots] = values[fill]
         self._live += take
-        self._index_insert(spots)
+        self._index.insert(keys[fill], spots)
         return fill, spots, offers[take:]
-
-    def _final_slots(
-        self, slots: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Invalidate slots reassigned later in the same batch."""
-        tracked = slots >= 0
-        if tracked.any():
-            stale = tracked.copy()
-            stale[tracked] = self.key[slots[tracked]] != keys[tracked]
-            slots[stale] = NO_SLOT
-        return slots
 
     def _misses(
         self,
@@ -209,60 +299,30 @@ class ArraySpaceSaving(_KeyTable):
 
     Hits add their aggregated weight in one array op; new keys fill
     free slots; once the table is full the batch admits in two steps.
-    First the **merge tournament**: the batch's newcomers, sorted by
-    descending weight, pair against the ascending ``(count, key)``
-    table order, and newcomer *j* replaces entry *j* when its weight
-    strictly beats that count — the top-K-of-union rule from the
-    mergeable-summaries literature. Each admitted newcomer inherits
-    the merge boundary (the largest count or weight the union dropped,
-    never below the pre-merge minimum) as its over-estimation error.
-    Then the **last newcomer** of the batch runs the scalar rule
-    verbatim: it always enters, evicting the current minimum and
-    inheriting its count — so a single-key batch *is* the scalar
-    update, tie-breaks included, and a stream of them reproduces the
-    reference sketch exactly. Estimates stay one-sided
+    First the **merge tournament** (:meth:`_KeyTable._tournament`): the
+    batch's newcomers, sorted by descending weight, pair against the
+    ascending ``(count, key)`` table order, and newcomer *j* replaces
+    entry *j* when its weight strictly beats that count — the
+    top-K-of-union rule from the mergeable-summaries literature. Each
+    admitted newcomer inherits the merge boundary (the largest count or
+    weight the union dropped, never below the pre-merge minimum) as its
+    over-estimation error. Then the **last newcomer** of the batch runs
+    the scalar rule verbatim: it always enters, evicting the current
+    minimum and inheriting its count — so a single-key batch *is* the
+    scalar update, tie-breaks included, and a stream of them reproduces
+    the reference sketch exactly. Estimates stay one-sided
     (``estimate >= true weight`` for every tracked key, over-estimate
     recorded per slot), every untracked key's true weight stays below
     the minimum count, and heavy entries are never displaced by lighter
-    pressure. Only a newcomer heavier than the table minimum can win,
-    so admitting *n* newcomers of which *m* are that heavy costs one
-    O(n) compare, an O(m log m) sort and an O(K log K) table order:
-    the mice that churn through a full table are compared, not sorted.
-    The one classical bound batching relaxes: rejected-weight inflation
-    can push the minimum above ``total / capacity``, so the worst-case
-    "heavier than total/(K+1) implies tracked" promise holds per
-    update, not across adversarial batch mixes.
+    pressure. The one classical bound batching relaxes: rejected-weight
+    inflation can push the minimum above ``total / capacity``, so the
+    worst-case "heavier than total/(K+1) implies tracked" promise holds
+    per update, not across adversarial batch mixes.
     """
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
         self.error = np.zeros(capacity, dtype=np.float64)
-
-    def update_batch(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray | None = None,
-    ) -> BatchUpdate:
-        keys = np.asarray(keys, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        _check_weights(weights)
-        self._total += float(weights.sum())
-        slots = self._probe(keys)
-        hits = slots >= 0
-        if hits.any():
-            self.count[slots[hits]] += weights[hits]
-        misses = self._misses(slots, weights, order)
-        evicted = _EMPTY_SLOTS
-        if misses.size:
-            fill, spots, rest = self._fill_free(misses, keys, weights)
-            if fill.size:
-                self.error[spots] = 0.0
-                slots[fill] = spots
-            if rest.size:
-                evicted = self._admit_newcomers(slots, keys, weights, rest)
-                self._rebuild_index()
-        return BatchUpdate(self._final_slots(slots, keys), evicted)
 
     def _admit_newcomers(
         self,
@@ -279,30 +339,15 @@ class ArraySpaceSaving(_KeyTable):
         """
         floor = float(self.count.min())
         head = rest[:-1]
-        head_weights = weights[head]
-        # Newcomers by descending weight pair against entries by
-        # ascending count, so the winners are a prefix of that order
-        # and none weighs at most the minimum: only the heavier ones
-        # are sorted (their order is the full sort's, restricted).
-        heavy = head_weights > floor
-        by_weight = head[heavy]
-        admit = victims = _EMPTY_SLOTS
-        if by_weight.size:
-            by_weight = by_weight[
-                np.argsort(-weights[by_weight], kind="stable")
-            ]
-            pairs = min(by_weight.size, self.capacity)
-            smallest = np.lexsort((self.key, self.count))[:pairs]
-            beat = weights[by_weight[:pairs]] > self.count[smallest]
-            admit = by_weight[:pairs][beat]
-            victims = smallest[beat]
-        # the heaviest weight turned away: the first heavy newcomer that
-        # lost, else the heaviest of the light ones
+        contenders, admit, victims = self._tournament(weights, head)
+        # the heaviest weight turned away: the first contender that
+        # lost, else the heaviest of the newcomers at or below the floor
         top_loser = None
-        if admit.size < by_weight.size:
-            top_loser = float(weights[by_weight[admit.size]])
-        elif by_weight.size < head.size:
-            top_loser = float(head_weights[~heavy].max())
+        if admit.size < contenders.size:
+            top_loser = float(weights[contenders[admit.size]])
+        elif contenders.size < head.size:
+            light = weights[head]
+            top_loser = float(light[light <= floor].max())
         if admit.size:
             bound = float(self.count[victims[-1]])
             if top_loser is not None:
@@ -368,31 +413,7 @@ class ArrayMisraGries(_KeyTable):
         super().__init__(capacity)
         self._decrement_total = 0.0
 
-    def update_batch(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray | None = None,
-    ) -> BatchUpdate:
-        keys = np.asarray(keys, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        _check_weights(weights)
-        self._total += float(weights.sum())
-        slots = self._probe(keys)
-        hits = slots >= 0
-        if hits.any():
-            self.count[slots[hits]] += weights[hits]
-        misses = self._misses(slots, weights, order)
-        evicted = _EMPTY_SLOTS
-        if misses.size:
-            fill, spots, rest = self._fill_free(misses, keys, weights)
-            slots[fill] = spots
-            if rest.size:
-                evicted = self._decrement_chain(slots, keys, weights, rest)
-                self._rebuild_index()
-        return BatchUpdate(self._final_slots(slots, keys), evicted)
-
-    def _decrement_chain(
+    def _admit_newcomers(
         self,
         slots: np.ndarray,
         keys: np.ndarray,
@@ -475,13 +496,13 @@ class ArrayCountMin(_KeyTable):
     :class:`~repro.sketches.count_min.CountMinSketch` (same seeded
     hash family as the scalar backend, updated through its vectorized
     batch methods); ``count`` stores each candidate's latest estimate.
-    Admission is an estimate tournament: the batch's newcomers, sorted
-    by descending estimate, are paired against the ascending stored
-    candidates, and newcomer *j* replaces candidate *j* only when its
-    estimate is strictly larger — for a single newcomer exactly the
-    scalar beat-the-minimum rule. Estimates are computed after the
-    whole batch lands in the sketch, so they upper-bound what a
-    per-key monitor would read.
+    Admission is the shared tournament on estimates: the batch's
+    newcomers, by descending estimate, pair against the ascending
+    stored candidates, and newcomer *j* replaces candidate *j* only
+    when its estimate is strictly larger — for a single newcomer
+    exactly the scalar beat-the-minimum rule. Estimates are computed
+    after the whole batch lands in the sketch, so they upper-bound what
+    a per-key monitor would read.
     """
 
     def __init__(
@@ -499,61 +520,17 @@ class ArrayCountMin(_KeyTable):
         """Total weight offered so far (the sketch's count)."""
         return self.sketch.total_weight
 
-    def update_batch(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray | None = None,
-    ) -> BatchUpdate:
-        keys = np.asarray(keys, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        _check_weights(weights)
+    def _count(
+        self, keys: np.ndarray, weights: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """Count the batch into the sketch: hits store their estimate,
+        and estimates rank the newcomers."""
         self.sketch.update_batch(keys, weights)
         estimates = self.sketch.estimate_batch(keys)
-        slots = self._probe(keys)
         hits = slots >= 0
         if hits.any():
             self.count[slots[hits]] = estimates[hits]
-        misses = self._misses(slots, weights, order)
-        evicted = _EMPTY_SLOTS
-        if misses.size:
-            fill, spots, rest = self._fill_free(misses, keys, estimates)
-            slots[fill] = spots
-            if rest.size:
-                evicted = self._admit_newcomers(slots, keys, estimates, rest)
-                if evicted.size:
-                    self._rebuild_index()
-        return BatchUpdate(self._final_slots(slots, keys), evicted)
-
-    def _admit_newcomers(
-        self,
-        slots: np.ndarray,
-        keys: np.ndarray,
-        estimates: np.ndarray,
-        rest: np.ndarray,
-    ) -> np.ndarray:
-        """Run the estimate tournament for ``rest``; returns victims.
-
-        As for Space-Saving, the winners are a prefix of the
-        descending-estimate order and each beats the smallest stored
-        count, so only the estimates above that count are sorted.
-        """
-        contenders = rest[estimates[rest] > self.count.min()]
-        if contenders.size == 0:
-            return _EMPTY_SLOTS
-        contenders = contenders[
-            np.argsort(-estimates[contenders], kind="stable")
-        ]
-        pairs = min(contenders.size, self.capacity)
-        contenders = contenders[:pairs]
-        candidates = np.lexsort((self.key, self.count))[:pairs]
-        beat = estimates[contenders] > self.count[candidates]
-        admit = contenders[beat]
-        victims = candidates[beat]
-        self.key[victims] = keys[admit]
-        self.count[victims] = estimates[admit]
-        slots[admit] = victims
-        return victims
+        return estimates
 
 
 class ArraySampleHold(_KeyTable):
@@ -584,20 +561,14 @@ class ArraySampleHold(_KeyTable):
         self.sampling_probability = sampling_probability
         self._rng = np.random.default_rng(seed)
 
-    def update_batch(
+    def _update(
         self,
         keys: np.ndarray,
         weights: np.ndarray,
-        order: np.ndarray | None = None,
+        slots: np.ndarray,
+        order: np.ndarray | None,
     ) -> BatchUpdate:
-        keys = np.asarray(keys, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        _check_weights(weights)
-        self._total += float(weights.sum())
-        slots = self._probe(keys)
-        hits = slots >= 0
-        if hits.any():
-            self.count[slots[hits]] += weights[hits]
+        self._count(keys, weights, slots)
         misses = self._misses(slots, weights, order)
         room = self.capacity - self._live
         if misses.size and room:

@@ -10,29 +10,32 @@ most of their evictions under heavy-tailed traffic.
 
 :class:`CountingBloom` is the counting filter — ``depth`` rows of
 ``width`` float64 counters, conservative update, fully vectorized.
-:class:`BloomGatedTable` wraps any
-:class:`~repro.sketches.array_tables._KeyTable` with the admission
-policy while keeping the table's batch-update contract intact: keys
-already tracked bypass the filter, rejected keys come back with
-``NO_SLOT`` so the backend's residual row conserves their bytes, and
-``end_slot()`` geometrically decays the counters so the threshold is
-(approximately) a per-slot byte rate, not an all-time total.
+:class:`BloomGate` is the admission policy: set as a table's ``gate``
+(:func:`gated_table` does), it sits inside the table's one batch
+kernel (:meth:`~repro.sketches.array_tables._KeyTable.update_batch`)
+between the index probe and the update. Keys already tracked bypass
+the filter, rejected keys come back with ``NO_SLOT`` so the backend's
+residual row conserves their bytes, and the table's ``end_slot()``
+geometrically decays the counters so the threshold is (approximately)
+a per-slot byte rate, not an all-time total.
 
 Memory: the filter costs ``depth * width * 8`` bytes of float64
-counters on top of the inner table — counters, not bits, because the
-gate counts bytes. The defaults (depth 4, width 8x capacity) put the
-filter at roughly 2x the inner table's footprint in exchange for
-keeping tail churn out of it entirely; production hardware would use
-saturating small integers in SRAM.
+counters on top of the table — counters, not bits, because the gate
+counts bytes. The defaults (depth 4, width 8x capacity) put the filter
+at roughly 2x the table's footprint in exchange for keeping tail
+churn out of it entirely; production hardware would use saturating
+small integers in SRAM.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.hash_index import FIBONACCI_MULTIPLIER
-from repro.sketches.array_tables import NO_SLOT, BatchUpdate, _KeyTable
+from repro.sketches.array_tables import NO_SLOT, _KeyTable
 
 #: Golden-ratio multiplier for the per-row key mix (same family as the
 #: candidate-table bucket hash, salted per row so rows are independent).
@@ -44,7 +47,7 @@ _FIB = FIBONACCI_MULTIPLIER
 DEFAULT_ADMISSION_THRESHOLD = 65536.0
 #: Default counter rows.
 DEFAULT_BLOOM_DEPTH = 4
-#: Default counters per row, as a multiple of the inner capacity.
+#: Default counters per row, as a multiple of the table capacity.
 DEFAULT_BLOOM_WIDTH_FACTOR = 8
 #: Default geometric decay applied to every counter at slot close.
 DEFAULT_BLOOM_DECAY = 0.5
@@ -78,9 +81,7 @@ class CountingBloom:
 
     def _indices(self, keys: np.ndarray) -> np.ndarray:
         """(depth, n) counter indices for ``keys``."""
-        mixed = (
-            keys.astype(np.uint64)[None, :] ^ self._salts[:, None]
-        ) * _FIB
+        mixed = (keys.astype(np.uint64)[None, :] ^ self._salts[:, None]) * _FIB
         # fold the high bits in before reducing mod width, so small
         # widths still see the whole hash
         mixed ^= mixed >> np.uint64(33)
@@ -118,97 +119,50 @@ class CountingBloom:
         return float(np.count_nonzero(self.counters)) / self.counters.size
 
 
-class BloomGatedTable:
-    """Admission gate in front of an array candidate table.
+class BloomGate:
+    """The admission policy a candidate table consults (its ``gate``).
 
-    Implements the :class:`~repro.sketches.array_tables._KeyTable`
-    batch contract by delegation: offered keys that the inner table
-    already tracks pass straight through; the rest are counted in the
-    Bloom filter and only those whose (conservative) estimate reaches
-    ``threshold_bytes`` are offered to the inner table. Rejected keys
-    get ``NO_SLOT`` in the returned slot map, so the aggregation
-    backend routes their bytes to the residual row — byte conservation
-    is unchanged, only *who is a candidate* changes.
+    Offered keys the table already tracks pass straight through; the
+    rest are counted in the Bloom filter and only those whose
+    (conservative) estimate reaches ``threshold_bytes`` reach the
+    table. The others come back from the table's update as
+    ``NO_SLOT``, so the aggregation backend routes their bytes to the
+    residual row — byte conservation is unchanged, only *who is a
+    candidate* changes.
     """
 
     def __init__(
         self,
-        inner: _KeyTable,
         bloom: CountingBloom,
         threshold_bytes: float = DEFAULT_ADMISSION_THRESHOLD,
         decay: float = DEFAULT_BLOOM_DECAY,
     ) -> None:
-        if threshold_bytes < 0:
-            raise ClassificationError("admission threshold must be >= 0")
+        if not 0.0 <= threshold_bytes < math.inf:
+            raise ClassificationError(
+                "admission threshold must be a finite number >= 0"
+            )
         if not 0.0 <= decay <= 1.0:
             raise ClassificationError("decay factor must be in [0, 1]")
-        self.inner = inner
         self.bloom = bloom
         self.threshold_bytes = float(threshold_bytes)
         self.decay = float(decay)
         #: Bytes turned away at the gate (lifetime).
         self.rejected_weight = 0.0
 
-    # -- delegated table surface ---------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return self.inner.capacity
-
-    @property
-    def key(self) -> np.ndarray:
-        return self.inner.key
-
-    @property
-    def count(self) -> np.ndarray:
-        return self.inner.count
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    @property
-    def total_weight(self) -> float:
-        return self.inner.total_weight
-
-    def occupied(self) -> np.ndarray:
-        return self.inner.occupied()
-
-    def items(self) -> dict[int, float]:
-        return self.inner.items()
-
-    def estimate(self, key: int) -> float:
-        return self.inner.estimate(key)
-
-    def top_k(self, k: int) -> list[tuple[int, float]]:
-        return self.inner.top_k(k)
-
-    # -- the gate ------------------------------------------------------
-
-    def update_batch(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray | None = None,
-    ) -> BatchUpdate:
-        tracked = self.inner._probe(keys) != NO_SLOT
-        misses = np.flatnonzero(~tracked)
-        admitted = tracked.copy()
+    def admit(
+        self, keys: np.ndarray, weights: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """Positions of the offered keys that may reach the table:
+        tracked ones (``slots``: the probe's answer) and those the
+        filter has now counted to the threshold."""
+        admitted = slots != NO_SLOT
+        misses = np.flatnonzero(~admitted)
         if misses.size:
             counted = self.bloom.add(keys[misses], weights[misses])
             passed = counted >= self.threshold_bytes
             admitted[misses[passed]] = True
             self.rejected_weight += float(weights[misses[~passed]].sum())
-        offer = np.flatnonzero(admitted)
-        sub_order = None
-        if order is not None:
-            position = np.full(keys.size, NO_SLOT, dtype=np.int64)
-            position[offer] = np.arange(offer.size)
-            sub_order = position[order]
-            sub_order = sub_order[sub_order != NO_SLOT]
-        update = self.inner.update_batch(keys[offer], weights[offer], sub_order)
-        slots = np.full(keys.size, NO_SLOT, dtype=np.int64)
-        slots[offer] = update.slots
-        return BatchUpdate(slots=slots, evicted=update.evicted)
+        return np.flatnonzero(admitted)
 
     def end_slot(self) -> None:
         """Slot-boundary hook: age the admission counters."""
@@ -223,15 +177,14 @@ def gated_table(
     depth: int = DEFAULT_BLOOM_DEPTH,
     decay: float = DEFAULT_BLOOM_DECAY,
     seed: int = 0,
-) -> BloomGatedTable:
-    """Wrap ``inner`` with a Bloom admission gate sized to it.
+) -> _KeyTable:
+    """Give ``inner`` a Bloom admission gate sized to it; returns it.
 
     ``width`` defaults to :data:`DEFAULT_BLOOM_WIDTH_FACTOR` x the
-    inner capacity (min 1024 counters per row).
+    table capacity (min 1024 counters per row).
     """
     if width is None:
         width = max(1024, DEFAULT_BLOOM_WIDTH_FACTOR * inner.capacity)
     bloom = CountingBloom(width, depth=depth, seed=seed)
-    return BloomGatedTable(
-        inner, bloom, threshold_bytes=threshold_bytes, decay=decay
-    )
+    inner.gate = BloomGate(bloom, threshold_bytes=threshold_bytes, decay=decay)
+    return inner

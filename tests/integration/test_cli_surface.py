@@ -72,14 +72,24 @@ CASES = {
     },
     # recorded before the full-table admission kernels were rewritten:
     # a K = 8 table over 100 heavy-tailed flows is full and churning on
-    # every batch, so each answer rides on the tournament's tie-breaks
+    # every batch, so each answer rides on the tournament's tie-breaks;
+    # the Bloom gate turns away a good share of the capture's bytes
     **{
         f"stream-churn-{backend}{suffix}-json": (
             f"stream churn.pcap --backend {backend} --capacity 8"
             f"{flags} --json"
         )
-        for backend in ("space-saving", "count-min")
-        for suffix, flags in (("", ""), ("-shards2", " --shards 2"))
+        for backend in (
+            "space-saving",
+            "misra-gries",
+            "count-min",
+            "sample-hold",
+        )
+        for suffix, flags in (
+            ("", ""),
+            ("-shards2", " --shards 2"),
+            ("-bloom", " --admission bloom"),
+        )
     },
 }
 REFUSED_QUERY = "query-negative-since-cell"

@@ -23,7 +23,7 @@ from repro.pipeline.sources import (
     PcapPacketSource,
 )
 from repro.pipeline.spec import SOURCE_KINDS, PipelineSpec, SourceSpec
-from repro.sketches import ArraySampleHold, BloomGatedTable
+from repro.sketches import ArraySampleHold, BloomGate
 from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 
@@ -169,8 +169,8 @@ class TestBuildBackend:
             admission="bloom",
             admission_threshold=1000.0,
         ).build_backend()
-        assert isinstance(backend._table, BloomGatedTable)
-        assert backend._table.threshold_bytes == 1000.0
+        assert isinstance(backend._table.gate, BloomGate)
+        assert backend._table.gate.threshold_bytes == 1000.0
 
     @pytest.mark.parametrize("split", [{}, {"shards": 2}])
     def test_sample_hold_is_gated_and_sharded_like_the_rest(self, split):
@@ -180,8 +180,8 @@ class TestBuildBackend:
         backend = spec.build_backend()
         for index, shard in enumerate(getattr(backend, "shards", [backend])):
             assert isinstance(shard, ArraySketchAggregation)
-            assert isinstance(shard._table, BloomGatedTable)
-            assert isinstance(shard._table.inner, ArraySampleHold)
+            assert isinstance(shard._table.gate, BloomGate)
+            assert isinstance(shard._table, ArraySampleHold)
             assert type(spec.build_shard(index)) is type(shard)
 
     def test_wrap_source_null(self):

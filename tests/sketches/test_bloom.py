@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ClassificationError
 from repro.sketches.array_tables import NO_SLOT, ArraySpaceSaving
 from repro.sketches.bloom import (
-    BloomGatedTable,
+    BloomGate,
     CountingBloom,
     gated_table,
 )
@@ -88,7 +88,7 @@ class TestCountingBloom:
         assert not np.array_equal(a._indices(keys), b._indices(keys))
 
 
-class TestBloomGatedTable:
+class TestBloomGate:
     def make(self, capacity=8, threshold=100.0, decay=0.5):
         inner = ArraySpaceSaving(capacity)
         return gated_table(
@@ -96,12 +96,11 @@ class TestBloomGatedTable:
         )
 
     def test_validation(self):
-        inner = ArraySpaceSaving(8)
         bloom = CountingBloom(64)
         with pytest.raises(ClassificationError):
-            BloomGatedTable(inner, bloom, threshold_bytes=-1.0)
+            BloomGate(bloom, threshold_bytes=-1.0)
         with pytest.raises(ClassificationError):
-            BloomGatedTable(inner, bloom, decay=2.0)
+            BloomGate(bloom, decay=2.0)
 
     def test_below_threshold_rejected(self):
         table = self.make(threshold=100.0)
@@ -179,6 +178,6 @@ class TestBloomGatedTable:
 
     def test_default_width_floor(self):
         table = gated_table(ArraySpaceSaving(4), threshold_bytes=1.0)
-        assert table.bloom.width == 1024
+        assert table.gate.bloom.width == 1024
         wide = gated_table(ArraySpaceSaving(1000), threshold_bytes=1.0)
-        assert wide.bloom.width == 8000
+        assert wide.gate.bloom.width == 8000

@@ -365,6 +365,37 @@ class TestStreamAdmission:
         assert summary["bytes_matched"] > 0
 
 
+class TestStreamRefusesOutOfRangeNumbers:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # tables too large to allocate (no page is ever touched)
+            "--backend space-saving --capacity 100000000000000",
+            "--backend misra-gries --memory-budget 99999999g",
+            "--backend count-min --capacity 4611686018427387904",
+            # seeds outside [0, 2**63)
+            "--backend count-min --capacity 4 --seed -1",
+            "--backend space-saving --capacity 4 --admission bloom "
+            "--seed 99999999999999999999999",
+            "--sample-rate 10 --sample-mode probabilistic --sample-seed -1",
+            # non-finite numbers, and a slot index past int64
+            "--slot-seconds nan",
+            "--slot-seconds inf",
+            "--slot-seconds 1e-300",
+            "--backend space-saving --capacity 4 --admission bloom "
+            "--admission-threshold nan",
+        ],
+    )
+    def test_one_error_line(self, stream_capture, capsys, flags):
+        """Each used to be a traceback, a warning, or a silent wrong
+        answer."""
+        code = main(["stream", stream_capture["pcap"], *flags.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestStreamSharded:
     def test_sharded_exact_matches_single(self, stream_capture, capsys):
         assert main(["stream", stream_capture["pcap"], "--json"]) == 0
