@@ -1,4 +1,7 @@
-"""Analysis of classification results: the paper's metrics and reports."""
+"""Analysis of classification results: the paper's metrics and reports.
+
+``churn`` stays for a paper-claim test and the alpha ablation bench.
+"""
 
 from repro._lazy import attach
 
@@ -27,12 +30,6 @@ __getattr__, __dir__, __all__ = attach(
             "OffloadSlot",
             "OffloadSpec",
             "simulate_offload",
-        ),
-        "persistence": (
-            "PersistenceCurve",
-            "persistence_curve",
-            "persistence_from_result",
-            "persistence_gain",
         ),
         "prefixes": ("OriginTierReport", "PrefixLengthReport"),
         "report": (

@@ -3,6 +3,8 @@
 The motivation for the latent-heat feature is to "avoid unnecessary
 reclassification of flows"; these metrics quantify it so the
 single-feature vs two-feature comparison can be asserted, not eyeballed.
+It stays for ``test_paper_claims.py::test_churn_reduction_everywhere``
+and the paper bench ``bench_ablation_alpha.py``; no command runs it.
 """
 
 from __future__ import annotations

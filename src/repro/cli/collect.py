@@ -90,6 +90,15 @@ def add_arguments(command: argparse.ArgumentParser) -> None:
     )
 
 
+@contextlib.contextmanager
+def _refused(what: str):
+    """An ``OSError`` in the block as one ``error:`` line about ``what``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ReproError(f"{what}: {exc.strerror or exc}") from None
+
+
 def _write_port_file(path: str, host: str, port: int) -> None:
     """Atomically publish the bound address.
 
@@ -98,11 +107,12 @@ def _write_port_file(path: str, host: str, port: int) -> None:
     rename it into place.
     """
     temp_path = f"{path}.tmp"
-    with open(temp_path, "w") as handle:
-        handle.write(f"{host}:{port}\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    with _refused(f"cannot write --port-file {path}"):
+        with open(temp_path, "w") as handle:
+            handle.write(f"{host}:{port}\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, path)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -114,19 +124,20 @@ def run(args: argparse.Namespace) -> int:
         raise ReproError("--k must be >= 0")
     if args.once is not None and args.once < 1:
         raise ReproError("--once must be >= 1")
-    service = CollectorService(
-        host,
-        port,
-        k=args.k,
-        fill_gaps=not args.no_fill_gaps,
-        scheme=scheme,
-        feature=feature,
-        config=engine_config(args),
-        max_inflight=args.max_inflight,
-        once=args.once,
-        state_dir=args.state_dir,
-        faults=env_faults(),
-    )
+    with _refused(f"cannot use --state-dir {args.state_dir}"):
+        service = CollectorService(
+            host,
+            port,
+            k=args.k,
+            fill_gaps=not args.no_fill_gaps,
+            scheme=scheme,
+            feature=feature,
+            config=engine_config(args),
+            max_inflight=args.max_inflight,
+            once=args.once,
+            state_dir=args.state_dir,
+            faults=env_faults(),
+        )
 
     async def _serve() -> None:
         stop = asyncio.Event()
@@ -146,16 +157,17 @@ def run(args: argparse.Namespace) -> int:
             loop = asyncio.get_running_loop()
             for signum in (signal.SIGTERM, signal.SIGINT):
                 loop.add_signal_handler(signum, stop.set)
-        bound_host, bound_port = await service.start()
-        if args.port_file is not None:
-            _write_port_file(args.port_file, bound_host, bound_port)
-        if not args.quiet:
-            print(
-                f"collector listening on {bound_host}:{bound_port}",
-                flush=True,
-            )
         once = asyncio.create_task(_once())
         try:
+            with _refused(f"cannot listen on {args.listen}"):
+                bound_host, bound_port = await service.start()
+            if args.port_file is not None:
+                _write_port_file(args.port_file, bound_host, bound_port)
+            if not args.quiet:
+                print(
+                    f"collector listening on {bound_host}:{bound_port}",
+                    flush=True,
+                )
             await stop.wait()
         finally:
             once.cancel()
@@ -165,9 +177,9 @@ def run(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     finally:
         if args.port_file is not None:
-            # a vanished port file is the readiness signal's inverse:
-            # nothing is listening there any more
-            with contextlib.suppress(FileNotFoundError):
+            # a vanished (or never written) port file is the readiness
+            # signal's inverse: nothing is listening there any more
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(args.port_file)
     if not args.quiet:
         collector = service.collector

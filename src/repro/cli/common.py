@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import zipfile
 from typing import TYPE_CHECKING
 
 from repro.analysis.report import format_table
 from repro.core.engine import EngineConfig, Feature, Scheme
-from repro.distributed.faults import FaultPlan
 from repro.errors import ReproError
 from repro.flows.matrix import RateMatrix
 from repro.pipeline.aggregator import (
@@ -31,6 +31,7 @@ from repro.routing.lpm import FixedLengthResolver
 from repro.routing.ribfile import read_rib
 
 if TYPE_CHECKING:
+    from repro.distributed.faults import FaultPlan
     from repro.pipeline.backends import AggregationBackend
     from repro.pipeline.sources import SlotSource
     from repro.pipeline.spec import PipelineSpec
@@ -234,7 +235,11 @@ def add_capture_args(command: argparse.ArgumentParser) -> None:
 
 
 def env_faults() -> FaultPlan | None:
-    """The ``REPRO_FAULT_PLAN`` plan; ``None`` when it injects nothing."""
+    """The ``REPRO_FAULT_PLAN`` plan, or ``None``; imported only if set."""
+    if not os.environ.get("REPRO_FAULT_PLAN"):
+        return None
+    from repro.distributed.faults import FaultPlan
+
     plan = FaultPlan.from_env()
     return None if plan.is_empty else plan
 

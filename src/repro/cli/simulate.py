@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.errors import ReproError
 from repro.traffic.scenarios import east_coast_link, west_coast_link
 
 
@@ -36,7 +37,10 @@ def run(args: argparse.Namespace) -> int:
         workload = west_coast_link(scale=args.scale, **kwargs)
     else:
         workload = east_coast_link(scale=args.scale, **kwargs)
-    workload.matrix.save_npz(args.output)
+    try:
+        workload.matrix.save_npz(args.output)
+    except OSError as exc:
+        raise ReproError(f"{args.output}: {exc.strerror}") from None
     print(
         f"wrote {workload.matrix.num_flows} flows x "
         f"{workload.matrix.num_slots} slots to {args.output} "

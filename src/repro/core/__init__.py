@@ -2,8 +2,8 @@
 
 Single-feature (volume) and two-feature (volume + latent heat)
 classification over per-prefix bandwidth series, with the "aest" and
-"β-constant-load" threshold-detection schemes and EWMA threshold
-smoothing.
+"β-constant-load" threshold-detection schemes (no others; a quantile
+is only the smoother's fallback) and EWMA threshold smoothing.
 """
 
 from repro._lazy import attach
@@ -11,11 +11,6 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "alternatives": (
-            "CapacityFractionThreshold",
-            "MeanPlusStdThreshold",
-            "TopKThreshold",
-        ),
         "engine": (
             "ClassificationEngine",
             "EngineConfig",

@@ -17,15 +17,16 @@ a length-prefixed link name followed by one
     collector.snap     every sealed record up to the last compaction
     collector.wal      records appended since
 
-:meth:`append` writes and flushes one frame per sealed slot *before*
-the collector acks the monitor, so an acked summary is always
-recoverable (``fsync`` per record by default; pass ``fsync=False`` to
-trade the write barrier for throughput). Every ``compact_every``
-appends the store folds the WAL into the snapshot — written to a temp
-file, fsynced, then atomically renamed over the old snapshot before
-the WAL truncates, so a crash at any byte of the compaction leaves
-either the old snapshot + full WAL or the new snapshot + empty WAL,
-never less.
+:meth:`append` writes and flushes one frame per sealed slot once the
+collector has classified it and *before* it acks the monitor, so an
+acked summary is always recoverable and a slot the classifier refused
+is never replayed (``fsync`` per record by default; pass
+``fsync=False`` to trade the write barrier for throughput). Every
+``compact_every`` appends the store folds the WAL into the snapshot —
+written to a temp file, fsynced, then atomically renamed over the old
+snapshot before the WAL truncates, so a crash at any byte of the
+compaction leaves either the old snapshot + full WAL or the new
+snapshot + empty WAL, never less.
 
 :meth:`restore` replays snapshot then WAL through a
 :class:`~repro.distributed.framing.FrameDecoder`. A torn tail — the
@@ -179,7 +180,7 @@ class CheckpointStore:
             os.fsync(handle.fileno())
 
     def append(self, link: str, summary: SlotSummary) -> None:
-        """Durably log one sealed slot (call *before* acking it)."""
+        """Durably log one classified sealed slot (call *before* acking)."""
         wal = self._open_wal()
         wal.write(encode_seal(link, summary))
         self._sync(wal)

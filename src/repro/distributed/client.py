@@ -10,7 +10,8 @@ They are plain blocking sockets over the frames of
 :mod:`repro.distributed.framing`, so a monitor, a forked worker and the
 ``repro query`` command need no event loop — and, the split being along
 the import boundary, load none: this module imports the standard
-library, the framing and the fault plan, which is why a ``repro query``
+library and the framing (the fault plan only to type-check: a plan's
+client state wraps its own socket), which is why a ``repro query``
 poll starts in a fifth of the time it took beside the daemon's imports.
 
 The protocol itself — sealing, watermarks, ``resume_cell``, credit-based
@@ -26,7 +27,6 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from repro.distributed.faults import FaultPlan, FaultySocket
 from repro.distributed.framing import (
     CHUNK_BYTES,
     DEFAULT_LINK,
@@ -51,6 +51,7 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:
+    from repro.distributed.faults import FaultPlan, FaultySocket
     from repro.distributed.summary import SlotSummary
 
 
@@ -206,7 +207,7 @@ class MonitorClient:
             self.address, timeout=self.timeout
         )
         if self._faults is not None:
-            sock = FaultySocket(sock, self._faults)
+            sock = self._faults.wrap(sock)
         try:
             frames = _BlockingFrames(sock)
             sock.sendall(

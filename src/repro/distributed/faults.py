@@ -254,6 +254,11 @@ class ClientFaultState:
                 return "send", bytes([data[0] ^ 0xFF]) + data[1:]
         return "send", data
 
+    def wrap(self, sock: socket.socket) -> "FaultySocket":
+        """``sock`` behind this state's faults (so a client need not
+        import this module)."""
+        return FaultySocket(sock, self)
+
 
 class FaultySocket:
     """A socket wrapper that injects the plan's client-side faults.

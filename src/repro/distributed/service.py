@@ -330,10 +330,6 @@ class LiveLink:
     def _seal(
         self, cell: int, merged: SlotSummary, checkpoint: bool = True
     ) -> None:
-        if checkpoint and self.on_seal is not None:
-            # WAL first: a slot acked to a monitor is always on disk,
-            # even if the process dies between here and the classify.
-            self.on_seal(merged)
         if self._pipeline is None:
             self._source = MergedSlotSource([], slot_seconds=self.slot_seconds)
             self._pipeline = StreamingPipeline(
@@ -349,6 +345,11 @@ class LiveLink:
         self._slot_counts.append(len(entries))
         self._bytes_total += merged.total_bytes
         self._residual_total += merged.residual_bytes
+        if checkpoint and self.on_seal is not None:
+            # After the classify: a refused slot never reaches the WAL
+            # to fail every restart too. The ack follows both, so an
+            # acked slot is on disk.
+            self.on_seal(merged)
 
     def skew_estimate(self) -> dict[str, float]:
         """Per-monitor clock-skew estimate over accepted summaries."""

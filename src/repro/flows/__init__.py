@@ -1,4 +1,4 @@
-"""Flow accounting: time axes, rate matrices, packet aggregation."""
+"""Per-prefix flow accounting: time axes, rate matrices, aggregation."""
 
 from repro._lazy import attach
 
@@ -6,12 +6,6 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "aggregate": ("AggregationStats", "FlowAggregator", "aggregate_pcap"),
-        "granularity": (
-            "AsAggregation",
-            "aggregate_fixed_length",
-            "aggregate_origin_as",
-            "granularity_sweep",
-        ),
         "interchange": (
             "FLOW_INFO_COLUMNS",
             "FlowInfoRecord",

@@ -27,7 +27,6 @@ from repro.errors import ClassificationError, PcapFormatError
 from repro.flows.matrix import RateMatrix
 from repro.net import ipv4
 from repro.net.prefix import Prefix
-from repro.pcap.packet import PacketSummary
 from repro.pcap.pcapfile import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
@@ -123,17 +122,6 @@ class PacketBatch:
     def packets_skipped(self) -> int:
         """Records scanned but not representable as IPv4 packet rows."""
         return self.packets_seen - self.num_packets
-
-    def summaries(self) -> Iterator[PacketSummary]:
-        """Per-packet view, for callers still thinking in objects."""
-        for i in range(self.num_packets):
-            yield PacketSummary(
-                timestamp=float(self.timestamps[i]),
-                source=int(self.sources[i]),
-                destination=int(self.destinations[i]),
-                protocol=int(self.protocols[i]),
-                wire_bytes=int(self.wire_bytes[i]),
-            )
 
 
 class PacketSource(Protocol):

@@ -39,6 +39,7 @@ from repro.pipeline.sampling import (
     UNSAMPLED,
     SamplingSpec,
 )
+from repro.pipeline.sharded import MAX_SHARDS
 from repro.pipeline.sources import (
     ArrayPacketSource,
     CsvPacketSource,
@@ -253,6 +254,8 @@ class PipelineSpec:
                 "partition one process's flow table, workers shard "
                 "across processes (each worker is one shard)"
             )
+        if self.partitions > MAX_SHARDS:  # before any table or worker
+            raise ClassificationError(f"at most {MAX_SHARDS} shards/workers")
         if self.ring_slots is not None and self.ring_slots < 1:
             raise ClassificationError("ring_slots must be >= 1")
         if not 0 <= self.seed < 2**63:

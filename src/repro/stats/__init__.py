@@ -1,4 +1,4 @@
-"""Statistical machinery: ECDF/LLCD, Hill and aest tail estimators."""
+"""Statistics: ECDF/LLCD, histograms, aest (and Hill, its cross-check)."""
 
 from repro._lazy import attach
 
@@ -25,12 +25,7 @@ __getattr__, __dir__, __all__ = attach(
             "integer_histogram",
             "log_spaced_histogram",
         ),
-        "tail": (
-            "hill_estimator",
-            "hill_plot",
-            "mass_share_of_top",
-            "top_fraction_for_share",
-        ),
+        "tail": ("hill_estimator",),
     },
 )
 __all__ += ["aest", "ecdf"]

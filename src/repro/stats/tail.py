@@ -1,10 +1,6 @@
-"""Classical heavy-tail utilities: Hill estimator and tail diagnostics.
-
-The Hill estimator provides an independent tail-index estimate used to
-validate our :mod:`repro.stats.aest` implementation on synthetic data
-with a known index, and :func:`mass_share_of_top` quantifies the
-"elephants and mice" skew the paper's introduction describes.
-"""
+"""The Hill estimator, kept only as :mod:`repro.stats.aest`'s cross-check:
+``tests/stats/test_aest.py`` compares the two on a known tail index and
+``examples/tail_analysis.py`` prints both. No command runs it."""
 
 from __future__ import annotations
 
@@ -37,58 +33,3 @@ def hill_estimator(samples: np.ndarray, k: int) -> float:
         raise InsufficientDataError("degenerate top-k (all samples equal)")
     return 1.0 / mean_excess
 
-
-def hill_plot(samples: np.ndarray,
-              k_values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Hill estimates across a range of ``k`` (the classic Hill plot).
-
-    Returns ``(k_values, alpha_hats)``; a stable plateau indicates a
-    genuine power-law tail.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    if n < 10:
-        raise InsufficientDataError("Hill plot needs >= 10 samples")
-    if k_values is None:
-        k_values = np.unique(
-            np.linspace(max(2, n // 100), n // 2, num=50).astype(int)
-        )
-    estimates = np.array(
-        [hill_estimator(samples, int(k)) for k in k_values], dtype=float
-    )
-    return np.asarray(k_values, dtype=int), estimates
-
-
-def mass_share_of_top(samples: np.ndarray, fraction: float) -> float:
-    """Share of total mass carried by the top ``fraction`` of samples.
-
-    ``mass_share_of_top(rates, 0.02) == 0.7`` reads "the top 2 % of flows
-    carry 70 % of the bytes" — the elephants-and-mice statement.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise InsufficientDataError("mass share of an empty sample")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction {fraction} outside (0, 1]")
-    total = samples.sum()
-    if total <= 0:
-        raise InsufficientDataError("mass share of non-positive total")
-    count = max(1, int(round(fraction * samples.size)))
-    ordered = np.sort(samples)[::-1]
-    return float(ordered[:count].sum() / total)
-
-
-def top_fraction_for_share(samples: np.ndarray, share: float) -> float:
-    """Smallest fraction of samples needed to carry ``share`` of the mass."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise InsufficientDataError("empty sample")
-    if not 0.0 < share <= 1.0:
-        raise ValueError(f"share {share} outside (0, 1]")
-    ordered = np.sort(samples)[::-1]
-    total = ordered.sum()
-    if total <= 0:
-        raise InsufficientDataError("non-positive total mass")
-    cumulative = np.cumsum(ordered) / total
-    index = int(np.searchsorted(cumulative, share, side="left"))
-    return (index + 1) / samples.size

@@ -64,6 +64,8 @@ class LinkConfig:
             )
         if self.num_slots <= 0 or self.slot_seconds <= 0:
             raise WorkloadError("num_slots and slot_seconds must be positive")
+        if self.seed < 0:
+            raise WorkloadError(f"seed {self.seed} must be >= 0")
         self.flow_model.validate()
 
 

@@ -24,7 +24,7 @@ MIN_NUM_SLOTS = 144
 
 
 def _scaled(value: int, scale: float, minimum: int) -> int:
-    if scale <= 0 or scale > 1:
+    if not 0 < scale <= 1:  # NaN fails too
         raise WorkloadError(f"scale {scale} must be in (0, 1]")
     return max(minimum, int(round(value * scale)))
 

@@ -25,6 +25,7 @@ from repro.distributed import (
     StridedPacketSource,
     elephant_entries,
     merge_runs,
+    result_envelope,
 )
 from repro.distributed.framing import (
     KIND_HELLO,
@@ -514,6 +515,41 @@ class TestMergeOrder:
         # ...and are what the offline merge makes of the same runs
         offline = merge_runs(fleet, k=self.K, check_skew=False)
         assert forward == [summary.to_bytes() for summary in offline]
+
+
+class TestRefusedFirstCell:
+    """A link's first sealed cell carries no bytes, so the threshold
+    detector refuses it. It used to reach the WAL before the classifier,
+    and every restart on that state directory then failed the same way
+    in ``restore``."""
+
+    def test_the_rest_is_served_and_survives_a_restart(self, runs, tmp_path):
+        run = runs[0][:4]
+        empty = dataclasses.replace(
+            run[0], prefixes=[], volumes=np.zeros(0), residual_bytes=0.0
+        )
+        service = CollectorService(state_dir=str(tmp_path))
+        with ServiceHandle(service) as handle:
+            client = MonitorClient(handle.address, "mon-a")
+            client.publish(empty)
+            with pytest.raises(ServiceProtocolError, match="no active"):
+                client.drain()
+            client.abort()
+            with MonitorClient(handle.address, "mon-a") as client:
+                for summary in run[1:]:
+                    client.publish(summary)
+                client.drain()
+            live = query_service(handle.address)
+        restart = CollectorService(state_dir=str(tmp_path))
+        with ServiceHandle(restart) as handle:
+            restarted = query_service(handle.address)
+        # what `repro merge` answers for cells 1-3
+        events = Collector([run[1:]], fill_gaps=True).events()
+        offline = result_envelope(
+            "merge", {}, [elephant_entries(e.frame, e.verdict) for e in events]
+        )
+        for field in ("elephants_by_slot", "series", "elephants"):
+            assert live[field] == restarted[field] == offline[field]
 
 
 def shifted(summary, seconds):

@@ -14,6 +14,7 @@ from repro.flows.records import TimeAxis
 from repro.net import ipv4
 from repro.net.prefix import Prefix
 from repro.pcap.packet import (
+    PacketSummary,
     build_frame,
     build_udp_packet,
     summarize_record,
@@ -50,6 +51,21 @@ def udp_record(timestamp, destination, payload=100):
     return CaptureRecord(timestamp=timestamp, data=build_frame(packet))
 
 
+def scanned(batches):
+    """The batches' rows as per-packet summaries, in order."""
+    return [
+        PacketSummary(
+            timestamp=float(b.timestamps[i]),
+            source=int(b.sources[i]),
+            destination=int(b.destinations[i]),
+            protocol=int(b.protocols[i]),
+            wire_bytes=int(b.wire_bytes[i]),
+        )
+        for b in batches
+        for i in range(b.num_packets)
+    ]
+
+
 @pytest.fixture()
 def capture(tmp_path):
     """A small capture plus its per-packet reference summaries."""
@@ -72,16 +88,14 @@ class TestPcapPacketSource:
         path, summaries = capture
         batches = list(PcapPacketSource(path).batches())
         assert sum(b.num_packets for b in batches) == len(summaries)
-        scanned = [s for b in batches for s in b.summaries()]
-        assert scanned == summaries
+        assert scanned(batches) == summaries
 
     def test_chunking_preserves_content_and_order(self, capture):
         path, summaries = capture
         batches = list(PcapPacketSource(path, chunk_packets=7).batches())
         assert all(b.num_packets <= 7 for b in batches)
         assert len(batches) >= len(summaries) // 7
-        scanned = [s for b in batches for s in b.summaries()]
-        assert scanned == summaries
+        assert scanned(batches) == summaries
 
     def test_truncated_capture_wire_bytes(self, tmp_path):
         record = udp_record(1.0, "10.0.0.1", payload=900)

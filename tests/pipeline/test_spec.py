@@ -16,7 +16,7 @@ from repro.pipeline.backends import (
     ExactAggregation,
 )
 from repro.pipeline.sampling import SamplingSpec
-from repro.pipeline.sharded import ShardedAggregation
+from repro.pipeline.sharded import MAX_SHARDS, ShardedAggregation
 from repro.pipeline.sources import (
     ArrayPacketSource,
     CsvPacketSource,
@@ -45,6 +45,13 @@ class TestValidation:
     def test_shards_and_workers_are_alternatives(self):
         with pytest.raises(ClassificationError, match="alternatives"):
             PipelineSpec(shards=2, workers=2)
+
+    @pytest.mark.parametrize("partitions", ["shards", "workers"])
+    def test_at_most_max_shards_partitions(self, partitions):
+        """Refused before a table is built or a worker is started."""
+        PipelineSpec(**{partitions: MAX_SHARDS})
+        with pytest.raises(ClassificationError, match="at most"):
+            PipelineSpec(**{partitions: MAX_SHARDS + 1})
 
     def test_capacity_and_budget_are_alternatives(self):
         with pytest.raises(ClassificationError, match="alternatives"):

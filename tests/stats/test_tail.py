@@ -1,15 +1,10 @@
-"""Unit tests for Hill estimation and tail-mass diagnostics."""
+"""Unit tests for the Hill estimator."""
 
 import numpy as np
 import pytest
 
 from repro.errors import InsufficientDataError
-from repro.stats.tail import (
-    hill_estimator,
-    hill_plot,
-    mass_share_of_top,
-    top_fraction_for_share,
-)
+from repro.stats.tail import hill_estimator
 
 
 class TestHillEstimator:
@@ -39,53 +34,3 @@ class TestHillEstimator:
         with pytest.raises(InsufficientDataError):
             hill_estimator(np.full(100, 7.0), k=10)
 
-
-class TestHillPlot:
-    def test_plateau_on_pareto(self, rng):
-        samples = rng.pareto(1.5, 20_000) + 1.0
-        ks, estimates = hill_plot(samples)
-        assert ks.size == estimates.size
-        middle = estimates[(ks > 500) & (ks < 5000)]
-        assert np.median(middle) == pytest.approx(1.5, rel=0.2)
-
-    def test_needs_enough_samples(self):
-        with pytest.raises(InsufficientDataError):
-            hill_plot(np.arange(1.0, 6.0))
-
-
-class TestMassShare:
-    def test_uniform_mass(self):
-        samples = np.ones(100)
-        assert mass_share_of_top(samples, 0.10) == pytest.approx(0.10)
-
-    def test_concentrated_mass(self):
-        samples = np.array([97.0] + [1.0] * 3)
-        assert mass_share_of_top(samples, 0.25) == pytest.approx(0.97)
-
-    def test_elephants_and_mice_on_pareto(self, rng):
-        # The motivating fact: few flows carry most of the bytes.
-        samples = rng.pareto(1.1, 10_000) + 1.0
-        assert mass_share_of_top(samples, 0.10) > 0.5
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            mass_share_of_top(np.ones(5), 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            mass_share_of_top(np.array([]), 0.5)
-
-
-class TestTopFraction:
-    def test_inverse_of_mass_share(self, rng):
-        samples = rng.pareto(1.2, 5000) + 1.0
-        fraction = top_fraction_for_share(samples, 0.8)
-        achieved = mass_share_of_top(samples, fraction)
-        assert achieved >= 0.8
-
-    def test_uniform(self):
-        assert top_fraction_for_share(np.ones(10), 0.5) == pytest.approx(0.5)
-
-    def test_bad_share_rejected(self):
-        with pytest.raises(ValueError):
-            top_fraction_for_share(np.ones(5), 1.5)

@@ -1311,6 +1311,50 @@ class TestCollectorServiceCli:
         assert "error: --k" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def no_dns(monkeypatch):
+    """``.invalid`` names fail to resolve (RFC 6761) without a query."""
+    real_getaddrinfo = socket.getaddrinfo
+
+    def getaddrinfo(host, *args, **kwargs):
+        if str(host).endswith(".invalid"):
+            raise socket.gaierror(socket.EAI_NONAME, "Name not known")
+        return real_getaddrinfo(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+
+
+class TestCommandsRefuseWhatTheyCannotDo:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "collect --listen 127.0.0.1:{taken} --once 1",
+            "collect --listen nothost.invalid:5 --once 1",
+            # paths that cannot be made: below a regular file
+            "collect --once 1 --state-dir {file}/state",
+            "collect --once 1 --port-file {file}/port",
+            "simulate {file}/m.npz --scale 0.02",
+            # NaN passed the (0, 1] check; numpy refused the seed
+            "simulate {dir}/m.npz --scale nan",
+            "simulate {dir}/m.npz --seed -1",
+        ],
+    )
+    def test_one_error_line(self, tmp_path, no_dns, capsys, argv):
+        """Each used to be a traceback and exit code 1."""
+        regular = tmp_path / "file"
+        regular.write_text("")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            words = argv.format(taken=port, file=regular, dir=tmp_path)
+            code = main(words.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestFigures:
     def test_renders_all_three_panels(self, capsys):
         assert main(["figures", "--scale", "0.08"]) == 0

@@ -11,6 +11,8 @@ leaves unloaded. Import state is process-wide, so every case runs in a
 fresh interpreter.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -44,6 +46,31 @@ PACKAGES = (
     "repro.stats",
     "repro.traffic",
 )
+
+
+def sources(name):
+    """Every ``name`` file in the ``repro`` source tree."""
+    pattern = os.path.join(SRC, "repro", "**", name)
+    return glob.glob(pattern, recursive=True)
+
+
+def exports_on_disk():
+    """How many names the package ``__init__`` files export: each
+    ``attach`` map's names, plus any ``__all__ += [...]`` of names the
+    package binds eagerly."""
+    count = 0
+    for init in sources("__init__.py"):
+        with open(init, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            called = getattr(getattr(node, "func", None), "id", None)
+            augmented = getattr(getattr(node, "target", None), "id", None)
+            if called == "attach":
+                exports = ast.literal_eval(node.args[1])
+                count += sum(len(names) for names in exports.values())
+            elif augmented == "__all__":
+                count += len(ast.literal_eval(node.value))
+    return count
 
 
 def run_python(script, *argv, cwd=None):
@@ -123,7 +150,10 @@ print(json.dumps({
 """
         result = run_python(script)
         assert result["packages"] == sorted(PACKAGES)
-        assert result["walked"] > 100 and result["checked"] > 300
+        # exact counts read from disk: a module or package the walk
+        # skips fails here, one that is deleted does not
+        assert result["walked"] == len(sources("*.py")) - 1  # not repro
+        assert result["checked"] == exports_on_disk()
 
     def test_a_function_named_like_its_module_stays_a_function(self):
         """``repro.stats.aest`` the function, not ``…stats.aest`` the
@@ -208,12 +238,22 @@ assert code == 0, code
 print(json.dumps(sorted(sys.modules)))
 """
 
+# Run before ``LOADED_BY_MAIN``: a stand-in for the fault module, so
+# that what loads next is what the rest of the import chain loads.
+STUB_FAULTS = """
+import sys, types
+stub = types.ModuleType("repro.distributed.faults")
+stub.FaultPlan = stub.FaultySocket = None
+sys.modules[stub.__name__] = stub
+"""
+
 STREAM = "stream tiny.pcap --prefix-length 24 --json"
 OTHER_PROCESSES = ("asyncio", "ssl", "multiprocessing")
 
 
-def loaded(command_line, cwd=None):
-    return set(run_python(LOADED_BY_MAIN, *command_line.split(), cwd=cwd))
+def loaded(command_line, cwd=None, preamble=""):
+    script = preamble + LOADED_BY_MAIN
+    return set(run_python(script, *command_line.split(), cwd=cwd))
 
 
 def under(modules, *roots):
@@ -254,6 +294,12 @@ class TestImportBoundaries:
             "repro.distributed.runner",
             "repro.distributed.shm_ring",
             "repro.distributed.checkpoint",
+            "repro.distributed.faults",
+            # packets are columns: no per-packet codec
+            "repro.pcap.packet",
+            "repro.pcap.ethernet",
+            "repro.pcap.ip",
+            "repro.pcap.transport",
             # route objects: a stream resolves through compiled columns
             "repro.routing.rib",
             "repro.routing.radix",
@@ -280,8 +326,14 @@ class TestImportBoundaries:
             host, port = handle.address
             loaded(f"{STREAM} --connect {host}:{port}", cwd=tiny_pcap.parent)
             modules = loaded(f"query {host}:{port}")
+            stubbed = loaded(f"query {host}:{port}", preamble=STUB_FAULTS)
         assert under(modules, "repro.cli") == {"repro.cli", "repro.cli.query"}
         assert not under(modules, "numpy", *OTHER_PROCESSES)
         assert not under(
             modules, "repro.pipeline", "repro.core", "repro.sketches"
         )
+        assert not under(
+            modules, "repro.distributed.faults", "dataclasses", "inspect"
+        )
+        # nothing else on the way pulls them in either
+        assert not under(stubbed, "dataclasses", "inspect")
