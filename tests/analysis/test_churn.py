@@ -1,5 +1,7 @@
 """Unit tests for churn metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ class TestOverlap:
         mask = np.zeros((2, 3), dtype=bool)
         assert _mean_consecutive_overlap(mask) == 1.0
 
+    def test_partial_overlap_is_jaccard(self):
+        mask = np.array([
+            [True, True],
+            [True, False],
+        ])
+        assert _mean_consecutive_overlap(mask) == 0.5
+
+    def test_empty_pairs_do_not_dilute_the_mean(self):
+        # pairs: {0}->{0} is 1, {0}->{} is 0, {}->{} is skipped
+        mask = np.array([[True, True, False, False]])
+        assert _mean_consecutive_overlap(mask) == 0.5
+
 
 class TestChurnReport:
     def test_from_result(self, small_grid):
@@ -50,3 +64,18 @@ class TestChurnReport:
             single_report = ChurnReport.from_result(single)
             latent_report = ChurnReport.from_result(latent)
             assert latent_report.class_overlap > single_report.class_overlap
+
+    def test_constant_masks_have_no_churn(self, small_grid):
+        result = small_grid[(Scheme.AEST, Feature.LATENT_HEAT)]
+        flows, slots = result.elephant_mask.shape
+        never = dataclasses.replace(
+            result, elephant_mask=np.zeros((flows, slots), dtype=bool)
+        )
+        report = ChurnReport.from_result(never)
+        assert report.total_transitions == 0
+        assert report.mean_transitions_per_active_flow == 0.0
+        assert report.class_overlap == 1.0
+        always = dataclasses.replace(
+            result, elephant_mask=np.ones((flows, slots), dtype=bool)
+        )
+        assert churn_reduction(result, always) == float("inf")

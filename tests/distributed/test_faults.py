@@ -13,6 +13,7 @@ import socket
 
 import pytest
 
+from repro.cli.common import env_faults
 from repro.distributed.faults import (
     PLAN_ENV,
     FaultPlan,
@@ -173,6 +174,40 @@ class TestFaultySocket:
             right.sendall(b"pong")
             faulty.settimeout(1.0)
             assert faulty.recv(16) == b"pong"
+
+    def test_client_state_wraps_its_socket(self):
+        left, right = socket.socketpair()
+        state = FaultPlan.parse("corrupt:m:0").client_state("m")
+        faulty = state.wrap(left)
+        assert isinstance(faulty, FaultySocket)
+        with left, right:
+            faulty.sendall(b"AB")
+            assert right.recv(16) == bytes([ord("A") ^ 0xFF]) + b"B"
+        assert state.frames_sent == 1
+
+
+class TestEnvFaults:
+    """``env_faults`` is what the commands thread into their services."""
+
+    def test_unset_is_none(self, monkeypatch):
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        assert env_faults() is None
+
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_a_plan_of_nothing_is_none(self, monkeypatch, text):
+        monkeypatch.setenv(PLAN_ENV, text)
+        assert env_faults() is None
+
+    def test_set_plan_is_parsed(self, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "sever:mon-a:3")
+        plan = env_faults()
+        assert plan == FaultPlan.parse("sever:mon-a:3")
+        assert plan.client_state("mon-a") is not None
+
+    def test_bad_plan_raises_a_repro_error(self, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "explode")
+        with pytest.raises(ReproError):
+            env_faults()
 
 
 class TestFrameDecoderAdversarial:

@@ -115,12 +115,42 @@ class TestShareCurve:
         with pytest.raises(InsufficientDataError):
             ShareCurve.from_rates(np.zeros(4))
 
+    def test_negative_rates_ignored(self):
+        curve = ShareCurve.from_rates(np.array([3.0, -2.0, 1.0]))
+        assert curve.rates_desc.tolist() == [3.0, 1.0]
+
+    def test_integer_list_accepted(self):
+        curve = ShareCurve.from_rates([1, 3])
+        assert curve.cumulative_share.tolist() == [0.75, 1.0]
+
+    def test_uniform_mass(self):
+        curve = ShareCurve.from_rates(np.ones(100))
+        assert curve.share_of_top(10) == pytest.approx(0.10)
+        assert curve.flows_for_share(0.5) == 50
+
+    def test_concentrated_mass(self):
+        curve = ShareCurve.from_rates(np.array([97.0] + [1.0] * 3))
+        assert curve.share_of_top(1) == pytest.approx(0.97)
+        assert curve.flows_for_share(0.97) == 1
+
+    def test_few_flows_carry_most_bytes_on_pareto(self, rng):
+        # The motivating fact: few flows carry most of the bytes.
+        curve = ShareCurve.from_rates(rng.pareto(1.1, 10_000) + 1.0)
+        assert curve.share_of_top(1_000) > 0.5
+        assert curve.flows_for_share(0.5) < 1_000
+
+    def test_negative_count_is_zero(self):
+        curve = ShareCurve.from_rates(np.array([2.0, 1.0]))
+        assert curve.share_of_top(-3) == 0.0
+
     def test_share_bounds_validated(self):
         curve = ShareCurve.from_rates(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             curve.flows_for_share(0.0)
         with pytest.raises(ValueError):
             curve.flows_for_share(1.5)
+        with pytest.raises(ValueError):
+            curve.flows_for_share(float("nan"))
 
     @given(positive_samples)
     def test_flows_for_share_is_minimal(self, samples):

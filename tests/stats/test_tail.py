@@ -34,3 +34,21 @@ class TestHillEstimator:
         with pytest.raises(InsufficientDataError):
             hill_estimator(np.full(100, 7.0), k=10)
 
+    def test_scale_invariant(self, rng):
+        """Only ratios to the pivot enter: the units of the rates do not."""
+        samples = rng.pareto(1.5, 5_000) + 1.0
+        assert hill_estimator(samples * 8e3, k=250) == pytest.approx(
+            hill_estimator(samples, k=250)
+        )
+
+    def test_order_invariant(self, rng):
+        samples = rng.pareto(1.5, 5_000) + 1.0
+        shuffled = rng.permutation(samples)
+        assert hill_estimator(shuffled, k=250) == pytest.approx(
+            hill_estimator(np.sort(samples), k=250)
+        )
+
+    def test_known_value(self):
+        # top k=2 of [8, 4, 2, 1] over pivot 2: mean(log 4, log 2)
+        estimate = hill_estimator(np.array([1.0, 2.0, 4.0, 8.0]), k=2)
+        assert estimate == pytest.approx(1.0 / (1.5 * np.log(2.0)))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.cli.collect import _refused, _write_port_file
+from repro.errors import ReproError
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
@@ -397,6 +399,13 @@ class TestStreamRefusesOutOfRangeNumbers:
 
 
 class TestStreamSharded:
+    def test_too_many_shards_refused_before_any_table(
+        self, stream_capture, capsys
+    ):
+        code = main(["stream", stream_capture["pcap"], "--shards", "99999"])
+        assert code == 2
+        assert "at most 65536 shards" in capsys.readouterr().err
+
     def test_sharded_exact_matches_single(self, stream_capture, capsys):
         assert main(["stream", stream_capture["pcap"], "--json"]) == 0
         single = json.loads(capsys.readouterr().out)
@@ -1353,6 +1362,24 @@ class TestCommandsRefuseWhatTheyCannotDo:
         assert code == 2
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestCollectRefusals:
+    def test_os_error_becomes_one_repro_error(self):
+        with pytest.raises(ReproError, match=r"^cannot use x: No such file"):
+            with _refused("cannot use x"):
+                open("/nonexistent-dir/file")
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(KeyError):
+            with _refused("cannot use x"):
+                raise KeyError("k")
+
+    def test_port_file_written_whole_without_a_temp_file(self, tmp_path):
+        path = tmp_path / "port"
+        _write_port_file(str(path), "127.0.0.1", 4242)
+        assert path.read_text() == "127.0.0.1:4242\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["port"]
 
 
 class TestFigures:

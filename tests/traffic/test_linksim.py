@@ -13,6 +13,8 @@ from repro.traffic.linksim import (
     simulate_link,
 )
 from repro.traffic.scenarios import (
+    PAPER_NUM_FLOWS,
+    PAPER_NUM_SLOTS,
     both_links,
     east_coast_config,
     east_coast_link,
@@ -40,10 +42,16 @@ class TestLinkConfig:
         {"target_mean_utilization": 1.0},
         {"num_slots": 0},
         {"slot_seconds": 0.0},
+        {"max_flow_capacity_fraction": 0.0},
+        {"max_flow_capacity_fraction": 1.5},
+        {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(WorkloadError):
             small_config(**kwargs).validate()
+
+    def test_seed_zero_and_full_capacity_fraction_accepted(self):
+        small_config(seed=0, max_flow_capacity_fraction=1.0).validate()
 
 
 class TestSimulateLink:
@@ -103,6 +111,20 @@ class TestScenarios:
             west_coast_config(scale=0.0)
         with pytest.raises(WorkloadError):
             east_coast_config(scale=1.5)
+
+    @pytest.mark.parametrize("config", [west_coast_config, east_coast_config])
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), -float("inf"), -0.5]
+    )
+    def test_scale_outside_unit_interval_rejected(self, config, scale):
+        # NaN compares false both ways, so it once passed the check
+        with pytest.raises(WorkloadError, match="must be in"):
+            config(scale=scale)
+
+    def test_full_scale_is_the_paper_setup(self):
+        config = east_coast_config(scale=1.0)
+        assert config.flow_model.num_flows == PAPER_NUM_FLOWS
+        assert config.num_slots == PAPER_NUM_SLOTS
 
     def test_minimum_floor(self):
         config = west_coast_config(scale=0.01)
