@@ -76,7 +76,8 @@ def _best_of(runs: int, func):
 
 
 def _per_packet_loop(path, table, axis):
-    """The reference: one decode, radix lookup and dict probe a packet."""
+    """The reference: one decode, scalar RIB lookup and dict probe a
+    packet."""
     aggregator = FlowAggregator(table, axis)
     with PcapReader.open(path) as reader:
         for record in reader:

@@ -1,9 +1,9 @@
 """Substrate micro-benchmarks: the pieces the pipeline is built from.
 
 These are genuine pytest-benchmark timings (many rounds), unlike the
-figure benches which time a one-shot analysis: radix-trie longest
-prefix match, pcap encode/decode, the aest estimator, and a full
-classification pass.
+figure benches which time a one-shot analysis: the RIB's scalar longest
+prefix match and synthetic build, pcap encode/decode, the aest
+estimator, and a full classification pass.
 """
 
 import io
@@ -31,7 +31,7 @@ def addresses(rig=None):
     return [int(a) for a in rng.integers(1 << 24, 224 << 24, size=10_000)]
 
 
-def test_radix_lookup_throughput(benchmark, rib, addresses):
+def test_rib_resolve_throughput(benchmark, rib, addresses):
     def lookup_all():
         hits = 0
         for address in addresses:
@@ -43,7 +43,7 @@ def test_radix_lookup_throughput(benchmark, rib, addresses):
     assert hits > 0
 
 
-def test_radix_build(benchmark):
+def test_rib_build(benchmark):
     config = RibGeneratorConfig(num_routes=2000, seed=23)
     table = benchmark(generate_rib, config)
     assert len(table) == 2000

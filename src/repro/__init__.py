@@ -4,7 +4,7 @@ Internet Backbone Traffic* (Papagiannaki et al., IMC 2002).
 The package implements the paper's two elephant-classification schemes
 ("aest" and "β-constant-load" thresholds, EWMA-smoothed) with both
 decision rules (single-feature volume and two-feature "latent heat"),
-plus every substrate the evaluation needs: a BGP RIB with radix-trie
+plus every substrate the evaluation needs: a BGP RIB with array-compiled
 longest-prefix match, a classic-pcap packet pipeline, the Crovella–Taqqu
 aest tail estimator, and a calibrated synthetic backbone workload
 standing in for the proprietary Sprint traces.

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import zipfile
 from typing import TYPE_CHECKING
 
 from repro.analysis.report import format_table
@@ -252,7 +251,7 @@ def load_matrix(path: str) -> RateMatrix:
         return RateMatrix.load_csv(path)
     except ReproError:
         raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise ReproError(f"cannot load matrix {path!r}: {exc}") from exc
 
 

@@ -115,16 +115,11 @@ class ClassificationEngine:
         describes the deployment to validate. A sketch backend replays
         the matrix under that backend's memory bound: the result covers
         the tracked population plus a residual row, so it approximates
-        :meth:`run` with O(capacity) flow state.
-
-        ``spec.workers > 1`` replays the matrix through *true
-        multi-process ingestion*: every active cell becomes a synthetic
-        packet, the reader deals rows to the shard processes, and the
-        merged summaries classify at the collector. The result covers
-        the merged population (active flows, first-appearance order,
-        plus residual row 0) rather than the matrix's row order — same
-        elephants, different shape — so it validates the distributed
-        deployment, not byte-identity.
+        :meth:`run` with O(capacity) flow state. ``spec.workers > 1``
+        is refused, as ``repro stream`` refuses ``--workers`` on a
+        matrix: a fleet partitions packets, and a matrix has none
+        (:func:`~repro.distributed.runner.parallel_ingest` runs one
+        over packets).
         """
         # Imported here: repro.pipeline sits above the core layer.
         from repro.pipeline.engine import classify_matrix_streaming
@@ -138,7 +133,10 @@ class ClassificationEngine:
                     "points (spec.open_source, parallel_ingest)"
                 )
             if spec.workers > 1:
-                return self._run_parallel(scheme, feature, spec)
+                raise ClassificationError(
+                    "workers > 1 needs a packet input; matrix replays "
+                    "have no packets to partition"
+                )
             backend = spec.build_backend()
         return classify_matrix_streaming(
             self.matrix,
@@ -147,62 +145,6 @@ class ClassificationEngine:
             config=self.config,
             backend=backend,
         )
-
-    def _run_parallel(
-        self, scheme: Scheme, feature: Feature, spec
-    ) -> ClassificationResult:
-        """Replay the matrix as packets through the worker fleet."""
-        import math
-
-        import numpy as np
-
-        from repro.distributed.runner import RowResolver, parallel_ingest
-        from repro.distributed.summary import SlotSummary
-        from repro.pipeline.sources import ArrayPacketSource
-
-        axis = self.matrix.axis
-        seconds = axis.slot_seconds
-        # The summary merge bins slots by absolute grid cell, so the
-        # fleet's grid must anchor at a multiple of slot_seconds. An
-        # axis that starts off-grid is snapped down to the grid and
-        # packets are stamped at their slot's *start* (axis.start +
-        # slot * seconds), which lands in grid cell `anchor_cell +
-        # slot` for any in-slot offset — the verdicts are unaffected,
-        # only the replayed clock shifts by under one slot.
-        anchor = math.floor(axis.start / seconds) * seconds
-        # Column-major nonzero walk: one packet per active cell.
-        slots, rows = np.nonzero(self.matrix.rates.T)
-        timestamps = axis.start + slots * seconds
-        volumes = self.matrix.rates[rows, slots] * seconds / 8.0
-        ingest = parallel_ingest(
-            ArrayPacketSource(timestamps, rows, volumes),
-            RowResolver(self.matrix.prefixes),
-            spec=spec,
-            slot_seconds=seconds,
-            start=float(anchor),
-        )
-        # Workers only summarize slots that carried packets, but the
-        # axis is authoritative here: idle leading/trailing slots (and
-        # a fully idle matrix) must still classify, exactly as they do
-        # in batch and workers=1 replays. One synthetic monitor run
-        # covering the axis endpoints pins the merged span; fill_gaps
-        # interpolates everything between.
-        span = [
-            SlotSummary(
-                slot=slot,
-                start=anchor + slot * seconds,
-                slot_seconds=seconds,
-                prefixes=(),
-                volumes=np.zeros(0),
-                monitor="axis",
-            )
-            for slot in sorted({0, axis.num_slots - 1})
-        ]
-        ingest.runs.append(span)
-        result, _ = ingest.collector(
-            scheme=scheme, feature=feature, config=self.config
-        ).classify()
-        return result
 
     def run_paper_grid(self) -> dict[str, ClassificationResult]:
         """The full 2×2 grid the paper's evaluation uses."""

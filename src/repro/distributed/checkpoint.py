@@ -80,7 +80,10 @@ def decode_seal(payload: bytes) -> tuple[str, SlotSummary]:
     body = _LINK_HEADER.size + name_length
     if len(payload) < body:
         raise SummaryFormatError("seal record truncates its link name")
-    link = payload[_LINK_HEADER.size : body].decode("utf-8")
+    try:
+        link = payload[_LINK_HEADER.size : body].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SummaryFormatError(f"seal record link name: {exc}") from exc
     return link, SlotSummary.from_bytes(payload[body:])
 
 

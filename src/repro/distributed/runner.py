@@ -115,8 +115,6 @@ class RowResolver:
     aggregator's "resolution" is the identity; the prefix table that
     gives keys meaning is grown incrementally from the caller's
     messages (``prefixes`` is append-only, like every repo resolver).
-    Also useful wherever keys *are* the rows, e.g. replaying a rate
-    matrix whose row indices double as flow keys.
     """
 
     def __init__(self, prefixes: Sequence[Prefix] = ()) -> None:

@@ -39,12 +39,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-import zipfile
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ClassificationError, ReproError, SummaryFormatError
+from repro.flows.matrix import read_npz
 from repro.net.prefix import Prefix, PrefixColumns
 
 if TYPE_CHECKING:
@@ -331,13 +331,7 @@ def load_summaries(path: str) -> list[SlotSummary]:
     Accepts the current artefact version and version 1 (pre-sampling;
     every slot gets ``sample_rate`` 1.0).
     """
-    try:
-        with np.load(path) as archive:
-            data = {key: archive[key] for key in archive.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise SummaryFormatError(
-            f"cannot load summaries {path!r}: {exc}"
-        ) from exc
+    data = read_npz(path, "summaries", SummaryFormatError)
     try:
         if int(data["version"]) not in (1, VERSION):
             raise SummaryFormatError(

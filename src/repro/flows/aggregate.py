@@ -5,8 +5,9 @@ performed: every captured packet is mapped to its BGP destination prefix
 by longest-prefix match, and byte counts are accumulated per prefix per
 measurement slot. Dividing by the slot length yields ``x_i(t)``.
 
-:class:`FlowAggregator` is the per-packet reference: one radix lookup
-and one dict probe per packet over a fixed axis, plus a per-flow
+:class:`FlowAggregator` is the per-packet reference: one scalar
+:meth:`~repro.routing.rib.RoutingTable.resolve` and one dict probe per
+packet over a fixed axis, plus a per-flow
 :class:`~repro.flows.records.FlowRecord` ledger. It is the one oracle
 the suite holds the streaming pipeline to. :func:`aggregate_pcap` is
 the batch entry point and a thin wrapper over that pipeline — the

@@ -10,14 +10,45 @@ simulator (:mod:`repro.traffic.linksim`).
 
 from __future__ import annotations
 
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ClassificationError
+from repro.errors import ClassificationError, ReproError
 from repro.net.prefix import Prefix
 from repro.flows.records import TimeAxis
+
+
+#: How a damaged ``.npz`` fails to load: not a zip, a torn or corrupt
+#: deflate stream, an encrypted or unsupported member, a mangled
+#: ``.npy`` header, a plain ``.npy`` or a pickle under the name.
+_NPZ_FAILURES = (
+    OSError,
+    EOFError,
+    ValueError,
+    TypeError,
+    RuntimeError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+    tokenize.TokenError,
+)
+
+
+def read_npz(
+    path: str, what: str, error: type[ReproError]
+) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at ``path``, read now: any
+    of the ways a damaged archive fails is one ``error``."""
+    try:
+        with np.load(path) as archive:
+            return {key: archive[key] for key in archive.files}
+    except _NPZ_FAILURES as exc:
+        raise error(f"cannot load {what} {path!r}: {exc}") from exc
 
 
 @dataclass
@@ -171,17 +202,17 @@ class RateMatrix:
     @classmethod
     def load_npz(cls, path: str) -> "RateMatrix":
         """Load a matrix written by :meth:`save_npz`."""
-        with np.load(path) as data:
-            start, slot_seconds, num_slots = data["axis"]
-            prefixes = [
-                Prefix(int(network), int(length))
-                for network, length in zip(data["networks"], data["lengths"])
-            ]
-            return cls(
-                prefixes,
-                TimeAxis(float(start), float(slot_seconds), int(num_slots)),
-                data["rates"].astype(float),
-            )
+        data = read_npz(path, "matrix", ClassificationError)
+        start, slot_seconds, num_slots = data["axis"]
+        prefixes = [
+            Prefix(int(network), int(length))
+            for network, length in zip(data["networks"], data["lengths"])
+        ]
+        return cls(
+            prefixes,
+            TimeAxis(float(start), float(slot_seconds), int(num_slots)),
+            data["rates"].astype(float),
+        )
 
     def save_csv(self, path: str) -> None:
         """Export as CSV for interop with external tooling.

@@ -29,7 +29,7 @@ def parse_ipv4(text: str) -> int:
         raise AddressError(f"expected four dotted octets, got {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise AddressError(f"non-numeric octet {part!r} in {text!r}")
         octet = int(part)
         if octet > 255:
@@ -82,26 +82,11 @@ def is_network_address(address: int, prefix_length: int) -> bool:
 def bit_at(address: int, position: int) -> int:
     """Return bit ``position`` of ``address``, counting from the MSB.
 
-    ``bit_at(x, 0)`` is the most significant bit. Used by the radix trie.
+    ``bit_at(x, 0)`` is the most significant bit (:meth:`Prefix.bit_at`).
     """
     if not 0 <= position < ADDRESS_BITS:
         raise AddressError(f"bit position {position} out of range 0..31")
     return (address >> (ADDRESS_BITS - 1 - position)) & 1
-
-
-def common_prefix_length(a: int, b: int, limit: int = ADDRESS_BITS) -> int:
-    """Length of the longest common bit-prefix of ``a`` and ``b``.
-
-    The result is capped at ``limit``. ``common_prefix_length(x, x)`` is
-    ``limit``.
-    """
-    if not 0 <= limit <= ADDRESS_BITS:
-        raise AddressError(f"limit {limit} out of range 0..32")
-    diff = (a ^ b) & MAX_ADDRESS
-    if diff == 0:
-        return limit
-    leading = ADDRESS_BITS - diff.bit_length()
-    return min(leading, limit)
 
 
 def random_host_in(network: int, prefix_length: int, rng) -> int:

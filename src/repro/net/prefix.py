@@ -50,7 +50,7 @@ class Prefix:
         text = text.strip()
         if "/" in text:
             addr_text, _, len_text = text.partition("/")
-            if not len_text.isdigit():
+            if not (len_text.isascii() and len_text.isdigit()):
                 raise AddressError(f"bad prefix length in {text!r}")
             length = int(len_text)
         else:

@@ -354,11 +354,12 @@ def _uint32_fields(
 
 
 class CsvPacketSource:
-    """Flow-record CSV: one ``timestamp,destination,wire_bytes`` row per
+    """Packet CSV: one ``timestamp,destination,wire_bytes`` row per
     packet (or pre-aggregated record), destination as dotted quad or
     integer. A header row starting with ``timestamp`` is skipped. This
     is the interchange format exported by flow collectors that have
-    already shed payloads.
+    already shed payloads. A row that does not parse is one
+    :class:`~repro.errors.ClassificationError` naming its line.
     """
 
     def __init__(self, path: str, chunk_packets: int = DEFAULT_CHUNK_PACKETS) -> None:
@@ -371,23 +372,28 @@ class CsvPacketSource:
         timestamps: list[float] = []
         destinations: list[int] = []
         sizes: list[int] = []
-        for line in text_lines(self.path, "capture"):
+        lines = text_lines(self.path, "capture")
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("timestamp"):
                 continue
             cells = line.split(",")
-            if len(cells) < 3:
+            try:
+                if len(cells) < 3:
+                    raise ValueError("a packet row needs 3 columns")
+                timestamp, size = float(cells[0]), int(cells[2])
+                destination = cells[1].strip()
+                if "." in destination:
+                    address = ipv4.parse_ipv4(destination)
+                else:
+                    address = int(destination)
+            except ValueError as exc:  # AddressError is one too
                 raise ClassificationError(
-                    f"flow-record row needs 3 columns: {line!r}"
-                )
-            timestamps.append(float(cells[0]))
-            destination = cells[1].strip()
-            destinations.append(
-                ipv4.parse_ipv4(destination)
-                if "." in destination
-                else int(destination)
-            )
-            sizes.append(int(cells[2]))
+                    f"packet CSV {self.path!r} line {number}: {exc}"
+                ) from exc
+            timestamps.append(timestamp)
+            destinations.append(address)
+            sizes.append(size)
             if len(timestamps) >= self.chunk_packets:
                 yield self._build(timestamps, destinations, sizes)
                 timestamps, destinations, sizes = [], [], []

@@ -1,4 +1,4 @@
-"""BGP routing substrate: radix-trie LPM, RIB model, synthetic tables."""
+"""BGP routing substrate: compiled LPM, RIB model, synthetic tables."""
 
 from repro._lazy import attach
 
@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = attach(
     {
         "aspath": ("AsPath", "AsTier", "AutonomousSystem"),
         "lpm": ("NO_ROUTE", "CompiledLpm", "FixedLengthResolver"),
-        "radix": ("RadixTree", "brute_force_lookup"),
         "rib": ("Route", "RoutingTable"),
         "ribfile": ("parse_prefix_lines", "read_rib"),
         "ribgen": (

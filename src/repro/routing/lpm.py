@@ -1,16 +1,17 @@
 """Array-compiled longest-prefix match for the vectorized hot path.
 
-The radix trie (:mod:`repro.routing.radix`) resolves one address per
-call, which is the right shape for control-plane lookups but not for
-ingesting millions of packets. Because announced prefixes form a laminar
-family (any two prefixes either nest or are disjoint), longest-prefix
-match over the whole table flattens into a sorted list of disjoint
-address segments, each owned by the deepest covering prefix — compiled
-from the table's :class:`~repro.net.prefix.PrefixColumns` with array
-operations, level by level. Resolving a *batch* of addresses is then a
-gather from a 64k-entry /16 root table (the segment each bucket starts
-in) and a short binary descent, bounded by how many segments the
-batch's busiest bucket spans, with no Python-level work per packet.
+:meth:`RoutingTable.resolve <repro.routing.rib.RoutingTable.resolve>`
+answers one address per call, which is the right shape for
+control-plane lookups but not for ingesting millions of packets.
+Because announced prefixes form a laminar family (any two prefixes
+either nest or are disjoint), longest-prefix match over the whole
+table flattens into a sorted list of disjoint address segments, each
+owned by the deepest covering prefix — compiled from the table's
+:class:`~repro.net.prefix.PrefixColumns` with array operations, level
+by level. Resolving a *batch* of addresses is then a gather from a
+64k-entry /16 root table (the segment each bucket starts in) and a
+short binary descent, bounded by how many segments the batch's busiest
+bucket spans, with no Python-level work per packet.
 
 :class:`CompiledLpm` is an immutable snapshot: routes added to the table
 after compilation are not seen. The aggregation layer recompiles when it

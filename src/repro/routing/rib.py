@@ -1,9 +1,11 @@
 """A BGP routing information base (RIB) keyed by destination prefix.
 
 The RIB is the structure the paper takes as given: its flow granularity
-is "the BGP destination network prefix", i.e. a RIB entry. Our RIB wraps
-the radix trie with route metadata (AS path, origin tier) and provides
-the packet-to-flow mapping used by the aggregation layer.
+is "the BGP destination network prefix", i.e. a RIB entry. A route
+carries its metadata (AS path, origin tier); the table answers
+longest-prefix match one address at a time, the per-packet shape the
+reference aggregator and the reports need. Batches resolve through the
+:meth:`RoutingTable.compiled` snapshot instead.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from repro.errors import RoutingError
 from repro.net.prefix import Prefix
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
-from repro.routing.radix import RadixTree
 
 if TYPE_CHECKING:
     from repro.routing.lpm import CompiledLpm
@@ -46,53 +47,80 @@ class Route:
         return self.origin_as.tier
 
 
+def _key(prefix: Prefix) -> int:
+    """``network << 6 | length``: equal for equal prefixes, and sorting
+    keys sorts prefixes (the :meth:`PrefixColumns.keys` encoding)."""
+    return prefix.network << 6 | prefix.length
+
+
 class RoutingTable:
     """A longest-prefix-match BGP RIB.
 
     Routes are inserted once; re-announcing a prefix replaces the old
     route. ``resolve`` maps a destination address to the Route whose
     prefix is the longest match — the paper's flow-aggregation key.
+    The routes sit in one dict keyed by :func:`_key`; a lookup masks
+    the address to each announced length, longest first, and probes.
     """
 
     def __init__(self, routes: Iterable[Route] = ()) -> None:
-        self._tree: RadixTree[Route] = RadixTree()
+        self._routes: dict[int, Route] = {}
+        self._lengths: list[int] = []  # announced lengths, longest first
         for route in routes:
             self.add(route)
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._routes)
 
     def __iter__(self) -> Iterator[Route]:
-        for _, route in self._tree:
-            yield route
+        """Routes in prefix order (by network, then length)."""
+        for key in sorted(self._routes):
+            yield self._routes[key]
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._tree
+        return _key(prefix) in self._routes
 
     def add(self, route: Route) -> None:
         """Insert (or replace) the route for ``route.prefix``."""
-        self._tree.insert(route.prefix, route)
+        prefix = route.prefix
+        self._routes[_key(prefix)] = route
+        if prefix.length not in self._lengths:
+            self._lengths.append(prefix.length)
+            self._lengths.sort(reverse=True)
 
     def withdraw(self, prefix: Prefix) -> Route:
         """Remove the route for ``prefix``; raises if absent."""
-        return self._tree.delete(prefix)
+        route = self._routes.pop(_key(prefix), None)
+        if route is None:
+            raise RoutingError(f"prefix {prefix} not in table")
+        if all(key & 63 != prefix.length for key in self._routes):
+            self._lengths.remove(prefix.length)
+        return route
 
     def route_for(self, prefix: Prefix) -> Optional[Route]:
         """Exact-match route lookup."""
-        return self._tree.get(prefix)
+        return self._routes.get(_key(prefix))
 
     def resolve(self, address: int) -> Optional[Route]:
         """Longest-prefix match of ``address`` to a route."""
-        match = self._tree.lookup(address)
-        return None if match is None else match[1]
+        routes = self._routes
+        for length in self._lengths:
+            host_bits = 32 - length
+            # _key of the address's /length network, inlined: this is
+            # the per-packet reference aggregator's inner loop
+            route = routes.get(address >> host_bits << host_bits << 6 | length)
+            if route is not None:
+                return route
+        return None
 
     def resolve_prefix(self, address: int) -> Optional[Prefix]:
         """Longest-prefix match returning only the flow key."""
-        return self._tree.lookup_prefix(address)
+        route = self.resolve(address)
+        return None if route is None else route.prefix
 
     def prefixes(self) -> list[Prefix]:
-        """All announced prefixes in deterministic order."""
-        return self._tree.prefixes()
+        """All announced prefixes in prefix order."""
+        return [route.prefix for route in self]
 
     def compiled(self) -> CompiledLpm:
         """This snapshot as a batch resolver (what an aggregator runs)."""

@@ -31,6 +31,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import FaultPlan, parallel_ingest, runner
+from repro.distributed.checkpoint import WAL_NAME, CheckpointStore
+from repro.distributed.framing import DEFAULT_LINK
 from repro.distributed.client import (
     MonitorClient,
     publish_summaries,
@@ -344,6 +346,25 @@ class TestCollectorRestart:
             assert_matches_offline(
                 query_service(handle.address), offline(chaos_runs)
             )
+
+    def test_undecodable_link_name_is_the_torn_tail(
+        self, tmp_path, chaos_runs
+    ):
+        """One byte of a record's link name that is not UTF-8 ends the
+        WAL there: the daemon starts on the records before it."""
+        state = tmp_path / "state"
+        with CheckpointStore(state, compact_every=100) as store:
+            for summary in chaos_runs[0][:3]:
+                store.append(DEFAULT_LINK, summary)
+        wal = state / WAL_NAME
+        data = bytearray(wal.read_bytes())
+        second = 5 + int.from_bytes(data[1:5], "big")  # after frame 1
+        data[second + 5 + 2] = 0xFF  # its payload: name length, name
+        wal.write_bytes(bytes(data))
+        with ServiceHandle(
+            CollectorService(state_dir=str(state))
+        ) as handle:
+            assert query_service(handle.address)["slots"] == 1
 
 
 def daemon_env():

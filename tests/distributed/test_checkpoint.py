@@ -59,6 +59,12 @@ class TestSealRecord:
         with pytest.raises(SummaryFormatError, match="link name"):
             decode_seal(b"\x00\x09abc")
 
+    def test_undecodable_link_name_is_refused(self):
+        payload = encode_seal("link-ü", summary(0))[5:]
+        damaged = payload[:6] + b"\xff" + payload[7:]  # ü's first byte
+        with pytest.raises(SummaryFormatError, match="link name"):
+            decode_seal(damaged)
+
 
 class TestCheckpointStore:
     def test_append_then_restore(self, tmp_path):

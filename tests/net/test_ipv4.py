@@ -27,6 +27,10 @@ class TestParseFormat:
     @pytest.mark.parametrize("bad", [
         "10.0.0", "10.0.0.0.0", "10.0.0.256", "a.b.c.d", "10.0.0.-1",
         "", "10..0.1", "1e1.0.0.1",
+        # digits to str.isdigit(), not to int()
+        "1\u00b27.0.0.1", "10.0.0.\u00b9",
+        # digits to int() too, but not ASCII
+        "\uff11\uff10.0.0.1",
     ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(AddressError):
@@ -91,23 +95,6 @@ class TestBits:
     def test_bit_at_rejects_bad_position(self, bad):
         with pytest.raises(AddressError):
             ipv4.bit_at(0, bad)
-
-    def test_common_prefix_identical(self):
-        assert ipv4.common_prefix_length(42, 42) == 32
-
-    def test_common_prefix_first_bit_differs(self):
-        assert ipv4.common_prefix_length(0, 1 << 31) == 0
-
-    def test_common_prefix_limit_caps(self):
-        assert ipv4.common_prefix_length(42, 42, limit=8) == 8
-
-    @given(
-        st.integers(min_value=0, max_value=ipv4.MAX_ADDRESS),
-        st.integers(min_value=0, max_value=31),
-    )
-    def test_common_prefix_matches_manual_computation(self, address, flip):
-        other = address ^ (1 << (31 - flip))
-        assert ipv4.common_prefix_length(address, other) == flip
 
 
 class TestRandomHost:

@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(AddressError):
             Prefix.parse("192.0.2.0/abc")
 
+    @pytest.mark.parametrize("length", ["1\u00b3", "\uff12\uff14"])
+    def test_parse_rejects_non_ascii_length_digits(self, length):
+        with pytest.raises(AddressError, match="bad prefix length"):
+            Prefix.parse(f"10.0.0.0/{length}")
+
     def test_constructor_rejects_host_bits(self):
         with pytest.raises(AddressError):
             Prefix(ipv4.parse_ipv4("10.0.0.1"), 24)

@@ -12,6 +12,10 @@ It also keeps the full-table admission tournaments in their plain form
 sorted by weight, every one paired against the table. The production
 tables sort only the newcomers that can win and must agree with these
 bit for bit.
+
+Longest-prefix match has its plainest form here too,
+:func:`longest_match`: a scan of every prefix. The RIB's dict probes
+and the compiled LPM's segment arrays are both held to it.
 """
 
 import numpy as np
@@ -26,6 +30,12 @@ from repro.sketches import (
 from repro.sketches.array_tables import ArrayCountMin, ArraySpaceSaving
 
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
+
+
+def longest_match(prefixes, address):
+    """The longest of ``prefixes`` that covers ``address``, or ``None``."""
+    covering = [p for p in prefixes if p.contains_address(address)]
+    return max(covering, key=lambda prefix: prefix.length, default=None)
 
 
 def scalar_backend(name, capacity, seed=0, sampling_probability=1e-5):

@@ -8,6 +8,8 @@ pcap → StreamingAggregator → OnlineClassifier chain matches the batch
 aggregate-then-classify chain.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.engine import (
     Feature,
     Scheme,
 )
+from repro.errors import ClassificationError
 from repro.flows.aggregate import aggregate_pcap
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
@@ -87,102 +90,19 @@ class TestMatrixStreamingEquivalence:
         assert np.allclose(batch.hours, streamed.hours)
 
 
-class TestMatrixParallelReplay:
-    """`run_streaming(spec=PipelineSpec(workers=N))` replays the matrix
-    through real worker processes; the verdicts must agree with batch
-    per slot."""
-
-    def test_workers_mode_matches_batch_elephants(self):
-        matrix = _separated_matrix()
-        engine = ClassificationEngine(matrix)
-        batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-        parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
-            spec=PipelineSpec(workers=2),
-        )
-        assert parallel.matrix.num_slots == matrix.num_slots
-        batch_sets = _elephant_sets(batch)
-        parallel_sets = _elephant_sets(parallel)
-        residual = Prefix.parse("0.0.0.0/0")
-        assert [s - {residual} for s in parallel_sets] == batch_sets
-
-    def test_workers_mode_handles_off_grid_axis_start(self):
-        """An axis that starts between grid points (e.g. a capture
-        beginning mid-slot) must replay, not crash the merge — the
-        fleet snaps its grid anchor down to the slot boundary."""
-        matrix = _separated_matrix()
-        shifted = RateMatrix(
-            matrix.prefixes,
-            TimeAxis(30.0, 60.0, matrix.num_slots),
-            matrix.rates,
-        )
-        engine = ClassificationEngine(shifted)
-        batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-        parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
-            spec=PipelineSpec(workers=2),
-        )
-        assert parallel.matrix.num_slots == shifted.num_slots
-        residual = Prefix.parse("0.0.0.0/0")
-        assert [s - {residual} for s in _elephant_sets(parallel)] == \
-            _elephant_sets(batch)
-
-    def test_workers_mode_keeps_idle_trailing_slots(self):
-        """Trailing idle slots carry no packets, but the axis says
-        they happened: batch classifies them through the threshold
-        fallback, so the parallel replay must cover them too."""
-        matrix = _separated_matrix()
-        rates = matrix.rates.copy()
-        rates[:, -2:] = 0.0
-        quiet_tail = RateMatrix(matrix.prefixes, matrix.axis, rates)
-        engine = ClassificationEngine(quiet_tail)
-        parallel = engine.run_streaming(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
-            spec=PipelineSpec(workers=2),
-        )
-        assert parallel.matrix.num_slots == quiet_tail.num_slots
-        batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-        residual = Prefix.parse("0.0.0.0/0")
-        assert [s - {residual} for s in _elephant_sets(parallel)] == \
-            _elephant_sets(batch)
-
-    def test_workers_mode_matches_batch_on_idle_leading_slot(self):
-        """An idle first slot has no detection history to fall back
-        on: batch raises InsufficientDataError, and so must the
-        parallel replay — not a runner-shaped error, not silence."""
-        from repro.errors import InsufficientDataError
-
-        matrix = _separated_matrix()
-        rates = matrix.rates.copy()
-        rates[:, 0] = 0.0
-        quiet_head = RateMatrix(matrix.prefixes, matrix.axis, rates)
-        engine = ClassificationEngine(quiet_head)
-        with pytest.raises(InsufficientDataError):
-            engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-        with pytest.raises(InsufficientDataError):
-            engine.run_streaming(Scheme.CONSTANT_LOAD,
-                                 Feature.LATENT_HEAT,
-                                 spec=PipelineSpec(workers=2))
-
-
-def _separated_matrix(num_flows=12, num_slots=6):
-    rng = np.random.default_rng(77)
-    prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(num_flows)]
-    rates = np.zeros((num_flows, num_slots))
-    rates[:3] = rng.uniform(5e4, 9e4, size=(3, num_slots))
-    rates[3:] = rng.uniform(1e2, 2e3, size=(num_flows - 3, num_slots))
-    return RateMatrix(prefixes, TimeAxis(0.0, 60.0, num_slots), rates)
-
-
-def _elephant_sets(result):
-    return [
-        frozenset(
-            prefix
-            for row, prefix in enumerate(result.matrix.prefixes)
-            if result.elephant_mask[row, slot]
-        )
-        for slot in range(result.matrix.num_slots)
-    ]
+class TestMatrixReplayRefusesWorkers:
+    def test_workers_spec_is_refused_before_any_process_starts(
+        self, small_matrix
+    ):
+        """A fleet partitions packets; a replayed matrix has none."""
+        engine = ClassificationEngine(small_matrix)
+        with pytest.raises(ClassificationError, match="no packets to part"):
+            engine.run_streaming(
+                Scheme.CONSTANT_LOAD,
+                Feature.LATENT_HEAT,
+                spec=PipelineSpec(workers=2),
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestDynamicArrivalEquivalence:

@@ -381,7 +381,7 @@ class TestCsvPacketSource:
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as stream:
             stream.write("1.0,10.0.0.1\n")
-        with pytest.raises(ClassificationError):
+        with pytest.raises(ClassificationError, match="line 1: a packet row"):
             list(CsvPacketSource(path).batches())
 
 

@@ -1,15 +1,19 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import socket
+import struct
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.cli.collect import _refused, _write_port_file
+from repro.distributed.summary import SlotSummary, save_summaries
 from repro.errors import ReproError
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
@@ -1358,6 +1362,83 @@ class TestCommandsRefuseWhatTheyCannotDo:
             port = taken.getsockname()[1]
             words = argv.format(taken=port, file=regular, dir=tmp_path)
             code = main(words.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+#: The ways ``_damage_npz`` breaks an archive.
+NPZ_DAMAGE = ("deflate", "encrypted", "header", "method", "empty", "npy")
+
+
+def _damage_npz(path, how):
+    """Break the ``.npz`` at ``path`` the way ``how`` names."""
+    data = bytearray(path.read_bytes())
+    if how == "deflate":  # garbage where the first member's stream was
+        name_length, extra_length = struct.unpack_from("<HH", data, 26)
+        start = 30 + name_length + extra_length
+        data[start : start + 8] = b"\xff" * 8
+    elif how == "encrypted":  # the central directory's encryption bit
+        data[data.index(b"PK\x01\x02") + 8] |= 1
+    elif how == "method":  # a compression method zipfile does not know
+        central = data.index(b"PK\x01\x02")
+        data[central + 10 : central + 12] = data[8:10] = b"\x63\x00"
+    elif how == "empty":
+        data = bytearray()
+    elif how == "npy":  # a plain .npy under the .npz name
+        buffer = io.BytesIO()
+        np.save(buffer, np.ones(3))
+        data = bytearray(buffer.getvalue())
+    else:  # an unbalanced .npy header, under a CRC that checks out
+        assert how == "header", how
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, body in members.items():
+                archive.writestr(name, body.replace(b"False", b"(alse"))
+        return
+    path.write_bytes(bytes(data))
+
+
+class TestDamagedInputsAreOneErrorLine:
+    @pytest.mark.parametrize(
+        "argv, damage",
+        [
+            # packet CSV rows float() or int() refuse
+            ("stream {dir}/t.csv", "abc,10.0.0.1,100"),
+            ("stream {dir}/t.csv", "0.5,xyz,100"),
+            ("stream {dir}/t.csv", "0.5,10.0.0.1,1W0"),
+            # digits str.isdigit() takes and int() does not
+            ("stream {dir}/t.csv", "0.5,1\u00b27.0.0.1,100"),
+            ("stream {dir}/ok.csv --rib {dir}/rib.txt", "10.0.0.0/1\u00b3"),
+            ("merge {dir}/s.npz", "deflate"),
+            ("classify {dir}/m.npz", "deflate"),
+            ("stream {dir}/m.npz", "deflate"),
+            ("classify {dir}/m.npz", "encrypted"),
+            ("stream {dir}/m.npz", "header"),
+            ("merge {dir}/s.npz", "method"),
+            ("merge {dir}/s.npz", "empty"),
+            ("classify {dir}/m.npz", "npy"),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, argv, damage):
+        """Each used to be a traceback: ValueError, zlib.error,
+        RuntimeError, tokenize.TokenError, NotImplementedError, EOFError
+        or TypeError."""
+        (tmp_path / "ok.csv").write_text("0.5,10.0.0.1,100\n")
+        for name, sound in (("t.csv", "0.5,10.0.0.1,100"), ("rib.txt", "")):
+            text = f"{sound}\n{damage}\n"
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
+        matrix = RateMatrix(prefixes, TimeAxis(0.0, 60.0, 3), np.ones((4, 3)))
+        matrix.save_npz(str(tmp_path / "m.npz"))
+        run = [SlotSummary(0, 0.0, 60.0, prefixes, np.ones(4))]
+        save_summaries(str(tmp_path / "s.npz"), run)
+        if damage in NPZ_DAMAGE:
+            _damage_npz(tmp_path / "m.npz", damage)
+            _damage_npz(tmp_path / "s.npz", damage)
+        code = main(argv.format(dir=tmp_path).split())
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("error:") == 1 and len(err.splitlines()) == 1

@@ -302,7 +302,6 @@ class TestImportBoundaries:
             "repro.pcap.transport",
             # route objects: a stream resolves through compiled columns
             "repro.routing.rib",
-            "repro.routing.radix",
             "repro.routing.aspath",
         )
 
