@@ -55,7 +55,6 @@ __getattr__, __dir__, __all__ = attach(
             "PcapPacketSource",
             "StreamingAggregator",
             "StreamingPipeline",
-            "run_stream",
         ),
         "routing": ("CompiledLpm", "RoutingTable", "generate_rib"),
         "stats": ("aest", "hill_estimator"),

@@ -27,28 +27,13 @@ class ElephantSeries:
     residual_fraction: np.ndarray | None = None
 
     @classmethod
-    def from_result(cls, result: ClassificationResult,
-                    residual_row: int | None = None) -> "ElephantSeries":
-        """Build the series from a batch-shaped result.
-
-        For results reassembled from a sketch-backend stream, pass the
-        residual row (row 0 by construction) so the coverage series is
-        populated — a collected result does not record which row was
-        the residual.
-        """
-        residual_fraction = None
-        if residual_row is not None:
-            totals = result.matrix.rates.sum(axis=0)
-            residual_fraction = np.divide(
-                result.matrix.rates[residual_row], totals,
-                out=np.zeros_like(totals), where=totals > 0,
-            )
+    def from_result(cls, result: ClassificationResult) -> "ElephantSeries":
+        """Build the series from a batch result (no residual row)."""
         return cls(
             label=result.label,
             hours=result.matrix.axis.hours_since_start(),
             counts=result.elephants_per_slot().astype(float),
             traffic_fraction=result.traffic_fraction_per_slot(),
-            residual_fraction=residual_fraction,
         )
 
     @property
@@ -116,8 +101,12 @@ class ElephantSeriesBuilder:
     _residuals: list[float] = field(default_factory=list)
     _saw_residual: bool = False
 
-    def add_slot(self, rates: np.ndarray, elephant_mask: np.ndarray,
-                 residual_row: int | None = None) -> None:
+    def add_slot(
+        self,
+        rates: np.ndarray,
+        elephant_mask: np.ndarray,
+        residual_row: int | None = None,
+    ) -> None:
         """Account one classified slot (call in slot order).
 
         ``residual_row`` marks the untracked-traffic row of a bounded
@@ -133,14 +122,11 @@ class ElephantSeriesBuilder:
         total = float(rates.sum())
         elephant_traffic = float(rates[elephant_mask].sum())
         self._counts.append(int(elephant_mask.sum()))
-        self._fractions.append(
-            elephant_traffic / total if total > 0 else 0.0
-        )
+        self._fractions.append(elephant_traffic / total if total > 0 else 0.0)
         residual = 0.0
         if residual_row is not None and residual_row < rates.size:
             self._saw_residual = True
-            residual = (float(rates[residual_row]) / total
-                        if total > 0 else 0.0)
+            residual = float(rates[residual_row]) / total if total > 0 else 0.0
         self._residuals.append(residual)
 
     @property
@@ -158,14 +144,18 @@ class ElephantSeriesBuilder:
             hours=hours,
             counts=np.array(self._counts, dtype=float),
             traffic_fraction=np.array(self._fractions),
-            residual_fraction=(np.array(self._residuals)
-                               if self._saw_residual else None),
+            residual_fraction=(
+                np.array(self._residuals) if self._saw_residual else None
+            ),
         )
 
 
-def working_hours_mask(hours: np.ndarray, start_hour_of_day: float,
-                       work_start: float = 9.0,
-                       work_end: float = 18.0) -> np.ndarray:
+def working_hours_mask(
+    hours: np.ndarray,
+    start_hour_of_day: float,
+    work_start: float = 9.0,
+    work_end: float = 18.0,
+) -> np.ndarray:
     """Boolean mask of slots falling inside working hours.
 
     ``hours`` are offsets since the trace start; ``start_hour_of_day``
@@ -175,8 +165,9 @@ def working_hours_mask(hours: np.ndarray, start_hour_of_day: float,
     return (clock >= work_start) & (clock < work_end)
 
 
-def working_hours_lift(series: ElephantSeries,
-                       start_hour_of_day: float = 9.0) -> float:
+def working_hours_lift(
+    series: ElephantSeries, start_hour_of_day: float = 9.0
+) -> float:
     """Ratio of mean elephants during working hours vs outside them.
 
     Quantifies the Fig. 1(a) observation that the west-coast link's

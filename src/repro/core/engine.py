@@ -100,52 +100,6 @@ class ClassificationEngine:
                 results[result.label] = result
         return results
 
-    def run_streaming(
-        self, scheme: Scheme, feature: Feature, spec=None
-    ) -> ClassificationResult:
-        """Classify through the streaming pipeline instead of in batch.
-
-        The matrix replays column by column through the online
-        classifier; the reassembled result is identical to :meth:`run`
-        (asserted in the test suite). This is the batch-as-a-wrapper
-        entry point — useful when validating streaming deployments
-        against recorded matrices.
-
-        ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`)
-        describes the deployment to validate. A sketch backend replays
-        the matrix under that backend's memory bound: the result covers
-        the tracked population plus a residual row, so it approximates
-        :meth:`run` with O(capacity) flow state. ``spec.workers > 1``
-        is refused, as ``repro stream`` refuses ``--workers`` on a
-        matrix: a fleet partitions packets, and a matrix has none
-        (:func:`~repro.distributed.runner.parallel_ingest` runs one
-        over packets).
-        """
-        # Imported here: repro.pipeline sits above the core layer.
-        from repro.pipeline.engine import classify_matrix_streaming
-
-        backend = None
-        if spec is not None:
-            if spec.source is not None:
-                raise ClassificationError(
-                    "run_streaming replays this engine's matrix; a "
-                    "spec with source= belongs to the packet entry "
-                    "points (spec.open_source, parallel_ingest)"
-                )
-            if spec.workers > 1:
-                raise ClassificationError(
-                    "workers > 1 needs a packet input; matrix replays "
-                    "have no packets to partition"
-                )
-            backend = spec.build_backend()
-        return classify_matrix_streaming(
-            self.matrix,
-            scheme=scheme,
-            feature=feature,
-            config=self.config,
-            backend=backend,
-        )
-
     def run_paper_grid(self) -> dict[str, ClassificationResult]:
         """The full 2×2 grid the paper's evaluation uses."""
         return self.run_all(features=(Feature.SINGLE, Feature.LATENT_HEAT))

@@ -204,14 +204,3 @@ class OnlineClassifier:
         )
         self._slot += 1
         return verdict
-
-    def run(self, rate_columns: np.ndarray) -> list[SlotVerdict]:
-        """Feed every column of a ``(flows, slots)`` matrix in order."""
-        if rate_columns.ndim != 2 or rate_columns.shape[0] != self.num_flows:
-            raise ClassificationError(
-                f"expected a ({self.num_flows}, slots) matrix"
-            )
-        return [
-            self.observe_slot(rate_columns[:, t])
-            for t in range(rate_columns.shape[1])
-        ]

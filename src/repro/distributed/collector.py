@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.analysis.elephants import ElephantSeries
 from repro.core.engine import EngineConfig, Feature, Scheme
-from repro.core.result import ClassificationResult
 from repro.core.streaming import SlotVerdict
 from repro.distributed.merge import merge_runs
 from repro.distributed.summary import SlotSummary
@@ -45,7 +44,7 @@ from repro.errors import ClassificationError
 from repro.hash_index import ABSENT, HashIndex
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import RESIDUAL_PREFIX, sum_by_row
-from repro.pipeline.engine import StreamEvent, StreamingPipeline, run_stream
+from repro.pipeline.engine import StreamEvent, StreamingPipeline
 from repro.pipeline.sources import SlotFrame
 
 
@@ -241,15 +240,11 @@ class Collector:
         """Merged slots awaiting (or consumed by) classification."""
         return len(self.merged)
 
-    def source(self) -> MergedSlotSource:
-        """A fresh slot source over the merged summaries."""
-        return MergedSlotSource(self.merged)
-
     def pipeline(self) -> StreamingPipeline:
         """The classifying pipeline (created on first use)."""
         if self._pipeline is None:
             self._pipeline = StreamingPipeline(
-                self.source(),
+                MergedSlotSource(self.merged),
                 scheme=self.scheme,
                 feature=self.feature,
                 config=self.config,
@@ -263,15 +258,6 @@ class Collector:
     def series(self) -> ElephantSeries:
         """The per-slot elephant series over the events consumed."""
         return self.pipeline().series()
-
-    def classify(self) -> tuple[ClassificationResult, ElephantSeries]:
-        """Run the merged stream end to end (independent of events())."""
-        return run_stream(
-            self.source(),
-            scheme=self.scheme,
-            feature=self.feature,
-            config=self.config,
-        )
 
 
 __all__ = [

@@ -69,6 +69,10 @@ SKEW_MIN_CORRELATION = 0.9
 #: per-merge false-positive rate well under a percent while a real
 #: shifted clock (r ~ 1) passes at any overlap.
 SKEW_MIN_T_STATISTIC = 8.0
+#: The widest step, in grid cells, between covered cells that gap
+#: filling bridges (every cell of it seals as an empty slot); 4096
+#: cells is 2.8 days of 60 s slots.
+MAX_GAP_CELLS = 1 << 12
 
 
 def misaligned(
@@ -80,6 +84,14 @@ def misaligned(
         f"{summary.slot_seconds}s) does not align with "
         f"(start {start}, grid {slot_seconds}s); "
         "monitors must share the slot grid"
+    )
+
+
+def too_far(cell: int, neighbour: int) -> ClassificationError:
+    """The error for a gap wider than :data:`MAX_GAP_CELLS`."""
+    return ClassificationError(
+        f"grid cell {cell} is {abs(cell - neighbour)} cells from covered "
+        f"cell {neighbour}; gap filling bridges at most {MAX_GAP_CELLS}"
     )
 
 
@@ -341,7 +353,8 @@ def merge_runs(
     grid cell between the first and last covered interval that no
     monitor reported — the silent-link slot a single monitor would
     have observed — so downstream classification sees a contiguous
-    slot sequence.
+    slot sequence. Covered cells farther apart than
+    :data:`MAX_GAP_CELLS` are refused then, before anything is filled.
 
     The result is a :class:`MergedRun` carrying a per-run clock-skew
     estimate; a :class:`~repro.errors.ClockSkewWarning` is emitted for
@@ -385,11 +398,12 @@ def merge_runs(
         by_cell.setdefault(cell, []).append(summary)
     first_cell = min(by_cell)
     merged = []
-    cells = (
-        range(first_cell, max(by_cell) + 1)
-        if fill_gaps
-        else sorted(by_cell)
-    )
+    cells = sorted(by_cell)
+    if fill_gaps:
+        for low, high in zip(cells, cells[1:]):
+            if high - low > MAX_GAP_CELLS:
+                raise too_far(high, low)
+        cells = range(first_cell, cells[-1] + 1)
     for cell in cells:
         if cell in by_cell:
             merged.append(
@@ -409,4 +423,5 @@ __all__ = [
     "merge_runs",
     "merge_summaries",
     "misaligned",
+    "too_far",
 ]

@@ -23,7 +23,10 @@ Sealing semantics (the crash/reconnect story):
 - When a monitor drops (cleanly via BYE or by crashing), it stops
   gating the frontier; its unreported intervals merge without it, and
   with ``fill_gaps`` wholly uncovered cells seal as empty gap slots —
-  byte-for-byte what ``merge_runs(fill_gaps=True)`` would emit.
+  byte-for-byte what ``merge_runs(fill_gaps=True)`` would emit. Both
+  refuse a gap wider than
+  :data:`~repro.distributed.merge.MAX_GAP_CELLS`: live, the summary
+  that would open it gets an error frame and the link is untouched.
 - A reconnecting monitor resumes *above* the sealed frontier: the
   hello reply carries ``resume_cell``, anything below it is answered
   with a ``stale`` ack and dropped, so sealed history never mutates.
@@ -95,10 +98,12 @@ from repro.distributed.framing import (
     grid_cell,
 )
 from repro.distributed.merge import (
+    MAX_GAP_CELLS,
     estimate_skew_from_totals,
     gap_summary,
     merge_summaries,
     misaligned,
+    too_far,
 )
 from repro.distributed.summary import SlotSummary
 from repro.errors import (
@@ -230,7 +235,9 @@ class LiveLink:
         already covered) and was dropped without touching state. A
         summary off the grid, or off the interval its cell's pending
         summaries cover, is refused here — on the connection that sent
-        it — rather than failing the merge at seal time.
+        it — rather than failing the merge at seal time. So, when gaps
+        are filled, is one farther than :data:`MAX_GAP_CELLS` from every
+        cell the link holds, a gap ``merge_runs`` refuses too.
         """
         seconds = self.slot_seconds or summary.slot_seconds
         if summary.slot_seconds != seconds:
@@ -256,6 +263,13 @@ class LiveLink:
             aligned = abs(summary.start - start) <= 4 * math.ulp(start)
         if not aligned:
             raise misaligned(summary, start, seconds)
+        if self.fill_gaps:
+            held = [*self._pending]
+            if self.next_cell is not None:
+                held.append(self.next_cell - 1)
+            near = min(held, key=lambda other: abs(cell - other), default=cell)
+            if abs(cell - near) > MAX_GAP_CELLS:
+                raise too_far(cell, near)
         self.slot_seconds = seconds
         self._pending.setdefault(cell, {})[monitor] = summary
         self._watermark[monitor] = cell
@@ -288,6 +302,10 @@ class LiveLink:
             self.next_cell = self.first_cell
         while self.next_cell <= frontier:
             cell = self.next_cell
+            if cell not in self._pending and not self.fill_gaps:
+                # no gap slots to seal: jump to the next pending cell
+                self.next_cell = min([*self._pending, frontier + 1])
+                continue
             self.next_cell += 1
             if cell in self._pending:
                 held = self._pending.pop(cell)
@@ -296,10 +314,8 @@ class LiveLink:
                     k=self.k,
                     slot=cell - self.first_cell,
                 )
-            elif self.fill_gaps:
-                merged = gap_summary(cell, self.first_cell, self.slot_seconds)
             else:
-                continue
+                merged = gap_summary(cell, self.first_cell, self.slot_seconds)
             self._seal(cell, merged)
 
     def restore(self, run: list[SlotSummary]) -> None:

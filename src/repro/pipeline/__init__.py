@@ -5,8 +5,10 @@ path. Packet sources stream columnar batches, the streaming aggregator
 bins them into slot frames over a dynamically discovered flow
 population, and the pipeline engine classifies each frame as it
 completes — with memory bounded by O(flows × window), independent of
-capture length. Batch execution is a thin wrapper: collect the stream
-and you get exactly what the batch engine computes.
+capture length. The batch engine
+(:class:`~repro.core.engine.ClassificationEngine`) classifies a whole
+matrix with its own classifiers; the suite holds the two equal slot by
+slot.
 """
 
 from repro._lazy import attach
@@ -32,13 +34,7 @@ __getattr__, __dir__, __all__ = attach(
             "make_backend",
             "parse_memory_budget",
         ),
-        "engine": (
-            "StreamCollector",
-            "StreamEvent",
-            "StreamingPipeline",
-            "classify_matrix_streaming",
-            "run_stream",
-        ),
+        "engine": ("StreamEvent", "StreamingPipeline"),
         "sampling": (
             "SAMPLING_MODES",
             "UNSAMPLED",

@@ -49,8 +49,9 @@ Only the scalar oracle builds a ``Prefix`` per candidate.
 
 Backends also speak the slot altitude: :class:`SketchSlotSource`
 filters any :class:`~repro.pipeline.sources.SlotSource` (for instance a
-replayed matrix) through a backend, which is how
-``engine.run_streaming`` applies a memory bound to recorded matrices.
+replayed matrix) through a backend, which is how ``repro stream
+x.npz --backend ...`` applies a memory bound to a recorded matrix:
+``StreamingPipeline(MatrixSlotSource(m), backend=spec.build_backend())``.
 """
 
 from __future__ import annotations

@@ -8,33 +8,26 @@ per-slot metrics are available without ever materialising a rate
 matrix. Memory is O(flows × window) — the north-star bound for
 processing arbitrarily long captures.
 
-:class:`StreamCollector` is the optional batch bridge: it records every
-frame and verdict and reassembles the full
-:class:`~repro.core.result.ClassificationResult`, padding early slots
-with ``False``/zero rows for flows that had not yet appeared — which is
-exactly how the batch engine sees them, so collected streaming runs are
-bit-identical to batch runs (asserted in the test suite).
+The batch :class:`~repro.core.engine.ClassificationEngine` is the
+other classifier: it runs over a whole matrix, and the suite holds
+every event this pipeline emits to that engine's column for the same
+slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.analysis.elephants import ElephantSeries, ElephantSeriesBuilder
 from repro.core.engine import EngineConfig, Feature, Scheme, make_detector
-from repro.core.result import ClassificationResult
-from repro.core.smoothing import ThresholdSeries
 from repro.core.streaming import OnlineClassifier, SlotVerdict
-from repro.errors import ClassificationError
-from repro.flows.matrix import RateMatrix
-from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
 from repro.pipeline.backends import AggregationBackend, SketchSlotSource
 from repro.pipeline.sampling import UNSAMPLED, SamplingSpec
-from repro.pipeline.sources import MatrixSlotSource, SlotFrame, SlotSource
+from repro.pipeline.sources import SlotFrame, SlotSource
 
 
 @dataclass(frozen=True)
@@ -178,137 +171,3 @@ class StreamingPipeline:
     def slots_seen(self) -> int:
         """Slots classified so far (push or pull)."""
         return self._builder.slots_seen
-
-
-@dataclass
-class StreamCollector:
-    """Accumulate stream events back into batch-shaped artefacts.
-
-    Only for callers that want the full result object; a pure streaming
-    consumer should iterate events and keep nothing. Rows are padded to
-    the final population, so memory is O(flows × slots).
-    """
-
-    _masks: list[np.ndarray] = field(default_factory=list)
-    _rates: list[np.ndarray] = field(default_factory=list)
-    _verdicts: list[SlotVerdict] = field(default_factory=list)
-    _last_frame: SlotFrame | None = None
-    _first_start: float | None = None
-
-    def add(self, event: StreamEvent) -> None:
-        """Record one event (call in slot order)."""
-        if self._first_start is None:
-            self._first_start = event.frame.start
-        self._masks.append(event.verdict.elephant_mask)
-        self._rates.append(event.frame.rates)
-        self._verdicts.append(event.verdict)
-        self._last_frame = event.frame
-
-    def collect(self, events: Iterator[StreamEvent]) -> "StreamCollector":
-        """Drain an event stream into this collector; returns self."""
-        for event in events:
-            self.add(event)
-        return self
-
-    @property
-    def num_slots(self) -> int:
-        """Slots recorded so far."""
-        return len(self._masks)
-
-    def matrix(self, slot_seconds: float) -> RateMatrix:
-        """The rate matrix the stream traversed, padded to final size."""
-        if self._last_frame is None:
-            raise ClassificationError("no slots collected")
-        prefixes = list(self._last_frame.population)
-        if not prefixes:
-            raise ClassificationError("stream discovered no flows")
-        num_flows = len(prefixes)
-        axis = TimeAxis(
-            float(self._first_start), slot_seconds, self.num_slots
-        )
-        rates = np.zeros((num_flows, self.num_slots))
-        for slot, column in enumerate(self._rates):
-            rates[: column.size, slot] = column
-        return RateMatrix(prefixes, axis, rates)
-
-    def result(
-        self,
-        slot_seconds: float,
-        classifier_name: str,
-        scheme: str,
-        alpha: float,
-    ) -> ClassificationResult:
-        """Reassemble the batch-identical classification result."""
-        matrix = self.matrix(slot_seconds)
-        mask = np.zeros((matrix.num_flows, self.num_slots), dtype=bool)
-        for slot, column in enumerate(self._masks):
-            mask[: column.size, slot] = column
-        thresholds = ThresholdSeries.from_slots(
-            [v.thresholds for v in self._verdicts],
-            scheme=scheme,
-            alpha=alpha,
-        )
-        return ClassificationResult(
-            matrix=matrix,
-            thresholds=thresholds,
-            elephant_mask=mask,
-            classifier=classifier_name,
-        )
-
-
-def run_stream(
-    source: SlotSource,
-    scheme: Scheme = Scheme.CONSTANT_LOAD,
-    feature: Feature = Feature.LATENT_HEAT,
-    config: EngineConfig | None = None,
-    backend: AggregationBackend | None = None,
-) -> tuple[ClassificationResult, ElephantSeries]:
-    """Run a slot source end to end and collect the batch-shaped result.
-
-    The convenience entry point for "stream it, then analyse it": with
-    the default (exact) backend the returned result equals what the
-    batch engine computes on the equivalent matrix; with a sketch
-    backend the result covers the bounded population plus the residual
-    row.
-    """
-    config = config or EngineConfig()
-    pipeline = StreamingPipeline(
-        source,
-        scheme=scheme,
-        feature=feature,
-        config=config,
-        backend=backend,
-    )
-    collector = StreamCollector().collect(pipeline.events())
-    detector = make_detector(scheme, beta=config.beta)
-    result = collector.result(
-        source.slot_seconds,
-        classifier_name=feature.value,
-        scheme=detector.name,
-        alpha=config.alpha,
-    )
-    return result, pipeline.series()
-
-
-def classify_matrix_streaming(
-    matrix: RateMatrix,
-    scheme: Scheme = Scheme.CONSTANT_LOAD,
-    feature: Feature = Feature.LATENT_HEAT,
-    config: EngineConfig | None = None,
-    backend: AggregationBackend | None = None,
-) -> ClassificationResult:
-    """Classify a rate matrix through the streaming path.
-
-    Batch-as-a-wrapper: the matrix replays column by column through the
-    online classifier and the verdicts reassemble into the exact result
-    the batch engine produces. A sketch ``backend`` bounds the tracked
-    population, trading exactness for fixed memory.
-    """
-    result, _ = run_stream(
-        MatrixSlotSource(matrix),
-        scheme=scheme,
-        feature=feature,
-        config=config,
-        backend=backend,
-    )
-    return result

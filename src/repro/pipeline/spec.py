@@ -7,8 +7,8 @@ with the cross-field rules (shards vs workers, capacity vs budget,
 exact vs sketch) re-checked ad hoc at each call site. This module
 consolidates them: a :class:`PipelineSpec` is a frozen dataclass that
 validates every cross-field constraint once, at construction, and it
-is the only configuration the entry points (``engine.run_streaming``,
-``parallel_ingest``, the CLI) take. Components below them
+is the only configuration the entry points (``parallel_ingest``, the
+CLI) take. Components below them
 (``StreamingAggregator``, ``StreamingPipeline``) take the objects a
 spec builds — :meth:`PipelineSpec.build_backend`,
 :meth:`PipelineSpec.open_source` — never the knobs themselves.

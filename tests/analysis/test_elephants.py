@@ -23,19 +23,9 @@ class TestElephantSeries:
             result.elephants_per_slot().mean()
         )
         assert 0.0 < series.mean_fraction < 1.0
-
-    def test_from_result_with_residual_row(self, small_grid):
-        result = small_grid[(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)]
-        plain = ElephantSeries.from_result(result)
-        assert plain.residual_fraction is None
-        assert plain.mean_residual_fraction == 0.0
-        coverage = ElephantSeries.from_result(result, residual_row=0)
-        expected = (result.matrix.rates[0]
-                    / result.matrix.rates.sum(axis=0))
-        assert np.allclose(coverage.residual_fraction, expected)
-        assert coverage.mean_residual_fraction == pytest.approx(
-            float(expected.mean())
-        )
+        # a batch result has no residual row
+        assert series.residual_fraction is None
+        assert series.mean_residual_fraction == 0.0
 
     def test_burstiness_of_known_series(self):
         series = ElephantSeries(
@@ -50,8 +40,9 @@ class TestElephantSeries:
         """The paper's Fig 1(b) observation, which needs a horizon with
         real diurnal range to be meaningful."""
         for link in ("west-coast", "east-coast"):
-            result = tiny_paper_run.result(link, Scheme.CONSTANT_LOAD,
-                                           Feature.LATENT_HEAT)
+            result = tiny_paper_run.result(
+                link, Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
+            )
             series = ElephantSeries.from_result(result)
             assert series.fraction_stability() < series.count_variability()
 
@@ -76,8 +67,9 @@ class TestElephantSeriesBuilder:
             slot_seconds=result.matrix.axis.slot_seconds,
         )
         for slot in range(result.matrix.num_slots):
-            builder.add_slot(result.matrix.rates[:, slot],
-                             result.elephant_mask[:, slot])
+            builder.add_slot(
+                result.matrix.rates[:, slot], result.elephant_mask[:, slot]
+            )
         series = builder.build()
         assert series.label == batch.label
         assert np.array_equal(series.counts, batch.counts)
@@ -87,12 +79,32 @@ class TestElephantSeriesBuilder:
     def test_zero_traffic_slot_fraction(self):
         builder = ElephantSeriesBuilder(label="x", slot_seconds=300.0)
         builder.add_slot(np.zeros(3), np.zeros(3, dtype=bool))
-        builder.add_slot(np.array([1.0, 3.0, 0.0]),
-                         np.array([False, True, False]))
+        builder.add_slot(
+            np.array([1.0, 3.0, 0.0]), np.array([False, True, False])
+        )
         series = builder.build()
         assert series.traffic_fraction[0] == 0.0
         assert series.traffic_fraction[1] == pytest.approx(0.75)
         assert builder.slots_seen == 2
+
+    def test_residual_row_records_coverage(self):
+        """A bounded backend's residual row stays in the totals and its
+        share of each slot is the coverage series."""
+        builder = ElephantSeriesBuilder(label="x", slot_seconds=300.0)
+        builder.add_slot(
+            np.array([1.0, 6.0, 1.0]),
+            np.array([False, True, False]),
+            residual_row=0,
+        )
+        builder.add_slot(
+            np.array([0.0, 2.0, 2.0]),
+            np.array([False, True, True]),
+            residual_row=0,
+        )
+        series = builder.build()
+        assert series.residual_fraction.tolist() == [0.125, 0.0]
+        assert series.mean_residual_fraction == pytest.approx(0.0625)
+        assert series.traffic_fraction.tolist() == [0.75, 1.0]
 
     def test_shape_mismatch_rejected(self):
         builder = ElephantSeriesBuilder(label="x", slot_seconds=300.0)
@@ -116,7 +128,9 @@ class TestWorkingHours:
         hours = np.arange(24, dtype=float)
         counts = np.where(working_hours_mask(hours, 9.0), 100.0, 50.0)
         series = ElephantSeries(
-            label="x", hours=hours, counts=counts,
+            label="x",
+            hours=hours,
+            counts=counts,
             traffic_fraction=np.full(24, 0.5),
         )
         assert working_hours_lift(series, 9.0) == pytest.approx(2.0)
@@ -124,7 +138,9 @@ class TestWorkingHours:
     def test_lift_degenerate_masks(self):
         hours = np.array([0.0, 1.0])  # all inside working hours
         series = ElephantSeries(
-            label="x", hours=hours, counts=np.array([1.0, 2.0]),
+            label="x",
+            hours=hours,
+            counts=np.array([1.0, 2.0]),
             traffic_fraction=np.array([0.5, 0.5]),
         )
         assert working_hours_lift(series, 9.0) == 1.0
@@ -133,9 +149,11 @@ class TestWorkingHours:
         """Fig 1(a): the west-coast elephant count bursts during the
         working day more than the east-coast one."""
         from repro.analysis.elephants import ElephantSeries as Series
+
         lifts = {}
         for link in ("west-coast", "east-coast"):
-            result = tiny_paper_run.result(link, Scheme.CONSTANT_LOAD,
-                                           Feature.LATENT_HEAT)
+            result = tiny_paper_run.result(
+                link, Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
+            )
             lifts[link] = working_hours_lift(Series.from_result(result))
         assert lifts["west-coast"] > lifts["east-coast"]

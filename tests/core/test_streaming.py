@@ -1,18 +1,30 @@
 """Tests for the online (streaming) classifier.
 
-The load-bearing property: feeding a matrix column-by-column through
-the streaming interface yields exactly the masks the batch classifiers
-produce.
+The load-bearing property: feeding a matrix slot by slot through the
+streaming pipeline yields exactly the verdicts and thresholds the batch
+classifiers produce, column for column.
 """
 
 import numpy as np
 import pytest
+from oracles import assert_stream_matches_batch
 
-from repro.errors import ClassificationError
+from repro.core.engine import EngineConfig, Feature, Scheme
 from repro.core.latent_heat import LatentHeatClassifier
 from repro.core.single_feature import SingleFeatureClassifier
 from repro.core.streaming import OnlineClassifier
-from repro.core.thresholds import ConstantLoadThreshold
+from repro.core.thresholds import AestThreshold, ConstantLoadThreshold
+from repro.errors import ClassificationError
+from repro.pipeline import MatrixSlotSource, StreamingPipeline
+
+
+class Fixed:
+    """A detector that always answers 10."""
+
+    name = "fixed"
+
+    def detect(self, rates):
+        return 10.0
 
 
 class TestValidation:
@@ -22,59 +34,46 @@ class TestValidation:
 
     def test_bad_window(self):
         with pytest.raises(ClassificationError):
-            OnlineClassifier(ConstantLoadThreshold(0.8), num_flows=5,
-                             window=0)
+            OnlineClassifier(ConstantLoadThreshold(0.8), num_flows=5, window=0)
 
     def test_wrong_shape_rejected(self):
-        classifier = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                      num_flows=5)
+        classifier = OnlineClassifier(ConstantLoadThreshold(0.8), num_flows=5)
         with pytest.raises(ClassificationError):
             classifier.observe_slot(np.ones(4))
-
-    def test_run_shape_checked(self):
-        classifier = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                      num_flows=5)
-        with pytest.raises(ClassificationError):
-            classifier.run(np.ones((4, 3)))
 
 
 class TestBatchEquivalence:
     def test_latent_heat_matches_batch(self, small_matrix):
-        detector = ConstantLoadThreshold(0.8)
-        batch = LatentHeatClassifier(detector, window=12).classify(
-            small_matrix)
-        online = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                  num_flows=small_matrix.num_flows,
-                                  window=12, use_latent_heat=True)
-        verdicts = online.run(small_matrix.rates)
-        streamed = np.column_stack([v.elephant_mask for v in verdicts])
-        assert np.array_equal(streamed, batch.elephant_mask)
+        batch = LatentHeatClassifier(
+            ConstantLoadThreshold(0.8), window=12
+        ).classify(small_matrix)
+        pipeline = StreamingPipeline(
+            MatrixSlotSource(small_matrix), config=EngineConfig(window=12)
+        )
+        assert_stream_matches_batch(pipeline, batch)
 
     def test_single_feature_matches_batch(self, small_matrix):
-        detector = ConstantLoadThreshold(0.8)
-        batch = SingleFeatureClassifier(detector).classify(small_matrix)
-        online = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                  num_flows=small_matrix.num_flows,
-                                  use_latent_heat=False)
-        verdicts = online.run(small_matrix.rates)
-        streamed = np.column_stack([v.elephant_mask for v in verdicts])
-        assert np.array_equal(streamed, batch.elephant_mask)
+        batch = SingleFeatureClassifier(ConstantLoadThreshold(0.8)).classify(
+            small_matrix
+        )
+        pipeline = StreamingPipeline(
+            MatrixSlotSource(small_matrix), feature=Feature.SINGLE
+        )
+        assert_stream_matches_batch(pipeline, batch)
 
     def test_thresholds_match_batch(self, small_matrix):
-        batch = LatentHeatClassifier(
-            ConstantLoadThreshold(0.8)).classify(small_matrix)
-        online = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                  num_flows=small_matrix.num_flows)
-        verdicts = online.run(small_matrix.rates)
-        streamed_smoothed = np.array([v.thresholds.smoothed
-                                      for v in verdicts])
-        assert np.allclose(streamed_smoothed, batch.thresholds.smoothed)
+        batch = LatentHeatClassifier(AestThreshold()).classify(small_matrix)
+        pipeline = StreamingPipeline(
+            MatrixSlotSource(small_matrix), scheme=Scheme.AEST
+        )
+        assert_stream_matches_batch(pipeline, batch)
 
 
 class TestVerdict:
     def test_verdict_contents(self, small_matrix):
-        online = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                  num_flows=small_matrix.num_flows)
+        online = OnlineClassifier(
+            ConstantLoadThreshold(0.8), num_flows=small_matrix.num_flows
+        )
         verdict = online.observe_slot(small_matrix.slot_rates(0))
         assert verdict.slot == 0
         assert verdict.num_elephants == len(verdict.elephants())
@@ -82,21 +81,16 @@ class TestVerdict:
         assert online.slots_observed == 1
 
     def test_single_feature_has_no_heat(self, small_matrix):
-        online = OnlineClassifier(ConstantLoadThreshold(0.8),
-                                  num_flows=small_matrix.num_flows,
-                                  use_latent_heat=False)
+        online = OnlineClassifier(
+            ConstantLoadThreshold(0.8),
+            num_flows=small_matrix.num_flows,
+            use_latent_heat=False,
+        )
         verdict = online.observe_slot(small_matrix.slot_rates(0))
         assert verdict.latent_heat is None
 
     def test_grow_preserves_existing_state(self):
         """Heat of pre-existing rows is untouched by growth."""
-
-        class Fixed:
-            name = "fixed"
-
-            def detect(self, rates):
-                return 10.0
-
         online = OnlineClassifier(Fixed(), num_flows=2, window=3)
         online.observe_slot(np.array([20.0, 5.0]))
         before = online.observe_slot(np.array([20.0, 5.0]))
@@ -104,18 +98,12 @@ class TestVerdict:
         after = online.observe_slot(np.array([20.0, 5.0, 0.0, 0.0]))
         assert online.num_flows == 4
         assert after.latent_heat[0] == pytest.approx(
-            before.latent_heat[0] + 10.0)
+            before.latent_heat[0] + 10.0
+        )
         assert after.elephant_mask[:2].tolist() == [True, False]
 
     def test_grow_backfills_zero_rate_history(self):
         """A grown row equals a row that was all-zero from slot 0."""
-
-        class Fixed:
-            name = "fixed"
-
-            def detect(self, rates):
-                return 10.0
-
         grown = OnlineClassifier(Fixed(), num_flows=1, window=3)
         virgin = OnlineClassifier(Fixed(), num_flows=2, window=3)
         for rate in (20.0, 30.0):
@@ -137,13 +125,6 @@ class TestVerdict:
 
     def test_ring_buffer_wraps_correctly(self):
         """Heat over a window of 3 with a deterministic threshold."""
-
-        class Fixed:
-            name = "fixed"
-
-            def detect(self, rates):
-                return 10.0
-
         online = OnlineClassifier(Fixed(), num_flows=1, window=3)
         rates_sequence = [20.0, 0.0, 0.0, 0.0, 30.0]
         heats = []
@@ -158,14 +139,14 @@ class TestExcludedRows:
     """Residual-row exclusion: withheld from thresholds and verdicts."""
 
     def make(self, num_flows=4):
-        return OnlineClassifier(ConstantLoadThreshold(0.8),
-                                num_flows=num_flows)
+        return OnlineClassifier(
+            ConstantLoadThreshold(0.8), num_flows=num_flows
+        )
 
     def test_excluded_row_never_elephant(self):
         classifier = self.make()
         rates = np.array([9e9, 100.0, 200.0, 5e6])
-        verdict = classifier.observe_slot(
-            rates, exclude_rows=np.array([0]))
+        verdict = classifier.observe_slot(rates, exclude_rows=np.array([0]))
         assert not verdict.elephant_mask[0]
         # the huge excluded row did not drag the threshold up past the
         # genuinely heavy flow
@@ -176,14 +157,16 @@ class TestExcludedRows:
         unexcluded (link-level) rates: positive threshold, zero
         elephants, slot indices in sync for later verdicts."""
         classifier = self.make(num_flows=2)
-        first = classifier.observe_slot(np.array([500.0, 0.0]),
-                                        exclude_rows=np.array([0]))
+        first = classifier.observe_slot(
+            np.array([500.0, 0.0]), exclude_rows=np.array([0])
+        )
         assert first.thresholds.slot == 0
         assert first.thresholds.raw > 0.0
         assert first.thresholds.smoothed > 0.0
         assert first.num_elephants == 0
-        second = classifier.observe_slot(np.array([500.0, 4000.0]),
-                                         exclude_rows=np.array([0]))
+        second = classifier.observe_slot(
+            np.array([500.0, 4000.0]), exclude_rows=np.array([0])
+        )
         assert second.thresholds.slot == 1
         assert second.elephant_mask[1]
         assert not second.elephant_mask[0]
@@ -192,12 +175,14 @@ class TestExcludedRows:
         """An all-zero first slot fails exactly as the batch engine
         does — with or without exclusions — the equivalence contract."""
         from repro.errors import EstimatorError
+
         classifier = self.make(num_flows=2)
         with pytest.raises(EstimatorError):
             classifier.observe_slot(np.zeros(2))
         with pytest.raises(EstimatorError):
             self.make(num_flows=2).observe_slot(
-                np.zeros(2), exclude_rows=np.array([0]))
+                np.zeros(2), exclude_rows=np.array([0])
+            )
 
     def test_out_of_range_exclusions_ignored(self):
         classifier = self.make(num_flows=2)

@@ -267,17 +267,22 @@ class TestCollectorEquivalence:
         total = sum(summary.total_bytes for summary in merged)
         assert total == pytest.approx(float(sizes.sum()))
 
-    def test_classify_returns_batch_shaped_result(self, workload):
+    def test_events_classify_every_merged_slot(self, workload):
         stamps, dests, sizes = workload
         runs = [monitor_run(ArraySource(stamps, dests, sizes))]
         collector = Collector(
             runs, k=16, scheme=Scheme.CONSTANT_LOAD, feature=Feature.SINGLE
         )
-        result, series = collector.classify()
-        assert result.matrix.num_slots == collector.num_slots
-        assert result.matrix.prefixes[0] == RESIDUAL_PREFIX
-        assert series.counts.size == collector.num_slots
-        assert "single" in result.label
+        events = list(collector.events())
+        assert [event.frame.slot for event in events] == [
+            summary.slot for summary in collector.merged
+        ]
+        for event in events:
+            assert event.frame.population[0] == RESIDUAL_PREFIX
+            assert not event.verdict.elephant_mask[0]
+            assert event.verdict.latent_heat is None
+        assert collector.series().counts.size == collector.num_slots
+        assert "single" in collector.pipeline().label
 
 
 class TestStridedPartition:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import estimate_clock_skew, merge_runs, merge_summaries
 from repro.distributed.framing import grid_cell
-from repro.distributed.merge import first_seen_rows
+from repro.distributed.merge import MAX_GAP_CELLS, first_seen_rows
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ClockSkewWarning
 from repro.net.prefix import Prefix
@@ -245,6 +245,26 @@ class TestGapFilling:
         gapless = merge_runs([mon], fill_gaps=True)
         plain = merge_runs([mon])
         assert [m.slot for m in gapless] == [m.slot for m in plain]
+
+    def test_fill_gaps_bridges_exactly_the_widest_gap(self):
+        cells = (0, 1, 1 + MAX_GAP_CELLS)
+        mon = [summary([("10.0.0.0/16", 1.0)], slot=s) for s in cells]
+        merged = merge_runs([mon], fill_gaps=True)
+        assert len(merged) == 2 + MAX_GAP_CELLS
+        assert merged[-1].slot == 1 + MAX_GAP_CELLS
+        assert sum(m.num_entries for m in merged) == 3
+
+    @pytest.mark.parametrize("far", [2 + MAX_GAP_CELLS, 10**18])
+    def test_fill_gaps_refuses_a_wider_gap(self, far):
+        """One wild clock does not make the merge seal cells by the
+        quintillion: the gap is refused before anything is filled."""
+        mon_a = [summary([("10.0.0.0/16", 1.0)], slot=s) for s in (0, 1)]
+        mon_b = [summary([("10.1.0.0/16", 2.0)], slot=far)]
+        with pytest.raises(ClassificationError, match="cells from"):
+            merge_runs([mon_a, mon_b], fill_gaps=True, check_skew=False)
+        # without gap filling nothing between them is built
+        merged = merge_runs([mon_a, mon_b], check_skew=False)
+        assert [m.slot for m in merged] == [0, 1, grid_cell(far * 60.0, 60)]
 
 
 class TestClockSkew:

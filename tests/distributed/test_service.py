@@ -28,11 +28,15 @@ from repro.distributed import (
     result_envelope,
 )
 from repro.distributed.framing import (
+    KIND_ERROR,
     KIND_HELLO,
     KIND_QUERY,
+    KIND_REPLY,
     KIND_SUMMARY,
+    FrameDecoder,
     encode_frame,
     encode_json_frame,
+    grid_cell,
 )
 from repro.distributed.client import (
     MonitorClient,
@@ -40,6 +44,7 @@ from repro.distributed.client import (
     publish_summaries,
     query_service,
 )
+from repro.distributed.merge import MAX_GAP_CELLS
 from repro.distributed.service import (
     CollectorService,
     LiveCollector,
@@ -616,6 +621,83 @@ class TestOffGridStart:
         expected = offline_report([runs[0]])
         assert report["elephants_by_slot"] == expected["elephants_by_slot"]
         assert report["monitors"]["mon-b"]["slots_received"] == 0
+
+
+def moved(summary, cells):
+    """``summary`` moved ``cells`` grid cells later."""
+    return shifted(summary, cells * SLOT_SECONDS)
+
+
+class TestGapCap:
+    """A summary more than ``MAX_GAP_CELLS`` from every cell a
+    gap-filling link holds is refused at the door. Filling its gap
+    sealed one empty slot per cell on the event loop — seconds for
+    1e5 cells, never for a cell near 1e18 — while every monitor and
+    query waited."""
+
+    def test_a_far_jump_is_refused_and_touches_nothing(self, runs):
+        link = LiveLink("l")
+        link.attach("mon-a")
+        link.attach("mon-b")
+        for summary in runs[0][:2]:
+            link.add_summary("mon-a", summary)
+        link.add_summary("mon-b", runs[1][0])
+        before = link.report()
+        assert (before["next_cell"], before["pending_cells"]) == (1, [1])
+        for cells in (MAX_GAP_CELLS + 1, 10**18):
+            with pytest.raises(ClassificationError, match="cells from"):
+                link.add_summary("mon-b", moved(runs[1][1], cells))
+            assert link.report() == before
+        # the next valid summary is still accepted, and seals cell 1
+        assert link.add_summary("mon-b", runs[1][1]) == (1, "ok")
+        assert link.slots_sealed == 2
+
+    def test_service_sends_one_error_frame_and_serves_on(self, live, runs):
+        good = MonitorClient(live.address, "mon-b")
+        good.publish(runs[1][0])
+        good.drain()
+        far = moved(runs[0][1], MAX_GAP_CELLS + 1)
+        decoder, frames = FrameDecoder(), []
+        with socket.create_connection(live.address, timeout=5.0) as s:
+            s.sendall(encode_json_frame(KIND_HELLO, {"monitor": "mon-a"}))
+            s.sendall(encode_frame(KIND_SUMMARY, far.to_bytes()))
+            while chunk := s.recv(65536):  # ...until the hang-up
+                frames.extend(decoder.feed(chunk))
+        assert [kind for kind, _ in frames] == [KIND_REPLY, KIND_ERROR]
+        assert b"cells from" in frames[1][1]
+        wait_until_gone(live.address, "mon-a")
+        for summary in runs[1][1:]:
+            good.publish(summary)
+            good.drain()
+        good.close()
+        report = query_service(live.address)
+        expected = offline_report([runs[1]])
+        assert report["elephants_by_slot"] == expected["elephants_by_slot"]
+        assert report["monitors"]["mon-a"]["slots_received"] == 0
+
+    def test_live_equals_offline_at_exactly_the_widest_gap(self, live, runs):
+        run = runs[0][:2] + [moved(s, MAX_GAP_CELLS - 1) for s in runs[0][2:4]]
+        publish_summaries(live.address, run, monitor="mon-a")
+        report = query_service(live.address)
+        expected = offline_report([run])
+        assert report["slots"] == expected["slots"] == 3 + MAX_GAP_CELLS
+        assert report["elephants_by_slot"] == expected["elephants_by_slot"]
+        # one more cell and both refuse it
+        wider = runs[0][:2] + [moved(runs[0][2], MAX_GAP_CELLS)]
+        with pytest.raises(ClassificationError, match="cells from"):
+            offline_report([wider])
+        with pytest.raises(ServiceProtocolError, match="cells from"):
+            publish_summaries(live.address, wider, "mon-b", link="wider")
+
+    def test_without_gap_filling_a_far_cell_is_one_jump(self, runs):
+        link = LiveLink("l", fill_gaps=False)
+        link.attach("mon-a")
+        link.add_summary("mon-a", runs[0][0])
+        far = moved(runs[0][1], 10**18)
+        cell = grid_cell(far.start, SLOT_SECONDS)
+        assert link.add_summary("mon-a", far) == (cell, "ok")
+        assert link.slots_sealed == 2
+        assert link.next_cell == cell + 1
 
 
 class TestOnceCondition:

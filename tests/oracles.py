@@ -16,6 +16,11 @@ bit for bit.
 Longest-prefix match has its plainest form here too,
 :func:`longest_match`: a scan of every prefix. The RIB's dict probes
 and the compiled LPM's segment arrays are both held to it.
+
+The batch :class:`~repro.core.engine.ClassificationEngine` is the
+oracle of the streaming classifier: :func:`assert_stream_matches_batch`
+holds every event a :class:`~repro.pipeline.StreamingPipeline` emits to
+the batch result's column for that slot.
 """
 
 import numpy as np
@@ -36,6 +41,39 @@ def longest_match(prefixes, address):
     """The longest of ``prefixes`` that covers ``address``, or ``None``."""
     covering = [p for p in prefixes if p.contains_address(address)]
     return max(covering, key=lambda prefix: prefix.length, default=None)
+
+
+def assert_stream_matches_batch(pipeline, batch):
+    """Drain ``pipeline.events()`` and hold each event to ``batch``.
+
+    Rows are matched by prefix: a streamed row carries the batch row's
+    rate and verdict for the slot, and a flow the stream has not seen
+    yet carries no traffic and is no elephant in batch. Each slot's
+    raw and smoothed thresholds are the batch ones bit for bit, and so
+    are the fallback slots, the label and the EWMA weight.
+    """
+    thresholds = batch.thresholds
+    assert pipeline.label == batch.label
+    assert pipeline.config.alpha == thresholds.alpha
+    row_of = {prefix: row for row, prefix in enumerate(batch.matrix.prefixes)}
+    slot = -1
+    for slot, event in enumerate(pipeline.events()):
+        # a frame's population may have grown past it (frames share it)
+        population = event.frame.population[: event.frame.rates.size]
+        rows = np.array([row_of[p] for p in population], dtype=np.int64)
+        seen = np.zeros(batch.matrix.num_flows, dtype=bool)
+        seen[rows] = True
+        rates = batch.matrix.rates[:, slot]
+        mask = batch.elephant_mask[:, slot]
+        assert np.array_equal(event.frame.rates, rates[rows]), slot
+        verdict = event.verdict
+        assert np.array_equal(verdict.elephant_mask[: rows.size], mask[rows])
+        assert not rates[~seen].any() and not mask[~seen].any(), slot
+        assert verdict.thresholds.raw == thresholds.raw[slot]
+        assert verdict.thresholds.smoothed == thresholds.smoothed[slot]
+        fallback = slot in thresholds.fallback_slots
+        assert verdict.thresholds.fallback_used == fallback, slot
+    assert slot + 1 == batch.matrix.num_slots
 
 
 def scalar_backend(name, capacity, seed=0, sampling_probability=1e-5):

@@ -54,8 +54,9 @@ def build(name, capacity=None, engine="array", **kwargs):
 def batch(rows):
     """Build a PacketBatch from ``(timestamp, destination, size)`` rows."""
     timestamps = np.array([r[0] for r in rows], dtype=np.float64)
-    destinations = np.array([ipv4.parse_ipv4(r[1]) for r in rows],
-                            dtype=np.int64)
+    destinations = np.array(
+        [ipv4.parse_ipv4(r[1]) for r in rows], dtype=np.int64
+    )
     sizes = np.array([r[2] for r in rows], dtype=np.int64)
     return PacketBatch(
         timestamps=timestamps,
@@ -67,8 +68,9 @@ def batch(rows):
     )
 
 
-def heavy_tailed_rows(num_heavy=5, num_mice=120, num_slots=6,
-                      slot_seconds=10.0, seed=3):
+def heavy_tailed_rows(
+    num_heavy=5, num_mice=120, num_slots=6, slot_seconds=10.0, seed=3
+):
     """Packet rows with few persistent heavy flows and many mice."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -76,20 +78,21 @@ def heavy_tailed_rows(num_heavy=5, num_mice=120, num_slots=6,
         t0 = slot * slot_seconds
         for i in range(num_heavy):
             for _ in range(30):
-                rows.append((t0 + rng.uniform(0, slot_seconds),
-                             f"10.{i}.0.1", 1500))
+                stamp = t0 + rng.uniform(0, slot_seconds)
+                rows.append((stamp, f"10.{i}.0.1", 1500))
         for _ in range(num_mice):
             mouse = rng.integers(0, num_mice)
-            rows.append((t0 + rng.uniform(0, slot_seconds),
-                         f"172.{16 + mouse // 250}.{mouse % 250}.1", 64))
+            stamp = t0 + rng.uniform(0, slot_seconds)
+            name = f"172.{16 + mouse // 250}.{mouse % 250}.1"
+            rows.append((stamp, name, 64))
     rows.sort(key=lambda r: r[0])
     return rows
 
 
 def run_backend_over(rows, backend, slot_seconds=10.0, chunks=1):
-    aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                     slot_seconds=slot_seconds,
-                                     backend=backend)
+    aggregator = StreamingAggregator(
+        FixedLengthResolver(24), slot_seconds=slot_seconds, backend=backend
+    )
     frames = []
     for chunk in np.array_split(np.arange(len(rows)), chunks):
         frames += aggregator.ingest(batch([rows[i] for i in chunk]))
@@ -104,11 +107,11 @@ class TestCapacityBound:
         capacity = 8
         backend = build(name, capacity, engine)
         rows = heavy_tailed_rows()
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(24), slot_seconds=10.0, backend=backend
+        )
         for i in range(0, len(rows), 100):
-            aggregator.ingest(batch(rows[i:i + 100]))
+            aggregator.ingest(batch(rows[i : i + 100]))
             assert backend.tracked_flows <= capacity
         aggregator.finish()
         assert backend.peak_tracked <= capacity
@@ -119,10 +122,11 @@ class TestCapacityBound:
         # sample-hold never evicts, so held mice occupy entries for the
         # whole run: give it headroom and a sampling rate that catches
         # the heavy flows quickly but rarely holds a 64-byte mouse
-        backend = (build(name, 8, engine)
-                   if name != "sample-hold"
-                   else build(name, 16, engine,
-                              sampling_probability=1e-4))
+        backend = (
+            build(name, 8, engine)
+            if name != "sample-hold"
+            else build(name, 16, engine, sampling_probability=1e-4)
+        )
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
         heavy = {Prefix.parse(f"10.{i}.0.0/24") for i in range(5)}
         assert heavy <= set(aggregator.prefixes)
@@ -140,14 +144,14 @@ class TestCountMinHeapBound:
         Scalar-reference specific: the array table has no lazy heap."""
         candidates = CountMinCandidates(8, width=32, depth=4)
         backend = SketchAggregation(candidates, 8, "count-min")
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=1.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(24), slot_seconds=1.0, backend=backend
+        )
         for slot in range(500):
-            aggregator.ingest(batch([
-                (float(slot) + 0.1 * i, f"10.{i}.0.1", 1000)
-                for i in range(8)
-            ]))
+            packets = [
+                (float(slot) + 0.1 * i, f"10.{i}.0.1", 1000) for i in range(8)
+            ]
+            aggregator.ingest(batch(packets))
         assert len(candidates._heap) <= 4 * backend.capacity
         assert backend.tracked_flows <= backend.capacity
 
@@ -157,8 +161,9 @@ class TestResidualSemantics:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bytes_conserved_including_residual(self, name, engine):
         backend = build(name, 6, engine)
-        aggregator, frames = run_backend_over(heavy_tailed_rows(), backend,
-                                              chunks=7)
+        aggregator, frames = run_backend_over(
+            heavy_tailed_rows(), backend, chunks=7
+        )
         recovered = sum(float(f.rates.sum()) for f in frames) * 10.0 / 8.0
         assert recovered == pytest.approx(aggregator.stats.bytes_matched)
 
@@ -180,15 +185,17 @@ class TestResidualSemantics:
     def test_real_default_route_folds_into_residual(self):
         """A 0.0.0.0/0 RIB entry must not duplicate the residual
         prefix in the population — its traffic joins the residual."""
-        from repro.pipeline import run_stream
+        from repro.pipeline import StreamingPipeline
         from repro.pipeline.aggregator import AggregatingSlotSource
         from repro.routing.lpm import CompiledLpm
 
-        resolver = CompiledLpm([Prefix.parse("0.0.0.0/0"),
-                                Prefix.parse("10.0.0.0/8")])
+        resolver = CompiledLpm(
+            [Prefix.parse("0.0.0.0/0"), Prefix.parse("10.0.0.0/8")]
+        )
         backend = make_backend("space-saving", capacity=4)
-        aggregator = StreamingAggregator(resolver, slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            resolver, slot_seconds=10.0, backend=backend
+        )
         rows = [(float(i), "10.0.0.1", 1500) for i in range(20)]
         rows += [(float(i) + 0.5, "192.0.2.1", 1000) for i in range(20)]
         rows.sort(key=lambda r: r[0])
@@ -197,17 +204,19 @@ class TestResidualSemantics:
             def batches(self):
                 return iter([batch(rows)])
 
-        result, series = run_stream(
-            AggregatingSlotSource(Source(), aggregator))
+        pipeline = StreamingPipeline(
+            AggregatingSlotSource(Source(), aggregator)
+        )
+        events = list(pipeline.events())
         population = aggregator.prefixes
         assert population.count(RESIDUAL_PREFIX) == 1
         assert population[0] == RESIDUAL_PREFIX
-        # default-route bytes are conserved in the residual row
-        recovered = float(sum(
-            result.matrix.rates[0] * 10.0 / 8.0
-        ))
+        # default-route bytes are conserved in the residual row, which
+        # is never an elephant
+        recovered = sum(event.frame.rates[0] for event in events) * 10 / 8
         assert recovered == pytest.approx(20 * 1000)
-        assert series.mean_residual_fraction > 0.0
+        assert not any(event.verdict.elephant_mask[0] for event in events)
+        assert pipeline.series().mean_residual_fraction > 0.0
 
     def test_prefix_length_zero_granularity_under_sketch(self):
         """--prefix-length 0 keys everything to 0.0.0.0/0: the whole
@@ -217,9 +226,9 @@ class TestResidualSemantics:
         from repro.pipeline.aggregator import AggregatingSlotSource
 
         backend = make_backend("misra-gries", capacity=4)
-        aggregator = StreamingAggregator(FixedLengthResolver(0),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(0), slot_seconds=10.0, backend=backend
+        )
         rows = [(float(i), "10.0.0.1", 100) for i in range(30)]
         rows += [(float(i) + 0.5, "172.16.0.1", 300) for i in range(30)]
         rows.sort(key=lambda r: r[0])
@@ -229,7 +238,8 @@ class TestResidualSemantics:
                 return iter([batch(rows)])
 
         pipeline = StreamingPipeline(
-            AggregatingSlotSource(Source(), aggregator))
+            AggregatingSlotSource(Source(), aggregator)
+        )
         events = list(pipeline.events())
         assert len(events) == 3
         for event in events:
@@ -257,16 +267,18 @@ class TestRowIdentity:
     def test_rows_stable_across_eviction_and_readmission(self, engine):
         """A flow evicted mid-run keeps its row when it comes back."""
         backend = build("space-saving", 2, engine)
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(24), slot_seconds=10.0, backend=backend
+        )
         # slot 0: A dominates; slot 1: B floods A out; slot 2: A returns
-        aggregator.ingest(batch(
-            [(1.0, "10.0.0.1", 1500)] * 20
-            + [(12.0, "10.1.0.1", 1500)] * 40
-            + [(12.5, "10.2.0.1", 1500)] * 40
-            + [(22.0, "10.0.0.1", 1500)] * 60
-        ))
+        aggregator.ingest(
+            batch(
+                [(1.0, "10.0.0.1", 1500)] * 20
+                + [(12.0, "10.1.0.1", 1500)] * 40
+                + [(12.5, "10.2.0.1", 1500)] * 40
+                + [(22.0, "10.0.0.1", 1500)] * 60
+            )
+        )
         frames = aggregator.finish()
         row_a = aggregator.prefixes.index(Prefix.parse("10.0.0.0/24"))
         last = frames[-1] if frames else None
@@ -275,14 +287,14 @@ class TestRowIdentity:
 
     def test_population_only_appends(self):
         backend = make_backend("space-saving", capacity=4)
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = StreamingAggregator(
+            FixedLengthResolver(24), slot_seconds=10.0, backend=backend
+        )
         seen: list[Prefix] = []
         rows = heavy_tailed_rows(num_heavy=3, num_mice=40)
         for i in range(0, len(rows), 50):
-            for frame in aggregator.ingest(batch(rows[i:i + 50])):
-                assert list(frame.population[:len(seen)]) == seen
+            for frame in aggregator.ingest(batch(rows[i : i + 50])):
+                assert list(frame.population[: len(seen)]) == seen
                 seen = list(frame.population)
 
 
@@ -303,19 +315,20 @@ class TestExactBackendCompatibility:
 class TestSketchSlotSource:
     def make_matrix(self, num_flows=30, num_slots=5, seed=11):
         rng = np.random.default_rng(seed)
-        prefixes = [Prefix.parse(f"10.{i}.0.0/16")
-                    for i in range(num_flows)]
+        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(num_flows)]
         rates = rng.uniform(1e3, 1e4, size=(num_flows, num_slots))
         rates[:4] *= 200.0  # four clear elephants
         return RateMatrix(prefixes, TimeAxis(0.0, 60.0, num_slots), rates)
 
     def test_column_sums_conserved(self):
         matrix = self.make_matrix()
-        source = SketchSlotSource(MatrixSlotSource(matrix),
-                                  make_backend("space-saving", capacity=6))
+        source = SketchSlotSource(
+            MatrixSlotSource(matrix), make_backend("space-saving", capacity=6)
+        )
         for frame in source.slots():
             assert frame.rates.sum() == pytest.approx(
-                matrix.rates[:, frame.slot].sum())
+                matrix.rates[:, frame.slot].sum()
+            )
 
     def test_heavy_rows_survive_filtering(self):
         matrix = self.make_matrix()
@@ -325,14 +338,14 @@ class TestSketchSlotSource:
         population = list(frames[-1].population)
         for i in range(4):
             row = population.index(matrix.prefixes[i])
-            assert frames[-1].rates[row] == pytest.approx(
-                matrix.rates[i, -1])
+            assert frames[-1].rates[row] == pytest.approx(matrix.rates[i, -1])
         assert backend.peak_tracked <= 8
 
     def test_boxed_population_is_unboxed_per_population_not_per_slot(self):
         """The backend is handed the frame population as columns: a
         boxed one is unboxed when first seen, and again only when a
         live one has grown."""
+
         class Population(list):
             walks = 0
 
@@ -341,7 +354,8 @@ class TestSketchSlotSource:
                 return super().__iter__()
 
         population = Population(
-            Prefix.parse(f"10.{i}.0.0/16") for i in range(3))
+            Prefix.parse(f"10.{i}.0.0/16") for i in range(3)
+        )
 
         class Source:
             slot_seconds = 60.0
@@ -350,17 +364,21 @@ class TestSketchSlotSource:
                 for slot in range(8):
                     if slot == 3:
                         population.append(Prefix.parse("10.9.0.0/16"))
-                    yield SlotFrame(slot, 60.0 * slot,
-                                    np.full(len(population), 8e3),
-                                    population)
+                    yield SlotFrame(
+                        slot,
+                        60.0 * slot,
+                        np.full(len(population), 8e3),
+                        population,
+                    )
 
-        frames = list(SketchSlotSource(
-            Source(), make_backend("space-saving", capacity=8)).slots())
+        backend = make_backend("space-saving", capacity=8)
+        frames = list(SketchSlotSource(Source(), backend).slots())
         assert len(frames) == 8
         assert 0 < Population.walks < len(frames)
         assert list(frames[-1].population) == [RESIDUAL_PREFIX, *population]
-        assert [frame.rates.sum() for frame in frames] == \
-            [8e3 * (3 if frame.slot < 3 else 4) for frame in frames]
+        assert [frame.rates.sum() for frame in frames] == [
+            8e3 * (3 if frame.slot < 3 else 4) for frame in frames
+        ]
 
 
 class TestFactoryAndBudget:
@@ -380,12 +398,15 @@ class TestFactoryAndBudget:
         with pytest.raises(ClassificationError):
             make_backend("count-min", capacity=0)
 
-    @pytest.mark.parametrize("text,expected", [
-        ("1024", 1024),
-        ("64k", 64 << 10),
-        ("2m", 2 << 20),
-        ("1g", 1 << 30),
-    ])
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1024", 1024),
+            ("64k", 64 << 10),
+            ("2m", 2 << 20),
+            ("1g", 1 << 30),
+        ],
+    )
     def test_parse_memory_budget(self, text, expected):
         assert parse_memory_budget(text) == expected
 
@@ -415,15 +436,18 @@ class TestEmptyBatches:
     """accumulate() with zero packets is a no-op on every backend —
     the vectorized paths must not trip over empty arrays."""
 
-    @pytest.mark.parametrize("spec", [
-        ("exact", {}),
-        ("space-saving", {"capacity": 4}),
-        ("space-saving", {"capacity": 4, "engine": "scalar"}),
-        ("misra-gries", {"capacity": 4}),
-        ("count-min", {"capacity": 4}),
-        ("space-saving", {"capacity": 4, "shards": 2}),
-        ("exact", {"shards": 2}),
-    ])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("exact", {}),
+            ("space-saving", {"capacity": 4}),
+            ("space-saving", {"capacity": 4, "engine": "scalar"}),
+            ("misra-gries", {"capacity": 4}),
+            ("count-min", {"capacity": 4}),
+            ("space-saving", {"capacity": 4, "shards": 2}),
+            ("exact", {"shards": 2}),
+        ],
+    )
     def test_empty_accumulate_is_noop(self, spec):
         name, kwargs = spec
         backend = build(name, **kwargs)
@@ -446,13 +470,17 @@ class TestGroupByRow:
     """The dense group-by under every backend equals the np.unique
     one: same keys, same first packet, same per-key sums."""
 
-    @pytest.mark.parametrize("keys", [
-        [7],
-        [3, 3, 3, 3],
-        list(range(40, 0, -1)),
-        [5, 0, 5, 9, 0, 5, 2],
-        [0] * 65_536,
-    ], ids=["single", "repeated", "distinct", "mixed", "one-key-65k"])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [7],
+            [3, 3, 3, 3],
+            list(range(40, 0, -1)),
+            [5, 0, 5, 9, 0, 5, 2],
+            [0] * 65_536,
+        ],
+        ids=["single", "repeated", "distinct", "mixed", "one-key-65k"],
+    )
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_equals_sorting_oracle(self, keys, dtype):
         keys = np.asarray(keys, dtype=np.int64)
@@ -495,6 +523,7 @@ class TestGroupByRow:
 class TestFactoryClasses:
     def test_sketch_names_build_array_tables(self):
         from repro.pipeline import ArraySketchAggregation
+
         backend = make_backend("space-saving", capacity=4)
         assert isinstance(backend, ArraySketchAggregation)
         assert backend.name == "space-saving"
@@ -507,9 +536,11 @@ class TestFactoryClasses:
 
     def test_sharded_backends_hold_array_tables(self):
         from repro.pipeline import ArraySketchAggregation
+
         sharded = make_backend("misra-gries", capacity=8, shards=2)
-        assert all(isinstance(s, ArraySketchAggregation)
-                   for s in sharded.shards)
+        assert all(
+            isinstance(s, ArraySketchAggregation) for s in sharded.shards
+        )
 
 
 class TestRowKeys:
@@ -528,8 +559,7 @@ class TestRowKeys:
         for index, key in enumerate(keys):
             # re-resolve through the aggregator's resolver: row i's key
             # must map to prefix i of the emitted population
-            assert aggregator.resolver.prefixes[key] == \
-                backend.prefixes[index]
+            assert aggregator.resolver.prefixes[key] == backend.prefixes[index]
 
     @pytest.mark.parametrize("name", SKETCH_NAMES)
     @pytest.mark.parametrize("engine", ENGINES)
@@ -540,5 +570,5 @@ class TestRowKeys:
         keys = backend.row_keys()
         assert len(keys) == backend.num_rows - 1
         for index, key in enumerate(keys):
-            assert aggregator.resolver.prefixes[key] == \
-                backend.prefixes[index + 1]
+            resolved = aggregator.resolver.prefixes[key]
+            assert resolved == backend.prefixes[index + 1]

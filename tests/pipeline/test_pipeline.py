@@ -1,17 +1,17 @@
 """Pipeline-level tests: streaming classification equals batch.
 
 The load-bearing guarantees: (1) a matrix replayed through the
-streaming path reproduces the batch engine's result exactly; (2) that
-still holds when flows arrive *dynamically* — the population grows
-mid-stream and the classifier is grown with it; (3) the full
+streaming pipeline reproduces the batch engine's verdicts slot by slot;
+(2) that still holds when flows arrive *dynamically* — the population
+grows mid-stream and the classifier is grown with it; (3) the full
 pcap → StreamingAggregator → OnlineClassifier chain matches the batch
-aggregate-then-classify chain.
+aggregate-then-classify chain. Every event is held to the batch
+result's column by ``oracles.assert_stream_matches_batch``.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
+from oracles import assert_stream_matches_batch
 
 from repro.core.engine import (
     ClassificationEngine,
@@ -19,7 +19,6 @@ from repro.core.engine import (
     Feature,
     Scheme,
 )
-from repro.errors import ClassificationError
 from repro.flows.aggregate import aggregate_pcap
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
@@ -28,11 +27,10 @@ from repro.pipeline import (
     AggregatingSlotSource,
     MatrixSlotSource,
     PcapPacketSource,
-    PipelineSpec,
     StreamingAggregator,
     StreamingPipeline,
-    run_stream,
 )
+from repro.pipeline.sources import SlotFrame
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable
 from repro.traffic.packetize import PacketizerConfig, write_pcap
@@ -44,38 +42,56 @@ def staggered_matrix(num_flows=36, num_slots=40, seed=17):
     prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(num_flows)]
     rates = rng.uniform(1e4, 2e6, size=(num_flows, num_slots))
     for i in range(num_flows):
-        rates[i, :(i * num_slots) // (2 * num_flows)] = 0.0
+        rates[i, : (i * num_slots) // (2 * num_flows)] = 0.0
     rates[rng.random(rates.shape) < 0.2] = 0.0  # idle flow-slots
     return RateMatrix(prefixes, TimeAxis(0.0, 300.0, num_slots), rates)
+
+
+class DynamicSource:
+    """Presents only the flows of ``matrix`` that have appeared so far."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.slot_seconds = matrix.axis.slot_seconds
+
+    def slots(self):
+        matrix = self.matrix
+        for slot in range(matrix.num_slots):
+            seen = (matrix.rates[:, : slot + 1] > 0).any(axis=1)
+            active = np.flatnonzero(seen)
+            population = int(active.max()) + 1 if active.size else 0
+            yield SlotFrame(
+                slot=slot,
+                start=matrix.axis.slot_start(slot),
+                rates=matrix.rates[:population, slot],
+                population=matrix.prefixes[:population],
+            )
 
 
 class TestMatrixStreamingEquivalence:
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("feature", list(Feature))
-    def test_run_streaming_equals_run(self, small_matrix, scheme, feature):
-        engine = ClassificationEngine(small_matrix)
-        batch = engine.run(scheme, feature)
-        streamed = engine.run_streaming(scheme, feature)
-        assert np.array_equal(batch.elephant_mask, streamed.elephant_mask)
-        assert np.allclose(batch.thresholds.raw, streamed.thresholds.raw)
-        assert np.allclose(batch.thresholds.smoothed,
-                           streamed.thresholds.smoothed)
-        assert batch.label == streamed.label
-        assert batch.thresholds.fallback_slots == \
-            streamed.thresholds.fallback_slots
+    def test_stream_equals_run(self, small_matrix, scheme, feature):
+        batch = ClassificationEngine(small_matrix).run(scheme, feature)
+        pipeline = StreamingPipeline(
+            MatrixSlotSource(small_matrix), scheme=scheme, feature=feature
+        )
+        assert_stream_matches_batch(pipeline, batch)
 
     def test_custom_config_respected(self, small_matrix):
-        engine = ClassificationEngine(
-            small_matrix, EngineConfig(alpha=0.7, beta=0.6, window=4),
+        config = EngineConfig(alpha=0.7, beta=0.6, window=4)
+        batch = ClassificationEngine(small_matrix, config).run(
+            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
         )
-        batch = engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-        streamed = engine.run_streaming(Scheme.CONSTANT_LOAD,
-                                        Feature.LATENT_HEAT)
-        assert np.array_equal(batch.elephant_mask, streamed.elephant_mask)
-        assert streamed.thresholds.alpha == 0.7
+        pipeline = StreamingPipeline(
+            MatrixSlotSource(small_matrix), config=config
+        )
+        assert_stream_matches_batch(pipeline, batch)
+        assert batch.thresholds.alpha == 0.7
 
     def test_series_matches_batch_series(self, small_matrix):
         from repro.analysis.elephants import ElephantSeries
+
         engine = ClassificationEngine(small_matrix)
         batch = ElephantSeries.from_result(
             engine.run(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
@@ -85,33 +101,17 @@ class TestMatrixStreamingEquivalence:
             pass
         streamed = pipeline.series()
         assert np.array_equal(batch.counts, streamed.counts)
-        assert np.allclose(batch.traffic_fraction,
-                           streamed.traffic_fraction)
+        assert np.allclose(batch.traffic_fraction, streamed.traffic_fraction)
         assert np.allclose(batch.hours, streamed.hours)
 
 
-class TestMatrixReplayRefusesWorkers:
-    def test_workers_spec_is_refused_before_any_process_starts(
-        self, small_matrix
-    ):
-        """A fleet partitions packets; a replayed matrix has none."""
-        engine = ClassificationEngine(small_matrix)
-        with pytest.raises(ClassificationError, match="no packets to part"):
-            engine.run_streaming(
-                Scheme.CONSTANT_LOAD,
-                Feature.LATENT_HEAT,
-                spec=PipelineSpec(workers=2),
-            )
-        assert multiprocessing.active_children() == []
-
-
 class TestDynamicArrivalEquivalence:
-    """Satellite: staggered flow arrival, streaming mask == batch mask.
+    """Staggered flow arrival: every streamed verdict == batch verdict.
 
     The stream only ever presents the flows discovered so far; the
     classifier is grown mid-stream. The batch engine sees the full
     matrix (zero rows before each flow's arrival). Their verdicts must
-    agree flow-for-flow, slot-for-slot.
+    agree flow for flow, slot for slot.
     """
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -119,51 +119,22 @@ class TestDynamicArrivalEquivalence:
     def test_staggered_arrival_masks_equal(self, scheme, feature):
         matrix = staggered_matrix()
         batch = ClassificationEngine(matrix).run(scheme, feature)
-
-        class DynamicSource:
-            """Presents only the flows that have appeared so far."""
-
-            slot_seconds = matrix.axis.slot_seconds
-
-            def slots(self):
-                from repro.pipeline.sources import SlotFrame
-                for slot in range(matrix.num_slots):
-                    seen = (matrix.rates[:, :slot + 1] > 0).any(axis=1)
-                    active = np.flatnonzero(seen)
-                    population = (int(active.max()) + 1 if active.size
-                                  else 0)
-                    yield SlotFrame(
-                        slot=slot,
-                        start=matrix.axis.slot_start(slot),
-                        rates=matrix.rates[:population, slot],
-                        population=matrix.prefixes[:population],
-                    )
-
-        result, _ = run_stream(DynamicSource(), scheme=scheme,
-                               feature=feature)
-        # streamed rows are a prefix-aligned subset of the batch rows
-        num_streamed = result.matrix.num_flows
-        assert result.matrix.prefixes == matrix.prefixes[:num_streamed]
-        assert np.array_equal(
-            result.elephant_mask,
-            batch.elephant_mask[:num_streamed, :],
+        pipeline = StreamingPipeline(
+            DynamicSource(matrix), scheme=scheme, feature=feature
         )
-        # every flow the stream never saw was never an elephant in batch
-        assert not batch.elephant_mask[num_streamed:, :].any()
+        assert_stream_matches_batch(pipeline, batch)
+        # the stream grew its population mid-run
+        assert pipeline.classifier.num_flows == matrix.num_flows
 
     def test_chunked_property_sweep(self):
-        """Property-style: several seeds, default scheme, exact equality."""
+        """Several seeds, default scheme, exact equality."""
         for seed in (1, 2, 3):
-            matrix = staggered_matrix(num_flows=24, num_slots=30,
-                                      seed=seed)
+            matrix = staggered_matrix(num_flows=24, num_slots=30, seed=seed)
             batch = ClassificationEngine(matrix).run(
-                Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
+                Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
             )
-            streamed = ClassificationEngine(matrix).run_streaming(
-                Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
-            )
-            assert np.array_equal(batch.elephant_mask,
-                                  streamed.elephant_mask), f"seed {seed}"
+            pipeline = StreamingPipeline(DynamicSource(matrix))
+            assert_stream_matches_batch(pipeline, batch)
 
 
 class TestPcapPipelineEquivalence:
@@ -172,15 +143,18 @@ class TestPcapPipelineEquivalence:
         rng = np.random.default_rng(23)
         prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(10)]
         routes = [
-            Route(prefix, AsPath((65000 + i,)),
-                  AutonomousSystem(65000 + i, AsTier.STUB))
+            Route(
+                prefix,
+                AsPath((65000 + i,)),
+                AutonomousSystem(65000 + i, AsTier.STUB),
+            )
             for i, prefix in enumerate(prefixes)
         ]
         table = RoutingTable(routes)
         axis = TimeAxis(0.0, 60.0, 5)
         rates = rng.uniform(1e5, 6e5, size=(10, 5))
         for i in range(10):
-            rates[i, :i // 3] = 0.0  # staggered arrival in the capture
+            rates[i, : i // 3] = 0.0  # staggered arrival in the capture
         matrix = RateMatrix(prefixes, axis, rates)
         path = str(tmp_path_factory.mktemp("stream") / "link.pcap")
         write_pcap(matrix, path, PacketizerConfig(seed=4))
@@ -190,25 +164,16 @@ class TestPcapPipelineEquivalence:
         path, table, axis = capture
         recovered, _ = aggregate_pcap(path, table, axis)
         batch = ClassificationEngine(recovered).run(
-            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT,
+            Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
         )
-
-        aggregator = StreamingAggregator(table, slot_seconds=60.0,
-                                         start=0.0)
-        source = AggregatingSlotSource(
-            PcapPacketSource(path, chunk_packets=4096), aggregator,
+        aggregator = StreamingAggregator(table, slot_seconds=60.0, start=0.0)
+        pipeline = StreamingPipeline(
+            AggregatingSlotSource(
+                PcapPacketSource(path, chunk_packets=4096), aggregator
+            )
         )
-        result, series = run_stream(source)
-
-        assert result.matrix.num_slots == batch.matrix.num_slots
-        for prefix in recovered.prefixes:
-            batch_row = batch.matrix.index_of(prefix)
-            stream_row = result.matrix.index_of(prefix)
-            assert np.allclose(recovered.rates[batch_row],
-                               result.matrix.rates[stream_row])
-            assert np.array_equal(batch.elephant_mask[batch_row],
-                                  result.elephant_mask[stream_row])
-        assert series.counts.size == batch.matrix.num_slots
+        assert_stream_matches_batch(pipeline, batch)
+        assert pipeline.series().counts.size == batch.matrix.num_slots
 
     def test_memory_bounded_state(self, capture):
         """The classifier's state is O(flows x window), not O(slots)."""
@@ -220,5 +185,6 @@ class TestPcapPipelineEquivalence:
             pass
         classifier = pipeline.classifier
         assert classifier._deviation_ring.shape == (
-            classifier.num_flows, classifier.window,
+            classifier.num_flows,
+            classifier.window,
         )

@@ -391,27 +391,3 @@ class TestPipelineSpecSource:
         assert facts["admission_threshold"] == DEFAULT_ADMISSION_THRESHOLD
         facts = gated.replace(admission_threshold=3000.0).describe()
         assert facts["admission_threshold"] == 3000.0
-
-    def test_run_streaming_rejects_source_bearing_spec(self):
-        from repro.core.engine import (
-            ClassificationEngine,
-            Feature,
-            Scheme,
-        )
-        from repro.flows.matrix import RateMatrix
-        from repro.flows.records import TimeAxis
-        from repro.net.prefix import Prefix
-
-        matrix = RateMatrix(
-            [Prefix.parse("10.0.0.0/16")],
-            TimeAxis(0.0, 60.0, 2),
-            np.full((1, 2), 1e5),
-        )
-        engine = ClassificationEngine(matrix)
-        spec = PipelineSpec(
-            source=SourceSpec(kind="pcap", path="cap.pcap")
-        )
-        with pytest.raises(ClassificationError, match="own matrix|replays"):
-            engine.run_streaming(
-                Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT, spec=spec
-            )

@@ -12,12 +12,18 @@ heavy-tailed sizes, staggered flow arrival, irregular batch boundaries
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import assert_stream_matches_batch
 
-from repro.core.engine import ClassificationEngine, Feature, Scheme
+from repro.core.engine import (
+    ClassificationEngine,
+    EngineConfig,
+    Feature,
+    Scheme,
+)
 from repro.flows.aggregate import FlowAggregator
 from repro.net.prefix import Prefix
 from repro.pcap.packet import PacketSummary
-from repro.pipeline import StreamingAggregator, run_stream
+from repro.pipeline import StreamingAggregator, StreamingPipeline
 from repro.pipeline.sources import PacketBatch
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable
@@ -27,8 +33,9 @@ def make_table(num_flows):
     routes = []
     for i in range(num_flows):
         asn = AutonomousSystem(65000 + i, AsTier.STUB)
-        routes.append(Route(Prefix.parse(f"10.{i}.0.0/16"),
-                            AsPath((asn.number,)), asn))
+        routes.append(
+            Route(Prefix.parse(f"10.{i}.0.0/16"), AsPath((asn.number,)), asn)
+        )
     return RoutingTable(routes)
 
 
@@ -38,7 +45,7 @@ def packet_workloads(draw):
     num_flows = draw(st.integers(min_value=3, max_value=10))
     num_slots = draw(st.integers(min_value=3, max_value=8))
     slot_seconds = draw(st.sampled_from([7.5, 10.0, 60.0, 300.0]))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 31))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
 
     horizon = num_slots * slot_seconds
@@ -54,7 +61,9 @@ def packet_workloads(draw):
         )
         sizes.extend(
             (rng.pareto(1.3, size=count) * 200 + 64)
-            .clip(64, 1500).astype(int).tolist()
+            .clip(64, 1500)
+            .astype(int)
+            .tolist()
         )
     order = np.argsort(np.array(timestamps), kind="stable")
     timestamps = np.array(timestamps, dtype=np.float64)[order]
@@ -63,28 +72,40 @@ def packet_workloads(draw):
 
     # irregular batch boundaries, including empty and 1-packet chunks
     num_cuts = draw(st.integers(min_value=0, max_value=6))
-    cuts = sorted(rng.integers(0, timestamps.size + 1,
-                               size=num_cuts).tolist())
+    cuts = sorted(rng.integers(0, timestamps.size + 1, size=num_cuts).tolist())
     bounds = [0] + cuts + [timestamps.size]
-    chunks = [(timestamps[a:b], destinations[a:b], sizes[a:b])
-              for a, b in zip(bounds, bounds[1:])]
-    return num_flows, slot_seconds, chunks, \
-        (timestamps, destinations, sizes)
+    chunks = [
+        (timestamps[a:b], destinations[a:b], sizes[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    packets = (timestamps, destinations, sizes)
+    return num_flows, slot_seconds, chunks, packets
 
 
-def stream_result(num_flows, slot_seconds, chunks, scheme, feature):
-    aggregator = StreamingAggregator(make_table(num_flows),
-                                     slot_seconds=slot_seconds, start=0.0)
+def stream_pipeline(
+    num_flows,
+    slot_seconds,
+    chunks,
+    scheme=Scheme.CONSTANT_LOAD,
+    feature=Feature.LATENT_HEAT,
+    config=None,
+):
+    """The pipeline over the frames ``chunks`` aggregate to, undrained."""
+    aggregator = StreamingAggregator(
+        make_table(num_flows), slot_seconds=slot_seconds, start=0.0
+    )
     frames = []
     for stamps, dests, sizes in chunks:
-        frames += aggregator.ingest(PacketBatch(
-            timestamps=stamps,
-            sources=np.zeros(stamps.size, dtype=np.int64),
-            destinations=dests,
-            protocols=np.zeros(stamps.size, dtype=np.int64),
-            wire_bytes=sizes,
-            packets_seen=stamps.size,
-        ))
+        frames += aggregator.ingest(
+            PacketBatch(
+                timestamps=stamps,
+                sources=np.zeros(stamps.size, dtype=np.int64),
+                destinations=dests,
+                protocols=np.zeros(stamps.size, dtype=np.int64),
+                wire_bytes=sizes,
+                packets_seen=stamps.size,
+            )
+        )
     frames += aggregator.finish()
 
     class Replay:
@@ -93,51 +114,50 @@ def stream_result(num_flows, slot_seconds, chunks, scheme, feature):
         def slots(self):
             return iter(frames)
 
-    result, _ = run_stream(Replay(), scheme=scheme, feature=feature)
-    return aggregator, result
+    pipeline = StreamingPipeline(
+        Replay(), scheme=scheme, feature=feature, config=config
+    )
+    return aggregator, pipeline
 
 
-def batch_result(num_flows, axis, packets, scheme, feature):
+def batch_result(num_flows, axis, packets, scheme, feature, config=None):
     stamps, dests, sizes = packets
     aggregator = FlowAggregator(make_table(num_flows), axis)
     for stamp, dest, size in zip(stamps, dests, sizes):
-        aggregator.add(PacketSummary(
-            timestamp=float(stamp), source=0, destination=int(dest),
-            protocol=17, wire_bytes=int(size),
-        ))
+        aggregator.add(
+            PacketSummary(
+                timestamp=float(stamp),
+                source=0,
+                destination=int(dest),
+                protocol=17,
+                wire_bytes=int(size),
+            )
+        )
     matrix = aggregator.to_rate_matrix()
-    return ClassificationEngine(matrix).run(scheme, feature), matrix
+    engine = ClassificationEngine(matrix, config or EngineConfig())
+    return engine.run(scheme, feature)
 
 
 @settings(max_examples=20, deadline=None)
-@given(workload=packet_workloads(),
-       feature=st.sampled_from(list(Feature)))
-def test_masks_bit_identical_constant_load(workload, feature):
-    """Chunking, arrival order and slot length never change a verdict."""
+@given(
+    workload=packet_workloads(),
+    feature=st.sampled_from(list(Feature)),
+    window=st.integers(min_value=1, max_value=12),
+)
+def test_masks_bit_identical_constant_load(workload, feature, window):
+    """Chunking, arrival order, slot length and a latent-heat window
+    shorter than the run never change a verdict."""
     num_flows, slot_seconds, chunks, packets = workload
-    scheme = Scheme.CONSTANT_LOAD
-    aggregator, streamed = stream_result(num_flows, slot_seconds, chunks,
-                                         scheme, feature)
-    batch, matrix = batch_result(num_flows, aggregator.axis(), packets,
-                                 scheme, feature)
-
-    assert streamed.matrix.num_slots == batch.matrix.num_slots
+    scheme, config = Scheme.CONSTANT_LOAD, EngineConfig(window=window)
+    aggregator, pipeline = stream_pipeline(
+        num_flows, slot_seconds, chunks, scheme, feature, config
+    )
     # byte sums are integral, so both paths see *identical* rates and
-    # the masks must match exactly, not approximately
-    for prefix in streamed.matrix.prefixes:
-        stream_row = streamed.matrix.index_of(prefix)
-        batch_row = batch.matrix.index_of(prefix)
-        assert np.array_equal(streamed.matrix.rates[stream_row],
-                              batch.matrix.rates[batch_row])
-        assert np.array_equal(streamed.elephant_mask[stream_row],
-                              batch.elephant_mask[batch_row])
-    # flows the stream never surfaced carried no traffic in batch either
-    streamed_prefixes = set(streamed.matrix.prefixes)
-    for prefix in batch.matrix.prefixes:
-        if prefix not in streamed_prefixes:
-            row = batch.matrix.index_of(prefix)
-            assert not batch.matrix.rates[row].any()
-            assert not batch.elephant_mask[row].any()
+    # the verdicts must match exactly, not approximately
+    batch = batch_result(
+        num_flows, aggregator.axis(), packets, scheme, feature, config
+    )
+    assert_stream_matches_batch(pipeline, batch)
 
 
 @settings(max_examples=10, deadline=None)
@@ -145,35 +165,41 @@ def test_masks_bit_identical_constant_load(workload, feature):
 def test_thresholds_bit_identical_aest(workload):
     """The aest scheme's detected thresholds agree across both paths."""
     num_flows, slot_seconds, chunks, packets = workload
-    aggregator, streamed = stream_result(
-        num_flows, slot_seconds, chunks, Scheme.AEST, Feature.LATENT_HEAT,
+    scheme, feature = Scheme.AEST, Feature.LATENT_HEAT
+    aggregator, pipeline = stream_pipeline(
+        num_flows, slot_seconds, chunks, scheme, feature
     )
-    batch, _ = batch_result(num_flows, aggregator.axis(), packets,
-                            Scheme.AEST, Feature.LATENT_HEAT)
-    assert np.array_equal(streamed.thresholds.raw, batch.thresholds.raw)
-    assert np.array_equal(streamed.thresholds.smoothed,
-                          batch.thresholds.smoothed)
-    assert streamed.thresholds.fallback_slots == \
-        batch.thresholds.fallback_slots
+    batch = batch_result(
+        num_flows, aggregator.axis(), packets, scheme, feature
+    )
+    assert_stream_matches_batch(pipeline, batch)
 
 
 @settings(max_examples=10, deadline=None)
-@given(workload=packet_workloads(),
-       chunking_seed=st.integers(min_value=0, max_value=1000))
+@given(
+    workload=packet_workloads(),
+    chunking_seed=st.integers(min_value=0, max_value=1000),
+)
 def test_rechunking_is_invisible(workload, chunking_seed):
-    """Two different chunkings of the same packets emit equal frames."""
+    """Two different chunkings of the same packets emit equal events."""
     num_flows, slot_seconds, chunks, packets = workload
     stamps, dests, sizes = packets
     rng = np.random.default_rng(chunking_seed)
     cuts = sorted(rng.integers(0, stamps.size + 1, size=3).tolist())
     bounds = [0] + cuts + [stamps.size]
-    rechunked = [(stamps[a:b], dests[a:b], sizes[a:b])
-                 for a, b in zip(bounds, bounds[1:])]
+    rechunked = [
+        (stamps[a:b], dests[a:b], sizes[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
-    _, first = stream_result(num_flows, slot_seconds, chunks,
-                             Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-    _, second = stream_result(num_flows, slot_seconds, rechunked,
-                              Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)
-    assert first.matrix.prefixes == second.matrix.prefixes
-    assert np.array_equal(first.matrix.rates, second.matrix.rates)
-    assert np.array_equal(first.elephant_mask, second.elephant_mask)
+    def events(pieces):
+        _, pipeline = stream_pipeline(num_flows, slot_seconds, pieces)
+        return list(pipeline.events())
+
+    first, second = events(chunks), events(rechunked)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        size, population = a.frame.rates.size, a.frame.population
+        assert list(population[:size]) == list(b.frame.population[:size])
+        assert np.array_equal(a.frame.rates, b.frame.rates)
+        assert np.array_equal(a.verdict.elephant_mask, b.verdict.elephant_mask)

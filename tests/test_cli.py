@@ -689,10 +689,26 @@ class TestStreamParallel:
         capsys.readouterr()
         assert main(["merge", path, "--quiet"]) == 0
 
-    def test_workers_reject_matrix_replay(self, stream_capture, capsys):
-        assert main(["stream", stream_capture["npz"], "--workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "packet input" in err
+    @pytest.mark.parametrize(
+        "options",
+        [[], ["--backend", "space-saving", "--capacity", "8"]],
+        ids=["exact", "sketch"],
+    )
+    def test_workers_reject_matrix_replay(
+        self, stream_capture, capsys, options
+    ):
+        """A fleet partitions packets and a matrix has none: refused
+        with one error: line before any worker process starts."""
+        import multiprocessing
+
+        argv = ["stream", stream_capture["npz"], "--workers", "2", *options]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "no packets to partition" in lines[0]
+        assert multiprocessing.active_children() == []
 
     def test_workers_and_shards_conflict(self, stream_capture, capsys):
         code = main(
