@@ -23,34 +23,14 @@ from repro.pipeline import (
     StreamingPipeline,
     make_backend,
 )
-from repro.pipeline.sources import PacketBatch
+from repro.pipeline.sources import ArrayPacketSource
 from repro.routing.lpm import FixedLengthResolver
 
 SLOT_SECONDS = 10.0
 NUM_MONITORS = 3
 CAPACITY = 12
-
-
-class ArraySource:
-    """A packet source over pre-built arrays (stands in for a tap)."""
-
-    def __init__(self, stamps, dests, sizes, chunk=2048):
-        self.stamps = stamps
-        self.dests = dests
-        self.sizes = sizes
-        self.chunk = chunk
-
-    def batches(self):
-        for lo in range(0, self.stamps.size, self.chunk):
-            hi = min(lo + self.chunk, self.stamps.size)
-            yield PacketBatch(
-                timestamps=self.stamps[lo:hi],
-                sources=np.zeros(hi - lo, dtype=np.int64),
-                destinations=self.dests[lo:hi],
-                protocols=np.zeros(hi - lo, dtype=np.int64),
-                wire_bytes=self.sizes[lo:hi],
-                packets_seen=hi - lo,
-            )
+#: Packets per batch a tap hands over.
+CHUNK = 2048
 
 
 def synthesize_link(seed=7, count=30_000):
@@ -58,8 +38,9 @@ def synthesize_link(seed=7, count=30_000):
     rng = np.random.default_rng(seed)
     stamps = np.sort(rng.uniform(0, 10 * SLOT_SECONDS, count))
     heavy = rng.random(count) < 0.55
-    flow = np.where(heavy, rng.integers(0, 5, count),
-                    rng.integers(5, 90, count))
+    flow = np.where(
+        heavy, rng.integers(0, 5, count), rng.integers(5, 90, count)
+    )
     dests = (10 << 24) + flow * (1 << 16) + 1
     sizes = np.where(heavy, 1500, 80)
     return stamps, dests, sizes
@@ -67,34 +48,42 @@ def synthesize_link(seed=7, count=30_000):
 
 def main() -> None:
     stamps, dests, sizes = synthesize_link()
+    link = ArrayPacketSource(stamps, dests, sizes, chunk_packets=CHUNK)
 
     # --- the reference: one monitor that sees everything, exactly ----
-    single = StreamingPipeline(AggregatingSlotSource(
-        ArraySource(stamps, dests, sizes),
-        StreamingAggregator(FixedLengthResolver(16),
-                            slot_seconds=SLOT_SECONDS, start=0.0),
-    ))
-    truth = [frozenset(event.elephant_prefixes)
-             for event in single.events()]
+    single = StreamingPipeline(
+        AggregatingSlotSource(
+            link,
+            StreamingAggregator(
+                FixedLengthResolver(16), slot_seconds=SLOT_SECONDS, start=0.0
+            ),
+        )
+    )
+    truth = [frozenset(event.elephant_prefixes) for event in single.events()]
 
     # --- the fleet: each monitor sees 1/3 of every flow's packets ----
     runs = []
     for offset in range(NUM_MONITORS):
-        tap = StridedPacketSource(ArraySource(stamps, dests, sizes),
-                                  NUM_MONITORS, offset)
+        tap = StridedPacketSource(link, NUM_MONITORS, offset)
         aggregator = StreamingAggregator(
-            FixedLengthResolver(16), slot_seconds=SLOT_SECONDS,
+            FixedLengthResolver(16),
+            slot_seconds=SLOT_SECONDS,
             start=0.0,
             backend=make_backend("space-saving", capacity=CAPACITY),
         )
-        runs.append([
-            SlotSummary.from_frame(frame, SLOT_SECONDS,
-                                   monitor=f"monitor-{offset}")
-            for frame in AggregatingSlotSource(tap, aggregator).slots()
-        ])
+        runs.append(
+            [
+                SlotSummary.from_frame(
+                    frame, SLOT_SECONDS, monitor=f"monitor-{offset}"
+                )
+                for frame in AggregatingSlotSource(tap, aggregator).slots()
+            ]
+        )
         wire = sum(len(s.to_bytes()) for s in runs[-1])
-        print(f"monitor-{offset}: {len(runs[-1])} slots, "
-              f"{wire} summary bytes on the wire")
+        print(
+            f"monitor-{offset}: {len(runs[-1])} slots, "
+            f"{wire} summary bytes on the wire"
+        )
 
     # --- the collector: merge, re-truncate, classify -----------------
     collector = Collector(runs, k=CAPACITY)
@@ -103,13 +92,14 @@ def main() -> None:
         merged = frozenset(event.elephant_prefixes)
         hits += len(merged & truth[slot])
         misses += len(truth[slot] - merged)
-        print(f"slot {slot}: merged sees "
-              f"{sorted(str(p) for p in merged)}")
+        print(f"slot {slot}: merged sees {sorted(str(p) for p in merged)}")
     recall = hits / (hits + misses) if hits + misses else 1.0
     series = collector.series()
     print(f"\nmerged recall vs the all-seeing monitor: {recall:.3f}")
-    print(f"mean residual (untracked) traffic share: "
-          f"{series.mean_residual_fraction:.3f}")
+    print(
+        "mean residual (untracked) traffic share: "
+        f"{series.mean_residual_fraction:.3f}"
+    )
 
 
 if __name__ == "__main__":

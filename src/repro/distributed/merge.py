@@ -48,6 +48,7 @@ import numpy as np
 from repro.distributed.framing import grid_cell
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ClockSkewWarning
+from repro.flows.records import MAX_GAP_CELLS
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import sum_by_row
 
@@ -69,10 +70,6 @@ SKEW_MIN_CORRELATION = 0.9
 #: per-merge false-positive rate well under a percent while a real
 #: shifted clock (r ~ 1) passes at any overlap.
 SKEW_MIN_T_STATISTIC = 8.0
-#: The widest step, in grid cells, between covered cells that gap
-#: filling bridges (every cell of it seals as an empty slot); 4096
-#: cells is 2.8 days of 60 s slots.
-MAX_GAP_CELLS = 1 << 12
 
 
 def misaligned(

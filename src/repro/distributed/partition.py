@@ -59,11 +59,9 @@ class StridedPacketSource:
             skip_position += skipped
             my_skipped = int(((skip_index % self.stride) == self.offset).sum())
             yield PacketBatch(
-                timestamps=batch.timestamps[keep],
-                sources=batch.sources[keep],
-                destinations=batch.destinations[keep],
-                protocols=batch.protocols[keep],
-                wire_bytes=batch.wire_bytes[keep],
+                batch.timestamps[keep],
+                batch.destinations[keep],
+                batch.wire_bytes[keep],
                 packets_seen=int(keep.sum()) + my_skipped,
             )
 

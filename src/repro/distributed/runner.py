@@ -301,7 +301,8 @@ def _worker_main(
             # the columns are views straight into the ring slot; the
             # aggregator consumes them before the loop advances (and
             # thereby frees the slot for the caller to overwrite)
-            ship(aggregator.ingest(PacketBatch.of_flows(timestamps, keys, sizes)))
+            batch = PacketBatch(timestamps, keys, sizes, timestamps.size)
+            ship(aggregator.ingest(batch))
         ship(aggregator.finish())
         out_queue.put(
             (

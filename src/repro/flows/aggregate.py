@@ -159,11 +159,9 @@ def aggregate_pcap(
             # caller's axis are turned away here, before they can open
             # slots the matrix has no column for.
             batch = PacketBatch(
-                timestamps=batch.timestamps[in_axis],
-                sources=batch.sources[in_axis],
-                destinations=batch.destinations[in_axis],
-                protocols=batch.protocols[in_axis],
-                wire_bytes=batch.wire_bytes[in_axis],
+                batch.timestamps[in_axis],
+                batch.destinations[in_axis],
+                batch.wire_bytes[in_axis],
                 packets_seen=batch.packets_seen - late,
             )
             stats.packets_seen += late

@@ -75,7 +75,9 @@ class FlowInfoRecord:
 
     ``start_time``/``end_time`` are integer nanoseconds (floodns
     convention — ns integers survive CSV exactly where float seconds
-    would not), ``amount_sent`` is bytes. ``path`` and ``metadata``
+    would not), ``amount_sent`` is bytes, below 2**63. The flow is
+    keyed by ``dest_node_id``, an IPv4 address; ``source_node_id`` is
+    any id >= 0, carried but never read. ``path`` and ``metadata``
     are free text minus the CSV structural characters; this repo's
     exports put the flow's prefix in ``metadata`` and leave ``path``
     empty.
@@ -95,13 +97,19 @@ class FlowInfoRecord:
             raise ClassificationError("flow_id must be >= 0")
         if self.source_node_id < 0 or self.dest_node_id < 0:
             raise ClassificationError("node ids must be >= 0")
+        if self.dest_node_id > ipv4.MAX_ADDRESS:
+            raise ClassificationError(
+                f"dest_node_id {self.dest_node_id} is not an IPv4 address"
+            )
         if self.end_time < self.start_time:
             raise ClassificationError(
                 f"flow {self.flow_id}: end_time {self.end_time} before "
                 f"start_time {self.start_time}"
             )
-        if self.amount_sent < 0:
-            raise ClassificationError("amount_sent must be >= 0")
+        if not 0 <= self.amount_sent < 2**63:
+            raise ClassificationError(
+                f"amount_sent {self.amount_sent} not in [0, 2**63)"
+            )
         for label, text in (("path", self.path),
                             ("metadata", self.metadata)):
             if any(ch in text for ch in (",", "\n", "\r")):
@@ -187,7 +195,7 @@ def _parse_row(line: str, where: str) -> FlowInfoRecord:
             amount_sent=int(cells[7]),
             metadata=cells[9].strip(),
         )
-    except ValueError as exc:
+    except (ValueError, ClassificationError) as exc:
         raise ClassificationError(
             f"{where}: bad flow_info row {line!r}: {exc}"
         ) from exc
@@ -222,11 +230,12 @@ class FlowRecordSource:
 
     Each record becomes one pre-aggregated packet row — timestamp
     ``start_time / 1e9`` seconds, destination ``dest_node_id``, size
-    ``amount_sent`` — mirroring what the flow-records sampling mode
-    emits from live captures. Rows are chunked like every other packet
-    source, so memory stays bounded by ``chunk_packets`` however large
-    the export is. Records must be sorted by ``start_time`` (floodns
-    writes them that way; the aggregator requires time order).
+    ``amount_sent`` (``source_node_id`` has no column) — mirroring what
+    the flow-records sampling mode emits from live captures. Rows are
+    chunked like every other packet source, so memory stays bounded by
+    ``chunk_packets`` however large the export is. Records must be
+    sorted by ``start_time`` (floodns writes them that way; the
+    aggregator requires time order).
     """
 
     def __init__(
@@ -239,38 +248,28 @@ class FlowRecordSource:
 
     def batches(self) -> Iterator["PacketBatch"]:
         timestamps: list[float] = []
-        sources: list[int] = []
         destinations: list[int] = []
         sizes: list[int] = []
         for record in _iter_rows(self.path):
             timestamps.append(record.start_time / NS_PER_SECOND)
-            sources.append(record.source_node_id)
             destinations.append(record.dest_node_id)
             sizes.append(record.amount_sent)
             if len(timestamps) >= self.chunk_packets:
-                yield self._build(
-                    timestamps, sources, destinations, sizes
-                )
-                timestamps, sources = [], []
-                destinations, sizes = [], []
+                yield self._build(timestamps, destinations, sizes)
+                timestamps, destinations, sizes = [], [], []
         if timestamps:
-            yield self._build(timestamps, sources, destinations, sizes)
+            yield self._build(timestamps, destinations, sizes)
 
     @staticmethod
     def _build(
-        timestamps: list[float],
-        sources: list[int],
-        destinations: list[int],
-        sizes: list[int],
+        timestamps: list[float], destinations: list[int], sizes: list[int]
     ) -> "PacketBatch":
-        from repro.pipeline.sources import PacketBatch, zero_column
+        from repro.pipeline.sources import PacketBatch
 
         return PacketBatch(
-            timestamps=np.array(timestamps, dtype=np.float64),
-            sources=np.array(sources, dtype=np.int64),
-            destinations=np.array(destinations, dtype=np.int64),
-            protocols=zero_column(len(timestamps)),
-            wire_bytes=np.array(sizes, dtype=np.int64),
+            np.array(timestamps, dtype=np.float64),
+            np.array(destinations, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
             packets_seen=len(timestamps),
         )
 

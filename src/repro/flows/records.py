@@ -19,6 +19,11 @@ from repro.net.prefix import Prefix
 
 #: The paper's default measurement interval (seconds).
 DEFAULT_SLOT_SECONDS = 300.0
+#: The widest step, in slots, that gap filling bridges — every slot of
+#: it is emitted or sealed as an empty slot — whether between covered
+#: cells of a merge or between packets of a stream; 4096 slots is 2.8
+#: days of 60 s slots.
+MAX_GAP_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)

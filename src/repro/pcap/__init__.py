@@ -1,4 +1,5 @@
-"""Packet capture substrate: classic pcap files and protocol codecs."""
+"""Packet capture substrate: classic pcap files, and the Ethernet,
+IPv4 and UDP codecs synthetic captures are written and checked with."""
 
 from repro._lazy import attach
 
@@ -6,17 +7,10 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "ethernet": ("ETHERTYPE_IPV4", "EthernetFrame", "decode_ethernet"),
-        "ip": (
-            "PROTO_ICMP",
-            "PROTO_TCP",
-            "PROTO_UDP",
-            "Ipv4Packet",
-            "decode_ipv4",
-        ),
+        "ip": ("PROTO_UDP", "Ipv4Packet", "decode_ipv4"),
         "packet": (
             "PacketSummary",
             "build_frame",
-            "build_tcp_packet",
             "build_udp_packet",
             "summarize_record",
         ),
@@ -27,6 +21,6 @@ __getattr__, __dir__, __all__ = attach(
             "PcapReader",
             "PcapWriter",
         ),
-        "transport": ("TcpSegment", "UdpDatagram", "decode_tcp", "decode_udp"),
+        "transport": ("UdpDatagram",),
     },
 )

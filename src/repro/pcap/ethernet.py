@@ -6,13 +6,12 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import PacketDecodeError
-from repro.net.mac import MAC_LENGTH
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
-#: EtherType for ARP (recognised, not decoded further).
-ETHERTYPE_ARP = 0x0806
 
+#: Length of an EUI-48 (MAC) address in bytes.
+MAC_LENGTH = 6
 #: Header length of an untagged Ethernet II frame.
 HEADER_LENGTH = 14
 
@@ -34,12 +33,14 @@ class EthernetFrame:
         if len(self.source) != MAC_LENGTH:
             raise PacketDecodeError("source MAC must be 6 bytes")
         if not 0 <= self.ethertype <= 0xFFFF:
-            raise PacketDecodeError(f"ethertype {self.ethertype:#x} out of range")
+            raise PacketDecodeError(
+                f"ethertype {self.ethertype:#x} out of range"
+            )
 
     def encode(self) -> bytes:
         """Serialise to wire format (header followed by payload)."""
-        return _HEADER.pack(self.destination, self.source,
-                            self.ethertype) + self.payload
+        header = _HEADER.pack(self.destination, self.source, self.ethertype)
+        return header + self.payload
 
 
 def decode_ethernet(data: bytes) -> EthernetFrame:

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from repro.errors import PacketDecodeError
 from repro.net.checksum import internet_checksum, verify_checksum
 
-#: IP protocol numbers we recognise.
-PROTO_ICMP = 1
-PROTO_TCP = 6
+#: IP protocol number of UDP, the transport synthetic captures carry.
 PROTO_UDP = 17
 
 #: Minimum (option-free) IPv4 header length in bytes.
@@ -53,7 +51,8 @@ class Ipv4Packet:
             raise PacketDecodeError(f"ttl {self.ttl} out of range")
         if not 0 <= self.identification <= 0xFFFF:
             raise PacketDecodeError("identification out of range")
-        if self.fragment_offset % 8 or not 0 <= self.fragment_offset < (1 << 16):
+        offset = self.fragment_offset
+        if offset % 8 or not 0 <= offset < 1 << 16:
             raise PacketDecodeError("fragment offset must be a multiple of 8")
         if len(self.options) % 4:
             raise PacketDecodeError("options must be padded to 32-bit words")
@@ -76,12 +75,19 @@ class Ipv4Packet:
         version_ihl = (4 << 4) | ihl_words
         flags = (int(self.dont_fragment) << 1) | int(self.more_fragments)
         flags_fragment = (flags << 13) | (self.fragment_offset // 8)
-        header = _FIXED.pack(
-            version_ihl, self.dscp, self.total_length,
-            self.identification, flags_fragment,
-            self.ttl, self.protocol, 0,
-            self.source, self.destination,
-        ) + self.options
+        fixed = _FIXED.pack(
+            version_ihl,
+            self.dscp,
+            self.total_length,
+            self.identification,
+            flags_fragment,
+            self.ttl,
+            self.protocol,
+            0,
+            self.source,
+            self.destination,
+        )
+        header = fixed + self.options
         checksum = internet_checksum(header)
         header = header[:10] + struct.pack("!H", checksum) + header[12:]
         return header + self.payload
@@ -96,8 +102,18 @@ def decode_ipv4(data: bytes, verify: bool = True) -> Ipv4Packet:
     """
     if len(data) < MIN_HEADER_LENGTH:
         raise PacketDecodeError(f"IPv4 header too short: {len(data)} bytes")
-    (version_ihl, dscp, total_length, identification, flags_fragment,
-     ttl, protocol, _checksum, source, destination) = _FIXED.unpack_from(data)
+    (
+        version_ihl,
+        dscp,
+        total_length,
+        identification,
+        flags_fragment,
+        ttl,
+        protocol,
+        _checksum,
+        source,
+        destination,
+    ) = _FIXED.unpack_from(data)
     version = version_ihl >> 4
     if version != 4:
         raise PacketDecodeError(f"not an IPv4 packet (version {version})")

@@ -1,9 +1,12 @@
-"""Whole-packet helpers: build and parse Ethernet/IPv4/transport stacks.
+"""Whole-packet helpers: build Ethernet/IPv4/UDP frames, summarise them.
 
-The aggregation layer only needs ``(timestamp, destination, wire bytes)``
-per packet; :class:`PacketSummary` is that minimal view, extracted either
-from full frames or from truncated captures (backbone monitors typically
-snap packets after the transport header, and so do we).
+The aggregation layer needs three facts per packet: when it arrived,
+where it goes and how big it was on the wire. :class:`PacketSummary`
+is that view, extracted one record at a time from full frames or from
+truncated captures (backbone monitors typically snap packets after the
+transport header, and so do we) — the scalar oracle the vectorized
+capture scan is tested against. The builders write the synthetic
+captures: UDP over IPv4 in Ethernet II.
 """
 
 from __future__ import annotations
@@ -11,23 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PacketDecodeError
-from repro.net.mac import parse_mac
 from repro.pcap.ethernet import (
     ETHERTYPE_IPV4,
     EthernetFrame,
     decode_ethernet,
 )
-from repro.pcap.ip import PROTO_TCP, PROTO_UDP, Ipv4Packet, decode_ipv4
+from repro.pcap.ip import PROTO_UDP, Ipv4Packet, decode_ipv4
 from repro.pcap.pcapfile import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     CaptureRecord,
 )
-from repro.pcap.transport import TcpSegment, UdpDatagram
+from repro.pcap.transport import UdpDatagram
 
 #: Default MACs for synthesised frames (locally administered).
-DEFAULT_SRC_MAC = parse_mac("02:00:00:00:00:01")
-DEFAULT_DST_MAC = parse_mac("02:00:00:00:00:02")
+DEFAULT_SRC_MAC = b"\x02\x00\x00\x00\x00\x01"
+DEFAULT_DST_MAC = b"\x02\x00\x00\x00\x00\x02"
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,15 @@ class PacketSummary:
     """The per-packet facts flow accounting needs."""
 
     timestamp: float
-    source: int
     destination: int
-    protocol: int
     wire_bytes: int
 
-    @property
-    def wire_bits(self) -> int:
-        """Packet size in bits, as bandwidth accounting wants it."""
-        return self.wire_bytes * 8
 
-
-def build_frame(ip_packet: Ipv4Packet,
-                src_mac: bytes = DEFAULT_SRC_MAC,
-                dst_mac: bytes = DEFAULT_DST_MAC) -> bytes:
+def build_frame(
+    ip_packet: Ipv4Packet,
+    src_mac: bytes = DEFAULT_SRC_MAC,
+    dst_mac: bytes = DEFAULT_DST_MAC,
+) -> bytes:
     """Encapsulate an IPv4 packet in an Ethernet II frame."""
     frame = EthernetFrame(
         destination=dst_mac,
@@ -59,10 +56,15 @@ def build_frame(ip_packet: Ipv4Packet,
     return frame.encode()
 
 
-def build_udp_packet(source_ip: int, destination_ip: int,
-                     source_port: int, destination_port: int,
-                     payload: bytes, ttl: int = 64,
-                     identification: int = 0) -> Ipv4Packet:
+def build_udp_packet(
+    source_ip: int,
+    destination_ip: int,
+    source_port: int,
+    destination_port: int,
+    payload: bytes,
+    ttl: int = 64,
+    identification: int = 0,
+) -> Ipv4Packet:
     """Build an IPv4 packet carrying a UDP datagram."""
     datagram = UdpDatagram(source_port, destination_port, payload)
     return Ipv4Packet(
@@ -75,32 +77,9 @@ def build_udp_packet(source_ip: int, destination_ip: int,
     )
 
 
-def build_tcp_packet(source_ip: int, destination_ip: int,
-                     source_port: int, destination_port: int,
-                     payload: bytes, sequence: int = 0,
-                     flags: int | None = None, ttl: int = 64,
-                     identification: int = 0) -> Ipv4Packet:
-    """Build an IPv4 packet carrying a TCP segment."""
-    kwargs = {} if flags is None else {"flags": flags}
-    segment = TcpSegment(
-        source_port=source_port,
-        destination_port=destination_port,
-        sequence=sequence,
-        payload=payload,
-        **kwargs,
-    )
-    return Ipv4Packet(
-        source=source_ip,
-        destination=destination_ip,
-        protocol=PROTO_TCP,
-        payload=segment.encode(source_ip, destination_ip),
-        ttl=ttl,
-        identification=identification,
-    )
-
-
-def summarize_record(record: CaptureRecord,
-                     linktype: int = LINKTYPE_ETHERNET) -> PacketSummary:
+def summarize_record(
+    record: CaptureRecord, linktype: int = LINKTYPE_ETHERNET
+) -> PacketSummary:
     """Extract a :class:`PacketSummary` from a captured record.
 
     Works on truncated captures as long as the IPv4 fixed header is
@@ -122,16 +101,17 @@ def summarize_record(record: CaptureRecord,
         raise PacketDecodeError(f"unsupported linktype {linktype}")
 
     truncated = record.wire_length > record.captured_length
-    ip_packet = decode_ipv4(_pad_for_decode(ip_bytes, truncated),
-                            verify=not truncated)
-    wire_bytes = record.wire_length if truncated else (
-        link_overhead + ip_packet.total_length
+    ip_packet = decode_ipv4(
+        _pad_for_decode(ip_bytes, truncated), verify=not truncated
+    )
+    wire_bytes = (
+        record.wire_length
+        if truncated
+        else link_overhead + ip_packet.total_length
     )
     return PacketSummary(
         timestamp=record.timestamp,
-        source=ip_packet.source,
         destination=ip_packet.destination,
-        protocol=ip_packet.protocol,
         wire_bytes=wire_bytes,
     )
 

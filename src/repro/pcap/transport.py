@@ -1,23 +1,20 @@
-"""TCP and UDP segment encoding/decoding with pseudo-header checksums."""
+"""UDP datagram encoding with the pseudo-header checksum (RFC 768).
+
+Synthetic captures carry every packet as UDP over IPv4; the
+measurement path never looks past the IPv4 header, so there is no
+transport decoder.
+"""
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PacketDecodeError
 from repro.net.checksum import internet_checksum, pseudo_header
-from repro.pcap.ip import PROTO_TCP, PROTO_UDP
+from repro.pcap.ip import PROTO_UDP
 
 _UDP_HEADER = struct.Struct("!HHHH")
-_TCP_FIXED = struct.Struct("!HHIIBBHHH")
-
-#: TCP flag bits.
-FLAG_FIN = 0x01
-FLAG_SYN = 0x02
-FLAG_RST = 0x04
-FLAG_PSH = 0x08
-FLAG_ACK = 0x10
 
 
 def _check_port(port: int, name: str) -> None:
@@ -44,107 +41,14 @@ class UdpDatagram:
 
     def encode(self, source_ip: int, destination_ip: int) -> bytes:
         """Serialise with the pseudo-header checksum filled in."""
-        header = _UDP_HEADER.pack(self.source_port, self.destination_port,
-                                  self.length, 0)
-        pseudo = pseudo_header(source_ip, destination_ip, PROTO_UDP,
-                               self.length)
+        header = _UDP_HEADER.pack(
+            self.source_port, self.destination_port, self.length, 0
+        )
+        pseudo = pseudo_header(
+            source_ip, destination_ip, PROTO_UDP, self.length
+        )
         checksum = internet_checksum(pseudo + header + self.payload)
         if checksum == 0:
             checksum = 0xFFFF  # RFC 768: zero means "no checksum"
         header = header[:6] + struct.pack("!H", checksum)
         return header + self.payload
-
-
-def decode_udp(data: bytes) -> UdpDatagram:
-    """Parse a UDP datagram (checksum not verified: optional in IPv4)."""
-    if len(data) < _UDP_HEADER.size:
-        raise PacketDecodeError("UDP header too short")
-    source, destination, length, _checksum = _UDP_HEADER.unpack_from(data)
-    if length < _UDP_HEADER.size or length > len(data):
-        raise PacketDecodeError(f"bad UDP length field {length}")
-    return UdpDatagram(source, destination, data[_UDP_HEADER.size:length])
-
-
-@dataclass(frozen=True)
-class TcpSegment:
-    """A TCP segment (RFC 793); options carried as opaque bytes."""
-
-    source_port: int
-    destination_port: int
-    sequence: int
-    acknowledgment: int = 0
-    flags: int = FLAG_ACK
-    window: int = 65535
-    payload: bytes = b""
-    options: bytes = field(default=b"")
-
-    def __post_init__(self) -> None:
-        _check_port(self.source_port, "source")
-        _check_port(self.destination_port, "destination")
-        if not 0 <= self.sequence < (1 << 32):
-            raise PacketDecodeError("sequence number out of range")
-        if not 0 <= self.acknowledgment < (1 << 32):
-            raise PacketDecodeError("acknowledgment number out of range")
-        if len(self.options) % 4:
-            raise PacketDecodeError("TCP options must pad to 32-bit words")
-        if len(self.options) > 40:
-            raise PacketDecodeError("TCP options exceed maximum length")
-
-    @property
-    def header_length(self) -> int:
-        """Header length in bytes including options."""
-        return _TCP_FIXED.size + len(self.options)
-
-    @property
-    def length(self) -> int:
-        """Total segment length (header plus payload)."""
-        return self.header_length + len(self.payload)
-
-    def flag(self, bit: int) -> bool:
-        """Test a flag bit (e.g. ``segment.flag(FLAG_SYN)``)."""
-        return bool(self.flags & bit)
-
-    def encode(self, source_ip: int, destination_ip: int) -> bytes:
-        """Serialise with the pseudo-header checksum filled in."""
-        offset_words = self.header_length // 4
-        header = _TCP_FIXED.pack(
-            self.source_port, self.destination_port,
-            self.sequence, self.acknowledgment,
-            offset_words << 4, self.flags, self.window, 0, 0,
-        ) + self.options
-        pseudo = pseudo_header(source_ip, destination_ip, PROTO_TCP,
-                               self.length)
-        checksum = internet_checksum(pseudo + header + self.payload)
-        header = header[:16] + struct.pack("!H", checksum) + header[18:]
-        return header + self.payload
-
-
-def decode_tcp(data: bytes) -> TcpSegment:
-    """Parse a TCP segment; checksum verification needs IPs, so it is
-    exposed separately via :func:`verify_tcp_checksum`."""
-    if len(data) < _TCP_FIXED.size:
-        raise PacketDecodeError("TCP header too short")
-    (source, destination, sequence, acknowledgment, offset_reserved,
-     flags, window, _checksum, _urgent) = _TCP_FIXED.unpack_from(data)
-    header_length = (offset_reserved >> 4) * 4
-    if header_length < _TCP_FIXED.size:
-        raise PacketDecodeError(f"bad TCP data offset: {header_length}")
-    if len(data) < header_length:
-        raise PacketDecodeError("truncated TCP options")
-    return TcpSegment(
-        source_port=source,
-        destination_port=destination,
-        sequence=sequence,
-        acknowledgment=acknowledgment,
-        flags=flags,
-        window=window,
-        payload=data[header_length:],
-        options=data[_TCP_FIXED.size:header_length],
-    )
-
-
-def verify_tcp_checksum(data: bytes, source_ip: int,
-                        destination_ip: int) -> bool:
-    """Verify the checksum of a raw TCP segment against its IPs."""
-    pseudo = pseudo_header(source_ip, destination_ip, PROTO_TCP, len(data))
-    return internet_checksum(pseudo + data) == 0

@@ -30,7 +30,10 @@ ROADMAP item); the bounded part is the sketch and the per-slot
 candidate table. Packets must arrive in non-decreasing slot order
 (pcap files are chronological); a packet for an already-emitted slot is
 counted in ``stats.packets_outside_axis`` and dropped, which is what a
-one-pass monitor has to do.
+one-pass monitor has to do. A batch whose occupied slots step more
+than :data:`~repro.flows.records.MAX_GAP_CELLS` past the open slot, or
+past each other, is refused before any of it is accounted: every slot
+of a step is emitted as a frame.
 """
 
 from __future__ import annotations
@@ -42,7 +45,11 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.aggregate import AggregationStats
-from repro.flows.records import DEFAULT_SLOT_SECONDS, TimeAxis
+from repro.flows.records import (
+    DEFAULT_SLOT_SECONDS,
+    MAX_GAP_CELLS,
+    TimeAxis,
+)
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend, ExactAggregation
 from repro.pipeline.sources import PacketBatch, PacketSource, SlotFrame
@@ -170,38 +177,29 @@ class StreamingAggregator:
                 f"timestamps out of reach of {self.slot_seconds:g} s "
                 "slots: a slot index must fit 64 bits"
             )
-        if self.start is None:
+        start = self.start
+        if start is None:
             first = float(timestamps[0])
-            self.start = (
-                math.floor(first / self.slot_seconds) * self.slot_seconds
-            )
+            start = math.floor(first / self.slot_seconds) * self.slot_seconds
 
         rows = self.resolver.lookup(batch.destinations)
         routed = rows != NO_ROUTE
-        slots = np.floor(
-            (timestamps - self.start) / self.slot_seconds
-        ).astype(np.int64)
+        slots = np.floor((timestamps - start) / self.slot_seconds).astype(
+            np.int64
+        )
         floor_slot = self._open_slot if self._open_slot is not None else 0
         timely = slots >= floor_slot
-        self.stats.packets_outside_axis += int((~timely).sum())
-        self.stats.packets_unrouted += int((timely & ~routed).sum())
         keep = timely & routed
-        if not keep.any():
-            return []
-
         if keep.all():
             # all-routed in-order batches — the worker hot path, where
             # the columns are views into a shared-memory ring slot —
             # skip four full-batch fancy-index copies
             sizes = batch.wire_bytes
-            self.stats.packets_matched += int(keep.size)
         else:
             slots = slots[keep]
             sizes = batch.wire_bytes[keep]
             rows = rows[keep]
             timestamps = timestamps[keep]
-            self.stats.packets_matched += int(keep.sum())
-        self.stats.bytes_matched += int(sizes.sum())
 
         # Group by slot (stable: preserves time order within a slot) and
         # hand each group to the backend, so the population a frame
@@ -209,7 +207,6 @@ class StreamingAggregator:
         # independent of how the capture was chunked into batches.
         # Chronological captures arrive already slot-sorted, so the
         # stable sort only runs for genuinely out-of-order batches.
-        frames: list[SlotFrame] = []
         if slots.size > 1 and (np.diff(slots) < 0).any():
             order = np.argsort(slots, kind="stable")
             slots, sizes, rows, timestamps = (
@@ -218,7 +215,27 @@ class StreamingAggregator:
                 rows[order],
                 timestamps[order],
             )
-        boundaries = np.flatnonzero(np.diff(slots)) + 1
+        # every slot a step passes is a frame: refuse a step too wide
+        # before any of this batch is accounted
+        steps = np.diff(slots)
+        widest = int(steps.max(initial=0))
+        if self._open_slot is not None and slots.size:
+            widest = max(widest, int(slots[0]) - self._open_slot)
+        if widest > MAX_GAP_CELLS:
+            raise ClassificationError(
+                f"packet timestamps step {widest} slots ahead; the "
+                f"aggregator fills at most {MAX_GAP_CELLS} empty slots"
+            )
+        self.start = start
+        self.stats.packets_outside_axis += int((~timely).sum())
+        self.stats.packets_unrouted += int((timely & ~routed).sum())
+        self.stats.packets_matched += int(slots.size)
+        self.stats.bytes_matched += int(sizes.sum())
+        if not slots.size:
+            return []
+
+        frames: list[SlotFrame] = []
+        boundaries = np.flatnonzero(steps) + 1
         table = self.resolver.prefixes
         for group_slots, group_rows, group_sizes, group_times in zip(
             np.split(slots, boundaries),

@@ -146,10 +146,10 @@ def _flow_records(columns: tuple) -> tuple:
     """Collapse packet columns to one row per flow key, NetFlow-style.
 
     Bytes are summed per destination key; the record keeps the first
-    sampled packet's timestamp, source, and protocol, and rows are
-    emitted in first-appearance order so time stays monotone.
+    sampled packet's timestamp, and rows are emitted in
+    first-appearance order so time stays monotone.
     """
-    timestamps, sources, destinations, protocols, wire = columns
+    timestamps, destinations, wire = columns
     if wire.size == 0:
         return columns
     _, first, inverse = np.unique(
@@ -159,13 +159,7 @@ def _flow_records(columns: tuple) -> tuple:
     np.add.at(volumes, inverse, wire)
     order = np.argsort(first, kind="stable")
     first = first[order]
-    return (
-        timestamps[first],
-        sources[first],
-        destinations[first],
-        protocols[first],
-        volumes[order],
-    )
+    return timestamps[first], destinations[first], volumes[order]
 
 
 class SampledPacketSource:
@@ -173,7 +167,7 @@ class SampledPacketSource:
 
     Per offered packet the sampler pays for the selection draw and
     nothing else: selection yields the kept *row indices* of each inner
-    batch, the columns are taken by index, and (when ``spec.invert``)
+    batch, the three columns are taken by index, and (when ``spec.invert``)
     the kept ``wire_bytes`` are multiplied by N — integer sizes as
     int64 whatever width the inner source handed over, floats as float.
     In flow-records mode the kept rows are then aggregated per *inner*
@@ -252,13 +246,7 @@ class SampledPacketSource:
                 wire = wire.astype(np.int64, copy=False)
             if spec.invert and spec.rate > 1:
                 wire = wire * spec.rate
-            columns = (
-                batch.timestamps[rows],
-                batch.sources[rows],
-                batch.destinations[rows],
-                batch.protocols[rows],
-                wire,
-            )
+            columns = (batch.timestamps[rows], batch.destinations[rows], wire)
             self.packets_selected += wire.size
             if spec.mode == "flow-records":
                 columns = _flow_records(columns)

@@ -41,8 +41,6 @@ READ_BLOCK_BYTES = 1 << 22
 
 #: Byte offsets into the IPv4 fixed header.
 _IP_TOTAL_LENGTH = 2
-_IP_PROTOCOL = 9
-_IP_SOURCE = 12
 _IP_DESTINATION = 16
 _IP_MIN_HEADER = 20
 _ETHERTYPE_OFFSET = 12
@@ -69,15 +67,17 @@ def text_lines(path: str, what: str) -> Iterator[str]:
         ) from exc
 
 
-def zero_column(count: int) -> np.ndarray:
-    """``count`` int64 zeros in eight bytes (a zero-stride read-only
-    view), for a column a source has no facts for and nothing reads."""
-    return np.broadcast_to(np.int64(0), (count,))
-
-
 @dataclass(frozen=True)
 class PacketBatch:
-    """A columnar chunk of packets: parallel per-packet fact arrays.
+    """A columnar chunk of packets: the three facts the pipeline keys
+    and counts a packet by, as parallel arrays.
+
+    ``timestamps`` are float64 seconds; ``destinations`` are int64
+    IPv4 addresses, or flow keys already resolved (the shared-memory
+    ring ships keys); ``wire_bytes`` are the packets' sizes on the wire
+    (int64, or float from a float array source). Building a batch
+    copies nothing, so columns can be ingested in place, straight out
+    of a ring slot or a source's own arrays.
 
     ``packets_seen`` counts every capture record scanned for this batch,
     including non-IPv4 or too-truncated records that produced no row;
@@ -85,33 +85,9 @@ class PacketBatch:
     """
 
     timestamps: np.ndarray
-    sources: np.ndarray
     destinations: np.ndarray
-    protocols: np.ndarray
     wire_bytes: np.ndarray
     packets_seen: int
-
-    @classmethod
-    def of_flows(
-        cls, timestamps: np.ndarray, keys: np.ndarray, wire_bytes: np.ndarray
-    ) -> "PacketBatch":
-        """A batch of the three columns the aggregation path reads.
-
-        ``keys`` are destinations, or flow keys already resolved (the
-        shared-memory ring ships only these three columns). The unused
-        source/protocol columns are zero-stride views, so building the
-        batch allocates nothing — the columns can be ingested in place,
-        straight out of a ring slot or a source's own arrays.
-        """
-        zeros = zero_column(timestamps.size)
-        return cls(
-            timestamps=timestamps,
-            sources=zeros,
-            destinations=keys,
-            protocols=zeros,
-            wire_bytes=wire_bytes,
-            packets_seen=timestamps.size,
-        )
 
     @property
     def num_packets(self) -> int:
@@ -312,13 +288,11 @@ class PcapPacketSource:
         )
         high = matrix[:, ip + _IP_TOTAL_LENGTH].astype(np.int64)
         total_length = (high << 8) | matrix[:, ip + _IP_TOTAL_LENGTH + 1]
-        source, destination = _uint32_fields(matrix, ip + _IP_SOURCE, ">", 2)
+        (destination,) = _uint32_fields(matrix, ip + _IP_DESTINATION, ">")
         truncated = original_len > capture_len
         return PacketBatch(
             timestamps=seconds + fractions / (1e9 if header.nanosecond else 1e6),
-            sources=source,
             destinations=destination,
-            protocols=matrix[:, ip + _IP_PROTOCOL].astype(np.int64),
             wire_bytes=np.where(truncated, original_len, overhead + total_length),
             packets_seen=len(starts),
         )
@@ -358,8 +332,9 @@ class CsvPacketSource:
     packet (or pre-aggregated record), destination as dotted quad or
     integer. A header row starting with ``timestamp`` is skipped. This
     is the interchange format exported by flow collectors that have
-    already shed payloads. A row that does not parse is one
-    :class:`~repro.errors.ClassificationError` naming its line.
+    already shed payloads. A row that does not parse, an integer
+    destination outside the IPv4 range, or a size outside [0, 2**63)
+    is one :class:`~repro.errors.ClassificationError` naming its line.
     """
 
     def __init__(self, path: str, chunk_packets: int = DEFAULT_CHUNK_PACKETS) -> None:
@@ -382,11 +357,15 @@ class CsvPacketSource:
                 if len(cells) < 3:
                     raise ValueError("a packet row needs 3 columns")
                 timestamp, size = float(cells[0]), int(cells[2])
+                if not 0 <= size < 2**63:
+                    raise ValueError(f"wire size {size} not in [0, 2**63)")
                 destination = cells[1].strip()
                 if "." in destination:
                     address = ipv4.parse_ipv4(destination)
                 else:
                     address = int(destination)
+                    if not 0 <= address <= ipv4.MAX_ADDRESS:
+                        raise ValueError(f"{address} is not an IPv4 address")
             except ValueError as exc:  # AddressError is one too
                 raise ClassificationError(
                     f"packet CSV {self.path!r} line {number}: {exc}"
@@ -404,10 +383,11 @@ class CsvPacketSource:
     def _build(
         timestamps: list[float], destinations: list[int], sizes: list[int]
     ) -> PacketBatch:
-        return PacketBatch.of_flows(
+        return PacketBatch(
             np.array(timestamps, dtype=np.float64),
             np.array(destinations, dtype=np.int64),
             np.array(sizes, dtype=np.int64),
+            packets_seen=len(timestamps),
         )
 
 
@@ -415,8 +395,8 @@ class ArrayPacketSource:
     """An in-memory packet source over parallel per-packet arrays.
 
     The columnar twin of a recorded capture: callers supply
-    timestamps, destinations and wire sizes (sources/protocols default
-    to zero) and get standard chunked batches back. Integer sizes are
+    timestamps, destinations and wire sizes and get standard chunked
+    batches back, each a view of the arrays. Integer sizes are
     held as int64, so a sampler's inversion cannot wrap a compact
     column; float sizes stay float. Being a plain bundle of arrays it
     pickles cheaply, which makes it the packet source of choice for
@@ -452,11 +432,12 @@ class ArrayPacketSource:
 
     def batches(self) -> Iterator[PacketBatch]:
         for lo in range(0, self.num_packets, self.chunk_packets):
-            hi = lo + self.chunk_packets
-            yield PacketBatch.of_flows(
+            hi = min(lo + self.chunk_packets, self.num_packets)
+            yield PacketBatch(
                 self.timestamps[lo:hi],
                 self.destinations[lo:hi],
                 self.wire_bytes[lo:hi],
+                packets_seen=hi - lo,
             )
 
 

@@ -47,9 +47,7 @@ class ArraySource:
             hi = min(lo + self.chunk, self.stamps.size)
             yield PacketBatch(
                 timestamps=self.stamps[lo:hi],
-                sources=np.zeros(hi - lo, dtype=np.int64),
                 destinations=self.dests[lo:hi],
-                protocols=np.zeros(hi - lo, dtype=np.int64),
                 wire_bytes=self.sizes[lo:hi],
                 packets_seen=hi - lo,
             )
@@ -311,9 +309,7 @@ class TestStridedPartition:
             def batches(self):
                 yield PacketBatch(
                     timestamps=np.arange(10, dtype=float),
-                    sources=np.zeros(10, dtype=np.int64),
                     destinations=np.full(10, 10 << 24, dtype=np.int64),
-                    protocols=np.zeros(10, dtype=np.int64),
                     wire_bytes=np.full(10, 100, dtype=np.int64),
                     packets_seen=15,  # 5 non-IPv4 records were scanned
                 )

@@ -82,9 +82,7 @@ class ArraySource:
             hi = min(lo + self.chunk, self.stamps.size)
             yield PacketBatch(
                 timestamps=self.stamps[lo:hi],
-                sources=np.zeros(hi - lo, dtype=np.int64),
                 destinations=self.dests[lo:hi],
-                protocols=np.zeros(hi - lo, dtype=np.int64),
                 wire_bytes=self.sizes[lo:hi],
                 packets_seen=hi - lo,
             )

@@ -22,11 +22,7 @@ def make_table(*texts):
 
 def packet(ts, destination, size=1000):
     return PacketSummary(
-        timestamp=ts,
-        source=ipv4.parse_ipv4("198.51.100.1"),
-        destination=ipv4.parse_ipv4(destination),
-        protocol=6,
-        wire_bytes=size,
+        timestamp=ts, destination=ipv4.parse_ipv4(destination), wire_bytes=size
     )
 
 

@@ -37,6 +37,10 @@ class TestFlowInfoRecord:
             FlowInfoRecord(0, 0, 0, "", 5, 4, 0)
         with pytest.raises(ClassificationError, match="amount_sent"):
             FlowInfoRecord(0, 0, 0, "", 0, 1, -1)
+        with pytest.raises(ClassificationError, match="amount_sent"):
+            FlowInfoRecord(0, 0, 0, "", 0, 1, 2**63)
+        with pytest.raises(ClassificationError, match="IPv4 address"):
+            FlowInfoRecord(0, 0, 2**32, "", 0, 1, 0)
         with pytest.raises(ClassificationError, match="commas"):
             FlowInfoRecord(0, 0, 0, "a,b", 0, 1, 0)
         with pytest.raises(ClassificationError, match="commas"):
@@ -100,13 +104,42 @@ class TestReadWrite:
         with pytest.raises(ClassificationError, match="columns"):
             read_flow_records(path)
 
-    def test_bad_cell_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0,1,,0,10,10,100,0.0,", "invalid literal"),
+            # each used to end in OverflowError converting to int64
+            (
+                "0,0,1,,0,10,10,99999999999999999999,0.0,",
+                "amount_sent 99999999999999999999 not in [0, 2**63)",
+            ),
+            (
+                "0,0,99999999999999999999,,0,10,10,100,0.0,",
+                "dest_node_id 99999999999999999999 is not an IPv4 address",
+            ),
+            ("0,0,1,,0,10,10,-5,0.0,", "amount_sent -5 not in [0, 2**63)"),
+            ("0,0,1,,5,4,10,100,0.0,", "end_time 4 before start_time 5"),
+        ],
+    )
+    def test_bad_cell_names_line(self, tmp_path, row, message):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as stream:
             stream.write("0,0,1,,0,10,10,100,0.0,\n")
-            stream.write("x,0,1,,0,10,10,100,0.0,\n")
-        with pytest.raises(ClassificationError, match="bad.csv:2"):
+            stream.write(row + "\n")
+        with pytest.raises(ClassificationError, match="bad.csv:2") as caught:
             read_flow_records(path)
+        assert message in str(caught.value)
+
+    def test_widest_values_read(self, tmp_path):
+        path = str(tmp_path / "edge.csv")
+        with open(path, "w") as stream:
+            stream.write(f"0,{2**70},255.255.255.255,,0,1,1,{2**63 - 1},0,\n")
+        (record,) = read_flow_records(path)
+        assert record.source_node_id == 2**70  # carried, never a column
+        assert record.dest_node_id == 2**32 - 1
+        assert record.amount_sent == 2**63 - 1
+        (batch,) = FlowRecordSource(path).batches()
+        assert batch.wire_bytes.tolist() == [2**63 - 1]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ClassificationError, match="cannot read"):
@@ -125,7 +158,6 @@ class TestFlowRecordSource:
         assert batch.timestamps.tolist() == [0.0, 2.0, 10.0]
         assert batch.destinations.tolist() == [167837696, 167903232, 3]
         assert batch.wire_bytes.tolist() == [500_000, 125_000, 0]
-        assert batch.sources.tolist() == [0, 0, 7]
         assert batch.packets_seen == 3
 
     def test_chunking(self, tmp_path):

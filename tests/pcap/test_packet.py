@@ -4,12 +4,11 @@ import pytest
 
 from repro.errors import PacketDecodeError
 from repro.net import ipv4 as ip4
-from repro.pcap.ip import PROTO_TCP, PROTO_UDP, decode_ipv4
 from repro.pcap.ethernet import decode_ethernet
+from repro.pcap.ip import PROTO_UDP, decode_ipv4
 from repro.pcap.packet import (
     PacketSummary,
     build_frame,
-    build_tcp_packet,
     build_udp_packet,
     summarize_record,
 )
@@ -30,12 +29,6 @@ class TestBuilders:
         assert parsed.protocol == PROTO_UDP
         assert parsed.destination == DST
 
-    def test_tcp_packet_parses(self):
-        packet = build_tcp_packet(SRC, DST, 4000, 80, b"payload",
-                                  sequence=77)
-        parsed = decode_ipv4(packet.encode())
-        assert parsed.protocol == PROTO_TCP
-
     def test_frame_wraps_ip(self):
         packet = build_udp_packet(SRC, DST, 1, 2, b"x")
         frame = decode_ethernet(build_frame(packet))
@@ -50,13 +43,8 @@ class TestSummarize:
         record = CaptureRecord(timestamp=10.5, data=data)
         summary = summarize_record(record, LINKTYPE_ETHERNET)
         assert summary == PacketSummary(
-            timestamp=10.5, source=SRC, destination=DST,
-            protocol=PROTO_UDP, wire_bytes=len(data),
+            timestamp=10.5, destination=DST, wire_bytes=len(data)
         )
-
-    def test_wire_bits(self):
-        summary = PacketSummary(0.0, SRC, DST, PROTO_UDP, wire_bytes=100)
-        assert summary.wire_bits == 800
 
     def test_raw_ip_capture(self):
         packet = build_udp_packet(SRC, DST, 4000, 80, b"12345")
@@ -68,8 +56,9 @@ class TestSummarize:
     def test_truncated_capture_uses_wire_length(self):
         packet = build_udp_packet(SRC, DST, 4000, 80, b"x" * 400)
         data = build_frame(packet)
-        record = CaptureRecord(timestamp=1.0, data=data[:60],
-                               original_length=len(data))
+        record = CaptureRecord(
+            timestamp=1.0, data=data[:60], original_length=len(data)
+        )
         summary = summarize_record(record, LINKTYPE_ETHERNET)
         assert summary.wire_bytes == len(data)
         assert summary.destination == DST

@@ -60,9 +60,7 @@ def batch(rows):
     sizes = np.array([r[2] for r in rows], dtype=np.int64)
     return PacketBatch(
         timestamps=timestamps,
-        sources=np.zeros(len(rows), dtype=np.int64),
         destinations=destinations,
-        protocols=np.zeros(len(rows), dtype=np.int64),
         wire_bytes=sizes,
         packets_seen=len(rows),
     )

@@ -227,7 +227,7 @@ class ForeignColumns:
         for lo in range(0, self.wire.size, self.chunk):
             hi = lo + self.chunk
             keys = np.zeros(stamps[lo:hi].size, np.int64)
-            yield PacketBatch.of_flows(stamps[lo:hi], keys, self.wire[lo:hi])
+            yield PacketBatch(stamps[lo:hi], keys, self.wire[lo:hi], keys.size)
 
 
 class TestInversionDtypes:

@@ -36,44 +36,44 @@ def ipv4_prefix(key):
 
 def batch(rows):
     timestamps = np.array([r[0] for r in rows], dtype=np.float64)
-    destinations = np.array([ipv4.parse_ipv4(r[1]) for r in rows],
-                            dtype=np.int64)
-    sizes = np.array([r[2] for r in rows], dtype=np.int64)
-    return PacketBatch(
-        timestamps=timestamps,
-        sources=np.zeros(len(rows), dtype=np.int64),
-        destinations=destinations,
-        protocols=np.zeros(len(rows), dtype=np.int64),
-        wire_bytes=sizes,
-        packets_seen=len(rows),
+    destinations = np.array(
+        [ipv4.parse_ipv4(r[1]) for r in rows], dtype=np.int64
     )
+    sizes = np.array([r[2] for r in rows], dtype=np.int64)
+    return PacketBatch(timestamps, destinations, sizes, len(rows))
 
 
-def heavy_tailed_rows(num_heavy=5, num_mice=80, num_slots=5,
-                      slot_seconds=10.0, seed=9):
+def heavy_tailed_rows(
+    num_heavy=5, num_mice=80, num_slots=5, slot_seconds=10.0, seed=9
+):
     rng = np.random.default_rng(seed)
     rows = []
     for slot in range(num_slots):
         t0 = slot * slot_seconds
         for i in range(num_heavy):
             for _ in range(25):
-                rows.append((t0 + rng.uniform(0, slot_seconds),
-                             f"10.{i}.0.1", 1500))
+                stamp = t0 + rng.uniform(0, slot_seconds)
+                rows.append((stamp, f"10.{i}.0.1", 1500))
         for _ in range(num_mice):
             mouse = rng.integers(0, num_mice)
-            rows.append((t0 + rng.uniform(0, slot_seconds),
-                         f"172.{16 + mouse // 250}.{mouse % 250}.1", 64))
+            stamp = t0 + rng.uniform(0, slot_seconds)
+            host = f"172.{16 + mouse // 250}.{mouse % 250}.1"
+            rows.append((stamp, host, 64))
     rows.sort(key=lambda r: r[0])
     return rows
 
 
+def sharded_aggregator(backend, slot_seconds=10.0):
+    return StreamingAggregator(
+        FixedLengthResolver(24), slot_seconds=slot_seconds, backend=backend
+    )
+
+
 def run_rows(rows, backend, slot_seconds=10.0, chunk=150):
-    aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                     slot_seconds=slot_seconds,
-                                     backend=backend)
+    aggregator = sharded_aggregator(backend, slot_seconds)
     frames = []
     for lo in range(0, len(rows), chunk):
-        frames += aggregator.ingest(batch(rows[lo:lo + chunk]))
+        frames += aggregator.ingest(batch(rows[lo : lo + chunk]))
     frames += aggregator.finish()
     return aggregator, frames
 
@@ -108,7 +108,7 @@ class TestShardRouting:
         assert bounds[0] == 0 and bounds[-1] == keys.size
         homes = shard_of(keys, shards)
         for index in range(shards):
-            mine = order[bounds[index]:bounds[index + 1]]
+            mine = order[bounds[index] : bounds[index + 1]]
             assert np.array_equal(mine, np.flatnonzero(homes == index))
 
 
@@ -119,15 +119,21 @@ class TestConstruction:
 
     def test_rejects_mixed_kinds(self):
         with pytest.raises(ClassificationError):
-            ShardedAggregation([
-                ExactAggregation(),
-                make_backend("space-saving", capacity=4),
-            ])
+            ShardedAggregation(
+                [
+                    ExactAggregation(),
+                    make_backend("space-saving", capacity=4),
+                ]
+            )
 
     def test_rejects_used_backends(self):
         used = ExactAggregation()
-        used.accumulate(np.array([1]), np.array([10.0]), np.array([0.0]),
-                        PrefixColumns.of([RESIDUAL_PREFIX] * 2))
+        used.accumulate(
+            np.array([1]),
+            np.array([10.0]),
+            np.array([0.0]),
+            PrefixColumns.of([RESIDUAL_PREFIX] * 2),
+        )
         used.close_slot()
         with pytest.raises(ClassificationError):
             ShardedAggregation([used, ExactAggregation()])
@@ -177,11 +183,9 @@ class TestShardedSketch:
     def test_tracked_state_bounded_by_summed_capacity(self):
         backend = make_backend("space-saving", capacity=12, shards=3)
         rows = heavy_tailed_rows()
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = sharded_aggregator(backend)
         for lo in range(0, len(rows), 100):
-            aggregator.ingest(batch(rows[lo:lo + 100]))
+            aggregator.ingest(batch(rows[lo : lo + 100]))
             assert backend.tracked_flows <= backend.capacity
             for shard in backend.shards:
                 assert shard.tracked_flows <= shard.capacity
@@ -200,8 +204,13 @@ class TestShardedSketch:
         """The sharder reports what its shards' Bloom gates turned
         away (it used to have no such attribute at all), and gated
         shards conserve bytes like bare ones."""
-        backend = make_backend(name, capacity=8, shards=2, admission="bloom",
-                               admission_threshold=5000.0)
+        backend = make_backend(
+            name,
+            capacity=8,
+            shards=2,
+            admission="bloom",
+            admission_threshold=5000.0,
+        )
         aggregator, frames = run_rows(heavy_tailed_rows(), backend)
         rejected = [s.admission_rejected_bytes for s in backend.shards]
         assert all(share > 0 for share in rejected)
@@ -228,12 +237,10 @@ class TestShardedSketch:
     def test_rows_permanent_across_slots(self):
         rows = heavy_tailed_rows()
         backend = make_backend("space-saving", capacity=8, shards=2)
-        aggregator = StreamingAggregator(FixedLengthResolver(24),
-                                         slot_seconds=10.0,
-                                         backend=backend)
+        aggregator = sharded_aggregator(backend)
         seen: dict[str, int] = {}
         for lo in range(0, len(rows), 100):
-            for frame in aggregator.ingest(batch(rows[lo:lo + 100])):
+            for frame in aggregator.ingest(batch(rows[lo : lo + 100])):
                 for row, prefix in enumerate(frame.population):
                     name = str(prefix)
                     assert seen.setdefault(name, row) == row
@@ -270,16 +277,20 @@ class TestShardedExact:
         for mine, theirs in zip(frames, reference):
             assert np.array_equal(mine.rates, theirs.rates)
 
-
-    @pytest.mark.parametrize("name,kwargs", [
-        ("exact", {}), ("space-saving", {"capacity": 8}),
-    ])
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("exact", {}),
+            ("space-saving", {"capacity": 8}),
+        ],
+    )
     def test_slot_close_lists_only_new_rows(self, name, kwargs):
         """A slot that adds no row walks no shard's key map; one that
         adds a row lists that row only."""
         backend = make_backend(name, shards=2, **kwargs)
         listed = []
         for shard in backend.shards:
+
             def row_keys(start=0, inner=shard.row_keys):
                 listed.append(inner(start))
                 return listed[-1]

@@ -1,5 +1,6 @@
 """Tests for packet and slot sources."""
 
+import dataclasses
 import struct
 from unittest import mock
 
@@ -9,6 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ClassificationError, PcapFormatError
+from repro.flows.interchange import (
+    FlowInfoRecord,
+    FlowRecordSource,
+    write_flow_records,
+)
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net import ipv4
@@ -31,10 +37,12 @@ from repro.pcap.pcapfile import (
     read_records,
 )
 from repro.pipeline import sources
+from repro.pipeline.sampling import SamplingSpec
 from repro.pipeline.sources import (
     ArrayPacketSource,
     CsvPacketSource,
     MatrixSlotSource,
+    PacketBatch,
     PcapPacketSource,
     ScenarioSlotSource,
 )
@@ -56,9 +64,7 @@ def scanned(batches):
     return [
         PacketSummary(
             timestamp=float(b.timestamps[i]),
-            source=int(b.sources[i]),
             destination=int(b.destinations[i]),
-            protocol=int(b.protocols[i]),
             wire_bytes=int(b.wire_bytes[i]),
         )
         for b in batches
@@ -166,7 +172,7 @@ class TestPcapPacketSource:
             list(PcapPacketSource(path).batches())
 
 
-COLUMNS = ("timestamps", "sources", "destinations", "protocols", "wire_bytes")
+COLUMNS = ("timestamps", "destinations", "wire_bytes")
 
 
 def scalar_scan(path, chunk_packets):
@@ -174,7 +180,7 @@ def scalar_scan(path, chunk_packets):
 
     Records come from :func:`repro.pcap.pcapfile.read_records`; fields
     are unpacked one packet at a time. Returns the batches as
-    ``(rows, packets_seen)`` — a row is the five column values of one
+    ``(rows, packets_seen)`` — a row is the three column values of one
     IPv4 packet — and the format error that ended the scan, if any:
     every full batch before a fault is delivered, the partial one the
     fault interrupts is not.
@@ -189,17 +195,15 @@ def scalar_scan(path, chunk_packets):
                 ip = data[overhead : overhead + 20]
                 is_ip = overhead == 0 or data[12:14] == b"\x08\x00"
                 if is_ip and len(ip) == 20 and ip[0] >> 4 == 4:
-                    total_length, protocol = struct.unpack(">2xH5xB", ip[:10])
-                    source, destination = struct.unpack(">II", ip[12:])
+                    (total_length,) = struct.unpack(">2xH", ip[:4])
+                    (destination,) = struct.unpack(">I", ip[16:])
                     cut_short = record.original_length > len(data)
                     wire = (
                         record.original_length
                         if cut_short
                         else overhead + total_length
                     )
-                    rows.append(
-                        (record.timestamp, source, destination, protocol, wire)
-                    )
+                    rows.append((record.timestamp, destination, wire))
                 seen += 1
                 if seen == chunk_packets:
                     batches.append((rows, seen))
@@ -362,14 +366,6 @@ class TestCsvPacketSource:
         assert int(first.destinations[1]) == ipv4.parse_ipv4("10.0.0.1")
         assert int(first.wire_bytes[2]) == 102
 
-    def test_no_zero_column_is_allocated_per_batch(self, tmp_path):
-        path = str(tmp_path / "flows.csv")
-        with open(path, "w") as stream:
-            stream.write("0.5,10.0.0.1,100\n1.5,10.0.0.2,200\n")
-        (batch,) = CsvPacketSource(path).batches()
-        assert batch.sources.strides == batch.protocols.strides == (0,)
-        assert batch.sources.tolist() == batch.protocols.tolist() == [0, 0]
-
     def test_integer_destinations_accepted(self, tmp_path):
         path = str(tmp_path / "flows.csv")
         with open(path, "w") as stream:
@@ -377,12 +373,43 @@ class TestCsvPacketSource:
         (batch,) = CsvPacketSource(path).batches()
         assert int(batch.destinations[0]) == ipv4.parse_ipv4("10.1.0.0")
 
-    def test_short_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0,10.0.0.1", "a packet row needs 3 columns"),
+            # each used to end in OverflowError converting to int64
+            (
+                "0.5,10.0.0.1,99999999999999999999",
+                "wire size 99999999999999999999 not in [0, 2**63)",
+            ),
+            (
+                "0.5,10.0.0.1,9223372036854775808",
+                "wire size 9223372036854775808 not in [0, 2**63)",
+            ),
+            (
+                "0.5,99999999999999999999,100",
+                "99999999999999999999 is not an IPv4 address",
+            ),
+            # used to fail later as "no active flows in slot"
+            ("0.5,10.0.0.1,-100", "wire size -100 not in [0, 2**63)"),
+            ("0.5,4294967296,100", "4294967296 is not an IPv4 address"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as stream:
-            stream.write("1.0,10.0.0.1\n")
-        with pytest.raises(ClassificationError, match="line 1: a packet row"):
+            stream.write(f"0.5,10.0.0.1,100\n{row}\n")
+        with pytest.raises(ClassificationError) as caught:
             list(CsvPacketSource(path).batches())
+        assert str(caught.value) == f"packet CSV {path!r} line 2: {message}"
+
+    def test_largest_size_and_address_accepted(self, tmp_path):
+        path = str(tmp_path / "edge.csv")
+        with open(path, "w") as stream:
+            stream.write(f"0.5,{ipv4.MAX_ADDRESS},{2**63 - 1}\n0.5,0,0\n")
+        (batch,) = CsvPacketSource(path).batches()
+        assert batch.destinations.tolist() == [ipv4.MAX_ADDRESS, 0]
+        assert batch.wire_bytes.tolist() == [2**63 - 1, 0]
 
 
 class TestArrayPacketSource:
@@ -399,19 +426,6 @@ class TestArrayPacketSource:
         rejoined = np.concatenate([b.destinations for b in batches])
         assert np.array_equal(rejoined, destinations)
         assert all(b.packets_skipped == 0 for b in batches)
-
-    def test_no_zero_column_is_allocated_per_batch(self):
-        # nothing on the pipeline reads sources/protocols: they are the
-        # zero-stride zeros of PacketBatch.of_flows, not a fresh
-        # np.zeros(chunk) each per batch
-        source = ArrayPacketSource(
-            np.arange(10.0), np.arange(10), np.full(10, 64), chunk_packets=4
-        )
-        for batch in source.batches():
-            for column in (batch.sources, batch.protocols):
-                assert column.strides == (0,)
-                assert column.shape == (batch.num_packets,)
-                assert column.dtype == np.int64 and not column.any()
 
     def test_integer_sizes_are_held_as_int64_floats_stay(self):
         stamps, dests = np.arange(3.0), np.arange(3)
@@ -442,6 +456,110 @@ class TestArrayPacketSource:
                 np.zeros(1, np.int64),
                 chunk_packets=0,
             )
+
+
+def contract_source(kind, tmp_path, chunk):
+    """``(source, records, rows)``: a source of ``kind`` over a few
+    dozen packets, the records it scans and the rows it owes."""
+    stamps = np.arange(60) * 0.25
+    dests = (10 << 24) + np.arange(60) % 9 * 256
+    sizes = 40 + np.arange(60) * 7
+    if kind.startswith("pcap"):
+        path = str(tmp_path / "c.pcap")
+        raw_ip = kind == "pcap-raw-ip"
+        linktype = LINKTYPE_RAW_IP if raw_ip else LINKTYPE_ETHERNET
+        if kind != "pcap-mixed":  # equal lengths: the strided parse
+            sizes = np.full(60, 100)
+        records = [
+            udp_record(stamp, ipv4.format_ipv4(dest), payload=size)
+            for stamp, dest, size in zip(stamps, dests, sizes)
+        ]
+        if raw_ip:  # the IPv4 packets the frames carry
+            records = [
+                CaptureRecord(r.timestamp, r.data[14:]) for r in records
+            ]
+        rows = len(records)
+        if kind == "pcap-mixed":  # ARP and runt frames among them
+            arp = b"\x00" * 6 + b"\x01" * 6 + b"\x08\x06" + b"\x00" * 28
+            for at in (0, 17, 33):
+                records.insert(at, CaptureRecord(stamps[at], arp))
+            records.insert(50, CaptureRecord(stamps[50], b"\x00" * 20))
+        with PcapWriter.open(path, linktype=linktype) as writer:
+            writer.write_all(records)
+        return PcapPacketSource(path, chunk), len(records), rows
+    if kind == "packet-csv":
+        path = str(tmp_path / "c.csv")
+        with open(path, "w") as stream:
+            for stamp, dest, size in zip(stamps, dests, sizes):
+                stream.write(f"{stamp},{ipv4.format_ipv4(dest)},{size}\n")
+        return CsvPacketSource(path, chunk), 60, 60
+    if kind == "flow-csv":
+        path = str(tmp_path / "f.csv")
+        records = [
+            FlowInfoRecord(i, 7, int(d), "", round(t * 1e9), 10**11, int(s))
+            for i, (t, d, s) in enumerate(zip(stamps, dests, sizes))
+        ]
+        write_flow_records(path, records)
+        return FlowRecordSource(path, chunk), 60, 60
+    array = ArrayPacketSource(stamps, dests, sizes, chunk)
+    if kind == "array":
+        return array, 60, 60
+    # 1-in-3 from seed 1: counter phase 1, or the seeded coin flips
+    mode = kind.removeprefix("sampled-")
+    if mode == "probabilistic":
+        kept = np.random.default_rng(1).random(60) < 1 / 3
+    else:
+        kept = (1 + np.arange(60)) % 3 == 0
+    rows = int(kept.sum())
+    if mode == "flow-records":  # one record per key per inner batch
+        spans = [slice(lo, lo + chunk) for lo in range(0, 60, chunk)]
+        rows = sum(len(set(dests[s][kept[s]].tolist())) for s in spans)
+    sampled = SamplingSpec(rate=3, mode=mode, seed=1).wrap(array)
+    return sampled, 60, rows
+
+
+CONTRACT_KINDS = [
+    "pcap-ethernet",
+    "pcap-raw-ip",
+    "pcap-mixed",
+    "packet-csv",
+    "flow-csv",
+    "array",
+    "sampled-deterministic",
+    "sampled-probabilistic",
+    "sampled-flow-records",
+]
+
+
+class TestThreeColumns:
+    """Every packet source yields the same batch: three columns, one
+    row per packet it could represent, and ``packets_seen`` counting
+    every record it scanned, conserved over the run."""
+
+    def test_a_batch_is_three_columns_and_a_count(self):
+        names = [field.name for field in dataclasses.fields(PacketBatch)]
+        assert names == [*COLUMNS, "packets_seen"]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 65536])
+    @pytest.mark.parametrize("kind", CONTRACT_KINDS)
+    def test_every_source_yields_the_three_columns(
+        self, tmp_path, kind, chunk
+    ):
+        source, records, rows = contract_source(kind, tmp_path, chunk)
+        batches = list(source.batches())
+        for batch in batches:
+            assert type(batch) is PacketBatch
+            columns = [getattr(batch, name) for name in COLUMNS]
+            dtypes = [column.dtype for column in columns]
+            assert dtypes == [np.float64, np.int64, np.int64]
+            assert all(c.shape == (batch.num_packets,) for c in columns)
+            # a batch may hold no row: records it scanned and skipped,
+            # or sampled away, still count
+            assert batch.num_packets <= chunk
+            assert batch.packets_seen >= batch.num_packets
+        assert sum(b.packets_seen for b in batches) == records
+        assert sum(b.num_packets for b in batches) == rows
+        assert 0 < rows <= 60
 
 
 class TestSlotSources:

@@ -222,9 +222,7 @@ def run_backend(backend, batches, slot_seconds=4.0):
             frames += aggregator.ingest(
                 PacketBatch(
                     timestamps=np.array([clock]),
-                    sources=np.zeros(1, dtype=np.int64),
                     destinations=np.array([key], dtype=np.int64),
-                    protocols=np.zeros(1, dtype=np.int64),
                     wire_bytes=np.array([int(weight * 40)]),
                     packets_seen=1,
                 )
@@ -271,9 +269,7 @@ def run_batched(backend, batches, slot_seconds=1e9):
         frames += aggregator.ingest(
             PacketBatch(
                 timestamps=times,
-                sources=np.zeros(len(batch), dtype=np.int64),
                 destinations=keys,
-                protocols=np.zeros(len(batch), dtype=np.int64),
                 wire_bytes=sizes,
                 packets_seen=len(batch),
             )

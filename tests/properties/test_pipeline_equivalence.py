@@ -99,9 +99,7 @@ def stream_pipeline(
         frames += aggregator.ingest(
             PacketBatch(
                 timestamps=stamps,
-                sources=np.zeros(stamps.size, dtype=np.int64),
                 destinations=dests,
-                protocols=np.zeros(stamps.size, dtype=np.int64),
                 wire_bytes=sizes,
                 packets_seen=stamps.size,
             )
@@ -127,9 +125,7 @@ def batch_result(num_flows, axis, packets, scheme, feature, config=None):
         aggregator.add(
             PacketSummary(
                 timestamp=float(stamp),
-                source=0,
                 destination=int(dest),
-                protocol=17,
                 wire_bytes=int(size),
             )
         )

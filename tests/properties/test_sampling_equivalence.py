@@ -156,7 +156,7 @@ class TestDeterministicInversion:
         assert sum(inverted) == true_total * rate
 
 
-COLUMNS = ("timestamps", "sources", "destinations", "protocols", "wire_bytes")
+COLUMNS = ("timestamps", "destinations", "wire_bytes")
 
 
 class ListSource:
@@ -175,7 +175,7 @@ class ListSource:
 def inner_batches(draw):
     """Up to a dozen inner batches of 0..30 rows — empty ones, ones a
     1-in-50 sampler keeps nothing of, ones with ``packets_skipped`` —
-    over a few /24 flows, every column carrying its own facts."""
+    over a few /24 flows."""
     sizes = draw(st.lists(st.integers(0, 30), min_size=0, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     total = sum(sizes)
@@ -183,9 +183,7 @@ def inner_batches(draw):
     flows = draw(st.integers(1, 6))
     columns = (
         stamps,
-        rng.integers(1, 1 << 32, total),
         (10 << 24) | (rng.integers(0, flows, total) << 8),
-        rng.integers(1, 255, total),
         rng.integers(40, 1501, total),
     )
     made, lo = [], 0
@@ -221,8 +219,8 @@ def expected_rows(made, spec):
     rows, lo = [], 0
     for batch in made:
         kept = [
-            (stamp, source, dest, proto, wire * scale)
-            for keep, stamp, source, dest, proto, wire in zip(
+            (stamp, dest, wire * scale)
+            for keep, stamp, dest, wire in zip(
                 mask[lo : lo + batch.num_packets].tolist(),
                 *(getattr(batch, name).tolist() for name in COLUMNS),
             )
@@ -231,9 +229,8 @@ def expected_rows(made, spec):
         lo += batch.num_packets
         if spec.mode == "flow-records":
             records = {}
-            for stamp, source, dest, proto, wire in kept:
-                record = [stamp, source, dest, proto, 0]
-                records.setdefault(dest, record)[4] += wire
+            for stamp, dest, wire in kept:
+                records.setdefault(dest, [stamp, dest, 0])[2] += wire
             kept = [tuple(record) for record in records.values()]
         rows.extend(kept)
     return rows
@@ -303,7 +300,7 @@ class TestSamplerContract:
         made = [
             PacketBatch(
                 stamps[lo : lo + 4],
-                *(zeros,) * 4,
+                *(zeros,) * 2,
                 packets_seen=4 + (5 if lo == 12 else 0),
             )
             for lo in (0, 4, 8, 12)
@@ -322,10 +319,10 @@ class TestSamplerContract:
         ``repro.result/1`` entries — exact table, and a gated sketch
         (whose answer does depend on how rows are batched)."""
         rows = expected_rows(made, spec)
-        stamps, _, dests, _, wire = (
+        stamps, dests, wire = (
             (np.array(column) for column in zip(*rows))
             if rows
-            else (np.zeros(0),) * 5
+            else (np.zeros(0),) * 3
         )
         presampled = ArrayPacketSource(
             stamps,

@@ -26,7 +26,7 @@ def sharded_workloads(draw):
     num_slots = draw(st.integers(min_value=2, max_value=6))
     num_shards = draw(st.integers(min_value=1, max_value=5))
     slot_seconds = draw(st.sampled_from([7.5, 10.0, 60.0]))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 31))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
 
     horizon = num_slots * slot_seconds
@@ -36,42 +36,36 @@ def sharded_workloads(draw):
         count = int(rng.integers(1, 40))
         stamps = rng.uniform(arrival, horizon, size=count)
         timestamps.extend(stamps.tolist())
-        destinations.extend(
-            [(10 << 24) | (flow << 16) | int(rng.integers(1, 255))]
-            * count
-        )
-        sizes.extend(
-            (rng.pareto(1.3, size=count) * 200 + 64)
-            .clip(64, 1500).astype(int).tolist()
-        )
+        host = int(rng.integers(1, 255))
+        destinations.extend([(10 << 24) | (flow << 16) | host] * count)
+        drawn = rng.pareto(1.3, size=count) * 200 + 64
+        sizes.extend(drawn.clip(64, 1500).astype(int).tolist())
     order = np.argsort(np.array(timestamps), kind="stable")
     timestamps = np.array(timestamps, dtype=np.float64)[order]
     destinations = np.array(destinations, dtype=np.int64)[order]
     sizes = np.array(sizes, dtype=np.int64)[order]
 
     num_cuts = draw(st.integers(min_value=0, max_value=5))
-    cuts = sorted(rng.integers(0, timestamps.size + 1,
-                               size=num_cuts).tolist())
+    cuts = sorted(rng.integers(0, timestamps.size + 1, size=num_cuts).tolist())
     bounds = [0] + cuts + [timestamps.size]
-    chunks = [(timestamps[a:b], destinations[a:b], sizes[a:b])
-              for a, b in zip(bounds, bounds[1:])]
+    chunks = [
+        (timestamps[a:b], destinations[a:b], sizes[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
     return num_shards, slot_seconds, chunks
 
 
 def run_chunks(slot_seconds, chunks, backend):
-    aggregator = StreamingAggregator(FixedLengthResolver(16),
-                                     slot_seconds=slot_seconds,
-                                     start=0.0, backend=backend)
+    aggregator = StreamingAggregator(
+        FixedLengthResolver(16),
+        slot_seconds=slot_seconds,
+        start=0.0,
+        backend=backend,
+    )
     frames = []
     for stamps, dests, sizes in chunks:
-        frames += aggregator.ingest(PacketBatch(
-            timestamps=stamps,
-            sources=np.zeros(stamps.size, dtype=np.int64),
-            destinations=dests,
-            protocols=np.zeros(stamps.size, dtype=np.int64),
-            wire_bytes=sizes,
-            packets_seen=stamps.size,
-        ))
+        batch = PacketBatch(stamps, dests, sizes, stamps.size)
+        frames += aggregator.ingest(batch)
     frames += aggregator.finish()
     return aggregator, frames
 
@@ -102,8 +96,8 @@ def test_sharded_exact_records_identical(workload):
     """Merged per-flow bytes equal the single table's and conserve."""
     num_shards, slot_seconds, chunks = workload
     single, reference = run_chunks(slot_seconds, chunks, None)
-    sharded, frames = run_chunks(slot_seconds, chunks,
-                                 make_backend("exact", shards=num_shards))
+    backend = make_backend("exact", shards=num_shards)
+    sharded, frames = run_chunks(slot_seconds, chunks, backend)
     assert sharded.prefixes == single.prefixes
     assert len(frames) == len(reference)
     for got, ref in zip(frames, reference):
@@ -113,17 +107,20 @@ def test_sharded_exact_records_identical(workload):
 
 
 @settings(max_examples=10, deadline=None)
-@given(workload=sharded_workloads(),
-       capacity=st.integers(min_value=2, max_value=24))
+@given(
+    workload=sharded_workloads(),
+    capacity=st.integers(min_value=2, max_value=24),
+)
 def test_sharded_sketch_conserves_bytes(workload, capacity):
     """Sketch shards may mislabel flows, never lose or invent bytes."""
     num_shards, slot_seconds, chunks = workload
-    backend = make_backend("space-saving", capacity=capacity,
-                           shards=num_shards)
+    backend = make_backend(
+        "space-saving", capacity=capacity, shards=num_shards
+    )
     aggregator, frames = run_chunks(slot_seconds, chunks, backend)
-    streamed = sum(float(frame.rates.sum()) * slot_seconds / 8.0
-                   for frame in frames)
-    assert streamed == aggregator.stats.bytes_matched or \
-        abs(streamed - aggregator.stats.bytes_matched) \
-        <= 1e-9 * aggregator.stats.bytes_matched
+    streamed = sum(
+        float(frame.rates.sum()) * slot_seconds / 8.0 for frame in frames
+    )
+    matched = aggregator.stats.bytes_matched
+    assert abs(streamed - matched) <= 1e-9 * matched
     assert backend.peak_tracked <= backend.capacity

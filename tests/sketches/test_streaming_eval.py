@@ -77,9 +77,7 @@ def trace():
         batches.append(
             PacketBatch(
                 timestamps=np.array([r[0] for r in chunk]),
-                sources=np.zeros(len(chunk), dtype=np.int64),
                 destinations=np.array([r[1] for r in chunk], dtype=np.int64),
-                protocols=np.zeros(len(chunk), dtype=np.int64),
                 wire_bytes=np.array([r[2] for r in chunk], dtype=np.int64),
                 packets_seen=len(chunk),
             )

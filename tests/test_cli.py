@@ -1427,6 +1427,22 @@ class TestDamagedInputsAreOneErrorLine:
             ("stream {dir}/t.csv", "0.5,10.0.0.1,1W0"),
             # digits str.isdigit() takes and int() does not
             ("stream {dir}/t.csv", "0.5,1\u00b27.0.0.1,100"),
+            # integers int64 cannot hold, and a negative size
+            (
+                "stream {dir}/t.csv --prefix-length 24",
+                "0.5,10.0.0.1,99999999999999999999",
+            ),
+            ("stream {dir}/t.csv --prefix-length 24", "0.5,10.0.0.1,-100"),
+            (
+                "stream {dir}/f.csv --prefix-length 24",
+                "1,0,10.0.0.1,,0,1,1,99999999999999999999,0.0,",
+            ),
+            (
+                "stream {dir}/f.csv --prefix-length 24",
+                "1,0,99999999999999999999,,0,1,1,100,0.0,",
+            ),
+            # a timestamp ~3e9 empty slots past the first
+            ("stream {dir}/t.csv", "1e12,10.0.0.1,100"),
             ("stream {dir}/ok.csv --rib {dir}/rib.txt", "10.0.0.0/1\u00b3"),
             ("merge {dir}/s.npz", "deflate"),
             ("classify {dir}/m.npz", "deflate"),
@@ -1440,10 +1456,18 @@ class TestDamagedInputsAreOneErrorLine:
     )
     def test_one_error_line(self, tmp_path, capsys, argv, damage):
         """Each used to be a traceback: ValueError, zlib.error,
-        RuntimeError, tokenize.TokenError, NotImplementedError, EOFError
-        or TypeError."""
+        RuntimeError, tokenize.TokenError, NotImplementedError, EOFError,
+        TypeError or OverflowError — or, for a negative size, a
+        misleading "no active flows" — or, for the far timestamp, a
+        frame for every empty slot first."""
         (tmp_path / "ok.csv").write_text("0.5,10.0.0.1,100\n")
-        for name, sound in (("t.csv", "0.5,10.0.0.1,100"), ("rib.txt", "")):
+        flows = "flow_id,source_node_id\n0,0,10.0.0.1,,0,1,1,100,0.0,"
+        sound_files = (
+            ("t.csv", "0.5,10.0.0.1,100"),
+            ("f.csv", flows),
+            ("rib.txt", ""),
+        )
+        for name, sound in sound_files:
             text = f"{sound}\n{damage}\n"
             (tmp_path / name).write_text(text, encoding="utf-8")
         prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
