@@ -173,8 +173,9 @@ class FlowTableSimulator:
             slot_bytes.get(prefix, 0.0) for prefix in self.rules
         )
 
+        # prefix → its row in this frame, as the verdict names it
         elephants = {
-            frame.population[row]
+            frame.population[row]: row
             for row in verdict.elephants().tolist()
             if row != frame.residual_row
         }
@@ -198,7 +199,7 @@ class FlowTableSimulator:
 
         installs = evictions = rejected = 0
         for prefix in sorted(
-            elephants - set(self.rules), key=lambda p: self._row(frame, p)
+            elephants.keys() - self.rules, key=elephants.get
         ):
             if len(self.rules) >= self.spec.table_size:
                 victim = self._pick_victim(refreshed)
@@ -208,7 +209,7 @@ class FlowTableSimulator:
                 del self.rules[victim]
                 evictions += 1
             self.rules[prefix] = _Rule(
-                row=self._row(frame, prefix),
+                row=elephants[prefix],
                 slot_bytes=slot_bytes.get(prefix, 0.0),
             )
             refreshed.add(prefix)
@@ -265,12 +266,6 @@ class FlowTableSimulator:
                 float(frame.rates[row]) * scale
             )
         return volumes, total
-
-    @staticmethod
-    def _row(frame: SlotFrame, prefix: Prefix) -> int:
-        # population rows are permanent; index() over the live
-        # sequence is fine at per-slot (not per-packet) frequency
-        return frame.population.index(prefix)
 
     def _pick_victim(self, refreshed: set[Prefix]) -> Prefix | None:
         if self.spec.eviction == "no-evict":

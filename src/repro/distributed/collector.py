@@ -14,13 +14,14 @@ under-represents small flows, so every merged frame carries residual
 row 0 (conserving the unseen mass) and the classifier excludes it from
 elephant verdicts, exactly as it does for single-monitor sketch runs.
 
-The merged population is a :class:`~repro.net.prefix.PrefixColumns`
-and the prefix → row map a :class:`~repro.hash_index.HashIndex` on its
-``keys()``: a frame is one ``find``, one ``extend`` for the rows that
-are new and one ``bincount``. :func:`elephant_entries` formats the
-rows it prints from the two integers, so the collector builds no
-``Prefix`` object at all; a caller that reads ``population[row]`` gets
-one.
+The merged population is a :class:`~repro.pipeline.backends.Population`,
+the prefix → row map every backend holds: a frame is one
+:meth:`~repro.pipeline.backends.Population.rows` lookup and one
+``bincount``, and a real default route (``0.0.0.0/0``) earns a row of
+its own, as it does under ``repro stream``. :func:`elephant_entries`
+formats the rows it prints from the two integers, so the collector
+builds no ``Prefix`` object at all; a caller that reads
+``population[row]`` gets one.
 
 :class:`Collector` is the batch flavour (all runs in hand, merge once,
 classify); the live network service in
@@ -33,17 +34,14 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.analysis.elephants import ElephantSeries
 from repro.core.engine import EngineConfig, Feature, Scheme
 from repro.core.streaming import SlotVerdict
 from repro.distributed.merge import merge_runs
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError
-from repro.hash_index import ABSENT, HashIndex
 from repro.net.prefix import PrefixColumns
-from repro.pipeline.backends import RESIDUAL_PREFIX, sum_by_row
+from repro.pipeline.backends import Population, sum_by_row
 from repro.pipeline.engine import StreamEvent, StreamingPipeline
 from repro.pipeline.sources import SlotFrame
 
@@ -135,9 +133,7 @@ class MergedSlotSource:
 
     Rows follow the backend convention: residual row 0 always exists,
     prefixes earn permanent rows in first-appearance order, and each
-    frame's rates vector covers the population discovered so far. A
-    tracked default route (``0.0.0.0/0``) is folded into the residual
-    row rather than duplicated.
+    frame's rates vector covers the population discovered so far.
 
     Construction takes either a non-empty merged run (the batch path:
     :meth:`slots` replays it) or an explicit ``slot_seconds`` with no
@@ -156,13 +152,9 @@ class MergedSlotSource:
             raise ClassificationError("no merged slots to stream")
         self.merged = merged
         self.slot_seconds = merged[0].slot_seconds if merged else slot_seconds
-        self.residual_row = 0
+        self.population = Population(residual_row=0)
         #: The live population, as columns (frames share it).
-        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
-        # key → row; 0.0.0.0/0 is in the map too, so a tracked default
-        # route folds into the residual row by construction
-        self._row_of = HashIndex()
-        self._row_of.insert(self.prefixes.keys(), [self.residual_row])
+        self.prefixes = self.population.prefixes
 
     def frame_of(self, summary: SlotSummary) -> SlotFrame:
         """The next slot frame, growing the population as needed.
@@ -175,24 +167,16 @@ class MergedSlotSource:
                 f"summary on a {summary.slot_seconds}s grid pushed "
                 f"into a {self.slot_seconds}s source"
             )
-        table = summary.prefixes
-        keys = table.keys()
-        rows = self._row_of.find(keys)
-        fresh = np.flatnonzero(rows == ABSENT)
-        if fresh.size:
-            first = len(self.prefixes)
-            rows[fresh] = np.arange(first, first + fresh.size)
-            self._row_of.insert(keys[fresh], rows[fresh])
-            self.prefixes.extend(table.network[fresh], table.length[fresh])
+        rows = self.population.rows(summary.prefixes)
         rates = sum_by_row(rows, summary.volumes, len(self.prefixes))
-        rates[self.residual_row] += summary.residual_bytes
+        rates[0] += summary.residual_bytes
         rates *= 8.0 / self.slot_seconds
         return SlotFrame(
             slot=summary.slot,
             start=summary.start,
             rates=rates,
             population=self.prefixes,
-            residual_row=self.residual_row,
+            residual_row=0,
             sample_rate=summary.sample_rate,
         )
 

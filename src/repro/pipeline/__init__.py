@@ -28,6 +28,7 @@ __getattr__, __dir__, __all__ = attach(
             "AggregationBackend",
             "ArraySketchAggregation",
             "ExactAggregation",
+            "Population",
             "SketchAggregation",
             "SketchSlotSource",
             "capacity_for_budget",

@@ -15,12 +15,12 @@ this class:
   ``slot_seconds`` grid), one slot at a time, for as long as the
   capture runs;
 - flows are discovered from the traffic, through a pluggable
-  :class:`~repro.pipeline.backends.AggregationBackend`. The default
-  exact backend gives every prefix its own permanent row the first
-  time it carries bytes; sketch backends bound the tracked table at a
-  fixed capacity and conserve untracked bytes in a residual row, with
-  the array tables running the per-batch accounting as vectorized
-  kernels end to end.
+  :class:`~repro.pipeline.backends.AggregationBackend` whose
+  :class:`~repro.pipeline.backends.Population` numbers the rows. The
+  exact backend gives every prefix — 0.0.0.0/0 included — a permanent
+  row the first time it carries bytes; sketch backends bound the
+  tracked table at a fixed capacity and conserve untracked bytes in a
+  residual row 0, with the array tables' batch kernels doing the rest.
 
 State is one open slot's accounting plus the backend's flow table —
 O(flows) for exact, O(capacity) *tracked* state for sketches. Sketch

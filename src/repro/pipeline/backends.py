@@ -12,9 +12,9 @@ reads — and keeps no other per-flow ledger:
 - the bounded backends cap the candidate table at ``capacity`` entries
   using a classic heavy-hitter summary (Space-Saving, Misra–Gries,
   Count-Min + candidate table, Sample-and-Hold). Bytes of untracked
-  flows are conserved in a dedicated *residual row* (prefix
-  ``0.0.0.0/0``, always row 0), so every emitted slot still sums to
-  the traffic that arrived.
+  flows are conserved in a dedicated *residual row* (row 0, labelled
+  ``0.0.0.0/0``), so every emitted slot still sums to the traffic that
+  arrived.
 
 A bounded backend is handed its summary, built, instead of subclassing
 per summary. :class:`ArraySketchAggregation` runs any candidate table
@@ -39,9 +39,10 @@ permanent (the positional identity downstream classifiers depend on);
 a flow evicted later keeps its row, its subsequent bytes simply fall
 into the residual until it is re-admitted.
 
-Populations are columns: ``backend.prefixes`` is a
-:class:`~repro.net.prefix.PrefixColumns`, and a flow that earns a row
-is admitted as a slice of the table that travels in the fourth
+Every backend holds one :class:`Population`, the prefix → row map
+that sharding and the collector hold too; ``backend.prefixes`` is its
+:class:`~repro.net.prefix.PrefixColumns`. A flow that earns a row is
+appended as a slice of the table that travels in the fourth
 ``accumulate`` argument (the resolver's own ``PrefixColumns``; a
 slot-altitude replay hands over the frame population) — one array step
 shared by every array backend (:meth:`AggregationBackend._admit`).
@@ -62,6 +63,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.errors import ClassificationError
+from repro.hash_index import ABSENT, HashIndex
 from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.sources import SlotFrame, SlotSource
 from repro.sketches.array_tables import (
@@ -73,12 +75,54 @@ from repro.sketches.array_tables import (
 )
 from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD, gated_table
 
-#: The population entry that absorbs untracked ("other") traffic. A
-#: *real* default-route flow (a 0.0.0.0/0 RIB entry, or
-#: ``--prefix-length 0``) is folded into this row rather than given its
-#: own — under a sketch the two are indistinguishable, and populations
-#: must stay duplicate-free.
+#: How the residual row (untracked, "other" traffic) reads. It is
+#: only a label: a real default-route flow (a 0.0.0.0/0 RIB entry, or
+#: ``--prefix-length 0``) earns a row of its own, as any prefix does.
 RESIDUAL_PREFIX = Prefix(0, 0)
+
+
+class Population:
+    """One stream's prefix → row map; a row, once given, never moves.
+
+    ``prefixes`` is the live :class:`~repro.net.prefix.PrefixColumns`
+    frames share by reference. ``residual_row`` is 0 when row 0 is the
+    residual label (:data:`RESIDUAL_PREFIX`), else ``None``; no prefix
+    is ever looked up onto the label. :meth:`append` numbers prefixes
+    the caller knows are new and hashes nothing; :meth:`rows` finds
+    prefixes through a :class:`~repro.hash_index.HashIndex` filled on
+    first use (and caught up with appended rows on each later one).
+    """
+
+    def __init__(self, residual_row: int | None = None) -> None:
+        self.residual_row = residual_row
+        labels = [] if residual_row is None else [RESIDUAL_PREFIX]
+        self.prefixes = PrefixColumns.of(labels)
+        self._index = HashIndex()
+        # every row below this one is in the index, bar the label
+        self._indexed = len(self.prefixes)
+
+    def append(self, table: PrefixColumns) -> None:
+        """The next rows, in order, for ``table``'s prefixes (distinct,
+        and new to this population)."""
+        self.prefixes.extend(table.network, table.length)
+
+    def rows(self, table: PrefixColumns) -> np.ndarray:
+        """The row of each of ``table``'s (distinct) prefixes; unseen
+        ones are appended in table order."""
+        held = len(self.prefixes)
+        if self._indexed < held:  # rows appended since the last call
+            tail = self.prefixes[self._indexed :]
+            self._index.insert(tail.keys(), np.arange(self._indexed, held))
+        keys = table.keys()
+        rows = self._index.find(keys)
+        fresh = np.flatnonzero(rows == ABSENT)
+        if fresh.size:
+            rows[fresh] = np.arange(held, held + fresh.size)
+            self._index.insert(keys[fresh], rows[fresh])
+            self.append(table[fresh])
+        self._indexed = len(self.prefixes)
+        return rows
+
 
 #: What the byte-budget sizing charges per tracked entry: table slot,
 #: key index, pending slot accumulator and row map entry, amortised. A
@@ -128,10 +172,11 @@ class AggregationBackend(abc.ABC):
     :meth:`accumulate` (integer flow keys, byte sizes, timestamps and
     the prefix table the keys are rows of) and calls
     :meth:`close_slot` at every slot boundary to harvest the byte
-    vector. ``prefixes`` is the live, append-only population, a
-    :class:`~repro.net.prefix.PrefixColumns` — frames share it by
-    reference, so row ``i`` means the same flow in every frame a run
-    emits, and a :class:`Prefix` is built only for a row somebody reads.
+    vector. ``population`` is the live, append-only
+    :class:`Population` and ``prefixes`` its columns — frames share
+    them by reference, so row ``i`` means the same flow in every frame
+    a run emits, and a :class:`Prefix` is built only for a row somebody
+    reads.
 
     A backend counts bytes per row per slot and nothing else: the
     classifier reads one bandwidth per flow per slot, so no packet
@@ -148,11 +193,10 @@ class AggregationBackend(abc.ABC):
     admission_rejected_bytes = 0.0
 
     def __init__(self) -> None:
-        self.prefixes = PrefixColumns()
+        self.population = Population(self.residual_row)
+        self.prefixes = self.population.prefixes
         #: Flow key → row (-1: none yet); keys are dense resolver rows.
         self._key_row = np.full(0, -1, dtype=np.int64)
-        #: Row → flow key, any residual row excluded (:meth:`row_keys`).
-        self._keys: list[int] = []
         #: High-water mark of :attr:`tracked_flows` across the run.
         self.peak_tracked = 0
         #: Slots this backend has closed (backends are single-use).
@@ -190,18 +234,6 @@ class AggregationBackend(abc.ABC):
     def close_slot(self) -> np.ndarray:
         """Byte counts per stream row for the closing slot; resets it."""
 
-    def row_keys(self, start: int = 0) -> list[int]:
-        """Flow keys in row order, excluding any residual row.
-
-        ``row_keys()[i]`` is the integer flow key that owns row
-        ``i + 1`` when the backend has a residual row, else row ``i``;
-        ``row_keys(start)`` lists only the tail from index ``start``.
-        Rows are assigned sequentially, so the list only ever grows;
-        :class:`~repro.pipeline.sharded.ShardedAggregation` relies on
-        this to map shard-local rows onto its merged population.
-        """
-        return self._keys[start:]
-
     def _rows_of(self, keys: np.ndarray) -> np.ndarray:
         """The row of each key, -1 where it has none yet."""
         top, size = int(keys.max(initial=-1)) + 1, self._key_row.size
@@ -216,17 +248,9 @@ class AggregationBackend(abc.ABC):
         the next rows, in order; ``table[i]`` is the prefix of
         ``keys[i]``. The one new-flow step of every array backend: two
         column appends and a vector write of the key → row map."""
-        if self.residual_row is not None:
-            # a tracked default route is indistinguishable from the
-            # "other traffic" row: it shares that row rather than
-            # putting a second 0.0.0.0/0 into the population
-            real = table.keys() != 0
-            self._key_row[keys[~real]] = self.residual_row
-            keys, table = keys[real], table[real]
         first = len(self.prefixes)
-        self.prefixes.extend(table.network, table.length)
+        self.population.append(table)
         self._key_row[keys] = np.arange(first, first + keys.size)
-        self._keys.extend(keys.tolist())
 
     def _admit_first_traffic(
         self, unique: np.ndarray, first: np.ndarray, table: PrefixColumns
@@ -328,7 +352,6 @@ class SketchAggregation(AggregationBackend):
         super().__init__()
         self.name = name
         self.capacity = capacity
-        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
         self._sketch = sketch
         self._row_of: dict[int, int] = {}
         self._pending: dict[int, _PendingEntry] = {}
@@ -382,20 +405,11 @@ class SketchAggregation(AggregationBackend):
     def close_slot(self) -> np.ndarray:
         attributed: list[tuple[int, float]] = []
         for key, entry in self._pending.items():
-            if entry.prefix == RESIDUAL_PREFIX:
-                # A tracked default route is indistinguishable from the
-                # "other traffic" row; fold it in rather than emitting
-                # a duplicate 0.0.0.0/0 population entry.
-                self._residual += entry.bytes
-                continue
             row = self._row_of.get(key)
             if row is None:
                 row = len(self.prefixes)
                 self._row_of[key] = row
-                self._keys.append(key)
-                self.prefixes.extend(
-                    [entry.prefix.network], [entry.prefix.length]
-                )
+                self.population.append(PrefixColumns.of([entry.prefix]))
             attributed.append((row, entry.bytes))
         vector = np.zeros(len(self.prefixes))
         for row, volume in attributed:
@@ -432,7 +446,6 @@ class ArraySketchAggregation(AggregationBackend):
         super().__init__()
         self.name = name
         self.capacity = table.capacity
-        self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
         self._table = table
         self._pend_bytes = np.zeros(table.capacity)
         self._pend_active = np.zeros(table.capacity, dtype=bool)
@@ -499,8 +512,6 @@ class ArraySketchAggregation(AggregationBackend):
         fresh = keys[self._rows_of(keys) < 0]
         if fresh.size:
             self._admit(fresh, self._resolve[fresh])
-        # a tracked default route sits on the residual row (see
-        # _admit), every other key on a row of its own
         vector = sum_by_row(
             self._key_row[keys], self._pend_bytes[active], len(self.prefixes)
         )

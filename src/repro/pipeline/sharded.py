@@ -22,6 +22,12 @@ Semantics by inner-backend family:
   capacities. Untracked bytes fall into each shard's residual and the
   merge conserves them in the shared residual row 0, so merged slots
   still sum to the traffic that arrived.
+
+At slot close the prefixes of the shard rows that carried bytes are
+looked up in the outer :class:`~repro.pipeline.backends.Population`,
+in (shard, inner-row) order — the order a ``--workers`` fleet's
+summary entries reach the merge, so sketch shards and sketch workers
+number rows alike.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from repro.errors import ClassificationError
 from repro.hash_index import FIBONACCI_MULTIPLIER
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import (
-    RESIDUAL_PREFIX,
     AggregationBackend,
     group_by_row,
+    sum_by_row,
 )
 
 _HASH_SHIFT = np.uint64(33)
@@ -83,7 +89,7 @@ class ShardedAggregation(AggregationBackend):
     the inners are sketches — while delegating all per-flow counting to
     the shards. ``accumulate`` routes each key to its home shard (same
     key, same shard, always); ``close_slot`` closes every shard and
-    folds the shard-local vectors into the merged population.
+    adds the shard-local vectors up over the merged population.
 
     Inner backends must be homogeneous (all exact or all sketch) and
     fresh; build them through
@@ -114,22 +120,12 @@ class ShardedAggregation(AggregationBackend):
                     "sharded backends do not nest; pass the flat list "
                     "of inner backends instead"
                 )
+        self.residual_row = shards[0].residual_row
         super().__init__()
         self.shards = shards
         self.num_shards = len(shards)
-        self._sketched = shards[0].residual_row is not None
-        #: Per shard: outer row of inner row ``offset + i`` (the
-        #: residual row, when present, is handled separately).
-        self._shard_rows = [np.empty(0, dtype=np.int64) for _ in shards]
-        if self._sketched:
-            self.residual_row = 0
-            self.prefixes = PrefixColumns.of([RESIDUAL_PREFIX])
-            self.capacity = sum(
-                shard.capacity for shard in shards if shard.capacity is not None
-            )
-        else:
-            self.residual_row = None
-            self.capacity = None
+        if self.residual_row is not None:
+            self.capacity = sum(shard.capacity for shard in shards)
         self.name = f"sharded-{shards[0].name}"
 
     # ------------------------------------------------------------------
@@ -153,7 +149,7 @@ class ShardedAggregation(AggregationBackend):
     ) -> None:
         if keys.size == 0:
             return
-        if not self._sketched:
+        if self.residual_row is None:
             # Exact shards: the outer population must number rows in
             # global first-traffic order (interleaved across shards) to
             # stay byte-identical with a single exact backend — the
@@ -179,39 +175,22 @@ class ShardedAggregation(AggregationBackend):
         self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
 
     def close_slot(self) -> np.ndarray:
-        vectors = [shard.close_slot() for shard in self.shards]
-        for index in range(self.num_shards):
-            self._extend_map(index)
-        merged = np.zeros(len(self.prefixes))
-        for index, vector in enumerate(vectors):
-            if vector.size == 0:
-                continue
-            if self._sketched:
-                merged[0] += vector[0]
-                vector = vector[1:]
-            # a shard maps each of its rows to one outer row of its own
-            merged[self._shard_rows[index]] += vector
+        residual, tables, volumes = 0.0, [], []
+        for shard in self.shards:
+            vector = shard.close_slot()
+            rows = np.flatnonzero(vector)
+            if shard.residual_row is not None:
+                residual += vector[shard.residual_row]
+                rows = rows[rows != shard.residual_row]
+            tables.append(shard.prefixes[rows])
+            volumes.append(vector[rows])
+        carried = PrefixColumns(
+            np.concatenate([table.network for table in tables]),
+            np.concatenate([table.length for table in tables]),
+        )
+        rows = self.population.rows(carried)
+        merged = sum_by_row(rows, np.concatenate(volumes), len(self.prefixes))
+        if self.residual_row is not None:
+            merged[self.residual_row] += residual
         self.slots_closed += 1
         return merged
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _extend_map(self, index: int) -> None:
-        """Map any new rows of shard ``index`` onto the population."""
-        shard = self.shards[index]
-        row_map = self._shard_rows[index]
-        offset = 1 if self._sketched else 0
-        if len(shard.prefixes) - offset == row_map.size:
-            return
-        keys = np.array(shard.row_keys(row_map.size), dtype=np.int64)
-        new = np.flatnonzero(self._rows_of(keys) < 0)
-        if new.size:
-            # sketch shards surface a key only at slot close; give it
-            # its outer row now, in (shard, inner-row) order
-            inner = new + (offset + row_map.size)
-            self._admit(keys[new], shard.prefixes[inner])
-        self._shard_rows[index] = np.concatenate(
-            (row_map, self._key_row[keys])
-        )

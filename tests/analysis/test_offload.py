@@ -123,6 +123,20 @@ class TestTableDynamics:
         assert set(sim.rules) == {_prefix(1)}
         assert record.total_bytes == pytest.approx(9e5 * SLOT / 8)
 
+    def test_default_route_elephant_installs_with_its_row(self):
+        # the residual label and a real default route read alike: the
+        # rule keeps the row the verdict named, not the first match
+        sim = FlowTableSimulator(OffloadSpec(table_size=4), SLOT)
+        default = Prefix.parse("0.0.0.0/0")
+        population = [default, _prefix(1), default]
+        record = _slot(
+            sim, 0, [1e5, 4e5, 5e5], [1, 2], population, residual_row=0
+        )
+        assert record.installs == 2
+        assert sim.rules[_prefix(1)].row == 1
+        assert sim.rules[default].row == 2
+        assert sim.rules[default].slot_bytes == pytest.approx(5e5 * SLOT / 8)
+
     def test_cooldown_expiry_and_reinstall_churn(self):
         # a rule unrefreshed for `cooldown` slots expires; the flow
         # going elephant again re-installs — churn counts all of it

@@ -114,7 +114,9 @@ class TestMergedSlotSource:
         assert frames[1].rates[1] == pytest.approx(2.0)
         assert frames[1].rates[2] == pytest.approx(4.0)
 
-    def test_default_route_entry_folds_into_residual(self):
+    def test_default_route_entry_earns_its_own_row(self):
+        """A tracked 0.0.0.0/0 is a flow: it gets a row past the
+        residual label, which carries only the residual bytes."""
         merged = [
             SlotSummary(
                 0,
@@ -122,18 +124,24 @@ class TestMergedSlotSource:
                 60.0,
                 (RESIDUAL_PREFIX, Prefix.parse("10.0.0.0/16")),
                 np.array([30.0, 60.0]),
-                residual_bytes=30.0,
+                residual_bytes=15.0,
             )
         ]
-        frames = list(MergedSlotSource(merged).slots())
-        assert frames[0].num_flows == 2
-        assert frames[0].rates[0] == pytest.approx(8.0)
+        source = MergedSlotSource(merged)
+        frames = list(source.slots())
+        assert list(source.prefixes) == [
+            RESIDUAL_PREFIX,
+            RESIDUAL_PREFIX,
+            Prefix.parse("10.0.0.0/16"),
+        ]
+        assert frames[0].rates.tolist() == [2.0, 4.0, 8.0]
 
 
 class DictSlotSource:
-    """``MergedSlotSource.frame_of`` as it was before populations were
-    columns: a ``dict[Prefix, int]`` row map and a per-prefix walk. The
-    oracle the index-and-``bincount`` version is held to."""
+    """``MergedSlotSource.frame_of`` as a ``dict[Prefix, int]`` row map
+    and a per-prefix walk: the oracle the population lookup and
+    ``bincount`` are held to. Row 0 is the residual label, never a
+    prefix's row."""
 
     def __init__(self, slot_seconds):
         self.slot_seconds = slot_seconds
@@ -141,18 +149,14 @@ class DictSlotSource:
         self._row_of = {}
 
     def rates_of(self, summary):
-        residual = summary.residual_bytes
         for prefix in summary.prefixes:
-            if prefix not in self._row_of and prefix != RESIDUAL_PREFIX:
+            if prefix not in self._row_of:
                 self._row_of[prefix] = len(self.prefixes)
                 self.prefixes.append(prefix)
         rates = np.zeros(len(self.prefixes))
         for prefix, volume in zip(summary.prefixes, summary.volumes.tolist()):
-            if prefix == RESIDUAL_PREFIX:
-                residual += volume
-                continue
             rates[self._row_of[prefix]] += volume
-        rates[0] = residual
+        rates[0] = summary.residual_bytes
         rates *= 8.0 / self.slot_seconds
         return rates
 
@@ -187,14 +191,12 @@ class TestFrameOfAgainstTheDictWalk:
             assert frame.rates.tolist() == oracle.rates_of(summary).tolist()
             assert list(frame.population) == oracle.prefixes
             assert frame.residual_row == 0
+            assert frame.rates[0] == summary.residual_bytes * (8.0 / 60.0)
             if RESIDUAL_PREFIX in summary.prefixes:
                 tracked_default += 1
-                row = summary.prefixes.index(RESIDUAL_PREFIX)
-                folded = summary.residual_bytes + float(volumes[row])
-                assert frame.rates[0] == folded * (8.0 / 60.0)
         assert tracked_default >= 5
-        # the default route never earned a row of its own
-        assert list(source.prefixes).count(RESIDUAL_PREFIX) == 1
+        # the default route holds one row of its own beside the label
+        assert list(source.prefixes).count(RESIDUAL_PREFIX) == 2
         assert len(source.prefixes) > 150
 
 

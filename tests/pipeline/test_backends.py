@@ -19,6 +19,7 @@ from repro.pipeline import (
     RESIDUAL_PREFIX,
     ArraySketchAggregation,
     MatrixSlotSource,
+    Population,
     SketchAggregation,
     SlotFrame,
     SketchSlotSource,
@@ -180,9 +181,10 @@ class TestResidualSemantics:
         for frame in frames:
             assert frame.residual_row is None
 
-    def test_real_default_route_folds_into_residual(self):
-        """A 0.0.0.0/0 RIB entry must not duplicate the residual
-        prefix in the population — its traffic joins the residual."""
+    def test_real_default_route_earns_its_own_row(self):
+        """A 0.0.0.0/0 RIB entry is a flow like any other: it gets a
+        row of its own beside the residual label, which reads the same
+        but carries only untracked bytes."""
         from repro.pipeline import StreamingPipeline
         from repro.pipeline.aggregator import AggregatingSlotSource
         from repro.routing.lpm import CompiledLpm
@@ -207,26 +209,25 @@ class TestResidualSemantics:
         )
         events = list(pipeline.events())
         population = aggregator.prefixes
-        assert population.count(RESIDUAL_PREFIX) == 1
-        assert population[0] == RESIDUAL_PREFIX
-        # default-route bytes are conserved in the residual row, which
-        # is never an elephant
-        recovered = sum(event.frame.rates[0] for event in events) * 10 / 8
+        assert list(population) == [
+            RESIDUAL_PREFIX,
+            Prefix.parse("10.0.0.0/8"),
+            RESIDUAL_PREFIX,
+        ]
+        # the default route's bytes sit on its own row; with room for
+        # both flows nothing is untracked
+        recovered = sum(event.frame.rates[2] for event in events) * 10 / 8
         assert recovered == pytest.approx(20 * 1000)
-        assert not any(event.verdict.elephant_mask[0] for event in events)
-        assert pipeline.series().mean_residual_fraction > 0.0
+        assert all(event.frame.rates[0] == 0.0 for event in events)
+        assert pipeline.series().mean_residual_fraction == 0.0
 
     def test_prefix_length_zero_granularity_under_sketch(self):
-        """--prefix-length 0 keys everything to 0.0.0.0/0: the whole
-        link is 'other traffic', and the full pipeline still runs —
-        zero elephants, thresholds unstarted, traffic conserved."""
+        """--prefix-length 0 keys everything to 0.0.0.0/0: one flow,
+        under a sketch as under exact — the same verdicts and traffic
+        fraction per slot, and nothing left in the residual."""
         from repro.pipeline import StreamingPipeline
         from repro.pipeline.aggregator import AggregatingSlotSource
 
-        backend = make_backend("misra-gries", capacity=4)
-        aggregator = StreamingAggregator(
-            FixedLengthResolver(0), slot_seconds=10.0, backend=backend
-        )
         rows = [(float(i), "10.0.0.1", 100) for i in range(30)]
         rows += [(float(i) + 0.5, "172.16.0.1", 300) for i in range(30)]
         rows.sort(key=lambda r: r[0])
@@ -235,19 +236,27 @@ class TestResidualSemantics:
             def batches(self):
                 return iter([batch(rows)])
 
-        pipeline = StreamingPipeline(
-            AggregatingSlotSource(Source(), aggregator)
-        )
-        events = list(pipeline.events())
-        assert len(events) == 3
-        for event in events:
-            assert list(event.frame.population) == [RESIDUAL_PREFIX]
-            assert event.verdict.num_elephants == 0
+        def run(backend):
+            aggregator = StreamingAggregator(
+                FixedLengthResolver(0), slot_seconds=10.0, backend=backend
+            )
+            pipeline = StreamingPipeline(
+                AggregatingSlotSource(Source(), aggregator)
+            )
+            return list(pipeline.events()), pipeline.series()
+
+        events, series = run(make_backend("misra-gries", capacity=4))
+        exact, exact_series = run(None)
+        assert len(events) == len(exact) == 3
+        for event, twin in zip(events, exact):
+            assert list(event.frame.population) == [RESIDUAL_PREFIX] * 2
+            assert event.frame.rates[0] == 0.0
+            assert event.frame.rates[1] == twin.frame.rates[0]
+            assert event.elephant_prefixes == twin.elephant_prefixes
             # thresholds bootstrap from link level, never zero
             assert event.verdict.thresholds.raw > 0.0
-        series = pipeline.series()
-        assert series.mean_residual_fraction == pytest.approx(1.0)
-        assert series.mean_fraction == 0.0
+        assert series.mean_residual_fraction == 0.0
+        assert series.mean_fraction == exact_series.mean_fraction
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_residual_record_accounts_untracked_packets(self, engine):
@@ -541,23 +550,75 @@ class TestFactoryClasses:
         )
 
 
-class TestRowKeys:
-    """row_keys() is the public inner-row → key contract the sharded
-    merge is built on: position i owns row i (plus the residual
-    offset), in assignment order, append-only."""
+class TestPopulation:
+    """The one prefix → row map under backends, shards and the
+    collector."""
 
-    def test_exact_rows_in_assignment_order(self):
+    def table(self, *texts):
+        return PrefixColumns.of([Prefix.parse(text) for text in texts])
+
+    def test_rows_number_unseen_prefixes_in_first_seen_order(self):
+        population = Population()
+        rows = population.rows(self.table("10.1.0.0/16", "10.0.0.0/16"))
+        assert rows.tolist() == [0, 1]
+        rows = population.rows(
+            self.table("10.2.0.0/16", "10.0.0.0/16", "10.3.0.0/16")
+        )
+        assert rows.tolist() == [2, 1, 3]
+        assert population.prefixes.texts() == [
+            "10.1.0.0/16",
+            "10.0.0.0/16",
+            "10.2.0.0/16",
+            "10.3.0.0/16",
+        ]
+        assert population.residual_row is None
+
+    def test_rows_find_what_append_numbered(self):
+        population = Population()
+        population.append(self.table("10.0.0.0/8", "11.0.0.0/8"))
+        assert population.rows(self.table("11.0.0.0/8")).tolist() == [1]
+        population.append(self.table("12.0.0.0/8"))
+        rows = population.rows(self.table("12.0.0.0/8", "13.0.0.0/8"))
+        assert rows.tolist() == [2, 3]
+        assert len(population.prefixes) == 4
+
+    def test_a_repeated_rows_call_admits_nothing(self):
+        population = Population(residual_row=0)
+        table = self.table("10.0.0.0/8", "0.0.0.0/0", "10.0.0.0/24")
+        first = population.rows(table)
+        held = list(population.prefixes)
+        assert population.rows(table).tolist() == first.tolist()
+        assert population.rows(table[::-1]).tolist() == first[::-1].tolist()
+        assert list(population.prefixes) == held
+
+    def test_the_residual_label_is_never_a_row_of_a_prefix(self):
+        population = Population(residual_row=0)
+        assert list(population.prefixes) == [RESIDUAL_PREFIX]
+        rows = population.rows(self.table("0.0.0.0/0", "10.0.0.0/8"))
+        assert rows.tolist() == [1, 2]
+        assert population.rows(self.table("0.0.0.0/0")).tolist() == [1]
+        population.append(self.table("11.0.0.0/8"))
+        assert 0 not in population.rows(
+            self.table("11.0.0.0/8", "0.0.0.0/0", "12.0.0.0/8")
+        )
+        assert population.prefixes[0] == population.prefixes[1]
+
+
+class TestBackendPopulation:
+    """A backend's rows are its :class:`Population`'s: numbered in
+    first-traffic order, each a prefix of the resolver, distinct, and
+    past the residual label under a sketch."""
+
+    def test_exact_rows_in_first_traffic_order(self):
         backend = make_backend("exact")
         rows = heavy_tailed_rows(num_heavy=3, num_mice=10, num_slots=2)
-        aggregator, _ = run_backend_over(rows, backend)
-        keys = backend.row_keys()
-        assert len(keys) == backend.num_rows
-        assert backend.row_keys(2) == keys[2:]
-        assert backend.row_keys(len(keys)) == []
-        for index, key in enumerate(keys):
-            # re-resolve through the aggregator's resolver: row i's key
-            # must map to prefix i of the emitted population
-            assert aggregator.resolver.prefixes[key] == backend.prefixes[index]
+        run_backend_over(rows, backend, chunks=3)
+        expected = {}
+        for _, address, _ in rows:
+            host = ipv4.parse_ipv4(address)
+            expected.setdefault(Prefix(host >> 8 << 8, 24), None)
+        assert backend.population.residual_row is None
+        assert list(backend.prefixes) == list(expected)
 
     @pytest.mark.parametrize("name", SKETCH_NAMES)
     @pytest.mark.parametrize("engine", ENGINES)
@@ -565,8 +626,12 @@ class TestRowKeys:
         backend = build(name, 6, engine)
         rows = heavy_tailed_rows(num_heavy=3, num_mice=10, num_slots=2)
         aggregator, _ = run_backend_over(rows, backend)
-        keys = backend.row_keys()
-        assert len(keys) == backend.num_rows - 1
-        for index, key in enumerate(keys):
-            resolved = aggregator.resolver.prefixes[key]
-            assert resolved == backend.prefixes[index + 1]
+        population = backend.population
+        assert population.residual_row == 0
+        assert population.prefixes[0] == RESIDUAL_PREFIX
+        tracked = population.prefixes[1:]
+        assert len(set(tracked)) == len(tracked) > 0
+        assert set(tracked) <= set(aggregator.resolver.prefixes)
+        # looked up, the tracked rows are where append put them
+        found = population.rows(tracked)
+        assert found.tolist() == list(range(1, len(population.prefixes)))

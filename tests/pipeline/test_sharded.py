@@ -284,31 +284,38 @@ class TestShardedExact:
             ("space-saving", {"capacity": 8}),
         ],
     )
-    def test_slot_close_lists_only_new_rows(self, name, kwargs):
-        """A slot that adds no row walks no shard's key map; one that
-        adds a row lists that row only."""
+    def test_slot_close_looks_up_only_rows_that_carried_bytes(
+        self, name, kwargs
+    ):
+        """A sharded close looks up, through its population, the
+        prefixes of the shard rows that carried bytes in the slot — in
+        (shard, inner-row) order — and no other row."""
         backend = make_backend(name, shards=2, **kwargs)
-        listed = []
-        for shard in backend.shards:
+        looked_up = []
 
-            def row_keys(start=0, inner=shard.row_keys):
-                listed.append(inner(start))
-                return listed[-1]
-            shard.row_keys = row_keys
+        def rows(table, inner=backend.population.rows):
+            looked_up.append(list(table))
+            return inner(table)
+
+        backend.population.rows = rows
         table = PrefixColumns.of([ipv4_prefix(key) for key in range(10)])
-        keys = np.array([0, 1, 2, 3, 0, 1])
-        sizes = np.full(keys.size, 100)
-        stamps = np.zeros(keys.size)
-        backend.accumulate(keys, sizes, stamps, table)
-        first = backend.close_slot()
-        assert sorted(key for tail in listed for key in tail) == [0, 1, 2, 3]
-        del listed[:]
-        backend.accumulate(keys, sizes, stamps, table)
-        assert np.array_equal(backend.close_slot(), first)
-        assert listed == []
-        backend.accumulate(np.array([9, 0]), sizes[:2], stamps[:2], table)
-        backend.close_slot()
-        assert listed == [[9]]
+
+        def close(keys):
+            keys = np.array(keys)
+            sizes = np.full(keys.size, 100)
+            backend.accumulate(keys, sizes, np.zeros(keys.size), table)
+            del looked_up[:]
+            vector = backend.close_slot()
+            # a shard numbers its rows in first-traffic order, which
+            # over keys 0, 1, 2, 3 and then 9 is key order
+            homes = dict(zip(keys.tolist(), shard_of(keys, 2).tolist()))
+            order = sorted(homes, key=lambda key: (homes[key], key))
+            assert looked_up == [[ipv4_prefix(key) for key in order]]
+            return vector
+
+        first = close([0, 1, 2, 3, 0, 1])
+        assert np.array_equal(close([0, 1, 2, 3, 0, 1]), first)
+        close([9, 0])
         assert backend.prefixes[-1] == ipv4_prefix(9)
 
 

@@ -38,7 +38,7 @@ def parallel_workloads(draw):
     workers = draw(st.integers(min_value=1, max_value=3))
     slot_seconds = draw(st.sampled_from([7.5, 10.0, 60.0]))
     chunk_packets = draw(st.integers(min_value=7, max_value=200))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 31))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
 
     horizon = num_slots * slot_seconds
@@ -49,13 +49,10 @@ def parallel_workloads(draw):
         stamps = rng.uniform(arrival, horizon, size=count)
         timestamps.extend(stamps.tolist())
         destinations.extend(
-            [(10 << 24) | (flow << 16) | int(rng.integers(1, 255))]
-            * count
+            [(10 << 24) | (flow << 16) | int(rng.integers(1, 255))] * count
         )
-        sizes.extend(
-            (rng.pareto(1.3, size=count) * 200 + 64)
-            .clip(64, 1500).astype(int).tolist()
-        )
+        pareto = rng.pareto(1.3, size=count) * 200 + 64
+        sizes.extend(pareto.clip(64, 1500).astype(int).tolist())
     order = np.argsort(np.array(timestamps), kind="stable")
     return (
         workers,
@@ -75,44 +72,59 @@ def classified_slots(events):
         heat = event.verdict.latent_heat
         slots[event.frame.start] = {
             "elephants": frozenset(event.elephant_prefixes),
-            "heat": dict(zip(event.frame.population[:count],
-                             heat[:count].tolist())),
+            "heat": dict(
+                zip(event.frame.population[:count], heat[:count].tolist())
+            ),
             "threshold": event.verdict.thresholds.smoothed,
         }
     return slots
 
 
 def single_process_run(workload, backend_name, capacity):
+    """Classified slots, matched bytes and the final population."""
     workers, seconds, chunk, timestamps, destinations, sizes = workload
-    backend = (make_backend("exact", shards=workers)
-               if backend_name == "exact"
-               else make_backend(backend_name, capacity=capacity,
-                                 shards=workers))
-    aggregator = StreamingAggregator(
-        FixedLengthResolver(16), slot_seconds=seconds, backend=backend,
+    backend = (
+        make_backend("exact", shards=workers)
+        if backend_name == "exact"
+        else make_backend(backend_name, capacity=capacity, shards=workers)
     )
-    pipeline = StreamingPipeline(AggregatingSlotSource(
-        ArrayPacketSource(timestamps, destinations, sizes,
-                          chunk_packets=chunk),
-        aggregator,
-    ))
-    return classified_slots(pipeline.events()), \
-        aggregator.stats.bytes_matched
+    aggregator = StreamingAggregator(
+        FixedLengthResolver(16),
+        slot_seconds=seconds,
+        backend=backend,
+    )
+    pipeline = StreamingPipeline(
+        AggregatingSlotSource(
+            ArrayPacketSource(
+                timestamps, destinations, sizes, chunk_packets=chunk
+            ),
+            aggregator,
+        )
+    )
+    slots = classified_slots(pipeline.events())
+    return slots, aggregator.stats.bytes_matched, list(aggregator.prefixes)
 
 
 def multi_process_run(workload, backend_name, capacity):
+    """Classified slots, matched and merged bytes, final population."""
     workers, seconds, chunk, timestamps, destinations, sizes = workload
     result = parallel_ingest(
-        ArrayPacketSource(timestamps, destinations, sizes,
-                          chunk_packets=chunk),
-        FixedLengthResolver(16), slot_seconds=seconds,
-        spec=PipelineSpec(workers=workers, backend=backend_name,
-                          capacity=capacity),
+        ArrayPacketSource(
+            timestamps, destinations, sizes, chunk_packets=chunk
+        ),
+        FixedLengthResolver(16),
+        slot_seconds=seconds,
+        spec=PipelineSpec(
+            workers=workers, backend=backend_name, capacity=capacity
+        ),
     )
-    slots = classified_slots(result.collector().events())
-    merged_bytes = sum(summary.total_bytes
-                       for run in result.runs for summary in run)
-    return slots, result.stats.bytes_matched, merged_bytes
+    collector = result.collector()
+    slots = classified_slots(collector.events())
+    merged_bytes = sum(
+        summary.total_bytes for run in result.runs for summary in run
+    )
+    population = list(collector.pipeline().source.prefixes)
+    return slots, result.stats.bytes_matched, merged_bytes, population
 
 
 def assert_same_elephants(reference, merged):
@@ -130,8 +142,10 @@ def assert_same_elephants(reference, merged):
         ref, par = reference[start], merged[start]
         for prefix in ref["elephants"] ^ par["elephants"]:
             slack = 1e-6 * (1.0 + abs(ref["threshold"]))
-            heats = (abs(ref["heat"].get(prefix, 0.0)),
-                     abs(par["heat"].get(prefix, 0.0)))
+            heats = (
+                abs(ref["heat"].get(prefix, 0.0)),
+                abs(par["heat"].get(prefix, 0.0)),
+            )
             assert max(heats) <= slack, (
                 f"slot {start}: {prefix} flipped verdicts with "
                 f"decisive latent heat {heats}"
@@ -142,10 +156,9 @@ def assert_same_elephants(reference, merged):
 @given(workload=parallel_workloads())
 def test_exact_workers_classify_like_exact_shards(workload):
     """Same elephants per slot, every byte conserved (exact fleet)."""
-    reference, reference_bytes = single_process_run(workload, "exact",
-                                                    None)
-    merged, matched_bytes, merged_bytes = multi_process_run(
-        workload, "exact", None,
+    reference, reference_bytes, _ = single_process_run(workload, "exact", None)
+    merged, matched_bytes, merged_bytes, _ = multi_process_run(
+        workload, "exact", None
     )
     assert_same_elephants(reference, merged)
     assert matched_bytes == reference_bytes
@@ -153,30 +166,41 @@ def test_exact_workers_classify_like_exact_shards(workload):
 
 
 @settings(max_examples=6, deadline=None)
-@given(workload=parallel_workloads(),
-       capacity=st.integers(min_value=2, max_value=24))
+@given(
+    workload=parallel_workloads(),
+    capacity=st.integers(min_value=2, max_value=24),
+)
 def test_sketch_workers_classify_like_sketch_shards(workload, capacity):
-    """Same elephants per slot, bytes conserved (bounded fleet)."""
-    reference, reference_bytes = single_process_run(
-        workload, "space-saving", capacity,
+    """Same elephants per slot, bytes conserved, and the same
+    population row for row (bounded fleet): the sharder and the
+    collector number rows by looking the same prefixes up in the same
+    (shard, inner-row) order."""
+    reference, reference_bytes, population = single_process_run(
+        workload, "space-saving", capacity
     )
-    merged, matched_bytes, merged_bytes = multi_process_run(
-        workload, "space-saving", capacity,
+    merged, matched_bytes, merged_bytes, fleet = multi_process_run(
+        workload, "space-saving", capacity
     )
     assert_same_elephants(reference, merged)
     assert matched_bytes == reference_bytes
-    assert abs(merged_bytes - matched_bytes) <= 1e-9 * max(
-        matched_bytes, 1,
-    )
+    assert abs(merged_bytes - matched_bytes) <= 1e-9 * max(matched_bytes, 1)
+    assert fleet == population
 
 
 @st.composite
 def partitioned_specs(draw):
     """A 1-4 way deployment: exact or sketch, with or without the gate."""
-    backend = draw(st.sampled_from(
-        ["exact", "space-saving", "misra-gries", "count-min",
-         "sample-hold"]
-    ))
+    backend = draw(
+        st.sampled_from(
+            [
+                "exact",
+                "space-saving",
+                "misra-gries",
+                "count-min",
+                "sample-hold",
+            ]
+        )
+    )
     fields = {"workers": draw(st.integers(min_value=1, max_value=4))}
     if backend != "exact":
         fields["capacity"] = draw(st.integers(min_value=1, max_value=12))
@@ -193,13 +217,18 @@ def partitioned_specs(draw):
 SLOTTED_PACKETS = st.lists(
     st.lists(
         st.lists(
-            st.tuples(st.integers(min_value=0, max_value=40),
-                      st.integers(min_value=64, max_value=1500)),
-            min_size=1, max_size=30,
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=64, max_value=1500),
+            ),
+            min_size=1,
+            max_size=30,
         ),
-        min_size=1, max_size=3,
+        min_size=1,
+        max_size=3,
     ),
-    min_size=1, max_size=4,
+    min_size=1,
+    max_size=4,
 )
 
 
@@ -219,9 +248,11 @@ def test_build_shard_is_the_sharded_backends_shard(spec, slots):
     twin_shards = getattr(twin, "shards", [twin])
     twin_vectors = [[] for _ in twin_shards]
     for shard, log in zip(twin_shards, twin_vectors):
+
         def close_slot(close=shard.close_slot, log=log):
             log.append(close())
             return log[-1]
+
         shard.close_slot = close_slot
     built = [spec.build_shard(index) for index in range(parts)]
     built_vectors = [[] for _ in built]
