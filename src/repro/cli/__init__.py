@@ -12,7 +12,7 @@ capture takes all three. ``stream --flow-csv-out`` writes that same
 flow-record shape back out, so a run can be replayed (or handed to
 another tool) without the original capture. Every ``--json`` summary
 embeds the shared result envelope
-(:func:`~repro.distributed.collector.result_envelope`), so
+(:func:`~repro.distributed.envelope.result_envelope`), so
 ``stream``/``merge``/``query``/``offload`` agree on one schema.
 
 The CLI is a thin veneer over the library; anything it does is three

@@ -14,7 +14,6 @@ import json
 import os
 from typing import TYPE_CHECKING
 
-from repro.analysis.report import format_table
 from repro.core.engine import EngineConfig, Feature, Scheme
 from repro.errors import ReproError
 from repro.flows.matrix import RateMatrix
@@ -349,5 +348,7 @@ def print_summary(
     if as_json:
         print(json.dumps(summary, indent=2))
         return
+    from repro.analysis.report import format_table
+
     rows = [[key, value] for key, value in summary.items()]
     print(format_table(["metric", "value"], rows, title=title))

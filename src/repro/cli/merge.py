@@ -14,11 +14,8 @@ from repro.cli.common import (
     print_summary,
     scheme_and_feature,
 )
-from repro.distributed.collector import (
-    Collector,
-    elephant_entries,
-    result_envelope,
-)
+from repro.distributed.collector import Collector
+from repro.distributed.envelope import elephant_entries, result_envelope
 from repro.distributed.summary import load_summaries
 
 

@@ -22,7 +22,7 @@ from repro.cli.common import (
     scheme_and_feature,
     stream_source,
 )
-from repro.distributed.collector import elephant_entries, result_envelope
+from repro.distributed.envelope import elephant_entries, result_envelope
 from repro.errors import ReproError
 from repro.pipeline.engine import StreamingPipeline
 from repro.pipeline.spec import PipelineSpec

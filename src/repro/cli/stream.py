@@ -23,11 +23,8 @@ from repro.cli.common import (
     scheme_and_feature,
     stream_source,
 )
-from repro.distributed.collector import elephant_entries, result_envelope
-from repro.distributed.framing import DEFAULT_LINK
-from repro.distributed.summary import SlotSummary, save_summaries
+from repro.distributed.envelope import elephant_entries, result_envelope
 from repro.errors import ReproError
-from repro.flows.interchange import slot_flow_records, write_flow_records
 from repro.pipeline.engine import StreamingPipeline
 from repro.pipeline.spec import PipelineSpec
 
@@ -68,7 +65,7 @@ def add_arguments(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--link-name",
-        default=DEFAULT_LINK,
+        default=None,
         metavar="LINK",
         help="link this monitor taps, for --connect",
     )
@@ -177,7 +174,11 @@ def run(args: argparse.Namespace) -> int:
     client = None
     if args.connect is not None:
         # here, not up top: only a publishing monitor opens a socket
-        from repro.distributed.client import MonitorClient, parse_address
+        from repro.distributed.client import (
+            DEFAULT_LINK,
+            MonitorClient,
+            parse_address,
+        )
 
         # In-process slots go out live, as they are classified. A
         # fleet's slots already met at its in-process collector, so
@@ -187,7 +188,9 @@ def run(args: argparse.Namespace) -> int:
             client = MonitorClient(
                 parse_address(args.connect),
                 _monitor_name(args),
-                link=args.link_name,
+                link=(
+                    DEFAULT_LINK if args.link_name is None else args.link_name
+                ),
                 retries=args.retry,
                 backoff=args.retry_backoff,
                 faults=faults,
@@ -196,6 +199,16 @@ def run(args: argparse.Namespace) -> int:
             raise ReproError(
                 f"cannot reach collector at {args.connect!r}: {exc}"
             ) from exc
+    # here, not up top, like the fleet and the client: an exact
+    # `--json` run loads neither the summary codec nor the csv exporter
+    publishing = args.summary_out is not None or client is not None
+    if publishing:
+        from repro.distributed.summary import SlotSummary, save_summaries
+    if args.flow_csv_out is not None:
+        from repro.flows.interchange import (
+            slot_flow_records,
+            write_flow_records,
+        )
     slots = 0
     has_residual = False
     summaries: list[SlotSummary] = []
@@ -213,7 +226,7 @@ def run(args: argparse.Namespace) -> int:
                     first_flow_id=len(flow_rows),
                 )
             )
-        if args.summary_out is not None or client is not None:
+        if publishing:
             record = (
                 merged[slots]
                 if merged is not None

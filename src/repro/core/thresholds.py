@@ -20,13 +20,15 @@ shares the same, explicitly accounted fallback behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
 from repro.errors import InsufficientDataError
-from repro.stats.aest import AestConfig, aest
 from repro.stats.ecdf import ShareCurve
+
+if TYPE_CHECKING:
+    from repro.stats.aest import AestConfig
 
 
 class ThresholdDetector(Protocol):
@@ -76,6 +78,14 @@ class ConstantLoadThreshold:
         return float((kth + next_down) / 2.0)
 
 
+def _aest_config() -> AestConfig:
+    # the estimator is imported in here and in `AestThreshold.detect`,
+    # not up top: only an aest run loads it
+    from repro.stats.aest import AestConfig
+
+    return AestConfig(tail_fraction=0.16)
+
+
 @dataclass(frozen=True)
 class AestThreshold:
     """The "aest" detector: the onset of the power-law tail.
@@ -92,12 +102,12 @@ class AestThreshold:
     (parallelism + slope match) still reject body points.
     """
 
-    config: AestConfig = field(
-        default_factory=lambda: AestConfig(tail_fraction=0.16)
-    )
+    config: AestConfig = field(default_factory=_aest_config)
     name: str = field(default="aest", compare=False)
 
     def detect(self, rates: np.ndarray) -> float:
+        from repro.stats.aest import aest
+
         active = positive_rates(rates)
         result = aest(active, config=self.config)
         return float(result.tail_onset)

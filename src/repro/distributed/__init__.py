@@ -31,13 +31,8 @@ __getattr__, __dir__, __all__ = attach(
             "publish_summaries",
             "query_service",
         ),
-        "collector": (
-            "RESULT_SCHEMA",
-            "Collector",
-            "MergedSlotSource",
-            "elephant_entries",
-            "result_envelope",
-        ),
+        "collector": ("Collector", "MergedSlotSource"),
+        "envelope": ("RESULT_SCHEMA", "elephant_entries", "result_envelope"),
         "faults": ("FaultPlan", "FaultRule"),
         "framing": (
             "FrameDecoder",

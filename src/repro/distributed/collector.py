@@ -18,10 +18,10 @@ The merged population is a :class:`~repro.pipeline.backends.Population`,
 the prefix → row map every backend holds: a frame is one
 :meth:`~repro.pipeline.backends.Population.rows` lookup and one
 ``bincount``, and a real default route (``0.0.0.0/0``) earns a row of
-its own, as it does under ``repro stream``. :func:`elephant_entries`
-formats the rows it prints from the two integers, so the collector
-builds no ``Prefix`` object at all; a caller that reads
-``population[row]`` gets one.
+its own, as it does under ``repro stream``.
+:func:`~repro.distributed.envelope.elephant_entries` formats the rows
+it prints from the two integers, so the collector builds no ``Prefix``
+object at all; a caller that reads ``population[row]`` gets one.
 
 :class:`Collector` is the batch flavour (all runs in hand, merge once,
 classify); the live network service in
@@ -36,96 +36,12 @@ from typing import Iterator, Sequence
 
 from repro.analysis.elephants import ElephantSeries
 from repro.core.engine import EngineConfig, Feature, Scheme
-from repro.core.streaming import SlotVerdict
 from repro.distributed.merge import merge_runs
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError
-from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import Population, sum_by_row
 from repro.pipeline.engine import StreamEvent, StreamingPipeline
 from repro.pipeline.sources import SlotFrame
-
-
-#: Version tag carried by every JSON result envelope. Bump when the
-#: envelope's field contract changes shape (adding fields is not a
-#: bump; renaming or re-typing them is).
-RESULT_SCHEMA = "repro.result/1"
-
-
-def result_envelope(
-    command: str,
-    spec: dict[str, object],
-    slot_entries: Sequence[list[dict[str, object]]],
-    first: int = 0,
-    counts: Sequence[int] | None = None,
-) -> dict[str, object]:
-    """The versioned result envelope every ``--json`` surface shares.
-
-    ``repro stream --json``, ``repro merge --json``, ``repro query
-    --json`` (via the live service's reports) and ``repro offload
-    --json`` all embed this same structure, built from the same
-    :func:`elephant_entries` rows, so any consumer reads one schema
-    regardless of which command produced the answer — the contract the
-    cross-command regression test locks field for field.
-
-    ``spec`` is the producing command's configuration facts (e.g.
-    :meth:`~repro.pipeline.spec.PipelineSpec.describe` output);
-    ``slot_entries`` is the per-slot :func:`elephant_entries` lists in
-    slot order. The derived ``series`` block is computed here from the
-    entries alone, so every producer agrees on it by construction.
-
-    ``first`` and ``counts`` are the live service's partial reply:
-    ``elephants_by_slot`` lists the slots from index ``first`` on,
-    while ``elephants`` and ``series`` still describe every slot —
-    ``series`` from the per-slot entry counts the caller kept as it
-    went, when it hands them in, so that nothing here walks the
-    history a reader already holds.
-    """
-    if counts is None:
-        counts = [len(slot) for slot in slot_entries]
-    return {
-        "schema": RESULT_SCHEMA,
-        "command": command,
-        "spec": dict(spec),
-        "elephants": list(slot_entries[-1]) if slot_entries else [],
-        "elephants_by_slot": [list(slot) for slot in slot_entries[first:]],
-        "series": {
-            "num_slots": len(counts),
-            "elephants_per_slot": list(counts),
-            "mean_elephants_per_slot": (
-                sum(counts) / len(counts) if counts else 0.0
-            ),
-        },
-    }
-
-
-def elephant_entries(
-    frame: SlotFrame, verdict: SlotVerdict
-) -> list[dict[str, object]]:
-    """The canonical serialized elephant set for one classified slot.
-
-    One ``{"prefix": ..., "rate_bps": ...}`` entry per elephant,
-    ordered by descending rate then prefix text. This is the single
-    serialization point shared by ``repro merge --json`` and the live
-    service's ``repro query`` replies, so the two paths answer "which
-    flows are elephants right now" with byte-identical JSON for the
-    same summaries — the contract the regression tests lock down.
-
-    Rates are rounded to micro-bit/s here, at the one serialization
-    point: producers that reach the same slot through different float
-    summation orders (a sharded ingest, a merge of per-monitor
-    summaries) differ at ~1e-9 relative, and the envelope promises
-    field-for-field equality, not equality-up-to-noise.
-    """
-    rows = verdict.elephants()
-    rows = rows[rows != frame.residual_row]
-    names = PrefixColumns.take(frame.population, rows).texts()
-    entries = [
-        {"prefix": name, "rate_bps": round(rate, 6)}
-        for name, rate in zip(names, frame.rates[rows].tolist())
-    ]
-    entries.sort(key=lambda entry: (-entry["rate_bps"], entry["prefix"]))
-    return entries
 
 
 class MergedSlotSource:
@@ -244,10 +160,4 @@ class Collector:
         return self.pipeline().series()
 
 
-__all__ = [
-    "Collector",
-    "MergedSlotSource",
-    "RESULT_SCHEMA",
-    "elephant_entries",
-    "result_envelope",
-]
+__all__ = ["Collector", "MergedSlotSource"]

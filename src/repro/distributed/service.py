@@ -74,11 +74,8 @@ from typing import Callable
 
 from repro.core.engine import EngineConfig, Feature, Scheme
 from repro.distributed.checkpoint import CheckpointStore
-from repro.distributed.collector import (
-    MergedSlotSource,
-    elephant_entries,
-    result_envelope,
-)
+from repro.distributed.collector import MergedSlotSource
+from repro.distributed.envelope import elephant_entries, result_envelope
 from repro.distributed.faults import FaultPlan
 from repro.distributed.framing import (
     CHUNK_BYTES,
@@ -382,7 +379,7 @@ class LiveLink:
         """The query-visible state of this link.
 
         The reply is the shared result envelope
-        (:func:`~repro.distributed.collector.result_envelope` —
+        (:func:`~repro.distributed.envelope.result_envelope` —
         ``schema``/``spec``/``elephants``/``elephants_by_slot``/
         ``series``, identical field for field to what ``repro
         stream/merge/offload --json`` emit for the same slots) plus

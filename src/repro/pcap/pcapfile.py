@@ -32,6 +32,9 @@ _RECORD_HEADER_BE = struct.Struct(">IIII")
 
 #: Default snap length written into new files.
 DEFAULT_SNAPLEN = 65535
+#: The most bytes one record may claim when the header's snaplen is 0
+#: (unknown) or larger: the largest record libpcap itself accepts.
+MAX_RECORD_BYTES = 262144
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,21 @@ class PcapHeader:
     nanosecond: bool
     snaplen: int
     linktype: int
+
+    @property
+    def record_limit(self) -> int:
+        """The most captured bytes a record of this file may claim."""
+        if 0 < self.snaplen <= MAX_RECORD_BYTES:
+            return self.snaplen
+        return MAX_RECORD_BYTES
+
+    def oversized(self, claimed: int) -> PcapFormatError:
+        """The error for a record claiming more than :attr:`record_limit`."""
+        if self.record_limit == self.snaplen:
+            bound = f"snaplen {self.snaplen}"
+        else:
+            bound = f"the {MAX_RECORD_BYTES}-byte record limit"
+        return PcapFormatError(f"record claims {claimed} bytes, above {bound}")
 
 
 def read_header(stream: BinaryIO) -> PcapHeader:
@@ -112,10 +130,8 @@ def read_records(stream: BinaryIO, header: PcapHeader) -> Iterator[CaptureRecord
         if len(raw) < record_struct.size:
             raise PcapFormatError("truncated pcap record header")
         seconds, fraction, captured, original = record_struct.unpack(raw)
-        if captured > header.snaplen and header.snaplen > 0:
-            raise PcapFormatError(
-                f"record claims {captured} bytes, above snaplen {header.snaplen}"
-            )
+        if captured > header.record_limit:
+            raise header.oversized(captured)
         data = stream.read(captured)
         if len(data) < captured:
             raise PcapFormatError("truncated pcap record body")

@@ -58,7 +58,7 @@ x.npz --backend ...`` applies a memory bound to a recorded matrix:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -66,14 +66,11 @@ from repro.errors import ClassificationError
 from repro.hash_index import ABSENT, HashIndex
 from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.sources import SlotFrame, SlotSource
-from repro.sketches.array_tables import (
-    ArrayCountMin,
-    ArrayMisraGries,
-    ArraySampleHold,
-    ArraySpaceSaving,
-    _KeyTable,
-)
-from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD, gated_table
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from repro.sketches.array_tables import _KeyTable
 
 #: How the residual row (untracked, "other" traffic) reads. It is
 #: only a label: a real default-route flow (a 0.0.0.0/0 RIB entry, or
@@ -133,6 +130,11 @@ TRACKED_ENTRY_BYTES = 320
 #: depth x 8-byte counters).
 _CM_WIDTH_FACTOR = 4
 _CM_DEPTH = 4
+
+#: Most partitions a table may be split into: shard indices are sorted
+#: as ``uint16`` (numpy's radix path; see
+#: :func:`~repro.pipeline.sharded.shard_segments`).
+MAX_SHARDS = 1 << 16
 
 
 def group_by_row(
@@ -572,16 +574,20 @@ class SketchSlotSource:
             )
 
 
-#: One builder per sketch name: ``(capacity, seed) -> table``. A new
-#: summary is one entry here; :data:`BACKEND_NAMES`, the CLI choices,
-#: sharding, the Bloom gate and the byte budget follow from it.
-_TABLES: dict[str, Callable[[int, int], _KeyTable]] = {
-    "space-saving": lambda k, seed: ArraySpaceSaving(k),
-    "misra-gries": lambda k, seed: ArrayMisraGries(k),
-    "count-min": lambda k, seed: ArrayCountMin(
+#: One builder per sketch name: ``(array_tables, capacity, seed) ->
+#: table``, handed :mod:`repro.sketches.array_tables` by
+#: :func:`make_shard`, so that an exact run never imports a sketch. A
+#: new summary is one entry here; :data:`BACKEND_NAMES`, the CLI
+#: choices, sharding, the Bloom gate and the byte budget follow from it.
+_TABLES: dict[str, Callable[[ModuleType, int, int], _KeyTable]] = {
+    "space-saving": lambda tables, k, seed: tables.ArraySpaceSaving(k),
+    "misra-gries": lambda tables, k, seed: tables.ArrayMisraGries(k),
+    "count-min": lambda tables, k, seed: tables.ArrayCountMin(
         k, width=max(16, _CM_WIDTH_FACTOR * k), depth=_CM_DEPTH, seed=seed
     ),
-    "sample-hold": lambda k, seed: ArraySampleHold(k, seed=seed),
+    "sample-hold": lambda tables, k, seed: tables.ArraySampleHold(
+        k, seed=seed
+    ),
 }
 
 #: CLI names accepted by :func:`make_backend`.
@@ -632,7 +638,7 @@ def make_backend(
     seed: int = 0,
     shards: int = 1,
     admission: str = "none",
-    admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
+    admission_threshold: float | None = None,
 ) -> AggregationBackend:
     """Build a backend by CLI name.
 
@@ -642,8 +648,8 @@ def make_backend(
 
     ``admission`` selects the candidate-admission pre-filter:
     ``"bloom"`` gates entry to the candidate table — any of them — on a
-    counting-Bloom byte threshold (``admission_threshold``), so tail
-    flows stop churning the table.
+    counting-Bloom byte threshold (``admission_threshold``; ``None``
+    is the gate's default), so tail flows stop churning the table.
 
     ``shards > 1`` wraps ``shards`` inner backends of the same spec
     (:func:`make_shard`) in a
@@ -675,7 +681,7 @@ def make_shard(
     capacity: int | None = None,
     seed: int = 0,
     admission: str = "none",
-    admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD,
+    admission_threshold: float | None = None,
 ) -> AggregationBackend:
     """The inner backend partition ``index`` of a ``shards``-way split owns.
 
@@ -691,10 +697,19 @@ def make_shard(
     check_backend(name, capacity, admission)
     if name == "exact":
         return ExactAggregation()
+    # imported here: an exact run loads no sketch module
+    from repro.sketches import array_tables, bloom
+
+    if admission_threshold is None:
+        admission_threshold = bloom.DEFAULT_ADMISSION_THRESHOLD
     try:
-        table = _TABLES[name](-(-capacity // shards), seed + index)
+        table = _TABLES[name](
+            array_tables, -(-capacity // shards), seed + index
+        )
         if admission == "bloom":
-            gated_table(table, threshold_bytes=admission_threshold, seed=seed)
+            bloom.gated_table(
+                table, threshold_bytes=admission_threshold, seed=seed
+            )
     except (MemoryError, ValueError) as error:
         # numpy refuses an array past the address space with ValueError
         raise ClassificationError(

@@ -40,15 +40,13 @@ from repro.errors import ClassificationError
 from repro.hash_index import FIBONACCI_MULTIPLIER
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import (
+    MAX_SHARDS,
     AggregationBackend,
     group_by_row,
     sum_by_row,
 )
 
 _HASH_SHIFT = np.uint64(33)
-
-#: Shard indices are sorted as ``uint16`` (numpy's radix path).
-MAX_SHARDS = 1 << 16
 
 
 def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:

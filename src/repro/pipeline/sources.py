@@ -17,6 +17,7 @@ synthetic link scenarios.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
@@ -163,19 +164,31 @@ class SlotSource(Protocol):
 class PcapPacketSource:
     """Chunked, vectorized scan of a classic pcap capture file.
 
-    Every per-packet field (ethertype check, IPv4 version, destination,
-    wire size) is extracted with numpy from an ``(n, width)`` matrix of
-    the chunk's record headers. Where the records a buffer refill holds
-    all captured the same number of bytes — any snaplen-truncated
-    monitor capture — one vector compare shows them a constant stride
-    apart and the matrix is a reshape; otherwise the record chain is
-    chased, one header unpack and one list append per record. Non-IPv4
-    frames and records too truncated to carry an IPv4 fixed header are
-    counted and skipped rather than raised — a monitor keeps running
-    when an LLDP frame goes by.
+    The file is read a block at a time into one reusable ``uint8``
+    buffer, so memory is a block plus a record however long the capture
+    is. Every per-packet field (ethertype, IPv4 version, destination,
+    wire size) comes out of a numpy structured view of record headers.
+    After each refill one vector compare finds how many of the buffered
+    records, from the first, claim the captured length the first claims
+    — any snaplen-truncated monitor capture is one such run — and a run
+    is a strided view of the buffer, record ``i`` at ``i × stride``,
+    read in place. Past a run, the record chain is chased, one header
+    unpack and one list append per record, and the fields of the
+    records it found are gathered into a compact copy. Each batch holds
+    exactly ``chunk_packets`` records (the last one fewer), so a run or
+    a chase is cut where a batch fills.
+
+    Non-IPv4 frames and records too truncated to carry an IPv4 fixed
+    header are counted and skipped rather than raised — a monitor keeps
+    running when an LLDP frame goes by. A record that claims more bytes
+    than the snaplen (or, when that is 0 or larger, than libpcap's own
+    record limit) fails at that record, before anything is buffered for
+    it.
     """
 
-    def __init__(self, path: str, chunk_packets: int = DEFAULT_CHUNK_PACKETS) -> None:
+    def __init__(
+        self, path: str, chunk_packets: int = DEFAULT_CHUNK_PACKETS
+    ) -> None:
         if chunk_packets < 1:
             raise ClassificationError("chunk_packets must be >= 1")
         self.path = path
@@ -186,145 +199,186 @@ class PcapPacketSource:
             header = read_header(stream)
             if header.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
                 raise PcapFormatError(f"unsupported linktype {header.linktype}")
-            byte_order = "little" if header.byte_order == "<" else "big"
-            # Reject over-snaplen lengths inside the chase loop: a
-            # corrupt length field must fail at that record, not after
-            # buffering the rest of the file hunting for its "end".
-            max_captured = header.snaplen if header.snaplen > 0 else 0x7FFFFFFF
-            buffer = bytearray()  # += extends in place, no quadratic copy
-            position = 0
-            # record-header offsets into buffer: a list while chasing,
-            # a range when the whole batch is one equal-length run
-            pending: list[int] | range = []
-            run = stride = 0  # whole records at `position`, `stride` apart
+            layout = _RecordLayout(header)
+            limit = header.record_limit
+            claim = struct.Struct(header.byte_order + "I").unpack_from
+            # unread records are buffer[start:end]; a refill moves what
+            # is left — less than a record — to the front and reads a
+            # block after it
+            block = READ_BLOCK_BYTES
+            buffer = np.empty(block + _RECORD_HEADER_BYTES + limit, np.uint8)
+            start = end = 0
+            run = stride = 0  # whole records at `start`, `stride` apart
+            pieces: list[PacketBatch] = []
+            seen = 0
             eof = False
-            from_bytes = int.from_bytes  # the one call per record
             while True:
-                want = self.chunk_packets
-                room = want - len(pending)
-                if run >= room or (run and eof):
+                room = self.chunk_packets - seen
+                if run:
                     take = min(run, room)
-                    span = range(position, position + take * stride, stride)
-                    position, run = span.stop, run - take
-                    if pending or take < want:
-                        pending.extend(span)
-                    else:
-                        pending = span
-                # Chase the record chain as far as the buffer allows
-                # (mixed-length captures, and whatever follows a run).
-                # This loop is the only per-record Python work in the
-                # whole ingestion path — keep its body minimal.
-                limit = len(buffer) - _RECORD_HEADER_BYTES
-                while not run and len(pending) < want and position <= limit:
-                    incl = from_bytes(buffer[position + 8 : position + 12], byte_order)
-                    if incl > max_captured:
-                        raise PcapFormatError(
-                            f"record claims {incl} bytes, above snaplen "
-                            f"{header.snaplen}"
-                        )
-                    jump = position + _RECORD_HEADER_BYTES + incl
-                    if jump > len(buffer):
-                        break
-                    pending.append(position)
-                    position = jump
-                if len(pending) >= want:
-                    yield self._emit(buffer, position, pending, header)
-                    del buffer[:position]
-                    position = 0
-                    pending = []
+                    pieces.append(layout.run(buffer, start, take, stride))
+                    start += take * stride
+                    run -= take
+                else:
+                    # Chase the record chain as far as the buffer allows
+                    # (mixed-length captures, and whatever follows a
+                    # run). This loop is the only per-record Python work
+                    # in the whole ingestion path — keep its body
+                    # minimal. A corrupt length fails here, at its
+                    # record, not after buffering the rest of the file.
+                    starts: list[int] = []
+                    last = end - _RECORD_HEADER_BYTES  # last header start
+                    while len(starts) < room and start <= last:
+                        (incl,) = claim(buffer, start + 8)
+                        if incl > limit:
+                            raise header.oversized(incl)
+                        if start + _RECORD_HEADER_BYTES + incl > end:
+                            break
+                        starts.append(start)
+                        start += _RECORD_HEADER_BYTES + incl
+                    if starts:
+                        pieces.append(layout.gather(buffer, starts, start))
+                    take = len(starts)
+                seen += take
+                if seen == self.chunk_packets:
+                    yield _joined(pieces)
+                    pieces, seen = [], 0
+                if take:
                     continue
+                # no whole record left in the buffer
                 if eof:
-                    if position + _RECORD_HEADER_BYTES <= len(buffer):
+                    if start + _RECORD_HEADER_BYTES <= end:
                         raise PcapFormatError("truncated pcap record body")
-                    if position < len(buffer):
+                    if start < end:
                         raise PcapFormatError("truncated pcap record header")
-                    if pending:
-                        yield self._emit(buffer, position, pending, header)
+                    if pieces:
+                        yield _joined(pieces)
                     return
-                block = stream.read(READ_BLOCK_BYTES)
-                eof = not block
-                buffer += block
-                # One compare per refill: are the whole records now held
-                # an equal-length run? (At EOF, the same answer again.)
-                run, stride = _equal_run(
-                    buffer, position, header.byte_order, max_captured
-                )
+                end -= start
+                buffer[:end] = buffer[start : start + end]
+                start = 0
+                read = stream.readinto(memoryview(buffer)[end : end + block])
+                eof = not read
+                end += read
+                run, stride = _equal_run(buffer, end, header.byte_order, limit)
 
-    @staticmethod
-    def _emit(
-        buffer: bytearray, end: int, starts: list[int] | range, header: PcapHeader
+
+class _RecordLayout:
+    """Where a capture's record fields sit, as numpy structured dtypes.
+
+    Offsets are from the start of a record header; the IP fields follow
+    the link header the linktype implies. :meth:`run` reads an
+    equal-length run in place, through a dtype as wide as its stride;
+    :meth:`gather` copies the first bytes of each chased record out, so
+    a record shorter than them reads on into what follows it (zeros
+    after the last) — no field past its captured length is used.
+    """
+
+    def __init__(self, header: PcapHeader) -> None:
+        self.ethernet = header.linktype == LINKTYPE_ETHERNET
+        self.overhead = _ETHERNET_HEADER if self.ethernet else 0
+        self.divisor = 1e9 if header.nanosecond else 1e6
+        ip = _RECORD_HEADER_BYTES + self.overhead
+        self.width = ip + _IP_MIN_HEADER
+        word = header.byte_order + "u4"
+        fields = {
+            "seconds": (word, 0),
+            "fractions": (word, 4),
+            "captured": (word, 8),
+            "original": (word, 12),
+            "version": ("u1", ip),
+            "total_length": (">u2", ip + _IP_TOTAL_LENGTH),
+            "destination": (">u4", ip + _IP_DESTINATION),
+        }
+        if self.ethernet:
+            fields["ethertype"] = (">u2", _RECORD_HEADER_BYTES + 12)
+        self.fields = fields
+
+    def dtype(self, itemsize: int) -> np.dtype:
+        return np.dtype(
+            {
+                "names": list(self.fields),
+                "formats": [kind for kind, _ in self.fields.values()],
+                "offsets": [at for _, at in self.fields.values()],
+                "itemsize": itemsize,
+            }
+        )
+
+    def run(
+        self, buffer: np.ndarray, start: int, count: int, stride: int
     ) -> PacketBatch:
-        """The batch of the records at ``starts``, all in ``buffer[:end]``."""
-        ethernet = header.linktype == LINKTYPE_ETHERNET
-        overhead = _ETHERNET_HEADER if ethernet else 0
-        ip = _RECORD_HEADER_BYTES + overhead
-        width = ip + _IP_MIN_HEADER
-        # Copy out of the mutable bytearray: holding a view would make
-        # the `del buffer[:position]` reclaim a BufferError.
-        if isinstance(starts, range) and starts.step >= width:
-            view = memoryview(buffer)[starts.start : starts.stop]
-            raw = np.frombuffer(bytes(view), dtype=np.uint8)
-            matrix = raw.reshape(len(starts), starts.step)[:, :width]
-        else:
-            # `width` bytes from each start: a record shorter than that
-            # reads on into what follows it (zeros after the last), and
-            # no field past its captured length is used
-            raw = np.zeros(end + width, dtype=np.uint8)
-            raw[:end] = np.frombuffer(buffer, dtype=np.uint8, count=end)
-            rows = np.array(starts, dtype=np.int64)
-            matrix = sliding_window_view(raw, width)[rows]
-        order = header.byte_order
-        (capture_len,) = _uint32_fields(matrix, 8, order)
-        keep = capture_len >= overhead + _IP_MIN_HEADER
-        if ethernet:
-            ethertype = _RECORD_HEADER_BYTES + _ETHERTYPE_OFFSET
-            keep &= matrix[:, ethertype] == _ETHERTYPE_IPV4 // 256
-            keep &= matrix[:, ethertype + 1] == _ETHERTYPE_IPV4 % 256
-        keep &= (matrix[:, ip] >> 4) == 4
+        """The ``count`` records from ``start``, ``stride`` bytes apart."""
+        stop = start + count * stride
+        if stride < self.width:  # the fields reach past each record
+            return self.gather(buffer, range(start, stop, stride), stop)
+        return self.columns(buffer[start:stop].view(self.dtype(stride)))
+
+    def gather(
+        self, buffer: np.ndarray, starts: Sequence[int], stop: int
+    ) -> PacketBatch:
+        """The records at ``starts``, all in ``buffer[:stop]``."""
+        first = starts[0]
+        raw = np.zeros(stop - first + self.width, dtype=np.uint8)
+        raw[: stop - first] = buffer[first:stop]
+        rows = np.array(starts, dtype=np.int64) - first
+        heads = sliding_window_view(raw, self.width)[rows]
+        return self.columns(heads.view(self.dtype(self.width))[:, 0])
+
+    def columns(self, records: np.ndarray) -> PacketBatch:
+        """The batch of ``records``, whose fields may be views of the
+        read buffer: every column is computed into a new array."""
+        seen = records.size
+        keep = records["captured"] >= self.overhead + _IP_MIN_HEADER
+        if self.ethernet:
+            keep &= records["ethertype"] == _ETHERTYPE_IPV4
+        keep &= records["version"] >> 4 == 4
         if not keep.all():
-            matrix = matrix[keep]
-        seconds, fractions, capture_len, original_len = _uint32_fields(
-            matrix, 0, order, 4
-        )
-        high = matrix[:, ip + _IP_TOTAL_LENGTH].astype(np.int64)
-        total_length = (high << 8) | matrix[:, ip + _IP_TOTAL_LENGTH + 1]
-        (destination,) = _uint32_fields(matrix, ip + _IP_DESTINATION, ">")
-        truncated = original_len > capture_len
+            records = records[keep]
+        seconds, fractions = records["seconds"], records["fractions"]
+        original, captured = records["original"], records["captured"]
+        wire = records["total_length"].astype(np.int64) + self.overhead
         return PacketBatch(
-            timestamps=seconds + fractions / (1e9 if header.nanosecond else 1e6),
-            destinations=destination,
-            wire_bytes=np.where(truncated, original_len, overhead + total_length),
-            packets_seen=len(starts),
+            timestamps=seconds + fractions / self.divisor,
+            destinations=records["destination"].astype(np.int64),
+            wire_bytes=np.where(original > captured, original, wire),
+            packets_seen=seen,
         )
+
+
+def _joined(pieces: list[PacketBatch]) -> PacketBatch:
+    """One batch of ``pieces``, read in that order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return PacketBatch(
+        *(
+            np.concatenate([getattr(piece, name) for piece in pieces])
+            for name in ("timestamps", "destinations", "wire_bytes")
+        ),
+        packets_seen=sum(piece.packets_seen for piece in pieces),
+    )
 
 
 def _equal_run(
-    buffer: bytearray, position: int, order: str, max_captured: int
+    buffer: np.ndarray, end: int, order: str, limit: int
 ) -> tuple[int, int]:
-    """``(count, stride)`` of the whole records from ``position`` if each
-    claims the captured length the first claims, else ``(0, 0)``.
+    """``(count, stride)`` of the whole records at the front of
+    ``buffer[:end]`` that each claim the captured length the first
+    claims (``(0, 0)`` if none).
 
     The claims of an equal-length run are one strided column of the
-    buffer; if any differs, the first that does is a real record's. An
-    over-snaplen first claim is no run: the chase raises it.
+    buffer; the first that differs is a real record's, where the run
+    ends. An over-limit first claim is no run: the chase raises it.
     """
-    if position + _RECORD_HEADER_BYTES > len(buffer):
+    if end < _RECORD_HEADER_BYTES:
         return 0, 0
-    (incl,) = np.ndarray((1,), order + "u4", buffer, position + 8).tolist()
+    (incl,) = np.ndarray((1,), order + "u4", buffer, 8).tolist()
     stride = _RECORD_HEADER_BYTES + incl
-    whole = (len(buffer) - position) // stride
-    claims = np.ndarray((whole,), order + "u4", buffer, position + 8, (stride,))
-    if incl > max_captured or not (claims == incl).all():
+    if incl > limit:
         return 0, 0
-    return whole, stride
-
-
-def _uint32_fields(
-    matrix: np.ndarray, column: int, order: str, count: int = 1
-) -> np.ndarray:
-    """``count`` 32-bit fields from byte ``column`` on, one int64 row each."""
-    fields = np.ascontiguousarray(matrix[:, column : column + 4 * count])
-    return np.ascontiguousarray(fields.view(order + "u4").T, dtype=np.int64)
+    whole = end // stride
+    claims = np.ndarray((whole,), order + "u4", buffer, 8, (stride,))
+    differs = np.flatnonzero(claims != incl)
+    return (int(differs[0]) if differs.size else whole), stride
 
 
 class CsvPacketSource:

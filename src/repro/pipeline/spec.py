@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ClassificationError
 from repro.pipeline.backends import (
+    MAX_SHARDS,
     AggregationBackend,
     capacity_for_budget,
     check_backend,
@@ -39,7 +40,6 @@ from repro.pipeline.sampling import (
     UNSAMPLED,
     SamplingSpec,
 )
-from repro.pipeline.sharded import MAX_SHARDS
 from repro.pipeline.sources import (
     ArrayPacketSource,
     CsvPacketSource,
@@ -47,7 +47,6 @@ from repro.pipeline.sources import (
     PcapPacketSource,
     text_lines,
 )
-from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 if TYPE_CHECKING:
     import argparse
@@ -317,6 +316,8 @@ class PipelineSpec:
     def resolved_admission_threshold(self) -> float:
         """Bytes the admission gate asks of a flow (default applied)."""
         if self.admission_threshold is None:
+            from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
+
             return DEFAULT_ADMISSION_THRESHOLD
         return self.admission_threshold
 

@@ -7,11 +7,12 @@ Because announced prefixes form a laminar family (any two prefixes
 either nest or are disjoint), longest-prefix match over the whole
 table flattens into a sorted list of disjoint address segments, each
 owned by the deepest covering prefix — compiled from the table's
-:class:`~repro.net.prefix.PrefixColumns` with array operations, level
-by level. Resolving a *batch* of addresses is then a gather from a
-64k-entry /16 root table (the segment each bucket starts in) and a
-short binary descent, bounded by how many segments the batch's busiest
-bucket spans, with no Python-level work per packet.
+:class:`~repro.net.prefix.PrefixColumns` with a few sorts and searches
+over the prefix edges, however deep the nesting
+(:meth:`CompiledLpm._flatten`). Resolving a *batch* of addresses is
+then a gather from a 64k-entry /16 root table (the segment each bucket
+starts in) and a short binary descent, bounded by how many segments the
+batch's busiest bucket spans, with no Python-level work per packet.
 
 :class:`CompiledLpm` is an immutable snapshot: routes added to the table
 after compilation are not seen. The aggregation layer recompiles when it
@@ -46,6 +47,9 @@ NO_ROUTE = -1
 #: The root table is indexed by /16: address bits below a bucket, buckets.
 _ROOT_SHIFT = 16
 _ROOT_BUCKETS = 1 << 16
+#: (depth, address) packs into one int64 as ``depth << 33 | address``:
+#: addresses run to 2**32 (one past the last), depths to 33.
+_DEPTH_SHIFT = 33
 
 
 def _ipv4_batch(addresses: np.ndarray) -> np.ndarray:
@@ -75,12 +79,16 @@ class CompiledLpm:
         columns = PrefixColumns.of(prefixes)
         if not columns.valid().all():
             raise AddressError("malformed prefix in LPM table")
-        order = np.lexsort((columns.length, columns.network))
-        network, length = columns.network[order], columns.length[order]
+        network, length = columns.network, columns.length
+        keys = columns.keys()
+        # columns already in strictly ascending key order (what
+        # `read_rib` hands over) are checked in one pass, not sorted
+        if not (keys[1:] > keys[:-1]).all():
+            keys = np.sort(keys)
+            if (keys[1:] == keys[:-1]).any():
+                raise RoutingError("duplicate prefixes in LPM table")
+            network, length = keys >> 6, keys & 63
         self.prefixes = PrefixColumns(network, length)
-        keys = self.prefixes.keys()
-        if (keys[1:] == keys[:-1]).any():
-            raise RoutingError("duplicate prefixes in LPM table")
         self._bounds, self._owners = self._flatten(network, length)
         # /16 root: the segment holding each bucket's first address and
         # how many more the bucket reaches into; a lookup starts there
@@ -109,24 +117,47 @@ class CompiledLpm:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flatten the laminar prefix family into disjoint owned segments.
 
-        Every prefix edge cuts the address line; each piece belongs to
-        the longest prefix over it. Prefixes of one length are disjoint,
-        so painting a level is a +row / -row delta and a running sum,
-        and painting levels shortest first lets the deeper overwrite.
+        The rows are in key order, which visits every prefix before the
+        prefixes inside it. Every prefix edge cuts the address line, and
+        each piece belongs to the deepest prefix over it:
+
+        - the edges are one event list, every close ahead of every open
+          (a prefix that ends where another starts has closed by then),
+          merged into address order by one stable sort; a running sum
+          of +1 per open and -1 per close counts the prefixes over each
+          event, which at a prefix's own open is its depth;
+        - a cut is the last event at an address. If a prefix opens
+          there, the cut is the deepest one's (the last to open). If
+          prefixes only close there, it belongs to the one over it at
+          the depth the count reached: prefixes of one depth are
+          disjoint, so that is the last one of that depth to open at or
+          before the cut — one ``searchsorted`` into the rows ordered by
+          (depth, network).
+
         Bounds are int64 because a segment may start at 2**32, one past
         the largest address.
         """
-        ends = network + (1 << (32 - length))
-        cuts = np.sort(np.concatenate(([0], network, ends)))
-        cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
-        owners = np.full(cuts.size, NO_ROUTE, dtype=np.int64)
-        for level in np.flatnonzero(np.bincount(length)).tolist():
-            rows = np.flatnonzero(length == level)
-            paint = np.zeros(cuts.size, dtype=np.int64)
-            paint[np.searchsorted(cuts, network[rows])] = rows + 1
-            paint[np.searchsorted(cuts, ends[rows])] -= rows + 1
-            painted = np.cumsum(paint)
-            owners = np.where(painted > 0, painted - 1, owners)
+        count = network.size
+        ends = np.sort(network + (1 << (32 - length)))
+        points = np.concatenate((ends, network))
+        order = np.argsort(points, kind="stable")  # merges two sorted runs
+        opens = order >= count
+        over = np.cumsum(opens * 2 - 1)
+        depth = np.empty(count, dtype=np.int64)
+        depth[order[opens] - count] = over[opens]
+        positions = points[order]
+        last = np.flatnonzero(np.diff(positions, append=-1))
+        cuts, event = positions[last], order[last]
+        owners = event - count  # where a prefix opens; fixed up below
+        closing = np.flatnonzero(event < count)
+        rows = np.argsort(depth.astype(np.uint8), kind="stable")
+        ladder = depth[rows] << _DEPTH_SHIFT | network[rows]
+        needles = over[last[closing]] << _DEPTH_SHIFT | cuts[closing]
+        above = np.searchsorted(ladder, needles, "right") - 1
+        # nothing over a cut: depth 0 sorts below the ladder, to -1
+        owners[closing] = np.append(rows, NO_ROUTE)[above]
+        if not count or cuts[0]:
+            cuts, owners = np.append(0, cuts), np.append(NO_ROUTE, owners)
         keep = np.append(True, owners[1:] != owners[:-1])
         return cuts[keep], owners[keep]
 

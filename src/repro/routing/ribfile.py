@@ -3,11 +3,23 @@
 The format ``repro stream --rib`` takes: ``a.b.c.d/len`` per line, a
 bare address meaning a /32 host route, ``#`` starting a comment, blank
 lines ignored. What is accepted is what :meth:`Prefix.parse` accepts —
-but a backbone table is ~100k lines, so the digits of the whole file
-are parsed with array operations, and only a line that pass cannot
-fully account for (odd spacing, four-digit octets, any fault) is handed
-to :meth:`Prefix.parse` itself, so the accept set and the error
-messages cannot drift apart.
+but a backbone table is ~100k lines, so the whole file is parsed with
+array operations, and only a line that pass cannot fully account for
+(odd spacing, four-digit octets, any fault) is handed to
+:meth:`Prefix.parse` itself, so the accept set and the error messages
+cannot drift apart.
+
+The pass works on separators, the bytes below ``"0"``: each closes one
+field, and its distance to the separator before it is the field's
+width. The up-to-three digits before every separator are read at once
+as ``uint8`` columns and summed into ``uint16`` values, so a field
+costs a few narrow operations, not an int64 temporary per place. A
+line is taken when it has three dots and, unless it is a bare address,
+a slash, each field one to three digits and each octet at most 255,
+and the prefix passes :meth:`PrefixColumns.valid`. :func:`read_rib`
+then sorts the keys once and drops repeats, which is the sorted,
+duplicate-free order :class:`~repro.routing.lpm.CompiledLpm` checks
+in one pass instead of sorting again.
 """
 
 from __future__ import annotations
@@ -38,38 +50,48 @@ def parse_prefix_lines(text: str, source: str = "RIB") -> PrefixColumns:
     # every byte below "0" is a separator; a line the vector pass takes
     # has exactly ". . . \n" or ". . . / \n", and digits between them
     marks = np.flatnonzero(raw < _ZERO)
-    closing = np.flatnonzero(raw[marks] == _NEWLINE)
+    kinds = raw[marks]
+    closing = np.flatnonzero(kinds == _NEWLINE)
     ends = marks[closing]
     starts = np.append(0, ends[:-1] + 1)
     inner = np.diff(closing, prepend=-1) - 1  # separators inside the line
     plain = (inner == 3) | (inner == 4)
     plain[np.searchsorted(ends, np.flatnonzero(raw > _NINE))] = False
+    # per separator, the field it closes: one to three digits (``gap``
+    # is one more than the field's width), worth at most 999 — uint16.
+    # A byte before a field's first digit may be read (clipped to the
+    # text), never counted.
+    gap = np.diff(marks, prepend=-1)
+    fits = (gap - 2).view(np.uint64) < 3
+    value = raw.take(marks - 1, mode="clip") - np.uint8(_ZERO)
+    value = value.astype(np.uint16)  # the units; tens and hundreds next
+    for place, weight in ((2, 10), (3, 100)):
+        digit = raw.take(marks - place, mode="clip") - np.uint8(_ZERO)
+        digit *= gap > place
+        value += digit * np.uint16(weight)
+    octet = fits & (value <= 255)
     lines = np.flatnonzero(plain)
-    # field j — four octets, then the length — lies between edges j and
-    # j + 1 (for a bare host address the length's two edges coincide)
-    first = closing[lines] - inner[lines]
-    between = [marks[first + j] for j in range(4)]
-    edges = np.stack([starts[lines] - 1, *between, ends[lines]], axis=1)
-    widths = np.diff(edges, axis=1) - 1
-    values = np.zeros(widths.shape, dtype=np.int64)
-    for place, weight in ((1, 1), (2, 10), (3, 100)):
-        byte = raw[np.maximum(edges[:, 1:] - place, 0)].astype(np.int64)
-        values += np.where(widths >= place, byte - _ZERO, 0) * weight
-    bare = inner[lines] == 3
-    values[bare, 4], widths[bare, 4] = 32, 2
-    network = values[:, :4] @ (1 << np.array([24, 16, 8, 0]))
-    good = (
-        (raw[edges[:, 1:4]] == _DOT).all(axis=1)
-        & (bare | (raw[edges[:, 4]] == _SLASH))
-        & ((widths >= 1) & (widths <= 3)).all(axis=1)
-        & (values[:, :4] <= 255).all(axis=1)
-        & PrefixColumns(network, values[:, 4]).valid()
-    )
+    last = closing[lines]  # the separator that ends the line
+    first = last - inner[lines]
+    bare = inner[lines] == 3  # a host address: no "/length" field
+    good = fits[last] & (bare | (kinds[first + 3] == _SLASH))
+    network = np.zeros(lines.size, dtype=np.int64)
+    for field in range(4):
+        good &= octet[first + field]
+        if field < 3:
+            good &= kinds[first + field] == _DOT
+        network |= value[first + field].astype(np.int64) << 24 - 8 * field
+    length = np.where(bare, 32, value[last])
+    good &= PrefixColumns(network, length).valid()
+    rest = ends > starts  # the non-blank lines the pass did not take
+    rest[lines[good]] = False
+    if not rest.any():
+        return PrefixColumns(network[good], length[good])
     table = np.full((2, ends.size), -1, dtype=np.int64)  # -1: no prefix yet
-    table[:, lines[good]] = network[good], values[good, 4]
+    table[:, lines[good]] = network[good], length[good]
     # whatever is left — anything unusual, anything wrong — goes through
     # the scalar parser, in line order so the first fault is the one told
-    for line in np.flatnonzero((table[1] < 0) & (ends > starts)).tolist():
+    for line in np.flatnonzero(rest).tolist():
         content = data[starts[line] : ends[line]].decode().strip()
         if content:
             try:

@@ -12,7 +12,7 @@ label: no path folds the real default route into it.
 import numpy as np
 
 from repro.distributed import Collector, SlotSummary, parallel_ingest
-from repro.distributed.collector import elephant_entries
+from repro.distributed.envelope import elephant_entries
 from repro.net.prefix import Prefix
 from repro.pipeline import (
     AggregatingSlotSource,

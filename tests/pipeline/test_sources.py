@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,35 @@ class TestPcapPacketSource:
             stream.write(data)
         with pytest.raises(PcapFormatError, match="above snaplen"):
             list(PcapPacketSource(path).batches())
+
+    def test_corrupt_record_length_fails_fast_without_a_snaplen(
+        self, tmp_path
+    ):
+        """A header with snaplen 0 sets no bound of its own: the claim
+        is held to libpcap's record limit instead, so a bogus incl_len
+        still raises at its record, in memory that does not grow with
+        the rest of the file (3 MB of it here)."""
+        good = udp_record(0.0, "10.0.0.1")
+        path = tmp_path / "unbounded.pcap"
+        with PcapWriter.open(str(path)) as writer:
+            for _ in range(20_000):
+                writer.write(good)
+        data = bytearray(path.read_bytes())
+        data[16:20] = bytes(4)  # the global header's snaplen
+        offset = 24 + 16 + len(good.data)
+        data[offset + 8 : offset + 12] = (0x7FFFFFF0).to_bytes(4, "little")
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with (
+                mock.patch.object(sources, "READ_BLOCK_BYTES", 4096),
+                pytest.raises(PcapFormatError, match="262144-byte record"),
+            ):
+                list(PcapPacketSource(str(path)).batches())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
 
 
 COLUMNS = ("timestamps", "destinations", "wire_bytes")

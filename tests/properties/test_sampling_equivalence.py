@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.collector import elephant_entries
+from repro.distributed.envelope import elephant_entries
 from repro.distributed.framing import FrameDecoder, encode_summary
 from repro.distributed.summary import (
     MAGIC,

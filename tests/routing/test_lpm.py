@@ -177,6 +177,28 @@ class TestCompiledLpmAgainstScalarOracles:
             got = None if row == NO_ROUTE else lpm.prefixes[row]
             assert got == longest_match(family, address), address
 
+    @settings(max_examples=150, deadline=None)
+    @given(family=laminar_families(), shuffler=st.randoms())
+    def test_sorted_columns_compile_like_any_order(self, family, shuffler):
+        """Columns in key order without repeats — what ``read_rib``
+        hands over — are checked, not sorted: they compile to what the
+        same prefixes in any order do. A repeat is still refused."""
+        shuffled = list(family)
+        shuffler.shuffle(shuffled)
+        checked = CompiledLpm(PrefixColumns.of(sorted(family)))
+        sorted_here = CompiledLpm(shuffled)
+        assert checked.prefixes == sorted_here.prefixes
+        assert np.array_equal(checked._bounds, sorted_here._bounds)
+        assert np.array_equal(checked._owners, sorted_here._owners)
+        probes = np.concatenate((checked._bounds, checked._bounds - 1))
+        probes = probes[(probes >= 0) & (probes <= ipv4.MAX_ADDRESS)]
+        assert np.array_equal(
+            checked.lookup(probes), sorted_here.lookup(probes)
+        )
+        if family:
+            with pytest.raises(RoutingError, match="duplicate"):
+                CompiledLpm([*shuffled, shuffler.choice(shuffled)])
+
     def test_single_prefix_and_empty_tables(self):
         lonely = compiled("192.0.2.0/24")
         inside = ipv4.parse_ipv4("192.0.2.0")

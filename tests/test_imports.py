@@ -199,7 +199,7 @@ class TestAttach:
 
         _, __dir__, names = attach("repro.stats", {"tail": ("b", "a")})
         assert names == ["a", "b"]
-        assert {"a", "b", "tail", "aest"} <= set(__dir__())
+        assert {"a", "b", "tail", "ecdf"} <= set(__dir__())
 
     @pytest.mark.parametrize(
         "exports",
@@ -216,10 +216,14 @@ class TestAttach:
 
 @pytest.fixture(scope="module")
 def tiny_pcap(tmp_path_factory):
+    """A capture over four /16s, beside ``tiny.rib``, which routes them."""
     path = tmp_path_factory.mktemp("imports") / "tiny.pcap"
     prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
     rates = np.random.default_rng(5).uniform(2e4, 8e4, (4, 3))
     write_pcap(RateMatrix(prefixes, TimeAxis(0.0, 60.0, 3), rates), str(path))
+    (path.parent / "tiny.rib").write_text(
+        "".join(f"{prefix}\n" for prefix in ["10.0.0.0/8", *prefixes])
+    )
     return path
 
 
@@ -248,6 +252,8 @@ sys.modules[stub.__name__] = stub
 """
 
 STREAM = "stream tiny.pcap --prefix-length 24 --json"
+#: The paper's run: flows are the RIB's prefixes, counted exactly.
+EXACT = "stream tiny.pcap --rib tiny.rib --json"
 OTHER_PROCESSES = ("asyncio", "ssl", "multiprocessing")
 
 
@@ -304,6 +310,47 @@ class TestImportBoundaries:
             "repro.routing.rib",
             "repro.routing.aspath",
         )
+
+    def test_exact_stream_loads_no_sketch_summary_or_exporter(
+        self, tiny_pcap
+    ):
+        """What an exact ``--rib --json`` run never executes stays
+        unloaded: the sketch tables, the sharder, the aest estimator,
+        the summary codec, the merge and collector, the flow-record
+        exporter, and the text table a ``--json`` run does not print."""
+        modules = loaded(EXACT, cwd=tiny_pcap.parent)
+        assert "repro.routing.ribfile" in modules
+        assert "repro.distributed.envelope" in modules
+        assert not under(
+            modules,
+            "repro.sketches",
+            "repro.pipeline.sharded",
+            "repro.stats.aest",
+            "repro.distributed.summary",
+            "repro.distributed.merge",
+            "repro.distributed.collector",
+            "repro.distributed.framing",
+            "repro.flows.interchange",
+            "repro.analysis.report",
+        )
+
+    @pytest.mark.parametrize(
+        "flags, module",
+        [
+            (
+                "--backend space-saving --capacity 4",
+                "repro.sketches.array_tables",
+            ),
+            ("--summary-out tiny.npz", "repro.distributed.summary"),
+            ("--flow-csv-out tiny.csv", "repro.flows.interchange"),
+            ("--scheme aest", "repro.stats.aest"),
+            ("--shards 2", "repro.pipeline.sharded"),
+        ],
+    )
+    def test_the_branch_that_runs_a_module_loads_it(
+        self, tiny_pcap, flags, module
+    ):
+        assert module in loaded(f"{EXACT} {flags}", cwd=tiny_pcap.parent)
 
     def test_stream_workers_loads_the_fleet(self, tiny_pcap):
         modules = loaded(f"{STREAM} --workers 2", cwd=tiny_pcap.parent)
