@@ -370,7 +370,7 @@ def load_summaries(path: str) -> list[SlotSummary]:
         return summaries
     except SummaryFormatError:
         raise
-    except (KeyError, IndexError, ValueError, ReproError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, ReproError) as exc:
         raise SummaryFormatError(
             f"summary file {path!r} is malformed: {exc}"
         ) from exc

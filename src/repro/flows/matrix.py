@@ -110,7 +110,9 @@ class RateMatrix:
         try:
             return self._prefix_index()[prefix]
         except KeyError:
-            raise ClassificationError(f"prefix {prefix} not in matrix") from None
+            raise ClassificationError(
+                f"prefix {prefix} not in matrix"
+            ) from None
 
     def _prefix_index(self) -> dict[Prefix, int]:
         if not hasattr(self, "_index_cache"):
@@ -163,22 +165,25 @@ class RateMatrix:
         reshaped = self.rates[:, :usable].reshape(
             self.num_flows, coarse_axis.num_slots, factor
         )
-        return RateMatrix(list(self.prefixes), coarse_axis,
-                          reshaped.mean(axis=2))
+        return RateMatrix(
+            list(self.prefixes), coarse_axis, reshaped.mean(axis=2)
+        )
 
     def window(self, first_slot: int, num_slots: int) -> "RateMatrix":
         """Restrict to a contiguous slot window."""
         sub_axis = self.axis.window(first_slot, num_slots)
         return RateMatrix(
-            list(self.prefixes), sub_axis,
-            self.rates[:, first_slot:first_slot + num_slots].copy(),
+            list(self.prefixes),
+            sub_axis,
+            self.rates[:, first_slot : first_slot + num_slots].copy(),
         )
 
     def restrict_flows(self, indices: Sequence[int]) -> "RateMatrix":
         """Keep only the given flow rows (in the given order)."""
         index_array = np.asarray(indices, dtype=int)
         return RateMatrix(
-            [self.prefixes[i] for i in index_array], self.axis,
+            [self.prefixes[i] for i in index_array],
+            self.axis,
             self.rates[index_array, :].copy(),
         )
 
@@ -191,28 +196,38 @@ class RateMatrix:
         np.savez_compressed(
             path,
             rates=self.rates,
-            networks=np.array([p.network for p in self.prefixes],
-                              dtype=np.uint32),
-            lengths=np.array([p.length for p in self.prefixes],
-                             dtype=np.uint8),
-            axis=np.array([self.axis.start, self.axis.slot_seconds,
-                           float(self.axis.num_slots)]),
+            networks=np.array(
+                [p.network for p in self.prefixes], dtype=np.uint32
+            ),
+            lengths=np.array(
+                [p.length for p in self.prefixes], dtype=np.uint8
+            ),
+            axis=np.array(
+                [
+                    self.axis.start,
+                    self.axis.slot_seconds,
+                    float(self.axis.num_slots),
+                ]
+            ),
         )
 
     @classmethod
     def load_npz(cls, path: str) -> "RateMatrix":
-        """Load a matrix written by :meth:`save_npz`."""
+        """Load a matrix written by :meth:`save_npz`; a member missing or
+        of the wrong shape is a :class:`ClassificationError`."""
         data = read_npz(path, "matrix", ClassificationError)
-        start, slot_seconds, num_slots = data["axis"]
-        prefixes = [
-            Prefix(int(network), int(length))
-            for network, length in zip(data["networks"], data["lengths"])
-        ]
-        return cls(
-            prefixes,
-            TimeAxis(float(start), float(slot_seconds), int(num_slots)),
-            data["rates"].astype(float),
-        )
+        try:
+            start, slot_seconds, num_slots = data["axis"]
+            prefixes = [
+                Prefix(int(network), int(length))
+                for network, length in zip(data["networks"], data["lengths"])
+            ]
+            axis = TimeAxis(float(start), float(slot_seconds), int(num_slots))
+            return cls(prefixes, axis, data["rates"].astype(float))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ClassificationError(
+                f"matrix {path!r} is malformed: {exc}"
+            ) from exc
 
     def save_csv(self, path: str) -> None:
         """Export as CSV for interop with external tooling.

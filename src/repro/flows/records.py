@@ -10,6 +10,7 @@ streaming pipeline counts bytes per slot and keeps no such record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ class TimeAxis:
     """A contiguous sequence of measurement slots.
 
     ``start`` is the epoch timestamp of slot 0; slot ``k`` covers
-    ``[start + k * slot_seconds, start + (k + 1) * slot_seconds)``.
+    ``[start + k * slot_seconds, start + (k + 1) * slot_seconds)``; both
+    are finite, or every slot time and rate would be NaN or infinite.
     """
 
     start: float
@@ -39,8 +41,10 @@ class TimeAxis:
     num_slots: int
 
     def __post_init__(self) -> None:
-        if self.slot_seconds <= 0:
-            raise ClassificationError("slot_seconds must be positive")
+        if not math.isfinite(self.start):
+            raise ClassificationError("start must be finite")
+        if not 0 < self.slot_seconds < math.inf:
+            raise ClassificationError("slot_seconds must be finite and > 0")
         if self.num_slots <= 0:
             raise ClassificationError("num_slots must be positive")
 

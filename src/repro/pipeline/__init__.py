@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = attach(
             "ArraySketchAggregation",
             "ExactAggregation",
             "Population",
-            "SketchAggregation",
             "SketchSlotSource",
             "capacity_for_budget",
             "make_backend",

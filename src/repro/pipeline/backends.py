@@ -9,27 +9,21 @@ reads — and keeps no other per-flow ledger:
 
 - :class:`ExactAggregation` keeps the original semantics — every flow
   tracked exactly, no residual, state O(distinct flows);
-- the bounded backends cap the candidate table at ``capacity`` entries
-  using a classic heavy-hitter summary (Space-Saving, Misra–Gries,
-  Count-Min + candidate table, Sample-and-Hold). Bytes of untracked
-  flows are conserved in a dedicated *residual row* (row 0, labelled
-  ``0.0.0.0/0``), so every emitted slot still sums to the traffic that
-  arrived.
+- :class:`ArraySketchAggregation` caps the candidate table at
+  ``capacity`` entries using a classic heavy-hitter summary
+  (Space-Saving, Misra–Gries, Count-Min + candidate table,
+  Sample-and-Hold). Bytes of untracked flows are conserved in a
+  dedicated *residual row* (row 0, labelled ``0.0.0.0/0``), so every
+  emitted slot still sums to the traffic that arrived.
 
-A bounded backend is handed its summary, built, instead of subclassing
-per summary. :class:`ArraySketchAggregation` runs any candidate table
-of :mod:`repro.sketches.array_tables` — with or without a Bloom
-admission gate inside its batch kernel
-(:func:`~repro.sketches.bloom.gated_table`) — with one vectorized
-probe/admit/evict pass per batch and per-slot accumulators held as
-parallel arrays: no Python work per key on the hot path.
-:func:`make_backend` builds it for every sketch name from one
-name → table dict. The **scalar** :class:`SketchAggregation` feeds any
-dict-and-heap summary of :mod:`repro.sketches` one key at a time: the
-semantics oracle, which tests build by hand
-(``SketchAggregation(SpaceSaving(K), K, "space-saving")``) and hold the
-array tables to — exact agreement on single-key batches (any batch for
-Sample-and-Hold), the tables' documented batch semantics otherwise.
+It is handed its summary built: any table of
+:mod:`repro.sketches.array_tables`, gated or not
+(:func:`~repro.sketches.bloom.gated_table`), runs one vectorized
+probe/admit/evict pass per batch into per-slot accumulators held as
+parallel arrays — no Python work per key on the hot path.
+:func:`make_backend` builds it for every sketch name from one name →
+table dict. The suite holds it to a twin that feeds a dict summary one
+key at a time (``tests/oracles.py``).
 
 Row semantics under a sketch: a flow earns a stream row the first time
 it is still tracked when a slot closes — surviving one slot boundary is
@@ -45,8 +39,7 @@ that sharding and the collector hold too; ``backend.prefixes`` is its
 appended as a slice of the table that travels in the fourth
 ``accumulate`` argument (the resolver's own ``PrefixColumns``; a
 slot-altitude replay hands over the frame population) — one array step
-shared by every array backend (:meth:`AggregationBackend._admit`).
-Only the scalar oracle builds a ``Prefix`` per candidate.
+shared by every backend (:meth:`AggregationBackend._admit`).
 
 Backends also speak the slot altitude: :class:`SketchSlotSource`
 filters any :class:`~repro.pipeline.sources.SlotSource` (for instance a
@@ -325,104 +318,6 @@ class ExactAggregation(AggregationBackend):
         return closed
 
 
-class _PendingEntry:
-    """Slot-local byte accumulator for one candidate flow."""
-
-    __slots__ = ("bytes", "prefix")
-
-    def __init__(self, prefix: Prefix) -> None:
-        self.bytes = 0.0
-        self.prefix = prefix
-
-
-class SketchAggregation(AggregationBackend):
-    """The scalar bounded backend: any reference summary, key by key.
-
-    ``sketch`` is a built :mod:`repro.sketches` summary that speaks
-    ``update(key, weight)``, ``estimate(key)`` (positive iff tracked)
-    and ``len()`` — ``SpaceSaving``, ``MisraGries``,
-    ``CountMinCandidates``, ``SampleAndHold`` — holding at most
-    ``capacity`` keys. This class owns the slot-local candidate
-    accounting, the prune-on-eviction step that keeps the candidate
-    table at ``capacity``, and the row assignment at slot close. It is
-    the reference implementation the array tables are tested against.
-    """
-
-    residual_row = 0
-
-    def __init__(self, sketch, capacity: int, name: str) -> None:
-        super().__init__()
-        self.name = name
-        self.capacity = capacity
-        self._sketch = sketch
-        self._row_of: dict[int, int] = {}
-        self._pending: dict[int, _PendingEntry] = {}
-        self._residual = 0.0
-
-    @property
-    def tracked_flows(self) -> int:
-        return len(self._sketch)
-
-    def _tracked(self, key: int) -> bool:
-        return self._sketch.estimate(key) > 0.0
-
-    def accumulate(
-        self,
-        keys: np.ndarray,
-        sizes: np.ndarray,
-        timestamps: np.ndarray,
-        table: PrefixColumns,
-    ) -> None:
-        if keys.size == 0:
-            return
-        unique, first_index, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        weights = np.bincount(inverse, weights=sizes)
-        # Offer keys in first-traffic order: admission/eviction races
-        # then resolve the way a per-packet monitor would, and row
-        # assignment at slot close inherits the same chunk-independent
-        # ordering the exact backend guarantees.
-        for i in np.argsort(first_index).tolist():
-            key = int(unique[i])
-            weight = float(weights[i])
-            self._sketch.update(key, weight)
-            if self._tracked(key):
-                entry = self._pending.get(key)
-                if entry is None:
-                    # the oracle stays boxed: one Prefix per candidate
-                    entry = _PendingEntry(table[key])
-                    self._pending[key] = entry
-                entry.bytes += weight
-            else:
-                self._residual += weight
-        # Candidates evicted by later arrivals in this group fall back
-        # to the residual — this prune is what bounds the slot-local
-        # table at the sketch's capacity.
-        evicted = [key for key in self._pending if not self._tracked(key)]
-        for key in evicted:
-            self._residual += self._pending.pop(key).bytes
-        self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
-
-    def close_slot(self) -> np.ndarray:
-        attributed: list[tuple[int, float]] = []
-        for key, entry in self._pending.items():
-            row = self._row_of.get(key)
-            if row is None:
-                row = len(self.prefixes)
-                self._row_of[key] = row
-                self.population.append(PrefixColumns.of([entry.prefix]))
-            attributed.append((row, entry.bytes))
-        vector = np.zeros(len(self.prefixes))
-        for row, volume in attributed:
-            vector[row] += volume
-        vector[self.residual_row] += self._residual
-        self._pending = {}
-        self._residual = 0.0
-        self.slots_closed += 1
-        return vector
-
-
 class ArraySketchAggregation(AggregationBackend):
     """The bounded production backend: batch kernels, flat accumulators.
 
@@ -436,10 +331,7 @@ class ArraySketchAggregation(AggregationBackend):
     contributions with pure array ops; slot close places the slots
     that earned a row with the same array admission step the exact
     table uses, so no Python loop runs per key or per row anywhere.
-
-    Residual-row conservation, slot-close row admission and positional
-    row identity match the scalar reference exactly; the property
-    suite drives both packet-by-packet to pin the equivalence.
+    Fed packet by packet, it equals the scalar twin of the test suite.
     """
 
     residual_row = 0

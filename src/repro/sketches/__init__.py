@@ -1,11 +1,8 @@
-"""Classic heavy-hitter baselines (extension beyond the paper).
+"""The bounded flow tables a sketch backend runs (beyond the paper).
 
-Misra–Gries, Space-Saving, Count-Min and Sample-and-Hold, plus adapters
-that run them per slot so their volatility can be compared against the
-paper's latent-heat elephants. The scalar classes are the reference
-semantics; :mod:`repro.sketches.array_tables` carries the vectorized
-batch-update counterpart of each, which the aggregation hot path runs
-on.
+The four array candidate tables (Space-Saving, Misra–Gries, Count-Min
+over :class:`CountMinSketch`, Sample-and-Hold), the Bloom admission
+gate, and the scorer of a backend's elephants against the exact run's.
 """
 
 from repro._lazy import attach
@@ -21,21 +18,14 @@ __getattr__, __dir__, __all__ = attach(
             "BatchUpdate",
         ),
         "bloom": ("BloomGate", "CountingBloom", "gated_table"),
-        "count_min": ("CountMinCandidates", "CountMinSketch"),
-        "misra_gries": ("MisraGries",),
-        "sample_hold": ("SampleAndHold",),
-        "space_saving": ("SpaceSaving",),
+        "count_min": ("CountMinSketch",),
         "streaming_eval": (
             "COMPARISON_COLUMNS",
             "BackendComparison",
             "BackendRun",
-            "SketchRun",
             "evaluate_backends",
-            "exact_top_k_per_slot",
-            "mask_agreement",
             "run_backend",
             "score_against",
-            "space_saving_per_slot",
         ),
     },
 )

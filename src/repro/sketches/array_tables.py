@@ -1,14 +1,13 @@
 """Array-native heavy-hitter candidate tables (batch-update kernels).
 
-The scalar sketches in this package (:mod:`~repro.sketches.space_saving`,
-:mod:`~repro.sketches.misra_gries`, :mod:`~repro.sketches.count_min`,
-:mod:`~repro.sketches.sample_hold`)
-are dict-and-heap objects fed one key at a time — the right shape for
-reference semantics and property tests, the wrong shape for a monitor
-ingesting millions of packets per second. This module lays the same
-summaries out as flat numpy struct-of-arrays with *batch* update
-semantics: one vectorized pass admits, updates and evicts a whole
-batch of ``(key, weight)`` aggregates at once.
+The classic heavy-hitter summaries — Space-Saving, Misra–Gries,
+Count-Min candidates and Sample-and-Hold — are usually written as dicts
+fed one key at a time: the right shape for reference semantics (the
+test suite keeps them so, in ``tests/oracles.py``), the wrong shape for
+a monitor ingesting millions of packets per second. This module lays
+the same summaries out as flat numpy struct-of-arrays with *batch*
+update semantics: one vectorized pass admits, updates and evicts a
+whole batch of ``(key, weight)`` aggregates at once.
 
 Layout, shared by every table:
 
@@ -34,10 +33,10 @@ an estimate tournament for Count-Min — the two tournaments share
 for Sample-and-Hold. Every table treats the batch as "hits first, then
 newcomers"; for single-key batches that *is* the scalar order, so each
 table reproduces its scalar reference *exactly*, eviction tie-breaks
-included — the scalar lazy heaps resolve ties by smallest
-``(count, key)`` pair, which the batch paths mirror. (Sample-and-Hold
-never evicts, so hits and newcomers commute and it is exact for any
-batch.) The property suite pins both regimes.
+included — a scalar summary lets the smallest ``(count, key)`` pair
+go, which the batch paths mirror. (Sample-and-Hold never evicts, so
+hits and newcomers commute and it is exact for any batch.) The
+property suite pins both regimes.
 
 Flat arrays are also cheaply picklable, which is what keeps the
 worker-queue overhead of the multi-process runner low.
@@ -544,9 +543,8 @@ class ArraySampleHold(_KeyTable):
     weight. The scalar table stops drawing the moment it is full; when
     that happens mid-batch the generator is rewound and only the draws
     the scalar loop would have made are redrawn. Counts *and* generator
-    state therefore equal
-    :class:`~repro.sketches.sample_hold.SampleAndHold` (``max_entries
-    = capacity``, same seed) after any batch, not only single-key ones.
+    state therefore equal those of the scalar table (same capacity,
+    same seed) after any batch, not only single-key ones.
 
     ``sampling_probability`` is per byte; the default catches a flow
     after ~100 kB in expectation.

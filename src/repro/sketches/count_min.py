@@ -1,27 +1,21 @@
 """The Count-Min sketch (Cormode & Muthukrishnan, 2005).
 
 A fixed-memory frequency sketch with one-sided (over-)estimation error
-``epsilon * total`` with probability ``1 - delta``. Included as the
-hashing-based member of the heavy-hitter baseline family.
+``epsilon * total`` with probability ``1 - delta``.
 
 Besides the classic one-key-at-a-time interface the sketch speaks
 batches: :meth:`CountMinSketch.update_batch` and
 :meth:`CountMinSketch.estimate_batch` hash whole key vectors through
-the same seeded family, so the array-native aggregation backends and
-the scalar reference path read identical counters for identical
-streams.
+the same seeded family, so a batch and the same keys offered one at a
+time read identical counters.
 
 A frequency sketch answers "how much", not "who": to report heavy
-hitters it needs a bounded set of candidate keys beside it.
-:class:`CountMinCandidates` is the scalar one — the sketch plus a
-``capacity``-entry candidate heap, with the ``update`` / ``estimate``
-/ ``len`` shape of the counter summaries — and the reference
-:class:`~repro.sketches.array_tables.ArrayCountMin` is held to.
+hitters it needs a bounded set of candidate keys beside it, which
+:class:`~repro.sketches.array_tables.ArrayCountMin` keeps.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Hashable
 
@@ -119,82 +113,10 @@ class CountMinSketch:
         rows = np.arange(self.depth)[:, None]
         return self._table[rows, columns].min(axis=0)
 
-    def error_bound(self, confidence_rows: int | None = None) -> float:
+    def error_bound(self) -> float:
         """Expected over-estimate bound ``e / width * total``."""
-        del confidence_rows  # single formula regardless of depth
         return math.e / self.width * self._total
 
     def memory_cells(self) -> int:
         """Number of counters held."""
         return self.width * self.depth
-
-
-class CountMinCandidates:
-    """Count-Min sketch + a ``capacity``-entry candidate heap.
-
-    The sketch carries the frequency estimates; the candidate table
-    admits a key when its estimate beats the current minimum candidate,
-    found through a lazy min-heap (stale entries are discarded on peek,
-    as in :class:`~repro.sketches.space_saving.SpaceSaving`) so each
-    untracked key costs O(log capacity), not a table scan. Hash-based,
-    so unlike the counter summaries it never forgets a flow's history —
-    at the price of one-sided over-estimation.
-    """
-
-    def __init__(
-        self, capacity: int, width: int, depth: int, seed: int = 0
-    ) -> None:
-        if capacity < 1:
-            raise ClassificationError("capacity must be >= 1")
-        self.capacity = capacity
-        self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
-        self._candidates: dict[int, float] = {}
-        self._heap: list[tuple[float, int]] = []
-
-    def __len__(self) -> int:
-        return len(self._candidates)
-
-    def estimate(self, key: int) -> float:
-        """A candidate's latest sketch estimate (0 when untracked)."""
-        return self._candidates.get(key, 0.0)
-
-    def _admit(self, key: int, estimate: float) -> None:
-        self._candidates[key] = estimate
-        heapq.heappush(self._heap, (estimate, key))
-        # Stale entries (superseded estimates) accumulate faster than
-        # peeks discard them on a stable candidate set; rebuild once
-        # they dominate so heap memory stays O(capacity), not O(stream).
-        if len(self._heap) > 4 * self.capacity:
-            self._heap = [
-                (value, tracked)
-                for tracked, value in self._candidates.items()
-            ]
-            heapq.heapify(self._heap)
-
-    def _peek_minimum(self) -> tuple[int, float]:
-        """The current smallest candidate, skipping stale heap entries."""
-        while self._heap:
-            estimate, key = self._heap[0]
-            if self._candidates.get(key) == estimate:
-                return key, estimate
-            heapq.heappop(self._heap)
-        # Staleness drained the heap: rebuild from the live table.
-        self._heap = [(value, key) for key, value in self._candidates.items()]
-        heapq.heapify(self._heap)
-        estimate, key = self._heap[0]
-        return key, estimate
-
-    def update(self, key: int, weight: float = 1.0) -> None:
-        """Add ``weight`` of ``key``; it is a candidate afterwards if
-        it was one, the table has room, or it beats the minimum."""
-        if weight == 0:
-            return
-        self.sketch.update(key, weight)
-        estimate = self.sketch.estimate(key)
-        if key in self._candidates or len(self) < self.capacity:
-            self._admit(key, estimate)
-            return
-        minimum, minimum_estimate = self._peek_minimum()
-        if estimate > minimum_estimate:
-            del self._candidates[minimum]
-            self._admit(key, estimate)

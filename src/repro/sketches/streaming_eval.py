@@ -1,35 +1,18 @@
 """Accuracy-vs-memory evaluation of streaming aggregation backends.
 
-The sketch backends in :mod:`repro.pipeline.backends` trade exactness
-for bounded state. This module quantifies the trade on a concrete
-trace: the same packet stream runs once through the exact backend (the
+The same packet stream runs once through the exact backend (the
 reference) and once per sketch backend, and each run's per-slot
-elephant sets are compared prefix-by-prefix.
-
-Reported per backend:
-
-- **recall / precision** — pooled over flow-slots: of the reference
-  elephant verdicts, how many did the bounded run reproduce, and how
-  much of what it reported was real;
-- **churn** — mean fraction of the elephant set replaced between
-  consecutive slots (1 − Jaccard), plus the delta against the exact
-  run's own churn: a sketch that makes the paper's persistent
-  elephants *look* volatile is lying about the phenomenon the paper
-  measures;
-- **state** — peak tracked flows (must stay ≤ capacity), emitted
-  population rows, and the mean residual traffic share.
+elephant sets are compared prefix by prefix. Reported per backend:
+recall and precision pooled over flow-slots; churn, the mean
+slot-to-slot turnover of the elephant set (1 − Jaccard), with its delta
+against the exact run's — a sketch that makes the paper's persistent
+elephants *look* volatile misreports the phenomenon the paper
+measures; and state: peak tracked flows (at most the capacity),
+population rows and the mean residual traffic share.
 
 Sources are consumed once per run, so the evaluator takes *factories*:
-``make_source`` builds a fresh packet source and ``make_resolver`` a
-fresh resolver for every backend run.
-
-The second half of the module asks the paper's own question of the
-sketches: volume-only heavy-hitter detection — what they do — produces
-volatile elephants. :func:`space_saving_per_slot` and
-:func:`exact_top_k_per_slot` run a sketch (or the top-k oracle)
-independently on every slot of a rate matrix and turn its winners into
-an "elephant mask" of the shape the classifiers produce, so the
-analysis layer compares churn and holding times on equal footing.
+``make_source`` and ``make_resolver`` build a fresh packet source and
+resolver for every backend run.
 """
 
 from __future__ import annotations
@@ -40,11 +23,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.engine import EngineConfig, Feature, Scheme
-from repro.core.states import HoldingTimeSummary
 from repro.errors import ClassificationError
-from repro.flows.matrix import RateMatrix
 from repro.net.prefix import Prefix
-from repro.sketches.space_saving import SpaceSaving
 
 if TYPE_CHECKING:  # pipeline sits above sketches; import lazily at runtime
     from repro.pipeline.aggregator import PrefixResolver
@@ -87,8 +67,9 @@ class BackendRun:
     def churn(self) -> float:
         """Mean slot-to-slot turnover of the elephant set (1 − Jaccard)."""
         turnovers = []
-        for previous, current in zip(self.elephant_sets,
-                                     self.elephant_sets[1:]):
+        for previous, current in zip(
+            self.elephant_sets, self.elephant_sets[1:]
+        ):
             union = previous | current
             if not union:
                 continue
@@ -124,18 +105,28 @@ class BackendComparison:
 
 
 #: Header matching :meth:`BackendComparison.as_row`.
-COMPARISON_COLUMNS = ["backend", "capacity", "peak tracked", "rows",
-                      "recall", "precision", "churn", "churn delta",
-                      "residual"]
+COMPARISON_COLUMNS = [
+    "backend",
+    "capacity",
+    "peak tracked",
+    "rows",
+    "recall",
+    "precision",
+    "churn",
+    "churn delta",
+    "residual",
+]
 
 
-def run_backend(make_source: SourceFactory,
-                make_resolver: ResolverFactory,
-                slot_seconds: float,
-                backend: AggregationBackend | None = None,
-                scheme: Scheme = Scheme.CONSTANT_LOAD,
-                feature: Feature = Feature.LATENT_HEAT,
-                config: EngineConfig | None = None) -> BackendRun:
+def run_backend(
+    make_source: SourceFactory,
+    make_resolver: ResolverFactory,
+    slot_seconds: float,
+    backend: AggregationBackend | None = None,
+    scheme: Scheme = Scheme.CONSTANT_LOAD,
+    feature: Feature = Feature.LATENT_HEAT,
+    config: EngineConfig | None = None,
+) -> BackendRun:
     """Stream the trace through one backend; collect elephant sets."""
     # Imported here: repro.pipeline depends on repro.sketches, so this
     # module must not pull the pipeline in at package-import time.
@@ -144,20 +135,22 @@ def run_backend(make_source: SourceFactory,
         StreamingAggregator,
     )
     from repro.pipeline.engine import StreamingPipeline
-    if backend is not None and (backend.slots_closed
-                                or backend.peak_tracked):
+
+    if backend is not None and (backend.slots_closed or backend.peak_tracked):
         # like the source and resolver, a backend is single-use state;
         # unlike them it arrives as an instance, so reuse is detectable
         raise ClassificationError(
             "aggregation backend instances are single-use; build a "
             "fresh one per evaluation run"
         )
-    aggregator = StreamingAggregator(make_resolver(),
-                                     slot_seconds=slot_seconds,
-                                     backend=backend)
+    aggregator = StreamingAggregator(
+        make_resolver(), slot_seconds=slot_seconds, backend=backend
+    )
     pipeline = StreamingPipeline(
         AggregatingSlotSource(make_source(), aggregator),
-        scheme=scheme, feature=feature, config=config,
+        scheme=scheme,
+        feature=feature,
+        config=config,
     )
     sets: list[frozenset[Prefix]] = []
     for event in pipeline.events():
@@ -176,8 +169,9 @@ def run_backend(make_source: SourceFactory,
     )
 
 
-def score_against(reference: BackendRun,
-                  candidate: BackendRun) -> BackendComparison:
+def score_against(
+    reference: BackendRun, candidate: BackendRun
+) -> BackendComparison:
     """Pool recall/precision over flow-slots; compare churn profiles."""
     if reference.num_slots != candidate.num_slots:
         raise ClassificationError(
@@ -185,8 +179,7 @@ def score_against(reference: BackendRun,
             f"candidate {candidate.num_slots}"
         )
     hits = relevant = reported = 0
-    for truth, approx in zip(reference.elephant_sets,
-                             candidate.elephant_sets):
+    for truth, approx in zip(reference.elephant_sets, candidate.elephant_sets):
         hits += len(truth & approx)
         relevant += len(truth)
         reported += len(approx)
@@ -202,109 +195,41 @@ def score_against(reference: BackendRun,
     )
 
 
-def evaluate_backends(make_source: SourceFactory,
-                      make_resolver: ResolverFactory,
-                      slot_seconds: float,
-                      backends: Sequence[AggregationBackend],
-                      scheme: Scheme = Scheme.CONSTANT_LOAD,
-                      feature: Feature = Feature.LATENT_HEAT,
-                      config: EngineConfig | None = None,
-                      ) -> tuple[BackendRun, list[BackendComparison]]:
+def evaluate_backends(
+    make_source: SourceFactory,
+    make_resolver: ResolverFactory,
+    slot_seconds: float,
+    backends: Sequence[AggregationBackend],
+    scheme: Scheme = Scheme.CONSTANT_LOAD,
+    feature: Feature = Feature.LATENT_HEAT,
+    config: EngineConfig | None = None,
+) -> tuple[BackendRun, list[BackendComparison]]:
     """Score each bounded backend against the exact reference run.
 
     Returns the exact run (whose elephant statistics size the "true"
     elephant population — the anchor for choosing capacities) and one
     comparison per backend, in the order given.
     """
-    reference = run_backend(make_source, make_resolver, slot_seconds,
-                            backend=None, scheme=scheme, feature=feature,
-                            config=config)
+    reference = run_backend(
+        make_source,
+        make_resolver,
+        slot_seconds,
+        backend=None,
+        scheme=scheme,
+        feature=feature,
+        config=config,
+    )
     comparisons = []
     for backend in backends:
-        candidate = run_backend(make_source, make_resolver, slot_seconds,
-                                backend=backend, scheme=scheme,
-                                feature=feature, config=config)
+        candidate = run_backend(
+            make_source,
+            make_resolver,
+            slot_seconds,
+            backend=backend,
+            scheme=scheme,
+            feature=feature,
+            config=config,
+        )
         comparisons.append(score_against(reference, candidate))
     return reference, comparisons
 
-
-@dataclass(frozen=True)
-class SketchRun:
-    """Mask and bookkeeping from a per-slot sketch sweep."""
-
-    name: str
-    mask: np.ndarray
-    per_slot_counts: np.ndarray
-
-    def holding_summary(self) -> HoldingTimeSummary:
-        """Holding-time statistics of the sketch's heavy-hitter sets."""
-        return HoldingTimeSummary.from_mask(self.mask)
-
-
-def space_saving_per_slot(matrix: RateMatrix, capacity: int,
-                          top_k: int) -> SketchRun:
-    """Run an independent Space-Saving per slot, keep its top-k rows.
-
-    ``capacity`` is the sketch size; ``top_k`` how many flows per slot
-    are declared heavy hitters (typically sized to match the elephant
-    count of the classifier being compared against).
-    """
-    if top_k < 1:
-        raise ClassificationError("top_k must be >= 1")
-    if top_k > capacity:
-        raise ClassificationError("top_k cannot exceed sketch capacity")
-    mask = np.zeros((matrix.num_flows, matrix.num_slots), dtype=bool)
-    counts = np.zeros(matrix.num_slots, dtype=int)
-    for slot, rates in matrix.iter_slots():
-        sketch: SpaceSaving[int] = SpaceSaving(capacity)
-        active = np.flatnonzero(rates > 0)
-        for row in active:
-            sketch.update(int(row), float(rates[row]))
-        winners = sketch.top_k(top_k)
-        for row, _estimate in winners:
-            mask[row, slot] = True
-        counts[slot] = len(winners)
-    return SketchRun(
-        name=f"space-saving(c={capacity},k={top_k})",
-        mask=mask,
-        per_slot_counts=counts,
-    )
-
-
-def exact_top_k_per_slot(matrix: RateMatrix, top_k: int) -> SketchRun:
-    """Oracle baseline: the true top-k flows of every slot.
-
-    The upper bound on what any volume-only per-slot method can do —
-    if even the oracle churns, volatility is inherent to the
-    single-feature definition, which is exactly the paper's argument.
-    """
-    if top_k < 1:
-        raise ClassificationError("top_k must be >= 1")
-    mask = np.zeros((matrix.num_flows, matrix.num_slots), dtype=bool)
-    for slot, rates in matrix.iter_slots():
-        active = min(top_k, int((rates > 0).sum()))
-        if active == 0:
-            continue
-        winners = np.argpartition(rates, -active)[-active:]
-        mask[winners, slot] = True
-    return SketchRun(
-        name=f"exact-top-{top_k}",
-        mask=mask,
-        per_slot_counts=mask.sum(axis=0),
-    )
-
-
-def mask_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """Mean per-slot Jaccard agreement between two elephant masks."""
-    if mask_a.shape != mask_b.shape:
-        raise ClassificationError("masks must have identical shape")
-    scores = []
-    for t in range(mask_a.shape[1]):
-        union = int(np.logical_or(mask_a[:, t], mask_b[:, t]).sum())
-        if union == 0:
-            continue
-        intersection = int(np.logical_and(mask_a[:, t], mask_b[:, t]).sum())
-        scores.append(intersection / union)
-    if not scores:
-        return 1.0
-    return float(np.mean(scores))

@@ -57,10 +57,18 @@ class TestTimeAxis:
         with pytest.raises(ClassificationError):
             TimeAxis(0.0, 300.0, 3).rebin(4)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"start": 0.0, "slot_seconds": 0.0, "num_slots": 1},
-        {"start": 0.0, "slot_seconds": 300.0, "num_slots": 0},
-    ])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"start": 0.0, "slot_seconds": 0.0, "num_slots": 1},
+            {"start": 0.0, "slot_seconds": 300.0, "num_slots": 0},
+            {"start": np.nan, "slot_seconds": 300.0, "num_slots": 1},
+            {"start": np.inf, "slot_seconds": 300.0, "num_slots": 1},
+            {"start": -np.inf, "slot_seconds": 300.0, "num_slots": 1},
+            {"start": 0.0, "slot_seconds": np.nan, "num_slots": 1},
+            {"start": 0.0, "slot_seconds": np.inf, "num_slots": 1},
+        ],
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ClassificationError):
             TimeAxis(**kwargs)

@@ -1,11 +1,13 @@
 """The oracles the suite holds production code to.
 
 ``make_backend`` only ever builds the production class
-(:class:`~repro.pipeline.ArraySketchAggregation` over an array table);
-the suite holds it to the dict-and-heap reference summaries, wrapped in
-the one scalar :class:`~repro.pipeline.SketchAggregation`. This module
-is the one place a test gets that twin from (``tests/`` is on the path
-through ``conftest.py``: ``from oracles import scalar_backend``).
+(:class:`~repro.pipeline.ArraySketchAggregation` over an array table).
+The tables' reference semantics live here as dict summaries fed one key
+at a time (:class:`SpaceSaving`, :class:`MisraGries`,
+:class:`CountMinCandidates`, :class:`SampleAndHold`), and
+:func:`scalar_backend` wraps one in the bounded backend
+:class:`ScalarAggregation`. ``tests/`` is on the path through
+``conftest.py``: ``from oracles import scalar_backend``.
 
 It also keeps the full-table admission tournaments in their plain form
 (:class:`SortingSpaceSaving`, :class:`SortingCountMin`): every newcomer
@@ -25,14 +27,10 @@ the batch result's column for that slot.
 
 import numpy as np
 
-from repro.pipeline import SketchAggregation
-from repro.sketches import (
-    CountMinCandidates,
-    MisraGries,
-    SampleAndHold,
-    SpaceSaving,
-)
+from repro.net.prefix import PrefixColumns
+from repro.pipeline.backends import AggregationBackend
 from repro.sketches.array_tables import ArrayCountMin, ArraySpaceSaving
+from repro.sketches.count_min import CountMinSketch
 
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
@@ -94,7 +92,196 @@ def scalar_backend(name, capacity, seed=0, sampling_probability=1e-5):
         sketch = SampleAndHold(
             sampling_probability, seed=seed, max_entries=capacity
         )
-    return SketchAggregation(sketch, capacity, name)
+    return ScalarAggregation(sketch, capacity, name)
+
+
+def _smallest(counts):
+    """The key of the ``(count, key)``-smallest entry of ``counts``."""
+    return min(counts, key=lambda key: (counts[key], key))
+
+
+class SpaceSaving:
+    """Space-Saving (Metwally et al.): a newcomer to a full table
+    evicts the smallest entry and inherits its count as error."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.total_weight = 0.0
+        self._counts = {}
+        self._errors = {}
+
+    def __len__(self):
+        return len(self._counts)
+
+    def update(self, key, weight):
+        if weight == 0:
+            return
+        self.total_weight += weight
+        if key not in self._counts:
+            floor = 0.0
+            if len(self._counts) == self.capacity:
+                victim = _smallest(self._counts)
+                floor = self._counts.pop(victim)
+                del self._errors[victim]
+            self._counts[key] = floor
+            self._errors[key] = floor
+        self._counts[key] += weight
+
+    def estimate(self, key):
+        return self._counts.get(key, 0.0)
+
+    def guaranteed(self, key):
+        return self.estimate(key) - self._errors.get(key, 0.0)
+
+
+class MisraGries:
+    """Misra–Gries: a newcomer to a full table takes the smallest of
+    its weight and the least counter off every counter."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._counters = {}
+        self._decrement_total = 0.0
+
+    def __len__(self):
+        return len(self._counters)
+
+    def update(self, key, weight):
+        if weight == 0:
+            return
+        counters = self._counters
+        if key in counters or len(counters) < self.capacity:
+            counters[key] = counters.get(key, 0.0) + weight
+            return
+        decrement = min(weight, min(counters.values()))
+        self._decrement_total += decrement
+        for tracked in list(counters):
+            counters[tracked] -= decrement
+            if counters[tracked] <= 0:
+                del counters[tracked]
+        remaining = weight - decrement
+        if remaining > 0:
+            counters[key] = remaining
+
+    def estimate(self, key):
+        return self._counters.get(key, 0.0)
+
+    def items(self):
+        return dict(self._counters)
+
+    def error_bound(self):
+        return self._decrement_total
+
+
+class CountMinCandidates:
+    """A Count-Min sketch and ``capacity`` candidates: a newcomer takes
+    the smallest candidate's place when its estimate beats it."""
+
+    def __init__(self, capacity, width, depth, seed=0):
+        self.capacity = capacity
+        self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
+        self._candidates = {}
+
+    def __len__(self):
+        return len(self._candidates)
+
+    def update(self, key, weight):
+        if weight == 0:
+            return
+        self.sketch.update(key, weight)
+        estimate = self.sketch.estimate(key)
+        candidates = self._candidates
+        if key not in candidates and len(candidates) == self.capacity:
+            minimum = _smallest(candidates)
+            if estimate <= candidates[minimum]:
+                return
+            del candidates[minimum]
+        candidates[key] = estimate
+
+    def estimate(self, key):
+        return self._candidates.get(key, 0.0)
+
+
+class SampleAndHold:
+    """Sample-and-Hold (Estan & Varghese): while there is room, a new
+    key is held w.p. ``1 - (1 - p) ** weight``, from half its weight."""
+
+    def __init__(self, sampling_probability, seed, max_entries):
+        self.sampling_probability = sampling_probability
+        self.max_entries = max_entries
+        self._rng = np.random.default_rng(seed)
+        self._counts = {}
+
+    def __len__(self):
+        return len(self._counts)
+
+    def update(self, key, weight):
+        if weight == 0:
+            return
+        if key in self._counts:
+            self._counts[key] += weight
+        elif len(self._counts) < self.max_entries:
+            unsampled = (1.0 - self.sampling_probability) ** weight
+            if self._rng.random() < 1.0 - unsampled:
+                self._counts[key] = weight / 2.0
+
+    def estimate(self, key):
+        return self._counts.get(key, 0.0)
+
+
+class ScalarAggregation(AggregationBackend):
+    """The bounded backend over a scalar summary: a batch's keys are
+    offered in first-traffic order; a held key's bytes pend for the
+    slot, the rest (and what a let-go key had pending at batch end) go
+    to the residual; at slot close pending keys get rows in order."""
+
+    residual_row = 0
+
+    def __init__(self, sketch, capacity, name):
+        super().__init__()
+        self.name = name
+        self.capacity = capacity
+        self._sketch = sketch
+        self._row_of = {}
+        #: key -> [bytes this slot, prefix], in first-pending order
+        self._pending = {}
+        self._residual = 0.0
+
+    @property
+    def tracked_flows(self):
+        return len(self._sketch)
+
+    def accumulate(self, keys, sizes, timestamps, table):
+        if keys.size == 0:
+            return
+        unique, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        weights = np.bincount(inverse, weights=sizes)
+        for i in np.argsort(first).tolist():
+            key, weight = int(unique[i]), float(weights[i])
+            self._sketch.update(key, weight)
+            if self._sketch.estimate(key) > 0.0:
+                self._pending.setdefault(key, [0.0, table[key]])[0] += weight
+            else:
+                self._residual += weight
+        for key in list(self._pending):
+            if self._sketch.estimate(key) <= 0.0:
+                self._residual += self._pending.pop(key)[0]
+        self.peak_tracked = max(self.peak_tracked, self.tracked_flows)
+
+    def close_slot(self):
+        for key, (_, prefix) in self._pending.items():
+            if key not in self._row_of:
+                self._row_of[key] = len(self.prefixes)
+                self.population.append(PrefixColumns.of([prefix]))
+        vector = np.zeros(len(self.prefixes))
+        for key, (volume, _) in self._pending.items():
+            vector[self._row_of[key]] += volume
+        vector[self.residual_row] += self._residual
+        self._pending, self._residual = {}, 0.0
+        self.slots_closed += 1
+        return vector
 
 
 class SortingSpaceSaving(ArraySpaceSaving):

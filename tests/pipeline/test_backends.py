@@ -20,7 +20,6 @@ from repro.pipeline import (
     ArraySketchAggregation,
     MatrixSlotSource,
     Population,
-    SketchAggregation,
     SlotFrame,
     SketchSlotSource,
     StreamingAggregator,
@@ -33,7 +32,7 @@ from repro.pipeline.sources import PacketBatch
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.routing.lpm import FixedLengthResolver
-from repro.sketches import ArraySampleHold, CountMinCandidates
+from repro.sketches import ArraySampleHold
 
 SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
 #: The invariants below must hold identically for the production
@@ -134,25 +133,6 @@ class TestCapacityBound:
         for prefix in heavy:
             row = aggregator.prefixes.index(prefix)
             assert final.rates[row] > 0
-
-
-class TestCountMinHeapBound:
-    def test_candidate_heap_stays_bounded_on_long_streams(self):
-        """Re-offering a stable candidate set must not grow the lazy
-        heap with the stream (stale entries are pruned by rebuild).
-        Scalar-reference specific: the array table has no lazy heap."""
-        candidates = CountMinCandidates(8, width=32, depth=4)
-        backend = SketchAggregation(candidates, 8, "count-min")
-        aggregator = StreamingAggregator(
-            FixedLengthResolver(24), slot_seconds=1.0, backend=backend
-        )
-        for slot in range(500):
-            packets = [
-                (float(slot) + 0.1 * i, f"10.{i}.0.1", 1000) for i in range(8)
-            ]
-            aggregator.ingest(batch(packets))
-        assert len(candidates._heap) <= 4 * backend.capacity
-        assert backend.tracked_flows <= backend.capacity
 
 
 class TestResidualSemantics:

@@ -31,7 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_backend
+from oracles import MisraGries, SampleAndHold, SpaceSaving, scalar_backend
 from repro.pipeline import ArraySketchAggregation, make_backend
 from repro.pipeline.aggregator import StreamingAggregator
 from repro.pipeline.sources import PacketBatch
@@ -43,9 +43,6 @@ from repro.sketches.array_tables import (
     ArraySpaceSaving,
 )
 from repro.sketches.count_min import CountMinSketch
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.sample_hold import SampleAndHold
-from repro.sketches.space_saving import SpaceSaving
 
 SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
 

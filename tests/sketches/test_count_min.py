@@ -1,11 +1,13 @@
-"""Unit and property tests for the Count-Min sketch."""
+"""Unit and property tests for the Count-Min sketch and its candidates."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ClassificationError
-from repro.sketches.count_min import CountMinCandidates, CountMinSketch
+from repro.sketches.array_tables import ArrayCountMin
+from repro.sketches.count_min import CountMinSketch
 
 
 class TestBasics:
@@ -22,7 +24,7 @@ class TestBasics:
     def test_sizing_from_error_bounds(self):
         sketch = CountMinSketch.from_error_bounds(epsilon=0.01, delta=0.01)
         assert sketch.width >= 272  # ceil(e / 0.01)
-        assert sketch.depth >= 5    # ceil(ln 100)
+        assert sketch.depth >= 5  # ceil(ln 100)
         assert sketch.memory_cells() == sketch.width * sketch.depth
 
     def test_bad_parameters_rejected(self):
@@ -46,11 +48,16 @@ class TestBasics:
 
 class TestGuarantees:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=50),
-                  st.floats(min_value=0.1, max_value=50.0)),
-        min_size=1, max_size=200,
-    ))
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=50),
+                st.floats(min_value=0.1, max_value=50.0),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
     def test_never_underestimates(self, stream):
         sketch = CountMinSketch(width=128, depth=4)
         truth: dict[int, float] = {}
@@ -75,32 +82,37 @@ class TestGuarantees:
         assert within / len(errors) > 0.9
 
 
+def update(table, key, weight):
+    """Offer one key: a single-key batch is the scalar update."""
+    table.update_batch(np.array([key], dtype=np.int64), np.array([weight]))
+
+
 class TestCandidates:
     def test_speaks_update_estimate_len(self):
-        table = CountMinCandidates(2, width=64, depth=4)
-        table.update(1, 10.0)
-        table.update(2, 5.0)
-        table.update(1, 1.0)
+        table = ArrayCountMin(2, width=64, depth=4)
+        update(table, 1, 10.0)
+        update(table, 2, 5.0)
+        update(table, 1, 1.0)
         assert len(table) == 2
         assert table.estimate(1) == 11.0 and table.estimate(2) == 5.0
         assert table.estimate(3) == 0.0
 
     def test_newcomer_must_beat_the_minimum(self):
-        table = CountMinCandidates(2, width=64, depth=4)
+        table = ArrayCountMin(2, width=64, depth=4)
         for key, weight in ((1, 10.0), (2, 5.0), (3, 4.0)):
-            table.update(key, weight)
+            update(table, key, weight)
         assert table.estimate(3) == 0.0  # 4 does not beat 5
-        table.update(3, 4.0)  # the sketch remembers: 8 does
+        update(table, 3, 4.0)  # the sketch remembers: 8 does
         assert table.estimate(3) == 8.0 and table.estimate(2) == 0.0
         assert len(table) == 2
 
     def test_zero_weight_is_no_offer(self):
-        table = CountMinCandidates(2, width=64, depth=4)
-        table.update(1, 0.0)
+        table = ArrayCountMin(2, width=64, depth=4)
+        update(table, 1, 0.0)
         assert len(table) == 0 and table.sketch.total_weight == 0.0
         with pytest.raises(ClassificationError):
-            table.update(1, -1.0)
+            update(table, 1, -1.0)
 
     def test_capacity_validated(self):
         with pytest.raises(ClassificationError):
-            CountMinCandidates(0, width=64, depth=4)
+            ArrayCountMin(0, width=64, depth=4)

@@ -1384,12 +1384,39 @@ class TestCommandsRefuseWhatTheyCannotDo:
         assert "Traceback" not in err
 
 
+#: The sound archives with one member swapped for a malformed value:
+#: ``how`` -> (member, value); an archive without the member is kept.
+NPZ_MEMBERS = {
+    "version-pair": ("version", np.array([2, 2])),
+    "slot-seconds-pair": ("slot_seconds", np.array([60.0, 60.0])),
+    "axis-scalar": ("axis", np.array(60.0)),
+    "lengths-2d": ("lengths", np.full((4, 2), 16, dtype=np.uint8)),
+    "start-nan": ("axis", np.array([np.nan, 60.0, 3.0])),
+    "slot-nan": ("axis", np.array([0.0, np.nan, 3.0])),
+    "slot-inf": ("axis", np.array([0.0, np.inf, 3.0])),
+}
 #: The ways ``_damage_npz`` breaks an archive.
-NPZ_DAMAGE = ("deflate", "encrypted", "header", "method", "empty", "npy")
+NPZ_DAMAGE = (
+    "deflate",
+    "encrypted",
+    "header",
+    "method",
+    "empty",
+    "npy",
+    *NPZ_MEMBERS,
+)
 
 
 def _damage_npz(path, how):
     """Break the ``.npz`` at ``path`` the way ``how`` names."""
+    if how in NPZ_MEMBERS:
+        member, value = NPZ_MEMBERS[how]
+        with np.load(path) as archive:
+            members = dict(archive)
+        if member in members:
+            members[member] = value
+            np.savez(path, **members)
+        return
     data = bytearray(path.read_bytes())
     if how == "deflate":  # garbage where the first member's stream was
         name_length, extra_length = struct.unpack_from("<HH", data, 26)
@@ -1452,6 +1479,18 @@ class TestDamagedInputsAreOneErrorLine:
             ("merge {dir}/s.npz", "method"),
             ("merge {dir}/s.npz", "empty"),
             ("classify {dir}/m.npz", "npy"),
+            # members of the wrong shape
+            ("merge {dir}/s.npz", "version-pair"),
+            ("merge {dir}/s.npz", "slot-seconds-pair"),
+            ("classify {dir}/m.npz", "axis-scalar"),
+            ("stream {dir}/m.npz", "axis-scalar"),
+            ("classify {dir}/m.npz", "lengths-2d"),
+            ("stream {dir}/m.npz", "lengths-2d"),
+            # a time axis that is not finite
+            ("classify {dir}/m.npz --json", "start-nan"),
+            ("classify {dir}/m.npz --json", "slot-nan"),
+            ("classify {dir}/m.npz --json", "slot-inf"),
+            ("stream {dir}/m.npz --json", "slot-nan"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, argv, damage):
@@ -1459,7 +1498,8 @@ class TestDamagedInputsAreOneErrorLine:
         RuntimeError, tokenize.TokenError, NotImplementedError, EOFError,
         TypeError or OverflowError — or, for a negative size, a
         misleading "no active flows" — or, for the far timestamp, a
-        frame for every empty slot first."""
+        frame for every empty slot first — or, for a NaN or infinite
+        time axis, exit 0 with ``NaN`` or ``Infinity`` in the JSON."""
         (tmp_path / "ok.csv").write_text("0.5,10.0.0.1,100\n")
         flows = "flow_id,source_node_id\n0,0,10.0.0.1,,0,1,1,100,0.0,"
         sound_files = (

@@ -13,6 +13,7 @@ fresh interpreter.
 
 import ast
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -191,6 +192,48 @@ import repro
 print(json.dumps(repro.distributed.merge.__name__))
 """
         assert run_python(script) == "repro.distributed.merge"
+
+
+class TestSurface:
+    """What the sketch and pipeline packages offer: the production
+    tables and the scorer; the scalar reference summaries and their
+    backend are test oracles (``tests/oracles.py``)."""
+
+    def test_sketches_export_the_tables_the_gate_and_the_scorer(self):
+        assert repro.sketches.__all__ == sorted(
+            [
+                # the array tables and what a batch update returns
+                "ArrayCountMin",
+                "ArrayMisraGries",
+                "ArraySampleHold",
+                "ArraySpaceSaving",
+                "BatchUpdate",
+                # the Bloom admission gate
+                "BloomGate",
+                "CountingBloom",
+                "gated_table",
+                # the counters under ArrayCountMin
+                "CountMinSketch",
+                # the backend scorer three benches import
+                "COMPARISON_COLUMNS",
+                "BackendComparison",
+                "BackendRun",
+                "evaluate_backends",
+                "run_backend",
+                "score_against",
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "module", ["space_saving", "misra_gries", "sample_hold"]
+    )
+    def test_no_scalar_summary_module(self, module):
+        assert importlib.util.find_spec(f"repro.sketches.{module}") is None
+
+    def test_pipeline_exports_no_scalar_backend(self):
+        assert "SketchAggregation" not in repro.pipeline.__all__
+        with pytest.raises(AttributeError):
+            repro.pipeline.SketchAggregation
 
 
 class TestAttach:
