@@ -21,13 +21,8 @@ import pytest
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
-from repro.pipeline import (
-    ArraySketchAggregation,
-    PcapPacketSource,
-    make_backend,
-)
+from repro.pipeline import PcapPacketSource, make_backend
 from repro.routing.lpm import CompiledLpm
-from repro.sketches import ArraySampleHold
 from repro.sketches.streaming_eval import (
     COMPARISON_COLUMNS,
     evaluate_backends,
@@ -55,16 +50,17 @@ def capture(tmp_path_factory):
     the expensive stage here.
     """
     rng = np.random.default_rng(1234)
-    prefixes = [Prefix.parse(f"10.{i}.0.0/16")
-                for i in range(NUM_ELEPHANTS)]
-    prefixes += [Prefix.parse(f"172.{16 + i // 200}.{i % 200}.0/24")
-                 for i in range(NUM_MICE)]
+    prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(NUM_ELEPHANTS)]
+    prefixes += [
+        Prefix.parse(f"172.{16 + i // 200}.{i % 200}.0/24")
+        for i in range(NUM_MICE)
+    ]
     axis = TimeAxis(0.0, SLOT_SECONDS, NUM_SLOTS)
     rates = np.zeros((len(prefixes), NUM_SLOTS))
-    rates[:NUM_ELEPHANTS] = rng.uniform(4e4, 1e5,
-                                        size=(NUM_ELEPHANTS, NUM_SLOTS))
-    rates[NUM_ELEPHANTS:] = rng.uniform(5e2, 3e3,
-                                        size=(NUM_MICE, NUM_SLOTS))
+    rates[:NUM_ELEPHANTS] = rng.uniform(
+        4e4, 1e5, size=(NUM_ELEPHANTS, NUM_SLOTS)
+    )
+    rates[NUM_ELEPHANTS:] = rng.uniform(5e2, 3e3, size=(NUM_MICE, NUM_SLOTS))
     rates[NUM_ELEPHANTS:][rng.random((NUM_MICE, NUM_SLOTS)) < 0.3] = 0.0
     matrix = RateMatrix(prefixes, axis, rates)
     path = str(tmp_path_factory.mktemp("sketch") / "elephants.pcap")
@@ -81,21 +77,14 @@ def test_sketch_backend_accuracy(capture, report_writer):
     true_elephants = reference.peak_elephants
     capacity = CAPACITY_FACTOR * true_elephants
 
-    names = ("space-saving", "misra-gries", "count-min", "sample-hold")
-    backends = [
-        make_backend(name, capacity=capacity)
-        if name != "sample-hold"
-        # per-byte sampling sized to catch ~100 kB flows on this trace
-        else ArraySketchAggregation(
-            ArraySampleHold(capacity, 1e-4, 0), "sample-hold")
-        for name in names
-    ]
     comparisons = []
     throughput = []
-    for backend in backends:
+    for name in ("space-saving", "misra-gries"):
+        backend = make_backend(name, capacity=capacity)
         started = time.perf_counter()
-        run = run_backend(make_source, make_resolver, SLOT_SECONDS,
-                          backend=backend)
+        run = run_backend(
+            make_source, make_resolver, SLOT_SECONDS, backend=backend
+        )
         elapsed = time.perf_counter() - started
         comparisons.append(score_against(reference, run))
         throughput.append(packets / elapsed)
@@ -106,15 +95,13 @@ def test_sketch_backend_accuracy(capture, report_writer):
         f"exact run: peak {true_elephants} elephants/slot, "
         f"mean {reference.mean_elephants:.1f}, "
         f"churn {reference.churn():.3f}",
-        f"capacity K = {CAPACITY_FACTOR} x {true_elephants} "
-        f"= {capacity}",
+        f"capacity K = {CAPACITY_FACTOR} x {true_elephants} = {capacity}",
         "",
         " | ".join(COMPARISON_COLUMNS + ["pkt/s"]),
     ]
     for comparison, pps in zip(comparisons, throughput):
-        lines.append(" | ".join([str(cell)
-                                 for cell in comparison.as_row()]
-                                + [f"{pps:.0f}"]))
+        cells = [str(cell) for cell in comparison.as_row()]
+        lines.append(" | ".join(cells + [f"{pps:.0f}"]))
         assert comparison.run.peak_tracked <= capacity
     report_writer("bench_streaming_sketch", "\n".join(lines))
 
@@ -130,15 +117,17 @@ def test_capacity_sweep_space_saving(capture, report_writer):
     make_resolver = lambda: CompiledLpm(prefixes)  # noqa: E731
 
     reference, comparisons = evaluate_backends(
-        make_source, make_resolver, SLOT_SECONDS,
-        [make_backend("space-saving", capacity=k)
-         for k in (8, 16, 32, 64)],
+        make_source,
+        make_resolver,
+        SLOT_SECONDS,
+        [make_backend("space-saving", capacity=k) for k in (8, 16, 32, 64)],
     )
-    lines = [f"exact: mean {reference.mean_elephants:.1f} elephants/slot",
-             " | ".join(COMPARISON_COLUMNS)]
+    lines = [
+        f"exact: mean {reference.mean_elephants:.1f} elephants/slot",
+        " | ".join(COMPARISON_COLUMNS),
+    ]
     for comparison in comparisons:
-        lines.append(" | ".join(str(cell)
-                                for cell in comparison.as_row()))
+        lines.append(" | ".join(str(cell) for cell in comparison.as_row()))
     report_writer("bench_streaming_sketch_sweep", "\n".join(lines))
     recalls = [c.recall for c in comparisons]
     # more memory never makes the sketch meaningfully worse

@@ -123,7 +123,7 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "--seed",
         type=int,
         default=0,
-        help="hash seed for sketch backends",
+        help="hash seed of the --admission bloom gate",
     )
     parser.add_argument(
         "--sample-rate",

@@ -1,12 +1,12 @@
 """Merging per-monitor slot summaries into one link-wide view.
 
-Space-Saving and Misra–Gries tables merge by summing counts key-wise
-and re-truncating to the capacity — the merged error stays bounded by
-the sum of the parts' error bounds. The same recipe applies one
-altitude up, to the per-slot byte summaries the monitors export: sum
-volumes per prefix, add the residuals, and (optionally) cut the table
-back to ``k`` entries with the cut mass spilling into the residual, so
-the merged slot still conserves every byte any monitor saw.
+Both candidate tables, Space-Saving and Misra–Gries, merge by summing
+counts key-wise and re-truncating to the capacity — the merged error
+stays bounded by the sum of the parts' error bounds. The same recipe
+applies one altitude up, to the per-slot byte summaries the monitors
+export: sum volumes per prefix, add the residuals, and (optionally) cut
+the table back to ``k`` entries with the cut mass spilling into the
+residual, so the merged slot still conserves every byte any monitor saw.
 
 :func:`merge_summaries` merges one slot across monitors;
 :func:`merge_runs` aligns whole monitor runs slot by slot, tolerating

@@ -9,7 +9,7 @@ flow keys once, and deals each packet to the worker owning its key —
 the same Fibonacci hash (:func:`~repro.pipeline.sharded.shard_of`) the
 in-process sharder uses, so worker ``i`` sees exactly the sub-stream
 shard ``i`` would. Each **worker** process owns one aggregation backend
-(``spec.build_shard(i)`` — the very table shard ``i`` of a sharded
+(``spec.build_shard()`` — the table each shard of a sharded
 single-process run holds), bins its sub-stream into slots, and
 serializes every completed slot as a
 :meth:`~repro.distributed.summary.SlotSummary.to_bytes` payload back to
@@ -270,7 +270,7 @@ def _worker_main(
             resolver,
             slot_seconds=slot_seconds,
             start=start,
-            backend=spec.build_shard(worker_id),
+            backend=spec.build_shard(),
             sample_rate=spec.sampling.applied_rate,
         )
 
@@ -692,7 +692,7 @@ def parallel_ingest(
 
     ``spec`` (a :class:`~repro.pipeline.spec.PipelineSpec`) is the
     whole configuration: its ``workers`` count sizes the fleet, each
-    worker builds its table with ``spec.build_shard(i)``, its sampling
+    worker builds its table with ``spec.build_shard()``, its sampling
     policy wraps ``source`` before it is read (the serial stage — one
     thinned stream feeds the whole fleet) and stamps every summary the
     workers ship, and its ``ring_slots`` bounds the batches in flight

@@ -11,12 +11,12 @@ reads — and keeps no other per-flow ledger:
   tracked exactly, no residual, state O(distinct flows);
 - :class:`ArraySketchAggregation` caps the candidate table at
   ``capacity`` entries using a classic heavy-hitter summary
-  (Space-Saving, Misra–Gries, Count-Min + candidate table,
-  Sample-and-Hold). Bytes of untracked flows are conserved in a
-  dedicated *residual row* (row 0, labelled ``0.0.0.0/0``), so every
-  emitted slot still sums to the traffic that arrived.
+  (Space-Saving or Misra–Gries). Bytes of untracked flows are
+  conserved in a dedicated *residual row* (row 0, labelled
+  ``0.0.0.0/0``), so every emitted slot still sums to the traffic that
+  arrived.
 
-It is handed its summary built: any table of
+It is handed its summary built: either table of
 :mod:`repro.sketches.array_tables`, gated or not
 (:func:`~repro.sketches.bloom.gated_table`), runs one vectorized
 probe/admit/evict pass per batch into per-slot accumulators held as
@@ -119,10 +119,6 @@ class Population:
 #: conservative budget constant — the array tables' flat layout costs
 #: well under half of it — so a budgeted deployment never under-buys.
 TRACKED_ENTRY_BYTES = 320
-#: Extra Count-Min table cells per unit of capacity (width factor x
-#: depth x 8-byte counters).
-_CM_WIDTH_FACTOR = 4
-_CM_DEPTH = 4
 
 #: Most partitions a table may be split into: shard indices are sorted
 #: as ``uint16`` (numpy's radix path; see
@@ -466,20 +462,15 @@ class SketchSlotSource:
             )
 
 
-#: One builder per sketch name: ``(array_tables, capacity, seed) ->
-#: table``, handed :mod:`repro.sketches.array_tables` by
-#: :func:`make_shard`, so that an exact run never imports a sketch. A
-#: new summary is one entry here; :data:`BACKEND_NAMES`, the CLI
-#: choices, sharding, the Bloom gate and the byte budget follow from it.
-_TABLES: dict[str, Callable[[ModuleType, int, int], _KeyTable]] = {
-    "space-saving": lambda tables, k, seed: tables.ArraySpaceSaving(k),
-    "misra-gries": lambda tables, k, seed: tables.ArrayMisraGries(k),
-    "count-min": lambda tables, k, seed: tables.ArrayCountMin(
-        k, width=max(16, _CM_WIDTH_FACTOR * k), depth=_CM_DEPTH, seed=seed
-    ),
-    "sample-hold": lambda tables, k, seed: tables.ArraySampleHold(
-        k, seed=seed
-    ),
+#: One builder per sketch name: ``(array_tables, capacity) -> table``,
+#: handed :mod:`repro.sketches.array_tables` by :func:`make_shard`, so
+#: that an exact run never imports a sketch. A new summary is one entry
+#: here; :data:`BACKEND_NAMES`, the CLI choices, sharding, the Bloom
+#: gate and the byte budget follow from it. A table stays only while it
+#: wins a column of the README's equal-bytes table.
+_TABLES: dict[str, Callable[[ModuleType, int], _KeyTable]] = {
+    "space-saving": lambda tables, k: tables.ArraySpaceSaving(k),
+    "misra-gries": lambda tables, k: tables.ArrayMisraGries(k),
 }
 
 #: CLI names accepted by :func:`make_backend`.
@@ -539,9 +530,10 @@ def make_backend(
     over that name's candidate table.
 
     ``admission`` selects the candidate-admission pre-filter:
-    ``"bloom"`` gates entry to the candidate table — any of them — on a
-    counting-Bloom byte threshold (``admission_threshold``; ``None``
-    is the gate's default), so tail flows stop churning the table.
+    ``"bloom"`` gates entry to the candidate table — either of them —
+    on a counting-Bloom byte threshold (``admission_threshold``;
+    ``None`` is the gate's default), so tail flows stop churning the
+    table. ``seed`` seeds that gate's hashes; the tables draw none.
 
     ``shards > 1`` wraps ``shards`` inner backends of the same spec
     (:func:`make_shard`) in a
@@ -554,9 +546,9 @@ def make_backend(
         raise ClassificationError("shards must be >= 1")
     inners = [
         make_shard(
-            name, i, shards, capacity, seed, admission, admission_threshold
+            name, shards, capacity, seed, admission, admission_threshold
         )
-        for i in range(shards)
+        for _ in range(shards)
     ]
     if shards == 1:
         return inners[0]
@@ -568,23 +560,21 @@ def make_backend(
 
 def make_shard(
     name: str,
-    index: int,
     shards: int,
     capacity: int | None = None,
     seed: int = 0,
     admission: str = "none",
     admission_threshold: float | None = None,
 ) -> AggregationBackend:
-    """The inner backend partition ``index`` of a ``shards``-way split owns.
+    """The inner backend each partition of a ``shards``-way split owns.
 
     The split rule lives here and nowhere else, so an in-process
-    ``--shards N`` table and the table worker ``index`` of a
-    ``--workers N`` fleet builds in its own process are the same
-    object: ``ceil(capacity / shards)`` entries, table seed
-    ``seed + index`` (distinct seeds decorrelate the hashed and the
-    sampled shards' errors), and a Bloom gate seeded with the
-    fleet-wide ``seed``. A table too large to allocate is a
-    :class:`~repro.errors.ClassificationError` naming it.
+    ``--shards N`` table and the table each worker of a ``--workers N``
+    fleet builds in its own process are the same object:
+    ``ceil(capacity / shards)`` entries and a Bloom gate seeded with
+    the fleet-wide ``seed``. Every partition's table is alike; what
+    differs is only the keys it is dealt. A table too large to allocate
+    is a :class:`~repro.errors.ClassificationError` naming it.
     """
     check_backend(name, capacity, admission)
     if name == "exact":
@@ -595,9 +585,7 @@ def make_shard(
     if admission_threshold is None:
         admission_threshold = bloom.DEFAULT_ADMISSION_THRESHOLD
     try:
-        table = _TABLES[name](
-            array_tables, -(-capacity // shards), seed + index
-        )
+        table = _TABLES[name](array_tables, -(-capacity // shards))
         if admission == "bloom":
             bloom.gated_table(
                 table, threshold_bytes=admission_threshold, seed=seed
@@ -631,10 +619,9 @@ def parse_memory_budget(text: str) -> int:
 def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
     """Convert a byte budget into a tracked-flow capacity for ``name``.
 
-    Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model; Count-Min
-    additionally pays for its counter table, which scales with capacity
-    through the default width factor. The array tables' flat layout
-    costs less per entry, so a budget sized here is an upper bound.
+    Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model, the same
+    for both tables. Their flat layout costs less per entry, so a
+    budget sized here is an upper bound.
 
     ``shards`` sizes a sharded deployment: the budget buys ``shards``
     tables of ``K / shards`` entries each, and the returned capacity is
@@ -648,14 +635,11 @@ def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
         )
     if shards < 1:
         raise ClassificationError("shards must be >= 1")
-    per_entry = TRACKED_ENTRY_BYTES
-    if name == "count-min":
-        per_entry += _CM_WIDTH_FACTOR * _CM_DEPTH * 8
-    per_shard = (budget_bytes // shards) // per_entry
+    per_shard = (budget_bytes // shards) // TRACKED_ENTRY_BYTES
     if per_shard < 1:
         raise ClassificationError(
             f"memory budget {budget_bytes} B across {shards} shard(s) "
-            f"is below one tracked entry (~{per_entry} B) for backend "
-            f"{name!r}"
+            f"is below one tracked entry (~{TRACKED_ENTRY_BYTES} B) for "
+            f"backend {name!r}"
         )
     return int(per_shard * shards)

@@ -91,6 +91,10 @@ class SamplingSpec:
     def __post_init__(self) -> None:
         if int(self.rate) != self.rate or self.rate < 1:
             raise ClassificationError("sampling rate must be an integer >= 1")
+        if self.rate >= 2**63:
+            raise ClassificationError(
+                f"sampling rate {self.rate} not below 2**63"
+            )
         if self.mode not in SAMPLING_MODES:
             raise ClassificationError(
                 f"unknown sampling mode {self.mode!r}; "
@@ -245,6 +249,8 @@ class SampledPacketSource:
                 # a compact size column would wrap under the inversion
                 wire = wire.astype(np.int64, copy=False)
             if spec.invert and spec.rate > 1:
+                if wire.dtype.kind in "iu" and wire.size:
+                    _check_inversion(wire, spec.rate)
                 wire = wire * spec.rate
             columns = (batch.timestamps[rows], batch.destinations[rows], wire)
             self.packets_selected += wire.size
@@ -269,6 +275,16 @@ class SampledPacketSource:
             held_rows -= full
         if held_rows or seen:
             yield _batch(_drain(held), 0, held_rows, seen)
+
+
+def _check_inversion(wire: np.ndarray, rate: int) -> None:
+    """Refuse kept int64 sizes that ``* rate`` would wrap."""
+    largest = int(wire.max())
+    if largest > (2**63 - 1) // rate:
+        raise ClassificationError(
+            f"sampling rate {rate} inverts a {largest} B packet past a "
+            "64-bit byte count"
+        )
 
 
 def _drain(parts: list[tuple]) -> tuple:

@@ -222,7 +222,9 @@ class PipelineSpec:
     deployment has (shards or workers), and is resolved at
     construction, so a malformed or too-small budget fails here rather
     than at first use. ``ring_slots`` is the shared-memory ring depth
-    per worker; ``None`` means the transport default.
+    per worker; ``None`` means the transport default. ``seed`` seeds
+    the Bloom admission gate's hashes (``admission="bloom"``); neither
+    candidate table draws a random number.
 
     ``source`` optionally names the packet input (a
     :class:`SourceSpec`); :meth:`open_source` opens it behind the
@@ -345,18 +347,16 @@ class PipelineSpec:
             admission_threshold=self.resolved_admission_threshold,
         )
 
-    def build_shard(self, index: int) -> AggregationBackend:
-        """The flow table partition ``index`` of this deployment owns.
+    def build_shard(self) -> AggregationBackend:
+        """The flow table each partition of this deployment owns.
 
-        What worker ``index`` of a ``workers=N`` fleet builds in its
-        own process — the same table shard ``index`` of the
-        ``shards=N`` backend holds (capacity slice, hash seed and
-        Bloom gate; asserted by the property suite), without building
-        the other ``N - 1``.
+        What each worker of a ``workers=N`` fleet builds in its own
+        process — the same table every shard of the ``shards=N``
+        backend holds (capacity slice and Bloom gate; asserted by the
+        property suite), without building the other ``N - 1``.
         """
         return make_shard(
             self.backend,
-            index,
             self.partitions,
             capacity=self.resolved_capacity,
             seed=self.seed,

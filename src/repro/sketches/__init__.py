@@ -1,8 +1,8 @@
 """The bounded flow tables a sketch backend runs (beyond the paper).
 
-The four array candidate tables (Space-Saving, Misra–Gries, Count-Min
-over :class:`CountMinSketch`, Sample-and-Hold), the Bloom admission
-gate, and the scorer of a backend's elephants against the exact run's.
+The two array candidate tables (Space-Saving and Misra–Gries), the
+Bloom admission gate, and the scorer of a backend's elephants against
+the exact run's.
 """
 
 from repro._lazy import attach
@@ -11,14 +11,11 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "array_tables": (
-            "ArrayCountMin",
             "ArrayMisraGries",
-            "ArraySampleHold",
             "ArraySpaceSaving",
             "BatchUpdate",
         ),
         "bloom": ("BloomGate", "CountingBloom", "gated_table"),
-        "count_min": ("CountMinSketch",),
         "streaming_eval": (
             "COMPARISON_COLUMNS",
             "BackendComparison",

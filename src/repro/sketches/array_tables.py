@@ -1,15 +1,15 @@
 """Array-native heavy-hitter candidate tables (batch-update kernels).
 
-The classic heavy-hitter summaries — Space-Saving, Misra–Gries,
-Count-Min candidates and Sample-and-Hold — are usually written as dicts
-fed one key at a time: the right shape for reference semantics (the
-test suite keeps them so, in ``tests/oracles.py``), the wrong shape for
-a monitor ingesting millions of packets per second. This module lays
-the same summaries out as flat numpy struct-of-arrays with *batch*
-update semantics: one vectorized pass admits, updates and evicts a
-whole batch of ``(key, weight)`` aggregates at once.
+The classic heavy-hitter summaries — Space-Saving and Misra–Gries —
+are usually written as dicts fed one key at a time: the right shape
+for reference semantics (the test suite keeps them so, in
+``tests/oracles.py``), the wrong shape for a monitor ingesting
+millions of packets per second. This module lays the same summaries
+out as flat numpy struct-of-arrays with *batch* update semantics: one
+vectorized pass admits, updates and evicts a whole batch of
+``(key, weight)`` aggregates at once.
 
-Layout, shared by every table:
+Layout, shared by both tables:
 
 - ``key``/``count`` — parallel ``capacity``-sized arrays, one slot per
   tracked flow (``key == -1`` marks a free slot);
@@ -20,23 +20,20 @@ Layout, shared by every table:
   it is cleared and refilled from the live slots — cheaper and simpler
   than tombstone bookkeeping at these table sizes.
 
-One kernel, :meth:`_KeyTable.update_batch`, runs every table: it
+One kernel, :meth:`_KeyTable.update_batch`, runs both tables: it
 receives the batch's **unique** keys with their aggregated weights
 plus the first-traffic order, probes the index once, lets an optional
 admission gate (:class:`~repro.sketches.bloom.BloomGate`) turn away
 untracked keys, applies all hits in one array op, fills free slots in
 first-traffic order and hands the newcomers left over to the table's
 admission rule: a merge tournament plus the scalar last-newcomer rule
-for Space-Saving, the exact weighted-decrement chain for Misra–Gries,
-an estimate tournament for Count-Min — the two tournaments share
-:meth:`_KeyTable._tournament` — and seeded draws in first-traffic order
-for Sample-and-Hold. Every table treats the batch as "hits first, then
-newcomers"; for single-key batches that *is* the scalar order, so each
-table reproduces its scalar reference *exactly*, eviction tie-breaks
+for Space-Saving, the exact weighted-decrement chain for Misra–Gries.
+Both tables treat the batch as "hits first, then newcomers"; for
+single-key batches that *is* the scalar order, so each table
+reproduces its scalar reference *exactly*, eviction tie-breaks
 included — a scalar summary lets the smallest ``(count, key)`` pair
-go, which the batch paths mirror. (Sample-and-Hold never evicts, so
-hits and newcomers commute and it is exact for any batch.) The
-property suite pins both regimes.
+go, which the batch paths mirror. The property suite pins both
+regimes.
 
 Flat arrays are also cheaply picklable, which is what keeps the
 worker-queue overhead of the multi-process runner low.
@@ -51,7 +48,6 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.hash_index import ABSENT, HashIndex
-from repro.sketches.count_min import CountMinSketch
 
 if TYPE_CHECKING:
     from repro.sketches.bloom import BloomGate
@@ -78,10 +74,10 @@ class BatchUpdate(NamedTuple):
 class _KeyTable:
     """Slot storage, the key → slot index and the one batch kernel.
 
-    :meth:`update_batch` is the kernel; a table says only what differs
-    — how a batch is counted (:meth:`_count`) and how newcomers enter
-    a full table (:meth:`_admit_newcomers`). The base keeps the index
-    in step with the slots (insertion on fill, rebuild after eviction).
+    :meth:`update_batch` is the kernel; a table says only how newcomers
+    enter a full table (``_admit_newcomers(slots, keys, weights,
+    rest)``, returning the evicted slots). The base keeps the index in
+    step with the slots (insertion on fill, rebuild after eviction).
     """
 
     #: Admission gate consulted before every update; ``None`` admits
@@ -181,16 +177,22 @@ class _KeyTable:
         slots: np.ndarray,
         order: np.ndarray | None,
     ) -> BatchUpdate:
-        """Hits, free-slot fill in first-traffic order, admission of
-        the rest into the full table, index rebuild after eviction."""
-        values = self._count(keys, weights, slots)
-        misses = self._misses(slots, weights, order)
+        """Hits add their weight; untracked positive-weight offers fill
+        free slots in first-traffic order, the rest meet the full
+        table's admission rule; the index is rebuilt after eviction."""
+        self._total += float(weights.sum())
+        hits = slots >= 0
+        if hits.any():
+            self.count[slots[hits]] += weights[hits]
+        if order is None:
+            order = np.arange(slots.size)
+        misses = order[(slots[order] < 0) & (weights[order] > 0)]
         evicted = _EMPTY_SLOTS
         if misses.size:
-            fill, spots, rest = self._fill_free(misses, keys, values)
+            fill, spots, rest = self._fill_free(misses, keys, weights)
             slots[fill] = spots
             if rest.size:
-                evicted = self._admit_newcomers(slots, keys, values, rest)
+                evicted = self._admit_newcomers(slots, keys, weights, rest)
         if evicted.size:
             live = self.occupied()
             self._index.clear()
@@ -201,56 +203,6 @@ class _KeyTable:
             slots[stale] = NO_SLOT
         return BatchUpdate(slots, evicted)
 
-    def _count(
-        self, keys: np.ndarray, weights: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        """Count the batch: hits add their weight. Returns the values
-        newcomers are ranked and stored by — here the weights."""
-        self._total += float(weights.sum())
-        hits = slots >= 0
-        if hits.any():
-            self.count[slots[hits]] += weights[hits]
-        return weights
-
-    def _admit_newcomers(
-        self,
-        slots: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        rest: np.ndarray,
-    ) -> np.ndarray:
-        """Newcomers ``rest`` meet a full table: each tournament winner
-        replaces the entry it beat. Returns the evicted slots."""
-        _, admit, victims = self._tournament(values, rest)
-        self.key[victims] = keys[admit]
-        self.count[victims] = values[admit]
-        slots[admit] = victims
-        return victims
-
-    def _tournament(
-        self, values: np.ndarray, offers: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pair newcomers by descending value with entries by ascending
-        ``(count, key)``; newcomer *j* wins entry *j* when its value
-        strictly beats that count.
-
-        The winners are a prefix of that order and none is worth at
-        most the table minimum, so only the ``contenders`` above it are
-        sorted (their order is the full sort's, restricted): *n*
-        newcomers of which *m* are that heavy cost one O(n) compare, an
-        O(m log m) sort and an O(K log K) table order. Returns
-        ``(contenders, admit, victims)`` — the contenders in descending
-        order, the winners, the entries they beat.
-        """
-        contenders = offers[values[offers] > self.count.min()]
-        if contenders.size == 0:
-            return contenders, _EMPTY_SLOTS, _EMPTY_SLOTS
-        contenders = contenders[np.argsort(-values[contenders], kind="stable")]
-        pairs = min(contenders.size, self.capacity)
-        smallest = np.lexsort((self.key, self.count))[:pairs]
-        beat = values[contenders[:pairs]] > self.count[smallest]
-        return contenders, contenders[:pairs][beat], smallest[beat]
-
     # ------------------------------------------------------------------
     # key index
     # ------------------------------------------------------------------
@@ -260,37 +212,25 @@ class _KeyTable:
         return self._index.find(queries)
 
     def _fill_free(
-        self, offers: np.ndarray, keys: np.ndarray, values: np.ndarray
+        self, offers: np.ndarray, keys: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Place leading ``offers`` into free slots storing ``values``.
+        """Place leading ``offers`` into free slots storing ``weights``.
 
-        ``offers`` indexes into ``keys``/``values`` in first-traffic
+        ``offers`` indexes into ``keys``/``weights`` in first-traffic
         order. Returns ``(fill, spots, rest)``: the offers placed, the
         slots they took, and the offers that did not fit.
         """
-        if offers.size == 0 or self._live == self.capacity:
+        if self._live == self.capacity:
             return _EMPTY_SLOTS, _EMPTY_SLOTS, offers
         free = np.flatnonzero(self.key == NO_SLOT)
         take = min(free.size, offers.size)
         fill = offers[:take]
         spots = free[:take]
         self.key[spots] = keys[fill]
-        self.count[spots] = values[fill]
+        self.count[spots] = weights[fill]
         self._live += take
         self._index.insert(keys[fill], spots)
         return fill, spots, offers[take:]
-
-    def _misses(
-        self,
-        slots: np.ndarray,
-        weights: np.ndarray,
-        order: np.ndarray | None,
-    ) -> np.ndarray:
-        """Untracked positive-weight offers, in first-traffic order."""
-        if order is None:
-            order = np.arange(slots.size)
-        untracked = slots[order] < 0
-        return order[untracked & (weights[order] > 0)]
 
 
 class ArraySpaceSaving(_KeyTable):
@@ -298,7 +238,7 @@ class ArraySpaceSaving(_KeyTable):
 
     Hits add their aggregated weight in one array op; new keys fill
     free slots; once the table is full the batch admits in two steps.
-    First the **merge tournament** (:meth:`_KeyTable._tournament`): the
+    First the **merge tournament** (:meth:`_tournament`): the
     batch's newcomers, sorted by descending weight, pair against the
     ascending ``(count, key)`` table order, and newcomer *j* replaces
     entry *j* when its weight strictly beats that count — the
@@ -383,6 +323,32 @@ class ArraySpaceSaving(_KeyTable):
                 return victims
             return np.append(victims, min_slot)
         return np.asarray([min_slot], dtype=np.int64)
+
+    def _tournament(
+        self, weights: np.ndarray, offers: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair newcomers by descending weight with entries by ascending
+        ``(count, key)``; newcomer *j* wins entry *j* when its weight
+        strictly beats that count.
+
+        The winners are a prefix of that order and none is worth at
+        most the table minimum, so only the ``contenders`` above it are
+        sorted (their order is the full sort's, restricted): *n*
+        newcomers of which *m* are that heavy cost one O(n) compare, an
+        O(m log m) sort and an O(K log K) table order. Returns
+        ``(contenders, admit, victims)`` — the contenders in descending
+        order, the winners, the entries they beat.
+        """
+        contenders = offers[weights[offers] > self.count.min()]
+        if contenders.size == 0:
+            return contenders, _EMPTY_SLOTS, _EMPTY_SLOTS
+        contenders = contenders[
+            np.argsort(-weights[contenders], kind="stable")
+        ]
+        pairs = min(contenders.size, self.capacity)
+        smallest = np.lexsort((self.key, self.count))[:pairs]
+        beat = weights[contenders[:pairs]] > self.count[smallest]
+        return contenders, contenders[:pairs][beat], smallest[beat]
 
     def guaranteed(self, key: int) -> float:
         """Lower bound: count minus the slot's inherited error."""
@@ -488,110 +454,8 @@ class ArrayMisraGries(_KeyTable):
         return self._decrement_total
 
 
-class ArrayCountMin(_KeyTable):
-    """Batch Count-Min candidates over a shared scalar sketch.
-
-    The frequency evidence lives in a
-    :class:`~repro.sketches.count_min.CountMinSketch` (same seeded
-    hash family as the scalar backend, updated through its vectorized
-    batch methods); ``count`` stores each candidate's latest estimate.
-    Admission is the shared tournament on estimates: the batch's
-    newcomers, by descending estimate, pair against the ascending
-    stored candidates, and newcomer *j* replaces candidate *j* only
-    when its estimate is strictly larger — for a single newcomer
-    exactly the scalar beat-the-minimum rule. Estimates are computed
-    after the whole batch lands in the sketch, so they upper-bound what
-    a per-key monitor would read.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        width: int,
-        depth: int,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(capacity)
-        self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
-
-    @property
-    def total_weight(self) -> float:
-        """Total weight offered so far (the sketch's count)."""
-        return self.sketch.total_weight
-
-    def _count(
-        self, keys: np.ndarray, weights: np.ndarray, slots: np.ndarray
-    ) -> np.ndarray:
-        """Count the batch into the sketch: hits store their estimate,
-        and estimates rank the newcomers."""
-        self.sketch.update_batch(keys, weights)
-        estimates = self.sketch.estimate_batch(keys)
-        hits = slots >= 0
-        if hits.any():
-            self.count[slots[hits]] = estimates[hits]
-        return estimates
-
-
-class ArraySampleHold(_KeyTable):
-    """Batch Sample-and-Hold: one vector draw, unused draws handed back.
-
-    Hits add their aggregated weight in one array op. Held flows are
-    never evicted, so the table fills monotonically: while it has room
-    the batch's misses are offered in first-traffic order, each against
-    one draw of the seeded generator — taken for the whole batch in one
-    vector draw — and a sampled flow is held from half its triggering
-    weight. The scalar table stops drawing the moment it is full; when
-    that happens mid-batch the generator is rewound and only the draws
-    the scalar loop would have made are redrawn. Counts *and* generator
-    state therefore equal those of the scalar table (same capacity,
-    same seed) after any batch, not only single-key ones.
-
-    ``sampling_probability`` is per byte; the default catches a flow
-    after ~100 kB in expectation.
-    """
-
-    def __init__(
-        self, capacity: int, sampling_probability: float = 1e-5, seed: int = 0
-    ) -> None:
-        super().__init__(capacity)
-        if not 0.0 < sampling_probability <= 1.0:
-            raise ClassificationError("sampling probability must be in (0, 1]")
-        self.sampling_probability = sampling_probability
-        self._rng = np.random.default_rng(seed)
-
-    def _update(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        slots: np.ndarray,
-        order: np.ndarray | None,
-    ) -> BatchUpdate:
-        self._count(keys, weights, slots)
-        misses = self._misses(slots, weights, order)
-        room = self.capacity - self._live
-        if misses.size and room:
-            state = self._rng.bit_generator.state
-            draws = self._rng.random(misses.size)
-            unsampled = (1.0 - self.sampling_probability) ** weights[misses]
-            sampled = np.flatnonzero(draws < 1.0 - unsampled)
-            if sampled.size >= room:
-                # the table fills at offer sampled[room - 1]: the
-                # scalar loop draws for no offer after that one
-                used = int(sampled[room - 1]) + 1
-                if used < misses.size:
-                    self._rng.bit_generator.state = state
-                    self._rng.random(used)
-            fill, spots, _ = self._fill_free(
-                misses[sampled], keys, weights / 2.0
-            )
-            slots[fill] = spots
-        return BatchUpdate(slots, _EMPTY_SLOTS)
-
-
 __all__ = [
-    "ArrayCountMin",
     "ArrayMisraGries",
-    "ArraySampleHold",
     "ArraySpaceSaving",
     "BatchUpdate",
     "NO_SLOT",

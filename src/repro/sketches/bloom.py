@@ -5,8 +5,8 @@
 counting Bloom filter absorbs the long tail of mice, and a flow is
 admitted to the (expensive, bounded) candidate table only after its
 Bloom-counted bytes cross a threshold. The table then stops churning on
-single-packet flows, which is where Space-Saving and Misra–Gries spend
-most of their evictions under heavy-tailed traffic.
+single-packet flows, which is where both tables, Space-Saving and
+Misra–Gries, spend most of their evictions under heavy-tailed traffic.
 
 :class:`CountingBloom` is the counting filter — ``depth`` rows of
 ``width`` float64 counters, conservative update, fully vectorized.

@@ -238,14 +238,13 @@ class TestParallelIngestResult:
 class TestBuildShard:
     def test_single_worker_gets_the_whole_backend(self):
         spec = PipelineSpec(backend="space-saving", capacity=8)
-        assert spec.build_shard(0).capacity == 8
+        assert spec.build_shard().capacity == 8
 
     def test_fleet_splits_capacity_like_make_backend(self):
         sharded = make_backend("space-saving", capacity=10, shards=3)
         spec = PipelineSpec(backend="space-saving", capacity=10, workers=3)
-        for worker_id in range(3):
-            built = spec.build_shard(worker_id)
-            assert built.capacity == sharded.shards[worker_id].capacity
+        for shard in sharded.shards:
+            assert spec.build_shard().capacity == shard.capacity
 
 
 class TestRowResolver:

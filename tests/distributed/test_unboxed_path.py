@@ -55,7 +55,7 @@ def constructions(monkeypatch):
         {"name": "exact"},
         {"name": "exact", "shards": 3},
         {"name": "space-saving", "capacity": 24, "shards": 2},
-        {"name": "count-min", "capacity": 16, "admission": "bloom"},
+        {"name": "misra-gries", "capacity": 16, "admission": "bloom"},
     ],
     ids=lambda spec: "-".join(str(value) for value in spec.values()),
 )

@@ -3,17 +3,15 @@
 ``make_backend`` only ever builds the production class
 (:class:`~repro.pipeline.ArraySketchAggregation` over an array table).
 The tables' reference semantics live here as dict summaries fed one key
-at a time (:class:`SpaceSaving`, :class:`MisraGries`,
-:class:`CountMinCandidates`, :class:`SampleAndHold`), and
+at a time (:class:`SpaceSaving`, :class:`MisraGries`), and
 :func:`scalar_backend` wraps one in the bounded backend
 :class:`ScalarAggregation`. ``tests/`` is on the path through
 ``conftest.py``: ``from oracles import scalar_backend``.
 
-It also keeps the full-table admission tournaments in their plain form
-(:class:`SortingSpaceSaving`, :class:`SortingCountMin`): every newcomer
-sorted by weight, every one paired against the table. The production
-tables sort only the newcomers that can win and must agree with these
-bit for bit.
+It also keeps Space-Saving's full-table admission tournament in its
+plain form (:class:`SortingSpaceSaving`): every newcomer sorted by
+weight, every one paired against the table. The production table sorts
+only the newcomers that can win and must agree with it bit for bit.
 
 Longest-prefix match has its plainest form here too,
 :func:`longest_match`: a scan of every prefix. The RIB's dict probes
@@ -29,8 +27,7 @@ import numpy as np
 
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend
-from repro.sketches.array_tables import ArrayCountMin, ArraySpaceSaving
-from repro.sketches.count_min import CountMinSketch
+from repro.sketches.array_tables import ArraySpaceSaving
 
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
@@ -74,25 +71,11 @@ def assert_stream_matches_batch(pipeline, batch):
     assert slot + 1 == batch.matrix.num_slots
 
 
-def scalar_backend(name, capacity, seed=0, sampling_probability=1e-5):
-    """The scalar twin of ``make_backend(name, capacity, seed)``: the
-    same summary, the same sizing and seeding, fed key by key."""
-    if name == "space-saving":
-        sketch = SpaceSaving(capacity)
-    elif name == "misra-gries":
-        sketch = MisraGries(capacity)
-    elif name == "count-min":
-        # the factory's sizing, spelled out: a change there has to
-        # show up as a failing array == scalar property, not follow
-        sketch = CountMinCandidates(
-            capacity, width=max(16, 4 * capacity), depth=4, seed=seed
-        )
-    else:
-        assert name == "sample-hold", name
-        sketch = SampleAndHold(
-            sampling_probability, seed=seed, max_entries=capacity
-        )
-    return ScalarAggregation(sketch, capacity, name)
+def scalar_backend(name, capacity):
+    """The scalar twin of ``make_backend(name, capacity)``: the same
+    summary, fed key by key."""
+    summaries = {"space-saving": SpaceSaving, "misra-gries": MisraGries}
+    return ScalarAggregation(summaries[name](capacity), capacity, name)
 
 
 def _smallest(counts):
@@ -171,62 +154,6 @@ class MisraGries:
 
     def error_bound(self):
         return self._decrement_total
-
-
-class CountMinCandidates:
-    """A Count-Min sketch and ``capacity`` candidates: a newcomer takes
-    the smallest candidate's place when its estimate beats it."""
-
-    def __init__(self, capacity, width, depth, seed=0):
-        self.capacity = capacity
-        self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
-        self._candidates = {}
-
-    def __len__(self):
-        return len(self._candidates)
-
-    def update(self, key, weight):
-        if weight == 0:
-            return
-        self.sketch.update(key, weight)
-        estimate = self.sketch.estimate(key)
-        candidates = self._candidates
-        if key not in candidates and len(candidates) == self.capacity:
-            minimum = _smallest(candidates)
-            if estimate <= candidates[minimum]:
-                return
-            del candidates[minimum]
-        candidates[key] = estimate
-
-    def estimate(self, key):
-        return self._candidates.get(key, 0.0)
-
-
-class SampleAndHold:
-    """Sample-and-Hold (Estan & Varghese): while there is room, a new
-    key is held w.p. ``1 - (1 - p) ** weight``, from half its weight."""
-
-    def __init__(self, sampling_probability, seed, max_entries):
-        self.sampling_probability = sampling_probability
-        self.max_entries = max_entries
-        self._rng = np.random.default_rng(seed)
-        self._counts = {}
-
-    def __len__(self):
-        return len(self._counts)
-
-    def update(self, key, weight):
-        if weight == 0:
-            return
-        if key in self._counts:
-            self._counts[key] += weight
-        elif len(self._counts) < self.max_entries:
-            unsampled = (1.0 - self.sampling_probability) ** weight
-            if self._rng.random() < 1.0 - unsampled:
-                self._counts[key] = weight / 2.0
-
-    def estimate(self, key):
-        return self._counts.get(key, 0.0)
 
 
 class ScalarAggregation(AggregationBackend):
@@ -329,23 +256,3 @@ class SortingSpaceSaving(ArraySpaceSaving):
                 return victims
             return np.append(victims, min_slot)
         return np.asarray([min_slot], dtype=np.int64)
-
-
-class SortingCountMin(ArrayCountMin):
-    """:class:`ArrayCountMin` whose estimate tournament sorts every
-    newcomer and pairs up to ``capacity`` of them with the table."""
-
-    def _admit_newcomers(self, slots, keys, estimates, rest):
-        contenders = rest[np.argsort(-estimates[rest], kind="stable")]
-        pairs = min(contenders.size, self.capacity)
-        contenders = contenders[:pairs]
-        candidates = np.lexsort((self.key, self.count))[:pairs]
-        beat = estimates[contenders] > self.count[candidates]
-        admit = contenders[beat]
-        victims = candidates[beat]
-        if victims.size == 0:
-            return _EMPTY_SLOTS
-        self.key[victims] = keys[admit]
-        self.count[victims] = estimates[admit]
-        slots[admit] = victims
-        return victims

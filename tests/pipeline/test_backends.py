@@ -32,9 +32,8 @@ from repro.pipeline.sources import PacketBatch
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.routing.lpm import FixedLengthResolver
-from repro.sketches import ArraySampleHold
 
-SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
+SKETCH_NAMES = ("space-saving", "misra-gries")
 #: The invariants below must hold identically for the production
 #: backends ``make_backend`` builds ("array") and for the scalar
 #: oracle over the reference summaries (``oracles.scalar_backend``).
@@ -44,10 +43,6 @@ ENGINES = ("array", "scalar")
 def build(name, capacity=None, engine="array", **kwargs):
     if engine == "scalar":
         return scalar_backend(name, capacity, **kwargs)
-    if "sampling_probability" in kwargs:
-        # not a factory argument: the backend is handed a table
-        table = ArraySampleHold(capacity, kwargs["sampling_probability"])
-        return ArraySketchAggregation(table, name)
     return make_backend(name, capacity=capacity, **kwargs)
 
 
@@ -117,14 +112,7 @@ class TestCapacityBound:
     @pytest.mark.parametrize("name", SKETCH_NAMES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_heavy_flows_earn_rows(self, name, engine):
-        # sample-hold never evicts, so held mice occupy entries for the
-        # whole run: give it headroom and a sampling rate that catches
-        # the heavy flows quickly but rarely holds a 64-byte mouse
-        backend = (
-            build(name, 8, engine)
-            if name != "sample-hold"
-            else build(name, 16, engine, sampling_probability=1e-4)
-        )
+        backend = build(name, 8, engine)
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
         heavy = {Prefix.parse(f"10.{i}.0.0/24") for i in range(5)}
         assert heavy <= set(aggregator.prefixes)
@@ -369,9 +357,15 @@ class TestSketchSlotSource:
 
 
 class TestFactoryAndBudget:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ClassificationError, match="unknown backend"):
-            make_backend("bloom", capacity=4)
+    @pytest.mark.parametrize("name", ["bloom", "count-min", "sample-hold"])
+    def test_unknown_backend_rejected(self, name):
+        """The error names what is left to choose from."""
+        with pytest.raises(ClassificationError) as raised:
+            make_backend(name, capacity=4)
+        assert str(raised.value) == (
+            f"unknown backend {name!r}; expected one of "
+            "exact, space-saving, misra-gries"
+        )
 
     def test_sketch_requires_capacity(self):
         with pytest.raises(ClassificationError, match="capacity"):
@@ -383,7 +377,7 @@ class TestFactoryAndBudget:
 
     def test_capacity_floor(self):
         with pytest.raises(ClassificationError):
-            make_backend("count-min", capacity=0)
+            make_backend("misra-gries", capacity=0)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -430,7 +424,7 @@ class TestEmptyBatches:
             ("space-saving", {"capacity": 4}),
             ("space-saving", {"capacity": 4, "engine": "scalar"}),
             ("misra-gries", {"capacity": 4}),
-            ("count-min", {"capacity": 4}),
+            ("misra-gries", {"capacity": 4, "engine": "scalar"}),
             ("space-saving", {"capacity": 4, "shards": 2}),
             ("exact", {"shards": 2}),
         ],
@@ -509,8 +503,6 @@ class TestGroupByRow:
 
 class TestFactoryClasses:
     def test_sketch_names_build_array_tables(self):
-        from repro.pipeline import ArraySketchAggregation
-
         backend = make_backend("space-saving", capacity=4)
         assert isinstance(backend, ArraySketchAggregation)
         assert backend.name == "space-saving"
@@ -522,8 +514,6 @@ class TestFactoryClasses:
         assert backend.name == name
 
     def test_sharded_backends_hold_array_tables(self):
-        from repro.pipeline import ArraySketchAggregation
-
         sharded = make_backend("misra-gries", capacity=8, shards=2)
         assert all(
             isinstance(s, ArraySketchAggregation) for s in sharded.shards

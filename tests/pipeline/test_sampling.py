@@ -47,6 +47,11 @@ class TestSamplingSpec:
         with pytest.raises(ClassificationError):
             SamplingSpec(rate=2.5)
 
+    def test_rate_below_2_63(self):
+        assert SamplingSpec(rate=2**63 - 1).rate == 2**63 - 1
+        with pytest.raises(ClassificationError, match=r"not below 2\*\*63"):
+            SamplingSpec(rate=2**63)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ClassificationError, match="sampling mode"):
             SamplingSpec(rate=10, mode="systematic")
@@ -255,6 +260,18 @@ class TestInversionDtypes:
         assert rows == -(-n // rate)
         assert total == rows * size * rate
         assert all(b.wire_bytes.dtype == np.int64 for b in batches)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "flow-records"])
+    def test_inversion_stops_at_the_int64_edge(self, mode):
+        """The largest rate a 1500 B packet inverts under is taken
+        exactly; one more is one error, not a wrapped size."""
+        rate = (2**63 - 1) // 1500
+        spec = SamplingSpec(rate=rate, mode=mode)
+        batches, total, _ = drain(spec.wrap(source_of(n=3, size=1500)))
+        assert total == 1500 * rate
+        spec = SamplingSpec(rate=rate + 1, mode=mode)
+        with pytest.raises(ClassificationError, match="64-bit byte count"):
+            drain(spec.wrap(source_of(n=3, size=1500)))
 
     def test_float_columns_stay_float(self):
         source = ForeignColumns(np.full(100, 1500.0))

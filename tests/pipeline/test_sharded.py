@@ -199,7 +199,7 @@ class TestShardedSketch:
         streamed = sum(float(f.rates.sum()) * 10.0 / 8.0 for f in frames)
         assert streamed == pytest.approx(aggregator.stats.bytes_matched)
 
-    @pytest.mark.parametrize("name", ["space-saving", "sample-hold"])
+    @pytest.mark.parametrize("name", ["space-saving", "misra-gries"])
     def test_gate_rejections_are_summed_over_shards(self, name):
         """The sharder reports what its shards' Bloom gates turned
         away (it used to have no such attribute at all), and gated

@@ -23,7 +23,7 @@ from repro.pipeline.sources import (
     PcapPacketSource,
 )
 from repro.pipeline.spec import SOURCE_KINDS, PipelineSpec, SourceSpec
-from repro.sketches import ArraySampleHold, BloomGate
+from repro.sketches import ArrayMisraGries, BloomGate
 from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 
@@ -34,9 +34,14 @@ class TestValidation:
         assert spec.sampling.is_null
         assert spec.admission == "none"
 
-    def test_unknown_backend(self):
-        with pytest.raises(ClassificationError, match="unknown backend"):
-            PipelineSpec(backend="lossy")
+    @pytest.mark.parametrize("name", ["lossy", "count-min", "sample-hold"])
+    def test_unknown_backend(self, name):
+        with pytest.raises(ClassificationError) as raised:
+            PipelineSpec(backend=name, capacity=4)
+        assert str(raised.value) == (
+            f"unknown backend {name!r}; expected one of "
+            "exact, space-saving, misra-gries"
+        )
 
     def test_unknown_admission(self):
         with pytest.raises(ClassificationError, match="admission"):
@@ -180,16 +185,35 @@ class TestBuildBackend:
         assert backend._table.gate.threshold_bytes == 1000.0
 
     @pytest.mark.parametrize("split", [{}, {"shards": 2}])
-    def test_sample_hold_is_gated_and_sharded_like_the_rest(self, split):
+    def test_misra_gries_is_gated_and_sharded_like_the_rest(self, split):
         spec = PipelineSpec(
-            backend="sample-hold", capacity=64, admission="bloom", **split
+            backend="misra-gries", capacity=64, admission="bloom", **split
         )
         backend = spec.build_backend()
-        for index, shard in enumerate(getattr(backend, "shards", [backend])):
+        for shard in getattr(backend, "shards", [backend]):
             assert isinstance(shard, ArraySketchAggregation)
             assert isinstance(shard._table.gate, BloomGate)
-            assert isinstance(shard._table, ArraySampleHold)
-            assert type(spec.build_shard(index)) is type(shard)
+            assert isinstance(shard._table, ArrayMisraGries)
+            assert type(spec.build_shard()) is type(shard)
+
+    @pytest.mark.parametrize("split", [{"shards": 2}, {"workers": 2}])
+    def test_seed_is_the_gates_and_every_partition_alike(self, split):
+        """No table draws a random number: ``seed`` seeds the Bloom
+        gate, the same one in every partition, shard or worker."""
+        spec = PipelineSpec(
+            backend="space-saving",
+            capacity=64,
+            admission="bloom",
+            seed=7,
+            **split,
+        )
+        twin = spec.replace(workers=1, shards=spec.partitions)
+        shards = twin.build_backend().shards
+        shards += [spec.build_shard() for _ in range(spec.partitions)]
+        assert [shard._table.gate.bloom.seed for shard in shards] == (
+            [7] * len(shards)
+        )
+        assert {shard.capacity for shard in shards} == {32}
 
     def test_wrap_source_null(self):
         marker = object()

@@ -8,11 +8,6 @@ equivalence are pinned here:
   table IS its scalar sketch: same tracked keys, same counts, same
   inherited errors, eviction tie-breaks included (both resolve ties by
   the smallest ``(count, key)`` pair).
-- **Sample-and-Hold is exact for any batch.** It never evicts, so hits
-  and newcomers commute: multi-key batches in any offer order leave the
-  array table with the scalar table's counts *and* its generator where
-  the scalar one's is — including when the table fills mid-batch and
-  the unused draws are handed back.
 - **Backend runs are exact packet-by-packet.** Driving the scalar and
   array aggregation backends with one-packet batches must produce
   identical populations, per-slot byte vectors, flow records and peak
@@ -31,35 +26,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MisraGries, SampleAndHold, SpaceSaving, scalar_backend
-from repro.pipeline import ArraySketchAggregation, make_backend
+from oracles import MisraGries, SpaceSaving, scalar_backend
+from repro.pipeline import make_backend
 from repro.pipeline.aggregator import StreamingAggregator
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
-from repro.sketches.array_tables import (
-    ArrayCountMin,
-    ArrayMisraGries,
-    ArraySampleHold,
-    ArraySpaceSaving,
-)
-from repro.sketches.count_min import CountMinSketch
+from repro.sketches.array_tables import ArrayMisraGries, ArraySpaceSaving
 
-SKETCH_NAMES = ("space-saving", "misra-gries", "count-min", "sample-hold")
-
-#: Per-byte sampling probability of the sample-hold twins below: the
-#: production default (1e-5) would hold next to nothing of these
-#: few-hundred-byte streams, and a table that stays empty proves
-#: nothing. 0.02 holds some flows, misses others and fills small tables.
-SAMPLING = 0.02
+SKETCH_NAMES = ("space-saving", "misra-gries")
 
 
-def twin_backends(name, capacity, seed=0):
+def twin_backends(name, capacity):
     """``(scalar oracle, production backend)`` for one sketch name."""
-    scalar = scalar_backend(name, capacity, seed, SAMPLING)
-    if name != "sample-hold":
-        return scalar, make_backend(name, capacity=capacity, seed=seed)
-    table = ArraySampleHold(capacity, SAMPLING, seed)
-    return scalar, ArraySketchAggregation(table, name)
+    oracle = scalar_backend(name, capacity)
+    return oracle, make_backend(name, capacity=capacity)
 
 
 #: Weights mix a small repeat-heavy set (count ties occur often — the
@@ -88,12 +68,7 @@ BATCHES = st.lists(
 def scalar_and_array(name, capacity):
     if name == "space-saving":
         return SpaceSaving(capacity), ArraySpaceSaving(capacity)
-    if name == "misra-gries":
-        return MisraGries(capacity), ArrayMisraGries(capacity)
-    sketch = CountMinSketch(width=4 * capacity, depth=4, seed=0)
-    return sketch, ArrayCountMin(
-        capacity, width=4 * capacity, depth=4, seed=0
-    )
+    return MisraGries(capacity), ArrayMisraGries(capacity)
 
 
 def aggregate(batch):
@@ -132,78 +107,6 @@ class TestSingleKeyStreamsAreExact:
             )
         assert table.items() == scalar.items()
         assert table.error_bound() == scalar.error_bound()
-
-    @settings(max_examples=60, deadline=None)
-    @given(stream=STREAMS, capacity=st.integers(1, 8))
-    def test_count_min_counters_match(self, stream, capacity):
-        scalar, table = scalar_and_array("count-min", capacity)
-        for key, weight in stream:
-            scalar.update(key, weight)
-            table.sketch.update_batch(
-                np.array([key], dtype=np.int64), np.array([weight])
-            )
-        probes = np.arange(31)
-        assert np.array_equal(
-            table.sketch.estimate_batch(probes),
-            np.array([scalar.estimate(int(k)) for k in probes]),
-        )
-
-
-#: Sample-and-Hold batches: distinct keys in *offer* order, weights from
-#: nothing to a full-size packet train (zero weights draw nothing).
-HELD_BATCHES = st.lists(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=40),
-            st.sampled_from([0.0, 0.5, 1.0, 40.0, 700.0, 1500.0, 9000.0]),
-        ),
-        min_size=1,
-        max_size=25,
-        unique_by=lambda offer: offer[0],
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-class TestSampleHoldIsExactForAnyBatch:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        batches=HELD_BATCHES,
-        capacity=st.integers(1, 12),
-        probability=st.sampled_from([1.0, 0.5, 0.05, 0.001]),
-        seed=st.integers(0, 7),
-    )
-    def test_counts_and_generator_match_after_every_batch(
-        self, batches, capacity, probability, seed
-    ):
-        scalar = SampleAndHold(probability, seed=seed, max_entries=capacity)
-        table = ArraySampleHold(capacity, probability, seed)
-        for batch in batches:
-            for key, weight in batch:
-                scalar.update(key, weight)
-            # the backend hands a table its keys ascending, with the
-            # first-traffic (here: offer) order as a permutation of
-            # them: keys[order] is the batch as it was offered
-            offered = np.array([key for key, _ in batch], dtype=np.int64)
-            order = np.argsort(np.argsort(offered))
-            keys = np.sort(offered)
-            weights = np.empty(keys.size)
-            weights[order] = [weight for _, weight in batch]
-            update = table.update_batch(keys, weights, order)
-            assert table.items() == scalar._counts
-            assert update.evicted.size == 0
-            held = {int(k) for k in keys[update.slots >= 0]}
-            assert held == set(scalar._counts) & set(offered.tolist())
-            # equal states: the next draw of the two generators is the
-            # same one, also when the table filled mid-batch and the
-            # draws past that offer were handed back
-            assert (
-                table._rng.bit_generator.state
-                == scalar._rng.bit_generator.state
-            )
-            assert table._rng.random() == scalar._rng.random()
-        assert len(table) <= capacity
 
 
 def run_backend(backend, batches, slot_seconds=4.0):
@@ -342,27 +245,6 @@ class TestBatchedGuarantees:
         assert len(scalar_frames) == len(array_frames)
         for left, right in zip(scalar_frames, array_frames):
             assert np.allclose(left.rates, right.rates)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        batches=BATCHES,
-        capacity=st.integers(1, 6),
-        seed=st.integers(0, 3),
-    )
-    def test_sample_hold_batching_is_invisible_at_any_capacity(
-        self, batches, capacity, seed
-    ):
-        """Sample-and-Hold needs no room to spare: its array table is
-        the scalar one for any batch, so batched runs match frame for
-        frame even while the table is full and turning flows away."""
-        oracle, backend = twin_backends("sample-hold", capacity, seed)
-        scalar, scalar_frames = run_batched(oracle, batches, slot_seconds=2.0)
-        array, array_frames = run_batched(backend, batches, slot_seconds=2.0)
-        assert scalar.prefixes == array.prefixes
-        assert len(scalar_frames) == len(array_frames)
-        for left, right in zip(scalar_frames, array_frames):
-            assert np.allclose(left.rates, right.rates)
-        assert oracle.peak_tracked == backend.peak_tracked
 
     @settings(max_examples=40, deadline=None)
     @given(stream=STREAMS, capacity=st.integers(1, 8))

@@ -190,22 +190,12 @@ def test_sketch_workers_classify_like_sketch_shards(workload, capacity):
 @st.composite
 def partitioned_specs(draw):
     """A 1-4 way deployment: exact or sketch, with or without the gate."""
-    backend = draw(
-        st.sampled_from(
-            [
-                "exact",
-                "space-saving",
-                "misra-gries",
-                "count-min",
-                "sample-hold",
-            ]
-        )
-    )
+    backend = draw(st.sampled_from(["exact", "space-saving", "misra-gries"]))
     fields = {"workers": draw(st.integers(min_value=1, max_value=4))}
     if backend != "exact":
         fields["capacity"] = draw(st.integers(min_value=1, max_value=12))
         fields["seed"] = draw(st.integers(min_value=0, max_value=5))
-        if backend != "sample-hold" and draw(st.booleans()):
+        if draw(st.booleans()):
             fields["admission"] = "bloom"
             fields["admission_threshold"] = draw(
                 st.sampled_from([None, 300.0])
@@ -237,7 +227,7 @@ SLOTTED_PACKETS = st.lists(
 def test_build_shard_is_the_sharded_backends_shard(spec, slots):
     """Worker ``i``'s table is shard ``i``'s table.
 
-    ``spec.build_shard(i)`` fed shard ``i``'s sub-stream must end in
+    ``spec.build_shard()`` fed shard ``i``'s sub-stream must end in
     the state shard ``i`` of the ``shards=N`` twin reaches inside the
     in-process sharder: same population, same slot vectors, same
     capacity slice, same bytes turned away at the Bloom gate.
@@ -254,7 +244,7 @@ def test_build_shard_is_the_sharded_backends_shard(spec, slots):
             return log[-1]
 
         shard.close_slot = close_slot
-    built = [spec.build_shard(index) for index in range(parts)]
+    built = [spec.build_shard() for _ in range(parts)]
     built_vectors = [[] for _ in built]
 
     # flow keys are 0..40 (SLOTTED_PACKETS): key -> 10.0.key.0/24

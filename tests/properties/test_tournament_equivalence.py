@@ -1,9 +1,8 @@
-"""Full-table admission: the production tournaments equal the plain ones.
+"""Full-table admission: the production tournament equals the plain one.
 
-:class:`~repro.sketches.array_tables.ArraySpaceSaving` and
-:class:`~repro.sketches.array_tables.ArrayCountMin` sort only the
+:class:`~repro.sketches.array_tables.ArraySpaceSaving` sorts only the
 newcomers heavier than the table minimum; ``tests/oracles.py`` keeps
-the tournaments that sort every newcomer. Fed the same batches, the two
+the tournament that sorts every newcomer. Fed the same batches, the two
 must return the same :class:`~repro.sketches.array_tables.BatchUpdate`
 and hold the same arrays after every batch, bit for bit — with weights
 drawn from a few values (ties everywhere, the stable tie-break is under
@@ -15,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SortingCountMin, SortingSpaceSaving
-from repro.sketches.array_tables import ArrayCountMin, ArraySpaceSaving
+from oracles import SortingSpaceSaving
+from repro.sketches.array_tables import ArraySpaceSaving
 
 #: Weight vocabularies: few distinct values (ties, zeros), non-dyadic
 #: values whose sums round, and a wide continuous range.
@@ -81,14 +80,3 @@ def test_space_saving_matches_full_sort(run):
     tables = (ArraySpaceSaving(capacity), SortingSpaceSaving(capacity))
     _assert_same(tables, batches, ("key", "count", "error"))
 
-
-@settings(max_examples=300, deadline=None)
-@given(run=runs())
-def test_count_min_matches_full_sort(run):
-    capacity, batches = run
-    # a narrow sketch: colliding keys share estimates, so ties abound
-    tables = tuple(
-        table(capacity, width=8, depth=2, seed=3)
-        for table in (ArrayCountMin, SortingCountMin)
-    )
-    _assert_same(tables, batches, ("key", "count"))

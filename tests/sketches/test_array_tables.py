@@ -5,10 +5,10 @@ every tracked key and never resolves an untracked one, through
 insertions, evictions and rebuilds; (2) each table honours its
 summary's classical bounds — Space-Saving one-sided over-estimates
 with ``untracked true <= min count``, Misra–Gries one-sided
-under-estimates bounded by the decrement total, Count-Min candidate
-admission by estimate; (3) capacity is a hard bound however the batch
-arrives; (4) single-key batches reproduce the scalar sketches (the
-deep equivalence lives in the property suite).
+under-estimates bounded by the decrement total; (3) capacity is a hard
+bound however the batch arrives, Bloom gate in front or not; (4)
+single-key batches reproduce the scalar sketches (the deep equivalence
+lives in the property suite).
 """
 
 import numpy as np
@@ -17,19 +17,24 @@ import pytest
 from repro.errors import ClassificationError
 from repro.sketches.array_tables import (
     NO_SLOT,
-    ArrayCountMin,
     ArrayMisraGries,
-    ArraySampleHold,
     ArraySpaceSaving,
 )
 from repro.sketches.bloom import gated_table
-from repro.sketches.count_min import CountMinSketch
 
 TABLES = (
     ("space-saving", lambda k: ArraySpaceSaving(k)),
     ("misra-gries", lambda k: ArrayMisraGries(k)),
-    ("count-min", lambda k: ArrayCountMin(k, width=4 * k, depth=4)),
-    ("sample-hold", lambda k: ArraySampleHold(k, 0.05, seed=3)),
+)
+#: The same tables behind a Bloom gate that turns away some of the
+#: offers below (weights 0.5-20): the kernel's gated branch re-maps the
+#: first-traffic order and the slots through the gate's subset.
+GATED = tuple(
+    (
+        f"{name}-bloom",
+        lambda k, make=make: gated_table(make(k), threshold_bytes=10.0),
+    )
+    for name, make in TABLES
 )
 
 
@@ -40,7 +45,7 @@ def offer(table, keys, weights):
 
 
 class TestKeyIndex:
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_probe_finds_every_tracked_key(self, name, make):
         rng = np.random.default_rng(5)
         table = make(16)
@@ -52,7 +57,7 @@ class TestKeyIndex:
             found = table._probe(table.key[live])
             assert np.array_equal(found, live)
 
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_probe_rejects_untracked_keys(self, name, make):
         rng = np.random.default_rng(6)
         table = make(8)
@@ -90,7 +95,7 @@ class TestKeyIndex:
 
 
 class TestBatchContract:
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_slots_point_at_the_offered_key(self, name, make):
         rng = np.random.default_rng(9)
         table = make(8)
@@ -103,7 +108,7 @@ class TestBatchContract:
                 table.key[update.slots[tracked]], keys[tracked]
             )
 
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_capacity_never_exceeded(self, name, make):
         rng = np.random.default_rng(10)
         table = make(6)
@@ -117,13 +122,13 @@ class TestBatchContract:
             assert len(table) <= 6
             assert table.occupied().size == len(table)
 
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_negative_weights_rejected(self, name, make):
         table = make(4)
         with pytest.raises(ClassificationError):
             offer(table, [1], [-1.0])
 
-    @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_zero_weight_newcomers_not_admitted(self, name, make):
         table = make(4)
         update = offer(table, [7], [0.0])
@@ -220,71 +225,10 @@ class TestMisraGriesGuarantees:
         assert table.items() == {1: 2.0, 2: 2.0}
         assert table.error_bound() == pytest.approx(3.0)
 
-
-class TestCountMinCandidates:
-    def test_shares_scalar_hash_family(self):
-        table = ArrayCountMin(8, width=64, depth=4, seed=42)
-        reference = CountMinSketch(width=64, depth=4, seed=42)
-        rng = np.random.default_rng(13)
-        keys = rng.integers(0, 500, size=300)
-        weights = rng.uniform(0.5, 10.0, 300)
-        for key, weight in zip(keys.tolist(), weights.tolist()):
-            reference.update(key, weight)
-        table.sketch.update_batch(keys, weights)
-        probes = np.arange(500)
-        assert np.allclose(
-            table.sketch.estimate_batch(probes),
-            [reference.estimate(int(k)) for k in probes],
-        )
-
-    def test_admission_by_estimate_tournament(self):
-        table = ArrayCountMin(2, width=256, depth=4)
-        offer(table, [1, 2], [100.0, 200.0])
-        # a light newcomer loses to both stored candidates
-        update = offer(table, [3], [1.0])
-        assert update.slots[0] == NO_SLOT
-        # a heavy newcomer beats the smallest candidate
-        update = offer(table, [4], [500.0])
-        assert update.slots[0] >= 0
-        assert 4 in table.items()
-        assert 1 not in table.items()
-
-    def test_total_weight_delegates_to_sketch(self):
-        table = ArrayCountMin(4, width=64, depth=2)
-        offer(table, [1, 2], [3.0, 4.0])
-        assert table.total_weight == pytest.approx(7.0)
-
-
-class TestArraySampleHold:
-    @pytest.mark.parametrize("probability", [0.0, -0.1, 1.5])
-    def test_probability_validated(self, probability):
-        with pytest.raises(ClassificationError, match="probability"):
-            ArraySampleHold(4, probability)
-
-    def test_certain_sampling_holds_first_traffic_until_full(self):
-        table = ArraySampleHold(2, 1.0)
-        keys = np.array([3, 5, 7, 9], dtype=np.int64)
-        weights = np.array([10.0, 0.0, 20.0, 30.0])
-        # offered 9, 5 (no bytes: never held), 3, 7 (table full by then)
-        update = table.update_batch(keys, weights, np.array([3, 1, 0, 2]))
-        assert table.items() == {9: 15.0, 3: 5.0}
-        assert (update.slots >= 0).tolist() == [True, False, False, True]
-        assert update.evicted.size == 0
-        offer(table, [3, 7], [4.0, 99.0])
-        assert table.items() == {9: 15.0, 3: 9.0}
-        assert table.total_weight == 163.0
-
-    def test_full_table_draws_nothing(self):
-        table = ArraySampleHold(1, 1.0, seed=8)
-        offer(table, [1], [10.0])
-        state = table._rng.bit_generator.state
-        offer(table, [2, 3, 1], [10.0, 10.0, 1.0])
-        assert table._rng.bit_generator.state == state
-        assert table.items() == {1: 6.0}
-
-    def test_gate_fronts_it_like_any_table(self):
-        table = gated_table(ArraySampleHold(4, 1.0), threshold_bytes=100.0)
+    def test_gate_fronts_it_like_space_saving(self):
+        table = gated_table(ArrayMisraGries(4), threshold_bytes=100.0)
         update = offer(table, [1, 2], [500.0, 40.0])
         assert (update.slots >= 0).tolist() == [True, False]
-        assert table.items() == {1: 250.0}
+        assert table.items() == {1: 500.0}
         assert table.rejected_weight == 40.0
+        assert table.total_weight == 500.0

@@ -257,7 +257,7 @@ class TestStreamBackends:
                 stream_capture["pcap"],
                 "--quiet",
                 "--backend",
-                "count-min",
+                "misra-gries",
                 "--capacity",
                 "8",
             ]
@@ -343,18 +343,18 @@ class TestStreamAdmission:
         ],
         ids=["plain", "bloom", "shards", "workers"],
     )
-    def test_sample_hold_runs_like_any_sketch(
+    def test_misra_gries_runs_like_any_sketch(
         self, stream_capture, capsys, extra
     ):
-        """Sample-and-Hold is an array table: gated, sharded and
-        fleet-partitioned through the same code as the other three."""
+        """Misra–Gries is an array table: gated, sharded and
+        fleet-partitioned through the same code as Space-Saving."""
         code = main(
             [
                 "stream",
                 stream_capture["pcap"],
                 "--json",
                 "--backend",
-                "sample-hold",
+                "misra-gries",
                 "--capacity",
                 "6",
                 "--seed",
@@ -364,7 +364,7 @@ class TestStreamAdmission:
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "sample-hold"
+        assert summary["backend"] == "misra-gries"
         assert summary["capacity"] == 6
         assert summary.get("peak_tracked_flows", 0) <= 6
         assert 0.0 <= summary["mean_residual_fraction"] <= 1.0
@@ -378,9 +378,9 @@ class TestStreamRefusesOutOfRangeNumbers:
             # tables too large to allocate (no page is ever touched)
             "--backend space-saving --capacity 100000000000000",
             "--backend misra-gries --memory-budget 99999999g",
-            "--backend count-min --capacity 4611686018427387904",
+            "--backend misra-gries --capacity 4611686018427387904",
             # seeds outside [0, 2**63)
-            "--backend count-min --capacity 4 --seed -1",
+            "--backend space-saving --capacity 4 --seed -1",
             "--backend space-saving --capacity 4 --admission bloom "
             "--seed 99999999999999999999999",
             "--sample-rate 10 --sample-mode probabilistic --sample-seed -1",
@@ -400,6 +400,27 @@ class TestStreamRefusesOutOfRangeNumbers:
         assert code == 2
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rate,mode",
+        [
+            # past int64: an IndexError or OverflowError traceback
+            (2**63, "deterministic"),
+            (2**63, "probabilistic"),
+            (2**63, "flow-records"),
+            # below it, each inverted size wrapped silently
+            (2**62, "deterministic"),
+        ],
+    )
+    def test_sample_rate_past_a_byte_count(
+        self, stream_capture, capsys, rate, mode
+    ):
+        flags = ["--sample-rate", str(rate), "--sample-mode", mode]
+        code = main(["stream", stream_capture["pcap"], *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert f"sampling rate {rate} " in err
 
 
 class TestStreamSharded:
@@ -892,11 +913,17 @@ class TestStreamErrors:
         assert code == 2
         assert "memory budget" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected_by_parser(self, stream_capture):
-        with pytest.raises(SystemExit):
-            main(
-                ["stream", stream_capture["pcap"], "--backend", "bloom-filter"]
-            )
+    @pytest.mark.parametrize(
+        "name", ["bloom-filter", "count-min", "sample-hold"]
+    )
+    def test_unknown_backend_rejected_by_parser(
+        self, stream_capture, capsys, name
+    ):
+        with pytest.raises(SystemExit) as raised:
+            main(["stream", stream_capture["pcap"], "--backend", name])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "choose from 'exact', 'space-saving', 'misra-gries'" in err
 
     def test_corrupt_npz(self, tmp_path, capsys):
         path = str(tmp_path / "corrupt.npz")

@@ -203,17 +203,13 @@ class TestSurface:
         assert repro.sketches.__all__ == sorted(
             [
                 # the array tables and what a batch update returns
-                "ArrayCountMin",
                 "ArrayMisraGries",
-                "ArraySampleHold",
                 "ArraySpaceSaving",
                 "BatchUpdate",
                 # the Bloom admission gate
                 "BloomGate",
                 "CountingBloom",
                 "gated_table",
-                # the counters under ArrayCountMin
-                "CountMinSketch",
                 # the backend scorer three benches import
                 "COMPARISON_COLUMNS",
                 "BackendComparison",
@@ -225,7 +221,7 @@ class TestSurface:
         )
 
     @pytest.mark.parametrize(
-        "module", ["space_saving", "misra_gries", "sample_hold"]
+        "module", ["space_saving", "misra_gries", "sample_hold", "count_min"]
     )
     def test_no_scalar_summary_module(self, module):
         assert importlib.util.find_spec(f"repro.sketches.{module}") is None
