@@ -84,6 +84,8 @@ CASES = {
             ("", ""),
             ("-shards2", " --shards 2"),
             ("-bloom", " --admission bloom"),
+            # recorded later: a gate in front of each of two shards
+            ("-shards2-bloom", " --shards 2 --admission bloom"),
         )
     },
 }

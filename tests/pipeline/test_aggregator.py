@@ -285,6 +285,38 @@ class TestOutOfOrderAccounting:
 
         assert run(make_backend(backend_name, capacity=4)) == run(None)
 
+    @pytest.mark.parametrize("backend_name", ["space-saving", "misra-gries"])
+    @pytest.mark.parametrize(
+        "wrapper",
+        [{"shards": 2}, {"admission": "bloom"}],
+        ids=["shards", "bloom"],
+    )
+    def test_wrapped_sketch_backends_share_drop_accounting(
+        self, backend_name, wrapper
+    ):
+        """The sharder and the gate sit behind that accounting too."""
+
+        def run(backend):
+            aggregator = aggregator_of(
+                "10.0.0.0/8",
+                "20.0.0.0/8",
+                slot_seconds=10.0,
+                start=0.0,
+                backend=backend,
+            )
+            aggregator.ingest(batch([(25.0, "10.0.0.1", 100)]))
+            rows = [
+                (5.0, "20.0.0.1", 100),
+                (27.0, "20.0.0.1", 300),
+                (28.0, "192.0.2.1", 300),
+            ]
+            aggregator.ingest(batch(rows))
+            aggregator.finish()
+            return aggregator.stats
+
+        backend = make_backend(backend_name, capacity=4, **wrapper)
+        assert run(backend) == run(None)
+
 
 #: Seconds from slot 0 to the start of slot ``MAX_GAP_CELLS`` (60 s).
 CAP_SECONDS = 60.0 * MAX_GAP_CELLS

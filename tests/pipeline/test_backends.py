@@ -38,11 +38,21 @@ SKETCH_NAMES = ("space-saving", "misra-gries")
 #: backends ``make_backend`` builds ("array") and for the scalar
 #: oracle over the reference summaries (``oracles.scalar_backend``).
 ENGINES = ("array", "scalar")
+#: ... and for the production backends behind a Bloom gate and split
+#: over two shards, the two wrappers every table runs under.
+VARIANTS = ENGINES + ("bloom", "shards")
+#: A gate threshold of about three full-size packets: the heavy flows
+#: below pass it within a slot, the 64-byte mice never do.
+GATE_BYTES = 4096.0
 
 
 def build(name, capacity=None, engine="array", **kwargs):
     if engine == "scalar":
         return scalar_backend(name, capacity, **kwargs)
+    if engine == "bloom":
+        kwargs.update(admission="bloom", admission_threshold=GATE_BYTES)
+    elif engine == "shards":
+        kwargs.update(shards=2)
     return make_backend(name, capacity=capacity, **kwargs)
 
 
@@ -95,7 +105,7 @@ def run_backend_over(rows, backend, slot_seconds=10.0, chunks=1):
 
 class TestCapacityBound:
     @pytest.mark.parametrize("name", SKETCH_NAMES)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", VARIANTS)
     def test_tracked_state_never_exceeds_capacity(self, name, engine):
         capacity = 8
         backend = build(name, capacity, engine)
@@ -110,7 +120,9 @@ class TestCapacityBound:
         assert backend.peak_tracked <= capacity
 
     @pytest.mark.parametrize("name", SKETCH_NAMES)
-    @pytest.mark.parametrize("engine", ENGINES)
+    # not split over two shards: four of the five heavy flows hash to
+    # one shard of four entries (``test_sharded.py`` gives each room)
+    @pytest.mark.parametrize("engine", ENGINES + ("bloom",))
     def test_heavy_flows_earn_rows(self, name, engine):
         backend = build(name, 8, engine)
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
@@ -125,7 +137,7 @@ class TestCapacityBound:
 
 class TestResidualSemantics:
     @pytest.mark.parametrize("name", SKETCH_NAMES)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", VARIANTS)
     def test_bytes_conserved_including_residual(self, name, engine):
         backend = build(name, 6, engine)
         aggregator, frames = run_backend_over(
@@ -226,7 +238,7 @@ class TestResidualSemantics:
         assert series.mean_residual_fraction == 0.0
         assert series.mean_fraction == exact_series.mean_fraction
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", VARIANTS)
     def test_residual_record_accounts_untracked_packets(self, engine):
         backend = build("misra-gries", 4, engine)
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
@@ -238,7 +250,7 @@ class TestResidualSemantics:
 
 
 class TestRowIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", VARIANTS)
     def test_rows_stable_across_eviction_and_readmission(self, engine):
         """A flow evicted mid-run keeps its row when it comes back."""
         backend = build("space-saving", 2, engine)
@@ -426,6 +438,9 @@ class TestEmptyBatches:
             ("misra-gries", {"capacity": 4}),
             ("misra-gries", {"capacity": 4, "engine": "scalar"}),
             ("space-saving", {"capacity": 4, "shards": 2}),
+            ("misra-gries", {"capacity": 4, "shards": 2}),
+            ("space-saving", {"capacity": 4, "engine": "bloom"}),
+            ("misra-gries", {"capacity": 4, "engine": "bloom"}),
             ("exact", {"shards": 2}),
         ],
     )
@@ -591,7 +606,7 @@ class TestBackendPopulation:
         assert list(backend.prefixes) == list(expected)
 
     @pytest.mark.parametrize("name", SKETCH_NAMES)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", VARIANTS)
     def test_sketch_rows_offset_past_residual(self, name, engine):
         backend = build(name, 6, engine)
         rows = heavy_tailed_rows(num_heavy=3, num_mice=10, num_slots=2)

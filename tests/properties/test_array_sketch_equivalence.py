@@ -196,6 +196,30 @@ class TestBatchedGuarantees:
         assert np.isclose(recovered, aggregator.stats.bytes_matched)
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        batches=BATCHES,
+        capacity=st.integers(2, 6),
+        name=st.sampled_from(SKETCH_NAMES),
+        wrapper=st.sampled_from(
+            [
+                {"admission": "bloom", "admission_threshold": 100.0},
+                {"shards": 2},
+            ]
+        ),
+    )
+    def test_gated_and_sharded_runs_keep_capacity_and_bytes(
+        self, batches, capacity, name, wrapper
+    ):
+        """The same two bounds with the table behind a Bloom gate (the
+        bytes it turns away land in the residual row) or split over
+        two shards (each holds ``ceil(capacity / 2)``)."""
+        backend = make_backend(name, capacity=capacity, **wrapper)
+        aggregator, frames = run_batched(backend, batches)
+        assert backend.peak_tracked <= 2 * -(-capacity // 2)
+        recovered = sum(float(f.rates.sum()) for f in frames) * 1e9 / 8
+        assert np.isclose(recovered, aggregator.stats.bytes_matched)
+
+    @settings(max_examples=40, deadline=None)
     @given(batches=BATCHES, capacity=st.integers(1, 6))
     def test_space_saving_one_sided_estimates(self, batches, capacity):
         table = ArraySpaceSaving(capacity)

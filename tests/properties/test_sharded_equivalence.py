@@ -124,3 +124,29 @@ def test_sharded_sketch_conserves_bytes(workload, capacity):
     matched = aggregator.stats.bytes_matched
     assert abs(streamed - matched) <= 1e-9 * matched
     assert backend.peak_tracked <= backend.capacity
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    workload=sharded_workloads(),
+    capacity=st.integers(min_value=2, max_value=24),
+    gated=st.booleans(),
+)
+def test_sharded_misra_gries_conserves_bytes(workload, capacity, gated):
+    """The same for the other table, with or without the Bloom gate in
+    front of each shard: a rejected byte goes to the residual row."""
+    num_shards, slot_seconds, chunks = workload
+    backend = make_backend(
+        "misra-gries",
+        capacity=capacity,
+        shards=num_shards,
+        admission="bloom" if gated else "none",
+        admission_threshold=3000.0 if gated else None,
+    )
+    aggregator, frames = run_chunks(slot_seconds, chunks, backend)
+    streamed = sum(
+        float(frame.rates.sum()) * slot_seconds / 8.0 for frame in frames
+    )
+    matched = aggregator.stats.bytes_matched
+    assert abs(streamed - matched) <= 1e-9 * matched
+    assert backend.peak_tracked <= backend.capacity

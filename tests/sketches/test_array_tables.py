@@ -84,6 +84,26 @@ class TestKeyIndex:
             ArraySpaceSaving(0)
 
     @pytest.mark.parametrize("name,make", TABLES)
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_every_table_refuses_capacity_below_one(
+        self, name, make, capacity
+    ):
+        with pytest.raises(ClassificationError, match="capacity"):
+            make(capacity)
+
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
+    def test_estimate_reads_the_tracked_count(self, name, make):
+        rng = np.random.default_rng(7)
+        table = make(8)
+        for _ in range(20):
+            keys = rng.choice(60, size=10, replace=False)
+            offer(table, keys, rng.uniform(0.5, 20.0, 10))
+        items = table.items()
+        assert items
+        for key in range(60):
+            assert table.estimate(key) == items.get(key, 0.0)
+
+    @pytest.mark.parametrize("name,make", TABLES)
     def test_bare_table_has_no_gate_and_no_slot_state(self, name, make):
         """What the backend asks of any table, gated or not."""
         table = make(4)
@@ -127,6 +147,45 @@ class TestBatchContract:
         table = make(4)
         with pytest.raises(ClassificationError):
             offer(table, [1], [-1.0])
+
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
+    def test_first_traffic_fills_the_table_before_any_eviction(
+        self, name, make
+    ):
+        """Until the table is full every offer that clears the gate
+        takes a free slot at its own weight; nothing is evicted."""
+        table = make(6)
+        first = offer(table, [10, 11, 12], [40.0, 30.0, 20.0])
+        assert (first.slots >= 0).all()
+        second = offer(table, [13, 10, 14, 15], [50.0, 1.0, 60.0, 70.0])
+        assert (second.slots >= 0).all()
+        assert len(set(first.slots.tolist() + second.slots.tolist())) == 6
+        assert table.items() == {
+            10: 41.0,
+            11: 30.0,
+            12: 20.0,
+            13: 50.0,
+            14: 60.0,
+            15: 70.0,
+        }
+
+    @pytest.mark.parametrize("name,make", TABLES + GATED)
+    def test_every_offered_weight_is_counted_or_rejected(self, name, make):
+        """``total_weight`` is what reached the table, ``rejected_weight``
+        what the gate turned away; together they are every offer."""
+        rng = np.random.default_rng(8)
+        table = make(5)
+        offered = 0.0
+        for _ in range(25):
+            m = int(rng.integers(1, 20))
+            weights = rng.uniform(0.5, 20.0, m)
+            offer(table, rng.choice(150, size=m, replace=False), weights)
+            offered += float(weights.sum())
+        gated = name.endswith("-bloom")
+        assert (table.rejected_weight > 0.0) == gated
+        assert table.total_weight + table.rejected_weight == pytest.approx(
+            offered
+        )
 
     @pytest.mark.parametrize("name,make", TABLES + GATED)
     def test_zero_weight_newcomers_not_admitted(self, name, make):
@@ -182,6 +241,22 @@ class TestSpaceSavingGuarantees:
         table = ArraySpaceSaving(8)
         offer(table, [1, 2, 3], [5.0, 9.0, 1.0])
         assert [key for key, _ in table.top_k(2)] == [2, 1]
+
+
+class TestTopK:
+    @pytest.mark.parametrize("name,make", TABLES)
+    def test_count_ties_break_by_key(self, name, make):
+        table = make(8)
+        offer(table, [9, 4, 6, 2], [5.0, 5.0, 8.0, 1.0])
+        assert table.top_k(3) == [(6, 8.0), (4, 5.0), (9, 5.0)]
+        assert table.top_k(10) == table.top_k(4)
+
+    @pytest.mark.parametrize("name,make", TABLES)
+    def test_negative_k_refused(self, name, make):
+        table = make(4)
+        assert table.top_k(0) == []
+        with pytest.raises(ClassificationError, match="non-negative"):
+            table.top_k(-1)
 
 
 class TestMisraGriesGuarantees:

@@ -107,6 +107,25 @@ class TestAcceptance:
         assert comparison.recall >= 0.9
         assert comparison.run.peak_tracked <= capacity
 
+    @pytest.mark.parametrize("name", ["space-saving", "misra-gries"])
+    def test_recall_holds_over_two_shards(self, trace, name):
+        """The same bar with the same total capacity split over two
+        hash partitions."""
+        make_source, make_resolver = factories(trace)
+        reference = run_backend(make_source, make_resolver, SLOT_SECONDS)
+        capacity = 4 * reference.peak_elephants
+        comparison = score_against(
+            reference,
+            run_backend(
+                make_source,
+                make_resolver,
+                SLOT_SECONDS,
+                backend=make_backend(name, capacity=capacity, shards=2),
+            ),
+        )
+        assert comparison.recall >= 0.9
+        assert comparison.run.peak_tracked <= capacity
+
 
 class TestEvaluation:
     def test_exact_reference_properties(self, trace):

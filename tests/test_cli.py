@@ -410,6 +410,10 @@ class TestStreamRefusesOutOfRangeNumbers:
             (2**63, "flow-records"),
             # below it, each inverted size wrapped silently
             (2**62, "deterministic"),
+            (2**62, "flow-records"),
+            # the largest rate the spec takes still cannot invert
+            (2**63 - 1, "deterministic"),
+            (2**63 - 1, "flow-records"),
         ],
     )
     def test_sample_rate_past_a_byte_count(
