@@ -13,10 +13,10 @@ while :class:`~repro.pipeline.sharded.ShardedAggregation` remains the
 in-process flavour of the identical split.
 :class:`CollectorService` is the over-the-network flavour: a live TCP
 daemon (``repro collect --listen``) that monitors stream summaries
-into and ``repro query`` reads merged state out of, sealing slots
-incrementally through the very same merge primitives.
-:func:`estimate_clock_skew` is the collector's guard against monitors
-whose clocks drifted past a slot boundary.
+into and ``repro query`` reads merged state out of. Every merged link
+— ``repro merge``, a fleet's collector, a live daemon's — is sealed by
+one :class:`LinkMerge`; :func:`estimate_skew_from_totals` is its guard
+against monitors whose clocks drifted past a slot boundary.
 """
 
 from repro._lazy import attach
@@ -41,8 +41,8 @@ __getattr__, __dir__, __all__ = attach(
             "encode_summary",
         ),
         "merge": (
+            "LinkMerge",
             "MergedRun",
-            "estimate_clock_skew",
             "estimate_skew_from_totals",
             "merge_runs",
             "merge_summaries",

@@ -23,11 +23,11 @@ its own, as it does under ``repro stream``.
 it prints from the two integers, so the collector builds no ``Prefix``
 object at all; a caller that reads ``population[row]`` gets one.
 
-:class:`Collector` is the batch flavour (all runs in hand, merge once,
-classify); the live network service in
-:mod:`repro.distributed.service` drives the same
-:class:`MergedSlotSource` row bookkeeping one sealed slot at a time
-through :meth:`MergedSlotSource.frame_of`.
+:class:`Collector` is the batch flavour: it merges all runs at once
+through :func:`~repro.distributed.merge.merge_runs`, the
+:class:`~repro.distributed.merge.LinkMerge` a live link seals through,
+and classifies. The live service pushes each slot its link seals
+through the same :meth:`MergedSlotSource.frame_of` row bookkeeping.
 """
 
 from __future__ import annotations

@@ -8,14 +8,16 @@ export: sum volumes per prefix, add the residuals, and (optionally) cut
 the table back to ``k`` entries with the cut mass spilling into the
 residual, so the merged slot still conserves every byte any monitor saw.
 
-:func:`merge_summaries` merges one slot across monitors;
-:func:`merge_runs` aligns whole monitor runs slot by slot, tolerating
-monitors that missed slots (their contribution is simply absent). The
-live collector service performs the identical computation one cell at
-a time through the same primitives —
-:func:`~repro.distributed.framing.grid_cell`, :func:`merge_summaries`,
-:func:`gap_summary` — which is what keeps its answers slot-identical to
-an offline merge of the same summaries.
+One definition of a merged link lives here. :func:`merge_summaries`
+merges one slot across monitors; :class:`LinkMerge` merges a whole
+link: monitors attach, send their summaries, detach, and it seals each
+grid cell, in order, once no attached monitor can add to it — through
+:func:`merge_summaries`, or :func:`gap_summary` for a cell nobody
+covered. The live collector service feeds it frames as they arrive
+(:class:`~repro.distributed.service.LiveLink`); :func:`merge_runs`
+feeds it whole monitor runs, one monitor per run, every summary in
+(grid cell, run) order. An offline merge and a live link of the same
+summaries are therefore one computation, not two kept equal.
 
 The merge is an index over integer keys, not a walk over ``Prefix``
 objects: the inputs' ``prefixes`` are columns, their ``keys()``
@@ -26,28 +28,29 @@ per-entry fold this replaced, bit for bit.
 
 Alignment is by grid cell, which *trusts monitor clocks*: a monitor
 whose clock drifts past a slot boundary silently mis-bins its traffic.
-:func:`estimate_clock_skew` is the collector-side check — it compares
-overlapping-slot byte totals between monitor runs at candidate slot
-lags, and :func:`merge_runs` raises a
+:func:`estimate_skew_from_totals` is the collector-side check — it
+compares the per-cell byte totals a :class:`LinkMerge` keeps for each
+monitor at candidate slot lags, and :func:`merge_runs` raises a
 :class:`~repro.errors.ClockSkewWarning` (and records the estimate on
 the returned :class:`MergedRun`) when a run's totals line up better one
 or more slots away from where its timestamps put them.
-:func:`estimate_skew_from_totals` is the same estimator over
-pre-reduced per-cell byte totals, the shape a long-lived service can
-afford to keep when the summaries themselves have been retired.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.distributed.framing import grid_cell
 from repro.distributed.summary import SlotSummary
-from repro.errors import ClassificationError, ClockSkewWarning
+from repro.errors import (
+    ClassificationError,
+    ClockSkewWarning,
+    ServiceProtocolError,
+)
 from repro.flows.records import MAX_GAP_CELLS
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import sum_by_row
@@ -81,14 +84,6 @@ def misaligned(
         f"{summary.slot_seconds}s) does not align with "
         f"(start {start}, grid {slot_seconds}s); "
         "monitors must share the slot grid"
-    )
-
-
-def too_far(cell: int, neighbour: int) -> ClassificationError:
-    """The error for a gap wider than :data:`MAX_GAP_CELLS`."""
-    return ClassificationError(
-        f"grid cell {cell} is {abs(cell - neighbour)} cells from covered "
-        f"cell {neighbour}; gap filling bridges at most {MAX_GAP_CELLS}"
     )
 
 
@@ -168,52 +163,20 @@ def merge_summaries(
 class MergedRun(list):
     """A merged slot sequence plus collector-side diagnostics.
 
-    Behaves exactly like the ``list[SlotSummary]`` older callers
-    expect; ``skew_estimate`` maps each input run's index to its
-    estimated clock offset in seconds (``0.0`` when the run aligns, or
-    when too little overlap exists to tell).
+    A ``list[SlotSummary]`` whose ``skew_estimate`` maps each input
+    run's index to its estimated clock offset in seconds (``0.0`` when
+    the run aligns, or when too little overlap exists to tell).
     """
 
-    def __init__(
-        self,
-        summaries: Iterable[SlotSummary],
-        skew_estimate: dict[int, float] | None = None,
-    ) -> None:
-        super().__init__(summaries)
-        self.skew_estimate: dict[int, float] = dict(skew_estimate or {})
-
-    @property
-    def max_abs_skew(self) -> float:
-        """Largest estimated clock offset across runs, in seconds."""
-        if not self.skew_estimate:
-            return 0.0
-        return max(abs(value) for value in self.skew_estimate.values())
-
-
-def cell_totals(
-    run: Sequence[SlotSummary], seconds: float
-) -> dict[int, float]:
-    """Per-grid-cell byte totals for one monitor run.
-
-    The reduction the skew estimator runs on — and the only per-run
-    state a live collector needs to retain for it.
-    """
-    totals: dict[int, float] = {}
-    for summary in run:
-        cell = grid_cell(summary.start, seconds)
-        totals[cell] = totals.get(cell, 0.0) + summary.total_bytes
-    return totals
+    skew_estimate: dict[int, float]
 
 
 def _lag_correlation(
-    reference: Mapping[int, float],
-    other: Mapping[int, float],
-    lag: int,
-    min_overlap: int,
+    reference: Mapping[int, float], other: Mapping[int, float], lag: int
 ) -> tuple[float, int] | None:
     """Pearson r (and sample size) of reference[c] vs other[c + lag]."""
     cells = [cell for cell in reference if cell + lag in other]
-    if len(cells) < min_overlap:
+    if len(cells) < MIN_SKEW_OVERLAP:
         return None
     left = np.array([reference[cell] for cell in cells])
     right = np.array([other[cell + lag] for cell in cells])
@@ -229,18 +192,27 @@ def _significance_floor(count: int) -> float:
 
 
 def estimate_skew_from_totals(
-    totals: Sequence[Mapping[int, float]],
-    grid: float,
-    max_lag_slots: int = MAX_SKEW_SLOTS,
-    min_overlap: int = MIN_SKEW_OVERLAP,
+    totals: Sequence[Mapping[int, float]], grid: float
 ) -> dict[int, float]:
-    """Clock-skew estimates over pre-reduced per-cell byte totals.
+    """Estimate each monitor's clock offset from per-cell byte totals.
 
-    ``totals[i]`` maps grid cell → bytes for monitor run ``i`` (the
-    shape :func:`cell_totals` produces). The longest run anchors the
-    comparison; every other run's totals are correlated against the
-    anchor's at slot lags ``-max_lag_slots .. +max_lag_slots``. See
-    :func:`estimate_clock_skew` for the decision rule.
+    ``totals[i]`` maps grid cell → bytes for monitor ``i`` (what a
+    :class:`LinkMerge` keeps per monitor). The longest run anchors the
+    comparison. For every other run, the per-cell byte totals are
+    correlated against the anchor's at slot lags up to
+    :data:`MAX_SKEW_SLOTS` either way; a run whose totals fit
+    decisively better at a nonzero lag — beating the as-reported
+    alignment by :data:`SKEW_MARGIN` of Pearson r, above the
+    :data:`SKEW_MIN_CORRELATION` floor, *and* statistically significant
+    for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) — is estimated
+    to be skewed by that many slots. Positive means the run's clock
+    reads *ahead* (its traffic lands in later cells than it occurred
+    in). Runs with fewer than :data:`MIN_SKEW_OVERLAP` comparable
+    cells, or without a decisive fit, estimate ``0.0``: absence of
+    evidence is not skew. The estimator presumes the runs watch the
+    *same* link (taps of one traffic mix); monitors of unrelated links
+    have uncorrelated totals at every lag and the significance floor is
+    what keeps them from producing chance verdicts.
     """
     estimates = {index: 0.0 for index in range(len(totals))}
     if len(totals) < 2:
@@ -250,12 +222,12 @@ def estimate_skew_from_totals(
     for index, cells in enumerate(totals):
         if index == anchor_index:
             continue
-        aligned = _lag_correlation(anchor, cells, 0, min_overlap)
+        aligned = _lag_correlation(anchor, cells, 0)
         best_lag, best = 0, aligned
-        for lag in range(-max_lag_slots, max_lag_slots + 1):
+        for lag in range(-MAX_SKEW_SLOTS, MAX_SKEW_SLOTS + 1):
             if lag == 0:
                 continue
-            score = _lag_correlation(anchor, cells, lag, min_overlap)
+            score = _lag_correlation(anchor, cells, lag)
             if score is None:
                 continue
             if best is None or score[0] > best[0]:
@@ -273,42 +245,6 @@ def estimate_skew_from_totals(
             # `lag` cells later than the traffic, so its clock is ahead
             estimates[index] = best_lag * grid
     return estimates
-
-
-def estimate_clock_skew(
-    runs: Sequence[Sequence[SlotSummary]],
-    max_lag_slots: int = MAX_SKEW_SLOTS,
-    min_overlap: int = MIN_SKEW_OVERLAP,
-) -> dict[int, float]:
-    """Estimate each run's clock offset from overlapping slot totals.
-
-    The longest run anchors the comparison. For every other run, the
-    per-cell byte totals are correlated against the anchor's at slot
-    lags ``-max_lag_slots .. +max_lag_slots``; a run whose totals fit
-    decisively better at a nonzero lag — beating the as-reported
-    alignment by :data:`SKEW_MARGIN` of Pearson r, above the
-    :data:`SKEW_MIN_CORRELATION` floor, *and* statistically
-    significant for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) —
-    is estimated to be skewed by that many slots. Positive means the
-    run's clock reads *ahead* (its traffic lands in later cells than
-    it occurred in). Runs with fewer than ``min_overlap`` comparable
-    cells, or without a decisive fit, estimate ``0.0``: absence of
-    evidence is not skew. The estimator presumes the runs watch the
-    *same* link (taps of one traffic mix); monitors of unrelated links
-    have uncorrelated totals at every lag and the significance floor
-    is what keeps them from producing chance verdicts.
-    """
-    estimates = {index: 0.0 for index in range(len(runs))}
-    if len(runs) < 2:
-        return estimates
-    seconds = {summary.slot_seconds for run in runs for summary in run}
-    if len(seconds) != 1:
-        return estimates  # mixed grids fail the merge itself
-    grid = seconds.pop()
-    totals = [cell_totals(run, grid) for run in runs]
-    return estimate_skew_from_totals(
-        totals, grid, max_lag_slots=max_lag_slots, min_overlap=min_overlap
-    )
 
 
 def gap_summary(cell: int, first_cell: int, seconds: float) -> SlotSummary:
@@ -329,6 +265,193 @@ def gap_summary(cell: int, first_cell: int, seconds: float) -> SlotSummary:
     )
 
 
+def on_grid(start: float, seconds: float) -> bool:
+    """Does ``start`` open a cell of the absolute slot grid?
+
+    A monitor's start is ``origin + slot * seconds``; on a grid that is
+    not a binary fraction that may land an ulp or so off
+    ``cell * seconds``, and is still that cell.
+    """
+    edge = grid_cell(start, seconds) * seconds
+    return abs(start - edge) <= 4 * math.ulp(edge)
+
+
+class LinkMerge:
+    """One link's merge: monitor summaries in, sealed merged slots out.
+
+    Each attached monitor has a *watermark*, the highest cell it has
+    reported. The *frontier* is the lowest watermark among attached
+    monitors — one that has sent nothing holds it back — or, with none
+    attached, the highest pending cell. :meth:`seal` takes every cell
+    at or below it, in cell order: the summaries its monitors sent,
+    merged in the order the monitors first attached (whichever frame
+    came first) and numbered from the first cell sealed; with
+    ``fill_gaps``, a cell no monitor covered seals as a
+    :func:`gap_summary`. A monitor is any hashable name: a live link's
+    are the names monitors greet with, :func:`merge_runs`' are run
+    indices.
+    """
+
+    def __init__(self, k: int | None = None, fill_gaps: bool = True) -> None:
+        self.k = k
+        self.fill_gaps = fill_gaps
+        self.slot_seconds: float | None = None
+        #: The cell merged slot 0 covers.
+        self.first_cell: int | None = None
+        #: The lowest cell not yet sealed; everything below is history.
+        self.next_cell: int | None = None
+        #: Unsealed cells: the one summary each monitor sent for it.
+        self.pending: dict[int, dict[Hashable, SlotSummary]] = {}
+        self._watermark: dict[Hashable, int] = {}
+        self._active: set[Hashable] = set()
+        #: Per monitor, in first-attach order, its accepted bytes per
+        #: cell — the skew estimator's input.
+        self._totals: dict[Hashable, dict[int, float]] = {}
+        #: Lowest and highest cell the link has held. On a gap-filling
+        #: link held cells lie at most MAX_GAP_CELLS apart, so a cell is
+        #: that near one of them when it is that near the span.
+        self._span: tuple[int, int] | None = None
+
+    def attach(self, monitor: Hashable) -> int | None:
+        """Register a (re)connecting monitor; returns its resume cell.
+
+        Attaching an attached name is a protocol error — the first
+        holder still gates the frontier. A *re*attach backfills the
+        monitor's watermark to just below the sealed frontier, so a
+        returning monitor never stalls cells that are already history.
+        """
+        if monitor in self._active:
+            raise ServiceProtocolError(
+                f"monitor {monitor!r} is already attached to this link"
+            )
+        self._active.add(monitor)
+        self._totals.setdefault(monitor, {})
+        if self.next_cell is not None:
+            floor = self.next_cell - 1
+            current = self._watermark.get(monitor, floor)
+            self._watermark[monitor] = max(current, floor)
+        return self.next_cell
+
+    def detach(self, monitor: Hashable) -> None:
+        """Stop ``monitor`` gating the frontier (none left: seal all)."""
+        self._active.discard(monitor)
+
+    def add(self, monitor: Hashable, summary: SlotSummary) -> tuple[int, str]:
+        """Accept (or drop as stale) one summary from ``monitor``.
+
+        Returns ``(cell, status)``: ``"ok"`` when the summary joined
+        the pending merge, ``"stale"`` when it landed at or below sealed
+        history, or at or below a cell this monitor already sent, and
+        was dropped. A summary on another slot width, off the absolute
+        grid, or off the interval its cell's pending summaries cover is
+        refused with a :class:`~repro.errors.ClassificationError`; so,
+        when gaps are filled, is one farther than
+        :data:`MAX_GAP_CELLS` from every cell the link holds. Neither a
+        stale nor a refused summary changes any state.
+        """
+        seconds = self.slot_seconds or summary.slot_seconds
+        if summary.slot_seconds != seconds:
+            raise ClassificationError(
+                f"monitor {monitor!r} streams a {summary.slot_seconds}s "
+                f"grid into a link running {seconds}s slots"
+            )
+        cell = grid_cell(summary.start, seconds)
+        watermark = self._watermark.get(monitor)
+        if (self.next_cell is not None and cell < self.next_cell) or (
+            watermark is not None and cell <= watermark
+        ):
+            return cell, "stale"
+        held = self.pending.get(cell)
+        if held:
+            # merge_summaries demands equal starts within a cell
+            start = next(iter(held.values())).start
+            aligned = summary.start == start
+        else:
+            start = cell * seconds
+            aligned = on_grid(summary.start, seconds)
+        if not aligned:
+            raise misaligned(summary, start, seconds)
+        if self.fill_gaps and self._span is not None:
+            near = min(max(cell, self._span[0]), self._span[1])
+            if abs(cell - near) > MAX_GAP_CELLS:
+                raise ClassificationError(
+                    f"grid cell {cell} is {abs(cell - near)} cells from "
+                    f"covered cell {near}; gap filling bridges at most "
+                    f"{MAX_GAP_CELLS}"
+                )
+        self.slot_seconds = seconds
+        self._hold(cell)
+        self.pending.setdefault(cell, {})[monitor] = summary
+        self._watermark[monitor] = cell
+        self._totals.setdefault(monitor, {})[cell] = summary.total_bytes
+        return cell, "ok"
+
+    def _hold(self, cell: int) -> None:
+        low, high = self._span or (cell, cell)
+        self._span = (min(low, cell), max(high, cell))
+
+    def _frontier(self) -> int | None:
+        """The highest cell guaranteed complete, or None to hold."""
+        if self._active:
+            marks = [self._watermark.get(name) for name in self._active]
+            return None if None in marks else min(marks)
+        return max(self.pending) if self.pending else None
+
+    def seal(self) -> Iterator[SlotSummary]:
+        """Seal every cell at or below the frontier, in cell order.
+
+        Lazy: a cell leaves :attr:`pending` as its merged slot is
+        yielded, so a consumer that fails on one slot leaves the cells
+        after it pending for the next call.
+        """
+        frontier = self._frontier()
+        if frontier is None:
+            return
+        if self.next_cell is None:
+            self.first_cell = self.next_cell = min(self.pending)
+        elif frontier < self.next_cell:
+            return  # nothing new to seal
+        if self.fill_gaps:
+            cells = range(self.next_cell, frontier + 1)
+        else:
+            cells = sorted(cell for cell in self.pending if cell <= frontier)
+        for cell in cells:
+            self.next_cell = cell + 1
+            held = self.pending.pop(cell, None)
+            if held is None:
+                yield gap_summary(cell, self.first_cell, self.slot_seconds)
+                continue
+            yield merge_summaries(
+                [held[name] for name in self._totals if name in held],
+                k=self.k,
+                slot=cell - self.first_cell,
+            )
+        self.next_cell = max(self.next_cell, frontier + 1)
+
+    def restore(self, merged: SlotSummary) -> None:
+        """Take one checkpointed merged slot back as sealed history.
+
+        Merged slots carry ``slot = cell - first_cell``, so the link's
+        origin is recoverable from any of them; the next cell to seal
+        is the one after it.
+        """
+        if self.slot_seconds is None:
+            self.slot_seconds = merged.slot_seconds
+        cell = grid_cell(merged.start, self.slot_seconds)
+        if self.first_cell is None:
+            self.first_cell = cell - merged.slot
+        self.next_cell = cell + 1
+        self._hold(cell)
+
+    def skew_estimate(self) -> dict[Hashable, float]:
+        """Per-monitor clock-skew estimate over accepted summaries."""
+        if self.slot_seconds is None:  # nothing accepted yet
+            return dict.fromkeys(self._totals, 0.0)
+        totals = list(self._totals.values())
+        estimates = estimate_skew_from_totals(totals, self.slot_seconds)
+        return dict(zip(self._totals, estimates.values()))
+
+
 def merge_runs(
     runs: Sequence[Sequence[SlotSummary]],
     k: int | None = None,
@@ -337,21 +460,25 @@ def merge_runs(
 ) -> MergedRun:
     """Align and merge whole monitor runs, slot by slot.
 
-    Alignment is by *absolute* position on the slot grid (the slot's
-    start time), not by each monitor's local slot counter — a monitor
-    that came up three slots late still merges against the interval it
-    actually measured. Returns merged summaries for the union of
-    intervals any monitor covered, in time order, renumbered on the
-    shared grid from the earliest merged interval. Monitors absent
-    from an interval contribute nothing to it; monitors must share the
-    slot grid.
+    The runs are a :class:`LinkMerge`'s monitors, one per run index:
+    attached in run order, given every summary in (grid cell, run)
+    order, then detached — the seal a live link reaches with the same
+    summaries. Alignment is by *absolute* position on the slot grid
+    (the slot's start time), not by each monitor's local slot counter:
+    a monitor that came up three slots late still merges against the
+    interval it actually measured. Returns merged summaries for the
+    union of intervals any monitor covered, in time order, renumbered
+    on the shared grid from the earliest merged interval. Monitors
+    absent from an interval contribute nothing to it. The runs must
+    share one slot grid, on whole multiples of the slot width; a run
+    with two summaries for one cell is refused.
 
     ``fill_gaps`` additionally emits an *empty* merged slot for every
     grid cell between the first and last covered interval that no
     monitor reported — the silent-link slot a single monitor would
     have observed — so downstream classification sees a contiguous
     slot sequence. Covered cells farther apart than
-    :data:`MAX_GAP_CELLS` are refused then, before anything is filled.
+    :data:`MAX_GAP_CELLS` are refused then.
 
     The result is a :class:`MergedRun` carrying a per-run clock-skew
     estimate; a :class:`~repro.errors.ClockSkewWarning` is emitted for
@@ -361,22 +488,28 @@ def merge_runs(
     on a single host), where per-run totals are uncorrelated because
     the flows, not the packets, were partitioned.
     """
-    flat = [summary for run in runs for summary in run]
-    if not flat:
-        raise ClassificationError("no summaries to merge")
-    grids = {summary.slot_seconds for summary in flat}
-    if len(grids) > 1:
-        raise ClassificationError(
-            f"monitor runs mix slot grids {sorted(grids)}; "
-            "re-slot before merging"
-        )
-    seconds = flat[0].slot_seconds
-    skew = (
-        estimate_clock_skew(runs)
-        if check_skew
-        else {index: 0.0 for index in range(len(runs))}
+    link = LinkMerge(k=k, fill_gaps=fill_gaps)
+    for index in range(len(runs)):
+        link.attach(index)
+    arrivals = sorted(
+        ((index, one) for index, run in enumerate(runs) for one in run),
+        key=lambda pair: grid_cell(pair[1].start, pair[1].slot_seconds),
     )
-    for index, offset in skew.items():
+    for index, summary in arrivals:
+        cell, status = link.add(index, summary)
+        if status == "stale":
+            raise ClassificationError(
+                f"monitor run {index} has two summaries for grid cell {cell}"
+            )
+    for index in range(len(runs)):
+        link.detach(index)
+    merged = MergedRun(link.seal())
+    if not merged:
+        raise ClassificationError("no summaries to merge")
+    merged.skew_estimate = dict.fromkeys(range(len(runs)), 0.0)
+    if check_skew:
+        merged.skew_estimate = link.skew_estimate()
+    for index, offset in merged.skew_estimate.items():
         if offset:
             monitor = next((s.monitor for s in runs[index] if s.monitor), "")
             label = f" ({monitor})" if monitor else ""
@@ -389,36 +522,16 @@ def merge_runs(
                 ),
                 stacklevel=2,
             )
-    by_cell: dict[int, list[SlotSummary]] = {}
-    for summary in flat:
-        cell = grid_cell(summary.start, seconds)
-        by_cell.setdefault(cell, []).append(summary)
-    first_cell = min(by_cell)
-    merged = []
-    cells = sorted(by_cell)
-    if fill_gaps:
-        for low, high in zip(cells, cells[1:]):
-            if high - low > MAX_GAP_CELLS:
-                raise too_far(high, low)
-        cells = range(first_cell, cells[-1] + 1)
-    for cell in cells:
-        if cell in by_cell:
-            merged.append(
-                merge_summaries(by_cell[cell], k=k, slot=cell - first_cell)
-            )
-        else:
-            merged.append(gap_summary(cell, first_cell, seconds))
-    return MergedRun(merged, skew_estimate=skew)
+    return merged
 
 
 __all__ = [
+    "LinkMerge",
     "MergedRun",
-    "cell_totals",
-    "estimate_clock_skew",
     "estimate_skew_from_totals",
     "gap_summary",
     "merge_runs",
     "merge_summaries",
     "misaligned",
-    "too_far",
+    "on_grid",
 ]

@@ -14,9 +14,11 @@ single-process run holds), bins its sub-stream into slots, and
 serializes every completed slot as a
 :meth:`~repro.distributed.summary.SlotSummary.to_bytes` payload back to
 the caller, which parses the wire records between batches and
-classifies the merged link through the unchanged
-:func:`~repro.distributed.merge.merge_summaries` +
-:class:`~repro.distributed.collector.Collector` path.
+classifies the merged link through
+:class:`~repro.distributed.collector.Collector` — whose
+:func:`~repro.distributed.merge.merge_runs` seals through the
+:class:`~repro.distributed.merge.LinkMerge` a live collector link
+runs, each worker one monitor.
 
 Packets never cross a pickled queue. The caller writes each dealt
 sub-batch's column arrays straight into a per-worker shared-memory
@@ -67,6 +69,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.distributed.faults import FaultPlan
+from repro.distributed.framing import grid_cell
+from repro.distributed.merge import on_grid
 from repro.distributed.shm_ring import (
     DEFAULT_RING_SLOTS,
     RingConsumer,
@@ -147,7 +151,6 @@ class ParallelIngestResult:
     runs: list[list[SlotSummary]]
     stats: AggregationStats
     workers: int
-    start: float | None = None
     #: Worker ids whose shard was dropped under ``on_worker_crash=
     #: "degrade"`` — their ``runs`` entry holds whatever they sealed
     #: before dying.
@@ -157,24 +160,14 @@ class ParallelIngestResult:
 
     @property
     def num_slots(self) -> int:
-        """Distinct grid cells any worker summarized.
-
-        Summaries are binned by flooring against the run's own origin
-        (``start``, or 0 when the axis was derived from the data).
-        Dividing raw summary starts by the slot width and rounding
-        would mis-bucket unaligned axes — with ``start=30`` and
-        60-second slots, banker's rounding folds the 90s and 150s
-        cells together. The half-up floor only absorbs float error in
-        the ``origin + slot * slot_seconds`` reconstruction, never a
-        real off-grid offset.
-        """
-        origin = self.start if self.start is not None else 0.0
-        cells = {
-            math.floor((summary.start - origin) / summary.slot_seconds + 0.5)
-            for run in self.runs
-            for summary in run
-        }
-        return len(cells)
+        """Distinct grid cells any worker summarized."""
+        return len(
+            {
+                grid_cell(summary.start, summary.slot_seconds)
+                for run in self.runs
+                for summary in run
+            }
+        )
 
     def collector(
         self,
@@ -701,6 +694,10 @@ def parallel_ingest(
     ``source`` argument outright — pass ``source=None`` then; giving
     both is an error.
 
+    ``start`` pins slot 0's timestamp on the absolute slot grid every
+    merged link aligns to (``None`` floors the first packet's onto it);
+    one off that grid is refused before anything is read or spawned.
+
     ``ring_slot_packets`` sizes each ring slot and defaults to the
     source's chunk size, so a dealt sub-batch almost always fits one
     slot and stays zero-copy end to end.
@@ -727,6 +724,13 @@ def parallel_ingest(
     The shared-memory rings are unlinked on every exit path,
     ``KeyboardInterrupt`` included.
     """
+    if not 0.0 < slot_seconds < math.inf:
+        raise ClassificationError("slot_seconds must be finite and > 0")
+    if start is not None and not on_grid(start, slot_seconds):
+        raise ClassificationError(
+            f"start {start} is off the {slot_seconds}s slot grid; the "
+            "collector merges whole multiples of the slot width"
+        )
     if source is None:
         # the spec names the input; open it raw — the sampling wrap
         # below is the one thinning stage for the whole fleet
@@ -749,8 +753,6 @@ def parallel_ingest(
     ring_slots = (
         DEFAULT_RING_SLOTS if spec.ring_slots is None else spec.ring_slots
     )
-    if not 0.0 < slot_seconds < math.inf:
-        raise ClassificationError("slot_seconds must be finite and > 0")
     if on_worker_crash not in CRASH_POLICIES:
         raise ClassificationError(
             f"on_worker_crash must be one of {CRASH_POLICIES}, "
@@ -782,7 +784,6 @@ def parallel_ingest(
         runs=fleet.runs,
         stats=fleet.stats,
         workers=workers,
-        start=start,
         degraded=sorted(fleet.degraded),
         restarts=dict(fleet.restarts),
     )

@@ -4,14 +4,15 @@
 asyncio TCP listener accepts any number of monitor connections; each
 monitor says hello (name + link), then streams
 :class:`~repro.distributed.summary.SlotSummary` records inside the
-length-prefixed frames of :mod:`repro.distributed.framing`. The
-service merges summaries *incrementally* — a grid cell is sealed the
-moment every connected monitor has reported past it — and pushes each
-sealed slot through the same
+length-prefixed frames of :mod:`repro.distributed.framing`. Each
+link's merge is a :class:`~repro.distributed.merge.LinkMerge`, the
+one merge ``repro merge`` and a fleet's collector seal through too: a
+grid cell is sealed the moment every connected monitor has reported
+past it, and each sealed slot goes through the same
 :class:`~repro.distributed.collector.MergedSlotSource` /
 :class:`~repro.pipeline.engine.StreamingPipeline` pair the offline
-``repro merge`` path uses, so a query against the live service answers
-exactly what an offline merge of the same summaries would.
+path uses, so a query against the live service answers exactly what
+an offline merge of the same summaries would.
 
 Sealing semantics (the crash/reconnect story):
 
@@ -22,11 +23,10 @@ Sealing semantics (the crash/reconnect story):
   better to wait than to merge a slot its data is still in flight for.
 - When a monitor drops (cleanly via BYE or by crashing), it stops
   gating the frontier; its unreported intervals merge without it, and
-  with ``fill_gaps`` wholly uncovered cells seal as empty gap slots —
-  byte-for-byte what ``merge_runs(fill_gaps=True)`` would emit. Both
-  refuse a gap wider than
-  :data:`~repro.distributed.merge.MAX_GAP_CELLS`: live, the summary
-  that would open it gets an error frame and the link is untouched.
+  with ``fill_gaps`` wholly uncovered cells seal as empty gap slots. A
+  summary off the grid, or one that would open a gap wider than
+  :data:`~repro.distributed.merge.MAX_GAP_CELLS`, gets an error frame
+  and the link is untouched.
 - A reconnecting monitor resumes *above* the sealed frontier: the
   hello reply carries ``resume_cell``, anything below it is answered
   with a ``stale`` ack and dropped, so sealed history never mutates.
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -92,19 +91,10 @@ from repro.distributed.framing import (
     decode_json,
     decode_summary,
     encode_json_frame,
-    grid_cell,
 )
-from repro.distributed.merge import (
-    MAX_GAP_CELLS,
-    estimate_skew_from_totals,
-    gap_summary,
-    merge_summaries,
-    misaligned,
-    too_far,
-)
+from repro.distributed.merge import LinkMerge
 from repro.distributed.summary import SlotSummary
 from repro.errors import (
-    ClassificationError,
     ReproError,
     ServiceProtocolError,
     SummaryFormatError,
@@ -124,12 +114,16 @@ def _asked_cell(value: object) -> int | None:
 
 
 class LiveLink:
-    """Incremental merged state for one link.
+    """One link as the daemon serves it: merge, classify, answer.
 
-    Holds the pending (unsealed) cells, per-monitor watermarks, and
-    the classifying pipeline; :meth:`add_summary` and :meth:`detach`
-    drive :meth:`_advance`, which seals every cell at or below the
-    frontier through the identical primitives the offline merge uses.
+    The merge state — watermarks, frontier, pending cells, the grid
+    and gap checks, per-monitor totals — is a
+    :class:`~repro.distributed.merge.LinkMerge`, the one
+    :func:`~repro.distributed.merge.merge_runs` seals through too.
+    What is the link's own: it classifies each slot the merge seals,
+    keeps the slots' elephant entries for :meth:`report`, hands each
+    sealed slot to ``on_seal`` and rebuilds from a checkpoint in
+    :meth:`restore`.
     """
 
     def __init__(
@@ -143,29 +137,15 @@ class LiveLink:
         on_seal: Callable[[SlotSummary], None] | None = None,
     ) -> None:
         self.name = name
-        self.k = k
-        self.fill_gaps = fill_gaps
+        self.merge = LinkMerge(k=k, fill_gaps=fill_gaps)
         self.scheme = scheme
         self.feature = feature
         self.config = config
-        #: Called with each sealed merged summary *before* it is
+        #: Called with each sealed merged summary after it is
         #: classified — the durability hook: the checkpoint WAL append
         #: happens here, so by the time the monitor's ack goes out the
         #: slot is already on disk.
         self.on_seal = on_seal
-        self.slot_seconds: float | None = None
-        self.first_cell: int | None = None
-        #: The lowest cell not yet sealed; everything below is history.
-        self.next_cell: int | None = None
-        #: Unsealed cells: the one summary each monitor sent for it.
-        self._pending: dict[int, dict[str, SlotSummary]] = {}
-        self._watermark: dict[str, int] = {}
-        self._active: set[str] = set()
-        #: Monitor names in first-hello order — the run order an
-        #: offline ``merge_runs`` (and its skew estimator) would see,
-        #: and the order a cell merges in, whichever frame came first.
-        self._order: list[str] = []
-        self._totals: dict[str, dict[int, float]] = {}
         self._source: MergedSlotSource | None = None
         self._pipeline: StreamingPipeline | None = None
         self._slot_entries: list[list[dict[str, object]]] = []
@@ -179,141 +159,41 @@ class LiveLink:
         self._residual_total = 0.0
 
     @property
+    def slot_seconds(self) -> float | None:
+        return self.merge.slot_seconds
+
+    @property
+    def next_cell(self) -> int | None:
+        """The lowest cell not yet sealed."""
+        return self.merge.next_cell
+
+    @property
     def slots_sealed(self) -> int:
         """Merged slots sealed and classified so far."""
         return len(self._slot_entries)
 
     def attach(self, monitor: str) -> int | None:
-        """Register a (re)connecting monitor; returns its resume cell.
-
-        A second live connection claiming an attached name is a
-        protocol error — the first holder is still gating the
-        frontier. A *re*attach (after a crash or clean BYE) backfills
-        the monitor's watermark to just below the sealed frontier so a
-        returning monitor never stalls cells that are already history.
-        """
-        if monitor in self._active:
-            raise ServiceProtocolError(
-                f"monitor {monitor!r} is already attached to link "
-                f"{self.name!r}"
-            )
-        self._active.add(monitor)
-        self._totals_of(monitor)
-        if self.next_cell is not None:
-            floor = self.next_cell - 1
-            current = self._watermark.get(monitor, floor)
-            self._watermark[monitor] = max(current, floor)
-        return self.next_cell
-
-    def _totals_of(self, monitor: str) -> dict[int, float]:
-        """The monitor's per-cell byte totals; first sight enlists it."""
-        if monitor not in self._totals:
-            self._order.append(monitor)
-            self._totals[monitor] = {}
-        return self._totals[monitor]
+        """Register a (re)connecting monitor; returns its resume cell."""
+        return self.merge.attach(monitor)
 
     def detach(self, monitor: str) -> None:
-        """Drop a monitor from frontier gating and re-advance.
-
-        With no monitors left, everything pending seals — the run is
-        over as far as this link can tell.
-        """
-        self._active.discard(monitor)
-        self._advance()
+        """Drop a monitor from frontier gating; seal what that frees."""
+        self.merge.detach(monitor)
+        self._seal_ready()
 
     def add_summary(
         self, monitor: str, summary: SlotSummary
     ) -> tuple[int, str]:
-        """Accept (or reject as stale) one summary from a monitor.
+        """Accept (or drop as stale) one summary; seal what it frees.
+        Returns the ack's ``(cell, status)`` (:meth:`LinkMerge.add
+        <repro.distributed.merge.LinkMerge.add>`)."""
+        cell, status = self.merge.add(monitor, summary)
+        self._seal_ready()
+        return cell, status
 
-        Returns ``(cell, status)`` for the ack: ``"ok"`` when the
-        summary joined the pending merge, ``"stale"`` when it landed
-        at or below sealed history (or re-sent a cell this monitor
-        already covered) and was dropped without touching state. A
-        summary off the grid, or off the interval its cell's pending
-        summaries cover, is refused here — on the connection that sent
-        it — rather than failing the merge at seal time. So, when gaps
-        are filled, is one farther than :data:`MAX_GAP_CELLS` from every
-        cell the link holds, a gap ``merge_runs`` refuses too.
-        """
-        seconds = self.slot_seconds or summary.slot_seconds
-        if summary.slot_seconds != seconds:
-            raise ClassificationError(
-                f"monitor {monitor!r} streams a {summary.slot_seconds}s "
-                f"grid into link {self.name!r} running "
-                f"{self.slot_seconds}s slots"
-            )
-        cell = grid_cell(summary.start, seconds)
-        watermark = self._watermark.get(monitor)
-        if (self.next_cell is not None and cell < self.next_cell) or (
-            watermark is not None and cell <= watermark
-        ):
-            return cell, "stale"
-        held = self._pending.get(cell)
-        if held:
-            # merge_summaries demands equal starts within a cell
-            start = next(iter(held.values())).start
-            aligned = summary.start == start
-        else:
-            # start + slot * seconds may round an ulp off cell * seconds
-            start = cell * seconds
-            aligned = abs(summary.start - start) <= 4 * math.ulp(start)
-        if not aligned:
-            raise misaligned(summary, start, seconds)
-        if self.fill_gaps:
-            held = [*self._pending]
-            if self.next_cell is not None:
-                held.append(self.next_cell - 1)
-            near = min(held, key=lambda other: abs(cell - other), default=cell)
-            if abs(cell - near) > MAX_GAP_CELLS:
-                raise too_far(cell, near)
-        self.slot_seconds = seconds
-        self._pending.setdefault(cell, {})[monitor] = summary
-        self._watermark[monitor] = cell
-        totals = self._totals_of(monitor)
-        totals[cell] = totals.get(cell, 0.0) + summary.total_bytes
-        self._advance()
-        return cell, "ok"
-
-    def _frontier(self) -> int | None:
-        """The highest cell guaranteed complete, or None to hold."""
-        if self._active:
-            watermarks = [
-                self._watermark.get(monitor) for monitor in self._active
-            ]
-            if any(mark is None for mark in watermarks):
-                return None
-            return min(watermarks)
-        if self._pending:
-            return max(self._pending)
-        return None
-
-    def _advance(self) -> None:
-        frontier = self._frontier()
-        if frontier is None:
-            return
-        if self.next_cell is None:
-            if not self._pending:
-                return
-            self.first_cell = min(self._pending)
-            self.next_cell = self.first_cell
-        while self.next_cell <= frontier:
-            cell = self.next_cell
-            if cell not in self._pending and not self.fill_gaps:
-                # no gap slots to seal: jump to the next pending cell
-                self.next_cell = min([*self._pending, frontier + 1])
-                continue
-            self.next_cell += 1
-            if cell in self._pending:
-                held = self._pending.pop(cell)
-                merged = merge_summaries(
-                    [held[name] for name in self._order if name in held],
-                    k=self.k,
-                    slot=cell - self.first_cell,
-                )
-            else:
-                merged = gap_summary(cell, self.first_cell, self.slot_seconds)
-            self._seal(cell, merged)
+    def _seal_ready(self) -> None:
+        for merged in self.merge.seal():
+            self._seal(merged)
 
     def restore(self, run: list[SlotSummary]) -> None:
         """Rebuild sealed state from checkpointed merged summaries.
@@ -323,26 +203,17 @@ class LiveLink:
         recovered for this link. Each summary re-runs the exact
         ``_seal`` path (the pipeline is deterministic, so the
         classified answers equal the pre-crash ones) without
-        re-checkpointing; ``next_cell`` lands one past the last sealed
+        re-checkpointing; the merge resumes one past the last sealed
         cell, so a reconnecting monitor resumes exactly where the dead
         collector left off. Per-monitor skew totals are *not*
         persisted: a restored link reports zero skew for pre-restart
         history, by design — only the merged answers must survive.
         """
         for merged in run:
-            if self.slot_seconds is None:
-                self.slot_seconds = merged.slot_seconds
-            cell = grid_cell(merged.start, self.slot_seconds)
-            if self.first_cell is None:
-                # merged summaries carry slot = cell - first_cell, so
-                # the original origin is recoverable from any record
-                self.first_cell = cell - merged.slot
-            self.next_cell = cell + 1
-            self._seal(cell, merged, checkpoint=False)
+            self.merge.restore(merged)
+            self._seal(merged, checkpoint=False)
 
-    def _seal(
-        self, cell: int, merged: SlotSummary, checkpoint: bool = True
-    ) -> None:
+    def _seal(self, merged: SlotSummary, checkpoint: bool = True) -> None:
         if self._pipeline is None:
             self._source = MergedSlotSource([], slot_seconds=self.slot_seconds)
             self._pipeline = StreamingPipeline(
@@ -354,7 +225,7 @@ class LiveLink:
         event = self._pipeline.observe(self._source.frame_of(merged))
         entries = elephant_entries(event.frame, event.verdict)
         self._slot_entries.append(entries)
-        self._slot_cells.append(cell)
+        self._slot_cells.append(self.merge.first_cell + merged.slot)
         self._slot_counts.append(len(entries))
         self._bytes_total += merged.total_bytes
         self._residual_total += merged.residual_bytes
@@ -363,17 +234,6 @@ class LiveLink:
             # to fail every restart too. The ack follows both, so an
             # acked slot is on disk.
             self.on_seal(merged)
-
-    def skew_estimate(self) -> dict[str, float]:
-        """Per-monitor clock-skew estimate over accepted summaries."""
-        if self.slot_seconds is None:
-            return {monitor: 0.0 for monitor in self._order}
-        totals = [self._totals[monitor] for monitor in self._order]
-        estimates = estimate_skew_from_totals(totals, self.slot_seconds)
-        return {
-            monitor: estimates[index]
-            for index, monitor in enumerate(self._order)
-        }
 
     def report(self, since_cell: int | None = None) -> dict[str, object]:
         """The query-visible state of this link.
@@ -409,8 +269,8 @@ class LiveLink:
             {
                 "scheme": self.scheme.value,
                 "feature": self.feature.value,
-                "k": self.k,
-                "fill_gaps": self.fill_gaps,
+                "k": self.merge.k,
+                "fill_gaps": self.merge.fill_gaps,
             },
             self._slot_entries,
             first=first,
@@ -425,13 +285,13 @@ class LiveLink:
                 "since_cell": (
                     cells[first] if first < len(cells) else self.next_cell
                 ),
-                "pending_cells": sorted(self._pending),
+                "pending_cells": sorted(self.merge.pending),
                 "residual_fraction": (
                     self._residual_total / self._bytes_total
                     if self._bytes_total
                     else 0.0
                 ),
-                "skew_estimate": self.skew_estimate(),
+                "skew_estimate": self.merge.skew_estimate(),
             }
         )
         return report

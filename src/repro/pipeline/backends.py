@@ -616,12 +616,17 @@ def parse_memory_budget(text: str) -> int:
     return value * multiplier
 
 
-def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
+def capacity_for_budget(
+    name: str, budget_bytes: int, shards: int = 1, admission: str = "none"
+) -> int:
     """Convert a byte budget into a tracked-flow capacity for ``name``.
 
     Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model, the same
     for both tables. Their flat layout costs less per entry, so a
-    budget sized here is an upper bound.
+    budget sized here is an upper bound. ``admission="bloom"`` also
+    charges the gate :func:`~repro.sketches.bloom.gated_table` puts in
+    front of each table: its float64 counters, ``DEFAULT_BLOOM_DEPTH``
+    rows of ``max(MIN_BLOOM_WIDTH, DEFAULT_BLOOM_WIDTH_FACTOR * K)``.
 
     ``shards`` sizes a sharded deployment: the budget buys ``shards``
     tables of ``K / shards`` entries each, and the returned capacity is
@@ -635,7 +640,18 @@ def capacity_for_budget(name: str, budget_bytes: int, shards: int = 1) -> int:
         )
     if shards < 1:
         raise ClassificationError("shards must be >= 1")
-    per_shard = (budget_bytes // shards) // TRACKED_ENTRY_BYTES
+    share = budget_bytes // shards
+    per_shard = share // TRACKED_ENTRY_BYTES
+    if admission == "bloom":
+        from repro.sketches import bloom
+
+        column = bloom.DEFAULT_BLOOM_DEPTH * 8  # a float64 counter per row
+        factor = bloom.DEFAULT_BLOOM_WIDTH_FACTOR
+        per_shard = share // (TRACKED_ENTRY_BYTES + column * factor)
+        if per_shard * factor < bloom.MIN_BLOOM_WIDTH:
+            # a table this small gets the fixed minimum-width gate
+            gate = column * bloom.MIN_BLOOM_WIDTH
+            per_shard = (share - gate) // TRACKED_ENTRY_BYTES
     if per_shard < 1:
         raise ClassificationError(
             f"memory budget {budget_bytes} B across {shards} shard(s) "

@@ -311,7 +311,10 @@ class PipelineSpec:
         if budget is None:
             return None
         return capacity_for_budget(
-            self.backend, budget, shards=self.partitions
+            self.backend,
+            budget,
+            shards=self.partitions,
+            admission=self.admission,
         )
 
     @property

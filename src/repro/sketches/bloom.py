@@ -49,6 +49,8 @@ DEFAULT_ADMISSION_THRESHOLD = 65536.0
 DEFAULT_BLOOM_DEPTH = 4
 #: Default counters per row, as a multiple of the table capacity.
 DEFAULT_BLOOM_WIDTH_FACTOR = 8
+#: Fewest counters per row the default width gives a small table.
+MIN_BLOOM_WIDTH = 1024
 #: Default geometric decay applied to every counter at slot close.
 DEFAULT_BLOOM_DECAY = 0.5
 
@@ -181,10 +183,12 @@ def gated_table(
     """Give ``inner`` a Bloom admission gate sized to it; returns it.
 
     ``width`` defaults to :data:`DEFAULT_BLOOM_WIDTH_FACTOR` x the
-    table capacity (min 1024 counters per row).
+    table capacity (at least :data:`MIN_BLOOM_WIDTH` counters per row).
     """
     if width is None:
-        width = max(1024, DEFAULT_BLOOM_WIDTH_FACTOR * inner.capacity)
+        width = max(
+            MIN_BLOOM_WIDTH, DEFAULT_BLOOM_WIDTH_FACTOR * inner.capacity
+        )
     bloom = CountingBloom(width, depth=depth, seed=seed)
     inner.gate = BloomGate(bloom, threshold_bytes=threshold_bytes, decay=decay)
     return inner

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import estimate_clock_skew, merge_runs, merge_summaries
+from repro.distributed import merge_runs, merge_summaries
 from repro.distributed.framing import grid_cell
 from repro.distributed.merge import MAX_GAP_CELLS, first_seen_rows
 from repro.distributed.summary import SlotSummary
@@ -208,6 +208,37 @@ class TestMergeRuns:
         total = sum(s.total_bytes for s in mon_a + mon_b)
         assert merged[0].total_bytes == pytest.approx(total)
 
+    def test_a_run_with_two_summaries_for_one_cell_is_refused(self):
+        """They used to be summed: 100 + 50 merged as one 150 slot."""
+        mon_a = [summary([("10.0.0.0/16", 10.0)], slot=s) for s in range(2)]
+        mon_b = [
+            summary([("10.1.0.0/16", 100.0)], slot=0),
+            summary([("10.1.0.0/16", 50.0)], slot=0),
+        ]
+        with pytest.raises(
+            ClassificationError,
+            match="monitor run 1 has two summaries for grid cell 0",
+        ):
+            merge_runs([mon_a, mon_b])
+
+    @pytest.mark.parametrize("offset", [10.0, 30.0, 1e-7])
+    def test_off_grid_summaries_are_refused(self, offset):
+        """The live rule: a summary's start opens a cell of the absolute
+        grid. An origin 10 s off it used to merge; 30 s off it failed
+        only where round() put two starts in one cell."""
+        run = [
+            SlotSummary(s, offset + s * 60.0, 60.0, (), np.zeros(0), 5.0)
+            for s in range(3)
+        ]
+        with pytest.raises(ClassificationError, match="does not align"):
+            merge_runs([run])
+
+    def test_an_ulp_off_the_grid_is_on_it(self):
+        start = 1 * 0.1 + 5 * 0.1
+        assert start != 6 * 0.1
+        run = [SlotSummary(5, start, 0.1, (), np.zeros(0), 5.0)]
+        assert [grid_cell(m.start, 0.1) for m in merge_runs([run])] == [6]
+
 
 def varied_run(monitor="m", slots=8, shift=0, seed=5, scale=1.0):
     """A run with strongly varying per-slot totals, optionally shifted
@@ -274,7 +305,6 @@ class TestClockSkew:
             warnings.simplefilter("error", ClockSkewWarning)
             merged = merge_runs(runs)
         assert merged.skew_estimate == {0: 0.0, 1: 0.0}
-        assert merged.max_abs_skew == 0.0
 
     def test_shifted_monitor_warns_with_the_offset(self):
         # monitor b carries the same totals one slot later: its clock
@@ -282,8 +312,7 @@ class TestClockSkew:
         runs = [varied_run("a"), varied_run("b", shift=1, scale=0.5)]
         with pytest.warns(ClockSkewWarning, match=r"\+60"):
             merged = merge_runs(runs)
-        assert merged.skew_estimate[1] == 60.0
-        assert merged.max_abs_skew == 60.0
+        assert merged.skew_estimate == {0: 0.0, 1: 60.0}
 
     def test_behind_clock_estimates_negative(self):
         runs = [
@@ -323,7 +352,7 @@ class TestClockSkew:
         assert merged.skew_estimate[1] == 0.0
 
     def test_single_run_estimates_nothing(self):
-        assert estimate_clock_skew([varied_run()]) == {0: 0.0}
+        assert merge_runs([varied_run()]).skew_estimate == {0: 0.0}
 
     def test_merge_result_still_behaves_like_a_list(self):
         merged = merge_runs([varied_run("a")])

@@ -49,18 +49,24 @@ def packet_arrays(seed=9, packets=4000, flows=30, horizon=240.0):
 
 def ingest(workers, backend="exact", capacity=None, **kwargs):
     timestamps, destinations, sizes = packet_arrays()
-    source = ArrayPacketSource(timestamps, destinations, sizes,
-                               chunk_packets=600)
+    source = ArrayPacketSource(
+        timestamps, destinations, sizes, chunk_packets=600
+    )
     spec = PipelineSpec(workers=workers, backend=backend, capacity=capacity)
     return parallel_ingest(
-        source, FixedLengthResolver(16), spec=spec,
-        slot_seconds=SLOT_SECONDS, **kwargs,
+        source,
+        FixedLengthResolver(16),
+        spec=spec,
+        slot_seconds=SLOT_SECONDS,
+        **kwargs,
     )
 
 
 def elephants_by_start(events):
-    return {event.frame.start: frozenset(event.elephant_prefixes)
-            for event in events}
+    return {
+        event.frame.start: frozenset(event.elephant_prefixes)
+        for event in events
+    }
 
 
 def assert_no_orphans():
@@ -79,8 +85,9 @@ class TestParallelIngest:
     def test_conserves_every_byte(self):
         timestamps, destinations, sizes = packet_arrays()
         result = ingest(workers=2)
-        streamed = sum(summary.total_bytes
-                       for run in result.runs for summary in run)
+        streamed = sum(
+            summary.total_bytes for run in result.runs for summary in run
+        )
         assert streamed == pytest.approx(float(sizes.sum()), rel=1e-12)
         assert result.stats.bytes_matched == int(sizes.sum())
         assert result.stats.packets_seen == timestamps.size
@@ -90,15 +97,19 @@ class TestParallelIngest:
     def test_matches_single_process_sharded_run(self):
         workers = 2
         timestamps, destinations, sizes = packet_arrays()
-        source = ArrayPacketSource(timestamps, destinations, sizes,
-                                   chunk_packets=600)
+        source = ArrayPacketSource(
+            timestamps, destinations, sizes, chunk_packets=600
+        )
         aggregator = StreamingAggregator(
-            FixedLengthResolver(16), slot_seconds=SLOT_SECONDS,
+            FixedLengthResolver(16),
+            slot_seconds=SLOT_SECONDS,
             backend=make_backend("exact", shards=workers),
         )
-        reference = elephants_by_start(StreamingPipeline(
-            AggregatingSlotSource(source, aggregator)
-        ).events())
+        reference = elephants_by_start(
+            StreamingPipeline(
+                AggregatingSlotSource(source, aggregator)
+            ).events()
+        )
         merged = elephants_by_start(
             ingest(workers=workers).collector().events()
         )
@@ -115,17 +126,21 @@ class TestParallelIngest:
         for worker_id, run in enumerate(result.runs):
             slots = [summary.slot for summary in run]
             assert slots == sorted(slots)
-            assert all(summary.monitor == f"worker{worker_id}"
-                       for summary in run)
+            assert all(
+                summary.monitor == f"worker{worker_id}" for summary in run
+            )
 
     def test_unrouted_packets_counted_at_the_reader(self):
         timestamps, destinations, sizes = packet_arrays()
         # a one-prefix table: everything outside 10.0.0.0/16 unrouted
         resolver = CompiledLpm([Prefix.parse("10.0.0.0/16")])
         source = ArrayPacketSource(timestamps, destinations, sizes)
-        result = parallel_ingest(source, resolver,
-                                 spec=PipelineSpec(workers=2),
-                                 slot_seconds=SLOT_SECONDS)
+        result = parallel_ingest(
+            source,
+            resolver,
+            spec=PipelineSpec(workers=2),
+            slot_seconds=SLOT_SECONDS,
+        )
         routed = int((destinations >> 16 == (10 << 8)).sum())
         assert result.stats.packets_matched == routed
         assert result.stats.packets_unrouted == timestamps.size - routed
@@ -138,12 +153,14 @@ class TestParallelIngest:
         assert not hasattr(plain, "chunk_packets")
         sampling = SamplingSpec(rate=10)
         result = parallel_ingest(
-            plain, FixedLengthResolver(16),
+            plain,
+            FixedLengthResolver(16),
             spec=PipelineSpec(workers=2, sampling=sampling),
             slot_seconds=SLOT_SECONDS,
         )
         aggregator = StreamingAggregator(
-            FixedLengthResolver(16), slot_seconds=SLOT_SECONDS,
+            FixedLengthResolver(16),
+            slot_seconds=SLOT_SECONDS,
             backend=make_backend("exact", shards=2),
             sample_rate=sampling.applied_rate,
         )
@@ -161,30 +178,69 @@ class TestParallelIngest:
         assert_no_ring_segments()
 
     def test_empty_source_produces_no_runs(self):
-        source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),
-                                   np.zeros(0, np.int64))
-        result = parallel_ingest(source, FixedLengthResolver(16),
-                                 spec=PipelineSpec(workers=2),
-                                 slot_seconds=SLOT_SECONDS)
+        source = ArrayPacketSource(
+            np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        )
+        result = parallel_ingest(
+            source,
+            FixedLengthResolver(16),
+            spec=PipelineSpec(workers=2),
+            slot_seconds=SLOT_SECONDS,
+        )
         assert all(not run for run in result.runs)
         with pytest.raises(ClassificationError):
             result.collector()
         assert_no_orphans()
 
     def test_invalid_parameters_fail_before_forking(self):
-        source = ArrayPacketSource(np.zeros(0), np.zeros(0, np.int64),
-                                   np.zeros(0, np.int64))
+        source = ArrayPacketSource(
+            np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        )
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16),
-                            spec=PipelineSpec(workers=0))
+            parallel_ingest(
+                source, FixedLengthResolver(16), spec=PipelineSpec(workers=0)
+            )
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16),
-                            spec=PipelineSpec(workers=2,
-                                              backend="space-saving"))
+            parallel_ingest(
+                source,
+                FixedLengthResolver(16),
+                spec=PipelineSpec(workers=2, backend="space-saving"),
+            )
         with pytest.raises(ClassificationError):
-            parallel_ingest(source, FixedLengthResolver(16),
-                            spec=PipelineSpec(workers=2), slot_seconds=0.0)
+            parallel_ingest(
+                source,
+                FixedLengthResolver(16),
+                spec=PipelineSpec(workers=2),
+                slot_seconds=0.0,
+            )
         assert_no_orphans()
+
+    @pytest.mark.parametrize("start", [10.0, 30.0, 60.0 + 1e-7])
+    def test_an_off_grid_start_is_refused_before_any_read(self, start):
+        """Merged links align on the absolute slot grid. ``start=30``
+        used to run the whole fleet and then fail in ``collector()``
+        (its 90 s and 150 s summaries share a rounded cell), and
+        ``start=10`` merged off the grid a live link refuses."""
+        timestamps, destinations, sizes = packet_arrays()
+        resolver = FixedLengthResolver(16)
+        with pytest.raises(ClassificationError, match="off the 60.0s slot"):
+            parallel_ingest(
+                ArrayPacketSource(timestamps, destinations, sizes),
+                resolver,
+                spec=PipelineSpec(workers=2),
+                slot_seconds=SLOT_SECONDS,
+                start=start,
+            )
+        assert len(resolver.prefixes) == 0  # not one packet resolved
+        assert_no_orphans()
+        assert_no_ring_segments()
+
+    def test_an_on_grid_start_merges_on_the_same_cells(self):
+        pinned = ingest(workers=2, start=-2 * SLOT_SECONDS).collector()
+        derived = ingest(workers=2).collector()
+        starts = [summary.start for summary in pinned.merged]
+        assert starts == [summary.start for summary in derived.merged]
+        assert starts == [0.0, 60.0, 120.0, 180.0]
 
 
 class TestCrashHandling:
@@ -211,26 +267,19 @@ class TestParallelIngestResult:
     @staticmethod
     def summary(start, monitor=""):
         return SlotSummary(
-            slot=0, start=start, slot_seconds=SLOT_SECONDS,
+            slot=0,
+            start=start,
+            slot_seconds=SLOT_SECONDS,
             prefixes=(Prefix.parse("10.0.0.0/16"),),
-            volumes=np.array([1000.0]), monitor=monitor,
+            volumes=np.array([1000.0]),
+            monitor=monitor,
         )
-
-    def test_num_slots_bins_against_the_unaligned_origin(self):
-        # start=30 puts every summary half a slot off the raw grid;
-        # round(90/60) and round(150/60) both give 2 (banker's
-        # rounding), which used to fold two distinct cells into one
-        result = ParallelIngestResult(
-            runs=[[self.summary(30.0), self.summary(90.0)],
-                  [self.summary(150.0)]],
-            stats=AggregationStats(), workers=2, start=30.0,
-        )
-        assert result.num_slots == 3
 
     def test_num_slots_with_derived_axis_floors_from_zero(self):
         result = ParallelIngestResult(
             runs=[[self.summary(0.0)], [self.summary(120.0)]],
-            stats=AggregationStats(), workers=2,
+            stats=AggregationStats(),
+            workers=2,
         )
         assert result.num_slots == 2
 
@@ -280,7 +329,8 @@ class TestFleetCollector:
         timestamps, destinations, sizes = packet_arrays(packets=2000)
         ingest = parallel_ingest(
             ArrayPacketSource(timestamps, destinations, sizes),
-            FixedLengthResolver(16), spec=PipelineSpec(workers=2),
+            FixedLengthResolver(16),
+            spec=PipelineSpec(workers=2),
             slot_seconds=SLOT_SECONDS,
         )
         events = list(ingest.collector().events())

@@ -19,6 +19,7 @@ from repro.pipeline import (
     RESIDUAL_PREFIX,
     ArraySketchAggregation,
     MatrixSlotSource,
+    PipelineSpec,
     Population,
     SlotFrame,
     SketchSlotSource,
@@ -423,6 +424,45 @@ class TestFactoryAndBudget:
     def test_budget_below_one_entry_rejected(self):
         with pytest.raises(ClassificationError):
             capacity_for_budget("space-saving", 16)
+
+    @pytest.mark.parametrize("budget", ["160k", "640k", "2560k"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("backend", ["space-saving", "misra-gries"])
+    def test_a_gated_budget_holds_its_gate(self, budget, shards, backend):
+        """The table, its pending arrays, its key index and the Bloom
+        gate fit the budget together. The gate used to go uncharged:
+        at 160k, K = 512 sat behind 128 KiB of counters, 180.5 KiB in
+        all."""
+        spec = PipelineSpec(
+            backend=backend,
+            memory_budget=budget,
+            admission="bloom",
+            shards=shards,
+        )
+        held = 0
+        built = spec.build_backend()
+        for shard in getattr(built, "shards", [built]):
+            table = shard._table
+            assert table.gate is not None
+            parts = (shard, table, table._index, table.gate.bloom)
+            held += sum(
+                value.nbytes
+                for part in parts
+                for value in vars(part).values()
+                if isinstance(value, np.ndarray)
+            )
+        assert held <= spec.budget_bytes
+        ungated = spec.replace(admission="none")
+        assert 0 < spec.resolved_capacity < ungated.resolved_capacity
+
+    def test_a_budget_below_one_entry_and_its_gate_is_refused(self):
+        # 32 KiB buys 102 plain entries, but the smallest gate alone
+        # is 4 rows of 1024 float64 counters: 32 KiB
+        assert capacity_for_budget("space-saving", 32 << 10) == 102
+        with pytest.raises(ClassificationError, match="one tracked entry"):
+            capacity_for_budget("space-saving", 32 << 10, admission="bloom")
+        kept = capacity_for_budget("misra-gries", 33 << 10, admission="bloom")
+        assert kept == (1 << 10) // TRACKED_ENTRY_BYTES
 
 
 class TestEmptyBatches:

@@ -605,6 +605,50 @@ class TestMerge:
         assert main(["merge", fast, slow]) == 2
         assert "grid" in capsys.readouterr().err
 
+    def test_merge_of_off_grid_summaries_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A matrix whose axis starts half a slot off the grid streams
+        summaries off it. `merge` refuses them as a live collector
+        refuses them over `--connect`: one error line, exit 2."""
+        from repro.distributed import CollectorService, ServiceHandle
+
+        prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
+        rates = np.full((4, 3), 1e5)
+        matrix = RateMatrix(prefixes, TimeAxis(30.0, 60.0, 3), rates)
+        matrix.save_npz(str(tmp_path / "m.npz"))
+        path = str(tmp_path / "s.npz")
+        argv = ["stream", str(tmp_path / "m.npz"), "--quiet"]
+        assert main([*argv, "--summary-out", path]) == 0
+        capsys.readouterr()
+        assert main(["merge", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "does not align" in err
+        with ServiceHandle(CollectorService()) as live:
+            host, port = live.address
+            assert main([*argv, "--connect", f"{host}:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+
+    def test_merge_of_a_run_with_two_summaries_for_one_cell(
+        self, tmp_path, capsys
+    ):
+        """Summed, they used to merge as one slot of both volumes. The
+        file keeps its slot numbers in order; two of them name one
+        interval."""
+        prefixes = [Prefix.parse("10.0.0.0/16")]
+        run = [
+            SlotSummary(0, 0.0, 60.0, prefixes, np.array([100.0])),
+            SlotSummary(1, 60.0, 60.0, prefixes, np.array([70.0])),
+            SlotSummary(2, 60.0, 60.0, prefixes, np.array([50.0])),
+        ]
+        save_summaries(str(tmp_path / "s.npz"), run)
+        assert main(["merge", str(tmp_path / "s.npz")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "monitor run 0 has two summaries for grid cell 1" in err
+
 
 class TestStreamParallel:
     #: `stream --json` answers in the shared envelope plus these keys.
