@@ -106,6 +106,7 @@ def run(args: argparse.Namespace) -> int:
                     "feature": args.feature,
                 },
                 slot_entries,
+                below_table=pipeline.below_table_slots,
             ),
             **summary,
         }

@@ -108,7 +108,12 @@ def run(args: argparse.Namespace) -> int:
         return 1
     report = simulator.report()
     if args.json:
-        summary = result_envelope("offload", spec.describe(), slot_entries)
+        summary = result_envelope(
+            "offload",
+            spec.describe(),
+            slot_entries,
+            below_table=pipeline.below_table_slots,
+        )
         summary["offload"] = report.as_dict()
         print(json.dumps(summary, indent=2))
         return 0

@@ -325,7 +325,12 @@ def run(args: argparse.Namespace) -> int:
         )
     if args.json:
         summary = {
-            **result_envelope("stream", spec.describe(), slot_entries),
+            **result_envelope(
+                "stream",
+                spec.describe(),
+                slot_entries,
+                below_table=pipeline.below_table_slots,
+            ),
             **summary,
         }
     print_summary(summary, args.json, "stream summary")

@@ -12,6 +12,10 @@ some bootstrap is unavoidable). When a detector fails on a slot (aest
 finds no tail), the tracker substitutes the previous raw threshold —
 or a byte-quantile fallback when there is no history — and counts the
 event, so experiments can report how often the scheme needed help.
+
+A slot whose cut falls below a bounded table's tracked flows
+(:class:`~repro.errors.CutBelowTableError`) is classified by the EWMA
+(its tracked-only cut while there is no history) and never enters it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ClassificationError, EstimatorError
+from repro.errors import (ClassificationError, CutBelowTableError,
+                          EstimatorError)
 from repro.core.thresholds import QuantileThreshold, ThresholdDetector
 
 #: The paper's smoothing weight on history.
@@ -35,6 +40,8 @@ class SlotThreshold:
     raw: float
     smoothed: float
     fallback_used: bool
+    #: ``raw`` is a tracked-only cut, kept out of the EWMA.
+    below_table: bool = False
 
 
 @dataclass
@@ -63,24 +70,29 @@ class ThresholdTracker:
         """Whether any slot has produced a raw detection yet."""
         return self._last_raw is not None
 
-    def observe(self, rates: np.ndarray) -> SlotThreshold:
+    def observe(
+        self, rates: np.ndarray, background: float = 0.0
+    ) -> SlotThreshold:
         """Process one slot's rates; returns its thresholds.
 
-        The returned ``smoothed`` value is the classification threshold
+        ``background`` is the slot's untracked traffic (a rate). The
+        returned ``smoothed`` value is the classification threshold
         for *this* slot (computed from past raw detections); the ``raw``
         value is this slot's detection, which feeds the EWMA for the
-        next slot.
+        next slot unless the slot is below the table.
         """
-        fallback_used = False
+        fallback_used = below = False
         try:
-            raw = float(self.detector.detect(rates))
+            raw = float(self.detector.detect(rates, background))
+        except CutBelowTableError as error:
+            below, raw = True, float(error.tracked_cut)
         except EstimatorError:
             fallback_used = True
             self.fallback_slots.append(self._slot)
             if self._last_raw is not None:
                 raw = self._last_raw
             else:
-                raw = float(self.fallback.detect(rates))
+                raw = float(self.fallback.detect(rates, background))
         if raw <= 0 or not np.isfinite(raw):
             raise ClassificationError(
                 f"detector {self.detector.name!r} produced bad threshold "
@@ -92,11 +104,16 @@ class ThresholdTracker:
         else:
             smoothed = self._pending_smoothed
 
-        # B̄(t+1) = alpha * B̄(t) + (1 - alpha) * raw(t)
-        self._pending_smoothed = (self.alpha * smoothed
-                                  + (1.0 - self.alpha) * raw)
-        self._last_raw = raw
-        result = SlotThreshold(self._slot, raw, smoothed, fallback_used)
+        if not below:
+            # B̄(t+1) = alpha * B̄(t) + (1 - alpha) * raw(t)
+            self._pending_smoothed = (self.alpha * smoothed
+                                      + (1.0 - self.alpha) * raw)
+            self._last_raw = raw
+        elif self._last_raw is None:
+            # what a later slot with no detection (a gap) falls back on
+            self._last_raw = raw
+        result = SlotThreshold(self._slot, raw, smoothed, fallback_used,
+                               below)
         self._slot += 1
         return result
 

@@ -125,11 +125,12 @@ class OnlineClassifier:
         ``exclude_rows`` names rows that are *accounting artifacts*
         rather than flows — for instance the residual row a bounded
         aggregation backend emits for untracked traffic. Excluded rows
-        are withheld from threshold detection (their bandwidth is not a
-        single flow's, so letting it anchor the elephant threshold
-        would distort the cut) and are never classified as elephants.
-        Their per-row state evolves as an all-zero flow, which keeps
-        row identities aligned with the frame population.
+        are never classified as elephants and are not candidates for
+        the cut (their bandwidth is not a single flow's), but their
+        bandwidth is the slot's traffic all the same: it reaches the
+        detector as the ``background`` its cut divides. Their per-row
+        state evolves as an all-zero flow, which keeps row identities
+        aligned with the frame population.
 
         ``suppress_rows`` names rows whose *evidence* is too thin to
         trust this slot — the sampling variance guard: a flow seen in
@@ -147,12 +148,14 @@ class OnlineClassifier:
             )
         excluded: np.ndarray | None = None
         unexcluded = rates
+        background = 0.0
         if exclude_rows is not None:
             excluded = np.asarray(exclude_rows, dtype=np.int64)
             excluded = excluded[
                 (excluded >= 0) & (excluded < self.num_flows)
             ]
             if excluded.size:
+                background = float(rates[excluded].sum())
                 rates = rates.copy()
                 rates[excluded] = 0.0
         if (
@@ -172,7 +175,7 @@ class OnlineClassifier:
             # detector, exactly like the batch engine.
             thresholds = self._tracker.observe(unexcluded)
         else:
-            thresholds = self._tracker.observe(rates)
+            thresholds = self._tracker.observe(rates, background)
         self._smoothed_ring[self._slot % self.window] = thresholds.smoothed
         deviations = rates - thresholds.smoothed
 

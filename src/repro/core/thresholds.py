@@ -10,6 +10,10 @@ slot's flow-bandwidth sample:
   jointly carry a target fraction β of the slot's traffic
   ("β-constant load", β = 0.8 in the paper).
 
+A bounded table's untracked bytes (its residual row) reach every
+detector as ``detect(rates, background)``: a slot's traffic is the
+tracked rates plus that background.
+
 Detectors are stateless and may raise
 :class:`~repro.errors.TailNotFoundError` /
 :class:`~repro.errors.InsufficientDataError`; fallback policy lives in
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.errors import InsufficientDataError
+from repro.errors import CutBelowTableError, InsufficientDataError
 from repro.stats.ecdf import ShareCurve
 
 if TYPE_CHECKING:
@@ -36,8 +40,9 @@ class ThresholdDetector(Protocol):
 
     name: str
 
-    def detect(self, rates: np.ndarray) -> float:
-        """Raw threshold for one slot's flow bandwidths (positive only)."""
+    def detect(self, rates: np.ndarray, background: float = 0.0) -> float:
+        """Raw threshold for one slot's flow bandwidths (positive only);
+        ``background`` is the slot's untracked traffic, as a rate."""
         ...
 
 
@@ -56,6 +61,11 @@ class ConstantLoadThreshold:
     top-``k`` set reaching the share, then put the threshold midway
     between the ``k``-th largest rate and the next one down, so the
     strict comparison ``x > B_th`` selects exactly that set.
+
+    The total includes the ``background``, so the top set carries a
+    share ``beta * (tracked + background) / tracked`` of the tracked
+    bytes; at 1 or more the cut is below the table
+    (:class:`~repro.errors.CutBelowTableError`).
     """
 
     beta: float = 0.8
@@ -67,12 +77,22 @@ class ConstantLoadThreshold:
         if not self.name:
             object.__setattr__(self, "name", f"{self.beta:g}-constant-load")
 
-    def detect(self, rates: np.ndarray) -> float:
+    def detect(self, rates: np.ndarray, background: float = 0.0) -> float:
         active = positive_rates(rates)
         if active.size == 0:
             raise InsufficientDataError("no active flows in slot")
         curve = ShareCurve.from_rates(active)
-        k = curve.flows_for_share(self.beta)
+        if background > 0.0:
+            tracked = float(active.sum())
+            share = self.beta * (tracked + background) / tracked
+            if share >= 1.0:
+                raise CutBelowTableError(self._cut(curve, self.beta))
+            return self._cut(curve, share)
+        return self._cut(curve, self.beta)
+
+    @staticmethod
+    def _cut(curve: ShareCurve, share: float) -> float:
+        k = curve.flows_for_share(share)
         kth = curve.rates_desc[k - 1]
         next_down = curve.rates_desc[k] if k < curve.rates_desc.size else 0.0
         return float((kth + next_down) / 2.0)
@@ -100,12 +120,15 @@ class AestThreshold:
     detection wants the *onset* of scaling, which for slot-wise flow
     bandwidths sits near the top decile, and the acceptance criteria
     (parallelism + slope match) still reject body points.
+
+    The ``background`` is accepted and not used: a tail fit reads the
+    shape of the tracked rates, and an untracked total has no shape.
     """
 
     config: AestConfig = field(default_factory=_aest_config)
     name: str = field(default="aest", compare=False)
 
-    def detect(self, rates: np.ndarray) -> float:
+    def detect(self, rates: np.ndarray, background: float = 0.0) -> float:
         from repro.stats.aest import aest
 
         active = positive_rates(rates)
@@ -120,7 +143,8 @@ class QuantileThreshold:
     The threshold is the bandwidth above which the *byte-weighted* share
     of traffic is ``1 - quantile``; e.g. ``quantile=0.2`` places 80 % of
     bytes above — a crude constant-load approximation that needs no
-    sorting of shares and always succeeds.
+    sorting of shares and always succeeds. The ``background`` counts
+    as bytes below every tracked flow.
     """
 
     quantile: float = 0.2
@@ -134,13 +158,13 @@ class QuantileThreshold:
                 self, "name", f"byte-quantile-{self.quantile:g}"
             )
 
-    def detect(self, rates: np.ndarray) -> float:
+    def detect(self, rates: np.ndarray, background: float = 0.0) -> float:
         active = positive_rates(rates)
         if active.size == 0:
             raise InsufficientDataError("no active flows in slot")
         order = np.argsort(active)
         sorted_rates = active[order]
-        cumulative = np.cumsum(sorted_rates)
+        cumulative = np.cumsum(sorted_rates) + background
         target = self.quantile * cumulative[-1]
         index = int(np.searchsorted(cumulative, target, side="left"))
         index = min(index, sorted_rates.size - 1)

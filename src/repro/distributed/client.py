@@ -47,6 +47,7 @@ from repro.distributed.framing import (
 from repro.errors import (
     AddressError,
     ClassificationError,
+    ReproError,
     ServiceProtocolError,
 )
 
@@ -97,15 +98,30 @@ class _BlockingFrames:
     def expect(self, kind: bytes) -> dict:
         got, payload = self.next_frame()
         if got == KIND_ERROR:
-            message = decode_json(payload)
-            raise ServiceProtocolError(
-                str(message.get("error") or "collector reported an error")
-            )
+            raise _reported(payload)
         if got != kind:
             raise ServiceProtocolError(
                 f"expected a {kind!r} frame, got {got!r}"
             )
         return decode_json(payload)
+
+    def refusal(self) -> ServiceProtocolError | None:
+        """The error frame a peer sent before hanging up, if unread:
+        the frames still buffered are read until one, or the end."""
+        try:
+            while True:
+                got, payload = self.next_frame()
+                if got == KIND_ERROR:
+                    return _reported(payload)
+        except (OSError, ReproError):
+            return None
+
+
+def _reported(payload: bytes) -> ServiceProtocolError:
+    message = decode_json(payload)
+    return ServiceProtocolError(
+        str(message.get("error") or "collector reported an error")
+    )
 
 
 #: Errors the client's redial budget covers, as transient transport
@@ -274,8 +290,20 @@ class MonitorClient:
                 continue
             while self.inflight >= self.max_inflight:
                 self._read_ack()
-            self._sock.sendall(encode_summary(summary))
+            self._send(encode_summary(summary))
             self.inflight += 1
+
+    def _send(self, frame: bytes) -> None:
+        """Send one frame. The daemon answers a frame it refuses with
+        an error frame and hangs up; a send that breaks on the hang-up
+        raises that error, not the broken pipe."""
+        try:
+            self._sock.sendall(frame)
+        except OSError:
+            refusal = self._frames.refusal()
+            if refusal is None:
+                raise
+            raise refusal from None
 
     def _read_ack(self) -> None:
         message = self._frames.expect(KIND_ACK)
@@ -293,7 +321,7 @@ class MonitorClient:
 
     def _ask(self, link: str, since_cell: int | None) -> dict:
         self._drain()
-        self._sock.sendall(_query_frame(link, since_cell))
+        self._send(_query_frame(link, since_cell))
         return self._frames.expect(KIND_REPLY)
 
     def _query(self, link: str) -> dict:
@@ -313,7 +341,7 @@ class MonitorClient:
 
     def _goodbye(self) -> None:
         self._drain()
-        self._sock.sendall(encode_frame(KIND_BYE))
+        self._send(encode_frame(KIND_BYE))
         while self._sock.recv(CHUNK_BYTES):
             pass
 

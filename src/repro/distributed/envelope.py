@@ -32,6 +32,7 @@ def result_envelope(
     slot_entries: Sequence[list[dict[str, object]]],
     first: int = 0,
     counts: Sequence[int] | None = None,
+    below_table: Sequence[int] = (),
 ) -> dict[str, object]:
     """The versioned result envelope every ``--json`` surface shares.
 
@@ -54,22 +55,28 @@ def result_envelope(
     ``series`` from the per-slot entry counts the caller kept as it
     went, when it hands them in, so that nothing here walks the
     history a reader already holds.
+
+    ``below_table`` (the pipeline's ``below_table_slots``) goes into
+    ``series`` as ``cut_below_table`` when it lists a slot.
     """
     if counts is None:
         counts = [len(slot) for slot in slot_entries]
+    series: dict[str, object] = {
+        "num_slots": len(counts),
+        "elephants_per_slot": list(counts),
+        "mean_elephants_per_slot": (
+            sum(counts) / len(counts) if counts else 0.0
+        ),
+    }
+    if below_table:
+        series["cut_below_table"] = list(below_table)
     return {
         "schema": RESULT_SCHEMA,
         "command": command,
         "spec": dict(spec),
         "elephants": list(slot_entries[-1]) if slot_entries else [],
         "elephants_by_slot": [list(slot) for slot in slot_entries[first:]],
-        "series": {
-            "num_slots": len(counts),
-            "elephants_per_slot": list(counts),
-            "mean_elephants_per_slot": (
-                sum(counts) / len(counts) if counts else 0.0
-            ),
-        },
+        "series": series,
     }
 
 

@@ -35,6 +35,7 @@ connection and keeps serving the rest.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import TYPE_CHECKING
 
@@ -94,6 +95,17 @@ def grid_cell(start: float, slot_seconds: float) -> int:
     merge.
     """
     return int(round(start / slot_seconds))
+
+
+def on_grid(start: float, seconds: float) -> bool:
+    """Does ``start`` open a cell of the absolute slot grid?
+
+    A monitor's start is ``origin + slot * seconds``; on a grid that is
+    not a binary fraction that may land an ulp or so off
+    ``cell * seconds``, and is still that cell.
+    """
+    edge = grid_cell(start, seconds) * seconds
+    return abs(start - edge) <= 4 * math.ulp(edge)
 
 
 def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:

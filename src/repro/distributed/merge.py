@@ -1,8 +1,8 @@
 """Merging per-monitor slot summaries into one link-wide view.
 
-Both candidate tables, Space-Saving and Misra–Gries, merge by summing
-counts key-wise and re-truncating to the capacity — the merged error
-stays bounded by the sum of the parts' error bounds. The same recipe
+The candidate table, Space-Saving, merges by summing counts key-wise
+and re-truncating to the capacity — the merged error stays bounded by
+the sum of the parts' error bounds. The same recipe
 applies one altitude up, to the per-slot byte summaries the monitors
 export: sum volumes per prefix, add the residuals, and (optionally) cut
 the table back to ``k`` entries with the cut mass spilling into the
@@ -44,7 +44,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.distributed.framing import grid_cell
+from repro.distributed.framing import grid_cell, on_grid
 from repro.distributed.summary import SlotSummary
 from repro.errors import (
     ClassificationError,
@@ -263,17 +263,6 @@ def gap_summary(cell: int, first_cell: int, seconds: float) -> SlotSummary:
         residual_bytes=0.0,
         monitor="merged[0]",
     )
-
-
-def on_grid(start: float, seconds: float) -> bool:
-    """Does ``start`` open a cell of the absolute slot grid?
-
-    A monitor's start is ``origin + slot * seconds``; on a grid that is
-    not a binary fraction that may land an ulp or so off
-    ``cell * seconds``, and is still that cell.
-    """
-    edge = grid_cell(start, seconds) * seconds
-    return abs(start - edge) <= 4 * math.ulp(edge)
 
 
 class LinkMerge:
@@ -533,5 +522,4 @@ __all__ = [
     "merge_runs",
     "merge_summaries",
     "misaligned",
-    "on_grid",
 ]

@@ -69,8 +69,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.distributed.faults import FaultPlan
-from repro.distributed.framing import grid_cell
-from repro.distributed.merge import on_grid
+from repro.distributed.framing import grid_cell, on_grid
 from repro.distributed.shm_ring import (
     DEFAULT_RING_SLOTS,
     RingConsumer,

@@ -275,6 +275,11 @@ class LiveLink:
             self._slot_entries,
             first=first,
             counts=self._slot_counts,
+            below_table=(
+                ()
+                if self._pipeline is None
+                else self._pipeline.below_table_slots
+            ),
         )
         report.update(
             {

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.distributed.framing import grid_cell, on_grid
 from repro.errors import ClassificationError, ReproError, SummaryFormatError
 from repro.flows.matrix import read_npz
 from repro.net.prefix import Prefix, PrefixColumns
@@ -282,7 +283,8 @@ class SlotSummary:
 def save_summaries(path: str, summaries: Sequence[SlotSummary]) -> None:
     """Write one monitor's per-slot summaries as a single ``.npz``.
 
-    Slots must be in order and share one grid (``slot_seconds``); the
+    Slots must be in order, share one grid (``slot_seconds``) and
+    no two may cover one grid cell, which ``repro merge`` refuses; the
     arrays are stored flattened with per-slot entry counts, which keeps
     the artefact a handful of numpy arrays however many slots ran.
     """
@@ -298,6 +300,18 @@ def save_summaries(path: str, summaries: Sequence[SlotSummary]) -> None:
     if sorted(slots) != slots or len(set(slots)) != len(slots):
         raise ClassificationError(
             "summaries must be slot-ordered and duplicate-free"
+        )
+    # an off-grid summary has no cell to share: a merge refuses it
+    cells = sorted(
+        grid_cell(s.start, s.slot_seconds)
+        for s in summaries
+        if on_grid(s.start, s.slot_seconds)
+    )
+    shared = [cell for cell, after in zip(cells, cells[1:]) if cell == after]
+    if shared:
+        raise ClassificationError(
+            f"two summaries cover grid cell {shared[0]}; a run has one "
+            "summary per cell"
         )
     tables = [summary.prefixes for summary in summaries]
     networks = np.concatenate([table.network for table in tables])

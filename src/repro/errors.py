@@ -44,6 +44,16 @@ class TailNotFoundError(EstimatorError):
     """The aest procedure found no region of consistent power-law scaling."""
 
 
+class CutBelowTableError(EstimatorError):
+    """A constant-load cut falls inside a slot's untracked bytes (the
+    tracked flows carry no more than β); ``tracked_cut`` is the cut of
+    the tracked rates alone."""
+
+    def __init__(self, tracked_cut: float) -> None:
+        super().__init__(f"cut below the table (tracked: {tracked_cut!r})")
+        self.tracked_cut = tracked_cut
+
+
 class ClassificationError(ReproError):
     """The classification engine was misconfigured or fed inconsistent data."""
 

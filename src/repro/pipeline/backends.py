@@ -10,20 +10,18 @@ reads — and keeps no other per-flow ledger:
 - :class:`ExactAggregation` keeps the original semantics — every flow
   tracked exactly, no residual, state O(distinct flows);
 - :class:`ArraySketchAggregation` caps the candidate table at
-  ``capacity`` entries using a classic heavy-hitter summary
-  (Space-Saving or Misra–Gries). Bytes of untracked flows are
-  conserved in a dedicated *residual row* (row 0, labelled
-  ``0.0.0.0/0``), so every emitted slot still sums to the traffic that
-  arrived.
+  ``capacity`` entries using the Space-Saving heavy-hitter summary.
+  Bytes of untracked flows are conserved in a dedicated *residual
+  row* (row 0, labelled ``0.0.0.0/0``), so every emitted slot still
+  sums to the traffic that arrived.
 
-It is handed its summary built: either table of
-:mod:`repro.sketches.array_tables`, gated or not
-(:func:`~repro.sketches.bloom.gated_table`), runs one vectorized
-probe/admit/evict pass per batch into per-slot accumulators held as
-parallel arrays — no Python work per key on the hot path.
-:func:`make_backend` builds it for every sketch name from one name →
-table dict. The suite holds it to a twin that feeds a dict summary one
-key at a time (``tests/oracles.py``).
+It is handed its summary built (the
+:class:`~repro.sketches.array_tables.ArraySpaceSaving` table, gated or
+not by :func:`~repro.sketches.bloom.gated_table`) and runs one
+vectorized probe/admit/evict pass per batch into per-slot accumulators
+held as parallel arrays: no Python work per key on the hot path. The
+suite holds it to a twin that feeds a dict summary one key at a time
+(``tests/oracles.py``).
 
 Row semantics under a sketch: a flow earns a stream row the first time
 it is still tracked when a slot closes — surviving one slot boundary is
@@ -51,7 +49,7 @@ x.npz --backend ...`` applies a memory bound to a recorded matrix:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -61,9 +59,7 @@ from repro.net.prefix import Prefix, PrefixColumns
 from repro.pipeline.sources import SlotFrame, SlotSource
 
 if TYPE_CHECKING:
-    from types import ModuleType
-
-    from repro.sketches.array_tables import _KeyTable
+    from repro.sketches.array_tables import ArraySpaceSaving
 
 #: How the residual row (untracked, "other" traffic) reads. It is
 #: only a label: a real default-route flow (a 0.0.0.0/0 RIB entry, or
@@ -317,8 +313,9 @@ class ExactAggregation(AggregationBackend):
 class ArraySketchAggregation(AggregationBackend):
     """The bounded production backend: batch kernels, flat accumulators.
 
-    ``table`` is a built :mod:`repro.sketches.array_tables` candidate
-    table, gated or not (:func:`~repro.sketches.bloom.gated_table`);
+    ``table`` is a built
+    :class:`~repro.sketches.array_tables.ArraySpaceSaving`, gated or not
+    (:func:`~repro.sketches.bloom.gated_table`);
     all slot-local accounting — pending bytes and activation order —
     lives in parallel ``capacity``-sized arrays indexed by table slot.
     ``accumulate`` aggregates the batch per unique key, hands the
@@ -330,11 +327,11 @@ class ArraySketchAggregation(AggregationBackend):
     Fed packet by packet, it equals the scalar twin of the test suite.
     """
 
+    name = "space-saving"
     residual_row = 0
 
-    def __init__(self, table: _KeyTable, name: str) -> None:
+    def __init__(self, table: ArraySpaceSaving) -> None:
         super().__init__()
-        self.name = name
         self.capacity = table.capacity
         self._table = table
         self._pend_bytes = np.zeros(table.capacity)
@@ -373,8 +370,8 @@ class ArraySketchAggregation(AggregationBackend):
         if tracked.any():
             self._pend_bytes[slots[tracked]] += weights[tracked]
             # Activation order follows first-traffic order, mirroring
-            # the scalar oracle's pending-dict insertion order, so row
-            # numbering at slot close is the same under either class.
+            # the scalar oracle's pending-dict insertion order, so both
+            # number rows alike at slot close.
             offers = order[tracked[order]]
             ospots = slots[offers]
             fresh = ospots[~self._pend_active[ospots]]
@@ -462,19 +459,9 @@ class SketchSlotSource:
             )
 
 
-#: One builder per sketch name: ``(array_tables, capacity) -> table``,
-#: handed :mod:`repro.sketches.array_tables` by :func:`make_shard`, so
-#: that an exact run never imports a sketch. A new summary is one entry
-#: here; :data:`BACKEND_NAMES`, the CLI choices, sharding, the Bloom
-#: gate and the byte budget follow from it. A table stays only while it
-#: wins a column of the README's equal-bytes table.
-_TABLES: dict[str, Callable[[ModuleType, int], _KeyTable]] = {
-    "space-saving": lambda tables, k: tables.ArraySpaceSaving(k),
-    "misra-gries": lambda tables, k: tables.ArrayMisraGries(k),
-}
-
-#: CLI names accepted by :func:`make_backend`.
-BACKEND_NAMES = ("exact", *_TABLES)
+#: CLI names accepted by :func:`make_backend`: the exact table, and
+#: :class:`ArraySketchAggregation` over the Space-Saving table.
+BACKEND_NAMES = ("exact", ArraySketchAggregation.name)
 
 #: Admission policies accepted by :func:`make_backend`. ``"bloom"``
 #: puts a counting-Bloom byte-threshold gate in front of the candidate
@@ -525,13 +512,13 @@ def make_backend(
 ) -> AggregationBackend:
     """Build a backend by CLI name.
 
-    ``exact`` takes no capacity and no admission gate; a sketch name
-    needs a capacity and builds an :class:`ArraySketchAggregation`
-    over that name's candidate table.
+    ``exact`` takes no capacity and no admission gate;
+    ``space-saving`` needs a capacity and builds an
+    :class:`ArraySketchAggregation` over a Space-Saving table.
 
     ``admission`` selects the candidate-admission pre-filter:
-    ``"bloom"`` gates entry to the candidate table — either of them —
-    on a counting-Bloom byte threshold (``admission_threshold``;
+    ``"bloom"`` gates entry to the candidate table on a counting-Bloom
+    byte threshold (``admission_threshold``;
     ``None`` is the gate's default), so tail flows stop churning the
     table. ``seed`` seeds that gate's hashes; the tables draw none.
 
@@ -580,12 +567,13 @@ def make_shard(
     if name == "exact":
         return ExactAggregation()
     # imported here: an exact run loads no sketch module
-    from repro.sketches import array_tables, bloom
+    from repro.sketches import bloom
+    from repro.sketches.array_tables import ArraySpaceSaving
 
     if admission_threshold is None:
         admission_threshold = bloom.DEFAULT_ADMISSION_THRESHOLD
     try:
-        table = _TABLES[name](array_tables, -(-capacity // shards))
+        table = ArraySpaceSaving(-(-capacity // shards))
         if admission == "bloom":
             bloom.gated_table(
                 table, threshold_bytes=admission_threshold, seed=seed
@@ -595,7 +583,7 @@ def make_shard(
         raise ClassificationError(
             f"cannot allocate a {name} table of capacity {capacity}: {error}"
         ) from None
-    return ArraySketchAggregation(table, name)
+    return ArraySketchAggregation(table)
 
 
 def parse_memory_budget(text: str) -> int:
@@ -621,9 +609,9 @@ def capacity_for_budget(
 ) -> int:
     """Convert a byte budget into a tracked-flow capacity for ``name``.
 
-    Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model, the same
-    for both tables. Their flat layout costs less per entry, so a
-    budget sized here is an upper bound. ``admission="bloom"`` also
+    Uses the coarse :data:`TRACKED_ENTRY_BYTES` cost model. The
+    table's flat layout costs less per entry, so a budget sized here
+    is an upper bound. ``admission="bloom"`` also
     charges the gate :func:`~repro.sketches.bloom.gated_table` puts in
     front of each table: its float64 counters, ``DEFAULT_BLOOM_DEPTH``
     rows of ``max(MIN_BLOOM_WIDTH, DEFAULT_BLOOM_WIDTH_FACTOR * K)``.

@@ -87,6 +87,8 @@ class StreamingPipeline:
         self.config = config or EngineConfig()
         self.config.validate()
         self.classifier: OnlineClassifier | None = None
+        #: Slots whose cut fell below the table's tracked flows.
+        self.below_table_slots: list[int] = []
         detector = make_detector(scheme, beta=self.config.beta)
         self._label = f"{detector.name} {feature.value}"
         self._builder = ElephantSeriesBuilder(
@@ -139,6 +141,8 @@ class StreamingPipeline:
         verdict = self.classifier.observe_slot(
             rates, exclude_rows=exclude, suppress_rows=suppress
         )
+        if verdict.thresholds.below_table:
+            self.below_table_slots.append(verdict.slot)
         self._builder.add_slot(
             rates, verdict.elephant_mask, residual_row=frame.residual_row
         )

@@ -3,10 +3,10 @@
 The backends in :mod:`repro.pipeline.backends` assume one monitor sees
 all of a link's traffic. :class:`ShardedAggregation` drops that
 assumption: flow keys are hash-partitioned across ``N`` inner backends
-(exact, or either sketch table — both are mergeable, per Misra–Gries
-1982 and the Space-Saving merge literature), each shard accounts its
-share independently, and the per-shard candidate tables are merged into
-one population when the slot closes. This is the in-process rehearsal for
+(exact, or the Space-Saving table, mergeable per the
+mergeable-summaries literature), each shard accounts its share
+independently, and the per-shard candidate tables are merged into one
+population when the slot closes. This is the in-process rehearsal for
 multi-process ingestion: each shard touches a disjoint key set, so the
 inner backends could live in separate processes (or separate monitors)
 and only their slot-close summaries need to meet.

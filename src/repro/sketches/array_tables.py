@@ -1,18 +1,19 @@
-"""Array-native heavy-hitter candidate tables (batch-update kernels).
+"""Space-Saving as a flat array table with batch updates.
 
-The classic heavy-hitter summaries — Space-Saving and Misra–Gries —
-are usually written as dicts fed one key at a time: the right shape
-for reference semantics (the test suite keeps them so, in
-``tests/oracles.py``), the wrong shape for a monitor ingesting
-millions of packets per second. This module lays the same summaries
-out as flat numpy struct-of-arrays with *batch* update semantics: one
-vectorized pass admits, updates and evicts a whole batch of
-``(key, weight)`` aggregates at once.
+The classic Space-Saving summary (Metwally et al.) is usually written
+as a dict fed one key at a time: the right shape for reference
+semantics (the test suite keeps it so, in ``tests/oracles.py``), the
+wrong shape for a monitor ingesting millions of packets per second.
+This module lays the same summary out as flat numpy struct-of-arrays
+with *batch* update semantics: one vectorized pass admits, updates and
+evicts a whole batch of ``(key, weight)`` aggregates at once. It is
+the one candidate table of the bounded backends: Ben Basat et al.'s
+optimal elephant detector is sampling followed by one such table.
 
-Layout, shared by both tables:
+Layout:
 
-- ``key``/``count`` — parallel ``capacity``-sized arrays, one slot per
-  tracked flow (``key == -1`` marks a free slot);
+- ``key``/``count``/``error`` — parallel ``capacity``-sized arrays,
+  one slot per tracked flow (``key == -1`` marks a free slot);
 - a :class:`~repro.hash_index.HashIndex` mapping keys to slots — the
   one open-addressing index of the code base (Fibonacci hashing,
   vectorized linear probing, load at most 1/4), shared with the
@@ -20,20 +21,18 @@ Layout, shared by both tables:
   it is cleared and refilled from the live slots — cheaper and simpler
   than tombstone bookkeeping at these table sizes.
 
-One kernel, :meth:`_KeyTable.update_batch`, runs both tables: it
-receives the batch's **unique** keys with their aggregated weights
-plus the first-traffic order, probes the index once, lets an optional
-admission gate (:class:`~repro.sketches.bloom.BloomGate`) turn away
-untracked keys, applies all hits in one array op, fills free slots in
-first-traffic order and hands the newcomers left over to the table's
-admission rule: a merge tournament plus the scalar last-newcomer rule
-for Space-Saving, the exact weighted-decrement chain for Misra–Gries.
-Both tables treat the batch as "hits first, then newcomers"; for
-single-key batches that *is* the scalar order, so each table
-reproduces its scalar reference *exactly*, eviction tie-breaks
-included — a scalar summary lets the smallest ``(count, key)`` pair
-go, which the batch paths mirror. The property suite pins both
-regimes.
+One kernel, :meth:`ArraySpaceSaving.update_batch`, receives the
+batch's **unique** keys with their aggregated weights plus the
+first-traffic order, probes the index once, lets an optional admission
+gate (:class:`~repro.sketches.bloom.BloomGate`) turn away untracked
+keys, applies all hits in one array op, fills free slots in
+first-traffic order and hands the newcomers left over to the full
+table's admission rule: a merge tournament plus the scalar
+last-newcomer rule. The batch is "hits first, then newcomers"; for
+single-key batches that *is* the scalar order, so the table reproduces
+its scalar reference *exactly*, eviction tie-breaks included — the
+scalar summary lets the smallest ``(count, key)`` pair go, which the
+batch path mirrors. The property suite pins both regimes.
 
 Flat arrays are also cheaply picklable, which is what keeps the
 worker-queue overhead of the multi-process runner low.
@@ -41,7 +40,6 @@ worker-queue overhead of the multi-process runner low.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -71,13 +69,30 @@ class BatchUpdate(NamedTuple):
     evicted: np.ndarray
 
 
-class _KeyTable:
-    """Slot storage, the key → slot index and the one batch kernel.
+class ArraySpaceSaving:
+    """Batch Space-Saving: vectorized merge admission, scalar tail.
 
-    :meth:`update_batch` is the kernel; a table says only how newcomers
-    enter a full table (``_admit_newcomers(slots, keys, weights,
-    rest)``, returning the evicted slots). The base keeps the index in
-    step with the slots (insertion on fill, rebuild after eviction).
+    Hits add their aggregated weight in one array op; new keys fill
+    free slots; once the table is full the batch admits in two steps.
+    First the **merge tournament** (:meth:`_tournament`): the
+    batch's newcomers, sorted by descending weight, pair against the
+    ascending ``(count, key)`` table order, and newcomer *j* replaces
+    entry *j* when its weight strictly beats that count — the
+    top-K-of-union rule from the mergeable-summaries literature. Each
+    admitted newcomer inherits the merge boundary (the largest count or
+    weight the union dropped, never below the pre-merge minimum) as its
+    over-estimation error. Then the **last newcomer** of the batch runs
+    the scalar rule verbatim: it always enters, evicting the current
+    minimum and inheriting its count — so a single-key batch *is* the
+    scalar update, tie-breaks included, and a stream of them reproduces
+    the reference sketch exactly. Estimates stay one-sided
+    (``estimate >= true weight`` for every tracked key, over-estimate
+    recorded per slot), every untracked key's true weight stays below
+    the minimum count, and heavy entries are never displaced by lighter
+    pressure. The one classical bound batching relaxes: rejected-weight
+    inflation can push the minimum above ``total / capacity``, so the
+    worst-case "heavier than total/(K+1) implies tracked" promise holds
+    per update, not across adversarial batch mixes.
     """
 
     #: Admission gate consulted before every update; ``None`` admits
@@ -91,6 +106,7 @@ class _KeyTable:
         self._index = HashIndex(capacity)
         self.key = np.full(capacity, NO_SLOT, dtype=np.int64)
         self.count = np.zeros(capacity, dtype=np.float64)
+        self.error = np.zeros(capacity, dtype=np.float64)
         self._live = 0
         self._total = 0.0
 
@@ -120,6 +136,13 @@ class _KeyTable:
         """Stored count for ``key`` (0 when untracked)."""
         slot = self._probe(np.asarray([key], dtype=np.int64))[0]
         return float(self.count[slot]) if slot >= 0 else 0.0
+
+    def guaranteed(self, key: int) -> float:
+        """Lower bound: count minus the slot's inherited error."""
+        slot = self._probe(np.asarray([key], dtype=np.int64))[0]
+        if slot < 0:
+            return 0.0
+        return float(self.count[slot] - self.error[slot])
 
     def top_k(self, k: int) -> list[tuple[int, float]]:
         """The ``k`` largest tracked keys as ``(key, count)``."""
@@ -232,37 +255,6 @@ class _KeyTable:
         self._index.insert(keys[fill], spots)
         return fill, spots, offers[take:]
 
-
-class ArraySpaceSaving(_KeyTable):
-    """Batch Space-Saving: vectorized merge admission, scalar tail.
-
-    Hits add their aggregated weight in one array op; new keys fill
-    free slots; once the table is full the batch admits in two steps.
-    First the **merge tournament** (:meth:`_tournament`): the
-    batch's newcomers, sorted by descending weight, pair against the
-    ascending ``(count, key)`` table order, and newcomer *j* replaces
-    entry *j* when its weight strictly beats that count — the
-    top-K-of-union rule from the mergeable-summaries literature. Each
-    admitted newcomer inherits the merge boundary (the largest count or
-    weight the union dropped, never below the pre-merge minimum) as its
-    over-estimation error. Then the **last newcomer** of the batch runs
-    the scalar rule verbatim: it always enters, evicting the current
-    minimum and inheriting its count — so a single-key batch *is* the
-    scalar update, tie-breaks included, and a stream of them reproduces
-    the reference sketch exactly. Estimates stay one-sided
-    (``estimate >= true weight`` for every tracked key, over-estimate
-    recorded per slot), every untracked key's true weight stays below
-    the minimum count, and heavy entries are never displaced by lighter
-    pressure. The one classical bound batching relaxes: rejected-weight
-    inflation can push the minimum above ``total / capacity``, so the
-    worst-case "heavier than total/(K+1) implies tracked" promise holds
-    per update, not across adversarial batch mixes.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self.error = np.zeros(capacity, dtype=np.float64)
-
     def _admit_newcomers(
         self,
         slots: np.ndarray,
@@ -350,112 +342,8 @@ class ArraySpaceSaving(_KeyTable):
         beat = weights[contenders[:pairs]] > self.count[smallest]
         return contenders, contenders[:pairs][beat], smallest[beat]
 
-    def guaranteed(self, key: int) -> float:
-        """Lower bound: count minus the slot's inherited error."""
-        slot = self._probe(np.asarray([key], dtype=np.int64))[0]
-        if slot < 0:
-            return 0.0
-        return float(self.count[slot] - self.error[slot])
-
-
-class ArrayMisraGries(_KeyTable):
-    """Batch Misra–Gries: hits vectorized, decrements chained exactly.
-
-    Hits add their aggregated weight in one array op; new keys fill
-    free slots; once the table is full each remaining newcomer runs
-    the scalar weighted-decrement rule in arrival order. The classic
-    trick keeps that loop cheap: a decrement subtracts the same amount
-    from *every* counter, so the chain carries one running ``offset``
-    instead of touching K counters per newcomer — a counter stored as
-    ``s`` is live at ``s - offset`` and dies when ``s <= offset``, all
-    through a lazy min-heap of plain floats. For single-key batches
-    the arithmetic is the scalar rule verbatim. Estimates stay
-    one-sided low: every key's undercount is bounded by
-    :meth:`error_bound`.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._decrement_total = 0.0
-
-    def _admit_newcomers(
-        self,
-        slots: np.ndarray,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        rest: np.ndarray,
-    ) -> np.ndarray:
-        """Run the scalar decrement rule for ``rest`` newcomers.
-
-        Returns the slots whose pre-batch occupant was eroded away.
-        """
-        offset = 0.0
-        heap = list(zip(self.count.tolist(), range(self.capacity)))
-        heapq.heapify(heap)
-        pop = heapq.heappop
-        push = heapq.heappush
-        free: list[int] = []
-        final: dict[int, tuple[int, float]] = {}
-        victims: list[int] = []
-        for offer, key, weight in zip(
-            rest.tolist(), keys[rest].tolist(), weights[rest].tolist()
-        ):
-            if free:
-                # erosion freed a counter: plain insertion, no
-                # decrement — exactly the scalar not-full branch
-                slot = free.pop()
-                stored = weight + offset
-                final[slot] = (key, stored)
-                push(heap, (stored, slot))
-                slots[offer] = slot
-                continue
-            minimum = heap[0][0] - offset
-            if weight < minimum:
-                decrement = weight
-                offset += decrement
-            else:
-                # the minimum dies: assign its stored value as the new
-                # offset *exactly*, so the death test below cannot miss
-                # it to floating-point rounding (offset + (s - offset)
-                # may round strictly below s for non-dyadic weights)
-                decrement = minimum
-                offset = heap[0][0]
-            while heap and heap[0][0] <= offset:
-                _, slot = pop(heap)
-                if slot in final:
-                    del final[slot]
-                else:
-                    victims.append(slot)
-                free.append(slot)
-            remainder = weight - decrement
-            if remainder > 0.0:
-                # remainder > 0 implies the old minimum just died, so
-                # a slot is always free here
-                slot = free.pop()
-                stored = remainder + offset
-                final[slot] = (key, stored)
-                push(heap, (stored, slot))
-                slots[offer] = slot
-        self._decrement_total += offset
-        self.count -= offset
-        dead = np.asarray(free, dtype=np.int64)
-        self.key[dead] = NO_SLOT
-        self.count[dead] = 0.0
-        if final:
-            spots = np.fromiter(final, dtype=np.int64, count=len(final))
-            entries = [final[slot] for slot in spots.tolist()]
-            self.key[spots] = [entry[0] for entry in entries]
-            self.count[spots] = [entry[1] - offset for entry in entries]
-        self._live = self.capacity - len(free)
-        return np.asarray(victims, dtype=np.int64)
-
-    def error_bound(self) -> float:
-        """Maximum undercount of any estimate."""
-        return self._decrement_total
-
 
 __all__ = [
-    "ArrayMisraGries",
     "ArraySpaceSaving",
     "BatchUpdate",
     "NO_SLOT",

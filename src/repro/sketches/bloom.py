@@ -1,18 +1,18 @@
-"""Counting-Bloom admission gate for the array candidate tables.
+"""Counting-Bloom admission gate for the array candidate table.
 
 "Analysis of a Bloom Filter Algorithm via the Supermarket Model"
 (PAPERS.md) studies the classic two-stage heavy-hitter filter: a cheap
 counting Bloom filter absorbs the long tail of mice, and a flow is
 admitted to the (expensive, bounded) candidate table only after its
 Bloom-counted bytes cross a threshold. The table then stops churning on
-single-packet flows, which is where both tables, Space-Saving and
-Misra–Gries, spend most of their evictions under heavy-tailed traffic.
+single-packet flows, which is where Space-Saving spends most of its
+evictions under heavy-tailed traffic.
 
 :class:`CountingBloom` is the counting filter — ``depth`` rows of
 ``width`` float64 counters, conservative update, fully vectorized.
 :class:`BloomGate` is the admission policy: set as a table's ``gate``
 (:func:`gated_table` does), it sits inside the table's one batch
-kernel (:meth:`~repro.sketches.array_tables._KeyTable.update_batch`)
+kernel (:meth:`~repro.sketches.array_tables.ArraySpaceSaving.update_batch`)
 between the index probe and the update. Keys already tracked bypass
 the filter, rejected keys come back with ``NO_SLOT`` so the backend's
 residual row conserves their bytes, and the table's ``end_slot()``
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ClassificationError
 from repro.hash_index import FIBONACCI_MULTIPLIER
-from repro.sketches.array_tables import NO_SLOT, _KeyTable
+from repro.sketches.array_tables import NO_SLOT, ArraySpaceSaving
 
 #: Golden-ratio multiplier for the per-row key mix (same family as the
 #: candidate-table bucket hash, salted per row so rows are independent).
@@ -172,14 +172,14 @@ class BloomGate:
 
 
 def gated_table(
-    inner: _KeyTable,
+    inner: ArraySpaceSaving,
     *,
     threshold_bytes: float,
     width: int | None = None,
     depth: int = DEFAULT_BLOOM_DEPTH,
     decay: float = DEFAULT_BLOOM_DECAY,
     seed: int = 0,
-) -> _KeyTable:
+) -> ArraySpaceSaving:
     """Give ``inner`` a Bloom admission gate sized to it; returns it.
 
     ``width`` defaults to :data:`DEFAULT_BLOOM_WIDTH_FACTOR` x the

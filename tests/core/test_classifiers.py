@@ -28,7 +28,7 @@ class FixedDetector:
     def __init__(self, value):
         self._value = value
 
-    def detect(self, rates):
+    def detect(self, rates, background=0.0):
         return self._value
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import (
     ClassificationError,
+    CutBelowTableError,
     InsufficientDataError,
     TailNotFoundError,
 )
@@ -20,7 +21,7 @@ class FixedDetector:
     def __init__(self, values):
         self._values = list(values)
 
-    def detect(self, rates):
+    def detect(self, rates, background=0.0):
         value = self._values.pop(0)
         if value is None:
             raise TailNotFoundError("scripted failure")
@@ -33,7 +34,7 @@ class FixedFallback:
     def __init__(self, value):
         self._value = value
 
-    def detect(self, rates):
+    def detect(self, rates, background=0.0):
         return self._value
 
 
@@ -103,7 +104,7 @@ class TestFallbacks:
         class Failing:
             name = "failing"
 
-            def detect(self, rates):
+            def detect(self, rates, background=0.0):
                 raise InsufficientDataError("nope")
 
         tracker = ThresholdTracker(Failing(), alpha=0.5,
@@ -115,6 +116,100 @@ class TestFallbacks:
         tracker = ThresholdTracker(FixedDetector([-1.0]), alpha=0.5)
         with pytest.raises(ClassificationError):
             tracker.observe(np.ones(4))
+
+
+class Scripted:
+    """A detector answering from a script: a float is a cut, ``None``
+    a failed fit, a tuple ``("below", cut)`` a below-the-table slot.
+    It records the background each call was handed."""
+
+    name = "scripted"
+
+    def __init__(self, answers):
+        self._answers = list(answers)
+        self.backgrounds = []
+
+    def detect(self, rates, background=0.0):
+        self.backgrounds.append(background)
+        answer = self._answers.pop(0)
+        if answer is None:
+            raise InsufficientDataError("scripted failure")
+        if isinstance(answer, tuple):
+            raise CutBelowTableError(answer[1])
+        return answer
+
+
+class TestBelowTheTable:
+    """A slot whose cut falls in the untracked bytes is classified by
+    the EWMA's threshold (its own tracked-only cut while there is none)
+    and never moves the EWMA."""
+
+    def test_background_reaches_the_detector(self):
+        detector = Scripted([10.0, 10.0])
+        tracker = ThresholdTracker(detector, alpha=0.5)
+        tracker.observe(np.ones(4))
+        tracker.observe(np.ones(4), background=7.5)
+        assert detector.backgrounds == [0.0, 7.5]
+
+    def test_without_history_the_tracked_cut_classifies(self):
+        tracker = ThresholdTracker(Scripted([("below", 40.0)]), alpha=0.5)
+        first = tracker.observe(np.ones(4), background=100.0)
+        assert first.below_table
+        assert first.raw == first.smoothed == 40.0
+        assert not first.fallback_used
+        assert tracker.fallback_slots == []
+
+    def test_with_history_the_ewma_classifies_and_stays(self):
+        tracker = ThresholdTracker(
+            Scripted([10.0, 20.0, ("below", 500.0), 20.0]), alpha=0.5
+        )
+        tracker.observe(np.ones(4))
+        second = tracker.observe(np.ones(4))
+        below = tracker.observe(np.ones(4), background=1.0)
+        after = tracker.observe(np.ones(4))
+        assert second.smoothed == 10.0
+        # B̄ = 0.5 * 10 + 0.5 * 20 = 15 classifies the below slot ...
+        assert below.below_table and below.smoothed == 15.0
+        assert below.raw == 500.0
+        # ... and its 500 never enters: the next slot still sees 15
+        assert after.smoothed == 15.0
+
+    def test_a_run_of_below_slots_without_history_uses_each_cut(self):
+        tracker = ThresholdTracker(
+            Scripted([("below", 40.0), ("below", 60.0), 30.0, 30.0]),
+            alpha=0.5,
+        )
+        cuts = [tracker.observe(np.ones(4), 1.0).smoothed for _ in "ab"]
+        assert cuts == [40.0, 60.0]
+        # the first real detection bootstraps the EWMA on its own
+        assert tracker.observe(np.ones(4)).smoothed == 30.0
+        assert tracker.observe(np.ones(4)).smoothed == 30.0
+
+    def test_below_slot_zero_then_all_zero_gap_cell_falls_back(self):
+        """Slot 0's cut falls in the residual, then a gap cell carries
+        no traffic at all: the gap has no detection of its own and must
+        still find a previous threshold — the below slot's cut — rather
+        than raise from an empty fallback detection."""
+        tracker = ThresholdTracker(ConstantLoadThreshold(0.8), alpha=0.9)
+        first = tracker.observe(np.array([30.0, 10.0]), background=200.0)
+        assert first.below_table
+        gap = tracker.observe(np.zeros(2))
+        assert gap.fallback_used
+        assert gap.raw == gap.smoothed == first.raw
+        assert tracker.fallback_slots == [1]
+
+    def test_bad_tracked_cut_rejected(self):
+        tracker = ThresholdTracker(Scripted([("below", 0.0)]))
+        with pytest.raises(ClassificationError):
+            tracker.observe(np.ones(4), background=1.0)
+
+    def test_fallback_detector_gets_the_background(self):
+        fallback = Scripted([3.0])
+        tracker = ThresholdTracker(
+            Scripted([None]), alpha=0.5, fallback=fallback
+        )
+        assert tracker.observe(np.ones(4), background=9.0).raw == 3.0
+        assert fallback.backgrounds == [9.0]
 
 
 class TestRunAndSeries:

@@ -23,7 +23,7 @@ class Fixed:
 
     name = "fixed"
 
-    def detect(self, rates):
+    def detect(self, rates, background=0.0):
         return 10.0
 
 
@@ -183,6 +183,30 @@ class TestExcludedRows:
             self.make(num_flows=2).observe_slot(
                 np.zeros(2), exclude_rows=np.array([0])
             )
+
+    def test_excluded_bytes_are_the_cuts_background(self):
+        """The residual is no candidate for the cut, but its bytes are
+        the slot's traffic: 0.8 of 110 takes all three named flows."""
+        verdict = self.make().observe_slot(
+            np.array([10.0, 50.0, 30.0, 20.0]), exclude_rows=np.array([0])
+        )
+        assert verdict.thresholds.raw == 10.0
+        assert not verdict.thresholds.below_table
+        assert verdict.elephant_mask.tolist() == [False, True, True, True]
+
+    def test_below_table_lead_in_then_empty_gap_cell(self):
+        """A merged run's first cell is mostly residual and its next is
+        a gap no monitor covered: both classify, neither raises."""
+        classifier = self.make(num_flows=3)
+        first = classifier.observe_slot(
+            np.array([900.0, 30.0, 10.0]), exclude_rows=np.array([0])
+        )
+        assert first.thresholds.below_table
+        gap = classifier.observe_slot(
+            np.zeros(3), exclude_rows=np.array([0])
+        )
+        assert gap.thresholds.fallback_used
+        assert gap.thresholds.raw == first.thresholds.raw
 
     def test_out_of_range_exclusions_ignored(self):
         classifier = self.make(num_flows=2)

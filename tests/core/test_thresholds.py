@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.errors import InsufficientDataError, TailNotFoundError
+from repro.errors import (
+    CutBelowTableError,
+    InsufficientDataError,
+    TailNotFoundError,
+)
 from repro.core.thresholds import (
     AestThreshold,
     ConstantLoadThreshold,
@@ -83,7 +87,53 @@ class TestConstantLoad:
             )
 
 
+class TestConstantLoadBackground:
+    """The residual's bytes count in the slot's traffic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rates=rate_vectors, beta=st.sampled_from([0.5, 0.8, 0.95]))
+    def test_no_background_is_the_plain_cut(self, rates, beta):
+        if not np.any(rates > 0):
+            return
+        detector = ConstantLoadThreshold(beta=beta)
+        assert detector.detect(rates, 0.0) == detector.detect(rates)
+
+    def test_background_enlarges_the_top_set(self):
+        rates = np.array([50.0, 30.0, 20.0])
+        detector = ConstantLoadThreshold(beta=0.8)
+        # 0.8 of 100 is the top two; 0.8 of 110 needs all three
+        assert (rates > detector.detect(rates)).sum() == 2
+        threshold = detector.detect(rates, background=10.0)
+        assert (rates > threshold).sum() == 3
+        assert threshold == 10.0  # midway to an empty next flow
+
+    def test_below_the_table_carries_the_tracked_cut(self):
+        rates = np.array([50.0, 30.0, 20.0])
+        detector = ConstantLoadThreshold(beta=0.8)
+        with pytest.raises(CutBelowTableError) as raised:
+            detector.detect(rates, background=40.0)
+        assert raised.value.tracked_cut == detector.detect(rates)
+
+    def test_flows_carrying_exactly_beta_are_below_the_table(self):
+        """β · (tracked + residual) = tracked: the cut would have to
+        take every tracked flow, with nothing named below it."""
+        detector = ConstantLoadThreshold(beta=0.8)
+        with pytest.raises(CutBelowTableError):
+            detector.detect(np.array([3.0, 1.0]), background=1.0)
+
+    def test_empty_slot_with_background_is_still_insufficient(self):
+        with pytest.raises(InsufficientDataError):
+            ConstantLoadThreshold(beta=0.8).detect(np.zeros(3), 50.0)
+
+
 class TestQuantileThreshold:
+    def test_background_counts_below_every_flow(self):
+        rates = np.array([2.0, 8.0])
+        detector = QuantileThreshold(quantile=0.5)
+        assert detector.detect(rates) == 8.0
+        # 10 untracked bytes sit below both: half of 20 is reached at 2
+        assert detector.detect(rates, background=10.0) == 2.0
+
     def test_byte_weighted_quantile(self):
         rates = np.array([1.0, 1.0, 8.0])
         # 20 % of bytes lie below the 8.0 flow, so quantile 0.2 → 1.0.
@@ -124,3 +174,8 @@ class TestAestThreshold:
 
     def test_name(self):
         assert AestThreshold().name == "aest"
+
+    def test_background_is_accepted_and_unused(self, rng):
+        rates = (rng.pareto(1.1, 5000) + 1.0) * 1e4
+        detector = AestThreshold()
+        assert detector.detect(rates, 1e12) == detector.detect(rates)

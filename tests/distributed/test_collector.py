@@ -259,7 +259,7 @@ class TestCollectorEquivalence:
                 StridedPacketSource(
                     ArraySource(stamps, dests, sizes), 2, offset
                 ),
-                backend=make_backend("misra-gries", capacity=8),
+                backend=make_backend("space-saving", capacity=8),
             )
             for offset in range(2)
         ]

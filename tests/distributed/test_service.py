@@ -28,6 +28,7 @@ from repro.distributed import (
     result_envelope,
 )
 from repro.distributed.framing import (
+    KIND_ACK,
     KIND_ERROR,
     KIND_HELLO,
     KIND_QUERY,
@@ -40,6 +41,7 @@ from repro.distributed.framing import (
 )
 from repro.distributed.client import (
     MonitorClient,
+    _BlockingFrames,
     parse_address,
     publish_summaries,
     query_service,
@@ -792,3 +794,47 @@ class TestParseAddress:
             parse_address("nohost:noport")
         with pytest.raises(AddressError):
             parse_address("1.2.3.4:99999")
+
+
+class TestBelowTableInTheEnvelope:
+    def test_listed_only_when_a_slot_was_below(self):
+        slots = [[], [{"prefix": "10.0.0.0/16", "rate_bps": 1.0}]]
+        plain = result_envelope("merge", {}, slots)
+        assert "cut_below_table" not in plain["series"]
+        flagged = result_envelope("merge", {}, slots, below_table=[0])
+        assert flagged["series"]["cut_below_table"] == [0]
+        assert {**flagged["series"], "cut_below_table": None} == {
+            **plain["series"],
+            "cut_below_table": None,
+        }
+
+    def test_a_partial_reply_lists_every_below_slot(self):
+        slots = [[], [], []]
+        part = result_envelope(
+            "query", {}, slots, first=2, below_table=[0, 1]
+        )
+        assert len(part["elephants_by_slot"]) == 1
+        assert part["series"]["cut_below_table"] == [0, 1]
+
+
+class TestRefusalBehindABrokenSend:
+    """What the daemon said before it hung up is read back when a send
+    breaks on the hang-up (``_BlockingFrames.refusal``)."""
+
+    def test_the_error_frame_after_acks_is_the_reason(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(
+                encode_json_frame(KIND_ACK, {"status": "ok"})
+                + encode_json_frame(KIND_ERROR, {"error": "does not align"})
+            )
+            theirs.close()
+            refusal = _BlockingFrames(ours).refusal()
+        assert isinstance(refusal, ServiceProtocolError)
+        assert str(refusal) == "does not align"
+
+    def test_a_plain_hang_up_has_no_reason(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.close()
+            assert _BlockingFrames(ours).refusal() is None

@@ -362,6 +362,14 @@ class TestNpzFormat:
         with pytest.raises(ClassificationError):
             save_summaries(str(tmp_path / "mon.npz"), [summary(slot=0), odd])
 
+    def test_rejects_two_summaries_for_one_grid_cell(self, tmp_path):
+        """Slot numbers in order, yet slots 1 and 2 both start at 60 s:
+        one error at write time, not a file only a merge refuses."""
+        run = [summary(slot=0), summary(slot=1), summary(slot=2, start=60.0)]
+        with pytest.raises(ClassificationError, match="grid cell 1"):
+            save_summaries(str(tmp_path / "mon.npz"), run)
+        assert not (tmp_path / "mon.npz").exists()
+
     def test_rejects_unordered_slots(self, tmp_path):
         with pytest.raises(ClassificationError):
             save_summaries(

@@ -2,11 +2,10 @@
 
 ``make_backend`` only ever builds the production class
 (:class:`~repro.pipeline.ArraySketchAggregation` over an array table).
-The tables' reference semantics live here as dict summaries fed one key
-at a time (:class:`SpaceSaving`, :class:`MisraGries`), and
-:func:`scalar_backend` wraps one in the bounded backend
-:class:`ScalarAggregation`. ``tests/`` is on the path through
-``conftest.py``: ``from oracles import scalar_backend``.
+The table's reference semantics live here as a dict summary fed one key
+at a time (:class:`SpaceSaving`), and :func:`scalar_backend` wraps it in
+the bounded backend :class:`ScalarAggregation`. ``tests/`` is on the
+path through ``conftest.py``: ``from oracles import scalar_backend``.
 
 It also keeps Space-Saving's full-table admission tournament in its
 plain form (:class:`SortingSpaceSaving`): every newcomer sorted by
@@ -71,11 +70,10 @@ def assert_stream_matches_batch(pipeline, batch):
     assert slot + 1 == batch.matrix.num_slots
 
 
-def scalar_backend(name, capacity):
-    """The scalar twin of ``make_backend(name, capacity)``: the same
-    summary, fed key by key."""
-    summaries = {"space-saving": SpaceSaving, "misra-gries": MisraGries}
-    return ScalarAggregation(summaries[name](capacity), capacity, name)
+def scalar_backend(capacity):
+    """The scalar twin of ``make_backend("space-saving", capacity)``:
+    the same summary, fed key by key."""
+    return ScalarAggregation(SpaceSaving(capacity), capacity)
 
 
 def _smallest(counts):
@@ -117,56 +115,17 @@ class SpaceSaving:
         return self.estimate(key) - self._errors.get(key, 0.0)
 
 
-class MisraGries:
-    """Misra–Gries: a newcomer to a full table takes the smallest of
-    its weight and the least counter off every counter."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._counters = {}
-        self._decrement_total = 0.0
-
-    def __len__(self):
-        return len(self._counters)
-
-    def update(self, key, weight):
-        if weight == 0:
-            return
-        counters = self._counters
-        if key in counters or len(counters) < self.capacity:
-            counters[key] = counters.get(key, 0.0) + weight
-            return
-        decrement = min(weight, min(counters.values()))
-        self._decrement_total += decrement
-        for tracked in list(counters):
-            counters[tracked] -= decrement
-            if counters[tracked] <= 0:
-                del counters[tracked]
-        remaining = weight - decrement
-        if remaining > 0:
-            counters[key] = remaining
-
-    def estimate(self, key):
-        return self._counters.get(key, 0.0)
-
-    def items(self):
-        return dict(self._counters)
-
-    def error_bound(self):
-        return self._decrement_total
-
-
 class ScalarAggregation(AggregationBackend):
     """The bounded backend over a scalar summary: a batch's keys are
     offered in first-traffic order; a held key's bytes pend for the
     slot, the rest (and what a let-go key had pending at batch end) go
     to the residual; at slot close pending keys get rows in order."""
 
+    name = "space-saving"
     residual_row = 0
 
-    def __init__(self, sketch, capacity, name):
+    def __init__(self, sketch, capacity):
         super().__init__()
-        self.name = name
         self.capacity = capacity
         self._sketch = sketch
         self._row_of = {}

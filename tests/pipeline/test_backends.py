@@ -34,7 +34,6 @@ from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.routing.lpm import FixedLengthResolver
 
-SKETCH_NAMES = ("space-saving", "misra-gries")
 #: The invariants below must hold identically for the production
 #: backends ``make_backend`` builds ("array") and for the scalar
 #: oracle over the reference summaries (``oracles.scalar_backend``).
@@ -49,7 +48,7 @@ GATE_BYTES = 4096.0
 
 def build(name, capacity=None, engine="array", **kwargs):
     if engine == "scalar":
-        return scalar_backend(name, capacity, **kwargs)
+        return scalar_backend(capacity, **kwargs)
     if engine == "bloom":
         kwargs.update(admission="bloom", admission_threshold=GATE_BYTES)
     elif engine == "shards":
@@ -105,28 +104,32 @@ def run_backend_over(rows, backend, slot_seconds=10.0, chunks=1):
 
 
 class TestCapacityBound:
-    @pytest.mark.parametrize("name", SKETCH_NAMES)
+    #: Rows per ingested batch: many newcomers meet the full table at
+    #: once, or a few at a time.
+    @pytest.mark.parametrize("step", [100, 7])
     @pytest.mark.parametrize("engine", VARIANTS)
-    def test_tracked_state_never_exceeds_capacity(self, name, engine):
+    def test_tracked_state_never_exceeds_capacity(self, step, engine):
         capacity = 8
-        backend = build(name, capacity, engine)
+        backend = build("space-saving", capacity, engine)
         rows = heavy_tailed_rows()
         aggregator = StreamingAggregator(
             FixedLengthResolver(24), slot_seconds=10.0, backend=backend
         )
-        for i in range(0, len(rows), 100):
-            aggregator.ingest(batch(rows[i : i + 100]))
+        for i in range(0, len(rows), step):
+            aggregator.ingest(batch(rows[i : i + step]))
             assert backend.tracked_flows <= capacity
         aggregator.finish()
         assert backend.peak_tracked <= capacity
 
-    @pytest.mark.parametrize("name", SKETCH_NAMES)
+    @pytest.mark.parametrize("chunks", [1, 9])
     # not split over two shards: four of the five heavy flows hash to
     # one shard of four entries (``test_sharded.py`` gives each room)
     @pytest.mark.parametrize("engine", ENGINES + ("bloom",))
-    def test_heavy_flows_earn_rows(self, name, engine):
-        backend = build(name, 8, engine)
-        aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
+    def test_heavy_flows_earn_rows(self, chunks, engine):
+        backend = build("space-saving", 8, engine)
+        aggregator, frames = run_backend_over(
+            heavy_tailed_rows(), backend, chunks=chunks
+        )
         heavy = {Prefix.parse(f"10.{i}.0.0/24") for i in range(5)}
         assert heavy <= set(aggregator.prefixes)
         # the heavy rows carry their real bandwidth in the final frame
@@ -137,12 +140,12 @@ class TestCapacityBound:
 
 
 class TestResidualSemantics:
-    @pytest.mark.parametrize("name", SKETCH_NAMES)
+    @pytest.mark.parametrize("chunks", [1, 7])
     @pytest.mark.parametrize("engine", VARIANTS)
-    def test_bytes_conserved_including_residual(self, name, engine):
-        backend = build(name, 6, engine)
+    def test_bytes_conserved_including_residual(self, chunks, engine):
+        backend = build("space-saving", 6, engine)
         aggregator, frames = run_backend_over(
-            heavy_tailed_rows(), backend, chunks=7
+            heavy_tailed_rows(), backend, chunks=chunks
         )
         recovered = sum(float(f.rates.sum()) for f in frames) * 10.0 / 8.0
         assert recovered == pytest.approx(aggregator.stats.bytes_matched)
@@ -226,7 +229,7 @@ class TestResidualSemantics:
             )
             return list(pipeline.events()), pipeline.series()
 
-        events, series = run(make_backend("misra-gries", capacity=4))
+        events, series = run(make_backend("space-saving", capacity=4))
         exact, exact_series = run(None)
         assert len(events) == len(exact) == 3
         for event, twin in zip(events, exact):
@@ -241,7 +244,7 @@ class TestResidualSemantics:
 
     @pytest.mark.parametrize("engine", VARIANTS)
     def test_residual_record_accounts_untracked_packets(self, engine):
-        backend = build("misra-gries", 4, engine)
+        backend = build("space-saving", 4, engine)
         aggregator, frames = run_backend_over(heavy_tailed_rows(), backend)
         assert aggregator.prefixes[0] == RESIDUAL_PREFIX
         volumes = [frame.rates * 10.0 / 8.0 for frame in frames]
@@ -320,7 +323,7 @@ class TestSketchSlotSource:
 
     def test_heavy_rows_survive_filtering(self):
         matrix = self.make_matrix()
-        backend = make_backend("misra-gries", capacity=8)
+        backend = make_backend("space-saving", capacity=8)
         source = SketchSlotSource(MatrixSlotSource(matrix), backend)
         frames = list(source.slots())
         population = list(frames[-1].population)
@@ -370,14 +373,15 @@ class TestSketchSlotSource:
 
 
 class TestFactoryAndBudget:
-    @pytest.mark.parametrize("name", ["bloom", "count-min", "sample-hold"])
+    @pytest.mark.parametrize(
+        "name", ["bloom", "count-min", "sample-hold", "misra-gries"]
+    )
     def test_unknown_backend_rejected(self, name):
         """The error names what is left to choose from."""
         with pytest.raises(ClassificationError) as raised:
             make_backend(name, capacity=4)
         assert str(raised.value) == (
-            f"unknown backend {name!r}; expected one of "
-            "exact, space-saving, misra-gries"
+            f"unknown backend {name!r}; expected one of exact, space-saving"
         )
 
     def test_sketch_requires_capacity(self):
@@ -390,7 +394,7 @@ class TestFactoryAndBudget:
 
     def test_capacity_floor(self):
         with pytest.raises(ClassificationError):
-            make_backend("misra-gries", capacity=0)
+            make_backend("space-saving", capacity=0)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -426,15 +430,14 @@ class TestFactoryAndBudget:
             capacity_for_budget("space-saving", 16)
 
     @pytest.mark.parametrize("budget", ["160k", "640k", "2560k"])
-    @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("backend", ["space-saving", "misra-gries"])
-    def test_a_gated_budget_holds_its_gate(self, budget, shards, backend):
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_a_gated_budget_holds_its_gate(self, budget, shards):
         """The table, its pending arrays, its key index and the Bloom
         gate fit the budget together. The gate used to go uncharged:
         at 160k, K = 512 sat behind 128 KiB of counters, 180.5 KiB in
         all."""
         spec = PipelineSpec(
-            backend=backend,
+            backend="space-saving",
             memory_budget=budget,
             admission="bloom",
             shards=shards,
@@ -461,7 +464,7 @@ class TestFactoryAndBudget:
         assert capacity_for_budget("space-saving", 32 << 10) == 102
         with pytest.raises(ClassificationError, match="one tracked entry"):
             capacity_for_budget("space-saving", 32 << 10, admission="bloom")
-        kept = capacity_for_budget("misra-gries", 33 << 10, admission="bloom")
+        kept = capacity_for_budget("space-saving", 33 << 10, admission="bloom")
         assert kept == (1 << 10) // TRACKED_ENTRY_BYTES
 
 
@@ -475,12 +478,12 @@ class TestEmptyBatches:
             ("exact", {}),
             ("space-saving", {"capacity": 4}),
             ("space-saving", {"capacity": 4, "engine": "scalar"}),
-            ("misra-gries", {"capacity": 4}),
-            ("misra-gries", {"capacity": 4, "engine": "scalar"}),
+            ("space-saving", {"capacity": 1}),
+            ("space-saving", {"capacity": 1, "engine": "scalar"}),
             ("space-saving", {"capacity": 4, "shards": 2}),
-            ("misra-gries", {"capacity": 4, "shards": 2}),
+            ("space-saving", {"capacity": 4, "shards": 3}),
             ("space-saving", {"capacity": 4, "engine": "bloom"}),
-            ("misra-gries", {"capacity": 4, "engine": "bloom"}),
+            ("space-saving", {"capacity": 1, "engine": "bloom"}),
             ("exact", {"shards": 2}),
         ],
     )
@@ -562,14 +565,14 @@ class TestFactoryClasses:
         assert isinstance(backend, ArraySketchAggregation)
         assert backend.name == "space-saving"
 
-    @pytest.mark.parametrize("name", SKETCH_NAMES)
-    def test_no_name_builds_the_scalar_class(self, name):
-        backend = make_backend(name, capacity=4)
+    @pytest.mark.parametrize("admission", ["none", "bloom"])
+    def test_every_admission_builds_the_array_class(self, admission):
+        backend = make_backend("space-saving", capacity=4, admission=admission)
         assert isinstance(backend, ArraySketchAggregation)
-        assert backend.name == name
+        assert backend.name == "space-saving"
 
     def test_sharded_backends_hold_array_tables(self):
-        sharded = make_backend("misra-gries", capacity=8, shards=2)
+        sharded = make_backend("space-saving", capacity=8, shards=2)
         assert all(
             isinstance(s, ArraySketchAggregation) for s in sharded.shards
         )
@@ -645,12 +648,12 @@ class TestBackendPopulation:
         assert backend.population.residual_row is None
         assert list(backend.prefixes) == list(expected)
 
-    @pytest.mark.parametrize("name", SKETCH_NAMES)
+    @pytest.mark.parametrize("chunks", [1, 3])
     @pytest.mark.parametrize("engine", VARIANTS)
-    def test_sketch_rows_offset_past_residual(self, name, engine):
-        backend = build(name, 6, engine)
+    def test_sketch_rows_offset_past_residual(self, chunks, engine):
+        backend = build("space-saving", 6, engine)
         rows = heavy_tailed_rows(num_heavy=3, num_mice=10, num_slots=2)
-        aggregator, _ = run_backend_over(rows, backend)
+        aggregator, _ = run_backend_over(rows, backend, chunks=chunks)
         population = backend.population
         assert population.residual_row == 0
         assert population.prefixes[0] == RESIDUAL_PREFIX

@@ -194,20 +194,20 @@ class TestShardedSketch:
 
     def test_bytes_conserved_through_merge(self):
         rows = heavy_tailed_rows()
-        backend = make_backend("misra-gries", capacity=8, shards=4)
+        backend = make_backend("space-saving", capacity=8, shards=4)
         aggregator, frames = run_rows(rows, backend)
         streamed = sum(float(f.rates.sum()) * 10.0 / 8.0 for f in frames)
         assert streamed == pytest.approx(aggregator.stats.bytes_matched)
 
-    @pytest.mark.parametrize("name", ["space-saving", "misra-gries"])
-    def test_gate_rejections_are_summed_over_shards(self, name):
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_gate_rejections_are_summed_over_shards(self, shards):
         """The sharder reports what its shards' Bloom gates turned
         away (it used to have no such attribute at all), and gated
         shards conserve bytes like bare ones."""
         backend = make_backend(
-            name,
+            "space-saving",
             capacity=8,
-            shards=2,
+            shards=shards,
             admission="bloom",
             admission_threshold=5000.0,
         )
@@ -215,7 +215,8 @@ class TestShardedSketch:
         rejected = [s.admission_rejected_bytes for s in backend.shards]
         assert all(share > 0 for share in rejected)
         assert backend.admission_rejected_bytes == sum(rejected)
-        assert make_backend("exact", shards=2).admission_rejected_bytes == 0
+        exact = make_backend("exact", shards=shards)
+        assert exact.admission_rejected_bytes == 0
         streamed = sum(float(f.rates.sum()) * 10.0 / 8.0 for f in frames)
         assert streamed == pytest.approx(aggregator.stats.bytes_matched)
 

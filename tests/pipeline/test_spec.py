@@ -23,7 +23,7 @@ from repro.pipeline.sources import (
     PcapPacketSource,
 )
 from repro.pipeline.spec import SOURCE_KINDS, PipelineSpec, SourceSpec
-from repro.sketches import ArrayMisraGries, BloomGate
+from repro.sketches import ArraySpaceSaving, BloomGate
 from repro.sketches.bloom import DEFAULT_ADMISSION_THRESHOLD
 
 
@@ -34,13 +34,14 @@ class TestValidation:
         assert spec.sampling.is_null
         assert spec.admission == "none"
 
-    @pytest.mark.parametrize("name", ["lossy", "count-min", "sample-hold"])
+    @pytest.mark.parametrize(
+        "name", ["lossy", "count-min", "sample-hold", "misra-gries"]
+    )
     def test_unknown_backend(self, name):
         with pytest.raises(ClassificationError) as raised:
             PipelineSpec(backend=name, capacity=4)
         assert str(raised.value) == (
-            f"unknown backend {name!r}; expected one of "
-            "exact, space-saving, misra-gries"
+            f"unknown backend {name!r}; expected one of exact, space-saving"
         )
 
     def test_unknown_admission(self):
@@ -185,15 +186,15 @@ class TestBuildBackend:
         assert backend._table.gate.threshold_bytes == 1000.0
 
     @pytest.mark.parametrize("split", [{}, {"shards": 2}])
-    def test_misra_gries_is_gated_and_sharded_like_the_rest(self, split):
+    def test_every_partition_is_a_gated_space_saving_table(self, split):
         spec = PipelineSpec(
-            backend="misra-gries", capacity=64, admission="bloom", **split
+            backend="space-saving", capacity=64, admission="bloom", **split
         )
         backend = spec.build_backend()
         for shard in getattr(backend, "shards", [backend]):
             assert isinstance(shard, ArraySketchAggregation)
             assert isinstance(shard._table.gate, BloomGate)
-            assert isinstance(shard._table, ArrayMisraGries)
+            assert isinstance(shard._table, ArraySpaceSaving)
             assert type(spec.build_shard()) is type(shard)
 
     @pytest.mark.parametrize("split", [{"shards": 2}, {"workers": 2}])
@@ -409,7 +410,7 @@ class TestPipelineSpecSource:
     def test_describe_says_what_threshold_a_gated_run_ran_with(self):
         assert "admission_threshold" not in PipelineSpec().describe()
         gated = PipelineSpec(
-            backend="misra-gries", capacity=8, admission="bloom"
+            backend="space-saving", capacity=8, admission="bloom"
         )
         facts = gated.describe()
         assert facts["admission_threshold"] == DEFAULT_ADMISSION_THRESHOLD

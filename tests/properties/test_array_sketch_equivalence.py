@@ -1,10 +1,10 @@
 """Array-engine vs scalar-engine sketch equivalence properties.
 
-The array tables in :mod:`repro.sketches.array_tables` are the hot
-path; the scalar sketches are the reference semantics. Three layers of
-equivalence are pinned here:
+The array table in :mod:`repro.sketches.array_tables` is the hot path;
+the scalar Space-Saving sketch is the reference semantics. Three layers
+of equivalence are pinned here:
 
-- **Single-key streams are exact.** Fed one key per batch, each array
+- **Single-key streams are exact.** Fed one key per batch, the array
   table IS its scalar sketch: same tracked keys, same counts, same
   inherited errors, eviction tie-breaks included (both resolve ties by
   the smallest ``(count, key)`` pair).
@@ -13,12 +13,11 @@ equivalence are pinned here:
   identical populations, per-slot byte vectors, flow records and peak
   state — the whole residual-row/row-admission machinery agrees, not
   just the sketches.
-- **Batched runs keep the summaries' guarantees.** Multi-key batches
-  follow the tables' documented batch semantics, so outputs may differ
+- **Batched runs keep the summary's guarantees.** Multi-key batches
+  follow the table's documented batch semantics, so outputs may differ
   from scalar in the margins — but capacity bounds, byte conservation,
-  one-sided estimates (Space-Saving over, Misra–Gries under with the
-  decrement bound) and top-K recovery of dominant keys must hold for
-  every batch shape. With capacity for every flow, batching cannot
+  one-sided over-estimates and top-K recovery of dominant keys must
+  hold for every batch shape. With capacity for every flow, batching cannot
   matter at all: frames match the scalar run exactly.
 """
 
@@ -26,20 +25,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MisraGries, SpaceSaving, scalar_backend
+from oracles import SpaceSaving, scalar_backend
 from repro.pipeline import make_backend
 from repro.pipeline.aggregator import StreamingAggregator
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
-from repro.sketches.array_tables import ArrayMisraGries, ArraySpaceSaving
-
-SKETCH_NAMES = ("space-saving", "misra-gries")
+from repro.sketches.array_tables import ArraySpaceSaving
 
 
-def twin_backends(name, capacity):
-    """``(scalar oracle, production backend)`` for one sketch name."""
-    oracle = scalar_backend(name, capacity)
-    return oracle, make_backend(name, capacity=capacity)
+def twin_backends(capacity):
+    """``(scalar oracle, production backend)`` of one capacity."""
+    return scalar_backend(capacity), make_backend(
+        "space-saving", capacity=capacity
+    )
 
 
 #: Weights mix a small repeat-heavy set (count ties occur often — the
@@ -65,12 +63,6 @@ BATCHES = st.lists(
 )
 
 
-def scalar_and_array(name, capacity):
-    if name == "space-saving":
-        return SpaceSaving(capacity), ArraySpaceSaving(capacity)
-    return MisraGries(capacity), ArrayMisraGries(capacity)
-
-
 def aggregate(batch):
     """Sum duplicate keys within one batch, first-traffic order."""
     totals: dict[int, float] = {}
@@ -85,7 +77,7 @@ class TestSingleKeyStreamsAreExact:
     @settings(max_examples=60, deadline=None)
     @given(stream=STREAMS, capacity=st.integers(1, 8))
     def test_space_saving(self, stream, capacity):
-        scalar, table = scalar_and_array("space-saving", capacity)
+        scalar, table = SpaceSaving(capacity), ArraySpaceSaving(capacity)
         for key, weight in stream:
             scalar.update(key, weight)
             table.update_batch(
@@ -98,15 +90,19 @@ class TestSingleKeyStreamsAreExact:
 
     @settings(max_examples=60, deadline=None)
     @given(stream=STREAMS, capacity=st.integers(1, 8))
-    def test_misra_gries(self, stream, capacity):
-        scalar, table = scalar_and_array("misra-gries", capacity)
+    def test_space_saving_estimates_match_after_every_update(
+        self, stream, capacity
+    ):
+        """Not only the end state: after each single-key update every
+        key's estimate, tracked or not, is the scalar sketch's."""
+        scalar, table = SpaceSaving(capacity), ArraySpaceSaving(capacity)
         for key, weight in stream:
             scalar.update(key, weight)
             table.update_batch(
                 np.array([key], dtype=np.int64), np.array([weight])
             )
-        assert table.items() == scalar.items()
-        assert table.error_bound() == scalar.error_bound()
+            assert len(table) == len(scalar)
+            assert table.estimate(key) == scalar.estimate(key)
 
 
 def run_backend(backend, batches, slot_seconds=4.0):
@@ -134,15 +130,9 @@ def run_backend(backend, batches, slot_seconds=4.0):
 
 class TestBackendsAgreePacketByPacket:
     @settings(max_examples=25, deadline=None)
-    @given(
-        batches=BATCHES,
-        capacity=st.integers(1, 6),
-        name=st.sampled_from(SKETCH_NAMES),
-    )
-    def test_populations_frames_and_records_match(
-        self, batches, capacity, name
-    ):
-        oracle, backend = twin_backends(name, capacity)
+    @given(batches=BATCHES, capacity=st.integers(1, 6))
+    def test_populations_frames_and_records_match(self, batches, capacity):
+        oracle, backend = twin_backends(capacity)
         scalar, scalar_frames = run_backend(oracle, batches)
         array, array_frames = run_backend(backend, batches)
         assert scalar.prefixes == array.prefixes
@@ -181,15 +171,9 @@ def run_batched(backend, batches, slot_seconds=1e9):
 
 class TestBatchedGuarantees:
     @settings(max_examples=40, deadline=None)
-    @given(
-        batches=BATCHES,
-        capacity=st.integers(1, 6),
-        name=st.sampled_from(SKETCH_NAMES),
-    )
-    def test_capacity_and_byte_conservation(
-        self, batches, capacity, name
-    ):
-        backend = make_backend(name, capacity=capacity)
+    @given(batches=BATCHES, capacity=st.integers(1, 6))
+    def test_capacity_and_byte_conservation(self, batches, capacity):
+        backend = make_backend("space-saving", capacity=capacity)
         aggregator, frames = run_batched(backend, batches)
         assert backend.peak_tracked <= capacity
         recovered = sum(float(f.rates.sum()) for f in frames) * 1e9 / 8
@@ -199,7 +183,6 @@ class TestBatchedGuarantees:
     @given(
         batches=BATCHES,
         capacity=st.integers(2, 6),
-        name=st.sampled_from(SKETCH_NAMES),
         wrapper=st.sampled_from(
             [
                 {"admission": "bloom", "admission_threshold": 100.0},
@@ -208,12 +191,12 @@ class TestBatchedGuarantees:
         ),
     )
     def test_gated_and_sharded_runs_keep_capacity_and_bytes(
-        self, batches, capacity, name, wrapper
+        self, batches, capacity, wrapper
     ):
         """The same two bounds with the table behind a Bloom gate (the
         bytes it turns away land in the residual row) or split over
         two shards (each holds ``ceil(capacity / 2)``)."""
-        backend = make_backend(name, capacity=capacity, **wrapper)
+        backend = make_backend("space-saving", capacity=capacity, **wrapper)
         aggregator, frames = run_batched(backend, batches)
         assert backend.peak_tracked <= 2 * -(-capacity // 2)
         recovered = sum(float(f.rates.sum()) for f in frames) * 1e9 / 8
@@ -239,30 +222,29 @@ class TestBatchedGuarantees:
 
     @settings(max_examples=40, deadline=None)
     @given(batches=BATCHES, capacity=st.integers(1, 6))
-    def test_misra_gries_undercount_bound(self, batches, capacity):
-        table = ArrayMisraGries(capacity)
+    def test_space_saving_guaranteed_is_a_lower_bound(
+        self, batches, capacity
+    ):
+        """The other side of the one-sided estimate: a tracked key's
+        count minus its inherited error never exceeds its true weight,
+        however the batches mix newcomers and hits."""
+        table = ArraySpaceSaving(capacity)
         true: dict[int, float] = {}
         for batch in batches:
             keys, weights = aggregate(batch)
             table.update_batch(keys, weights, np.arange(keys.size))
             for key, weight in zip(keys.tolist(), weights.tolist()):
                 true[key] = true.get(key, 0.0) + weight
-        items = table.items()
-        bound = table.error_bound()
-        for key, weight in true.items():
-            estimate = items.get(key, 0.0)
-            assert estimate <= weight + 1e-9
-            assert weight <= estimate + bound + 1e-9
+        for key in table.items():
+            assert table.guaranteed(key) <= true[key] + 1e-9
 
     @settings(max_examples=30, deadline=None)
-    @given(batches=BATCHES, name=st.sampled_from(SKETCH_NAMES))
-    def test_ample_capacity_makes_batching_invisible(
-        self, batches, name
-    ):
+    @given(batches=BATCHES)
+    def test_ample_capacity_makes_batching_invisible(self, batches):
         """With room for every flow no eviction can occur, so the
         batched array run must equal the scalar run frame-for-frame."""
         flows = len({key for batch in batches for key, _ in batch})
-        oracle, backend = twin_backends(name, flows)
+        oracle, backend = twin_backends(flows)
         scalar, scalar_frames = run_batched(oracle, batches, slot_seconds=2.0)
         array, array_frames = run_batched(backend, batches, slot_seconds=2.0)
         assert scalar.prefixes == array.prefixes

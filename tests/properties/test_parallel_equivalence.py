@@ -190,7 +190,7 @@ def test_sketch_workers_classify_like_sketch_shards(workload, capacity):
 @st.composite
 def partitioned_specs(draw):
     """A 1-4 way deployment: exact or sketch, with or without the gate."""
-    backend = draw(st.sampled_from(["exact", "space-saving", "misra-gries"]))
+    backend = draw(st.sampled_from(["exact", "space-saving"]))
     fields = {"workers": draw(st.integers(min_value=1, max_value=4))}
     if backend != "exact":
         fields["capacity"] = draw(st.integers(min_value=1, max_value=12))

@@ -130,18 +130,19 @@ def test_sharded_sketch_conserves_bytes(workload, capacity):
 @given(
     workload=sharded_workloads(),
     capacity=st.integers(min_value=2, max_value=24),
-    gated=st.booleans(),
+    threshold=st.sampled_from([0.0, 3000.0, 1e9]),
 )
-def test_sharded_misra_gries_conserves_bytes(workload, capacity, gated):
-    """The same for the other table, with or without the Bloom gate in
-    front of each shard: a rejected byte goes to the residual row."""
+def test_sharded_gated_sketch_conserves_bytes(workload, capacity, threshold):
+    """The same with a Bloom gate in front of each shard, from one that
+    admits everything to one that admits nothing: a rejected byte goes
+    to the residual row."""
     num_shards, slot_seconds, chunks = workload
     backend = make_backend(
-        "misra-gries",
+        "space-saving",
         capacity=capacity,
         shards=num_shards,
-        admission="bloom" if gated else "none",
-        admission_threshold=3000.0 if gated else None,
+        admission="bloom",
+        admission_threshold=threshold,
     )
     aggregator, frames = run_chunks(slot_seconds, chunks, backend)
     streamed = sum(

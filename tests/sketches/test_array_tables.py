@@ -1,40 +1,45 @@
-"""Unit tests for the array-native candidate tables.
+"""Unit tests for the array-native Space-Saving table.
 
 The load-bearing guarantees: (1) the open-addressing index resolves
 every tracked key and never resolves an untracked one, through
-insertions, evictions and rebuilds; (2) each table honours its
-summary's classical bounds — Space-Saving one-sided over-estimates
-with ``untracked true <= min count``, Misra–Gries one-sided
-under-estimates bounded by the decrement total; (3) capacity is a hard
-bound however the batch arrives, Bloom gate in front or not; (4)
-single-key batches reproduce the scalar sketches (the deep equivalence
-lives in the property suite).
+insertions, evictions and rebuilds; (2) the table honours Space-Saving's
+classical bounds — one-sided over-estimates with ``untracked true <=
+min count``; (3) capacity is a hard bound however the batch arrives,
+Bloom gate in front or not; (4) single-key batches reproduce the
+scalar sketch (the deep equivalence lives in the property suite).
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ClassificationError
-from repro.sketches.array_tables import (
-    NO_SLOT,
-    ArrayMisraGries,
-    ArraySpaceSaving,
-)
+from repro.sketches.array_tables import NO_SLOT, ArraySpaceSaving
 from repro.sketches.bloom import gated_table
 
 TABLES = (
     ("space-saving", lambda k: ArraySpaceSaving(k)),
-    ("misra-gries", lambda k: ArrayMisraGries(k)),
-)
-#: The same tables behind a Bloom gate that turns away some of the
-#: offers below (weights 0.5-20): the kernel's gated branch re-maps the
-#: first-traffic order and the slots through the gate's subset.
-GATED = tuple(
+    # a gate that turns nothing away: the kernel's gated branch must
+    # then answer as the bare table does
     (
-        f"{name}-bloom",
-        lambda k, make=make: gated_table(make(k), threshold_bytes=10.0),
-    )
-    for name, make in TABLES
+        "space-saving-open-gate",
+        lambda k: gated_table(ArraySpaceSaving(k), threshold_bytes=0.0),
+    ),
+)
+#: The table behind a Bloom gate that turns away some of the offers
+#: below (weights 0.5-20): the kernel's gated branch re-maps the
+#: first-traffic order and the slots through the gate's subset. The
+#: narrow filter's counters collide, so mice reach the table early.
+GATED = (
+    (
+        "space-saving-bloom",
+        lambda k: gated_table(ArraySpaceSaving(k), threshold_bytes=10.0),
+    ),
+    (
+        "space-saving-narrow-bloom",
+        lambda k: gated_table(
+            ArraySpaceSaving(k), threshold_bytes=10.0, width=16
+        ),
+    ),
 )
 
 
@@ -259,49 +264,48 @@ class TestTopK:
             table.top_k(-1)
 
 
-class TestMisraGriesGuarantees:
-    def test_undercount_bounded_by_decrements(self):
-        rng = np.random.default_rng(12)
-        table = ArrayMisraGries(10)
-        true: dict[int, float] = {}
-        for _ in range(60):
-            m = int(rng.integers(1, 50))
-            keys = rng.choice(300, size=m, replace=False)
-            weights = rng.uniform(0.1, 30.0, m)
-            offer(table, keys, weights)
-            for key, weight in zip(keys.tolist(), weights.tolist()):
-                true[key] = true.get(key, 0.0) + weight
-        bound = table.error_bound()
-        items = table.items()
-        for key, weight in true.items():
-            estimate = items.get(key, 0.0)
-            assert estimate <= weight + 1e-9
-            assert weight <= estimate + bound + 1e-9
+class TestSpaceSavingAdmission:
+    def test_newcomer_takes_the_smallest_count_key_pair(self):
+        """Count ties break by key: the newcomer replaces the smaller
+        key and inherits its count as error."""
+        table = ArraySpaceSaving(3)
+        offer(table, [5, 2, 9], [4.0, 4.0, 8.0])
+        update = offer(table, [7], [1.0])
+        assert table.items() == {5: 4.0, 7: 5.0, 9: 8.0}
+        assert table.key[update.slots[0]] == 7
+        assert table.guaranteed(7) == 1.0
 
-    def test_decrement_chain_survives_rounding(self):
-        """Non-dyadic weights make offset arithmetic round; the chain
-        must still free the dying minimum's slot (regression: the
-        death test missed it by one ulp and popped an empty list)."""
+    def test_rounding_weights_keep_capacity_and_one_sided_counts(self):
+        """Non-dyadic weights make the inherited counts round; the table
+        stays within capacity and never under-counts a tracked key."""
         rng = np.random.default_rng(21)
         for capacity in (1, 2, 3, 5):
-            table = ArrayMisraGries(capacity)
+            table = ArraySpaceSaving(capacity)
+            true: dict[int, float] = {}
             for _ in range(60):
                 m = int(rng.integers(1, 12))
                 keys = rng.choice(60, size=m, replace=False)
-                offer(table, keys, rng.uniform(0.01, 5.0, m))
+                weights = rng.uniform(0.01, 5.0, m)
+                offer(table, keys, weights)
+                for key, weight in zip(keys.tolist(), weights.tolist()):
+                    true[key] = true.get(key, 0.0) + weight
                 assert len(table) <= capacity
+            for key, count in table.items().items():
+                assert count >= true[key] - 1e-9
 
-    def test_erosion_frees_then_admits_plainly(self):
-        table = ArrayMisraGries(2)
-        offer(table, [1, 2], [5.0, 5.0])
-        # 3 erodes everyone by 3; 1 and 2 drop to 2.0, 3 is rejected
-        update = offer(table, [3], [3.0])
-        assert update.slots[0] == NO_SLOT
-        assert table.items() == {1: 2.0, 2: 2.0}
-        assert table.error_bound() == pytest.approx(3.0)
+    def test_merge_admitted_newcomers_inherit_the_boundary(self):
+        """Two heavy newcomers beat the two smallest entries in one
+        batch; each records the merge boundary as its error."""
+        table = ArraySpaceSaving(3)
+        offer(table, [1, 2, 3], [10.0, 2.0, 3.0])
+        offer(table, [4, 5, 6], [50.0, 40.0, 0.5])
+        items = table.items()
+        assert 4 in items and 5 in items
+        assert table.guaranteed(4) <= 50.0 <= items[4]
+        assert table.guaranteed(5) <= 40.0 <= items[5]
 
-    def test_gate_fronts_it_like_space_saving(self):
-        table = gated_table(ArrayMisraGries(4), threshold_bytes=100.0)
+    def test_gate_turns_away_light_newcomers(self):
+        table = gated_table(ArraySpaceSaving(4), threshold_bytes=100.0)
         update = offer(table, [1, 2], [500.0, 40.0])
         assert (update.slots >= 0).tolist() == [True, False]
         assert table.items() == {1: 500.0}

@@ -82,6 +82,15 @@ def trace():
     return batches
 
 
+#: Each parametrised bar holds for the bare table and for the table
+#: behind a Bloom gate the elephants clear within a slot (40 packets of
+#: 1500 bytes against a gate of under three).
+GATES = {
+    "none": {},
+    "bloom": {"admission": "bloom", "admission_threshold": 4096.0},
+}
+
+
 def factories(trace):
     return (
         lambda: ListPacketSource(trace),
@@ -90,8 +99,8 @@ def factories(trace):
 
 
 class TestAcceptance:
-    @pytest.mark.parametrize("name", ["space-saving", "misra-gries"])
-    def test_recall_at_four_times_true_count(self, trace, name):
+    @pytest.mark.parametrize("admission", sorted(GATES))
+    def test_recall_at_four_times_true_count(self, trace, admission):
         make_source, make_resolver = factories(trace)
         reference = run_backend(make_source, make_resolver, SLOT_SECONDS)
         capacity = 4 * reference.peak_elephants
@@ -101,14 +110,16 @@ class TestAcceptance:
                 make_source,
                 make_resolver,
                 SLOT_SECONDS,
-                backend=make_backend(name, capacity=capacity),
+                backend=make_backend(
+                    "space-saving", capacity=capacity, **GATES[admission]
+                ),
             ),
         )
         assert comparison.recall >= 0.9
         assert comparison.run.peak_tracked <= capacity
 
-    @pytest.mark.parametrize("name", ["space-saving", "misra-gries"])
-    def test_recall_holds_over_two_shards(self, trace, name):
+    @pytest.mark.parametrize("admission", sorted(GATES))
+    def test_recall_holds_over_two_shards(self, trace, admission):
         """The same bar with the same total capacity split over two
         hash partitions."""
         make_source, make_resolver = factories(trace)
@@ -120,7 +131,12 @@ class TestAcceptance:
                 make_source,
                 make_resolver,
                 SLOT_SECONDS,
-                backend=make_backend(name, capacity=capacity, shards=2),
+                backend=make_backend(
+                    "space-saving",
+                    capacity=capacity,
+                    shards=2,
+                    **GATES[admission],
+                ),
             ),
         )
         assert comparison.recall >= 0.9
@@ -152,12 +168,11 @@ class TestEvaluation:
             make_resolver,
             SLOT_SECONDS,
             [
+                make_backend("space-saving", capacity=16),
                 make_backend("space-saving", capacity=8),
-                make_backend("misra-gries", capacity=8),
             ],
         )
-        backends = [c.run.backend for c in comparisons]
-        assert backends == ["space-saving", "misra-gries"]
+        assert [c.run.capacity for c in comparisons] == [16, 8]
         for comparison in comparisons:
             assert 0.0 <= comparison.recall <= 1.0
             assert 0.0 <= comparison.precision <= 1.0

@@ -220,14 +220,14 @@ class TestStreamBackends:
                 stream_capture["npz"],
                 "--json",
                 "--backend",
-                "misra-gries",
+                "space-saving",
                 "--capacity",
                 "3",
             ]
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "misra-gries"
+        assert summary["backend"] == "space-saving"
         assert summary["peak_tracked_flows"] <= 3
 
     def test_memory_budget_sizes_capacity(self, stream_capture, capsys):
@@ -257,7 +257,7 @@ class TestStreamBackends:
                 stream_capture["pcap"],
                 "--quiet",
                 "--backend",
-                "misra-gries",
+                "space-saving",
                 "--capacity",
                 "8",
             ]
@@ -343,18 +343,16 @@ class TestStreamAdmission:
         ],
         ids=["plain", "bloom", "shards", "workers"],
     )
-    def test_misra_gries_runs_like_any_sketch(
-        self, stream_capture, capsys, extra
-    ):
-        """Misra–Gries is an array table: gated, sharded and
-        fleet-partitioned through the same code as Space-Saving."""
+    def test_a_small_table_runs_every_way(self, stream_capture, capsys, extra):
+        """A table smaller than the capture's flow count, gated, sharded
+        and fleet-partitioned: each answers in the same summary."""
         code = main(
             [
                 "stream",
                 stream_capture["pcap"],
                 "--json",
                 "--backend",
-                "misra-gries",
+                "space-saving",
                 "--capacity",
                 "6",
                 "--seed",
@@ -364,7 +362,7 @@ class TestStreamAdmission:
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "misra-gries"
+        assert summary["backend"] == "space-saving"
         assert summary["capacity"] == 6
         assert summary.get("peak_tracked_flows", 0) <= 6
         assert 0.0 <= summary["mean_residual_fraction"] <= 1.0
@@ -377,8 +375,8 @@ class TestStreamRefusesOutOfRangeNumbers:
         [
             # tables too large to allocate (no page is ever touched)
             "--backend space-saving --capacity 100000000000000",
-            "--backend misra-gries --memory-budget 99999999g",
-            "--backend misra-gries --capacity 4611686018427387904",
+            "--backend space-saving --memory-budget 99999999g",
+            "--backend space-saving --capacity 4611686018427387904",
             # seeds outside [0, 2**63)
             "--backend space-saving --capacity 4 --seed -1",
             "--backend space-saving --capacity 4 --admission bloom "
@@ -630,20 +628,29 @@ class TestMerge:
             assert main([*argv, "--connect", f"{host}:{port}"]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        # the daemon's reason, not the broken pipe its hang-up leaves
+        assert "does not align" in err
 
     def test_merge_of_a_run_with_two_summaries_for_one_cell(
         self, tmp_path, capsys
     ):
         """Summed, they used to merge as one slot of both volumes. The
         file keeps its slot numbers in order; two of them name one
-        interval."""
+        interval. `save_summaries` refuses to write such a run, so the
+        file is a sound one with its last start moved onto the one
+        before."""
         prefixes = [Prefix.parse("10.0.0.0/16")]
         run = [
             SlotSummary(0, 0.0, 60.0, prefixes, np.array([100.0])),
             SlotSummary(1, 60.0, 60.0, prefixes, np.array([70.0])),
-            SlotSummary(2, 60.0, 60.0, prefixes, np.array([50.0])),
+            SlotSummary(2, 120.0, 60.0, prefixes, np.array([50.0])),
         ]
         save_summaries(str(tmp_path / "s.npz"), run)
+        with np.load(tmp_path / "s.npz") as archive:
+            data = dict(archive)
+        data["starts"] = np.array([0.0, 60.0, 60.0])
+        with open(tmp_path / "s.npz", "wb") as stream:
+            np.savez(stream, **data)
         assert main(["merge", str(tmp_path / "s.npz")]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
@@ -962,7 +969,7 @@ class TestStreamErrors:
         assert "memory budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name", ["bloom-filter", "count-min", "sample-hold"]
+        "name", ["bloom-filter", "count-min", "sample-hold", "misra-gries"]
     )
     def test_unknown_backend_rejected_by_parser(
         self, stream_capture, capsys, name
@@ -971,7 +978,7 @@ class TestStreamErrors:
             main(["stream", stream_capture["pcap"], "--backend", name])
         assert raised.value.code == 2
         err = capsys.readouterr().err
-        assert "choose from 'exact', 'space-saving', 'misra-gries'" in err
+        assert "choose from 'exact', 'space-saving')" in err
 
     def test_corrupt_npz(self, tmp_path, capsys):
         path = str(tmp_path / "corrupt.npz")
@@ -1870,3 +1877,35 @@ class TestResultEnvelope:
             )
             assert other["series"] == streamed["series"]
         assert streamed["elephants"]  # the agreement is non-vacuous
+
+    def test_four_commands_flag_the_same_below_table_slots(
+        self, stream_capture, tmp_path, capsys
+    ):
+        """A two-entry table over six similar flows leaves most bytes
+        in the residual: the cut falls below the table. Each command
+        lists those slots in ``series.cut_below_table``, the same ones."""
+        from repro.distributed import CollectorService, ServiceHandle
+
+        table = ["--backend", "space-saving", "--capacity", "2"]
+        path = str(tmp_path / "mon.npz")
+        with ServiceHandle(CollectorService()) as handle:
+            host, port = handle.address
+            address = f"{host}:{port}"
+            argv = ["stream", stream_capture["pcap"], "--quiet", "--json"]
+            code = main(
+                [*argv, *table, "--summary-out", path, "--connect", address]
+            )
+            assert code == 0
+            streamed = json.loads(capsys.readouterr().out)
+            assert main(["query", address, "--json"]) == 0
+            queried = json.loads(capsys.readouterr().out)
+        assert main(["merge", path, "--json"]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        offload = ["offload", stream_capture["pcap"], "--table-size", "8"]
+        assert main([*offload, *table, "--json"]) == 0
+        offloaded = json.loads(capsys.readouterr().out)
+        below = streamed["series"]["cut_below_table"]
+        assert below and below == sorted(set(below))
+        for other in (queried, merged, offloaded):
+            assert other["series"] == streamed["series"]
+            assert other["elephants_by_slot"] == streamed["elephants_by_slot"]

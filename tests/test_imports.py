@@ -202,8 +202,7 @@ class TestSurface:
     def test_sketches_export_the_tables_the_gate_and_the_scorer(self):
         assert repro.sketches.__all__ == sorted(
             [
-                # the array tables and what a batch update returns
-                "ArrayMisraGries",
+                # the array table and what a batch update returns
                 "ArraySpaceSaving",
                 "BatchUpdate",
                 # the Bloom admission gate
