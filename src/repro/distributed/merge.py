@@ -28,9 +28,11 @@ per-entry fold this replaced, bit for bit.
 
 Alignment is by grid cell, which *trusts monitor clocks*: a monitor
 whose clock drifts past a slot boundary silently mis-bins its traffic.
-:func:`estimate_skew_from_totals` is the collector-side check — it
-compares the per-cell byte totals a :class:`LinkMerge` keeps for each
-monitor at candidate slot lags, and :func:`merge_runs` raises a
+:func:`estimate_skew_from_totals` is the collector-side check: a
+:class:`LinkMerge` keeps each monitor's per-cell byte totals as
+append-only columns and scores every slot lag against the anchor run
+in one array pass, so a query does not walk the link's history in
+Python. :func:`merge_runs` raises a
 :class:`~repro.errors.ClockSkewWarning` (and records the estimate on
 the returned :class:`MergedRun`) when a run's totals line up better one
 or more slots away from where its timestamps put them.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -92,11 +95,21 @@ def first_seen_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(rows, firsts)``: the row of every entry, and per row the
     position of the entry that introduced it — the numbering a dict
-    filled in arrival order hands out, from one stable sort (not
-    ``np.unique``: several times slower on a few thousand keys).
+    filled in arrival order hands out. Each key is packed with its
+    position into one distinct int64, so one plain sort puts equal keys
+    together, earliest first, without a stable sort. The stable sort is
+    kept for keys spread too wide to pack, which prefix keys
+    (``network << 6 | length``, below 2**38) are only when one call
+    numbers more than 2**25 entries: a guard, not a hot path.
     """
-    order = np.argsort(keys, kind="stable")  # equal keys meet, earliest first
-    ranked = keys[order]
+    bits = max(keys.size - 1, 0).bit_length()  # wide enough for a position
+    low = int(keys.min()) if keys.size else 0
+    if keys.size and int(keys.max()) - low >= 1 << (63 - bits):
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+    else:
+        packed = np.sort((keys - low) << bits | np.arange(keys.size))
+        order, ranked = packed & ((1 << bits) - 1), packed >> bits
     lead = np.ones(keys.size, dtype=bool)
     lead[1:] = ranked[1:] != ranked[:-1]
     leaders = order[lead]  # per distinct key, the entry that introduced it
@@ -143,10 +156,8 @@ def merge_summaries(
         np.concatenate([table.length for table in tables]),
     )
     rows, firsts = first_seen_rows(entries.keys())
-    merged = SlotSummary(
+    merged = head._derived(
         slot=head.slot if slot is None else slot,
-        start=head.start,
-        slot_seconds=head.slot_seconds,
         prefixes=entries[firsts],
         volumes=sum_by_row(
             rows, np.concatenate([s.volumes for s in summaries]), firsts.size
@@ -171,24 +182,61 @@ class MergedRun(list):
     skew_estimate: dict[int, float]
 
 
-def _lag_correlation(
-    reference: Mapping[int, float], other: Mapping[int, float], lag: int
-) -> tuple[float, int] | None:
-    """Pearson r (and sample size) of reference[c] vs other[c + lag]."""
-    cells = [cell for cell in reference if cell + lag in other]
-    if len(cells) < MIN_SKEW_OVERLAP:
-        return None
-    left = np.array([reference[cell] for cell in cells])
-    right = np.array([other[cell + lag] for cell in cells])
-    if left.std() == 0.0 or right.std() == 0.0:
-        return None
-    return float(np.corrcoef(left, right)[0, 1]), len(cells)
+#: The slot lags the skew estimator scores, in the order it scans them.
+_LAGS = np.arange(-MAX_SKEW_SLOTS, MAX_SKEW_SLOTS + 1)
 
 
-def _significance_floor(count: int) -> float:
-    """The r below which ``count`` points cannot clear the t floor."""
+def _skew_of_columns(
+    totals: Sequence[tuple[np.ndarray, np.ndarray]], grid: float
+) -> dict[int, float]:
+    """:func:`estimate_skew_from_totals` over ``(cells, bytes)`` columns,
+    cells ascending: each run's lags are scored in one array pass."""
+    estimates = {index: 0.0 for index in range(len(totals))}
+    if len(totals) < 2:
+        return estimates
+    anchor_index = max(range(len(totals)), key=lambda i: totals[i][0].size)
+    anchor_cells, anchor_sent = totals[anchor_index]
+    zero = MAX_SKEW_SLOTS  # the row of the as-reported alignment
     t_squared = SKEW_MIN_T_STATISTIC**2
-    return math.sqrt(t_squared / (t_squared + count - 2))
+    for index, (cells, sent) in enumerate(totals):
+        if index == anchor_index or not cells.size:
+            continue
+        # row per lag: anchor[c] against other[c + lag], where it exists
+        wanted = anchor_cells + _LAGS[:, None]
+        at = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
+        hit = cells[at] == wanted
+        count = hit.sum(axis=1)
+        scored = count >= MIN_SKEW_OVERLAP
+        sides = [np.broadcast_to(anchor_sent, hit.shape), sent[at]]
+        for side, values in enumerate(sides):
+            low = np.where(hit, values, np.inf).min(axis=1)
+            scored &= low < np.where(hit, values, -np.inf).max(axis=1)
+            mean = np.where(hit, values, 0).sum(axis=1) / np.maximum(count, 1)
+            sides[side] = np.where(hit, values - mean[:, None], 0.0)
+        left, right = sides
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (left * right).sum(axis=1) / np.sqrt(
+                (left * left).sum(axis=1) * (right * right).sum(axis=1)
+            )
+        r = np.clip(r, -1.0, 1.0)  # as np.corrcoef does
+        best = zero if scored[zero] else None
+        for row in np.flatnonzero(scored):  # in the scan order
+            if row != zero and (best is None or r[row] > r[best]):
+                best = row
+        if best is None or best == zero:
+            continue
+        floor = max(r[zero], 0.0) if scored[zero] else 0.0
+        # the r below which count[best] points cannot clear the t floor
+        significant = math.sqrt(t_squared / (t_squared + count[best] - 2))
+        if (
+            r[best] >= SKEW_MIN_CORRELATION
+            and r[best] >= significant
+            and r[best] >= floor + SKEW_MARGIN
+        ):
+            # other[c + lag] matches anchor[c]: the run's totals sit
+            # `lag` cells later than the traffic, so its clock is ahead
+            estimates[index] = int(_LAGS[best]) * grid
+    return estimates
 
 
 def estimate_skew_from_totals(
@@ -197,54 +245,32 @@ def estimate_skew_from_totals(
     """Estimate each monitor's clock offset from per-cell byte totals.
 
     ``totals[i]`` maps grid cell → bytes for monitor ``i`` (what a
-    :class:`LinkMerge` keeps per monitor). The longest run anchors the
-    comparison. For every other run, the per-cell byte totals are
-    correlated against the anchor's at slot lags up to
-    :data:`MAX_SKEW_SLOTS` either way; a run whose totals fit
-    decisively better at a nonzero lag — beating the as-reported
-    alignment by :data:`SKEW_MARGIN` of Pearson r, above the
-    :data:`SKEW_MIN_CORRELATION` floor, *and* statistically significant
-    for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) — is estimated
-    to be skewed by that many slots. Positive means the run's clock
-    reads *ahead* (its traffic lands in later cells than it occurred
-    in). Runs with fewer than :data:`MIN_SKEW_OVERLAP` comparable
-    cells, or without a decisive fit, estimate ``0.0``: absence of
-    evidence is not skew. The estimator presumes the runs watch the
-    *same* link (taps of one traffic mix); monitors of unrelated links
-    have uncorrelated totals at every lag and the significance floor is
-    what keeps them from producing chance verdicts.
+    :class:`LinkMerge` keeps per monitor). The longest run (the first
+    of equally long ones) anchors the comparison. For every other run,
+    the per-cell byte totals are correlated against the anchor's at
+    slot lags up to :data:`MAX_SKEW_SLOTS` either way, scanned from the
+    most negative up, a later lag winning only on a strictly higher r;
+    a run whose totals fit decisively better at a nonzero lag — beating
+    the as-reported alignment by :data:`SKEW_MARGIN` of Pearson r,
+    above the :data:`SKEW_MIN_CORRELATION` floor, *and* statistically
+    significant for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) —
+    is estimated to be skewed by that many slots. Positive means the
+    run's clock reads *ahead* (its traffic lands in later cells than it
+    occurred in). A lag with fewer than :data:`MIN_SKEW_OVERLAP`
+    comparable cells, or with constant totals on either side, is no
+    evidence, and a run without a decisive fit estimates ``0.0``:
+    absence of evidence is not skew. The estimator presumes the runs
+    watch the *same* link (taps of one traffic mix); monitors of
+    unrelated links have uncorrelated totals at every lag, and the
+    significance floor keeps them from chance verdicts.
     """
-    estimates = {index: 0.0 for index in range(len(totals))}
-    if len(totals) < 2:
-        return estimates
-    anchor_index = max(range(len(totals)), key=lambda i: len(totals[i]))
-    anchor = totals[anchor_index]
-    for index, cells in enumerate(totals):
-        if index == anchor_index:
-            continue
-        aligned = _lag_correlation(anchor, cells, 0)
-        best_lag, best = 0, aligned
-        for lag in range(-MAX_SKEW_SLOTS, MAX_SKEW_SLOTS + 1):
-            if lag == 0:
-                continue
-            score = _lag_correlation(anchor, cells, lag)
-            if score is None:
-                continue
-            if best is None or score[0] > best[0]:
-                best_lag, best = lag, score
-        if best_lag == 0 or best is None:
-            continue
-        correlation, count = best
-        floor = 0.0 if aligned is None else max(aligned[0], 0.0)
-        if (
-            correlation >= SKEW_MIN_CORRELATION
-            and correlation >= _significance_floor(count)
-            and correlation >= floor + SKEW_MARGIN
-        ):
-            # other[c + lag] matches anchor[c]: the run's totals sit
-            # `lag` cells later than the traffic, so its clock is ahead
-            estimates[index] = best_lag * grid
-    return estimates
+    columns = []
+    for run in totals:
+        cells = np.fromiter(run, dtype=np.int64, count=len(run))
+        order = np.argsort(cells)
+        sent = np.fromiter(run.values(), dtype=np.float64, count=len(run))
+        columns.append((cells[order], sent[order]))
+    return _skew_of_columns(columns, grid)
 
 
 def gap_summary(cell: int, first_cell: int, seconds: float) -> SlotSummary:
@@ -279,6 +305,11 @@ class LinkMerge:
     :func:`gap_summary`. A monitor is any hashable name: a live link's
     are the names monitors greet with, :func:`merge_runs`' are run
     indices.
+
+    The skew estimate's input is every accepted summary's total bytes:
+    per monitor an int64 cell and a float64 bytes column, appended to
+    (its accepted cells strictly increase) — 16 B per monitor per cell,
+    for the link's whole life.
     """
 
     def __init__(self, k: int | None = None, fill_gaps: bool = True) -> None:
@@ -295,7 +326,7 @@ class LinkMerge:
         self._active: set[Hashable] = set()
         #: Per monitor, in first-attach order, its accepted bytes per
         #: cell — the skew estimator's input.
-        self._totals: dict[Hashable, dict[int, float]] = {}
+        self._totals: dict[Hashable, tuple[array, array]] = {}
         #: Lowest and highest cell the link has held. On a gap-filling
         #: link held cells lie at most MAX_GAP_CELLS apart, so a cell is
         #: that near one of them when it is that near the span.
@@ -314,7 +345,7 @@ class LinkMerge:
                 f"monitor {monitor!r} is already attached to this link"
             )
         self._active.add(monitor)
-        self._totals.setdefault(monitor, {})
+        self._totals.setdefault(monitor, (array("q"), array("d")))
         if self.next_cell is not None:
             floor = self.next_cell - 1
             current = self._watermark.get(monitor, floor)
@@ -332,10 +363,10 @@ class LinkMerge:
         the pending merge, ``"stale"`` when it landed at or below sealed
         history, or at or below a cell this monitor already sent, and
         was dropped. A summary on another slot width, off the absolute
-        grid, or off the interval its cell's pending summaries cover is
-        refused with a :class:`~repro.errors.ClassificationError`; so,
-        when gaps are filled, is one farther than
-        :data:`MAX_GAP_CELLS` from every cell the link holds. Neither a
+        grid, off the interval its cell's pending summaries cover, 2**62
+        cells or more from cell 0 or, when gaps are filled, farther than
+        :data:`MAX_GAP_CELLS` from every cell the link holds is refused
+        with a :class:`~repro.errors.ClassificationError`. Neither a
         stale nor a refused summary changes any state.
         """
         seconds = self.slot_seconds or summary.slot_seconds
@@ -368,11 +399,17 @@ class LinkMerge:
                     f"covered cell {near}; gap filling bridges at most "
                     f"{MAX_GAP_CELLS}"
                 )
+        if not -(1 << 62) < cell < 1 << 62:  # int64 columns, lags and all
+            raise ClassificationError(f"grid cell {cell} is out of range")
         self.slot_seconds = seconds
         self._hold(cell)
         self.pending.setdefault(cell, {})[monitor] = summary
         self._watermark[monitor] = cell
-        self._totals.setdefault(monitor, {})[cell] = summary.total_bytes
+        cells, sent = self._totals.setdefault(
+            monitor, (array("q"), array("d"))
+        )
+        cells.append(cell)
+        sent.append(summary.total_bytes)
         return cell, "ok"
 
     def _hold(self, cell: int) -> None:
@@ -436,8 +473,11 @@ class LinkMerge:
         """Per-monitor clock-skew estimate over accepted summaries."""
         if self.slot_seconds is None:  # nothing accepted yet
             return dict.fromkeys(self._totals, 0.0)
-        totals = list(self._totals.values())
-        estimates = estimate_skew_from_totals(totals, self.slot_seconds)
+        columns = [
+            (np.array(cells), np.array(sent))
+            for cells, sent in self._totals.values()
+        ]
+        estimates = _skew_of_columns(columns, self.slot_seconds)
         return dict(zip(self._totals, estimates.values()))
 
 

@@ -94,6 +94,23 @@ class SlotSummary:
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "prefixes", columns)
         columns.check()
+        self._check_fields()
+        keys = np.sort(columns.keys())  # np.unique is ~10x slower here
+        if (keys[1:] == keys[:-1]).any():
+            raise ClassificationError("summary entries must be duplicate-free")
+        if self.residual_bytes < 0 or (volumes < 0).any():
+            raise ClassificationError("byte volumes cannot be negative")
+
+    def _derived(self, **changes) -> "SlotSummary":
+        """A copy with ``changes`` from merging or cutting valid ones, so
+        its entries' prefix, duplicate and sign checks are skipped; the
+        rest still run, as sums can overflow to infinity."""
+        summary = object.__new__(type(self))
+        vars(summary).update(vars(self), **changes)
+        summary._check_fields()
+        return summary
+
+    def _check_fields(self) -> None:
         scalars = (
             self.start,
             self.slot_seconds,
@@ -103,7 +120,7 @@ class SlotSummary:
         # NaN slips through every ordering check below (nan <= 0 and
         # nan < 0 are both false) and inf through most of them
         finite = all(map(math.isfinite, scalars))
-        if not (finite and np.isfinite(volumes).all()):
+        if not (finite and np.isfinite(self.volumes).all()):
             raise ClassificationError("summary fields must be finite")
         if self.slot_seconds <= 0:
             raise ClassificationError("slot_seconds must be positive")
@@ -114,16 +131,11 @@ class SlotSummary:
             )
         if self.sample_rate < 1.0:
             raise ClassificationError("sample_rate must be >= 1")
-        if len(columns) != volumes.size:
+        if len(self.prefixes) != self.volumes.size:
             raise ClassificationError(
-                f"{len(columns)} prefixes for {volumes.size} "
+                f"{len(self.prefixes)} prefixes for {self.volumes.size} "
                 "volume entries"
             )
-        keys = np.sort(columns.keys())  # np.unique is ~10x slower here
-        if (keys[1:] == keys[:-1]).any():
-            raise ClassificationError("summary entries must be duplicate-free")
-        if self.residual_bytes < 0 or (volumes < 0).any():
-            raise ClassificationError("byte volumes cannot be negative")
 
     @property
     def num_entries(self) -> int:
@@ -176,8 +188,8 @@ class SlotSummary:
         """The top-``k`` entries by volume; the rest joins the residual.
 
         Ties break by row order (stable sort), so truncation is
-        deterministic. The spill is the sum of the cut entries
-        themselves (never negative): totals are conserved to rounding.
+        deterministic. The spill is the sum of the cut entries in rank
+        order (never negative): totals are conserved to rounding.
         """
         if k < 0:
             raise ClassificationError("k must be non-negative")
@@ -186,8 +198,7 @@ class SlotSummary:
         order = np.argsort(-self.volumes, kind="stable")
         keep = np.sort(order[:k])
         spilled = float(self.volumes[order[k:]].sum())
-        return dataclasses.replace(
-            self,
+        return self._derived(
             prefixes=self.prefixes[keep],
             volumes=self.volumes[keep],
             residual_bytes=self.residual_bytes + spilled,

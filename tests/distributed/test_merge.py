@@ -2,9 +2,9 @@
 combination of empty, disjoint, overlapping and truncated summaries —
 and flag monitors whose clocks drifted past a slot boundary.
 
-The columnar merge (one stable sort, one ``bincount``) is held to the
-dict fold it replaced, kept here as the oracle: same prefixes in the
-same order, volumes equal with ``==``, not ``approx``."""
+The columnar merge (one sort, one ``bincount``) is held to the dict
+fold it replaced, kept here as the oracle: same prefixes in the same
+order, volumes equal with ``==``, not ``approx``."""
 
 import warnings
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import first_seen_by_dict
 
 from repro.distributed import merge_runs, merge_summaries
 from repro.distributed.framing import grid_cell
@@ -468,10 +469,14 @@ class TestAgainstTheDictFold:
 
 class TestFirstSeenRows:
     @settings(max_examples=200, deadline=None)
-    @given(keys=st.lists(st.integers(0, 1 << 38) | st.integers(0, 6)))
+    @given(
+        keys=st.lists(
+            st.integers(0, 1 << 38)
+            | st.integers(0, 6)
+            # spread too wide to pack with a position
+            | st.integers(-(1 << 63), (1 << 63) - 1)
+        )
+    )
     def test_numbers_keys_as_a_dict_would(self, keys):
         rows, firsts = first_seen_rows(np.array(keys, dtype=np.int64))
-        seen = {}
-        want = [seen.setdefault(key, len(seen)) for key in keys]
-        assert rows.tolist() == want
-        assert [keys[at] for at in firsts.tolist()] == list(seen)
+        assert (rows.tolist(), firsts.tolist()) == first_seen_by_dict(keys)

@@ -20,10 +20,26 @@ The batch :class:`~repro.core.engine.ClassificationEngine` is the
 oracle of the streaming classifier: :func:`assert_stream_matches_batch`
 holds every event a :class:`~repro.pipeline.StreamingPipeline` emits to
 the batch result's column for that slot.
+
+The collector's merge kernels keep their plain forms here as well.
+:func:`estimate_skew_from_totals` walks dicts of per-cell totals, one
+lag at a time (:func:`lag_correlation`); the production estimator
+scores every lag in one array pass over columns. :func:`merge_by_dict`
+fills a dict in arrival order and cuts it to ``k`` with a stable sort;
+:func:`first_seen_by_dict` is the numbering that dict hands out.
 """
+
+import math
 
 import numpy as np
 
+from repro.distributed.merge import (
+    MAX_SKEW_SLOTS,
+    MIN_SKEW_OVERLAP,
+    SKEW_MARGIN,
+    SKEW_MIN_CORRELATION,
+    SKEW_MIN_T_STATISTIC,
+)
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend
 from repro.sketches.array_tables import ArraySpaceSaving
@@ -215,3 +231,94 @@ class SortingSpaceSaving(ArraySpaceSaving):
                 return victims
             return np.append(victims, min_slot)
         return np.asarray([min_slot], dtype=np.int64)
+
+
+def lag_correlation(reference, other, lag):
+    """Pearson r (and sample size) of reference[c] vs other[c + lag].
+
+    ``None`` below :data:`MIN_SKEW_OVERLAP` overlapping cells, or when
+    either side is constant. Constant means every value equal, not
+    ``std() == 0.0``: the rounded mean of a run of 0.1s is not 0.1, so
+    its std is not 0, and two such flat runs would score r = 1 at a lag.
+    """
+    cells = [cell for cell in reference if cell + lag in other]
+    if len(cells) < MIN_SKEW_OVERLAP:
+        return None
+    left = np.array([reference[cell] for cell in cells])
+    right = np.array([other[cell + lag] for cell in cells])
+    if np.ptp(left) == 0.0 or np.ptp(right) == 0.0:
+        return None
+    return float(np.corrcoef(left, right)[0, 1]), len(cells)
+
+
+def significance_floor(count):
+    """The r below which ``count`` points cannot clear the t floor."""
+    t_squared = SKEW_MIN_T_STATISTIC**2
+    return math.sqrt(t_squared / (t_squared + count - 2))
+
+
+def estimate_skew_from_totals(totals, grid):
+    """``repro.distributed.merge.estimate_skew_from_totals`` as a walk.
+
+    The longest run (the first of equally long ones) anchors; every
+    other run is correlated against it lag by lag, ``-MAX_SKEW_SLOTS``
+    up, a later lag replacing the best only on a strictly higher r.
+    """
+    estimates = {index: 0.0 for index in range(len(totals))}
+    if len(totals) < 2:
+        return estimates
+    anchor_index = max(range(len(totals)), key=lambda i: len(totals[i]))
+    anchor = totals[anchor_index]
+    for index, cells in enumerate(totals):
+        if index == anchor_index:
+            continue
+        aligned = lag_correlation(anchor, cells, 0)
+        best_lag, best = 0, aligned
+        for lag in range(-MAX_SKEW_SLOTS, MAX_SKEW_SLOTS + 1):
+            if lag == 0:
+                continue
+            score = lag_correlation(anchor, cells, lag)
+            if score is None:
+                continue
+            if best is None or score[0] > best[0]:
+                best_lag, best = lag, score
+        if best_lag == 0 or best is None:
+            continue
+        correlation, count = best
+        floor = 0.0 if aligned is None else max(aligned[0], 0.0)
+        if (
+            correlation >= SKEW_MIN_CORRELATION
+            and correlation >= significance_floor(count)
+            and correlation >= floor + SKEW_MARGIN
+        ):
+            estimates[index] = best_lag * grid
+    return estimates
+
+
+def first_seen_by_dict(keys):
+    """``first_seen_rows`` as a dict filled in arrival order."""
+    rows, firsts = {}, []
+    for position, key in enumerate(keys):
+        if key not in rows:
+            rows[key] = len(rows)
+            firsts.append(position)
+    return [rows[key] for key in keys], firsts
+
+
+def merge_by_dict(summaries, k=None):
+    """``merge_summaries`` as a dict filled in arrival order, then cut
+    to ``k`` by a stable sort: ``(keys, volumes, residual_bytes)``."""
+    totals = {}
+    for one in summaries:
+        entries = zip(one.prefixes.keys().tolist(), one.volumes.tolist())
+        for key, volume in entries:
+            totals[key] = totals.get(key, 0.0) + volume
+    keys = np.array(list(totals), dtype=np.int64)
+    volumes = np.array(list(totals.values()), dtype=np.float64)
+    residual = sum((one.residual_bytes for one in summaries), 0.0)
+    if k is not None and keys.size > k:
+        order = np.argsort(-volumes, kind="stable")
+        keep = np.sort(order[:k])
+        residual += float(volumes[order[k:]].sum())
+        keys, volumes = keys[keep], volumes[keep]
+    return keys, volumes, residual
