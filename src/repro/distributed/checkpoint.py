@@ -22,33 +22,32 @@ collector has classified it and *before* it acks the monitor, so an
 acked summary is always recoverable and a slot the classifier refused
 is never replayed (``fsync`` per record by default; pass
 ``fsync=False`` to trade the write barrier for throughput). Every
-``compact_every`` appends the store folds the WAL into the snapshot —
-written to a temp file, fsynced, then atomically renamed over the old
-snapshot before the WAL truncates, so a crash at any byte of the
-compaction leaves either the old snapshot + full WAL or the new
-snapshot + empty WAL, never less.
+``compact_every`` appends the store folds the WAL into the snapshot:
+it reads snapshot then WAL back one record at a time and copies each
+intact frame into a temp file, fsynced, then atomically renamed over
+the old snapshot before the WAL truncates, so a crash at any byte of
+the compaction leaves either the old snapshot + full WAL or the new
+snapshot + empty WAL, never less. The store keeps no record in
+memory: the WAL is the sealed history.
 
-:meth:`restore` replays snapshot then WAL through a
-:class:`~repro.distributed.framing.FrameDecoder`. A torn tail — the
-record the previous process was writing when it died — shows up as
-either an incomplete final frame (silently ignored: the decoder just
-buffers it) or a corrupt one (decode raises: restore stops at the last
-good record). Either way recovery is "everything up to the last
-complete record", and the store immediately compacts so the torn bytes
-never precede fresh appends.
+Opening the store restores through the same reader (and compacts).
+A torn tail — the record the previous process was writing when it
+died — shows up as either an incomplete final frame or a corrupt
+one; either way reading stops there, recovery is "everything up to
+the last complete record", and the compaction at open rewrites the
+torn bytes away before a fresh append could land after them. A torn
+or corrupt tail that a later compaction meets is dropped the same way.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
-from repro.distributed.framing import (
-    KIND_SEAL,
-    FrameDecoder,
-    encode_frame,
-)
+from repro.distributed.framing import KIND_SEAL, encode_frame, read_frame
 from repro.distributed.summary import SlotSummary
 from repro.errors import SummaryFormatError
 
@@ -87,55 +86,50 @@ def decode_seal(payload: bytes) -> tuple[str, SlotSummary]:
     return link, SlotSummary.from_bytes(payload[body:])
 
 
-def _read_records(path: Path) -> tuple[list[tuple[str, SlotSummary]], bool]:
-    """Every complete record in ``path``; flags a torn/corrupt tail.
+class _Records:
+    """The intact records of one checkpoint file, one at a time.
 
-    Stops at the first undecodable byte — everything before it is
-    intact (frames are self-delimiting), everything after is the
-    record a dying process failed to finish writing.
+    Reading stops at the first frame that is torn, corrupt, of another
+    kind or undecodable: everything before it is intact (frames are
+    self-delimiting), everything from it on is the record a dying
+    process failed to finish writing. :attr:`torn` says it stopped
+    there. Each record comes with its frame, to copy as it is.
     """
-    records: list[tuple[str, SlotSummary]] = []
-    if not path.exists():
-        return records, False
-    data = path.read_bytes()
-    decoder = FrameDecoder()
-    torn = False
-    try:
-        frames = decoder.feed(data)
-    except SummaryFormatError:
-        # A corrupt header mid-stream: the eager feed() raised before
-        # returning, so re-feed byte ranges frame by frame to salvage
-        # the intact prefix.
-        frames = []
-        decoder = FrameDecoder()
-        for offset in range(len(data)):
-            try:
-                frames.extend(decoder.feed(data[offset : offset + 1]))
-            except SummaryFormatError:
-                torn = True
-                break
-    if decoder.pending_bytes:
-        torn = True
-    for kind, payload in frames:
-        if kind != KIND_SEAL:
-            torn = True
-            break
-        try:
-            records.append(decode_seal(payload))
-        except SummaryFormatError:
-            torn = True
-            break
-    return records, torn
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.torn = False
+
+    def __iter__(self) -> Iterator[tuple[str, SlotSummary, bytes]]:
+        if not self.path.exists():
+            return
+        with open(self.path, "rb") as stream:
+            while True:
+                try:
+                    frame = read_frame(stream)
+                    if frame is None:
+                        return
+                    kind, payload = frame
+                    if kind != KIND_SEAL:
+                        raise SummaryFormatError("not a seal record")
+                    link, summary = decode_seal(payload)
+                except SummaryFormatError:
+                    self.torn = True
+                    return
+                yield link, summary, encode_frame(kind, payload)
 
 
 class CheckpointStore:
     """Sealed-slot persistence for one collector under ``state_dir``.
 
-    The store owns the full sealed history in memory (``sealed`` maps
-    link name → slot-ordered merged summaries): that is exactly what a
-    restarted :class:`~repro.distributed.service.LiveCollector` needs
-    to rebuild, and it makes compaction a pure rewrite with no
-    re-reading.
+    The store holds no sealed history. Opening it reads what earlier
+    processes sealed into :attr:`restored` (link name → slot-ordered
+    merged summaries), which a
+    :class:`~repro.distributed.service.LiveCollector` takes once
+    (:meth:`take_restored`) to rebuild from; :meth:`append` only
+    writes; :meth:`compact` streams the snapshot and WAL back through
+    the reader restore uses, one record at a time. The store's memory
+    does not grow with the history.
     """
 
     def __init__(
@@ -150,27 +144,20 @@ class CheckpointStore:
         self.fsync = fsync
         self.snapshot_path = self.state_dir / SNAPSHOT_NAME
         self.wal_path = self.state_dir / WAL_NAME
-        self.sealed: dict[str, list[SlotSummary]] = {}
-        self.recovered_torn_tail = False
+        self.restored: dict[str, list[SlotSummary]] = {}
+        #: Sealed records in the snapshot and WAL (across links).
+        self.records = 0
         self._since_compact = 0
         self._wal = None
-        self._restore()
-
-    def _restore(self) -> None:
-        snap_records, snap_torn = _read_records(self.snapshot_path)
-        wal_records, wal_torn = _read_records(self.wal_path)
-        for link, summary in snap_records + wal_records:
-            self.sealed.setdefault(link, []).append(summary)
-        self.recovered_torn_tail = snap_torn or wal_torn
-        # Fold WAL into the snapshot on every open: the WAL starts
+        # Fold the WAL into the snapshot on every open: the WAL starts
         # empty, and any torn tail is rewritten out of existence
         # before the first fresh append could land after it.
-        self.compact()
+        self.recovered_torn_tail = self._compact(self.restored)
 
-    @property
-    def records(self) -> int:
-        """Sealed records held (across links)."""
-        return sum(len(run) for run in self.sealed.values())
+    def take_restored(self) -> dict[str, list[SlotSummary]]:
+        """The runs read at open, handed over: the store keeps none."""
+        restored, self.restored = self.restored, {}
+        return restored
 
     def _open_wal(self):
         if self._wal is None:
@@ -187,26 +174,38 @@ class CheckpointStore:
         wal = self._open_wal()
         wal.write(encode_seal(link, summary))
         self._sync(wal)
-        self.sealed.setdefault(link, []).append(summary)
+        self.records += 1
         self._since_compact += 1
         if self._since_compact >= self.compact_every:
             self.compact()
 
     def compact(self) -> None:
         """Fold the WAL into the snapshot; atomic at every step."""
+        self._compact()
+
+    def _compact(
+        self, keep: dict[str, list[SlotSummary]] | None = None
+    ) -> bool:
+        """Copy every intact record of snapshot then WAL into a new
+        snapshot, then empty the WAL; a torn or corrupt tail of either
+        is dropped as restore drops it, and reported. ``keep`` collects
+        the records by link."""
+        self.close()
+        files = (_Records(self.snapshot_path), _Records(self.wal_path))
         temp_path = self.snapshot_path.with_suffix(".tmp")
+        self.records = 0
         with open(temp_path, "wb") as snap:
-            for link in sorted(self.sealed):
-                for summary in self.sealed[link]:
-                    snap.write(encode_seal(link, summary))
+            for link, summary, frame in chain(*files):
+                snap.write(frame)
+                self.records += 1
+                if keep is not None:
+                    keep.setdefault(link, []).append(summary)
             self._sync(snap)
         os.replace(temp_path, self.snapshot_path)
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
         with open(self.wal_path, "wb") as wal:
             self._sync(wal)
         self._since_compact = 0
+        return any(records.torn for records in files)
 
     def close(self) -> None:
         if self._wal is not None:

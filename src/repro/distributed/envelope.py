@@ -30,7 +30,6 @@ def result_envelope(
     command: str,
     spec: dict[str, object],
     slot_entries: Sequence[list[dict[str, object]]],
-    first: int = 0,
     counts: Sequence[int] | None = None,
     below_table: Sequence[int] = (),
 ) -> dict[str, object]:
@@ -49,12 +48,10 @@ def result_envelope(
     slot order. The derived ``series`` block is computed here from the
     entries alone, so every producer agrees on it by construction.
 
-    ``first`` and ``counts`` are the live service's partial reply:
-    ``elephants_by_slot`` lists the slots from index ``first`` on,
-    while ``elephants`` and ``series`` still describe every slot —
-    ``series`` from the per-slot entry counts the caller kept as it
-    went, when it hands them in, so that nothing here walks the
-    history a reader already holds.
+    ``counts`` are the per-slot entry counts a caller kept as it went
+    (the live service, which keeps each slot as JSON text and puts
+    the elephant lists in itself): ``series`` is computed from them
+    then, so that nothing here walks the history.
 
     ``below_table`` (the pipeline's ``below_table_slots``) goes into
     ``series`` as ``cut_below_table`` when it lists a slot.
@@ -75,7 +72,7 @@ def result_envelope(
         "command": command,
         "spec": dict(spec),
         "elephants": list(slot_entries[-1]) if slot_entries else [],
-        "elephants_by_slot": [list(slot) for slot in slot_entries[first:]],
+        "elephants_by_slot": [list(slot) for slot in slot_entries],
         "series": series,
     }
 

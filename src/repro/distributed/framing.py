@@ -22,7 +22,8 @@ JSON control messages side by side:
 - ``KIND_SEAL`` — one sealed-slot checkpoint record (link name +
   merged summary); never travels a socket, it is the on-disk WAL
   format of :mod:`repro.distributed.checkpoint`, which borrows this
-  framing so a torn tail is recoverable with the same decoder.
+  framing so a torn tail is recoverable with the same header checks
+  (:func:`read_frame`).
 
 :class:`FrameDecoder` is sans-IO: feed it whatever byte chunks the
 transport produced and it yields complete ``(kind, payload)`` pairs,
@@ -30,6 +31,12 @@ buffering partial frames across calls. Malformed input — an unknown
 kind tag, a length field beyond :data:`MAX_PAYLOAD_BYTES` — raises
 :class:`~repro.errors.SummaryFormatError`; the caller closes *that*
 connection and keeps serving the rest.
+
+A JSON control frame is ``json.dumps`` of its message, encoded member
+by member (:func:`encode_json`): a member that is already JSON text
+(:class:`JsonText` — a daemon keeps each sealed slot's elephants that
+way) is spliced in as it is, so a reply costs no second encoding of
+history and its bytes are still exactly ``json.dumps``'s.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from repro.errors import SummaryFormatError
 
@@ -120,9 +127,27 @@ def encode_frame(kind: bytes, payload: bytes = b"") -> bytes:
     return _FRAME_HEADER.pack(kind, len(payload)) + payload
 
 
-def encode_json_frame(kind: bytes, message: dict) -> bytes:
-    """A control frame carrying a JSON object."""
-    return encode_frame(kind, json.dumps(message).encode("utf-8"))
+class JsonText(str):
+    """A message member already encoded by ``json.dumps``."""
+
+
+def encode_json(message: dict[str, object]) -> bytes:
+    """``json.dumps(message)``, with :class:`JsonText` members as is.
+
+    Every other member is encoded by ``json.dumps`` and joined with its
+    default separators, so the bytes are the one-call encoding's.
+    """
+    members = []
+    for key, value in message.items():
+        if not isinstance(value, JsonText):
+            value = json.dumps(value)
+        members.append(f"{json.dumps(key)}: {value}")
+    return ("{" + ", ".join(members) + "}").encode("utf-8")
+
+
+def encode_json_frame(kind: bytes, message: dict[str, object]) -> bytes:
+    """A control frame carrying a JSON object (:func:`encode_json`)."""
+    return encode_frame(kind, encode_json(message))
 
 
 def decode_json(payload: bytes) -> dict:
@@ -156,6 +181,37 @@ def decode_summary(payload: bytes) -> SlotSummary:
     return SlotSummary.from_bytes(payload)
 
 
+def _checked_header(buffer: bytes | bytearray) -> tuple[bytes, int]:
+    """A frame header's kind and payload length; raises if corrupt."""
+    kind, length = _FRAME_HEADER.unpack_from(buffer)
+    if kind not in FRAME_KINDS:
+        raise SummaryFormatError(f"unknown frame kind {kind!r} on the wire")
+    if length > MAX_PAYLOAD_BYTES:
+        raise SummaryFormatError(
+            f"frame announces {length} payload bytes, above "
+            f"the {MAX_PAYLOAD_BYTES}-byte frame limit"
+        )
+    return kind, length
+
+
+def read_frame(stream: BinaryIO) -> tuple[bytes, bytes] | None:
+    """The next ``(kind, payload)`` in a binary file; None at its end.
+
+    Raises :class:`~repro.errors.SummaryFormatError` on a corrupt
+    header and on a frame the file ends inside.
+    """
+    header = stream.read(_FRAME_HEADER.size)
+    if not header:
+        return None
+    if len(header) < _FRAME_HEADER.size:
+        raise SummaryFormatError("the file ends inside a frame header")
+    kind, length = _checked_header(header)
+    payload = stream.read(length)
+    if len(payload) < length:
+        raise SummaryFormatError("the file ends inside a frame")
+    return kind, payload
+
+
 class FrameDecoder:
     """Incremental frame parser over an untrusted byte stream.
 
@@ -183,16 +239,7 @@ class FrameDecoder:
         self._buffer += data
         frames: list[tuple[bytes, bytes]] = []
         while len(self._buffer) >= _FRAME_HEADER.size:
-            kind, length = _FRAME_HEADER.unpack_from(self._buffer)
-            if kind not in FRAME_KINDS:
-                raise SummaryFormatError(
-                    f"unknown frame kind {kind!r} on the wire"
-                )
-            if length > MAX_PAYLOAD_BYTES:
-                raise SummaryFormatError(
-                    f"frame announces {length} payload bytes, above "
-                    f"the {MAX_PAYLOAD_BYTES}-byte frame limit"
-                )
+            kind, length = _checked_header(self._buffer)
             end = _FRAME_HEADER.size + length
             if len(self._buffer) < end:
                 break
@@ -217,10 +264,13 @@ __all__ = [
     "KIND_SUMMARY",
     "MAX_PAYLOAD_BYTES",
     "FrameDecoder",
+    "JsonText",
     "decode_json",
     "decode_summary",
     "encode_frame",
+    "encode_json",
     "encode_json_frame",
     "encode_summary",
     "grid_cell",
+    "read_frame",
 ]

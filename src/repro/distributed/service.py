@@ -42,7 +42,7 @@ and re-sending it.
 
 Reads are a QUERY frame, ``{"link": name, "since_cell": cell}`` with
 both keys optional, answered by one REPLY: the shared result envelope
-plus the link's liveness facts (:meth:`LiveLink.report`). ``since_cell``
+plus the link's liveness facts (:meth:`LiveLink.reply`). ``since_cell``
 is a reader saying it already holds every sealed slot below that grid
 cell — the ``next_cell`` of its previous reply — so ``elephants_by_slot``
 lists the slots sealed since and a poller pays for what is new; every
@@ -66,7 +66,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
@@ -88,8 +90,10 @@ from repro.distributed.framing import (
     KIND_REPLY,
     KIND_SUMMARY,
     FrameDecoder,
+    JsonText,
     decode_json,
     decode_summary,
+    encode_json,
     encode_json_frame,
 )
 from repro.distributed.merge import LinkMerge
@@ -121,9 +125,10 @@ class LiveLink:
     :class:`~repro.distributed.merge.LinkMerge`, the one
     :func:`~repro.distributed.merge.merge_runs` seals through too.
     What is the link's own: it classifies each slot the merge seals,
-    keeps the slots' elephant entries for :meth:`report`, hands each
-    sealed slot to ``on_seal`` and rebuilds from a checkpoint in
-    :meth:`restore`.
+    keeps the slot's elephant entries as the JSON text a reply carries
+    (encoded once, at the seal: a reply splices the texts in, and the
+    merged summary itself is the checkpoint's), hands each sealed slot
+    to ``on_seal`` and rebuilds from a checkpoint in :meth:`restore`.
     """
 
     def __init__(
@@ -148,13 +153,14 @@ class LiveLink:
         self.on_seal = on_seal
         self._source: MergedSlotSource | None = None
         self._pipeline: StreamingPipeline | None = None
-        self._slot_entries: list[list[dict[str, object]]] = []
+        #: Each sealed slot's elephant entries, ``json.dumps``-ed.
+        self._slot_texts: list[str] = []
         #: Beside each sealed slot's entries, the grid cell it covers —
         #: a link that does not fill gaps skips cells, so a slot's
         #: index is not its cell minus the first — and its elephant
         #: count, so a reply's ``series`` walks no history.
-        self._slot_cells: list[int] = []
-        self._slot_counts: list[int] = []
+        self._slot_cells = array("q")
+        self._slot_counts = array("q")
         self._bytes_total = 0.0
         self._residual_total = 0.0
 
@@ -170,7 +176,7 @@ class LiveLink:
     @property
     def slots_sealed(self) -> int:
         """Merged slots sealed and classified so far."""
-        return len(self._slot_entries)
+        return len(self._slot_texts)
 
     def attach(self, monitor: str) -> int | None:
         """Register a (re)connecting monitor; returns its resume cell."""
@@ -224,7 +230,7 @@ class LiveLink:
             )
         event = self._pipeline.observe(self._source.frame_of(merged))
         entries = elephant_entries(event.frame, event.verdict)
-        self._slot_entries.append(entries)
+        self._slot_texts.append(json.dumps(entries))
         self._slot_cells.append(self.merge.first_cell + merged.slot)
         self._slot_counts.append(len(entries))
         self._bytes_total += merged.total_bytes
@@ -236,7 +242,11 @@ class LiveLink:
             self.on_seal(merged)
 
     def report(self, since_cell: int | None = None) -> dict[str, object]:
-        """The query-visible state of this link.
+        """:meth:`reply`, decoded: what a reader of it holds."""
+        return decode_json(encode_json(self.reply(since_cell)))
+
+    def reply(self, since_cell: int | None = None) -> dict[str, object]:
+        """The query-visible state of this link, as REPLY members.
 
         The reply is the shared result envelope
         (:func:`~repro.distributed.envelope.result_envelope` —
@@ -255,6 +265,11 @@ class LiveLink:
         none, one below the first sealed cell or one above
         ``next_cell`` — is answered in full, and the field, being the
         first sealed cell then, says so.
+
+        ``elephants`` and ``elephants_by_slot`` are
+        :class:`~repro.distributed.framing.JsonText`, the slots' kept
+        texts: :func:`~repro.distributed.framing.encode_json` splices
+        them into the bytes ``json.dumps`` makes of the entries.
         """
         cells = self._slot_cells
         first = 0
@@ -264,7 +279,8 @@ class LiveLink:
             and cells[0] <= since_cell <= self.next_cell
         ):
             first = bisect_left(cells, since_cell)
-        report = result_envelope(
+        texts = self._slot_texts
+        reply = result_envelope(
             "query",
             {
                 "scheme": self.scheme.value,
@@ -272,8 +288,7 @@ class LiveLink:
                 "k": self.merge.k,
                 "fill_gaps": self.merge.fill_gaps,
             },
-            self._slot_entries,
-            first=first,
+            (),
             counts=self._slot_counts,
             below_table=(
                 ()
@@ -281,7 +296,11 @@ class LiveLink:
                 else self._pipeline.below_table_slots
             ),
         )
-        report.update(
+        reply["elephants"] = JsonText(texts[-1] if texts else "[]")
+        reply["elephants_by_slot"] = JsonText(
+            "[" + ", ".join(texts[first:]) + "]"
+        )
+        reply.update(
             {
                 "link": self.name,
                 "slot_seconds": self.slot_seconds,
@@ -299,7 +318,7 @@ class LiveLink:
                 "skew_estimate": self.merge.skew_estimate(),
             }
         )
-        return report
+        return reply
 
 
 @dataclass
@@ -327,7 +346,7 @@ class LiveCollector:
 
     Transport-free (and therefore directly unit-testable): the network
     service calls :meth:`attach` / :meth:`add_summary` / :meth:`detach`
-    as frames arrive and :meth:`query` for reads.
+    as frames arrive and :meth:`reply` for reads.
     """
 
     def __init__(
@@ -350,8 +369,9 @@ class LiveCollector:
         #: Clean (BYE-terminated) monitor runs completed so far.
         self.runs_completed = 0
         if checkpoint is not None:
-            for name in sorted(checkpoint.sealed):
-                self.link(name).restore(checkpoint.sealed[name])
+            restored = checkpoint.take_restored()
+            for name in sorted(restored):
+                self.link(name).restore(restored.pop(name))
 
     def link(self, name: str) -> LiveLink:
         """The link's live state, created on first reference."""
@@ -409,10 +429,17 @@ class LiveCollector:
     def query(
         self, link: str | None = None, since_cell: int | None = None
     ) -> dict[str, object]:
-        """The report for ``link`` (or the only link, when unnamed).
+        """:meth:`reply`'s payload, decoded: what a reader receives."""
+        return decode_json(encode_json(self.reply(link, since_cell)))
 
-        ``since_cell`` is :meth:`LiveLink.report`'s: the reader holds
-        the sealed slots below that cell and is listed the rest.
+    def reply(
+        self, link: str | None = None, since_cell: int | None = None
+    ) -> dict[str, object]:
+        """The REPLY to a QUERY for ``link`` (or the only link, unnamed).
+
+        ``since_cell`` is :meth:`LiveLink.reply`'s: the reader holds
+        the sealed slots below that cell and is listed the rest. The
+        payload is :func:`~repro.distributed.framing.encode_json` of it.
         """
         names = sorted(self.links)
         if link is None:
@@ -430,14 +457,14 @@ class LiveCollector:
                 f"unknown link {link!r}; live links: "
                 f"{', '.join(names) or 'none'}"
             )
-        report = self.links[link].report(since_cell)
-        report["monitors"] = {
+        reply = {"status": "ok", **self.links[link].reply(since_cell)}
+        reply["monitors"] = {
             monitor: status.as_dict()
             for (owner, monitor), status in sorted(self.monitors.items())
             if owner == link
         }
-        report["links"] = names
-        return report
+        reply["links"] = names
+        return reply
 
 
 class CollectorService:
@@ -586,14 +613,12 @@ class CollectorService:
                     elif kind == KIND_QUERY:
                         message = decode_json(payload)
                         requested = message.get("link")
-                        report = self.collector.query(
+                        report = self.collector.reply(
                             str(requested) if requested else None,
                             _asked_cell(message.get("since_cell")),
                         )
                         try:
-                            reply = encode_json_frame(
-                                KIND_REPLY, {"status": "ok", **report}
-                            )
+                            reply = encode_json_frame(KIND_REPLY, report)
                         except SummaryFormatError as exc:
                             raise ServiceProtocolError(
                                 f"{exc}; ask for less: since_cell / repro "

@@ -94,11 +94,15 @@ class SlotSummary:
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "prefixes", columns)
         columns.check()
+        self._check_entries()
+
+    def _check_entries(self) -> None:
+        """Every check of a new summary but its prefix columns' own."""
         self._check_fields()
-        keys = np.sort(columns.keys())  # np.unique is ~10x slower here
+        keys = np.sort(self.prefixes.keys())  # np.unique is ~10x slower
         if (keys[1:] == keys[:-1]).any():
             raise ClassificationError("summary entries must be duplicate-free")
-        if self.residual_bytes < 0 or (volumes < 0).any():
+        if self.residual_bytes < 0 or (self.volumes < 0).any():
             raise ClassificationError("byte volumes cannot be negative")
 
     def _derived(self, **changes) -> "SlotSummary":
@@ -275,7 +279,8 @@ class SlotSummary:
         try:
             prefixes = PrefixColumns(networks, lengths)
             prefixes.check()  # ahead of a bad name, as a boxed parse would
-            return cls(
+            summary = object.__new__(cls)
+            vars(summary).update(
                 slot=slot,
                 start=start,
                 slot_seconds=slot_seconds,
@@ -285,6 +290,8 @@ class SlotSummary:
                 monitor=name.decode("utf-8"),
                 sample_rate=sample_rate,
             )
+            summary._check_entries()  # the prefixes are checked once
+            return summary
         except (ReproError, UnicodeDecodeError) as exc:
             raise SummaryFormatError(
                 f"summary record carries invalid data: {exc}"

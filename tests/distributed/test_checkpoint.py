@@ -7,6 +7,10 @@ the previous process died on — mid-append (torn tail), mid-compaction
 asserted in ``test_chaos.py``; here the store is exercised directly.
 """
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,9 @@ from repro.distributed.checkpoint import (
     decode_seal,
     encode_seal,
 )
+from repro.distributed.service import LiveCollector
 from repro.errors import SummaryFormatError
+from repro.net.prefix import PrefixColumns
 
 SLOT_SECONDS = 10.0
 
@@ -35,10 +41,18 @@ def summary(cell, monitor="mon-a", volume=600.0):
 
 
 def wire(store):
+    """What ``store`` read at open: the records an earlier one wrote."""
     return {
         link: [record.to_bytes() for record in run]
-        for link, run in store.sealed.items()
+        for link, run in store.restored.items()
     }
+
+
+def appended(store, link, cells):
+    """Append one ``summary`` per cell; their records, as ``wire``'s."""
+    for cell in cells:
+        store.append(link, summary(cell))
+    return {link: [summary(cell).to_bytes() for cell in cells]}
 
 
 class TestSealRecord:
@@ -69,10 +83,11 @@ class TestSealRecord:
 class TestCheckpointStore:
     def test_append_then_restore(self, tmp_path):
         with CheckpointStore(tmp_path) as store:
-            for cell in range(3):
-                store.append("east", summary(cell))
+            before = appended(store, "east", range(3))
             store.append("west", summary(0, monitor="mon-b"))
-            before = wire(store)
+            before["west"] = [summary(0, monitor="mon-b").to_bytes()]
+            assert store.restored == {}  # appends only write
+            assert store.records == 4
         with CheckpointStore(tmp_path) as restored:
             assert wire(restored) == before
             assert restored.records == 4
@@ -82,21 +97,20 @@ class TestCheckpointStore:
         # no close, no compaction: the fsynced WAL alone must carry
         # everything an acked append promised
         store = CheckpointStore(tmp_path, compact_every=1000)
-        for cell in range(5):
-            store.append("l", summary(cell))
+        before = appended(store, "l", range(5))
         assert (tmp_path / WAL_NAME).stat().st_size > 0
         with CheckpointStore(tmp_path) as restored:
-            assert wire(restored) == wire(store)
+            assert wire(restored) == before
 
     def test_auto_compaction_folds_the_wal(self, tmp_path):
         store = CheckpointStore(tmp_path, compact_every=2)
-        store.append("l", summary(0))
+        before = appended(store, "l", [0])
         assert (tmp_path / WAL_NAME).stat().st_size > 0
-        store.append("l", summary(1))  # hits the threshold
+        before["l"] += appended(store, "l", [1])["l"]  # hits the threshold
         assert (tmp_path / WAL_NAME).stat().st_size == 0
         assert (tmp_path / SNAPSHOT_NAME).stat().st_size > 0
         with CheckpointStore(tmp_path) as restored:
-            assert wire(restored) == wire(store)
+            assert wire(restored) == before
 
     def test_torn_wal_tail_recovers_to_last_complete_record(
         self, tmp_path
@@ -110,14 +124,14 @@ class TestCheckpointStore:
         wal.write_bytes(wal.read_bytes()[:-7])
         restored = CheckpointStore(tmp_path)
         assert restored.recovered_torn_tail
-        assert [r.slot for r in restored.sealed["l"]] == [0, 1]
+        assert [r.slot for r in restored.restored["l"]] == [0, 1]
         # restore compacted: the torn bytes are gone for good, and
         # fresh appends land on a clean WAL
         assert wal.stat().st_size == 0
         restored.append("l", summary(2))
         restored.close()
         with CheckpointStore(tmp_path) as again:
-            assert [r.slot for r in again.sealed["l"]] == [0, 1, 2]
+            assert [r.slot for r in again.restored["l"]] == [0, 1, 2]
             assert not again.recovered_torn_tail
 
     def test_corrupt_byte_mid_wal_salvages_the_prefix(self, tmp_path):
@@ -132,7 +146,7 @@ class TestCheckpointStore:
         wal.write_bytes(bytes(data))
         restored = CheckpointStore(tmp_path)
         assert restored.recovered_torn_tail
-        assert [r.slot for r in restored.sealed["l"]] == [0]
+        assert [r.slot for r in restored.restored["l"]] == [0]
 
     def test_torn_snapshot_tail_recovers_too(self, tmp_path):
         store = CheckpointStore(tmp_path, compact_every=2)
@@ -143,11 +157,11 @@ class TestCheckpointStore:
         snap.write_bytes(snap.read_bytes()[:-1])
         restored = CheckpointStore(tmp_path)
         assert restored.recovered_torn_tail
-        assert [r.slot for r in restored.sealed["l"]] == [0]
+        assert [r.slot for r in restored.restored["l"]] == [0]
 
     def test_empty_state_dir_is_a_clean_slate(self, tmp_path):
         with CheckpointStore(tmp_path / "new") as store:
-            assert store.sealed == {}
+            assert store.restored == {}
             assert store.records == 0
             assert not store.recovered_torn_tail
 
@@ -157,9 +171,108 @@ class TestCheckpointStore:
             store.append("l", summary(cell))
         store.close()
         with CheckpointStore(tmp_path) as restored:
-            assert [r.slot for r in restored.sealed["l"]] == list(
+            assert [r.slot for r in restored.restored["l"]] == list(
                 range(6)
             )
+
+
+def damage_wal(state_dir, how):
+    """Tear the WAL's last record, or corrupt its second's kind tag."""
+    wal = state_dir / WAL_NAME
+    data = bytearray(wal.read_bytes())
+    if how == "torn":
+        del data[-7:]
+    else:
+        data[len(data) // 3] ^= 0xFF
+    wal.write_bytes(bytes(data))
+
+
+def wide(cell):
+    """A 1,024-entry summary: a record of ~13 KB."""
+    networks = (10 << 24) + (np.arange(1024) << 8)
+    return SlotSummary(
+        slot=cell,
+        start=cell * SLOT_SECONDS,
+        slot_seconds=SLOT_SECONDS,
+        prefixes=PrefixColumns(networks, np.full(1024, 24)),
+        volumes=np.arange(1024.0) + cell,
+        monitor="mon-a",
+    )
+
+
+class TestCompaction:
+    """``compact`` reads the records back from disk, one at a time."""
+
+    @pytest.mark.parametrize("how", ["torn", "corrupt"])
+    def test_a_damaged_wal_tail_is_dropped_as_restore_drops_it(
+        self, tmp_path, how
+    ):
+        dead = CheckpointStore(tmp_path / "restart", compact_every=1000)
+        appended(dead, "l", range(3))
+        dead.close()
+        damage_wal(tmp_path / "restart", how)
+        with CheckpointStore(tmp_path / "restart") as restarted:
+            assert restarted.recovered_torn_tail
+            expected = wire(restarted)
+        assert len(expected["l"]) == {"torn": 2, "corrupt": 1}[how]
+        # the same damage under a live store, found by its compaction
+        live = CheckpointStore(tmp_path / "live", compact_every=1000)
+        appended(live, "l", range(3))
+        damage_wal(tmp_path / "live", how)
+        live.compact()
+        assert live.records == len(expected["l"])
+        assert (tmp_path / "live" / WAL_NAME).stat().st_size == 0
+        appended(live, "l", [3])  # lands after the intact records
+        live.close()
+        with CheckpointStore(tmp_path / "live") as reopened:
+            assert not reopened.recovered_torn_tail
+            assert wire(reopened) == {
+                "l": expected["l"] + [summary(3).to_bytes()]
+            }
+
+    def test_its_memory_peak_does_not_grow_with_the_history(self, tmp_path):
+        peaks = {}
+        for records in (16, 96):
+            store = CheckpointStore(
+                tmp_path / str(records), compact_every=1000, fsync=False
+            )
+            for cell in range(records):
+                store.append("l", wide(cell))
+            tracemalloc.start()
+            try:
+                store.compact()
+                peaks[records] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                store.close()
+            assert store.records == records
+        record_bytes = len(encode_seal("l", wide(0)))
+        # 80 more records on disk; not one more in memory at once
+        assert peaks[96] < peaks[16] + record_bytes, peaks
+
+
+class TestHandOver:
+    def test_a_restarted_collector_keeps_no_restored_run(
+        self, tmp_path, chaos_runs
+    ):
+        live = LiveCollector(checkpoint=CheckpointStore(tmp_path))
+        live.attach("mon-a", "l")
+        for one in chaos_runs[0]:
+            live.add_summary("mon-a", "l", one)
+        live.detach("mon-a", "l", clean=True)
+        live.checkpoint.close()
+        store = CheckpointStore(tmp_path)
+        run = store.restored["l"]
+        assert len(run) == len(chaos_runs[0])
+        probes = [weakref.ref(merged) for merged in run]
+        del run
+        restarted = LiveCollector(checkpoint=store)
+        gc.collect()
+        assert store.restored == {}
+        assert [probe() for probe in probes] == [None] * len(probes)
+        expected = live.query("l")["elephants_by_slot"]
+        assert restarted.query("l")["elephants_by_slot"] == expected
+        store.close()
 
 
 # -- golden bytes, recorded from the parent commit ---------------------
@@ -211,5 +324,5 @@ class TestGoldenBytes:
                 "link1": [second.to_bytes()],
             }
             # restore folded the WAL into a snapshot a parent reads
-            # back: the same three frames, grouped by link
-            assert len(store.snapshot_path.read_bytes()) == len(GOLDEN_WAL)
+            # back: the same three frames, copied in file order
+            assert store.snapshot_path.read_bytes() == GOLDEN_WAL

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import (
+    CheckpointStore,
     Collector,
     SlotSummary,
     StridedPacketSource,
@@ -507,7 +508,8 @@ class TestMergeOrder:
             for client in clients:
                 client.close()
             assert query_service(handle.address)["slots"] == 6
-        sealed = service.checkpoint.sealed["link0"]
+        with CheckpointStore(state_dir) as store:
+            sealed = store.restored["link0"]
         return [summary.to_bytes() for summary in sealed]
 
     def test_interleaving_does_not_reach_the_sealed_bytes(
@@ -809,10 +811,25 @@ class TestBelowTableInTheEnvelope:
         }
 
     def test_a_partial_reply_lists_every_below_slot(self):
-        slots = [[], [], []]
-        part = result_envelope(
-            "query", {}, slots, first=2, below_table=[0, 1]
-        )
+        """Slots 0 and 1 carry a residual far above their table."""
+        pool = [Prefix((10 << 24) | (row << 16), 16) for row in range(6)]
+        link = LiveLink("l", fill_gaps=False)
+        link.attach("mon-a")
+        for cell, residual in enumerate([1e9, 1e9, 0.0, 0.0]):
+            link.add_summary(
+                "mon-a",
+                SlotSummary(
+                    slot=cell,
+                    start=cell * SLOT_SECONDS,
+                    slot_seconds=SLOT_SECONDS,
+                    prefixes=pool,
+                    volumes=np.array([4e6, 4e6 + 1, 500, 501, 502, 503]),
+                    residual_bytes=residual,
+                    monitor="mon-a",
+                ),
+            )
+        link.detach("mon-a")
+        part = link.report(since_cell=3)
         assert len(part["elephants_by_slot"]) == 1
         assert part["series"]["cut_below_table"] == [0, 1]
 

@@ -304,14 +304,14 @@ class TestCompatibility:
 
     def test_new_client_takes_an_old_daemons_reply_as_full(self, monkeypatch):
         """No `since_cell` in the reply: nothing is stitched under it."""
-        current = LiveCollector.query
+        current = LiveCollector.reply
 
-        def parent_query(self, link=None, since_cell=None):
-            report = current(self, link)
-            del report["since_cell"]
-            return report
+        def parent_reply(self, link=None, since_cell=None):
+            reply = current(self, link)
+            del reply["since_cell"]
+            return reply
 
-        monkeypatch.setattr(LiveCollector, "query", parent_query)
+        monkeypatch.setattr(LiveCollector, "reply", parent_reply)
         with ServiceHandle(CollectorService()) as live:
             client = MonitorClient(live.address, "mon-a")
             for count, summary in enumerate(tiny_run(range(5)), start=1):

@@ -96,7 +96,7 @@ def test_no_prefix_is_built_between_resolver_and_envelope(
         for summary in merged:
             store.append("link0", summary)
     with CheckpointStore(tmp_path / "state") as store:
-        merged = store.sealed["link0"]
+        merged = store.restored["link0"]
 
     source = MergedSlotSource([], slot_seconds=SLOT_SECONDS)
     pipeline = StreamingPipeline(source)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import SlotSummary, load_summaries, save_summaries
 from repro.errors import ClassificationError, ReproError, SummaryFormatError
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, PrefixColumns
 
 MAGIC = b"RSUM"
 HEADER = struct.Struct(">4sHqddddIH")
@@ -253,13 +253,27 @@ class TestAgainstTheBoxedParser:
         got = outcome(SlotSummary.from_bytes, payload)
         assert got == outcome(boxed_from_bytes, payload)
 
-    def test_the_first_bad_row_is_the_one_reported(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_the_first_bad_row_is_the_one_reported(self, version):
         entries = [(10 << 24, 8, 1.0), (1, 24, 2.0), (0, 40, 3.0)]
-        payload = encode(2, 0, 0.0, 60.0, 0.0, 1.0, b"\xff", entries)
+        payload = encode(version, 0, 0.0, 60.0, 0.0, 1.0, b"\xff", entries)
         # a bad row comes before a bad name, as it did for the boxed
         # parser, and the text is Prefix's own
         with pytest.raises(SummaryFormatError, match="0.0.0.1/24 has host"):
             SlotSummary.from_bytes(payload)
+
+    def test_the_prefix_columns_are_checked_once(self, monkeypatch):
+        checked = []
+        check = PrefixColumns.check
+        monkeypatch.setattr(
+            PrefixColumns,
+            "check",
+            lambda columns: checked.append(len(columns)) or check(columns),
+        )
+        entries = [(10 << 24, 8, 1.0), (11 << 24, 8, 2.0)]
+        payload = encode(2, 0, 0.0, 60.0, 0.0, 1.0, b"mon-a", entries)
+        SlotSummary.from_bytes(payload)
+        assert checked == [2]
 
 
 # -- golden bytes, recorded from the parent commit ---------------------

@@ -27,12 +27,23 @@ lag at a time (:func:`lag_correlation`); the production estimator
 scores every lag in one array pass over columns. :func:`merge_by_dict`
 fills a dict in arrival order and cuts it to ``k`` with a stable sort;
 :func:`first_seen_by_dict` is the numbering that dict hands out.
+
+A live link keeps each sealed slot as the JSON text of its elephants
+and splices the texts into a REPLY. :func:`reply_from_dict_entries`
+builds the same REPLY as the daemon once built every one: each slot's
+elephants as dicts, the envelope made of them and one ``json.dumps``.
 """
 
+import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 
+from repro.core.engine import Feature, Scheme
+from repro.distributed.collector import MergedSlotSource
+from repro.distributed.envelope import elephant_entries, result_envelope
+from repro.distributed.framing import grid_cell
 from repro.distributed.merge import (
     MAX_SKEW_SLOTS,
     MIN_SKEW_OVERLAP,
@@ -42,6 +53,7 @@ from repro.distributed.merge import (
 )
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend
+from repro.pipeline.engine import StreamingPipeline
 from repro.sketches.array_tables import ArraySpaceSaving
 
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
@@ -322,3 +334,42 @@ def merge_by_dict(summaries, k=None):
         residual += float(volumes[order[k:]].sum())
         keys, volumes = keys[keep], volumes[keep]
     return keys, volumes, residual
+
+
+def reply_from_dict_entries(reply, sealed, since_cell=None):
+    """The REPLY payload, built from each slot's elephants as dicts.
+
+    ``sealed`` (a link's merged slots, in order) is classified afresh
+    under ``reply``'s spec into :func:`elephant_entries` lists; the
+    envelope is :func:`result_envelope` of them, ``elephants_by_slot``
+    lists the slots from ``since_cell`` on (every slot, when the cell
+    does not continue this history) and the reply's ``since_cell``
+    names the first listed slot's cell. ``reply`` (a decoded REPLY)
+    gives the key order and the members no elephant decides: the
+    link's liveness facts, its monitors and the link names.
+    """
+    spec = reply["spec"]
+    source = MergedSlotSource([], slot_seconds=reply["slot_seconds"])
+    pipeline = StreamingPipeline(
+        source, scheme=Scheme(spec["scheme"]), feature=Feature(spec["feature"])
+    )
+    entries = []
+    for merged in sealed:
+        event = pipeline.observe(source.frame_of(merged))
+        entries.append(elephant_entries(event.frame, event.verdict))
+    cells = [grid_cell(one.start, one.slot_seconds) for one in sealed]
+    first = 0
+    if (
+        since_cell is not None
+        and cells
+        and cells[0] <= since_cell <= reply["next_cell"]
+    ):
+        first = bisect_left(cells, since_cell)
+    envelope = result_envelope(
+        "query", spec, entries, below_table=pipeline.below_table_slots
+    )
+    envelope["elephants_by_slot"] = entries[first:]
+    envelope["since_cell"] = (
+        cells[first] if first < len(cells) else reply["next_cell"]
+    )
+    return json.dumps({**reply, **envelope}).encode("utf-8")
