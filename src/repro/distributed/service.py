@@ -538,9 +538,8 @@ class CollectorService:
                 await writer.wait_closed()
         self._writers.clear()
         if self.checkpoint is not None:
-            # Fold the WAL into the snapshot on a clean stop; a kill
-            # skips this and restore replays the WAL instead.
-            self.checkpoint.compact()
+            # Every sealed slot is on disk since its append, so a clean
+            # stop only closes the log; a kill leaves the same records.
             self.checkpoint.close()
 
     def _maybe_done(self) -> None:

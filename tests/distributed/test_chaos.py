@@ -353,7 +353,7 @@ class TestCollectorRestart:
         """One byte of a record's link name that is not UTF-8 ends the
         WAL there: the daemon starts on the records before it."""
         state = tmp_path / "state"
-        with CheckpointStore(state, compact_every=100) as store:
+        with CheckpointStore(state) as store:
             for summary in chaos_runs[0][:3]:
                 store.append(DEFAULT_LINK, summary)
         wal = state / WAL_NAME

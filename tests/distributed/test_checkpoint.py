@@ -1,14 +1,15 @@
-"""Durable collector state: WAL append, compaction, torn-tail restore.
+"""Durable collector state: one append-only log, torn-tail restore.
 
 The store's contract is the kill-safety invariant: every record whose
 ``append`` returned is recoverable by a fresh process, whatever byte
-the previous process died on — mid-append (torn tail), mid-compaction
-(temp file + rename), or cleanly. Service-level restart equivalence is
-asserted in ``test_chaos.py``; here the store is exercised directly.
+the previous process died on — mid-append (torn tail), mid-fold of a
+legacy snapshot (temp file + rename + unlink), or cleanly. Opening
+rewrites nothing but a torn tail, which it cuts off. Service-level
+restart equivalence is asserted in ``test_chaos.py``; here the store
+is exercised directly.
 """
 
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,14 +17,13 @@ import pytest
 
 from repro.distributed import CheckpointStore, SlotSummary
 from repro.distributed.checkpoint import (
-    SNAPSHOT_NAME,
+    LEGACY_SNAPSHOT_NAME,
     WAL_NAME,
     decode_seal,
     encode_seal,
 )
 from repro.distributed.service import LiveCollector
 from repro.errors import SummaryFormatError
-from repro.net.prefix import PrefixColumns
 
 SLOT_SECONDS = 10.0
 
@@ -94,48 +94,41 @@ class TestCheckpointStore:
             assert not restored.recovered_torn_tail
 
     def test_unclosed_store_survives_a_kill(self, tmp_path):
-        # no close, no compaction: the fsynced WAL alone must carry
-        # everything an acked append promised
-        store = CheckpointStore(tmp_path, compact_every=1000)
+        # no close: the fsynced log alone must carry everything an
+        # acked append promised
+        store = CheckpointStore(tmp_path)
         before = appended(store, "l", range(5))
         assert (tmp_path / WAL_NAME).stat().st_size > 0
-        with CheckpointStore(tmp_path) as restored:
-            assert wire(restored) == before
-
-    def test_auto_compaction_folds_the_wal(self, tmp_path):
-        store = CheckpointStore(tmp_path, compact_every=2)
-        before = appended(store, "l", [0])
-        assert (tmp_path / WAL_NAME).stat().st_size > 0
-        before["l"] += appended(store, "l", [1])["l"]  # hits the threshold
-        assert (tmp_path / WAL_NAME).stat().st_size == 0
-        assert (tmp_path / SNAPSHOT_NAME).stat().st_size > 0
         with CheckpointStore(tmp_path) as restored:
             assert wire(restored) == before
 
     def test_torn_wal_tail_recovers_to_last_complete_record(
         self, tmp_path
     ):
-        store = CheckpointStore(tmp_path, compact_every=1000)
+        store = CheckpointStore(tmp_path)
         for cell in range(3):
             store.append("l", summary(cell))
         store.close()
         wal = tmp_path / WAL_NAME
+        whole = wal.read_bytes()
         # the kill landed mid-write: the last record loses its tail
-        wal.write_bytes(wal.read_bytes()[:-7])
+        wal.write_bytes(whole[:-7])
         restored = CheckpointStore(tmp_path)
         assert restored.recovered_torn_tail
         assert [r.slot for r in restored.restored["l"]] == [0, 1]
-        # restore compacted: the torn bytes are gone for good, and
-        # fresh appends land on a clean WAL
-        assert wal.stat().st_size == 0
+        # restore cut the log after its last intact record: the torn
+        # bytes are gone for good, and fresh appends land after it
+        intact = len(whole) - len(encode_seal("l", summary(2)))
+        assert wal.read_bytes() == whole[:intact]
         restored.append("l", summary(2))
         restored.close()
+        assert wal.read_bytes() == whole
         with CheckpointStore(tmp_path) as again:
             assert [r.slot for r in again.restored["l"]] == [0, 1, 2]
             assert not again.recovered_torn_tail
 
     def test_corrupt_byte_mid_wal_salvages_the_prefix(self, tmp_path):
-        store = CheckpointStore(tmp_path, compact_every=1000)
+        store = CheckpointStore(tmp_path)
         for cell in range(3):
             store.append("l", summary(cell))
         store.close()
@@ -147,17 +140,7 @@ class TestCheckpointStore:
         restored = CheckpointStore(tmp_path)
         assert restored.recovered_torn_tail
         assert [r.slot for r in restored.restored["l"]] == [0]
-
-    def test_torn_snapshot_tail_recovers_too(self, tmp_path):
-        store = CheckpointStore(tmp_path, compact_every=2)
-        store.append("l", summary(0))
-        store.append("l", summary(1))  # compacts into the snapshot
-        store.close()
-        snap = tmp_path / SNAPSHOT_NAME
-        snap.write_bytes(snap.read_bytes()[:-1])
-        restored = CheckpointStore(tmp_path)
-        assert restored.recovered_torn_tail
-        assert [r.slot for r in restored.restored["l"]] == [0]
+        assert wal.read_bytes() == bytes(data[:record])
 
     def test_empty_state_dir_is_a_clean_slate(self, tmp_path):
         with CheckpointStore(tmp_path / "new") as store:
@@ -166,8 +149,8 @@ class TestCheckpointStore:
             assert not store.recovered_torn_tail
 
     def test_links_restore_in_insertion_order_per_link(self, tmp_path):
-        store = CheckpointStore(tmp_path, compact_every=3)
-        for cell in range(6):  # crosses a compaction boundary
+        store = CheckpointStore(tmp_path)
+        for cell in range(6):
             store.append("l", summary(cell))
         store.close()
         with CheckpointStore(tmp_path) as restored:
@@ -176,79 +159,104 @@ class TestCheckpointStore:
             )
 
 
-def damage_wal(state_dir, how):
-    """Tear the WAL's last record, or corrupt its second's kind tag."""
-    wal = state_dir / WAL_NAME
-    data = bytearray(wal.read_bytes())
-    if how == "torn":
-        del data[-7:]
-    else:
-        data[len(data) // 3] ^= 0xFF
-    wal.write_bytes(bytes(data))
+def traffic(reply):
+    """A reply's facts about traffic, which a restart must keep."""
+    connections = ("monitors", "skew_estimate")
+    return {
+        key: value for key, value in reply.items() if key not in connections
+    }
 
 
-def wide(cell):
-    """A 1,024-entry summary: a record of ~13 KB."""
-    networks = (10 << 24) + (np.arange(1024) << 8)
-    return SlotSummary(
-        slot=cell,
-        start=cell * SLOT_SECONDS,
-        slot_seconds=SLOT_SECONDS,
-        prefixes=PrefixColumns(networks, np.full(1024, 24)),
-        volumes=np.arange(1024.0) + cell,
-        monitor="mon-a",
-    )
+def answers(collector):
+    """Every link's ``traffic``."""
+    return {link: traffic(collector.query(link)) for link in collector.links}
 
 
-class TestCompaction:
-    """``compact`` reads the records back from disk, one at a time."""
+class TestRepeatedRecords:
+    """A link's sealed cells strictly increase; restore keeps them so."""
 
-    @pytest.mark.parametrize("how", ["torn", "corrupt"])
-    def test_a_damaged_wal_tail_is_dropped_as_restore_drops_it(
-        self, tmp_path, how
+    def test_a_repeated_or_earlier_record_is_dropped_per_link(
+        self, tmp_path
     ):
-        dead = CheckpointStore(tmp_path / "restart", compact_every=1000)
-        appended(dead, "l", range(3))
-        dead.close()
-        damage_wal(tmp_path / "restart", how)
-        with CheckpointStore(tmp_path / "restart") as restarted:
-            assert restarted.recovered_torn_tail
-            expected = wire(restarted)
-        assert len(expected["l"]) == {"torn": 2, "corrupt": 1}[how]
-        # the same damage under a live store, found by its compaction
-        live = CheckpointStore(tmp_path / "live", compact_every=1000)
-        appended(live, "l", range(3))
-        damage_wal(tmp_path / "live", how)
-        live.compact()
-        assert live.records == len(expected["l"])
-        assert (tmp_path / "live" / WAL_NAME).stat().st_size == 0
-        appended(live, "l", [3])  # lands after the intact records
-        live.close()
-        with CheckpointStore(tmp_path / "live") as reopened:
-            assert not reopened.recovered_torn_tail
-            assert wire(reopened) == {
-                "l": expected["l"] + [summary(3).to_bytes()]
+        order = [("a", 0), ("a", 1), ("b", 0), ("a", 1), ("a", 0)]
+        with CheckpointStore(tmp_path) as store:
+            for link, cell in order + [("b", 1), ("a", 2)]:
+                store.append(link, summary(cell))
+        log = (tmp_path / WAL_NAME).read_bytes()
+        with CheckpointStore(tmp_path) as restored:
+            slots = {
+                link: [record.slot for record in run]
+                for link, run in restored.restored.items()
             }
+            assert slots == {"a": [0, 1, 2], "b": [0, 1]}
+            assert restored.records == 5
+            assert not restored.recovered_torn_tail
+        assert (tmp_path / WAL_NAME).read_bytes() == log  # not rewritten
 
-    def test_its_memory_peak_does_not_grow_with_the_history(self, tmp_path):
-        peaks = {}
-        for records in (16, 96):
-            store = CheckpointStore(
-                tmp_path / str(records), compact_every=1000, fsync=False
-            )
-            for cell in range(records):
-                store.append("l", wide(cell))
-            tracemalloc.start()
-            try:
-                store.compact()
-                peaks[records] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                store.close()
-            assert store.records == records
-        record_bytes = len(encode_seal("l", wide(0)))
-        # 80 more records on disk; not one more in memory at once
-        assert peaks[96] < peaks[16] + record_bytes, peaks
+    def test_the_parents_compaction_crash_window_restores_once(
+        self, tmp_path, chaos_runs
+    ):
+        """The parent died between renaming its new snapshot into place
+        and emptying its WAL: both files hold the same 5 records."""
+        live = LiveCollector(checkpoint=CheckpointStore(tmp_path))
+        live.attach("mon-a", "l")
+        for one in chaos_runs[0][:5]:
+            live.add_summary("mon-a", "l", one)
+        live.checkpoint.close()
+        log = (tmp_path / WAL_NAME).read_bytes()
+        (tmp_path / LEGACY_SNAPSHOT_NAME).write_bytes(log)
+        restarted = LiveCollector(checkpoint=CheckpointStore(tmp_path))
+        reply = restarted.query("l")
+        assert (reply["slots"], reply["next_cell"]) == (5, 5)
+        assert traffic(reply) == traffic(live.query("l"))
+        assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
+        assert (tmp_path / WAL_NAME).read_bytes() == log
+
+
+class TestKillPoints:
+    """A kill at any byte of the log's last frame loses that record
+    only, and the monitor's replay of it rewrites the same log."""
+
+    def test_every_cut_of_the_last_frame(self, tmp_path, chaos_runs):
+        feeds = {"east": "mon-a", "west": "mon-b"}  # link -> its monitor
+        runs = dict(zip(feeds, chaos_runs))
+        live = LiveCollector(
+            checkpoint=CheckpointStore(tmp_path / "live", fsync=False)
+        )
+        crash_free, ends = {}, {}
+        for link, monitor in feeds.items():
+            live.attach(monitor, link)
+        for cells in zip(*runs.values()):
+            for (link, monitor), one in zip(feeds.items(), cells):
+                live.add_summary(monitor, link, one)
+                records = live.checkpoint.records
+                crash_free[records] = answers(live)
+                ends[records] = live.checkpoint.wal_path.stat().st_size
+        live.checkpoint.close()
+        whole = live.checkpoint.wal_path.read_bytes()
+        last = live.checkpoint.records
+        intact = ends[last - 1]
+        assert ends[last] == len(whole) and last == 2 * len(runs["west"])
+        state = tmp_path / "restart"
+        state.mkdir()
+        wal = state / WAL_NAME
+        for cut in range(intact, len(whole)):
+            wal.write_bytes(whole[:cut])
+            store = CheckpointStore(state, fsync=False)
+            assert store.recovered_torn_tail == (cut > intact)
+            restarted = LiveCollector(checkpoint=store)
+            assert answers(restarted) == crash_free[last - 1], cut
+            # the last record was never acked: its monitor replays it,
+            # and the seal lands right after the intact records
+            resume = restarted.attach("mon-b", "west")
+            assert resume == len(runs["west"]) - 1
+            restarted.add_summary("mon-b", "west", runs["west"][resume])
+            assert answers(restarted) == crash_free[last]
+            store.close()
+            assert wal.read_bytes() == whole
+            with CheckpointStore(state, fsync=False) as reopened:
+                assert not reopened.recovered_torn_tail
+                assert reopened.records == last
 
 
 class TestHandOver:
@@ -309,7 +317,7 @@ class TestGoldenBytes:
 
     def test_appends_write_the_parents_wal(self, golden_run, tmp_path):
         links = ("link0", "link1", "link0")
-        with CheckpointStore(tmp_path, compact_every=100) as store:
+        with CheckpointStore(tmp_path) as store:
             for link, record in zip(links, golden_run):
                 store.append(link, record)
             assert store.wal_path.read_bytes() == GOLDEN_WAL
@@ -323,6 +331,36 @@ class TestGoldenBytes:
                 "link0": [first.to_bytes(), third.to_bytes()],
                 "link1": [second.to_bytes()],
             }
-            # restore folded the WAL into a snapshot a parent reads
-            # back: the same three frames, copied in file order
-            assert store.snapshot_path.read_bytes() == GOLDEN_WAL
+        # restore read the log and rewrote nothing
+        assert store.wal_path.read_bytes() == GOLDEN_WAL
+
+    def test_the_parents_clean_stop_layout_folds_into_one_log(
+        self, golden_run, tmp_path
+    ):
+        # a parent's clean stop left every record in its snapshot
+        (tmp_path / LEGACY_SNAPSHOT_NAME).write_bytes(GOLDEN_WAL)
+        (tmp_path / WAL_NAME).write_bytes(b"")
+        first, second, third = golden_run
+        with CheckpointStore(tmp_path) as store:
+            assert not store.recovered_torn_tail
+            assert wire(store) == {
+                "link0": [first.to_bytes(), third.to_bytes()],
+                "link1": [second.to_bytes()],
+            }
+        assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
+        assert (tmp_path / WAL_NAME).read_bytes() == GOLDEN_WAL
+
+    def test_a_torn_legacy_snapshot_folds_its_intact_records(
+        self, golden_run, tmp_path
+    ):
+        # the parent's snapshot tears inside the golden log's third
+        # frame, which its WAL holds whole
+        third = encode_seal("link0", golden_run[2])
+        assert GOLDEN_WAL.endswith(third)
+        (tmp_path / LEGACY_SNAPSHOT_NAME).write_bytes(GOLDEN_WAL[:-9])
+        (tmp_path / WAL_NAME).write_bytes(third)
+        with CheckpointStore(tmp_path) as store:
+            assert store.recovered_torn_tail
+            assert store.records == 3
+        assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
+        assert (tmp_path / WAL_NAME).read_bytes() == GOLDEN_WAL

@@ -6,23 +6,30 @@ crosses the wire is held to the outside edge here: seeded byte flips
 and truncations of version-1 and version-2 ``SlotSummary`` records, and
 of ``KIND_SUMMARY`` frames through ``FrameDecoder`` and
 ``decode_summary``. Whatever parses is merged with the record it was
-damaged from, cut to ``k`` and fed to a ``LinkMerge``. Only
-``ReproError`` may escape any of it.
+damaged from, cut to ``k`` and fed to a ``LinkMerge``. A collector also
+reads its own sealed-slot log back at a restart, so the same damage
+lands on a two-link checkpoint log, opened by a ``CheckpointStore`` and
+rebuilt into a ``LiveCollector``. Only ``ReproError`` may escape any of
+it.
 """
 
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from repro.distributed import (
+    CheckpointStore,
     FrameDecoder,
     LinkMerge,
     SlotSummary,
     encode_summary,
     merge_summaries,
 )
+from repro.distributed.checkpoint import LEGACY_SNAPSHOT_NAME, WAL_NAME
 from repro.distributed.framing import KIND_SUMMARY, decode_summary
+from repro.distributed.service import LiveCollector
 from repro.errors import ReproError
 from repro.net.prefix import Prefix
 
@@ -122,3 +129,34 @@ def test_damaged_frames_raise_repro_errors_only():
             decoded += 1
             use(summary, original)
     assert decoded
+
+
+def test_damaged_checkpoint_logs_raise_repro_errors_only(
+    tmp_path, chaos_runs
+):
+    with CheckpointStore(tmp_path / "log", fsync=False) as store:
+        for cell in range(3):
+            for link, run in zip(("east", "west"), chaos_runs):
+                store.append(link, run[cell])
+    rng = np.random.default_rng([SEED, 3])
+    state = tmp_path / "state"
+    restored = 0
+    for case, data in enumerate(damaged(store.wal_path.read_bytes(), rng)):
+        shutil.rmtree(state, ignore_errors=True)
+        state.mkdir()
+        # half the damage is a pre-fold snapshot: the fold reads it
+        name = LEGACY_SNAPSHOT_NAME if case % 4 >= 2 else WAL_NAME
+        (state / name).write_bytes(data)
+        try:
+            opened = CheckpointStore(state, fsync=False)
+            collector = LiveCollector(checkpoint=opened)
+            for link in collector.links:
+                collector.query(link)
+        except ReproError:
+            continue
+        restored += opened.records
+        # what the open kept is intact: a second open cuts nothing
+        with CheckpointStore(state, fsync=False) as again:
+            assert not again.recovered_torn_tail
+            assert again.records == opened.records
+    assert restored  # some damage leaves records to restore

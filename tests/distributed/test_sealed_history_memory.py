@@ -66,7 +66,7 @@ def test_a_sealed_cell_retains_at_most_its_budget(tmp_path):
     rng = np.random.default_rng(40)
     networks = (10 << 24) + (np.arange(4 * ENTRIES) << 8)
     pool = PrefixColumns(networks, np.full(networks.size, 24))
-    store = CheckpointStore(tmp_path, compact_every=64, fsync=False)
+    store = CheckpointStore(tmp_path, fsync=False)
     collector = LiveCollector(k=ENTRIES, checkpoint=store)
     for monitor in MONITORS:
         collector.attach(monitor, DEFAULT_LINK)
