@@ -4,8 +4,8 @@
 Takes one measurement slot of a simulated link, renders the flow
 bandwidth distribution's log-log complementary distribution (LLCD) at
 three dyadic aggregation levels, and marks the detected tail onset —
-the value the paper uses as the elephant threshold. Also prints the
-aest and Hill tail-index estimates side by side.
+the value the paper uses as the elephant threshold, with the aest
+tail-index estimate.
 
 Run:
     python examples/tail_analysis.py
@@ -14,7 +14,7 @@ Run:
 import numpy as np
 
 from repro.experiments import line_chart
-from repro.stats import aest, aggregate_sums, hill_estimator, llcd_points
+from repro.stats import aest, aggregate_sums, llcd_points
 from repro.stats.aest import AestConfig
 from repro.traffic import west_coast_link
 
@@ -28,11 +28,9 @@ def main() -> None:
           f"{active.sum() / 1e6:.0f} Mb/s total")
 
     result = aest(active, config=AestConfig(tail_fraction=0.16))
-    hill = hill_estimator(active, k=max(10, active.size // 20))
     print(f"\naest:  alpha = {result.alpha:.2f}  "
           f"tail onset = {result.tail_onset / 1e3:.0f} kb/s  "
           f"({result.num_accepted} probes accepted)")
-    print(f"hill:  alpha = {hill:.2f}  (top 5% order statistics)")
     above = int((rates > result.tail_onset).sum())
     share = rates[rates > result.tail_onset].sum() / rates.sum()
     print(f"flows above onset: {above} "

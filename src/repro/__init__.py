@@ -57,7 +57,7 @@ __getattr__, __dir__, __all__ = attach(
             "StreamingPipeline",
         ),
         "routing": ("CompiledLpm", "RoutingTable", "generate_rib"),
-        "stats": ("aest", "hill_estimator"),
+        "stats": ("aest",),
         "traffic": (
             "LinkWorkload",
             "east_coast_link",

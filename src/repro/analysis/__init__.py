@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = attach(
             "FIG1C_MAX_SLOTS",
             "HoldingTimeAnalysis",
             "busy_period_result",
-            "holding_time_ratio",
         ),
         "offload": (
             "DEFAULT_COOLDOWN_SLOTS",
@@ -31,7 +30,7 @@ __getattr__, __dir__, __all__ = attach(
             "OffloadSpec",
             "simulate_offload",
         ),
-        "prefixes": ("OriginTierReport", "PrefixLengthReport"),
+        "prefixes": ("PrefixLengthReport",),
         "report": (
             "format_paper_comparison",
             "format_series_summary",

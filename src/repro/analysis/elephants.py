@@ -53,17 +53,6 @@ class ElephantSeries:
             return 0.0
         return float(self.residual_fraction.mean())
 
-    def burstiness(self) -> float:
-        """Peak-to-mean ratio of the count series.
-
-        The west-coast link's working-hours hump shows up as a clearly
-        higher value than the east-coast link's.
-        """
-        mean = self.counts.mean()
-        if mean == 0:
-            return 0.0
-        return float(self.counts.max() / mean)
-
     def fraction_stability(self) -> float:
         """Coefficient of variation of the traffic fraction.
 

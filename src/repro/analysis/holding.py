@@ -73,13 +73,3 @@ class HoldingTimeAnalysis:
     def single_interval_flows(self) -> int:
         """Flows whose average elephant episode lasted exactly one slot."""
         return int((self.per_flow_mean_slots == 1.0).sum())
-
-
-def holding_time_ratio(single_feature: HoldingTimeAnalysis,
-                       latent_heat: HoldingTimeAnalysis) -> float:
-    """How much latent heat stretches the average holding time.
-
-    The paper's contrast: 20–40 minutes under single-feature vs
-    roughly 2 hours with latent heat — a ratio of 3–6×.
-    """
-    return latent_heat.mean_minutes / single_feature.mean_minutes

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.result import ClassificationResult
-from repro.routing.aspath import AsTier
-from repro.routing.rib import RoutingTable
 
 
 @dataclass(frozen=True)
@@ -76,44 +74,3 @@ class PrefixLengthReport:
 def _length_counts(lengths: np.ndarray) -> dict[int, int]:
     unique, counts = np.unique(lengths, return_counts=True)
     return {int(u): int(c) for u, c in zip(unique, counts)}
-
-
-@dataclass(frozen=True)
-class OriginTierReport:
-    """Elephants broken down by the tier of the originating AS.
-
-    Supports the paper's remark that elephants "belong to other Tier-1
-    ISP providers" — i.e. large origin networks are over-represented
-    among elephants relative to their share of the table.
-    """
-
-    label: str
-    elephants_by_tier: dict[str, int]
-    routes_by_tier: dict[str, int]
-
-    @classmethod
-    def from_result(cls, result: ClassificationResult,
-                    table: RoutingTable) -> "OriginTierReport":
-        ever_elephant = result.elephant_mask.any(axis=1)
-        elephants: dict[str, int] = {tier.value: 0 for tier in AsTier}
-        routes: dict[str, int] = {tier.value: 0 for tier in AsTier}
-        for row, prefix in enumerate(result.matrix.prefixes):
-            route = table.route_for(prefix)
-            if route is None:
-                continue
-            tier = route.origin_tier.value
-            routes[tier] += 1
-            if ever_elephant[row]:
-                elephants[tier] += 1
-        return cls(result.label, elephants, routes)
-
-    def tier_lift(self, tier: AsTier) -> float:
-        """Elephant rate of a tier relative to the population rate."""
-        total_routes = sum(self.routes_by_tier.values())
-        total_elephants = sum(self.elephants_by_tier.values())
-        routes = self.routes_by_tier.get(tier.value, 0)
-        elephants = self.elephants_by_tier.get(tier.value, 0)
-        if not (total_routes and total_elephants and routes):
-            return 0.0
-        population_rate = total_elephants / total_routes
-        return (elephants / routes) / population_rate

@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = attach(
             "HoldingTimeSummary",
             "mean_holding_times",
             "run_lengths",
-            "total_elephant_slots",
             "transition_counts",
         ),
         "streaming": ("OnlineClassifier", "SlotVerdict"),

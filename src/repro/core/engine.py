@@ -99,7 +99,3 @@ class ClassificationEngine:
                 result = self.run(scheme, feature)
                 results[result.label] = result
         return results
-
-    def run_paper_grid(self) -> dict[str, ClassificationResult]:
-        """The full 2×2 grid the paper's evaluation uses."""
-        return self.run_all(features=(Feature.SINGLE, Feature.LATENT_HEAT))

@@ -73,10 +73,6 @@ class ClassificationResult:
         """Holding-time statistics over the full horizon."""
         return HoldingTimeSummary.from_mask(self.elephant_mask)
 
-    def ever_elephant_indices(self) -> np.ndarray:
-        """Row indices of flows that were elephants at least once."""
-        return np.flatnonzero(self.elephant_mask.any(axis=1))
-
     def restrict_slots(self, first_slot: int,
                        num_slots: int) -> "ClassificationResult":
         """Result restricted to a slot window (e.g. the busy period)."""

@@ -61,11 +61,6 @@ class ThresholdTracker:
         self.fallback_slots: list[int] = []
 
     @property
-    def num_fallbacks(self) -> int:
-        """How many slots needed the fallback detector / history."""
-        return len(self.fallback_slots)
-
-    @property
     def has_history(self) -> bool:
         """Whether any slot has produced a raw detection yet."""
         return self._last_raw is not None

@@ -52,14 +52,6 @@ def mean_holding_times(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def total_elephant_slots(mask: np.ndarray) -> np.ndarray:
-    """Per-flow total number of slots spent in the elephant state."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ClassificationError("expected a (flows, slots) mask")
-    return mask.sum(axis=1)
-
-
 def transition_counts(mask: np.ndarray) -> np.ndarray:
     """Per-flow number of state changes (either direction)."""
     mask = np.asarray(mask, dtype=bool)

@@ -77,11 +77,6 @@ class OnlineClassifier:
         self._smoothed_ring = np.zeros(window)
         self._slot = 0
 
-    @property
-    def slots_observed(self) -> int:
-        """How many slots have been consumed."""
-        return self._slot
-
     def grow(self, num_flows: int) -> None:
         """Extend the population to ``num_flows``, appending new rows.
 

@@ -15,8 +15,8 @@ in-process flavour of the identical split.
 daemon (``repro collect --listen``) that monitors stream summaries
 into and ``repro query`` reads merged state out of. Every merged link
 — ``repro merge``, a fleet's collector, a live daemon's — is sealed by
-one :class:`LinkMerge`; :func:`estimate_skew_from_totals` is its guard
-against monitors whose clocks drifted past a slot boundary.
+one :class:`LinkMerge`, whose skew estimate guards against monitors
+whose clocks drifted past a slot boundary.
 """
 
 from repro._lazy import attach
@@ -25,12 +25,7 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "checkpoint": ("CheckpointStore",),
-        "client": (
-            "MonitorClient",
-            "parse_address",
-            "publish_summaries",
-            "query_service",
-        ),
+        "client": ("MonitorClient", "parse_address", "query_service"),
         "collector": ("Collector", "MergedSlotSource"),
         "envelope": ("RESULT_SCHEMA", "elephant_entries", "result_envelope"),
         "faults": ("FaultPlan", "FaultRule"),
@@ -40,21 +35,10 @@ __getattr__, __dir__, __all__ = attach(
             "encode_json_frame",
             "encode_summary",
         ),
-        "merge": (
-            "LinkMerge",
-            "MergedRun",
-            "estimate_skew_from_totals",
-            "merge_runs",
-            "merge_summaries",
-        ),
+        "merge": ("LinkMerge", "MergedRun", "merge_runs", "merge_summaries"),
         "partition": ("StridedPacketSource",),
         "runner": ("ParallelIngestResult", "RowResolver", "parallel_ingest"),
-        "service": (
-            "CollectorService",
-            "LiveCollector",
-            "LiveLink",
-            "ServiceHandle",
-        ),
+        "service": ("CollectorService", "LiveCollector", "LiveLink"),
         "shm_ring": (
             "DEFAULT_RING_SLOTS",
             "RingConsumer",

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import struct
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -77,7 +76,8 @@ def decode_seal(payload: bytes) -> tuple[str, SlotSummary]:
 
 
 class _Records:
-    """The intact records of one checkpoint file, each with its payload.
+    """The intact records of one checkpoint file, each with its payload
+    and the byte offset its frame starts at.
 
     Reading stops at the first frame that is torn, corrupt, of another
     kind or undecodable, and sets :attr:`torn`; :attr:`end` is the
@@ -88,11 +88,12 @@ class _Records:
         self.torn = False
         self.end = 0
 
-    def __iter__(self) -> Iterator[tuple[str, SlotSummary, bytes]]:
+    def __iter__(self) -> Iterator[tuple[str, SlotSummary, bytes, int]]:
         if not self.path.exists():
             return
         with open(self.path, "rb") as stream:
             while True:
+                start = self.end
                 try:
                     frame = read_frame(stream)
                     if frame is None:
@@ -105,7 +106,7 @@ class _Records:
                     self.torn = True
                     return
                 self.end = stream.tell()
-                yield link, summary, payload
+                yield link, summary, payload, start
 
 
 class CheckpointStore:
@@ -140,15 +141,27 @@ class CheckpointStore:
 
     def _keep(self, *files: _Records, copy: BinaryIO | None = None) -> bool:
         """Read ``files`` into :attr:`restored`, less repeats, copying
-        what is kept to ``copy``; says whether a tail was torn."""
-        for link, summary, payload in chain(*files):
-            run = self.restored.setdefault(link, [])
-            if run and summary.start <= run[-1].start:
-                continue
-            run.append(summary)
-            self.records += 1
-            if copy is not None:
-                copy.write(encode_frame(KIND_SEAL, payload))
+        what is kept to ``copy``; says whether a tail was torn.
+
+        A record on another grid than its link's first is refused, not
+        dropped: frames carry no checksum, so either one may be the
+        damaged record."""
+        for records in files:
+            for link, summary, payload, start in records:
+                run = self.restored.setdefault(link, [])
+                if run and summary.slot_seconds != run[0].slot_seconds:
+                    raise SummaryFormatError(
+                        f"{records.path}: the record at byte {start} puts "
+                        f"link {link!r} on a {summary.slot_seconds!r}s "
+                        f"grid, its first record on "
+                        f"{run[0].slot_seconds!r}s"
+                    )
+                if run and summary.start <= run[-1].start:
+                    continue
+                run.append(summary)
+                self.records += 1
+                if copy is not None:
+                    copy.write(encode_frame(KIND_SEAL, payload))
         return any(records.torn for records in files)
 
     def _restore(self) -> bool:
@@ -163,10 +176,14 @@ class CheckpointStore:
     def _fold(self, legacy: Path) -> bool:
         """Replace the log with the snapshot's records, then its own."""
         temp_path = self.wal_path.with_suffix(".tmp")
-        with open(temp_path, "wb") as temp:
-            files = (_Records(legacy), _Records(self.wal_path))
-            torn = self._keep(*files, copy=temp)
-            self._sync(temp)
+        try:
+            with open(temp_path, "wb") as temp:
+                files = (_Records(legacy), _Records(self.wal_path))
+                torn = self._keep(*files, copy=temp)
+                self._sync(temp)
+        except BaseException:  # a refused fold leaves the directory as is
+            temp_path.unlink(missing_ok=True)
+            raise
         os.replace(temp_path, self.wal_path)
         legacy.unlink()
         return torn

@@ -4,8 +4,8 @@
 around the merge/classify machinery, numpy underneath. This module is
 everything that *talks to* one: :class:`MonitorClient` (a monitor's
 connection: hello, windowed publishes, replay across redials, queries
-that pay for what is new), :func:`publish_summaries` and
-:func:`query_service` (the one-shot forms) and :func:`parse_address`.
+that pay for what is new), :func:`query_service` (the one-shot query)
+and :func:`parse_address`.
 They are plain blocking sockets over the frames of
 :mod:`repro.distributed.framing`, so a monitor, a forked worker and the
 ``repro query`` command need no event loop — and, the split being along
@@ -405,45 +405,6 @@ class MonitorClient:
         self.inflight = 0
 
 
-def publish_summaries(
-    address: tuple[str, int],
-    summaries: list[SlotSummary] | tuple[SlotSummary, ...],
-    monitor: str,
-    link: str = DEFAULT_LINK,
-    timeout: float = 10.0,
-    max_inflight: int | None = None,
-    retries: int = 0,
-    backoff: float = 0.25,
-    faults: FaultPlan | None = None,
-) -> dict[str, int]:
-    """Stream one monitor run into a live collector and disconnect.
-
-    ``retries`` and ``backoff`` are the :class:`MonitorClient` redial
-    budget (0 = fail fast). Returns the delivery accounting: summaries
-    ``published`` (accepted), ``stale`` (rejected as sealed history)
-    and ``skipped`` (dropped client-side below the resume cell), plus
-    the ``reconnects`` it took.
-    """
-    with MonitorClient(
-        address,
-        monitor,
-        link=link,
-        timeout=timeout,
-        max_inflight=max_inflight,
-        retries=retries,
-        backoff=backoff,
-        faults=faults,
-    ) as client:
-        for summary in summaries:
-            client.publish(summary)
-    return {
-        "published": client.published,
-        "stale": client.stale,
-        "skipped": client.skipped,
-        "reconnects": client.reconnects,
-    }
-
-
 def query_service(
     address: tuple[str, int],
     link: str | None = None,
@@ -465,9 +426,9 @@ def query_service(
         sock.sendall(encode_frame(KIND_BYE))
     return reply
 
+
 __all__ = [
     "MonitorClient",
     "parse_address",
-    "publish_summaries",
     "query_service",
 ]

@@ -28,14 +28,13 @@ per-entry fold this replaced, bit for bit.
 
 Alignment is by grid cell, which *trusts monitor clocks*: a monitor
 whose clock drifts past a slot boundary silently mis-bins its traffic.
-:func:`estimate_skew_from_totals` is the collector-side check: a
-:class:`LinkMerge` keeps each monitor's per-cell byte totals as
-append-only columns and scores every slot lag against the anchor run
-in one array pass, so a query does not walk the link's history in
-Python. :func:`merge_runs` raises a
-:class:`~repro.errors.ClockSkewWarning` (and records the estimate on
-the returned :class:`MergedRun`) when a run's totals line up better one
-or more slots away from where its timestamps put them.
+The collector-side check is a :class:`LinkMerge`'s skew estimate: it
+keeps each monitor's per-cell byte totals as append-only columns and
+scores every slot lag against the anchor run in one array pass, so a
+query does not walk the link's history in Python. :func:`merge_runs`
+raises a :class:`~repro.errors.ClockSkewWarning` (and records the
+estimate on the returned :class:`MergedRun`) when a run's totals line
+up better one or more slots away from where its timestamps put them.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,8 +188,29 @@ _LAGS = np.arange(-MAX_SKEW_SLOTS, MAX_SKEW_SLOTS + 1)
 def _skew_of_columns(
     totals: Sequence[tuple[np.ndarray, np.ndarray]], grid: float
 ) -> dict[int, float]:
-    """:func:`estimate_skew_from_totals` over ``(cells, bytes)`` columns,
-    cells ascending: each run's lags are scored in one array pass."""
+    """Estimate each monitor's clock offset from per-cell byte totals.
+
+    ``totals[i]`` is monitor ``i``'s ``(cells, bytes)`` columns, cells
+    ascending (what a :class:`LinkMerge` keeps per monitor); each run's
+    lags are scored in one array pass. The longest run (the first of
+    equally long ones) anchors the comparison. For every other run,
+    the per-cell byte totals are correlated against the anchor's at
+    slot lags up to :data:`MAX_SKEW_SLOTS` either way, scanned from the
+    most negative up, a later lag winning only on a strictly higher r;
+    a run whose totals fit decisively better at a nonzero lag — beating
+    the as-reported alignment by :data:`SKEW_MARGIN` of Pearson r,
+    above the :data:`SKEW_MIN_CORRELATION` floor, *and* statistically
+    significant for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) —
+    is estimated to be skewed by that many slots. Positive means the
+    run's clock reads *ahead* (its traffic lands in later cells than it
+    occurred in). A lag with fewer than :data:`MIN_SKEW_OVERLAP`
+    comparable cells, or with constant totals on either side, is no
+    evidence, and a run without a decisive fit estimates ``0.0``:
+    absence of evidence is not skew. The estimator presumes the runs
+    watch the *same* link (taps of one traffic mix); monitors of
+    unrelated links have uncorrelated totals at every lag, and the
+    significance floor keeps them from chance verdicts.
+    """
     estimates = {index: 0.0 for index in range(len(totals))}
     if len(totals) < 2:
         return estimates
@@ -237,40 +257,6 @@ def _skew_of_columns(
             # `lag` cells later than the traffic, so its clock is ahead
             estimates[index] = int(_LAGS[best]) * grid
     return estimates
-
-
-def estimate_skew_from_totals(
-    totals: Sequence[Mapping[int, float]], grid: float
-) -> dict[int, float]:
-    """Estimate each monitor's clock offset from per-cell byte totals.
-
-    ``totals[i]`` maps grid cell → bytes for monitor ``i`` (what a
-    :class:`LinkMerge` keeps per monitor). The longest run (the first
-    of equally long ones) anchors the comparison. For every other run,
-    the per-cell byte totals are correlated against the anchor's at
-    slot lags up to :data:`MAX_SKEW_SLOTS` either way, scanned from the
-    most negative up, a later lag winning only on a strictly higher r;
-    a run whose totals fit decisively better at a nonzero lag — beating
-    the as-reported alignment by :data:`SKEW_MARGIN` of Pearson r,
-    above the :data:`SKEW_MIN_CORRELATION` floor, *and* statistically
-    significant for its overlap size (:data:`SKEW_MIN_T_STATISTIC`) —
-    is estimated to be skewed by that many slots. Positive means the
-    run's clock reads *ahead* (its traffic lands in later cells than it
-    occurred in). A lag with fewer than :data:`MIN_SKEW_OVERLAP`
-    comparable cells, or with constant totals on either side, is no
-    evidence, and a run without a decisive fit estimates ``0.0``:
-    absence of evidence is not skew. The estimator presumes the runs
-    watch the *same* link (taps of one traffic mix); monitors of
-    unrelated links have uncorrelated totals at every lag, and the
-    significance floor keeps them from chance verdicts.
-    """
-    columns = []
-    for run in totals:
-        cells = np.fromiter(run, dtype=np.int64, count=len(run))
-        order = np.argsort(cells)
-        sent = np.fromiter(run.values(), dtype=np.float64, count=len(run))
-        columns.append((cells[order], sent[order]))
-    return _skew_of_columns(columns, grid)
 
 
 def gap_summary(cell: int, first_cell: int, seconds: float) -> SlotSummary:
@@ -557,7 +543,6 @@ def merge_runs(
 __all__ = [
     "LinkMerge",
     "MergedRun",
-    "estimate_skew_from_totals",
     "gap_summary",
     "merge_runs",
     "merge_summaries",

@@ -53,13 +53,11 @@ daemon restarted without state): nothing is kept per reader, the
 question carries all the state there is. ``MonitorClient.query`` keeps
 the slots it was given and asks for the rest.
 
-This module is the daemon's half: the link state, the asyncio server
-and :class:`ServiceHandle`, which runs the service on a background
-thread (the test harness). The callers' half — ``MonitorClient``,
-``query_service``, ``publish_summaries``, plain blocking sockets — is
-:mod:`repro.distributed.client`, a separate module so that
-a monitor or a ``repro query`` poll imports neither asyncio nor the
-merge machinery it will never run.
+This module is the daemon's half: the link state and the asyncio
+server. The callers' half — ``MonitorClient``, ``query_service``,
+plain blocking sockets — is :mod:`repro.distributed.client`, a
+separate module so that a monitor or a ``repro query`` poll imports
+neither asyncio nor the merge machinery it will never run.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -656,88 +653,9 @@ class CollectorService:
                 await writer.wait_closed()
 
 
-class ServiceHandle:
-    """A :class:`CollectorService` on a background thread.
-
-    The in-process harness the loopback tests drive: ``start`` returns
-    once the socket is bound (address in :attr:`address`), ``stop``
-    shuts the loop down and joins the thread. Also usable as a context
-    manager.
-    """
-
-    def __init__(self, service: CollectorService) -> None:
-        self.service = service
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self.service.address is None:
-            raise RuntimeError("service has not started")
-        return self.service.address
-
-    def __enter__(self) -> "ServiceHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def start(self, timeout: float = 10.0) -> "ServiceHandle":
-        self._thread = threading.Thread(
-            target=self._run, name="collector-service", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("collector service did not start in time")
-        if self._error is not None:
-            raise self._error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface in start()/stop()
-            self._error = exc
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.service.start()
-        self._started.set()
-        stop_task = asyncio.create_task(self._stop.wait())
-        done_task = asyncio.create_task(self.service.wait_done())
-        try:
-            await asyncio.wait(
-                {stop_task, done_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            stop_task.cancel()
-            done_task.cancel()
-            await self.service.stop()
-
-    def stop(self) -> None:
-        if (
-            self._loop is not None
-            and self._stop is not None
-            and self._thread is not None
-            and self._thread.is_alive()
-        ):
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        if self._error is not None:
-            raise self._error
-
-
 __all__ = [
     "CollectorService",
     "LiveCollector",
     "LiveLink",
     "MonitorStatus",
-    "ServiceHandle",
 ]

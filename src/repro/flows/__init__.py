@@ -15,6 +15,6 @@ __getattr__, __dir__, __all__ = attach(
             "write_flow_records",
         ),
         "matrix": ("RateMatrix",),
-        "records": ("DEFAULT_SLOT_SECONDS", "FlowRecord", "TimeAxis"),
+        "records": ("DEFAULT_SLOT_SECONDS", "TimeAxis"),
     },
 )

@@ -7,25 +7,23 @@ measurement slot. Dividing by the slot length yields ``x_i(t)``.
 
 :class:`FlowAggregator` is the per-packet reference: one scalar
 :meth:`~repro.routing.rib.RoutingTable.resolve` and one dict probe per
-packet over a fixed axis, plus a per-flow
-:class:`~repro.flows.records.FlowRecord` ledger. It is the one oracle
-the suite holds the streaming pipeline to. :func:`aggregate_pcap` is
-the batch entry point and a thin wrapper over that pipeline — the
-chunked capture scan feeding a
-:class:`~repro.pipeline.aggregator.StreamingAggregator` — so there is
-one vectorized aggregation path, not two.
+packet over a fixed axis. It is the one oracle the suite holds the
+streaming pipeline to. :func:`aggregate_pcap` is the batch entry point
+and a thin wrapper over that pipeline — the chunked capture scan
+feeding a :class:`~repro.pipeline.aggregator.StreamingAggregator` — so
+there is one vectorized aggregation path, not two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ClassificationError
 from repro.flows.matrix import RateMatrix
-from repro.flows.records import FlowRecord, TimeAxis
+from repro.flows.records import TimeAxis
 
 if TYPE_CHECKING:
     from repro.net.prefix import Prefix
@@ -68,7 +66,6 @@ class FlowAggregator:
 
     def __post_init__(self) -> None:
         self._bytes: dict[Prefix, np.ndarray] = {}
-        self._records: dict[Prefix, FlowRecord] = {}
 
     def add(self, packet: PacketSummary) -> bool:
         """Account one packet; returns ``True`` if it was matched."""
@@ -84,24 +81,10 @@ class FlowAggregator:
         slot = self.axis.slot_of(packet.timestamp)
         if prefix not in self._bytes:
             self._bytes[prefix] = np.zeros(self.axis.num_slots)
-            self._records[prefix] = FlowRecord(prefix)
         self._bytes[prefix][slot] += packet.wire_bytes
-        self._records[prefix].add_packet(packet.timestamp, packet.wire_bytes)
         self.stats.packets_matched += 1
         self.stats.bytes_matched += packet.wire_bytes
         return True
-
-    def add_all(self, packets: Iterable[PacketSummary]) -> int:
-        """Account a stream of packets; returns the matched count."""
-        matched = 0
-        for packet in packets:
-            if self.add(packet):
-                matched += 1
-        return matched
-
-    def flow_records(self) -> list[FlowRecord]:
-        """Per-flow accounting records, sorted by prefix."""
-        return [self._records[p] for p in sorted(self._records)]
 
     def to_rate_matrix(self, include_all_routes: bool = False) -> RateMatrix:
         """Finish aggregation and emit the rate matrix (bits/second).

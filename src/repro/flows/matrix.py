@@ -14,7 +14,7 @@ import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -99,12 +99,6 @@ class RateMatrix:
             raise ClassificationError(f"slot {slot} out of range")
         return self.rates[:, slot]
 
-    def flow_series(self, index: int) -> np.ndarray:
-        """Bandwidth series of flow ``index`` across all slots."""
-        if not 0 <= index < self.num_flows:
-            raise ClassificationError(f"flow index {index} out of range")
-        return self.rates[index, :]
-
     def index_of(self, prefix: Prefix) -> int:
         """Row index of ``prefix``; raises when absent."""
         try:
@@ -176,15 +170,6 @@ class RateMatrix:
             list(self.prefixes),
             sub_axis,
             self.rates[:, first_slot : first_slot + num_slots].copy(),
-        )
-
-    def restrict_flows(self, indices: Sequence[int]) -> "RateMatrix":
-        """Keep only the given flow rows (in the given order)."""
-        index_array = np.asarray(indices, dtype=int)
-        return RateMatrix(
-            [self.prefixes[i] for i in index_array],
-            self.axis,
-            self.rates[index_array, :].copy(),
         )
 
     # ------------------------------------------------------------------

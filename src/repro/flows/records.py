@@ -1,22 +1,18 @@
-"""Time discretisation and flow records.
+"""Time discretisation.
 
 The paper discretises time into slots of length ``T`` (5 minutes by
 default) and works with the average bandwidth of each prefix-flow per
-slot. :class:`TimeAxis` owns that discretisation; :class:`FlowRecord`
-is the per-flow byte/packet ledger of the per-packet reference
-aggregator (:class:`~repro.flows.aggregate.FlowAggregator`) — the
-streaming pipeline counts bytes per slot and keeps no such record.
+slot. :class:`TimeAxis` owns that discretisation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ClassificationError
-from repro.net.prefix import Prefix
 
 #: The paper's default measurement interval (seconds).
 DEFAULT_SLOT_SECONDS = 300.0
@@ -109,39 +105,3 @@ class TimeAxis:
             raise ClassificationError(
                 f"slot {slot} outside 0..{self.num_slots - 1}"
             )
-
-
-@dataclass
-class FlowRecord:
-    """Byte/packet accounting for one prefix-flow, updated per packet."""
-
-    prefix: Prefix
-    bytes_total: int = 0
-    packets: int = 0
-    first_seen: float = field(default=np.inf)
-    last_seen: float = field(default=-np.inf)
-
-    def add_packet(self, timestamp: float, wire_bytes: int) -> None:
-        """Account one packet of ``wire_bytes`` bytes at ``timestamp``."""
-        if wire_bytes < 0:
-            raise ClassificationError("packet size cannot be negative")
-        self.bytes_total += wire_bytes
-        self.packets += 1
-        if timestamp < self.first_seen:
-            self.first_seen = timestamp
-        if timestamp > self.last_seen:
-            self.last_seen = timestamp
-
-    @property
-    def mean_packet_size(self) -> float:
-        """Average packet size in bytes (0 when no packets)."""
-        if self.packets == 0:
-            return 0.0
-        return self.bytes_total / self.packets
-
-    @property
-    def active_span(self) -> float:
-        """Seconds between first and last packet (0 for a single packet)."""
-        if self.packets == 0:
-            return 0.0
-        return max(0.0, self.last_seen - self.first_seen)

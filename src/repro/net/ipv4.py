@@ -74,11 +74,6 @@ def broadcast_address(address: int, prefix_length: int) -> int:
     return address | hostmask(prefix_length)
 
 
-def is_network_address(address: int, prefix_length: int) -> bool:
-    """Return ``True`` if ``address`` has no host bits set."""
-    return address == network_address(address, prefix_length)
-
-
 def bit_at(address: int, position: int) -> int:
     """Return bit ``position`` of ``address``, counting from the MSB.
 

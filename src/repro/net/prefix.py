@@ -14,7 +14,7 @@ built only for the rows somebody reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class Prefix:
         """Highest address covered by this prefix."""
         return ipv4.broadcast_address(self.network, self.length)
 
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered (``2**(32-length)``)."""
-        return 1 << (ipv4.ADDRESS_BITS - self.length)
-
     def contains_address(self, address: int) -> bool:
         """Return ``True`` if ``address`` falls inside this prefix."""
         return ipv4.network_address(address, self.length) == self.network
@@ -99,27 +94,6 @@ class Prefix:
     def overlaps(self, other: "Prefix") -> bool:
         """Return ``True`` if the address ranges intersect at all."""
         return self.contains(other) or other.contains(self)
-
-    def supernet(self, new_length: int | None = None) -> "Prefix":
-        """The enclosing prefix of ``new_length`` (default one bit shorter)."""
-        if new_length is None:
-            new_length = self.length - 1
-        if not 0 <= new_length <= self.length:
-            raise AddressError(
-                f"supernet length {new_length} invalid for /{self.length}"
-            )
-        return Prefix.from_host(self.network, new_length)
-
-    def subnets(self) -> Iterator["Prefix"]:
-        """Yield the two halves of this prefix (one bit longer each)."""
-        if self.length >= ipv4.ADDRESS_BITS:
-            raise AddressError("cannot subnet a /32")
-        child_length = self.length + 1
-        yield Prefix(self.network, child_length)
-        yield Prefix(
-            self.network | (1 << (ipv4.ADDRESS_BITS - child_length)),
-            child_length,
-        )
 
     def bit_at(self, position: int) -> int:
         """Bit ``position`` (from MSB) of the network address."""

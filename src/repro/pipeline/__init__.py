@@ -49,7 +49,6 @@ __getattr__, __dir__, __all__ = attach(
             "PacketBatch",
             "PacketSource",
             "PcapPacketSource",
-            "ScenarioSlotSource",
             "SlotFrame",
             "SlotSource",
         ),

@@ -132,11 +132,6 @@ class StreamingAggregator:
         """Rows in the emitted population so far."""
         return len(self.backend.prefixes)
 
-    @property
-    def slots_emitted(self) -> int:
-        """Frames emitted so far."""
-        return self._frames_emitted
-
     def axis(self) -> TimeAxis:
         """The time axis covered by the frames emitted so far.
 

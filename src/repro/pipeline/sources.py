@@ -11,8 +11,7 @@ The streaming pipeline consumes measurements at one of two altitudes:
 
 Adapters cover the workloads the repo already speaks: pcap capture
 files (with a vectorized scan that never builds per-packet Python
-objects), flow-record CSV exports, in-memory rate matrices, and the
-synthetic link scenarios.
+objects), flow-record CSV exports and in-memory rate matrices.
 """
 
 from __future__ import annotations
@@ -516,27 +515,3 @@ class MatrixSlotSource:
                 rates=self.matrix.rates[:, slot],
                 population=self.matrix.prefixes,
             )
-
-
-class ScenarioSlotSource(MatrixSlotSource):
-    """Stream a synthetic paper-link scenario slot by slot.
-
-    ``link`` is ``"west"`` or ``"east"``; the fluid simulation runs once
-    at construction (it is inherently whole-horizon) and the resulting
-    matrix replays through the slot interface.
-    """
-
-    def __init__(
-        self, link: str = "west", scale: float = 0.25, seed: int | None = None
-    ) -> None:
-        from repro.traffic.scenarios import east_coast_link, west_coast_link
-
-        if link == "west":
-            factory = west_coast_link
-        elif link == "east":
-            factory = east_coast_link
-        else:
-            raise ClassificationError(f"unknown link {link!r}")
-        kwargs = {} if seed is None else {"seed": seed}
-        self.workload = factory(scale=scale, **kwargs)
-        super().__init__(self.workload.matrix)

@@ -73,16 +73,5 @@ class AsPath:
         """Path length counting prepends, as BGP best-path selection does."""
         return len(self.hops)
 
-    @property
-    def unique_length(self) -> int:
-        """Number of distinct ASes traversed."""
-        return len(set(self.hops))
-
-    def prepend(self, asn: int, count: int = 1) -> "AsPath":
-        """Return a new path with ``asn`` prepended ``count`` times."""
-        if count < 1:
-            raise RoutingError("prepend count must be >= 1")
-        return AsPath((asn,) * count + self.hops)
-
     def __str__(self) -> str:
         return " ".join(str(hop) for hop in self.hops)

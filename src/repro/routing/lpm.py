@@ -183,11 +183,6 @@ class CompiledLpm:
                 )
         return self._owners[segments]
 
-    def lookup_one(self, address: int) -> Prefix | None:
-        """Scalar convenience mirroring :meth:`RoutingTable.resolve_prefix`."""
-        row = int(self.lookup(np.array([address]))[0])
-        return None if row == NO_ROUTE else self.prefixes[row]
-
 
 class FixedLengthResolver:
     """Map addresses to fixed-length covering prefixes, no RIB needed.

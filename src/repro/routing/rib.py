@@ -88,15 +88,6 @@ class RoutingTable:
             self._lengths.append(prefix.length)
             self._lengths.sort(reverse=True)
 
-    def withdraw(self, prefix: Prefix) -> Route:
-        """Remove the route for ``prefix``; raises if absent."""
-        route = self._routes.pop(_key(prefix), None)
-        if route is None:
-            raise RoutingError(f"prefix {prefix} not in table")
-        if all(key & 63 != prefix.length for key in self._routes):
-            self._lengths.remove(prefix.length)
-        return route
-
     def route_for(self, prefix: Prefix) -> Optional[Route]:
         """Exact-match route lookup."""
         return self._routes.get(_key(prefix))

@@ -1,4 +1,4 @@
-"""Statistics: ECDF/LLCD, histograms, aest (and Hill, its cross-check)."""
+"""Statistics: ECDF/LLCD, histograms and the aest tail estimator."""
 
 import sys
 import types
@@ -16,19 +16,9 @@ from repro.stats.ecdf import ecdf
 _exports, __dir__, __all__ = attach(
     __name__,
     {
-        "aest": (
-            "AestConfig",
-            "AestResult",
-            "aest_tail_onset",
-            "aggregate_sums",
-        ),
+        "aest": ("AestConfig", "AestResult", "aggregate_sums"),
         "ecdf": ("ShareCurve", "ccdf", "llcd_points", "quantile"),
-        "histogram": (
-            "Histogram",
-            "integer_histogram",
-            "log_spaced_histogram",
-        ),
-        "tail": ("hill_estimator",),
+        "histogram": ("Histogram", "integer_histogram"),
     },
 )
 __all__ += ["aest", "ecdf"]

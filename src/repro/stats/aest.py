@@ -273,9 +273,3 @@ def _probe_grid(base_p: np.ndarray, agg_p: np.ndarray,
     if floor >= start:
         return np.empty(0, dtype=float)
     return np.linspace(start, floor, num=config.probes_per_pair)
-
-
-def aest_tail_onset(samples: np.ndarray,
-                    config: AestConfig | None = None) -> float:
-    """Convenience wrapper returning only the tail-onset point."""
-    return aest(samples, config=config).tail_onset

@@ -110,10 +110,3 @@ class ShareCurve:
             raise ValueError(f"share {share} outside (0, 1]")
         index = int(np.searchsorted(self.cumulative_share, share, side="left"))
         return min(index + 1, self.rates_desc.size)
-
-    def share_of_top(self, count: int) -> float:
-        """Traffic share of the ``count`` largest flows."""
-        if count <= 0:
-            return 0.0
-        count = min(count, self.rates_desc.size)
-        return float(self.cumulative_share[count - 1])

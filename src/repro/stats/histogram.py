@@ -65,23 +65,3 @@ def integer_histogram(values: np.ndarray, max_value: int | None = None) -> Histo
     counts = np.bincount(clipped, minlength=top + 1)
     edges = np.arange(0, top + 2, dtype=float) - 0.5
     return Histogram(edges=edges, counts=counts)
-
-
-def log_spaced_histogram(values: np.ndarray, num_bins: int = 20) -> Histogram:
-    """Histogram with logarithmically spaced bins over positive values."""
-    values = np.asarray(values, dtype=float)
-    values = values[values > 0]
-    if values.size == 0:
-        raise InsufficientDataError("log histogram of non-positive sample")
-    low = float(values.min())
-    high = float(values.max())
-    if low == high:
-        edges = np.array([low * 0.5, high * 2.0])
-        return Histogram(edges=edges, counts=np.array([values.size]))
-    edges = np.logspace(np.log10(low), np.log10(high), num=num_bins + 1)
-    # log10/power rounding can push the outer edges inside [low, high];
-    # widen them so every value is covered.
-    edges[0] = min(edges[0], low)
-    edges[-1] = np.nextafter(max(edges[-1], high), np.inf)
-    counts, _ = np.histogram(values, bins=edges)
-    return Histogram(edges=edges, counts=counts)

@@ -6,12 +6,7 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "distributions": (
-            "BoundedPareto",
-            "Lognormal",
-            "PacketSizeMix",
-            "Pareto",
-        ),
+        "distributions": ("BoundedPareto", "PacketSizeMix", "Pareto"),
         "diurnal": (
             "EAST_COAST_PROFILE",
             "FLAT_PROFILE",
@@ -22,7 +17,6 @@ __getattr__, __dir__, __all__ = attach(
             "FlowModelConfig",
             "FlowPopulation",
             "generate_rate_matrix_values",
-            "simulate_flat_population",
         ),
         "linksim": (
             "OC12_CAPACITY_BPS",
@@ -34,7 +28,6 @@ __getattr__, __dir__, __all__ = attach(
         "scenarios": (
             "PAPER_NUM_FLOWS",
             "PAPER_NUM_SLOTS",
-            "both_links",
             "east_coast_config",
             "east_coast_link",
             "west_coast_config",

@@ -86,26 +86,6 @@ class BoundedPareto:
         return self.x_min * (1.0 - uniforms * (1.0 - ratio)) ** (-1.0 / self.alpha)
 
 
-@dataclass(frozen=True)
-class Lognormal:
-    """Lognormal with log-mean ``mu`` and log-std ``sigma``."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise WorkloadError(f"sigma {self.sigma} must be non-negative")
-
-    def sample(self, rng: np.random.Generator,
-               size: int | tuple[int, ...] = 1) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size)
-
-    def mean(self) -> float:
-        """Analytical mean ``exp(mu + sigma^2 / 2)``."""
-        return float(np.exp(self.mu + self.sigma ** 2 / 2.0))
-
-
 #: Classic backbone packet-size mix: ~40-byte control/ACK packets,
 #: ~576-byte legacy-MTU packets, ~1500-byte full-MTU packets.
 DEFAULT_PACKET_SIZES = np.array([40, 576, 1500])

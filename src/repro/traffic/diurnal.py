@@ -56,15 +56,6 @@ class DiurnalProfile:
         """Ratio between the busiest and quietest control points."""
         return max(self.hourly) / min(self.hourly)
 
-    def scaled(self, factor: float) -> "DiurnalProfile":
-        """A uniformly scaled copy (same shape, different level)."""
-        if factor <= 0:
-            raise WorkloadError("scale factor must be positive")
-        return DiurnalProfile(
-            f"{self.name}*{factor:g}",
-            tuple(value * factor for value in self.hourly),
-        )
-
 
 def _working_hours_profile(night: float, morning_ramp: float, peak: float,
                            evening: float, name: str) -> DiurnalProfile:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.traffic.distributions import BoundedPareto, Pareto
-from repro.traffic.diurnal import DiurnalProfile, FLAT_PROFILE
+from repro.traffic.diurnal import DiurnalProfile
 
 
 @dataclass(frozen=True)
@@ -249,21 +249,3 @@ def _burst_factors(config: FlowModelConfig, n: int, num_slots: int,
         factors[active, t] = magnitude[active]
         remaining[active] -= 1
     return factors
-
-
-def simulate_flat_population(num_flows: int, num_slots: int,
-                             seed: int = 0,
-                             config: FlowModelConfig | None = None) -> np.ndarray:
-    """Convenience: rate values under a flat diurnal profile.
-
-    Useful for unit tests and controlled ablations where time-of-day
-    effects would be a confound.
-    """
-    if config is None:
-        config = FlowModelConfig(num_flows=num_flows)
-    elif config.num_flows != num_flows:
-        raise WorkloadError("config.num_flows disagrees with num_flows")
-    rng = np.random.default_rng(seed)
-    population = FlowPopulation.sample(config, rng)
-    seconds = np.arange(num_slots) * 300.0
-    return generate_rate_matrix_values(population, FLAT_PROFILE, seconds, rng)

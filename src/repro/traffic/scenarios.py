@@ -65,11 +65,3 @@ def west_coast_link(scale: float = 1.0, seed: int = 2401) -> LinkWorkload:
 def east_coast_link(scale: float = 1.0, seed: int = 2402) -> LinkWorkload:
     """Simulate the east-coast scenario."""
     return simulate_link(east_coast_config(scale, seed))
-
-
-def both_links(scale: float = 1.0) -> dict[str, LinkWorkload]:
-    """Both paper links, keyed by name."""
-    return {
-        "west-coast": west_coast_link(scale),
-        "east-coast": east_coast_link(scale),
-    }

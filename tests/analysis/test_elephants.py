@@ -27,15 +27,6 @@ class TestElephantSeries:
         assert series.residual_fraction is None
         assert series.mean_residual_fraction == 0.0
 
-    def test_burstiness_of_known_series(self):
-        series = ElephantSeries(
-            label="x",
-            hours=np.arange(4, dtype=float),
-            counts=np.array([1.0, 1.0, 1.0, 5.0]),
-            traffic_fraction=np.full(4, 0.5),
-        )
-        assert series.burstiness() == pytest.approx(5.0 / 2.0)
-
     def test_fraction_is_less_variable_than_counts(self, tiny_paper_run):
         """The paper's Fig 1(b) observation, which needs a horizon with
         real diurnal range to be meaningful."""
@@ -53,7 +44,6 @@ class TestElephantSeries:
             counts=np.zeros(3),
             traffic_fraction=np.zeros(3),
         )
-        assert series.burstiness() == 0.0
         assert series.fraction_stability() == 0.0
         assert series.count_variability() == 0.0
 

@@ -7,7 +7,6 @@ from repro.analysis.holding import (
     FIG1C_MAX_SLOTS,
     HoldingTimeAnalysis,
     busy_period_result,
-    holding_time_ratio,
 )
 from repro.core.engine import Feature, Scheme
 
@@ -73,4 +72,4 @@ class TestHoldingTimeRatio:
             small_grid[(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)],
             busy_hours=3.0,
         )
-        assert holding_time_ratio(single, latent) > 2.0
+        assert latent.mean_minutes / single.mean_minutes > 2.0

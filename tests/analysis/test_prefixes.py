@@ -1,11 +1,9 @@
 """Unit tests for prefix-characteristics analysis (T3)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.prefixes import OriginTierReport, PrefixLengthReport
+from repro.analysis.prefixes import PrefixLengthReport
 from repro.core.engine import Feature, Scheme
-from repro.routing.aspath import AsTier
 
 
 class TestPrefixLengthReport:
@@ -46,20 +44,3 @@ class TestPrefixLengthReport:
     def test_share_by_length(self, report):
         shares = report.elephant_share_by_length()
         assert all(0.0 <= share <= 1.0 for share in shares.values())
-
-
-class TestOriginTierReport:
-    def test_counts_partition(self, small_grid, small_link):
-        result = small_grid[(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)]
-        report = OriginTierReport.from_result(result, small_link.table)
-        total_elephants = int(result.elephant_mask.any(axis=1).sum())
-        assert sum(report.elephants_by_tier.values()) == total_elephants
-        assert sum(report.routes_by_tier.values()) == \
-            result.matrix.num_flows
-
-    def test_tier_lift_near_one_for_uncorrelated_assignment(
-            self, small_grid, small_link):
-        result = small_grid[(Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT)]
-        report = OriginTierReport.from_result(result, small_link.table)
-        lift = report.tier_lift(AsTier.TIER1)
-        assert 0.3 < lift < 3.0

@@ -148,13 +148,6 @@ class TestClassificationResult:
         assert np.array_equal(sub.thresholds.smoothed,
                               result.thresholds.smoothed[10:30])
 
-    def test_ever_elephant_indices(self, small_grid):
-        result = next(iter(small_grid.values()))
-        indices = result.ever_elephant_indices()
-        assert np.array_equal(
-            indices, np.flatnonzero(result.elephant_mask.any(axis=1))
-        )
-
     def test_zero_traffic_slot_fraction_is_zero(self):
         from repro.flows.matrix import RateMatrix
         from repro.flows.records import TimeAxis

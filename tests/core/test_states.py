@@ -11,7 +11,6 @@ from repro.core.states import (
     HoldingTimeSummary,
     mean_holding_times,
     run_lengths,
-    total_elephant_slots,
     transition_counts,
 )
 
@@ -74,10 +73,6 @@ class TestMeanHoldingTimes:
 
 
 class TestCounts:
-    def test_total_slots(self):
-        mask = np.array([[1, 0, 1], [0, 0, 0]], bool)
-        assert total_elephant_slots(mask).tolist() == [2, 0]
-
     def test_transitions(self):
         mask = np.array([
             [1, 0, 1, 0],  # 3 flips

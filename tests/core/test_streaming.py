@@ -78,7 +78,6 @@ class TestVerdict:
         assert verdict.slot == 0
         assert verdict.num_elephants == len(verdict.elephants())
         assert verdict.latent_heat is not None
-        assert online.slots_observed == 1
 
     def test_single_feature_has_no_heat(self, small_matrix):
         online = OnlineClassifier(

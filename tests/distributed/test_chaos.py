@@ -33,12 +33,8 @@ import pytest
 from repro.distributed import FaultPlan, parallel_ingest, runner
 from repro.distributed.checkpoint import WAL_NAME, CheckpointStore
 from repro.distributed.framing import DEFAULT_LINK
-from repro.distributed.client import (
-    MonitorClient,
-    publish_summaries,
-    query_service,
-)
-from repro.distributed.service import CollectorService, ServiceHandle
+from repro.distributed.client import MonitorClient, query_service
+from repro.distributed.service import CollectorService
 from repro.errors import (
     ClassificationError,
     PcapFormatError,
@@ -48,6 +44,7 @@ from repro.errors import (
 from repro.pipeline.sources import ArrayPacketSource
 from repro.pipeline.spec import PipelineSpec
 from repro.routing.lpm import FixedLengthResolver
+from distributed.service_harness import ServiceHandle, publish_summaries
 from test_runner import assert_no_ring_segments
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

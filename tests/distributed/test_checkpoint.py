@@ -158,6 +158,45 @@ class TestCheckpointStore:
                 range(6)
             )
 
+    def test_a_record_on_another_grid_refuses_the_log(self, tmp_path):
+        """Frames carry no checksum, so the store cannot tell which of
+        two grids is the damaged one: it names the record, cuts nothing,
+        and opens once the log is cut at the byte it named."""
+        off_grid = SlotSummary(
+            slot=1,
+            start=SLOT_SECONDS,
+            slot_seconds=10.000000000000016,
+            prefixes=(),
+            volumes=np.zeros(0),
+            residual_bytes=600.0,
+            monitor="mon-a",
+        )
+        with CheckpointStore(tmp_path) as store:
+            store.append("l", summary(0))
+            store.append("l", off_grid)
+        wal = tmp_path / WAL_NAME
+        log = wal.read_bytes()
+        second = len(encode_seal("l", summary(0)))
+        with pytest.raises(SummaryFormatError) as refused:
+            CheckpointStore(tmp_path)
+        message = str(refused.value)
+        assert str(wal) in message
+        named = f"at byte {second} puts link 'l' on a 10.000000000000016s"
+        assert named in message
+        assert wal.read_bytes() == log
+        # a parent's snapshot holding the record is refused the same way,
+        # and the fold leaves the directory as it found it
+        wal.rename(tmp_path / LEGACY_SNAPSHOT_NAME)
+        with pytest.raises(SummaryFormatError, match=f"at byte {second} "):
+            CheckpointStore(tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == [
+            LEGACY_SNAPSHOT_NAME
+        ]
+        (tmp_path / LEGACY_SNAPSHOT_NAME).rename(wal)
+        wal.write_bytes(log[:second])
+        with CheckpointStore(tmp_path) as cut:
+            assert wire(cut) == {"l": [summary(0).to_bytes()]}
+
 
 def traffic(reply):
     """A reply's facts about traffic, which a restart must keep."""

@@ -44,7 +44,6 @@ from repro.distributed.client import (
     MonitorClient,
     _BlockingFrames,
     parse_address,
-    publish_summaries,
     query_service,
 )
 from repro.distributed.merge import MAX_GAP_CELLS
@@ -52,7 +51,6 @@ from repro.distributed.service import (
     CollectorService,
     LiveCollector,
     LiveLink,
-    ServiceHandle,
 )
 from repro.errors import (
     AddressError,
@@ -66,6 +64,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.sources import PacketBatch
 from repro.routing.lpm import FixedLengthResolver
+from distributed.service_harness import ServiceHandle, publish_summaries
 
 SLOT_SECONDS = 10.0
 MONITORS = ("mon-a", "mon-b", "mon-c")

@@ -30,11 +30,11 @@ from repro.distributed.service import (
     CollectorService,
     LiveCollector,
     LiveLink,
-    ServiceHandle,
 )
 from repro.distributed.summary import SlotSummary
 from repro.errors import ServiceProtocolError
 from repro.net.prefix import Prefix
+from distributed.service_harness import ServiceHandle
 
 SLOT_SECONDS = 60.0
 GOLDEN_CELLS = (3, 4, 6, 7)

@@ -64,17 +64,15 @@ class TestFlowAggregator:
         assert not aggregator.add(packet(500.0, "10.0.0.1"))
         assert aggregator.stats.packets_outside_axis == 1
 
-    def test_add_all_and_stats(self):
+    def test_stats(self):
         table = make_table("10.0.0.0/8")
         aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        matched = aggregator.add_all(
-            [
-                packet(0.0, "10.0.0.1", 100),
-                packet(1.0, "10.0.0.2", 200),
-                packet(2.0, "172.16.0.1", 300),
-            ]
-        )
-        assert matched == 2
+        packets = [
+            packet(0.0, "10.0.0.1", 100),
+            packet(1.0, "10.0.0.2", 200),
+            packet(2.0, "172.16.0.1", 300),
+        ]
+        assert [aggregator.add(one) for one in packets] == [True, True, False]
         assert aggregator.stats.packets_seen == 3
         assert aggregator.stats.bytes_matched == 300
         assert aggregator.stats.match_rate == pytest.approx(2 / 3)
@@ -93,13 +91,3 @@ class TestFlowAggregator:
         aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
         with pytest.raises(ClassificationError):
             aggregator.to_rate_matrix()
-
-    def test_flow_records(self):
-        table = make_table("10.0.0.0/8")
-        aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        aggregator.add(packet(1.0, "10.0.0.1", 100))
-        aggregator.add(packet(2.0, "10.0.0.2", 300))
-        records = aggregator.flow_records()
-        assert len(records) == 1
-        assert records[0].bytes_total == 400
-        assert records[0].packets == 2

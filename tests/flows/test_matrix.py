@@ -46,14 +46,11 @@ class TestValidation:
 
 
 class TestViews:
-    def test_slot_and_flow_access(self):
+    def test_slot_access(self):
         matrix = make_matrix([[1.0, 2.0], [3.0, 4.0]])
         assert matrix.slot_rates(1).tolist() == [2.0, 4.0]
-        assert matrix.flow_series(0).tolist() == [1.0, 2.0]
         with pytest.raises(ClassificationError):
             matrix.slot_rates(2)
-        with pytest.raises(ClassificationError):
-            matrix.flow_series(5)
 
     def test_index_of(self):
         matrix = make_matrix([[1.0], [2.0]])
@@ -105,12 +102,6 @@ class TestTransforms:
         sub = matrix.window(1, 2)
         assert sub.rates.tolist() == [[2.0, 3.0]]
         assert sub.axis.start == 300.0
-
-    def test_restrict_flows(self):
-        matrix = make_matrix([[1.0], [2.0], [3.0]])
-        sub = matrix.restrict_flows([2, 0])
-        assert sub.rates.tolist() == [[3.0], [1.0]]
-        assert sub.prefixes[0] == matrix.prefixes[2]
 
 
 class TestPersistence:

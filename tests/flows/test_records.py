@@ -1,11 +1,10 @@
-"""Unit tests for TimeAxis and FlowRecord."""
+"""Unit tests for TimeAxis."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ClassificationError
-from repro.flows.records import FlowRecord, TimeAxis
-from repro.net.prefix import Prefix
+from repro.flows.records import TimeAxis
 
 
 class TestTimeAxis:
@@ -72,33 +71,3 @@ class TestTimeAxis:
     def test_validation(self, kwargs):
         with pytest.raises(ClassificationError):
             TimeAxis(**kwargs)
-
-
-class TestFlowRecord:
-    def test_accumulates_packets(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        record.add_packet(10.0, 100)
-        record.add_packet(12.0, 300)
-        assert record.bytes_total == 400
-        assert record.packets == 2
-        assert record.mean_packet_size == 200.0
-        assert record.first_seen == 10.0
-        assert record.last_seen == 12.0
-        assert record.active_span == 2.0
-
-    def test_empty_record(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        assert record.mean_packet_size == 0.0
-        assert record.active_span == 0.0
-
-    def test_out_of_order_timestamps(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        record.add_packet(20.0, 10)
-        record.add_packet(5.0, 10)
-        assert record.first_seen == 5.0
-        assert record.last_seen == 20.0
-
-    def test_negative_size_rejected(self):
-        record = FlowRecord(Prefix.parse("10.0.0.0/8"))
-        with pytest.raises(ClassificationError):
-            record.add_packet(0.0, -1)

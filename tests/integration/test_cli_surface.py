@@ -26,12 +26,13 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.distributed import CollectorService, ServiceHandle
+from repro.distributed import CollectorService
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
 from repro.traffic.packetize import PacketizerConfig, write_pcap
 
+from distributed.service_harness import ServiceHandle
 from test_golden_stream import _write_capture
 
 GOLDEN_DIR = os.path.join(

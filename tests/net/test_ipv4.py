@@ -78,10 +78,6 @@ class TestMasks:
         assert (ipv4.broadcast_address(address, 8)
                 == ipv4.parse_ipv4("10.255.255.255"))
 
-    def test_is_network_address(self):
-        assert ipv4.is_network_address(ipv4.parse_ipv4("10.0.0.0"), 8)
-        assert not ipv4.is_network_address(ipv4.parse_ipv4("10.0.0.1"), 8)
-
 
 class TestBits:
     def test_bit_at_msb(self):

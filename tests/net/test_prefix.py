@@ -107,38 +107,12 @@ class TestContainment:
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c) and not c.overlaps(a)
 
-    @given(prefixes(max_length=31))
-    def test_subnets_partition_parent(self, prefix):
-        left, right = prefix.subnets()
-        assert prefix.contains(left) and prefix.contains(right)
-        assert not left.overlaps(right)
-        halves = left.num_addresses + right.num_addresses
-        assert halves == prefix.num_addresses
-
 
 class TestDerivedProperties:
-    def test_num_addresses(self):
-        assert Prefix.parse("10.0.0.0/8").num_addresses == 1 << 24
-        assert Prefix.parse("10.0.0.1/32").num_addresses == 1
-
     def test_netmask_and_broadcast(self):
         prefix = Prefix.parse("192.0.2.0/24")
         assert prefix.netmask == 0xFFFFFF00
         assert prefix.broadcast == ipv4.parse_ipv4("192.0.2.255")
-
-    def test_supernet_default_one_bit(self):
-        assert str(Prefix.parse("10.128.0.0/9").supernet()) == "10.0.0.0/8"
-
-    def test_supernet_to_length(self):
-        assert str(Prefix.parse("10.1.2.0/24").supernet(8)) == "10.0.0.0/8"
-
-    def test_supernet_rejects_longer(self):
-        with pytest.raises(AddressError):
-            Prefix.parse("10.0.0.0/8").supernet(16)
-
-    def test_subnets_of_host_route_rejected(self):
-        with pytest.raises(AddressError):
-            list(Prefix.parse("10.0.0.1/32").subnets())
 
     def test_bit_at_delegates(self):
         prefix = Prefix.parse("128.0.0.0/1")

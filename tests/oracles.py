@@ -24,7 +24,8 @@ the batch result's column for that slot.
 The collector's merge kernels keep their plain forms here as well.
 :func:`estimate_skew_from_totals` walks dicts of per-cell totals, one
 lag at a time (:func:`lag_correlation`); the production estimator
-scores every lag in one array pass over columns. :func:`merge_by_dict`
+scores every lag in one array pass over columns, and
+:func:`skew_of_dict_totals` feeds it the same dicts. :func:`merge_by_dict`
 fills a dict in arrival order and cuts it to ``k`` with a stable sort;
 :func:`first_seen_by_dict` is the numbering that dict hands out.
 
@@ -32,6 +33,9 @@ A live link keeps each sealed slot as the JSON text of its elephants
 and splices the texts into a REPLY. :func:`reply_from_dict_entries`
 builds the same REPLY as the daemon once built every one: each slot's
 elephants as dicts, the envelope made of them and one ``json.dumps``.
+
+:func:`hill_estimator` is the classic tail-index estimator the aest
+test checks the production estimator's alpha against.
 """
 
 import json
@@ -50,7 +54,9 @@ from repro.distributed.merge import (
     SKEW_MARGIN,
     SKEW_MIN_CORRELATION,
     SKEW_MIN_T_STATISTIC,
+    _skew_of_columns,
 )
+from repro.errors import InsufficientDataError
 from repro.net.prefix import PrefixColumns
 from repro.pipeline.backends import AggregationBackend
 from repro.pipeline.engine import StreamingPipeline
@@ -270,7 +276,7 @@ def significance_floor(count):
 
 
 def estimate_skew_from_totals(totals, grid):
-    """``repro.distributed.merge.estimate_skew_from_totals`` as a walk.
+    """The skew estimate of ``repro.distributed.merge.LinkMerge`` as a walk.
 
     The longest run (the first of equally long ones) anchors; every
     other run is correlated against it lag by lag, ``-MAX_SKEW_SLOTS``
@@ -305,6 +311,18 @@ def estimate_skew_from_totals(totals, grid):
         ):
             estimates[index] = best_lag * grid
     return estimates
+
+
+def skew_of_dict_totals(totals, grid):
+    """The production estimator over dicts of grid cell -> bytes: each
+    run's cells sorted into the columns a ``LinkMerge`` keeps."""
+    columns = []
+    for run in totals:
+        cells = np.fromiter(run, dtype=np.int64, count=len(run))
+        order = np.argsort(cells)
+        sent = np.fromiter(run.values(), dtype=np.float64, count=len(run))
+        columns.append((cells[order], sent[order]))
+    return _skew_of_columns(columns, grid)
 
 
 def first_seen_by_dict(keys):
@@ -373,3 +391,28 @@ def reply_from_dict_entries(reply, sealed, since_cell=None):
         cells[first] if first < len(cells) else reply["next_cell"]
     )
     return json.dumps({**reply, **envelope}).encode("utf-8")
+
+
+def hill_estimator(samples, k):
+    """Hill's estimator of the tail index from the top ``k`` order stats.
+
+    For ``X`` with ``P(X > x) ~ x^{-alpha}``, returns ``alpha_hat``.
+    ``k`` must satisfy ``1 <= k < n`` and the involved samples must be
+    positive.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    if n < 2:
+        raise InsufficientDataError("Hill estimator needs >= 2 samples")
+    if not 1 <= k < n:
+        raise ValueError(f"k={k} outside 1..{n - 1}")
+    ordered = np.sort(samples)[::-1]
+    top = ordered[:k]
+    pivot = ordered[k]
+    if pivot <= 0 or np.any(top <= 0):
+        raise InsufficientDataError("Hill estimator requires positive samples")
+    log_excess = np.log(top / pivot)
+    mean_excess = float(log_excess.mean())
+    if mean_excess <= 0:
+        raise InsufficientDataError("degenerate top-k (all samples equal)")
+    return 1.0 / mean_excess

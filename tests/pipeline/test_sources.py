@@ -45,7 +45,6 @@ from repro.pipeline.sources import (
     MatrixSlotSource,
     PacketBatch,
     PcapPacketSource,
-    ScenarioSlotSource,
 )
 
 
@@ -604,13 +603,3 @@ class TestSlotSources:
         assert np.array_equal(frames[2].rates, rates[:, 2])
         assert frames[0].population is matrix.prefixes
         assert frames[0].num_flows == 2
-
-    def test_scenario_slot_source(self):
-        source = ScenarioSlotSource("west", scale=0.05, seed=11)
-        frames = list(source.slots())
-        assert len(frames) == source.matrix.num_slots
-        assert source.slot_seconds == source.matrix.axis.slot_seconds
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ClassificationError):
-            ScenarioSlotSource("gulf-coast")

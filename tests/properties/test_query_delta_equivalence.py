@@ -35,8 +35,9 @@ from hypothesis.stateful import (
 
 from repro.distributed import Collector, SlotSummary, elephant_entries
 from repro.distributed.client import MonitorClient, query_service
-from repro.distributed.service import CollectorService, ServiceHandle
+from repro.distributed.service import CollectorService
 from repro.net.prefix import Prefix
+from distributed.service_harness import ServiceHandle
 
 SLOT_SECONDS = 10.0
 MONITORS = ("mon-a", "mon-b", "mon-c")

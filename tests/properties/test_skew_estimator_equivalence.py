@@ -1,14 +1,13 @@
 """The clock-skew estimator's array pass decides as the dict walk did.
 
-``estimate_skew_from_totals`` (and the ``LinkMerge`` a live link and
-``merge_runs`` estimate through) scores every slot lag of a monitor in
-one pass over its totals columns. ``tests/oracles.py`` keeps the walk
-it replaced: one Pearson r per lag over a list of the overlapping
-cells. Over links of one to four monitors — copies of one traffic
-profile shifted up to three cells either way with multiplicative
-noise, runs with gaps, constant runs, overlaps around
-``MIN_SKEW_OVERLAP`` and equally long candidate anchors — the two
-estimate the same offsets.
+The ``LinkMerge`` a live link and ``merge_runs`` estimate skew through
+scores every slot lag of a monitor in one pass over its totals columns.
+``tests/oracles.py`` keeps the walk it replaced: one Pearson r per lag
+over a list of the overlapping cells. Over links of one to four
+monitors — copies of one traffic profile shifted up to three cells
+either way with multiplicative noise, runs with gaps, constant runs,
+overlaps around ``MIN_SKEW_OVERLAP`` and equally long candidate
+anchors — the two estimate the same offsets.
 
 The two compute r in different orders, so they may differ in its last
 bits. A draw in which an oracle score lies within ``TOLERANCE`` of a
@@ -34,7 +33,6 @@ from repro.distributed.merge import (
     MIN_SKEW_OVERLAP,
     SKEW_MARGIN,
     SKEW_MIN_CORRELATION,
-    estimate_skew_from_totals,
 )
 from repro.errors import ClockSkewWarning
 
@@ -122,16 +120,11 @@ def as_runs(totals):
 
 class TestSkewEstimatorEqualsTheWalk:
     @settings(max_examples=300, deadline=None)
-    @given(totals=link_totals(), data=st.data())
-    def test_estimates_equal_the_oracle(self, totals, data):
+    @given(totals=link_totals())
+    def test_estimates_equal_the_oracle(self, totals):
         assume(not rounding_decides(totals))
         expected = oracles.estimate_skew_from_totals(totals, SLOT_SECONDS)
-        # the public function takes mappings in any key order
-        shuffled = [
-            dict(data.draw(st.permutations(list(run.items()))))
-            for run in totals
-        ]
-        got = estimate_skew_from_totals(shuffled, SLOT_SECONDS)
+        got = oracles.skew_of_dict_totals(totals, SLOT_SECONDS)
         assert got == expected
         if not any(totals):
             return
@@ -157,7 +150,7 @@ class TestSkewEstimatorEqualsTheWalk:
         expected = oracles.estimate_skew_from_totals(totals, SLOT_SECONDS)
         assert expected == {0: 0.0, 1: 120.0}
         assert link.skew_estimate() == expected
-        assert estimate_skew_from_totals(totals, SLOT_SECONDS) == expected
+        assert oracles.skew_of_dict_totals(totals, SLOT_SECONDS) == expected
 
     def test_flat_runs_of_fractional_bytes_are_not_evidence(self):
         """A run of 0.1 bytes a cell is constant although its rounded
@@ -168,7 +161,7 @@ class TestSkewEstimatorEqualsTheWalk:
                     {cell: value for cell in range(cells)},
                     {cell + 1: value for cell in range(cells)},
                 ]
-                estimate = estimate_skew_from_totals(flat, SLOT_SECONDS)
+                estimate = oracles.skew_of_dict_totals(flat, SLOT_SECONDS)
                 assert estimate == {0: 0.0, 1: 0.0}, (value, cells)
 
     def test_equal_scores_go_to_the_first_lag_scanned(self):
@@ -181,6 +174,6 @@ class TestSkewEstimatorEqualsTheWalk:
         )
         assert expected == {0: 0.0, 1: -3 * SLOT_SECONDS}
         assert (
-            estimate_skew_from_totals([profile, late], SLOT_SECONDS)
+            oracles.skew_of_dict_totals([profile, late], SLOT_SECONDS)
             == expected
         )

@@ -23,7 +23,6 @@ class TestAsPath:
         path = AsPath((1239, 7018, 65001))
         assert path.origin == 65001
         assert path.length == 3
-        assert path.unique_length == 3
 
     def test_empty_path_rejected(self):
         with pytest.raises(RoutingError):
@@ -32,19 +31,10 @@ class TestAsPath:
     def test_prepending_allowed(self):
         path = AsPath((1239, 65001, 65001, 65001))
         assert path.length == 4
-        assert path.unique_length == 2
 
     def test_loop_rejected(self):
         with pytest.raises(RoutingError):
             AsPath((1239, 7018, 1239))
-
-    def test_prepend_builds_new_path(self):
-        path = AsPath((65001,)).prepend(1239, count=2)
-        assert path.hops == (1239, 1239, 65001)
-
-    def test_prepend_rejects_bad_count(self):
-        with pytest.raises(RoutingError):
-            AsPath((65001,)).prepend(1239, count=0)
 
     def test_str(self):
         assert str(AsPath((1, 2, 3))) == "1 2 3"

@@ -88,12 +88,6 @@ class TestCompiledLpm:
             got = None if row == NO_ROUTE else lpm.prefixes[row]
             assert got == expected
 
-    def test_lookup_one(self):
-        lpm = compiled("10.0.0.0/8")
-        found = lpm.lookup_one(ipv4.parse_ipv4("10.5.5.5"))
-        assert found == Prefix.parse("10.0.0.0/8")
-        assert lpm.lookup_one(ipv4.parse_ipv4("11.0.0.1")) is None
-
 
 def sweep_flatten(prefixes):
     """The scalar stack sweep the vector flatten replaced (the oracle).

@@ -116,38 +116,6 @@ class TestExactOperations:
         assert Prefix.parse("10.0.0.0/9") not in table
         assert Prefix.parse("10.64.0.0/17") not in table
 
-    def test_withdraw_falls_back_to_covering_route(self):
-        table = table_of("10.0.0.0/8", "10.1.0.0/16")
-        gone = table.withdraw(Prefix.parse("10.1.0.0/16"))
-        assert gone.origin_as.number == 65001
-        assert len(table) == 1
-        assert resolved(table, "10.1.0.1") == "10.0.0.0/8"
-
-    def test_withdraw_leaves_other_routes(self):
-        table = RoutingTable([route("10.0.0.0/8"), route("11.0.0.0/8")])
-        table.withdraw(Prefix.parse("10.0.0.0/8"))
-        assert len(table) == 1
-        assert table.resolve(ipv4.parse_ipv4("10.0.0.1")) is None
-        assert resolved(table, "11.0.0.1") == "11.0.0.0/8"
-
-    def test_withdraw_missing_raises(self):
-        with pytest.raises(RoutingError):
-            RoutingTable().withdraw(Prefix.parse("10.0.0.0/8"))
-        table = table_of("10.0.0.0/8")
-        with pytest.raises(RoutingError):
-            table.withdraw(Prefix.parse("10.0.0.0/9"))
-        assert len(table) == 1
-
-    def test_withdraw_then_readd(self):
-        table = table_of("10.0.0.0/16", "10.128.0.0/16")
-        table.withdraw(Prefix.parse("10.0.0.0/16"))
-        assert resolved(table, "10.0.0.1") is None
-        table.add(route("10.0.0.0/16", 65099))
-        found = table.route_for(Prefix.parse("10.0.0.0/16"))
-        assert found.origin_as.number == 65099
-        assert len(table) == 2
-        assert resolved(table, "10.0.0.1") == "10.0.0.0/16"
-
     def test_iteration_in_prefix_order(self):
         table = table_of(
             "192.168.0.0/16", "10.128.0.0/16", "10.0.0.0/8", "10.0.0.0/16"
@@ -225,21 +193,3 @@ def test_resolve_prefix_matches_linear_scan(entries, probes):
         found = table.resolve(address)
         if expected is not None:
             assert found.origin_as.number == origins[expected]
-
-
-@settings(max_examples=30, deadline=None)
-@given(entries=st.lists(prefixes, min_size=2, max_size=40, unique=True))
-def test_withdraw_restores_previous_answers(entries):
-    """Withdrawing the last-announced prefix restores the prior table."""
-    table = RoutingTable()
-    for index, prefix in enumerate(entries[:-1]):
-        announce(table, prefix, index + 1)
-    probes = [p.network for p in entries] + [p.broadcast for p in entries]
-    before = [table.resolve(address) for address in probes]
-    victim = entries[-1]
-    announce(table, victim, 999)
-    assert table.route_for(victim).origin_as.number == 999
-    table.withdraw(victim)
-    assert len(table) == len(entries) - 1
-    assert victim not in table
-    assert [table.resolve(address) for address in probes] == before

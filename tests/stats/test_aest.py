@@ -7,15 +7,10 @@ and (c) refuse to hallucinate tails on light-tailed data.
 
 import numpy as np
 import pytest
+from oracles import hill_estimator
 
 from repro.errors import InsufficientDataError, TailNotFoundError
-from repro.stats.aest import (
-    AestConfig,
-    aest,
-    aest_tail_onset,
-    aggregate_sums,
-)
-from repro.stats.tail import hill_estimator
+from repro.stats.aest import AestConfig, aest, aggregate_sums
 
 
 class TestAggregateSums:
@@ -102,10 +97,6 @@ class TestEstimation:
         second = aest(samples)
         assert first.alpha == second.alpha
         assert first.tail_onset == second.tail_onset
-
-    def test_tail_onset_convenience(self, rng):
-        samples = rng.pareto(1.2, 20_000) + 1.0
-        assert aest_tail_onset(samples) == aest(samples).tail_onset
 
 
 class TestRejection:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -103,9 +103,6 @@ class TestShareCurve:
         assert curve.flows_for_share(0.6) == 1
         assert curve.flows_for_share(0.61) == 2
         assert curve.flows_for_share(1.0) == 3
-        assert curve.share_of_top(1) == pytest.approx(0.6)
-        assert curve.share_of_top(0) == 0.0
-        assert curve.share_of_top(99) == pytest.approx(1.0)
 
     def test_ignores_zero_rates(self):
         curve = ShareCurve.from_rates(np.array([5.0, 0.0, 5.0]))
@@ -125,23 +122,19 @@ class TestShareCurve:
 
     def test_uniform_mass(self):
         curve = ShareCurve.from_rates(np.ones(100))
-        assert curve.share_of_top(10) == pytest.approx(0.10)
+        assert curve.cumulative_share[9] == pytest.approx(0.10)
         assert curve.flows_for_share(0.5) == 50
 
     def test_concentrated_mass(self):
         curve = ShareCurve.from_rates(np.array([97.0] + [1.0] * 3))
-        assert curve.share_of_top(1) == pytest.approx(0.97)
+        assert curve.cumulative_share[0] == pytest.approx(0.97)
         assert curve.flows_for_share(0.97) == 1
 
     def test_few_flows_carry_most_bytes_on_pareto(self, rng):
         # The motivating fact: few flows carry most of the bytes.
         curve = ShareCurve.from_rates(rng.pareto(1.1, 10_000) + 1.0)
-        assert curve.share_of_top(1_000) > 0.5
+        assert curve.cumulative_share[999] > 0.5
         assert curve.flows_for_share(0.5) < 1_000
-
-    def test_negative_count_is_zero(self):
-        curve = ShareCurve.from_rates(np.array([2.0, 1.0]))
-        assert curve.share_of_top(-3) == 0.0
 
     def test_share_bounds_validated(self):
         curve = ShareCurve.from_rates(np.array([1.0, 1.0]))
@@ -156,9 +149,9 @@ class TestShareCurve:
     def test_flows_for_share_is_minimal(self, samples):
         curve = ShareCurve.from_rates(samples)
         k = curve.flows_for_share(0.8)
-        assert curve.share_of_top(k) >= 0.8 - 1e-12
+        assert curve.cumulative_share[k - 1] >= 0.8 - 1e-12
         if k > 1:
-            assert curve.share_of_top(k - 1) < 0.8
+            assert curve.cumulative_share[k - 2] < 0.8
 
     @given(positive_samples)
     def test_cumulative_share_monotone(self, samples):

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InsufficientDataError
-from repro.stats.histogram import (
-    Histogram,
-    integer_histogram,
-    log_spaced_histogram,
-)
+from repro.stats.histogram import Histogram, integer_histogram
 
 
 class TestHistogram:
@@ -68,23 +64,3 @@ class TestIntegerHistogram:
     def test_centers_are_integers(self):
         histogram = integer_histogram(np.array([1.0, 3.0]))
         assert np.allclose(histogram.centers, np.arange(0, 4))
-
-
-class TestLogSpacedHistogram:
-    def test_covers_all_positive_values(self, rng):
-        values = rng.lognormal(0, 2, 500)
-        histogram = log_spaced_histogram(values, num_bins=15)
-        assert histogram.total == 500
-
-    def test_filters_non_positive(self):
-        histogram = log_spaced_histogram(np.array([0.0, -1.0, 1.0, 10.0]))
-        assert histogram.total == 2
-
-    def test_degenerate_single_value(self):
-        histogram = log_spaced_histogram(np.full(10, 3.0))
-        assert histogram.total == 10
-        assert histogram.counts.size == 1
-
-    def test_all_non_positive_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            log_spaced_histogram(np.array([0.0, -5.0]))

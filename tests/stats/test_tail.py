@@ -1,10 +1,10 @@
-"""Unit tests for the Hill estimator."""
+"""Unit tests for the Hill estimator, the aest test's cross-check."""
 
 import numpy as np
 import pytest
+from oracles import hill_estimator
 
 from repro.errors import InsufficientDataError
-from repro.stats.tail import hill_estimator
 
 
 class TestHillEstimator:

@@ -609,7 +609,9 @@ class TestMerge:
         """A matrix whose axis starts half a slot off the grid streams
         summaries off it. `merge` refuses them as a live collector
         refuses them over `--connect`: one error line, exit 2."""
-        from repro.distributed import CollectorService, ServiceHandle
+        from distributed.service_harness import ServiceHandle
+
+        from repro.distributed import CollectorService
 
         prefixes = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
         rates = np.full((4, 3), 1e5)
@@ -1103,7 +1105,9 @@ class TestCollectorServiceCli:
 
     @pytest.fixture()
     def live(self):
-        from repro.distributed import CollectorService, ServiceHandle
+        from distributed.service_harness import ServiceHandle
+
+        from repro.distributed import CollectorService
 
         with ServiceHandle(CollectorService()) as handle:
             yield handle
@@ -1819,7 +1823,9 @@ class TestResultEnvelope:
     def test_four_commands_agree(
         self, stream_capture, tmp_path, capsys
     ):
-        from repro.distributed import CollectorService, ServiceHandle
+        from distributed.service_harness import ServiceHandle
+
+        from repro.distributed import CollectorService
 
         path = str(tmp_path / "mon.npz")
         with ServiceHandle(CollectorService()) as handle:
@@ -1884,7 +1890,9 @@ class TestResultEnvelope:
         """A two-entry table over six similar flows leaves most bytes
         in the residual: the cut falls below the table. Each command
         lists those slots in ``series.cut_below_table``, the same ones."""
-        from repro.distributed import CollectorService, ServiceHandle
+        from distributed.service_harness import ServiceHandle
+
+        from repro.distributed import CollectorService
 
         table = ["--backend", "space-saving", "--capacity", "2"]
         path = str(tmp_path / "mon.npz")

@@ -24,11 +24,12 @@ import pytest
 
 import repro
 from repro._lazy import attach
-from repro.distributed import CollectorService, ServiceHandle
+from repro.distributed import CollectorService
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix
 from repro.traffic.packetize import write_pcap
+from distributed.service_harness import ServiceHandle
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 PACKAGES = (
@@ -46,6 +47,26 @@ PACKAGES = (
     "repro.sketches",
     "repro.stats",
     "repro.traffic",
+)
+
+#: Names that left ``src/``: the loopback harness and the Hill and
+#: dict-fed skew cross-checks moved under ``tests/``, and the rest were
+#: public API that no command, example or bench ran.
+LEFT_SRC = (
+    "ServiceHandle",
+    "publish_summaries",
+    "estimate_skew_from_totals",
+    "hill_estimator",
+    "ScenarioSlotSource",
+    "log_spaced_histogram",
+    "Lognormal",
+    "simulate_flat_population",
+    "OriginTierReport",
+    "FlowRecord",
+    "holding_time_ratio",
+    "both_links",
+    "total_elephant_slots",
+    "aest_tail_onset",
 )
 
 
@@ -229,6 +250,14 @@ class TestSurface:
         assert "SketchAggregation" not in repro.pipeline.__all__
         with pytest.raises(AttributeError):
             repro.pipeline.SketchAggregation
+
+    def test_no_package_offers_a_name_that_left_src(self):
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            assert not set(LEFT_SRC) & set(module.__all__), package
+            for name in LEFT_SRC:
+                assert not hasattr(module, name), (package, name)
+        assert importlib.util.find_spec("repro.stats.tail") is None
 
 
 class TestAttach:

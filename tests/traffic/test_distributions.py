@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.traffic.distributions import (
-    BoundedPareto,
-    Lognormal,
-    PacketSizeMix,
-    Pareto,
-)
+from repro.traffic.distributions import BoundedPareto, PacketSizeMix, Pareto
 
 
 class TestPareto:
@@ -68,17 +63,6 @@ class TestBoundedPareto:
             BoundedPareto(alpha=1.0, x_min=10.0, x_max=5.0)
         with pytest.raises(WorkloadError):
             BoundedPareto(alpha=0.0, x_min=1.0, x_max=5.0)
-
-
-class TestLognormal:
-    def test_mean_formula(self, rng):
-        dist = Lognormal(mu=0.0, sigma=0.5)
-        samples = dist.sample(rng, 200_000)
-        assert samples.mean() == pytest.approx(dist.mean(), rel=0.03)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(WorkloadError):
-            Lognormal(mu=0.0, sigma=-1.0)
 
 
 class TestPacketSizeMix:

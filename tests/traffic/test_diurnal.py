@@ -53,12 +53,6 @@ class TestDiurnalProfile:
         seconds = np.linspace(0, SECONDS_PER_DAY, 100)
         assert np.allclose(FLAT_PROFILE.at(seconds), 1.0)
 
-    def test_scaled(self):
-        doubled = FLAT_PROFILE.scaled(2.0)
-        assert doubled.at(0.0) == pytest.approx(2.0)
-        with pytest.raises(WorkloadError):
-            FLAT_PROFILE.scaled(0.0)
-
 
 class TestPaperProfiles:
     def test_west_is_burstier_than_east(self):

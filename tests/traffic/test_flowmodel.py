@@ -9,7 +9,6 @@ from repro.traffic.flowmodel import (
     FlowModelConfig,
     FlowPopulation,
     generate_rate_matrix_values,
-    simulate_flat_population,
 )
 
 
@@ -79,20 +78,19 @@ class TestRateGeneration:
             generate_rate_matrix_values(population, FLAT_PROFILE,
                                         np.array([]), rng)
 
+    @staticmethod
+    def flat_rates(seed):
+        rng = np.random.default_rng(seed)
+        population = FlowPopulation.sample(FlowModelConfig(num_flows=100), rng)
+        seconds = np.arange(20) * 300.0
+        return generate_rate_matrix_values(population, FLAT_PROFILE,
+                                           seconds, rng)
+
     def test_deterministic_given_seed(self):
-        first = simulate_flat_population(100, 20, seed=5)
-        second = simulate_flat_population(100, 20, seed=5)
-        assert np.array_equal(first, second)
+        assert np.array_equal(self.flat_rates(5), self.flat_rates(5))
 
     def test_seeds_differ(self):
-        first = simulate_flat_population(100, 20, seed=5)
-        second = simulate_flat_population(100, 20, seed=6)
-        assert not np.array_equal(first, second)
-
-    def test_config_num_flows_consistency_enforced(self):
-        with pytest.raises(WorkloadError):
-            simulate_flat_population(10, 5,
-                                     config=FlowModelConfig(num_flows=20))
+        assert not np.array_equal(self.flat_rates(5), self.flat_rates(6))
 
     def test_diurnal_profile_shapes_load(self, rng):
         config = FlowModelConfig(num_flows=2000)

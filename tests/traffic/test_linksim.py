@@ -15,9 +15,7 @@ from repro.traffic.linksim import (
 from repro.traffic.scenarios import (
     PAPER_NUM_FLOWS,
     PAPER_NUM_SLOTS,
-    both_links,
     east_coast_config,
-    east_coast_link,
     west_coast_config,
     west_coast_link,
 )
@@ -135,11 +133,6 @@ class TestScenarios:
         west = west_coast_config()
         east = east_coast_config()
         assert west.profile.peak_to_trough() > east.profile.peak_to_trough()
-
-    def test_both_links_names(self):
-        links = both_links(scale=0.05)
-        assert set(links) == {"west-coast", "east-coast"}
-        assert links["west-coast"].name == "west-coast"
 
     def test_west_coast_is_oc12(self):
         workload = west_coast_link(scale=0.05)
