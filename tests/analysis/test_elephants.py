@@ -135,6 +135,17 @@ class TestWorkingHours:
         )
         assert working_hours_lift(series, 9.0) == 1.0
 
+    def test_lift_with_no_elephant_outside_working_hours_is_infinite(self):
+        hours = np.arange(24, dtype=float)
+        counts = np.where(working_hours_mask(hours, 9.0), 4.0, 0.0)
+        series = ElephantSeries(
+            label="x",
+            hours=hours,
+            counts=counts,
+            traffic_fraction=np.full(24, 0.5),
+        )
+        assert working_hours_lift(series, 9.0) == float("inf")
+
     def test_west_lift_exceeds_east_lift(self, tiny_paper_run):
         """Fig 1(a): the west-coast elephant count bursts during the
         working day more than the east-coast one."""

@@ -81,6 +81,10 @@ class TestCounts:
         ], bool)
         assert transition_counts(mask).tolist() == [3, 0, 2]
 
+    def test_transitions_reject_1d(self):
+        with pytest.raises(ClassificationError):
+            transition_counts(np.array([True, False, True]))
+
     def test_single_slot_no_transitions(self):
         assert transition_counts(np.ones((3, 1), bool)).tolist() == [0, 0, 0]
 

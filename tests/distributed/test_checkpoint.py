@@ -22,6 +22,11 @@ from repro.distributed.checkpoint import (
     decode_seal,
     encode_seal,
 )
+from repro.distributed.framing import (
+    KIND_SUMMARY,
+    encode_frame,
+    encode_summary,
+)
 from repro.distributed.service import LiveCollector
 from repro.errors import SummaryFormatError
 
@@ -141,6 +146,21 @@ class TestCheckpointStore:
         assert restored.recovered_torn_tail
         assert [r.slot for r in restored.restored["l"]] == [0]
         assert wal.read_bytes() == bytes(data[:record])
+
+    def test_a_whole_frame_of_another_kind_ends_the_log(self, tmp_path):
+        """A well-formed wire frame that is not a seal record is where
+        the log stops: the records before it restore, and open cuts it
+        and everything after it."""
+        with CheckpointStore(tmp_path) as store:
+            store.append("l", summary(0))
+        wal = tmp_path / WAL_NAME
+        intact = wal.read_bytes()
+        stray = encode_frame(KIND_SUMMARY, encode_summary(summary(1)))
+        wal.write_bytes(intact + stray + encode_seal("l", summary(2)))
+        with CheckpointStore(tmp_path) as restored:
+            assert restored.recovered_torn_tail
+            assert [r.slot for r in restored.restored["l"]] == [0]
+        assert wal.read_bytes() == intact
 
     def test_empty_state_dir_is_a_clean_slate(self, tmp_path):
         with CheckpointStore(tmp_path / "new") as store:

@@ -398,3 +398,50 @@ class TestNpzFormat:
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(SummaryFormatError):
             load_summaries(str(tmp_path / "absent.npz"))
+
+
+def rewrite_npz(path, **changes):
+    """Rewrite the npz at ``path`` with ``changes``; ``None`` drops."""
+    with np.load(path) as archive:
+        data = dict(archive)
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with open(path, "wb") as stream:
+        np.savez(stream, **data)
+
+
+class TestNpzVersions:
+    def test_a_version_one_file_loads_at_full_rate(self, tmp_path):
+        """Version 1 predates sampling: it has no ``sample_rates``."""
+        path = str(tmp_path / "mon.npz")
+        run = [summary(slot=0), summary(slot=1)]
+        save_summaries(path, run)
+        rewrite_npz(path, version=np.int64(1), sample_rates=None)
+        got = load_summaries(path)
+        assert [s.sample_rate for s in got] == [1.0, 1.0]
+        assert [s.to_bytes() for s in got] == [s.to_bytes() for s in run]
+
+    def test_an_unknown_version_is_refused(self, tmp_path):
+        path = str(tmp_path / "mon.npz")
+        save_summaries(path, [summary()])
+        rewrite_npz(path, version=np.int64(VERSION + 1))
+        with pytest.raises(SummaryFormatError, match="unsupported"):
+            load_summaries(path)
+
+    def test_counts_that_disagree_with_the_tables_are_refused(self, tmp_path):
+        path = str(tmp_path / "mon.npz")
+        save_summaries(path, [summary()])
+        rewrite_npz(path, counts=np.array([3], dtype=np.int64))
+        with pytest.raises(SummaryFormatError, match="entry counts"):
+            load_summaries(path)
+
+    def test_a_missing_table_names_the_file(self, tmp_path):
+        path = str(tmp_path / "mon.npz")
+        save_summaries(path, [summary()])
+        rewrite_npz(path, volumes=None)
+        with pytest.raises(SummaryFormatError, match="is malformed") as bad:
+            load_summaries(path)
+        assert repr(path) in str(bad.value)

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import ClassificationError
-from repro.flows.aggregate import FlowAggregator
+from repro.flows.aggregate import FlowAggregator, aggregate_pcap
 from repro.flows.records import TimeAxis
 from repro.net import ipv4
 from repro.net.prefix import Prefix
-from repro.pcap.packet import PacketSummary
+from repro.pcap.packet import PacketSummary, build_frame, build_udp_packet
+from repro.pcap.pcapfile import CaptureRecord, PcapWriter
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable
 
@@ -91,3 +92,22 @@ class TestFlowAggregator:
         aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
         with pytest.raises(ClassificationError):
             aggregator.to_rate_matrix()
+
+
+class TestAggregatePcap:
+    def test_a_capture_no_route_covers_is_refused(self, tmp_path):
+        """Every packet unrouted: one error, not a matrix of no rows."""
+        path = str(tmp_path / "unrouted.pcap")
+        with PcapWriter.open(path) as writer:
+            for second in range(3):
+                packet = build_udp_packet(
+                    ipv4.parse_ipv4("198.51.100.1"),
+                    ipv4.parse_ipv4("192.0.2.9"),
+                    4000,
+                    80,
+                    b"\x00" * 100,
+                )
+                writer.write(CaptureRecord(second, build_frame(packet)))
+        table = make_table("10.0.0.0/8")
+        with pytest.raises(ClassificationError, match="no flows"):
+            aggregate_pcap(path, table, TimeAxis(0.0, 10.0, 1))

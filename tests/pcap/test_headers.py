@@ -59,6 +59,23 @@ class TestEthernet:
                 payload=b"",
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"source": b"\x04" * 7}, "source MAC"),
+            ({"ethertype": 0x10000}, "ethertype 0x10000"),
+        ],
+    )
+    def test_bad_source_or_ethertype_rejected(self, fields, message):
+        arguments = dict(
+            destination=b"\x02" * 6,
+            source=b"\x04" * 6,
+            ethertype=ETHERTYPE_IPV4,
+            payload=b"",
+        )
+        with pytest.raises(PacketDecodeError, match=message):
+            EthernetFrame(**{**arguments, **fields})
+
     @given(
         st.binary(min_size=0, max_size=64),
         st.integers(min_value=0, max_value=0xFFFF).filter(
@@ -126,6 +143,45 @@ class TestIpv4:
     def test_unpadded_options_rejected(self):
         with pytest.raises(PacketDecodeError, match="options"):
             Ipv4Packet(SRC, DST, PROTO_UDP, b"", options=b"\x01")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"protocol": 0x100}, "protocol 256"),
+            ({"ttl": -1}, "ttl -1"),
+            ({"identification": 0x10000}, "identification"),
+            ({"fragment_offset": 12}, "multiple of 8"),
+            ({"fragment_offset": 1 << 16}, "multiple of 8"),
+            ({"options": b"\x01" * 44}, "maximum length"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, fields, message):
+        arguments = dict(
+            source=SRC, destination=DST, protocol=PROTO_UDP, payload=b""
+        )
+        with pytest.raises(PacketDecodeError, match=message):
+            Ipv4Packet(**{**arguments, **fields})
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # IHL of 4 words: a header shorter than the fixed 20 bytes
+            (lambda data: bytes([0x44]) + data[1:], "bad IHL"),
+            # IHL of 6 words on a buffer that ends after 20 bytes
+            (
+                lambda data: bytes([0x46]) + data[1:20],
+                "truncated IPv4 options",
+            ),
+            # total length 19, under the 20-byte header
+            (lambda data: data[:2] + b"\x00\x13" + data[4:], "smaller than"),
+            # the payload the total length promises is cut short
+            (lambda data: data[:-1], "truncated IPv4 payload"),
+        ],
+    )
+    def test_inconsistent_lengths_rejected(self, damage, message):
+        encoded = Ipv4Packet(SRC, DST, PROTO_UDP, b"abcd").encode()
+        with pytest.raises(PacketDecodeError, match=message):
+            decode_ipv4(damage(encoded), verify=False)
 
     def test_fragment_fields_roundtrip(self):
         packet = Ipv4Packet(

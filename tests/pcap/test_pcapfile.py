@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PcapFormatError
+from repro.pcap import pcapfile
 from repro.pcap.pcapfile import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
@@ -88,6 +89,25 @@ class TestFileHandling(object):
             records = list(reader)
         assert len(records) == 1
         assert records[0].data == b"abc"
+
+    def test_a_refused_open_closes_its_handle(self, tmp_path, monkeypatch):
+        """A reader that refuses the file's header leaves no descriptor
+        open behind it; a writer that cannot write one neither."""
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(pcapfile, "open", recording_open, raising=False)
+        foreign = tmp_path / "foreign.pcap"
+        foreign.write_bytes(b"\x00" * 24)
+        with pytest.raises(PcapFormatError, match="magic"):
+            PcapReader.open(str(foreign))
+        with pytest.raises(struct.error):
+            PcapWriter.open(str(tmp_path / "out.pcap"), linktype=-1)
+        assert len(opened) == 2
+        assert all(stream.closed for stream in opened)
 
 
 class TestMalformedInput:

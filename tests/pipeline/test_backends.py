@@ -415,6 +415,11 @@ class TestFactoryAndBudget:
             parse_memory_budget(text)
         assert repr(text) in str(raised.value)
 
+    @pytest.mark.parametrize("text", ["0", "0k", "-3m"])
+    def test_parse_memory_budget_rejects_a_budget_under_one(self, text):
+        with pytest.raises(ClassificationError, match="must be positive"):
+            parse_memory_budget(text)
+
     def test_capacity_for_budget_scales(self):
         small = capacity_for_budget("space-saving", 64 << 10)
         large = capacity_for_budget("space-saving", 1 << 20)

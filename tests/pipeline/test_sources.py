@@ -150,6 +150,15 @@ class TestPcapPacketSource:
         with pytest.raises(PcapFormatError):
             list(PcapPacketSource(clipped).batches())
 
+    def test_unsupported_linktype_refused(self, tmp_path):
+        """A capture of another link layer (105 is 802.11) is refused
+        at its header, before any record is read as Ethernet."""
+        path = str(tmp_path / "wifi.pcap")
+        with PcapWriter.open(path, linktype=105) as writer:
+            writer.write(udp_record(0.0, "10.0.0.1"))
+        with pytest.raises(PcapFormatError, match="unsupported linktype 105"):
+            list(PcapPacketSource(path).batches())
+
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ClassificationError):
             PcapPacketSource("x.pcap", chunk_packets=0)
@@ -394,6 +403,10 @@ class TestCsvPacketSource:
         assert first.timestamps[0] == pytest.approx(0.5)
         assert int(first.destinations[1]) == ipv4.parse_ipv4("10.0.0.1")
         assert int(first.wire_bytes[2]) == 102
+
+    def test_bad_chunk_size_rejected(self):
+        with pytest.raises(ClassificationError, match="chunk_packets"):
+            CsvPacketSource("x.csv", chunk_packets=0)
 
     def test_integer_destinations_accepted(self, tmp_path):
         path = str(tmp_path / "flows.csv")

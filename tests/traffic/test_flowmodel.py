@@ -24,6 +24,8 @@ class TestConfigValidation:
         {"burst_start_probability": 0.9},
         {"burst_max_slots": 0},
         {"session_rank_boost": -1.0},
+        {"session_diurnal_exponent_range": (-0.5, 1.0)},
+        {"session_diurnal_exponent_range": (1.0, 0.5)},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(WorkloadError):
