@@ -16,8 +16,6 @@ Run:
 import os
 import tempfile
 
-import numpy as np
-
 from repro import ClassificationEngine, Feature, Scheme
 from repro.flows import aggregate_pcap
 from repro.pipeline import (

@@ -21,7 +21,11 @@ from repro.pipeline.aggregator import (
     AggregatingSlotSource,
     StreamingAggregator,
 )
-from repro.pipeline.backends import ADMISSION_NAMES, BACKEND_NAMES
+from repro.pipeline.backends import (
+    ADMISSION_NAMES,
+    BACKEND_NAMES,
+    SketchSlotSource,
+)
 from repro.pipeline.sampling import SAMPLING_MODES
 from repro.pipeline.sources import MatrixSlotSource, text_lines
 from repro.pipeline.spec import SourceSpec
@@ -296,9 +300,11 @@ def stream_source(
     the pipeline spec (the returned spec carries it, so ``describe()``
     names the input) and opened through ``spec.open_source()`` — the
     backend bounds the aggregator's flow table and the spec's sampling
-    front-end thins the packet stream. For matrix replays the caller
-    interposes the backend at the slot level, and sampling is rejected
-    (a matrix has no packets to sample).
+    front-end thins the packet stream. A matrix replay is re-keyed to a
+    bounded backend slot by slot (a
+    :class:`~repro.pipeline.backends.SketchSlotSource`; ``None``, the
+    exact table, replays it as it is), and sampling is rejected (a
+    matrix has no packets to sample).
     """
     packets = packet_input(args)
     if packets is None:
@@ -307,7 +313,10 @@ def stream_source(
                 "--sample-rate/--sample-mode apply to packet inputs; "
                 "a rate-matrix replay has no packets to sample"
             )
-        return MatrixSlotSource(load_matrix(args.input)), None, spec
+        source = MatrixSlotSource(load_matrix(args.input))
+        if backend is not None:
+            source = SketchSlotSource(source, backend)
+        return source, None, spec
     source_spec, resolver = packets
     spec = spec.replace(source=source_spec)
     aggregator = StreamingAggregator(

@@ -83,7 +83,6 @@ def run(args: argparse.Namespace) -> int:
         scheme=scheme,
         feature=feature,
         config=engine_config(args),
-        backend=(backend if aggregator is None else None),
         sampling=spec.sampling,
     )
     slots = 0

@@ -165,7 +165,6 @@ def run(args: argparse.Namespace) -> int:
             scheme=scheme,
             feature=feature,
             config=config,
-            backend=(backend if aggregator is None else None),
             sampling=spec.sampling,
         )
         if aggregator is not None:

@@ -88,14 +88,3 @@ class ClassificationEngine:
         else:
             raise ClassificationError(f"unknown feature {feature!r}")
         return classifier.classify(self.matrix)
-
-    def run_all(
-        self, features: tuple[Feature, ...] = (Feature.LATENT_HEAT,)
-    ) -> dict[str, ClassificationResult]:
-        """Run both schemes for the requested features, keyed by label."""
-        results: dict[str, ClassificationResult] = {}
-        for scheme in Scheme:
-            for feature in features:
-                result = self.run(scheme, feature)
-                results[result.label] = result
-        return results

@@ -112,20 +112,19 @@ class OnlineClassifier:
     def observe_slot(
         self,
         rates: np.ndarray,
-        exclude_rows: np.ndarray | None = None,
+        residual_row: int | None = None,
         suppress_rows: np.ndarray | None = None,
     ) -> SlotVerdict:
         """Consume one slot's flow bandwidths and classify it.
 
-        ``exclude_rows`` names rows that are *accounting artifacts*
-        rather than flows — for instance the residual row a bounded
-        aggregation backend emits for untracked traffic. Excluded rows
-        are never classified as elephants and are not candidates for
-        the cut (their bandwidth is not a single flow's), but their
-        bandwidth is the slot's traffic all the same: it reaches the
-        detector as the ``background`` its cut divides. Their per-row
-        state evolves as an all-zero flow, which keeps row identities
-        aligned with the frame population.
+        ``residual_row`` names the row that is an *accounting artifact*
+        rather than a flow: the residual row a bounded aggregation
+        backend emits for untracked traffic. It is never classified as
+        an elephant and is no candidate for the cut (its bandwidth is
+        not a single flow's), but its bandwidth is the slot's traffic
+        all the same: it reaches the detector as the ``background`` its
+        cut divides. Its per-row state evolves as an all-zero flow,
+        which keeps row identities aligned with the frame population.
 
         ``suppress_rows`` names rows whose *evidence* is too thin to
         trust this slot — the sampling variance guard: a flow seen in
@@ -141,21 +140,14 @@ class OnlineClassifier:
             raise ClassificationError(
                 f"expected {self.num_flows} rates, got shape {rates.shape}"
             )
-        excluded: np.ndarray | None = None
         unexcluded = rates
         background = 0.0
-        if exclude_rows is not None:
-            excluded = np.asarray(exclude_rows, dtype=np.int64)
-            excluded = excluded[
-                (excluded >= 0) & (excluded < self.num_flows)
-            ]
-            if excluded.size:
-                background = float(rates[excluded].sum())
-                rates = rates.copy()
-                rates[excluded] = 0.0
+        if residual_row is not None:
+            background = float(rates[residual_row])
+            rates = rates.copy()
+            rates[residual_row] = 0.0
         if (
-            excluded is not None
-            and excluded.size
+            residual_row is not None
             and not rates.any()
             and not self._tracker.has_history
         ):
@@ -184,8 +176,8 @@ class OnlineClassifier:
             mask = rates > thresholds.smoothed
             heat = None
 
-        if excluded is not None and excluded.size:
-            mask[excluded] = False
+        if residual_row is not None:
+            mask[residual_row] = False
         if suppress_rows is not None:
             suppressed = np.asarray(suppress_rows, dtype=np.int64)
             suppressed = suppressed[

@@ -151,12 +151,12 @@ class MonitorClient:
     (see ``_RETRYABLE``) is survivable: every operation gets one try
     plus at most ``retries`` redials, each after a capped exponential
     backoff (``backoff`` doubling up to ``backoff_cap`` seconds,
-    jittered by a :class:`random.Random` seeded with ``jitter_seed``
-    so tests are reproducible), a fresh handshake and a replay of the
-    window. Delivery stays exactly-once *in the collector's
-    accounting*: its ``resume_cell`` skip-ahead and stale-ack
-    watermarks absorb any replayed duplicate, so the merged answers
-    equal an uninterrupted run's. With the budget spent — at once when
+    jittered by a :class:`random.Random` seeded with 0, so every
+    client's backoff sequence is the same and reproducible), a fresh
+    handshake and a replay of the window. Delivery stays exactly-once
+    *in the collector's accounting*: its ``resume_cell`` skip-ahead and
+    stale-ack watermarks absorb any replayed duplicate, so the merged
+    answers equal an uninterrupted run's. With the budget spent — at once when
     ``retries`` is 0, the fail-fast default — the socket is closed and
     the transport error propagates as it was raised. Counters
     (``published``/``stale``/``skipped``/``reconnects``) aggregate
@@ -173,7 +173,6 @@ class MonitorClient:
         retries: int = 0,
         backoff: float = 0.25,
         backoff_cap: float = 5.0,
-        jitter_seed: int = 0,
         faults: FaultPlan | None = None,
     ) -> None:
         if retries < 0 or backoff < 0 or backoff_cap < 0:
@@ -187,7 +186,7 @@ class MonitorClient:
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(0)
         self._window_cap = max_inflight
         #: One fault state for the client's whole life: frame counters
         #: and one-shot budgets span reconnects, so an injected sever

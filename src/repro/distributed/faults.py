@@ -5,9 +5,10 @@ client reconnect with backoff, collector checkpoint/restore — exists
 because some process or socket dies in production. Testing those paths
 by hand-rolling ad-hoc monkeypatches per test scales badly, so this
 module centralises the failure vocabulary: a :class:`FaultPlan` is a
-seeded, declarative list of failures to inject, parsed from a compact
+declarative list of failures to inject, parsed from a compact
 directive string and threaded through the runner
-(``parallel_ingest(..., faults=)``), the service
+(``parallel_ingest(..., faults=)``, whose caller hands each worker
+incarnation the crash mode its rule names), the service
 (``CollectorService(..., faults=)``) and the one monitor client
 (``MonitorClient(..., faults=)``, which resolves its per-monitor state
 once so one-shot faults span its redials). The same plan object
@@ -146,24 +147,25 @@ def _parse_directive(text: str) -> FaultRule:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, immutable set of failures to inject.
+    """An immutable set of failures to inject.
 
-    The empty plan injects nothing and is safe to thread everywhere
-    (every consumer treats ``None`` and the empty plan identically).
+    Every rule fires at a fixed frame, incarnation or read, so a plan
+    draws no random number. The empty plan injects nothing and is safe
+    to thread everywhere (every consumer treats ``None`` and the empty
+    plan identically).
     """
 
     rules: tuple[FaultRule, ...] = ()
-    seed: int = 0
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text: str) -> "FaultPlan":
         """Parse a comma-separated directive string."""
         rules = tuple(
             _parse_directive(token)
             for token in text.split(",")
             if token.strip()
         )
-        return cls(rules=rules, seed=seed)
+        return cls(rules=rules)
 
     @classmethod
     def from_env(cls, environ=None) -> "FaultPlan":
@@ -213,7 +215,7 @@ class FaultPlan:
         )
         if not rules:
             return None
-        return ClientFaultState(rules=rules, seed=self.seed)
+        return ClientFaultState(rules=rules)
 
 
 @dataclass
@@ -221,7 +223,6 @@ class ClientFaultState:
     """Mutable one-shot budgets for one monitor's socket faults."""
 
     rules: tuple[FaultRule, ...]
-    seed: int = 0
     frames_sent: int = 0
     fired: set = field(default_factory=set)
     blackholed: bool = False

@@ -44,16 +44,23 @@ Supervision (``on_worker_crash``): by default a dead worker aborts the
 whole run. Under ``"restart"`` the caller keeps a copy of every dealt
 span until it holds a summary *covering* it, and recovers a dead worker
 in line: reap it, take its trailing messages, start a fresh process on
-a fresh ring and queues, and replay only the spans the dead incarnation
-had not sealed — so the restarted worker's summaries are byte-identical
-to a crash-free run's. A send waiting on the dead worker's own ring is
-abandoned and recovered at once; any other death is acted on at the
-next batch boundary. Under ``"degrade"`` the dead worker's shard is
-dropped (nothing is retained for it): the run completes on the
-surviving workers and the result reports the degraded shard, with
-``fill_gaps`` covering any cell only that shard populated. Fleet
-*stats* (not summaries) may undercount after a restart: the dead
-incarnation's matched-packet counters die with it.
+a fresh ring and queues, and replay the retained spans cut at the end
+of the last slot the dead incarnation sealed — at most
+:data:`MAX_WORKER_RESTARTS` times per worker. Every slot's bytes are
+conserved. A worker that dies before the caller holds any summary of
+it is replayed from the start, and its summaries are byte-identical to
+a crash-free run's. One that dies later resumes on a fresh table at
+its resume point: an exact table names the same (prefix, bytes)
+entries as a crash-free run, possibly in another row order, while a
+sketch table restarts empty there, so its entries from that slot on
+may differ. A send waiting on the dead worker's own ring is abandoned
+and recovered at once; any other death is acted on at the next batch
+boundary. Under ``"degrade"`` the dead worker's shard is dropped
+(nothing is retained for it): the run completes on the surviving
+workers and the result reports the degraded shard, with the merge
+filling any cell only that shard populated. Fleet *stats* (not
+summaries) may undercount after a restart: the dead incarnation's
+matched-packet counters die with it.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.distributed.faults import FaultPlan
-from repro.distributed.framing import grid_cell, on_grid
+from repro.distributed.framing import grid_cell
 from repro.distributed.shm_ring import (
     DEFAULT_RING_SLOTS,
     RingConsumer,
@@ -80,7 +87,7 @@ from repro.distributed.shm_ring import (
 from repro.distributed.summary import SlotSummary
 from repro.errors import ClassificationError, ReproError
 from repro.flows.aggregate import AggregationStats
-from repro.net.prefix import Prefix, PrefixColumns
+from repro.net.prefix import PrefixColumns
 from repro.pipeline.sharded import shard_segments
 from repro.pipeline.sources import (
     DEFAULT_CHUNK_PACKETS,
@@ -108,7 +115,7 @@ _DRAIN_GRACE_SECONDS = 0.1
 CRASH_POLICIES = ("abort", "restart", "degrade")
 
 #: Restarts per worker before a crash loop aborts the run anyway.
-DEFAULT_MAX_WORKER_RESTARTS = 3
+MAX_WORKER_RESTARTS = 3
 
 
 class RowResolver:
@@ -116,12 +123,12 @@ class RowResolver:
 
     Workers receive flow keys the caller already resolved, so their
     aggregator's "resolution" is the identity; the prefix table that
-    gives keys meaning is grown incrementally from the caller's
+    gives keys meaning starts empty and is grown from the caller's
     messages (``prefixes`` is append-only, like every repo resolver).
     """
 
-    def __init__(self, prefixes: Sequence[Prefix] = ()) -> None:
-        self.prefixes = PrefixColumns.of(prefixes)[:]  # a copy: it grows
+    def __init__(self) -> None:
+        self.prefixes = PrefixColumns()
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -170,18 +177,16 @@ class ParallelIngestResult:
 
     def collector(
         self,
-        k: int | None = None,
         scheme: "Scheme | None" = None,
         feature: "Feature | None" = None,
         config: "EngineConfig | None" = None,
-        fill_gaps: bool = True,
     ) -> "Collector":
         """Merge the worker runs and wrap them for classification.
 
-        ``fill_gaps`` (default on) interpolates empty merged slots for
-        grid cells no worker spanned, so the classified slot sequence
-        is contiguous — matching what a single-process run over the
-        same capture emits.
+        Every merged entry is kept, and an empty merged slot fills each
+        grid cell no worker spanned, so the classified slot sequence is
+        contiguous — matching what a single-process run over the same
+        capture emits.
         """
         from repro.core.engine import Feature, Scheme
         from repro.distributed.collector import Collector
@@ -196,11 +201,10 @@ class ParallelIngestResult:
         # so the tap-oriented skew heuristic would only emit noise.
         return Collector(
             populated,
-            k=k,
             scheme=Scheme.CONSTANT_LOAD if scheme is None else scheme,
             feature=Feature.LATENT_HEAT if feature is None else feature,
             config=config,
-            fill_gaps=fill_gaps,
+            fill_gaps=True,
             check_skew=False,
         )
 
@@ -224,33 +228,20 @@ def _worker_main(
     free_queue,
     data_queue,
     out_queue,
-    incarnation: int = 0,
-    resume_time: float | None = None,
-    faults: FaultPlan | None = None,
+    mode: str | None,
 ) -> None:
     """Own one shard: aggregate the sub-stream, ship slot summaries.
 
-    A restarted incarnation (``incarnation > 0``) receives the dead
-    worker's slot-grid origin as ``start`` and the end of its last
-    sealed slot as ``resume_time``: the caller replays whole retained
-    spans, so packets below ``resume_time`` are sealed history the
-    previous incarnation already shipped and are filtered out here —
-    which makes the restarted summary sequence byte-identical to a
-    crash-free worker's.
+    A restarted incarnation receives the dead worker's slot-grid origin
+    as ``start`` (the caller has already cut the spans it replays at
+    the resume point). ``mode`` is the injected crash of this
+    incarnation, if the fault plan names one.
     """
     from repro.pipeline.aggregator import StreamingAggregator
 
     monitor = f"worker{worker_id}"
     ring = None
     try:
-        # Plan rules name their incarnation (default 0), so a
-        # supervised restart is not re-killed by the rule that killed
-        # its predecessor.
-        mode = (
-            faults.worker_crash(worker_id, incarnation)
-            if faults is not None
-            else None
-        )
         if mode == "hard":
             os._exit(13)
         if mode == "clean":
@@ -278,18 +269,6 @@ def _worker_main(
                 # segment
                 os._exit(13)
             resolver.extend(networks, lengths)
-            if resume_time is not None:
-                if timestamps.size and timestamps[0] >= resume_time:
-                    # sub-streams are chronological: once a span starts
-                    # past the resume point the replay window is over
-                    resume_time = None
-                else:
-                    keep = timestamps >= resume_time
-                    timestamps = timestamps[keep]
-                    keys = keys[keep]
-                    sizes = sizes[keep]
-                    if keys.size == 0:
-                        continue
             # the columns are views straight into the ring slot; the
             # aggregator consumes them before the loop advances (and
             # thereby frees the slot for the caller to overwrite)
@@ -383,10 +362,8 @@ class _Fleet:
     spec: "PipelineSpec"
     workers: int
     slot_seconds: float
-    start: float | None
     ring_shape: tuple[int, int]
     policy: str
-    max_restarts: int
     faults: FaultPlan | None
 
     def __post_init__(self) -> None:
@@ -418,11 +395,9 @@ class _Fleet:
     def launch(self) -> None:
         """Start incarnation 0 of every worker."""
         for worker_id in range(self.workers):
-            self._spawn(worker_id, self.start, None)
+            self._spawn(worker_id, None)
 
-    def _spawn(
-        self, worker_id: int, origin: float | None, resume_time: float | None
-    ) -> None:
+    def _spawn(self, worker_id: int, origin: float | None) -> None:
         """Start the worker's next incarnation, on a ring and queues of
         its own: what a dead one left in flight — unconsumed
         descriptors, returned slots — names the old ring, and stays on
@@ -431,6 +406,14 @@ class _Fleet:
         self.rings.append(ring)
         free_queue, data_queue = self.context.Queue(), self.context.Queue()
         incarnation = self.restarts.get(worker_id, 0)
+        # Plan rules name their incarnation (default 0), so a
+        # supervised restart is not re-killed by the rule that killed
+        # its predecessor.
+        mode = (
+            self.faults.worker_crash(worker_id, incarnation)
+            if self.faults is not None
+            else None
+        )
         name = f"repro-worker-{worker_id}"
         process = self.context.Process(
             target=_worker_main,
@@ -443,9 +426,7 @@ class _Fleet:
                 free_queue,
                 data_queue,
                 self.out_queue,
-                incarnation,
-                resume_time,
-                self.faults,
+                mode,
             ),
             daemon=True,
             name=f"{name}-r{incarnation}" if incarnation else name,
@@ -563,25 +544,30 @@ class _Fleet:
     def _restart(self, worker_id: int) -> None:
         """Replace a reaped worker and replay what it had not sealed."""
         count = self.restarts.get(worker_id, 0)
-        if count >= self.max_restarts:
+        if count >= MAX_WORKER_RESTARTS:
             raise ReproError(
                 f"parallel ingestion failed: worker {worker_id} "
                 f"crashed {count + 1} times "
-                f"(restart budget {self.max_restarts})"
+                f"(restart budget {MAX_WORKER_RESTARTS})"
             )
         self.restarts[worker_id] = count + 1
         run = self.runs[worker_id]
+        origin = resume = None
         if run:
             last = run[-1]
             origin = last.start - last.slot * last.slot_seconds
-            resume_time = last.start + last.slot_seconds
-        else:
-            origin, resume_time = self.start, None
+            resume = last.start + last.slot_seconds
         # Spawn first: the replay below has a consumer and cannot
         # deadlock on a ring smaller than the retained backlog.
-        self._spawn(worker_id, origin, resume_time)
-        for _, *columns in list(self.spans[worker_id]):
-            self._send(worker_id, *columns)
+        self._spawn(worker_id, origin)
+        for _, timestamps, *columns in list(self.spans[worker_id]):
+            if resume is not None:
+                # what lies below the resume point is sealed history
+                # the dead incarnation already shipped
+                keep = timestamps >= resume
+                timestamps = timestamps[keep]
+                columns = [column[keep] for column in columns]
+            self._send(worker_id, timestamps, *columns)
         if self.eof:
             self.writers[worker_id].close()
 
@@ -666,10 +652,7 @@ def parallel_ingest(
     *,
     spec: "PipelineSpec",
     slot_seconds: float = 60.0,
-    start: float | None = None,
-    ring_slot_packets: int | None = None,
     on_worker_crash: str = "abort",
-    max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
     faults: FaultPlan | None = None,
 ) -> ParallelIngestResult:
     """Ingest a packet stream across ``spec.workers`` shard processes.
@@ -693,19 +676,18 @@ def parallel_ingest(
     ``source`` argument outright — pass ``source=None`` then; giving
     both is an error.
 
-    ``start`` pins slot 0's timestamp on the absolute slot grid every
-    merged link aligns to (``None`` floors the first packet's onto it);
-    one off that grid is refused before anything is read or spawned.
-
-    ``ring_slot_packets`` sizes each ring slot and defaults to the
-    source's chunk size, so a dealt sub-batch almost always fits one
-    slot and stays zero-copy end to end.
+    Each worker's slot 0 is its first packet's slot on the absolute
+    grid every merged link aligns to. A ring slot holds the source's
+    ``chunk_packets`` rows, so a dealt sub-batch almost always fits
+    one slot and stays zero-copy end to end; a larger one spills over
+    several.
 
     ``on_worker_crash`` picks the supervision policy (module docstring
     has the semantics): ``"abort"`` (default) raises on any worker
     death, ``"restart"`` respawns the worker — at most
-    ``max_worker_restarts`` times each — replaying its unsealed spans,
-    ``"degrade"`` finishes the run without the dead worker's shard.
+    :data:`MAX_WORKER_RESTARTS` times each — replaying its unsealed
+    spans, ``"degrade"`` finishes the run without the dead worker's
+    shard.
     ``faults`` injects a deterministic :class:`FaultPlan` (the chaos
     suite's lever; production callers leave it ``None``).
 
@@ -725,11 +707,6 @@ def parallel_ingest(
     """
     if not 0.0 < slot_seconds < math.inf:
         raise ClassificationError("slot_seconds must be finite and > 0")
-    if start is not None and not on_grid(start, slot_seconds):
-        raise ClassificationError(
-            f"start {start} is off the {slot_seconds}s slot grid; the "
-            "collector merges whole multiples of the slot width"
-        )
     if source is None:
         # the spec names the input; open it raw — the sampling wrap
         # below is the one thinning stage for the whole fleet
@@ -757,18 +734,16 @@ def parallel_ingest(
             f"on_worker_crash must be one of {CRASH_POLICIES}, "
             f"not {on_worker_crash!r}"
         )
-    if ring_slot_packets is None:
-        ring_slot_packets = getattr(source, "chunk_packets", DEFAULT_CHUNK_PACKETS)
-
     fleet = _Fleet(
         resolver,
         worker_spec,
         workers,
         slot_seconds,
-        start,
-        (ring_slots, ring_slot_packets),
+        (
+            ring_slots,
+            getattr(source, "chunk_packets", DEFAULT_CHUNK_PACKETS),
+        ),
         on_worker_crash,
-        max_worker_restarts,
         faults,
     )
     try:
@@ -790,7 +765,7 @@ def parallel_ingest(
 
 __all__ = [
     "CRASH_POLICIES",
-    "DEFAULT_MAX_WORKER_RESTARTS",
+    "MAX_WORKER_RESTARTS",
     "ParallelIngestResult",
     "RowResolver",
     "START_METHOD_ENV",

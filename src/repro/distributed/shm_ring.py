@@ -64,7 +64,7 @@ import numpy as np
 from repro.errors import ClassificationError
 
 #: Ring slots per worker — the in-flight batch bound. With slots sized
-#: to the source chunk (the runner's default) this bounds writer-side
+#: to the source chunk (as the runner sizes them) this bounds writer-side
 #: lead exactly like PR 4's eight-batch queue did.
 DEFAULT_RING_SLOTS = 8
 
@@ -75,6 +75,7 @@ SHM_NAME_PREFIX = "repro-ring-"
 _HEADER_BYTES = 16  # rows int64 + syncs int64
 _ROW_BYTES = 24  # timestamp float64 + flow key int64 + wire bytes int64
 _SYNC_BYTES = 16  # prefix network int64 + prefix length int64
+_WAIT_POLL_SECONDS = 0.2  # how often a blocked writer calls on_wait
 
 #: Columns of one unpacked message part, in slot order.
 _COLUMN_DTYPES = (
@@ -224,11 +225,11 @@ class RingWriter:
     indices and two booleans ever cross a process boundary — the
     columns themselves move exactly once, into shared memory.
 
-    ``on_wait`` (optional) is called periodically while the writer is
-    blocked on a full ring. The runner uses it to keep receiving what
-    its workers send and to check that the consumer is alive — a
-    writer stuck on a *dead* consumer's ring would otherwise wait for
-    ever. The hook may raise to abort the send; with no hook the wait
+    ``on_wait`` (optional) is called every ``_WAIT_POLL_SECONDS`` while
+    the writer is blocked on a full ring. The runner uses it to keep
+    receiving what its workers send and to check that the consumer is
+    alive — a writer stuck on a *dead* consumer's ring would otherwise
+    wait for ever. The hook may raise to abort the send; with no hook the wait
     is the plain blocking ``get`` it always was.
     """
 
@@ -238,13 +239,11 @@ class RingWriter:
         free_queue,
         data_queue,
         on_wait: Callable[[], None] | None = None,
-        wait_poll_seconds: float = 0.2,
     ) -> None:
         self.ring = ring
         self._free = free_queue
         self._data = data_queue
         self._on_wait = on_wait
-        self._wait_poll_seconds = wait_poll_seconds
         self._idle = deque(range(ring.spec.slots))
 
     def _next_slot(self) -> int:
@@ -257,7 +256,7 @@ class RingWriter:
             return self._free.get()
         while True:
             try:
-                return self._free.get(timeout=self._wait_poll_seconds)
+                return self._free.get(timeout=_WAIT_POLL_SECONDS)
             except queue_module.Empty:
                 self._on_wait()
 

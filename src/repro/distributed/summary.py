@@ -157,15 +157,13 @@ class SlotSummary:
         frame: "SlotFrame",
         slot_seconds: float,
         monitor: str = "",
-        top_k: int | None = None,
     ) -> "SlotSummary":
         """Reduce a pipeline slot frame to a summary.
 
         Rows with zero bytes are dropped (a summary is a candidate
         table, not a population history); the frame's residual row, if
-        any, lands in ``residual_bytes``. ``top_k`` re-truncates on the
-        way out, spilling the cut entries into the residual. The
-        frame's ``sample_rate`` is carried through.
+        any, lands in ``residual_bytes``. The frame's ``sample_rate``
+        is carried through.
         """
         volumes = frame.rates * slot_seconds / 8.0
         residual = 0.0
@@ -174,7 +172,7 @@ class SlotSummary:
             if frame.residual_row < volumes.size:
                 residual = float(volumes[frame.residual_row])
             rows = rows[rows != frame.residual_row]
-        summary = cls(
+        return cls(
             slot=frame.slot,
             start=frame.start,
             slot_seconds=slot_seconds,
@@ -184,9 +182,6 @@ class SlotSummary:
             monitor=monitor,
             sample_rate=float(getattr(frame, "sample_rate", 1.0)),
         )
-        if top_k is not None:
-            summary = summary.truncated(top_k)
-        return summary
 
     def truncated(self, k: int) -> "SlotSummary":
         """The top-``k`` entries by volume; the rest joins the residual.

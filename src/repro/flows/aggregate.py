@@ -86,25 +86,15 @@ class FlowAggregator:
         self.stats.bytes_matched += packet.wire_bytes
         return True
 
-    def to_rate_matrix(self, include_all_routes: bool = False) -> RateMatrix:
-        """Finish aggregation and emit the rate matrix (bits/second).
-
-        With ``include_all_routes`` every RIB prefix gets a row (all-zero
-        when it never received traffic), which matches the fluid
-        simulator's convention of stable flow identity; otherwise only
-        prefixes that actually received packets appear.
-        """
-        if include_all_routes:
-            prefixes = self.table.prefixes()
-        else:
-            prefixes = sorted(self._bytes)
+    def to_rate_matrix(self) -> RateMatrix:
+        """Finish aggregation and emit the rate matrix (bits/second):
+        one row per prefix that received packets, sorted by prefix."""
+        prefixes = sorted(self._bytes)
         if not prefixes:
             raise ClassificationError("no flows to build a matrix from")
         rates = np.zeros((len(prefixes), self.axis.num_slots))
         for row, prefix in enumerate(prefixes):
-            counts = self._bytes.get(prefix)
-            if counts is not None:
-                rates[row, :] = counts * 8.0 / self.axis.slot_seconds
+            rates[row, :] = self._bytes[prefix] * 8.0 / self.axis.slot_seconds
         return RateMatrix(list(prefixes), self.axis, rates)
 
 

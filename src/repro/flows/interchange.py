@@ -247,31 +247,18 @@ class FlowRecordSource:
         self.chunk_packets = chunk_packets
 
     def batches(self) -> Iterator["PacketBatch"]:
-        timestamps: list[float] = []
-        destinations: list[int] = []
-        sizes: list[int] = []
-        for record in _iter_rows(self.path):
-            timestamps.append(record.start_time / NS_PER_SECOND)
-            destinations.append(record.dest_node_id)
-            sizes.append(record.amount_sent)
-            if len(timestamps) >= self.chunk_packets:
-                yield self._build(timestamps, destinations, sizes)
-                timestamps, destinations, sizes = [], [], []
-        if timestamps:
-            yield self._build(timestamps, destinations, sizes)
+        # Imported here: repro.pipeline sits above the flows layer.
+        from repro.pipeline.sources import row_batches
 
-    @staticmethod
-    def _build(
-        timestamps: list[float], destinations: list[int], sizes: list[int]
-    ) -> "PacketBatch":
-        from repro.pipeline.sources import PacketBatch
-
-        return PacketBatch(
-            np.array(timestamps, dtype=np.float64),
-            np.array(destinations, dtype=np.int64),
-            np.array(sizes, dtype=np.int64),
-            packets_seen=len(timestamps),
+        rows = (
+            (
+                record.start_time / NS_PER_SECOND,
+                record.dest_node_id,
+                record.amount_sent,
+            )
+            for record in _iter_rows(self.path)
         )
+        return row_batches(rows, self.chunk_packets)
 
 
 def slot_flow_records(

@@ -43,7 +43,7 @@ Backends also speak the slot altitude: :class:`SketchSlotSource`
 filters any :class:`~repro.pipeline.sources.SlotSource` (for instance a
 replayed matrix) through a backend, which is how ``repro stream
 x.npz --backend ...`` applies a memory bound to a recorded matrix:
-``StreamingPipeline(MatrixSlotSource(m), backend=spec.build_backend())``.
+``SketchSlotSource(MatrixSlotSource(m), spec.build_backend())``.
 """
 
 from __future__ import annotations

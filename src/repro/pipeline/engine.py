@@ -25,8 +25,7 @@ from repro.analysis.elephants import ElephantSeries, ElephantSeriesBuilder
 from repro.core.engine import EngineConfig, Feature, Scheme, make_detector
 from repro.core.streaming import OnlineClassifier, SlotVerdict
 from repro.net.prefix import Prefix
-from repro.pipeline.backends import AggregationBackend, SketchSlotSource
-from repro.pipeline.sampling import UNSAMPLED, SamplingSpec
+from repro.pipeline.sampling import EVIDENCE_BYTES, UNSAMPLED, SamplingSpec
 from repro.pipeline.sources import SlotFrame, SlotSource
 
 
@@ -54,18 +53,16 @@ class StreamingPipeline:
     been an all-zero row from the start, which keeps streaming verdicts
     identical to the batch classifiers'.
 
-    ``backend`` optionally interposes a bounded aggregation backend
-    between the source and the classifier (via
-    :class:`~repro.pipeline.backends.SketchSlotSource`): frames are
-    re-keyed to the backend's capacity-bounded population plus a
-    residual row. Use it for slot-level inputs (matrix replays); packet
-    inputs should pass the backend to the aggregator instead, where the
-    bound applies before any per-flow state exists.
+    A bounded table's frames come from the source: a packet input's
+    aggregator holds the backend, and a matrix replay is wrapped in a
+    :class:`~repro.pipeline.backends.SketchSlotSource`.
 
     ``sampling`` (the deployment's
-    :class:`~repro.pipeline.sampling.SamplingSpec`) sizes the variance
-    guard; the mask itself is applied upstream, at the packet source.
-    Frames carry their own ``sample_rate``; the guard only engages on
+    :class:`~repro.pipeline.sampling.SamplingSpec`) is kept as
+    :attr:`sampling`; the mask itself is applied upstream, at the packet
+    source. Frames carry their own ``sample_rate``, and the variance
+    guard (the fixed floor
+    :data:`~repro.pipeline.sampling.EVIDENCE_BYTES`) only engages on
     frames that declare one above 1.
     """
 
@@ -75,12 +72,9 @@ class StreamingPipeline:
         scheme: Scheme = Scheme.CONSTANT_LOAD,
         feature: Feature = Feature.LATENT_HEAT,
         config: EngineConfig | None = None,
-        backend: AggregationBackend | None = None,
         sampling: SamplingSpec | None = None,
     ) -> None:
         self.sampling = sampling if sampling is not None else UNSAMPLED
-        if backend is not None:
-            source = SketchSlotSource(source, backend)
         self.source = source
         self.scheme = scheme
         self.feature = feature
@@ -128,18 +122,9 @@ class StreamingPipeline:
         elif frame.num_flows > self.classifier.num_flows:
             self.classifier.grow(frame.num_flows)
         rates = frame.rates
-        if rates.size < self.classifier.num_flows:
-            padded = np.zeros(self.classifier.num_flows)
-            padded[: rates.size] = rates
-            rates = padded
-        exclude = (
-            np.array([frame.residual_row], dtype=np.int64)
-            if frame.residual_row is not None
-            else None
-        )
         suppress = self._variance_guard(frame, rates)
         verdict = self.classifier.observe_slot(
-            rates, exclude_rows=exclude, suppress_rows=suppress
+            rates, residual_row=frame.residual_row, suppress_rows=suppress
         )
         if verdict.thresholds.below_table:
             self.below_table_slots.append(verdict.slot)
@@ -155,14 +140,15 @@ class StreamingPipeline:
         single lucky sampled packet from a mouse inflates to N packets'
         worth of apparent volume. Undo the inversion to recover the
         bytes actually observed and suppress the verdict for rows below
-        the sampling spec's evidence floor (a few packets' worth). Only
-        frames that declare ``sample_rate > 1`` are guarded.
+        the evidence floor (:data:`~repro.pipeline.sampling.EVIDENCE_BYTES`,
+        a few packets' worth). Only frames that declare
+        ``sample_rate > 1`` are guarded.
         """
         rate = getattr(frame, "sample_rate", 1.0)
-        if rate <= 1.0 or self.sampling.evidence_bytes <= 0:
+        if rate <= 1.0:
             return None
         observed = rates * self.source.slot_seconds / (8.0 * rate)
-        thin = (rates > 0.0) & (observed < self.sampling.evidence_bytes)
+        thin = (rates > 0.0) & (observed < EVIDENCE_BYTES)
         if not thin.any():
             return None
         return np.flatnonzero(thin)

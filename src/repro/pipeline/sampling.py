@@ -6,7 +6,8 @@ records), and the classifier downstream has to work from that partial
 view. "High Speed Elephant Flow Detection Under Partial Information"
 (PAPERS.md) is the template: sample, invert the byte counts by the
 sampling probability so volume estimates stay unbiased, and guard the
-per-flow verdicts against the variance the inversion amplifies.
+per-flow verdicts against the variance the inversion amplifies
+(the evidence floor :data:`EVIDENCE_BYTES`).
 
 :class:`SamplingSpec` describes the sampling policy; wrapping any
 :class:`~repro.pipeline.sources.PacketSource` with
@@ -55,12 +56,14 @@ from repro.pipeline.sources import (
 #: Valid ``SamplingSpec.mode`` values.
 SAMPLING_MODES = ("deterministic", "probabilistic", "flow-records")
 
-#: Default variance guard: a flow needs at least this many *sampled*
-#: packets' worth of evidence in a slot before it can be called an
-#: elephant (see :attr:`SamplingSpec.evidence_bytes`).
-DEFAULT_GUARD_PACKETS = 2
-#: Assumed mean packet size for the evidence floor, in bytes.
-DEFAULT_GUARD_PACKET_BYTES = 1500.0
+#: The variance guard's evidence floor on a flow's *sampled* bytes per
+#: slot: two full-size (1500 B) packets. When a sampled stream is
+#: classified, a flow whose sampled volume in a slot falls below it is
+#: suppressed from the elephant verdict (its threshold/EWMA bookkeeping
+#: still runs). One lucky sampled packet from a mouse inverts to N
+#: packets' worth of apparent volume; requiring a couple of real
+#: observations cuts those false elephants off cheaply.
+EVIDENCE_BYTES = 2 * 1500.0
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,12 @@ class SamplingSpec:
     surviving packets' bytes by N so downstream volume estimates are
     unbiased; disabling it leaves raw sampled counts (and stamps
     frames with ``sample_rate`` 1.0, i.e. "no correction applied").
-
-    ``guard_packets`` x ``guard_packet_bytes`` is the evidence floor:
-    when classifying a sampled stream, a flow whose *sampled* volume in
-    a slot falls below this floor is suppressed from the elephant
-    verdict (its threshold/EWMA bookkeeping still runs). One lucky
-    sampled packet from a mouse inverts to N packets' worth of
-    apparent volume; requiring a couple of real observations cuts
-    those false elephants off cheaply.
     """
 
     rate: int = 1
     mode: str = "deterministic"
     seed: int = 0
     invert: bool = True
-    guard_packets: int = DEFAULT_GUARD_PACKETS
-    guard_packet_bytes: float = DEFAULT_GUARD_PACKET_BYTES
 
     def __post_init__(self) -> None:
         if int(self.rate) != self.rate or self.rate < 1:
@@ -104,10 +97,6 @@ class SamplingSpec:
             raise ClassificationError(
                 f"sampling seed {self.seed} not in [0, 2**63)"
             )
-        if self.guard_packets < 0:
-            raise ClassificationError("guard_packets must be >= 0")
-        if self.guard_packet_bytes <= 0:
-            raise ClassificationError("guard_packet_bytes must be positive")
 
     @property
     def probability(self) -> float:
@@ -123,11 +112,6 @@ class SamplingSpec:
         downstream must not assume one).
         """
         return float(self.rate) if self.invert else 1.0
-
-    @property
-    def evidence_bytes(self) -> float:
-        """Variance-guard floor on a flow's *sampled* bytes per slot."""
-        return self.guard_packets * self.guard_packet_bytes
 
     @property
     def is_null(self) -> bool:

@@ -16,9 +16,10 @@ objects), flow-record CSV exports and in-memory rate matrices.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -357,6 +358,23 @@ def _joined(pieces: list[PacketBatch]) -> PacketBatch:
     )
 
 
+def row_batches(
+    rows: Iterable[tuple[float, int, int]], chunk_packets: int
+) -> Iterator[PacketBatch]:
+    """Parsed ``(timestamp, destination, wire_bytes)`` rows as batches of
+    ``chunk_packets`` rows (the last fewer), each row one packet seen:
+    the chunking of every source that parses text a row at a time."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, chunk_packets)):
+        timestamps, destinations, sizes = zip(*chunk)
+        yield PacketBatch(
+            np.array(timestamps, dtype=np.float64),
+            np.array(destinations, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            packets_seen=len(chunk),
+        )
+
+
 def _equal_run(
     buffer: np.ndarray, end: int, order: str, limit: int
 ) -> tuple[int, int]:
@@ -397,9 +415,9 @@ class CsvPacketSource:
         self.chunk_packets = chunk_packets
 
     def batches(self) -> Iterator[PacketBatch]:
-        timestamps: list[float] = []
-        destinations: list[int] = []
-        sizes: list[int] = []
+        return row_batches(self._rows(), self.chunk_packets)
+
+    def _rows(self) -> Iterator[tuple[float, int, int]]:
         lines = text_lines(self.path, "capture")
         for number, line in enumerate(lines, start=1):
             line = line.strip()
@@ -423,25 +441,7 @@ class CsvPacketSource:
                 raise ClassificationError(
                     f"packet CSV {self.path!r} line {number}: {exc}"
                 ) from exc
-            timestamps.append(timestamp)
-            destinations.append(address)
-            sizes.append(size)
-            if len(timestamps) >= self.chunk_packets:
-                yield self._build(timestamps, destinations, sizes)
-                timestamps, destinations, sizes = [], [], []
-        if timestamps:
-            yield self._build(timestamps, destinations, sizes)
-
-    @staticmethod
-    def _build(
-        timestamps: list[float], destinations: list[int], sizes: list[int]
-    ) -> PacketBatch:
-        return PacketBatch(
-            np.array(timestamps, dtype=np.float64),
-            np.array(destinations, dtype=np.int64),
-            np.array(sizes, dtype=np.int64),
-            packets_seen=len(timestamps),
-        )
+            yield timestamp, address, size
 
 
 class ArrayPacketSource:

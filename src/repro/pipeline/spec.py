@@ -126,9 +126,7 @@ class SourceSpec:
                 )
 
     @classmethod
-    def from_path(
-        cls, path: str, chunk_packets: int | None = None
-    ) -> "SourceSpec":
+    def from_path(cls, path: str) -> "SourceSpec":
         """Classify a capture path by shape.
 
         ``.csv`` files are sniffed by header: a ``flow_id`` header is
@@ -144,7 +142,7 @@ class SourceSpec:
                 if header.startswith("flow_id")
                 else "packet-csv"
             )
-        return cls(kind=kind, path=path, chunk_packets=chunk_packets)
+        return cls(kind=kind, path=path)
 
     @classmethod
     def of_arrays(

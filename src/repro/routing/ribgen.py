@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.net import ipv4
 from repro.net.prefix import Prefix
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.busy import BusyPeriod, find_busy_period
+from repro.analysis.busy import find_busy_period
 from repro.errors import ClassificationError
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis

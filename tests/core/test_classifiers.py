@@ -9,7 +9,6 @@ from repro.core.latent_heat import (
     latent_heat_series,
 )
 from repro.core.single_feature import SingleFeatureClassifier
-from repro.core.thresholds import ConstantLoadThreshold
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
 from repro.net.prefix import Prefix

@@ -52,12 +52,6 @@ class TestEngineRuns:
                 small_matrix.num_flows, small_matrix.num_slots,
             )
 
-    def test_run_all_defaults_to_latent_heat(self, small_matrix):
-        engine = ClassificationEngine(small_matrix)
-        results = engine.run_all()
-        assert len(results) == 2
-        assert all("latent-heat" in label for label in results)
-
     def test_unknown_feature_rejected(self, small_matrix):
         engine = ClassificationEngine(small_matrix)
         with pytest.raises(ClassificationError):

@@ -145,7 +145,7 @@ class TestExcludedRows:
     def test_excluded_row_never_elephant(self):
         classifier = self.make()
         rates = np.array([9e9, 100.0, 200.0, 5e6])
-        verdict = classifier.observe_slot(rates, exclude_rows=np.array([0]))
+        verdict = classifier.observe_slot(rates, residual_row=0)
         assert not verdict.elephant_mask[0]
         # the huge excluded row did not drag the threshold up past the
         # genuinely heavy flow
@@ -157,14 +157,14 @@ class TestExcludedRows:
         elephants, slot indices in sync for later verdicts."""
         classifier = self.make(num_flows=2)
         first = classifier.observe_slot(
-            np.array([500.0, 0.0]), exclude_rows=np.array([0])
+            np.array([500.0, 0.0]), residual_row=0
         )
         assert first.thresholds.slot == 0
         assert first.thresholds.raw > 0.0
         assert first.thresholds.smoothed > 0.0
         assert first.num_elephants == 0
         second = classifier.observe_slot(
-            np.array([500.0, 4000.0]), exclude_rows=np.array([0])
+            np.array([500.0, 4000.0]), residual_row=0
         )
         assert second.thresholds.slot == 1
         assert second.elephant_mask[1]
@@ -180,14 +180,14 @@ class TestExcludedRows:
             classifier.observe_slot(np.zeros(2))
         with pytest.raises(EstimatorError):
             self.make(num_flows=2).observe_slot(
-                np.zeros(2), exclude_rows=np.array([0])
+                np.zeros(2), residual_row=0
             )
 
     def test_excluded_bytes_are_the_cuts_background(self):
         """The residual is no candidate for the cut, but its bytes are
         the slot's traffic: 0.8 of 110 takes all three named flows."""
         verdict = self.make().observe_slot(
-            np.array([10.0, 50.0, 30.0, 20.0]), exclude_rows=np.array([0])
+            np.array([10.0, 50.0, 30.0, 20.0]), residual_row=0
         )
         assert verdict.thresholds.raw == 10.0
         assert not verdict.thresholds.below_table
@@ -198,19 +198,11 @@ class TestExcludedRows:
         a gap no monitor covered: both classify, neither raises."""
         classifier = self.make(num_flows=3)
         first = classifier.observe_slot(
-            np.array([900.0, 30.0, 10.0]), exclude_rows=np.array([0])
+            np.array([900.0, 30.0, 10.0]), residual_row=0
         )
         assert first.thresholds.below_table
         gap = classifier.observe_slot(
-            np.zeros(3), exclude_rows=np.array([0])
+            np.zeros(3), residual_row=0
         )
         assert gap.thresholds.fallback_used
         assert gap.thresholds.raw == first.thresholds.raw
-
-    def test_out_of_range_exclusions_ignored(self):
-        classifier = self.make(num_flows=2)
-        verdict = classifier.observe_slot(
-            np.array([100.0, 4000.0]),
-            exclude_rows=np.array([-3, 7]),
-        )
-        assert verdict.elephant_mask[1]

@@ -7,13 +7,18 @@ The acceptance bar for the resilience layer, end to end:
   ``MonitorClient(retries=…)`` — answers ``query`` field-for-field
   identically to an uninterrupted run and to the offline ``merge_runs``
   baseline;
-- a ``parallel_ingest`` fleet that loses a worker mid-slot under
-  ``on_worker_crash="restart"`` produces byte-identical slot summaries
-  to a crash-free fleet;
+- a ``parallel_ingest`` fleet that loses a worker before the caller
+  holds any summary of it, under ``on_worker_crash="restart"``,
+  produces byte-identical slot summaries to a crash-free fleet; one
+  that loses it later conserves every slot's bytes, and the restarted
+  worker's summaries are a fresh table's over its sub-stream from the
+  resume point (an exact table names the crash-free entries, a sketch
+  table may not);
 - severed/corrupted/black-holed client sockets either recover to the
   exact uninterrupted answers or degrade to the exact partial ones.
 
-Every fault here comes from a seeded :class:`FaultPlan` — nothing is
+Every fault here comes from a :class:`FaultPlan`, or (the late worker
+crash) from patches a forked worker inherits — nothing is
 timing-dependent beyond "the collector noticed the socket died".
 """
 
@@ -41,7 +46,10 @@ from repro.errors import (
     ReproError,
     ServiceProtocolError,
 )
-from repro.pipeline.sources import ArrayPacketSource
+from repro.distributed.summary import SlotSummary
+from repro.pipeline.aggregator import StreamingAggregator
+from repro.pipeline.sharded import shard_of
+from repro.pipeline.sources import ArrayPacketSource, PacketBatch
 from repro.pipeline.spec import PipelineSpec
 from repro.routing.lpm import FixedLengthResolver
 from distributed.service_harness import ServiceHandle, publish_summaries
@@ -577,24 +585,40 @@ SLOT_SECONDS = 60.0
 FLEET_FLOWS = 30
 
 
-def fleet_run(
-    workers=2, seed=9, ring_slots=None, wrap=None, resolver=None, **kwargs
-):
-    """One small capture through a fleet. ``wrap`` gets the source
-    (which now runs in this process) before the fleet does."""
+FLEET_CHUNK = 600
+
+
+def fleet_trace(seed=9):
+    """The capture every fleet run here reads: 4,000 packets, 240 s."""
     rng = np.random.default_rng(seed)
     packets = 4000
     stamps = np.sort(rng.uniform(0.0, 240.0, packets))
     flow = rng.integers(0, FLEET_FLOWS, packets)
     dests = (10 << 24) | (flow << 16) | 5
     sizes = (rng.pareto(1.3, packets) * 250 + 64).clip(64, 1500)
-    source = ArrayPacketSource(
-        stamps, dests, sizes.astype(np.int64), chunk_packets=600
+    return stamps, dests, sizes.astype(np.int64)
+
+
+def fleet_run(
+    workers=2,
+    seed=9,
+    ring_slots=None,
+    wrap=None,
+    resolver=None,
+    spec_fields=None,
+    **kwargs,
+):
+    """One small capture through a fleet. ``wrap`` gets the source
+    (which now runs in this process) before the fleet does;
+    ``spec_fields`` add to the fleet's :class:`PipelineSpec`."""
+    source = ArrayPacketSource(*fleet_trace(seed), chunk_packets=FLEET_CHUNK)
+    spec = PipelineSpec(
+        workers=workers, ring_slots=ring_slots, **(spec_fields or {})
     )
     return parallel_ingest(
         source if wrap is None else wrap(source),
         FixedLengthResolver(16) if resolver is None else resolver,
-        spec=PipelineSpec(workers=workers, ring_slots=ring_slots),
+        spec=spec,
         slot_seconds=SLOT_SECONDS,
         **kwargs,
     )
@@ -656,14 +680,27 @@ class TestSupervisedWorkers:
         assert list(degraded.collector().events())
 
     def test_restart_budget_exhaustion_aborts(self):
-        # a rule per incarnation: the original and both restarts die
-        loop = FaultPlan.parse("worker:0@0,worker:0@1,worker:0@2")
-        with pytest.raises(ReproError, match="restart budget"):
-            fleet_run(
-                on_worker_crash="restart",
-                max_worker_restarts=2,
-                faults=loop,
-            )
+        # a rule per incarnation: the original and all three restarts
+        # die, one more death than the budget allows
+        assert runner.MAX_WORKER_RESTARTS == 3
+        loop = FaultPlan.parse("worker:0@0,worker:0@1,worker:0@2,worker:0@3")
+        with pytest.raises(
+            ReproError, match=r"worker 0 crashed 4 times \(restart budget 3\)"
+        ):
+            fleet_run(on_worker_crash="restart", faults=loop)
+        assert_no_orphans()
+        assert_no_ring_segments()
+
+    def test_restart_budget_is_per_incarnation_rule(self):
+        # three deaths are within the budget: the fourth incarnation
+        # finishes the run byte-identical to a crash-free one
+        baseline = fleet_run()
+        crashed = fleet_run(
+            on_worker_crash="restart",
+            faults=FaultPlan.parse("worker:0@0,worker:0@1,worker:0:hard@2"),
+        )
+        assert crashed.restarts == {0: 3}
+        assert run_bytes(crashed) == run_bytes(baseline)
         assert_no_orphans()
 
     def test_reader_crash_always_aborts(self):
@@ -677,6 +714,129 @@ class TestSupervisedWorkers:
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ClassificationError, match="on_worker_crash"):
             fleet_run(on_worker_crash="panic")
+
+
+def fresh_table_from(resume, origin, spec):
+    """Worker 0's summaries from a fresh table fed its sub-stream of
+    :func:`fleet_trace` from ``resume`` on, dealt as the caller deals
+    it: one span per reader batch, keyed by the caller's rows."""
+    stamps, dests, sizes = fleet_trace()
+    resolver = FixedLengthResolver(16)
+    keys = resolver.lookup(dests)
+    row_resolver = runner.RowResolver()
+    row_resolver.extend(resolver.prefixes.network, resolver.prefixes.length)
+    aggregator = StreamingAggregator(
+        row_resolver,
+        slot_seconds=SLOT_SECONDS,
+        start=origin,
+        backend=spec.build_shard(),
+    )
+    mine = shard_of(keys, 2) == 0
+    frames = []
+    for lo in range(0, stamps.size, FLEET_CHUNK):
+        span = slice(lo, lo + FLEET_CHUNK)
+        keep = mine[span] & (stamps[span] >= resume)
+        batch = PacketBatch(
+            stamps[span][keep], keys[span][keep], sizes[span][keep],
+            int(keep.sum()),
+        )
+        frames.extend(aggregator.ingest(batch))
+    frames.extend(aggregator.finish())
+    return [
+        SlotSummary.from_frame(frame, SLOT_SECONDS, monitor="worker0")
+        for frame in frames
+    ]
+
+
+def cell_totals(result):
+    totals = {}
+    for run in result.runs:
+        for summary in run:
+            totals[summary.start] = (
+                totals.get(summary.start, 0.0) + summary.total_bytes
+            )
+    return totals
+
+
+@pytest.mark.usefixtures("wall_clock_bound")
+class TestLateWorkerCrash:
+    """Worker 0 dies once the caller has absorbed its first summary:
+    the restart resumes at the end of that summary's slot. Patches of
+    ``_Fleet.absorb`` (in this process) and ``StreamingAggregator.ingest``
+    (inherited by the forked workers) place the crash; no fault
+    directive can, since every directive fires before the first seal."""
+
+    @pytest.mark.parametrize(
+        "spec_fields",
+        [{}, {"backend": "space-saving", "capacity": 16}],
+        ids=["exact", "space-saving"],
+    )
+    def test_restart_after_a_delivered_summary(self, monkeypatch, spec_fields):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the crash is placed by patches a fork inherits")
+        monkeypatch.delenv(runner.START_METHOD_ENV, raising=False)
+        baseline = fleet_run(spec_fields=spec_fields)
+
+        context = multiprocessing.get_context("fork")
+        absorbed = context.Event()  # the caller holds a worker-0 summary
+        delivered = context.Value("i", 0)  # summaries worker 0 shipped
+        absorb, ingest = runner._Fleet.absorb, StreamingAggregator.ingest
+
+        def absorbing(fleet, message):
+            absorb(fleet, message)
+            if message[:2] == ("slot", 0):
+                absorbed.set()
+
+        sealed = []  # this process's copy stays empty: it ingests nothing
+
+        def ingesting(aggregator, batch):
+            if sealed and multiprocessing.current_process().name == (
+                "repro-worker-0"
+            ):
+                absorbed.wait(timeout=WALL_CLOCK_BOUND)
+                delivered.value = len(sealed)
+                os._exit(13)
+            frames = ingest(aggregator, batch)
+            sealed.extend(frames)
+            return frames
+
+        monkeypatch.setattr(runner._Fleet, "absorb", absorbing)
+        monkeypatch.setattr(StreamingAggregator, "ingest", ingesting)
+        crashed = fleet_run(spec_fields=spec_fields, on_worker_crash="restart")
+        monkeypatch.undo()
+
+        assert absorbed.is_set() and crashed.restarts == {0: 1}
+        shipped = delivered.value
+        assert shipped >= 1
+        # what worker 0 sealed before it died is the crash-free run's
+        before, after = crashed.runs[0][:shipped], crashed.runs[0][shipped:]
+        crashed_bytes, baseline_bytes = run_bytes(crashed), run_bytes(baseline)
+        assert crashed_bytes[0][:shipped] == baseline_bytes[0][:shipped]
+        assert crashed_bytes[1] == baseline_bytes[1]
+        # the restart is a fresh table from the end of its last slot on
+        last = before[-1]
+        expected = fresh_table_from(
+            last.start + last.slot_seconds,
+            last.start - last.slot * last.slot_seconds,
+            PipelineSpec(workers=2, **spec_fields),
+        )
+        assert [s.to_bytes() for s in after] == [
+            s.to_bytes() for s in expected
+        ]
+        # every slot's bytes are conserved
+        totals = cell_totals(baseline)
+        assert cell_totals(crashed) == pytest.approx(totals, rel=1e-12)
+        if not spec_fields:
+            # an exact table names the crash-free entries, in any order
+            def entries(run):
+                return [
+                    sorted(zip(map(str, s.prefixes), s.volumes.tolist()))
+                    for s in run
+                ]
+
+            assert entries(crashed.runs[0]) == entries(baseline.runs[0])
+        assert_no_orphans()
+        assert_no_ring_segments()
 
 
 # -- the hazards that moved into the caller ---------------------------

@@ -104,11 +104,11 @@ class TestDirectiveParsing:
     def test_plans_are_immutable_and_picklable(self):
         import pickle
 
-        plan = FaultPlan.parse("worker:0:midslot,sever:m:1", seed=3)
+        plan = FaultPlan.parse("worker:0:midslot,sever:m:1")
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
         with pytest.raises(AttributeError):
-            plan.seed = 4
+            plan.rules = ()
 
 
 class TestClientFaultState:

@@ -215,32 +215,20 @@ class TestParallelIngest:
             )
         assert_no_orphans()
 
-    @pytest.mark.parametrize("start", [10.0, 30.0, 60.0 + 1e-7])
-    def test_an_off_grid_start_is_refused_before_any_read(self, start):
-        """Merged links align on the absolute slot grid. ``start=30``
-        used to run the whole fleet and then fail in ``collector()``
-        (its 90 s and 150 s summaries share a rounded cell), and
-        ``start=10`` merged off the grid a live link refuses."""
+    def test_workers_merge_on_the_absolute_grid_cells(self):
+        """Each worker floors its first packet onto the absolute slot
+        grid, so the merge sees whole cells whoever saw what first."""
         timestamps, destinations, sizes = packet_arrays()
-        resolver = FixedLengthResolver(16)
-        with pytest.raises(ClassificationError, match="off the 60.0s slot"):
-            parallel_ingest(
-                ArrayPacketSource(timestamps, destinations, sizes),
-                resolver,
-                spec=PipelineSpec(workers=2),
-                slot_seconds=SLOT_SECONDS,
-                start=start,
-            )
-        assert len(resolver.prefixes) == 0  # not one packet resolved
-        assert_no_orphans()
-        assert_no_ring_segments()
-
-    def test_an_on_grid_start_merges_on_the_same_cells(self):
-        pinned = ingest(workers=2, start=-2 * SLOT_SECONDS).collector()
-        derived = ingest(workers=2).collector()
-        starts = [summary.start for summary in pinned.merged]
-        assert starts == [summary.start for summary in derived.merged]
-        assert starts == [0.0, 60.0, 120.0, 180.0]
+        shifted = parallel_ingest(
+            ArrayPacketSource(timestamps + 7.0, destinations, sizes),
+            FixedLengthResolver(16),
+            spec=PipelineSpec(workers=2),
+            slot_seconds=SLOT_SECONDS,
+        )
+        for run in shifted.runs:
+            assert all(s.start % SLOT_SECONDS == 0.0 for s in run)
+        starts = [summary.start for summary in shifted.collector().merged]
+        assert starts == [0.0, 60.0, 120.0, 180.0, 240.0]
 
 
 class TestCrashHandling:
@@ -298,8 +286,12 @@ class TestBuildShard:
 
 class TestRowResolver:
     def test_identity_lookup_over_grown_table(self):
-        resolver = RowResolver([Prefix.parse("10.0.0.0/16")])
-        resolver.extend([Prefix.parse("10.1.0.0/16").network], [16])
+        resolver = RowResolver()
+        assert len(resolver) == 0
+        resolver.extend(
+            [Prefix.parse(f"10.{i}.0.0/16").network for i in range(2)],
+            [16, 16],
+        )
         assert len(resolver) == 2
         keys = resolver.lookup(np.array([1, 0, 1]))
         assert keys.tolist() == [1, 0, 1]
@@ -309,7 +301,8 @@ class TestRowResolver:
         # a worker is told every network the reader finds and reads
         # back only the rows its table admits: a sync builds nothing
         wanted = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
-        resolver = RowResolver(wanted[:2])
+        resolver = RowResolver()
+        resolver.extend([p.network for p in wanted[:2]], [16, 16])
         resolver.extend(
             np.array([p.network for p in wanted[2:]]), np.array([16, 16, 16])
         )

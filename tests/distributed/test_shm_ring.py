@@ -215,11 +215,24 @@ class TestRing:
         assert name not in ring_segments()
 
 
+class Oversized:
+    """A source whose batches exceed the ``chunk_packets`` it declares
+    (the runner sizes ring slots by that attribute)."""
+
+    def __init__(self, inner, chunk_packets):
+        self.inner = inner
+        self.chunk_packets = chunk_packets
+
+    def batches(self):
+        return self.inner.batches()
+
+
 def fleet_ingest(
-    chunk_packets=500, ring_slot_packets=None, faults=None, **spec_fields
+    chunk_packets=500, declared_chunk=None, faults=None, **spec_fields
 ):
     """Run the fixed trace through a fleet; ``spec_fields`` override
-    the two-worker exact :class:`PipelineSpec`."""
+    the two-worker exact :class:`PipelineSpec`. ``declared_chunk``
+    sizes the ring slots below the batches the source yields."""
     rng = np.random.default_rng(3)
     packets = 3000
     timestamps = np.sort(rng.uniform(0.0, 180.0, packets))
@@ -228,12 +241,13 @@ def fleet_ingest(
     source = ArrayPacketSource(
         timestamps, destinations, sizes, chunk_packets=chunk_packets
     )
+    if declared_chunk is not None:
+        source = Oversized(source, declared_chunk)
     result = parallel_ingest(
         source,
         FixedLengthResolver(16),
         spec=PipelineSpec(**{"workers": 2, **spec_fields}),
         slot_seconds=60.0,
-        ring_slot_packets=ring_slot_packets,
         faults=faults,
     )
     return result, int(sizes.sum())
@@ -250,10 +264,18 @@ class TestFleetLifecycle:
         assert result.stats.bytes_matched == total_bytes
         assert ring_segments() == []
 
-    def test_slot_spill_preserves_batch_boundaries(self):
+    def test_slot_spill_preserves_batch_boundaries(self, monkeypatch):
         # force every dealt sub-batch to span multiple ring slots; the
         # consumer must reassemble them so sketch-visible batch
         # boundaries (and thus classification) match in-process shards
+        packed, sent = [], []
+        pack, send = ShmRing.pack, RingWriter.send
+        monkeypatch.setattr(
+            ShmRing, "pack", lambda *a: packed.append(1) or pack(*a)
+        )
+        monkeypatch.setattr(
+            RingWriter, "send", lambda *a: sent.append(1) or send(*a)
+        )
         workers, chunk = 2, 300
         rng = np.random.default_rng(3)
         packets = 3000
@@ -282,13 +304,15 @@ class TestFleetLifecycle:
             workers=workers,
             backend="space-saving",
             capacity=16,
-            ring_slot_packets=7,
+            declared_chunk=7,
         )
         merged = {
             event.frame.start: frozenset(event.elephant_prefixes)
             for event in result.collector().events()
         }
         assert merged == reference
+        # ~150-row sub-batches through 7-row slots: ~22 slots a send
+        assert len(packed) > 10 * len(sent) > 0
         assert ring_segments() == []
 
     def test_midslot_crash_leaves_no_segment(self):

@@ -184,15 +184,6 @@ class TestFromFrame:
         assert got.monitor == "tap-1"
         assert RESIDUAL_PREFIX not in got.prefixes
 
-    def test_top_k_spills_into_residual(self):
-        got = SlotSummary.from_frame(
-            self.frame([8.0, 16.0, 24.0]), 60.0, top_k=1
-        )
-        assert got.num_entries == 1
-        assert got.volumes.tolist() == [180.0]
-        assert got.residual_bytes == pytest.approx(180.0)
-        assert got.total_bytes == pytest.approx(360.0)
-
 
 class TestTruncated:
     def test_noop_when_small(self):

@@ -1,6 +1,5 @@
 """Tests for the experiment harness: config, runner, figures, stats."""
 
-import numpy as np
 import pytest
 
 from repro.core.engine import Feature, Scheme

@@ -78,15 +78,6 @@ class TestFlowAggregator:
         assert aggregator.stats.bytes_matched == 300
         assert aggregator.stats.match_rate == pytest.approx(2 / 3)
 
-    def test_include_all_routes_gives_zero_rows(self):
-        table = make_table("10.0.0.0/8", "172.16.0.0/12")
-        aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))
-        aggregator.add(packet(0.0, "10.0.0.1"))
-        matrix = aggregator.to_rate_matrix(include_all_routes=True)
-        assert matrix.num_flows == 2
-        idle_row = matrix.index_of(Prefix.parse("172.16.0.0/12"))
-        assert matrix.rates[idle_row].sum() == 0.0
-
     def test_empty_aggregation_rejected(self):
         table = make_table("10.0.0.0/8")
         aggregator = FlowAggregator(table, TimeAxis(0.0, 100.0, 1))

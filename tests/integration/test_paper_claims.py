@@ -6,7 +6,6 @@ live in EXPERIMENTS.md, produced by the full-scale benchmarks.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.churn import churn_reduction
 from repro.analysis.elephants import ElephantSeries, working_hours_lift

@@ -19,6 +19,7 @@ from repro.core.engine import (
     Feature,
     Scheme,
 )
+from repro.errors import ReproError
 from repro.flows.aggregate import aggregate_pcap
 from repro.flows.matrix import RateMatrix
 from repro.flows.records import TimeAxis
@@ -30,6 +31,7 @@ from repro.pipeline import (
     StreamingAggregator,
     StreamingPipeline,
 )
+from repro.pipeline.sampling import EVIDENCE_BYTES
 from repro.pipeline.sources import SlotFrame
 from repro.routing.aspath import AsPath, AsTier, AutonomousSystem
 from repro.routing.rib import Route, RoutingTable
@@ -188,3 +190,73 @@ class TestPcapPipelineEquivalence:
             classifier.num_flows,
             classifier.window,
         )
+
+
+class TestFirstFrame:
+    def test_an_empty_first_frame_is_one_repro_error(self):
+        """A source whose first slot names no flow: the stream fails
+        with one ReproError before it classifies anything, as the batch
+        engine fails on that matrix."""
+        matrix = staggered_matrix()
+        matrix.rates[:, 0] = 0.0
+        pipeline = StreamingPipeline(DynamicSource(matrix))
+        with pytest.raises(ReproError):
+            list(pipeline.events())
+        assert pipeline.slots_seen == 0
+        with pytest.raises(ReproError):
+            ClassificationEngine(matrix).run(
+                Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
+            )
+
+
+class PushedFrames:
+    """A slot source that only has a width: frames are pushed."""
+
+    slot_seconds = 60.0
+
+
+class TestVarianceGuard:
+    """In a sampled frame, a row needs two 1500 B packets' worth of
+    *observed* bytes (``EVIDENCE_BYTES``) before it can be an elephant;
+    an unsampled frame is never guarded."""
+
+    PREFIXES = [Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
+
+    def verdicts(self, observed_bytes, sample_rate, slots=3):
+        # row 0 alone carries the slot's load: an elephant unless guarded
+        rate = observed_bytes * (8.0 * sample_rate) / 60.0
+        rates = np.array([rate, 0.01 * rate, 0.01 * rate, 0.0])
+        pipeline = StreamingPipeline(PushedFrames())
+        return [
+            pipeline.observe(
+                SlotFrame(
+                    slot=slot,
+                    start=60.0 * slot,
+                    rates=rates,
+                    population=self.PREFIXES,
+                    sample_rate=sample_rate,
+                )
+            ).verdict
+            for slot in range(slots)
+        ]
+
+    def test_the_floor_is_two_full_size_packets(self):
+        assert EVIDENCE_BYTES == 2 * 1500.0
+
+    @pytest.mark.parametrize("sample_rate", [2.0, 10.0, 50.0])
+    def test_a_sampled_row_under_the_floor_is_never_an_elephant(
+        self, sample_rate
+    ):
+        for verdict in self.verdicts(EVIDENCE_BYTES - 1.0, sample_rate):
+            assert verdict.num_elephants == 0
+
+    @pytest.mark.parametrize("sample_rate", [2.0, 10.0, 50.0])
+    def test_a_sampled_row_at_the_floor_can_be_an_elephant(
+        self, sample_rate
+    ):
+        for verdict in self.verdicts(EVIDENCE_BYTES, sample_rate):
+            assert verdict.elephants().tolist() == [0]
+
+    def test_an_unsampled_row_under_the_floor_is_not_guarded(self):
+        for verdict in self.verdicts(EVIDENCE_BYTES - 1.0, 1.0):
+            assert verdict.elephants().tolist() == [0]

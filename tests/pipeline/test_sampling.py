@@ -56,23 +56,11 @@ class TestSamplingSpec:
         with pytest.raises(ClassificationError, match="sampling mode"):
             SamplingSpec(rate=10, mode="systematic")
 
-    def test_guard_validation(self):
-        with pytest.raises(ClassificationError):
-            SamplingSpec(guard_packets=-1)
-        with pytest.raises(ClassificationError):
-            SamplingSpec(guard_packet_bytes=0.0)
-
     def test_probability_and_applied_rate(self):
         spec = SamplingSpec(rate=100)
         assert spec.probability == pytest.approx(0.01)
         assert spec.applied_rate == 100.0
         assert SamplingSpec(rate=100, invert=False).applied_rate == 1.0
-
-    def test_evidence_bytes(self):
-        spec = SamplingSpec(
-            rate=10, guard_packets=3, guard_packet_bytes=500.0
-        )
-        assert spec.evidence_bytes == 1500.0
 
     def test_wrap_null_returns_source(self):
         source = source_of()

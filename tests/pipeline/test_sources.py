@@ -404,6 +404,30 @@ class TestCsvPacketSource:
         assert int(first.destinations[1]) == ipv4.parse_ipv4("10.0.0.1")
         assert int(first.wire_bytes[2]) == 102
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 10, 11])
+    def test_every_batch_is_full_but_the_last(self, tmp_path, chunk):
+        path = str(tmp_path / "flows.csv")
+        with open(path, "w") as stream:
+            for i in range(10):
+                stream.write(f"{i}.5,10.0.0.{i},{100 + i}\n")
+        batches = list(CsvPacketSource(path, chunk_packets=chunk).batches())
+        sizes = [batch.num_packets for batch in batches]
+        full, rest = divmod(10, chunk)
+        assert sizes == [chunk] * full + [rest] * (rest > 0)
+        assert [batch.packets_seen for batch in batches] == sizes
+
+    def test_a_bad_row_fails_after_the_chunks_before_it(self, tmp_path):
+        path = str(tmp_path / "flows.csv")
+        with open(path, "w") as stream:
+            stream.write("timestamp,destination,wire_bytes\n")
+            for i in range(6):
+                stream.write(f"{i}.5,10.0.0.{i},{100 + i}\n")
+            stream.write("abc,10.0.0.9,100\n")
+        batches = CsvPacketSource(path, chunk_packets=2).batches()
+        assert [next(batches).num_packets for _ in range(3)] == [2, 2, 2]
+        with pytest.raises(ClassificationError, match="line 8"):
+            next(batches)
+
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ClassificationError, match="chunk_packets"):
             CsvPacketSource("x.csv", chunk_packets=0)

@@ -41,7 +41,7 @@ def folded(rates, beta, fold):
     classifier = OnlineClassifier(
         ConstantLoadThreshold(beta), frame.size, use_latent_heat=False
     )
-    verdict = classifier.observe_slot(frame, exclude_rows=np.array([0]))
+    verdict = classifier.observe_slot(frame, residual_row=0)
     return kept, verdict
 
 

@@ -230,6 +230,40 @@ class TestStreamBackends:
         assert summary["backend"] == "space-saving"
         assert summary["peak_tracked_flows"] <= 3
 
+    @pytest.mark.parametrize("capacity", [2, 3, 6])
+    def test_sketch_matrix_replay_is_the_slot_level_table(
+        self, stream_capture, capsys, capacity
+    ):
+        """``--backend`` on a matrix re-keys every slot through a
+        ``SketchSlotSource`` over the replay: the answer is that
+        source's, slot by slot."""
+        from repro.distributed.envelope import elephant_entries
+        from repro.pipeline import (
+            MatrixSlotSource,
+            SketchSlotSource,
+            StreamingPipeline,
+            make_backend,
+        )
+
+        argv = ["stream", stream_capture["npz"], "--json"]
+        argv += ["--backend", "space-saving", "--capacity", str(capacity)]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        backend = make_backend("space-saving", capacity=capacity)
+        pipeline = StreamingPipeline(
+            SketchSlotSource(
+                MatrixSlotSource(stream_capture["matrix"]), backend
+            )
+        )
+        expected = [
+            elephant_entries(event.frame, event.verdict)
+            for event in pipeline.events()
+        ]
+        assert summary["elephants_by_slot"] == json.loads(
+            json.dumps(expected)
+        )
+        assert summary["peak_tracked_flows"] == backend.peak_tracked
+
     def test_memory_budget_sizes_capacity(self, stream_capture, capsys):
         from repro.pipeline.backends import TRACKED_ENTRY_BYTES
 

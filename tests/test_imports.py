@@ -12,8 +12,10 @@ fresh interpreter.
 """
 
 import ast
+import dataclasses
 import glob
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -215,6 +217,57 @@ print(json.dumps(repro.distributed.merge.__name__))
         assert run_python(script) == "repro.distributed.merge"
 
 
+#: Settings nothing outside the tests set, deleted with the value every
+#: real caller got put in their place: (module, owner, setting).
+REMOVED_SETTINGS = [
+    ("repro.distributed.runner", "parallel_ingest", "start"),
+    ("repro.distributed.runner", "parallel_ingest", "ring_slot_packets"),
+    ("repro.distributed.runner", "parallel_ingest", "max_worker_restarts"),
+    ("repro.distributed.runner", "RowResolver", "prefixes"),
+    ("repro.distributed.runner", "ParallelIngestResult.collector", "k"),
+    (
+        "repro.distributed.runner",
+        "ParallelIngestResult.collector",
+        "fill_gaps",
+    ),
+    ("repro.distributed.runner", "_worker_main", "faults"),
+    ("repro.distributed.runner", "_worker_main", "incarnation"),
+    ("repro.distributed.runner", "_worker_main", "resume_time"),
+    ("repro.distributed.shm_ring", "RingWriter", "wait_poll_seconds"),
+    ("repro.distributed.faults", "FaultPlan", "seed"),
+    ("repro.distributed.faults", "FaultPlan.parse", "seed"),
+    ("repro.distributed.faults", "ClientFaultState", "seed"),
+    ("repro.distributed.client", "MonitorClient", "jitter_seed"),
+    ("repro.pipeline.sampling", "SamplingSpec", "guard_packets"),
+    ("repro.pipeline.sampling", "SamplingSpec", "guard_packet_bytes"),
+    ("repro.distributed.summary", "SlotSummary.from_frame", "top_k"),
+    ("repro.pipeline.spec", "SourceSpec.from_path", "chunk_packets"),
+    (
+        "repro.flows.aggregate",
+        "FlowAggregator.to_rate_matrix",
+        "include_all_routes",
+    ),
+    ("repro.core.streaming", "OnlineClassifier.observe_slot", "exclude_rows"),
+    ("repro.pipeline.engine", "StreamingPipeline", "backend"),
+]
+
+#: Names that went with them: (module, owner, attribute).
+REMOVED_ATTRIBUTES = [
+    ("repro.core.engine", "ClassificationEngine", "run_all"),
+    ("repro.pipeline.sampling", "SamplingSpec", "evidence_bytes"),
+    ("repro.distributed.runner", "", "DEFAULT_MAX_WORKER_RESTARTS"),
+    ("repro.pipeline.sampling", "", "DEFAULT_GUARD_PACKETS"),
+    ("repro.pipeline.sampling", "", "DEFAULT_GUARD_PACKET_BYTES"),
+]
+
+
+def _resolve(module: str, owner: str):
+    target = importlib.import_module(module)
+    for part in filter(None, owner.split(".")):
+        target = getattr(target, part)
+    return target
+
+
 class TestSurface:
     """What the sketch and pipeline packages offer: the production
     tables and the scorer; the scalar reference summaries and their
@@ -258,6 +311,37 @@ class TestSurface:
             for name in LEFT_SRC:
                 assert not hasattr(module, name), (package, name)
         assert importlib.util.find_spec("repro.stats.tail") is None
+
+    @pytest.mark.parametrize(
+        "module, owner, setting",
+        REMOVED_SETTINGS,
+        ids=[f"{owner}({setting})" for _, owner, setting in REMOVED_SETTINGS],
+    )
+    def test_a_removed_setting_is_not_accepted(self, module, owner, setting):
+        target = _resolve(module, owner)
+        assert setting not in inspect.signature(target).parameters
+        if dataclasses.is_dataclass(target):
+            fields = {field.name for field in dataclasses.fields(target)}
+            assert setting not in fields
+
+    @pytest.mark.parametrize(
+        "module, owner, name",
+        REMOVED_ATTRIBUTES,
+        ids=[name for _, _, name in REMOVED_ATTRIBUTES],
+    )
+    def test_a_removed_name_is_gone(self, module, owner, name):
+        assert not hasattr(_resolve(module, owner), name)
+
+    def test_the_residual_row_is_one_row(self):
+        from repro.core.streaming import OnlineClassifier
+
+        signature = inspect.signature(OnlineClassifier.observe_slot)
+        assert list(signature.parameters) == [
+            "self",
+            "rates",
+            "residual_row",
+            "suppress_rows",
+        ]
 
 
 class TestAttach:
