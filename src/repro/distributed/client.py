@@ -151,14 +151,16 @@ class MonitorClient:
     (see ``_RETRYABLE``) is survivable: every operation gets one try
     plus at most ``retries`` redials, each after a capped exponential
     backoff (``backoff`` doubling up to ``backoff_cap`` seconds,
-    jittered by a :class:`random.Random` seeded with 0, so every
-    client's backoff sequence is the same and reproducible), a fresh
-    handshake and a replay of the window. Delivery stays exactly-once
-    *in the collector's accounting*: its ``resume_cell`` skip-ahead and
-    stale-ack watermarks absorb any replayed duplicate, so the merged
-    answers equal an uninterrupted run's. With the budget spent — at once when
-    ``retries`` is 0, the fail-fast default — the socket is closed and
-    the transport error propagates as it was raised. Counters
+    jittered by a :class:`random.Random` seeded with the client's own
+    ``link`` and ``monitor`` names, so monitors that lose the same
+    collector do not redial in lockstep, while each one's sequence is
+    reproducible), a fresh handshake and a replay of the window.
+    Delivery stays exactly-once *in the collector's accounting*: its
+    ``resume_cell`` skip-ahead and stale-ack watermarks absorb any
+    replayed duplicate, so the merged answers equal an uninterrupted
+    run's. With the budget spent — at once when ``retries`` is 0, the
+    fail-fast default — the socket is closed and the transport error
+    propagates as it was raised. Counters
     (``published``/``stale``/``skipped``/``reconnects``) aggregate
     across all connections.
     """
@@ -186,7 +188,9 @@ class MonitorClient:
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self._rng = random.Random(0)
+        # a str seed is hashed with sha512: stable across runs and
+        # processes, distinct per monitor
+        self._rng = random.Random(f"{link}\0{monitor}")
         self._window_cap = max_inflight
         #: One fault state for the client's whole life: frame counters
         #: and one-shot budgets span reconnects, so an injected sever

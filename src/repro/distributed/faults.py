@@ -1,14 +1,14 @@
 """Deterministic fault injection for the distributed stack.
 
-Every recovery path in this package — supervised worker restart,
-client reconnect with backoff, collector checkpoint/restore — exists
-because some process or socket dies in production. Testing those paths
-by hand-rolling ad-hoc monkeypatches per test scales badly, so this
-module centralises the failure vocabulary: a :class:`FaultPlan` is a
-declarative list of failures to inject, parsed from a compact
-directive string and threaded through the runner
+Every failure path in this package — a fleet's abort on a dead
+worker, client reconnect with backoff, collector checkpoint/restore —
+exists because some process or socket dies in production. Testing
+those paths by hand-rolling ad-hoc monkeypatches per test scales
+badly, so this module centralises the failure vocabulary: a
+:class:`FaultPlan` is a declarative list of failures to inject, parsed
+from a compact directive string and threaded through the runner
 (``parallel_ingest(..., faults=)``, whose caller hands each worker
-incarnation the crash mode its rule names), the service
+the crash mode its rule names), the service
 (``CollectorService(..., faults=)``) and the one monitor client
 (``MonitorClient(..., faults=)``, which resolves its per-monitor state
 once so one-shot faults span its redials). The same plan object
@@ -22,16 +22,13 @@ Directive grammar (comma-separated, one directive per fault)::
     worker:<id>                  clean failure (error message, exit)
     worker:<id>:hard             exit without a message
     worker:<id>:midslot          die while holding a ring slot
-    worker:<id>:<mode>@<inc>     same, but only at incarnation <inc>
     sever:<monitor>:<n>          close the client socket after n frames
     blackhole:<monitor>:<n>      silently drop sends after n frames
     delay-ack:<monitor>:<secs>   collector sleeps before each ack
     corrupt:<monitor>:<n>        corrupt the n-th frame the client sends
 
-Worker directives default to incarnation 0, so a supervised restart is
-not re-killed by the same rule; a crash loop (the restart-budget
-tests) names every incarnation it kills:
-``worker:0@0,worker:0@1,worker:0@2``.
+A dead worker ends its fleet's run, so no directive names a
+restart: an ``@`` anywhere in a directive is refused.
 
 Client-side faults act at the socket boundary: :class:`FaultySocket`
 wraps a connected socket and consults the plan's per-monitor
@@ -68,8 +65,7 @@ class FaultRule:
     ``kind`` is the failure family; ``target`` a worker id (as text),
     monitor name, or ``"reader"``; ``mode`` the worker crash flavour;
     ``after`` the zero-based frame index client faults fire at;
-    ``delay`` the ack delay in seconds; ``incarnation`` the worker
-    incarnation the rule applies to (0 = the original process).
+    ``delay`` the ack delay in seconds.
     """
 
     kind: str
@@ -77,22 +73,17 @@ class FaultRule:
     mode: str = "clean"
     after: int = 0
     delay: float = 0.0
-    incarnation: int = 0
 
 
 def _parse_directive(text: str) -> FaultRule:
     token = text.strip()
     if not token:
         raise FaultPlanError("empty fault directive")
-    incarnation = 0
     if "@" in token:
-        token, _, inc_text = token.rpartition("@")
-        try:
-            incarnation = int(inc_text)
-        except ValueError:
-            raise FaultPlanError(
-                f"bad incarnation suffix in fault directive {text!r}"
-            ) from None
+        raise FaultPlanError(
+            f"'@' in fault directive {text!r}: a dead worker ends the "
+            "run, so no rule names a restart"
+        )
     parts = token.split(":")
     kind = parts[0]
     if kind == "reader":
@@ -116,12 +107,7 @@ def _parse_directive(text: str) -> FaultRule:
             raise FaultPlanError(
                 f"worker id must be an integer in {text!r}"
             ) from None
-        return FaultRule(
-            kind="worker-crash",
-            target=worker,
-            mode=mode,
-            incarnation=incarnation,
-        )
+        return FaultRule(kind="worker-crash", target=worker, mode=mode)
     if kind in _CLIENT_KINDS:
         if len(parts) != 3:
             raise FaultPlanError(f"bad {kind} directive {text!r}")
@@ -149,7 +135,7 @@ def _parse_directive(text: str) -> FaultRule:
 class FaultPlan:
     """An immutable set of failures to inject.
 
-    Every rule fires at a fixed frame, incarnation or read, so a plan
+    Every rule fires at a fixed frame, worker start or read, so a plan
     draws no random number. The empty plan injects nothing and is safe
     to thread everywhere (every consumer treats ``None`` and the empty
     plan identically).
@@ -177,16 +163,10 @@ class FaultPlan:
     def is_empty(self) -> bool:
         return not self.rules
 
-    def worker_crash(
-        self, worker_id: int, incarnation: int = 0
-    ) -> str | None:
-        """The crash mode for this worker incarnation, if any."""
+    def worker_crash(self, worker_id: int) -> str | None:
+        """The crash mode for this worker, if any."""
         for rule in self.rules:
-            if (
-                rule.kind == "worker-crash"
-                and rule.target == str(worker_id)
-                and rule.incarnation == incarnation
-            ):
+            if rule.kind == "worker-crash" and rule.target == str(worker_id):
                 return rule.mode
         return None
 

@@ -31,46 +31,27 @@ liveness while it waits. One queue comes up from the workers, carrying
 ``slot``, ``done`` and ``error``. The caller creates the rings and
 always unlinks them — success, error, or crash — so no ``/dev/shm``
 segment outlives :func:`parallel_ingest`. A worker crash, or an error
-of the source or the resolver, surfaces as
-:class:`~repro.errors.ReproError` — with every child process
-terminated first, never orphaned — which the CLI maps to exit code 2.
+of the source or the resolver, ends the run: it surfaces as one
+:class:`~repro.errors.ReproError` naming the worker or the reader —
+with every child process terminated first, never orphaned — which the
+CLI maps to exit code 2. No worker is restarted; a send blocked on a
+dead worker's full ring gives up within seconds.
 
 Captures are assumed chronological (pcap order). Out-of-order packets
 are dropped per worker against the worker's own open slot, which can
 admit a straggler a single-process run would have dropped; equivalence
 with :class:`ShardedAggregation` is exact for in-order input.
-
-Supervision (``on_worker_crash``): by default a dead worker aborts the
-whole run. Under ``"restart"`` the caller keeps a copy of every dealt
-span until it holds a summary *covering* it, and recovers a dead worker
-in line: reap it, take its trailing messages, start a fresh process on
-a fresh ring and queues, and replay the retained spans cut at the end
-of the last slot the dead incarnation sealed — at most
-:data:`MAX_WORKER_RESTARTS` times per worker. Every slot's bytes are
-conserved. A worker that dies before the caller holds any summary of
-it is replayed from the start, and its summaries are byte-identical to
-a crash-free run's. One that dies later resumes on a fresh table at
-its resume point: an exact table names the same (prefix, bytes)
-entries as a crash-free run, possibly in another row order, while a
-sketch table restarts empty there, so its entries from that slot on
-may differ. A send waiting on the dead worker's own ring is abandoned
-and recovered at once; any other death is acted on at the next batch
-boundary. Under ``"degrade"`` the dead worker's shard is dropped
-(nothing is retained for it): the run completes on the surviving
-workers and the result reports the degraded shard, with the merge
-filling any cell only that shard populated. Fleet *stats* (not
-summaries) may undercount after a restart: the dead incarnation's
-matched-packet counters die with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
 import queue as queue_module
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -110,12 +91,6 @@ START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
 _POLL_SECONDS = 0.2
 _CRASH_GRACE_SECONDS = 1.0
 _DRAIN_GRACE_SECONDS = 0.1
-
-#: Crash-handling policies for ``parallel_ingest(on_worker_crash=...)``.
-CRASH_POLICIES = ("abort", "restart", "degrade")
-
-#: Restarts per worker before a crash loop aborts the run anyway.
-MAX_WORKER_RESTARTS = 3
 
 
 class RowResolver:
@@ -157,12 +132,6 @@ class ParallelIngestResult:
     runs: list[list[SlotSummary]]
     stats: AggregationStats
     workers: int
-    #: Worker ids whose shard was dropped under ``on_worker_crash=
-    #: "degrade"`` — their ``runs`` entry holds whatever they sealed
-    #: before dying.
-    degraded: list[int] = field(default_factory=list)
-    #: Restarts performed per worker id (absent = never crashed).
-    restarts: dict[int, int] = field(default_factory=dict)
 
     @property
     def num_slots(self) -> int:
@@ -209,21 +178,10 @@ class ParallelIngestResult:
         )
 
 
-class _SendAborted(Exception):
-    """Internal: the worker a send was blocked on is dead.
-
-    Raised by a writer's ``on_wait`` hook out of :meth:`RingWriter.send`
-    so the send does not resume on a ring nobody consumes; answered
-    with :meth:`_Fleet.recover`, whose replay of the retained spans
-    already covers the one the aborted send carried.
-    """
-
-
 def _worker_main(
     worker_id: int,
     spec: "PipelineSpec",
     slot_seconds: float,
-    start: float | None,
     ring_spec: RingSpec,
     free_queue,
     data_queue,
@@ -232,10 +190,8 @@ def _worker_main(
 ) -> None:
     """Own one shard: aggregate the sub-stream, ship slot summaries.
 
-    A restarted incarnation receives the dead worker's slot-grid origin
-    as ``start`` (the caller has already cut the spans it replays at
-    the resume point). ``mode`` is the injected crash of this
-    incarnation, if the fault plan names one.
+    ``mode`` is the injected crash of this worker, if the fault plan
+    names one.
     """
     from repro.pipeline.aggregator import StreamingAggregator
 
@@ -252,7 +208,6 @@ def _worker_main(
         aggregator = StreamingAggregator(
             resolver,
             slot_seconds=slot_seconds,
-            start=start,
             backend=spec.build_shard(),
             sample_rate=spec.sampling.applied_rate,
         )
@@ -349,13 +304,12 @@ def _read(
 class _Fleet:
     """The caller's side of a run: all there is to know of the workers.
 
-    One object owns the rings and their writers, the worker processes,
-    the spans retained for replay and the summary runs received so
-    far, so the code that learns a worker died is the code that deals
-    to it. What the workers send — ``slot``, ``done``, ``error`` —
-    arrives on the one ``out_queue`` and is absorbed between batches,
-    while a send waits on a full ring, and after the last batch until
-    every worker is done.
+    One object owns the rings and their writers, the worker processes
+    and the summary runs received so far, so the code that learns a
+    worker died is the code that deals to it. What the workers send —
+    ``slot``, ``done``, ``error`` — arrives on the one ``out_queue``
+    and is absorbed between batches, while a send waits on a full ring,
+    and after the last batch until every worker is done.
     """
 
     resolver: "PrefixResolver"
@@ -363,7 +317,6 @@ class _Fleet:
     workers: int
     slot_seconds: float
     ring_shape: tuple[int, int]
-    policy: str
     faults: FaultPlan | None
 
     def __post_init__(self) -> None:
@@ -373,79 +326,59 @@ class _Fleet:
         self.runs: list[list[SlotSummary]] = [[] for _ in range(workers)]
         self.stats = AggregationStats()
         self.done: set[int] = set()
-        self.degraded: set[int] = set()
-        self.restarts: dict[int, int] = {}
-        #: When each unfinished worker was found dead; ``-inf`` for one
-        #: that reported its own failure (supervised modes).
+        #: When each unfinished worker was first found dead.
         self.dead_since: dict[int, float] = {}
-        #: Retained spans per worker (``restart`` only): ``(max_ts,
-        #: timestamps, keys, sizes)`` copies, oldest first,
-        #: chronological within and across spans (capture order).
-        self.spans: list[list[tuple]] = [[] for _ in range(workers)]
         #: Rows of the resolver's table each worker has been told.
         self.sent = [0] * workers
-        self.eof = False
-        self.writers: list = [None] * workers
-        self.processes: list = [None] * workers
-        #: Every ring created and process started, dead incarnations'
-        #: included: what :meth:`shutdown` has to leave nothing of.
+        #: Every ring created, writer made and process started, in
+        #: worker order: what :meth:`shutdown` has to leave nothing of.
         self.rings: list[ShmRing] = []
-        self.started: list = []
+        self.writers: list[RingWriter] = []
+        self.processes: list = []
 
     def launch(self) -> None:
-        """Start incarnation 0 of every worker."""
+        """Start every worker, each on a ring and queues of its own."""
         for worker_id in range(self.workers):
-            self._spawn(worker_id, None)
+            ring = ShmRing.create(*self.ring_shape)
+            self.rings.append(ring)
+            free_queue, data_queue = self.context.Queue(), self.context.Queue()
+            mode = (
+                self.faults.worker_crash(worker_id)
+                if self.faults is not None
+                else None
+            )
+            process = self.context.Process(
+                target=_worker_main,
+                args=(
+                    worker_id,
+                    self.spec,
+                    self.slot_seconds,
+                    ring.spec,
+                    free_queue,
+                    data_queue,
+                    self.out_queue,
+                    mode,
+                ),
+                daemon=True,
+                name=f"repro-worker-{worker_id}",
+            )
+            self.writers.append(
+                RingWriter(
+                    ring,
+                    free_queue,
+                    data_queue,
+                    on_wait=functools.partial(self.wait_on, worker_id),
+                )
+            )
+            process.start()
+            self.processes.append(process)
 
-    def _spawn(self, worker_id: int, origin: float | None) -> None:
-        """Start the worker's next incarnation, on a ring and queues of
-        its own: what a dead one left in flight — unconsumed
-        descriptors, returned slots — names the old ring, and stays on
-        the old queues."""
-        ring = ShmRing.create(*self.ring_shape)
-        self.rings.append(ring)
-        free_queue, data_queue = self.context.Queue(), self.context.Queue()
-        incarnation = self.restarts.get(worker_id, 0)
-        # Plan rules name their incarnation (default 0), so a
-        # supervised restart is not re-killed by the rule that killed
-        # its predecessor.
-        mode = (
-            self.faults.worker_crash(worker_id, incarnation)
-            if self.faults is not None
-            else None
-        )
-        name = f"repro-worker-{worker_id}"
-        process = self.context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                self.spec,
-                self.slot_seconds,
-                origin,
-                ring.spec,
-                free_queue,
-                data_queue,
-                self.out_queue,
-                mode,
-            ),
-            daemon=True,
-            name=f"{name}-r{incarnation}" if incarnation else name,
-        )
-
-        def on_wait() -> None:
-            # A send is waiting on this worker's full ring: keep
-            # receiving, and do not wait on a consumer that is gone.
-            self.drain()
-            if self._dead(worker_id):
-                raise _SendAborted()
-
-        self.writers[worker_id] = RingWriter(
-            ring, free_queue, data_queue, on_wait=on_wait
-        )
-        self.sent[worker_id] = 0
-        self.processes[worker_id] = process
-        self.started.append(process)
-        process.start()
+    def wait_on(self, worker_id: int) -> None:
+        """A send waits on this worker's full ring: keep receiving, and
+        do not wait on a consumer that is gone."""
+        self.drain()
+        if self._dead(worker_id):
+            self.bury(worker_id)
 
     # -- receiving ---------------------------------------------------
 
@@ -461,14 +394,7 @@ class _Fleet:
     def absorb(self, message: tuple) -> None:
         tag, worker_id, body = message
         if tag == "slot":
-            summary = SlotSummary.from_bytes(body)
-            self.runs[worker_id].append(summary)
-            # Pruned here, where the summary is held: spans wholly
-            # below its end are summarized and need no replay.
-            sealed = summary.start + summary.slot_seconds
-            self.spans[worker_id] = [
-                span for span in self.spans[worker_id] if span[0] >= sealed
-            ]
+            self.runs[worker_id].append(SlotSummary.from_bytes(body))
         elif tag == "done":
             self.done.add(worker_id)
             self.stats.packets_matched += body["packets_matched"]
@@ -476,22 +402,20 @@ class _Fleet:
             self.stats.bytes_matched += body["bytes_matched"]
         elif tag == "error":
             # an error names its sender as the summaries do: "worker3"
-            who, worker_id = worker_id, int(worker_id.removeprefix("worker"))
-            if self.policy == "abort" or worker_id in self.done:
-                raise ReproError(f"parallel ingestion failed in {who}: {body}")
-            self.dead_since[worker_id] = -math.inf
+            raise ReproError(
+                f"parallel ingestion failed in {worker_id}: {body}"
+            )
         else:  # pragma: no cover - protocol invariant
             raise ReproError(f"unknown runner message {tag!r}")
 
-    # -- supervision -------------------------------------------------
+    # -- liveness ----------------------------------------------------
 
     def _dead(self, worker_id: int) -> bool:
         """Whether to act on this worker as a corpse.
 
-        A worker that reported its own failure is one at once. One
-        that only looks dead gets ``_CRASH_GRACE_SECONDS`` first — the
-        queue may still hold its final messages (``done`` or an error
-        report included).
+        A worker that looks dead gets ``_CRASH_GRACE_SECONDS`` first —
+        the queue may still hold its final messages (``done`` or an
+        error report included).
         """
         if worker_id in self.done:
             return False
@@ -503,86 +427,26 @@ class _Fleet:
         return waited >= _CRASH_GRACE_SECONDS
 
     def poll(self) -> None:
-        """Batch boundary: receive, then recover whichever worker died —
+        """Batch boundary: receive, then end the run if a worker died —
         one a blocked send was not waiting on is only noted until here."""
         self.drain()
         for worker_id in range(self.workers):
             if self._dead(worker_id):
-                self.recover(worker_id)
+                self.bury(worker_id)
 
-    def recover(self, worker_id: int) -> None:
-        """Act on a dead worker as the crash policy says.
-
-        Loops while a replacement dies during the replay of its own
-        retained spans; the restart budget bounds it.
-        """
-        while True:
-            # Reap the corpse first: once joined, its final messages
-            # are all in the pipe, so the trailing drain leaves
-            # runs[worker_id] complete — the resume point must not
-            # miss a sealed slot still in flight, or the replay would
-            # double-count it.
-            self.processes[worker_id].join(timeout=5.0)
-            self.drain(_DRAIN_GRACE_SECONDS)
-            self.dead_since.pop(worker_id, None)
-            if worker_id in self.done:
-                return
-            if self.policy == "abort":
-                raise ReproError(
-                    f"parallel ingestion failed: worker {worker_id} exited "
-                    "without finishing (killed or crashed hard)"
-                )
-            if self.policy == "degrade":
-                self.degraded.add(worker_id)
-                self.done.add(worker_id)
-                return
-            try:
-                return self._restart(worker_id)
-            except _SendAborted:
-                pass  # the replacement died during its own replay
-
-    def _restart(self, worker_id: int) -> None:
-        """Replace a reaped worker and replay what it had not sealed."""
-        count = self.restarts.get(worker_id, 0)
-        if count >= MAX_WORKER_RESTARTS:
+    def bury(self, worker_id: int) -> None:
+        """Reap a dead worker; raise unless it had finished after all."""
+        # Once joined, its final messages are all in the pipe, so the
+        # trailing drain sees its ``done`` or its error report.
+        self.processes[worker_id].join(timeout=5.0)
+        self.drain(_DRAIN_GRACE_SECONDS)
+        if worker_id not in self.done:
             raise ReproError(
-                f"parallel ingestion failed: worker {worker_id} "
-                f"crashed {count + 1} times "
-                f"(restart budget {MAX_WORKER_RESTARTS})"
+                f"parallel ingestion failed: worker {worker_id} exited "
+                "without finishing (killed or crashed hard)"
             )
-        self.restarts[worker_id] = count + 1
-        run = self.runs[worker_id]
-        origin = resume = None
-        if run:
-            last = run[-1]
-            origin = last.start - last.slot * last.slot_seconds
-            resume = last.start + last.slot_seconds
-        # Spawn first: the replay below has a consumer and cannot
-        # deadlock on a ring smaller than the retained backlog.
-        self._spawn(worker_id, origin)
-        for _, timestamps, *columns in list(self.spans[worker_id]):
-            if resume is not None:
-                # what lies below the resume point is sealed history
-                # the dead incarnation already shipped
-                keep = timestamps >= resume
-                timestamps = timestamps[keep]
-                columns = [column[keep] for column in columns]
-            self._send(worker_id, timestamps, *columns)
-        if self.eof:
-            self.writers[worker_id].close()
 
     # -- dealing -----------------------------------------------------
-
-    def _send(self, worker_id: int, *columns: np.ndarray) -> None:
-        """One ``(timestamps, keys, sizes)`` message into the ring."""
-        # the prefix sync rides the ring as two flat int64 columns:
-        # the rows of the resolver's table this worker has not seen
-        table = self.resolver.prefixes
-        news = slice(self.sent[worker_id], len(table))
-        self.sent[worker_id] = news.stop
-        self.writers[worker_id].send(
-            *columns, table.network[news], table.length[news]
-        )
 
     def deal(
         self, timestamps: np.ndarray, keys: np.ndarray, sizes: np.ndarray
@@ -598,32 +462,27 @@ class _Fleet:
             sizes = sizes[order]
         else:
             bounds = np.array([0, keys.size])
+        # the prefix sync rides the ring as two flat int64 columns: the
+        # rows of the resolver's table a worker has not seen
+        table = self.resolver.prefixes
         for worker_id in range(self.workers):
             lo, hi = int(bounds[worker_id]), int(bounds[worker_id + 1])
-            if lo == hi or worker_id in self.degraded:
+            if lo == hi:
                 continue
-            span = (timestamps[lo:hi], keys[lo:hi], sizes[lo:hi])
-            if self.policy == "restart":
-                # Retained before sending: if the send aborts, the
-                # recovery's replay already covers this span. Copies —
-                # the ring slot is overwritten long before a replay.
-                # A dropped shard is never replayed, so ``degrade``
-                # keeps nothing.
-                self.spans[worker_id].append(
-                    (float(span[0][-1]), *(np.array(col) for col in span))
-                )
-            try:
-                self._send(worker_id, *span)
-            except _SendAborted:
-                self.recover(worker_id)
+            news = slice(self.sent[worker_id], len(table))
+            self.sent[worker_id] = news.stop
+            self.writers[worker_id].send(
+                timestamps[lo:hi],
+                keys[lo:hi],
+                sizes[lo:hi],
+                table.network[news],
+                table.length[news],
+            )
 
     def finish(self) -> None:
-        """Sentinel every live worker, then receive until all are done
-        (a late crash is still recovered: the spans are still here)."""
-        self.eof = True
-        for worker_id, writer in enumerate(self.writers):
-            if worker_id not in self.degraded:
-                writer.close()
+        """Sentinel every worker, then receive until all are done."""
+        for writer in self.writers:
+            writer.close()
         while len(self.done) < self.workers:
             try:
                 self.absorb(self.out_queue.get(timeout=_POLL_SECONDS))
@@ -634,10 +493,10 @@ class _Fleet:
     def shutdown(self) -> None:
         """Terminate and reap every child — never leave an orphan —
         then unlink every ring."""
-        for process in self.started:
+        for process in self.processes:
             if process.is_alive():
                 process.terminate()
-        for process in self.started:
+        for process in self.processes:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - terminate refused
                 process.kill()
@@ -652,7 +511,6 @@ def parallel_ingest(
     *,
     spec: "PipelineSpec",
     slot_seconds: float = 60.0,
-    on_worker_crash: str = "abort",
     faults: FaultPlan | None = None,
 ) -> ParallelIngestResult:
     """Ingest a packet stream across ``spec.workers`` shard processes.
@@ -682,12 +540,6 @@ def parallel_ingest(
     one slot and stays zero-copy end to end; a larger one spills over
     several.
 
-    ``on_worker_crash`` picks the supervision policy (module docstring
-    has the semantics): ``"abort"`` (default) raises on any worker
-    death, ``"restart"`` respawns the worker — at most
-    :data:`MAX_WORKER_RESTARTS` times each — replaying its unsealed
-    spans, ``"degrade"`` finishes the run without the dead worker's
-    shard.
     ``faults`` injects a deterministic :class:`FaultPlan` (the chaos
     suite's lever; production callers leave it ``None``).
 
@@ -698,9 +550,8 @@ def parallel_ingest(
     has to be picklable under any start method.
 
     Raises :class:`~repro.errors.ReproError` when a worker fails or
-    when the source or the resolver raises (``parallel ingestion
-    failed in reader: …``, the original as ``__cause__``; nothing
-    retains a position in the capture, so no policy restarts that) —
+    dies, or when the source or the resolver raises (``parallel
+    ingestion failed in reader: …``, the original as ``__cause__``) —
     after terminating the whole fleet, so no child outlives the error.
     The shared-memory rings are unlinked on every exit path,
     ``KeyboardInterrupt`` included.
@@ -729,11 +580,6 @@ def parallel_ingest(
     ring_slots = (
         DEFAULT_RING_SLOTS if spec.ring_slots is None else spec.ring_slots
     )
-    if on_worker_crash not in CRASH_POLICIES:
-        raise ClassificationError(
-            f"on_worker_crash must be one of {CRASH_POLICIES}, "
-            f"not {on_worker_crash!r}"
-        )
     fleet = _Fleet(
         resolver,
         worker_spec,
@@ -743,7 +589,6 @@ def parallel_ingest(
             ring_slots,
             getattr(source, "chunk_packets", DEFAULT_CHUNK_PACKETS),
         ),
-        on_worker_crash,
         faults,
     )
     try:
@@ -755,17 +600,11 @@ def parallel_ingest(
     finally:
         fleet.shutdown()
     return ParallelIngestResult(
-        runs=fleet.runs,
-        stats=fleet.stats,
-        workers=workers,
-        degraded=sorted(fleet.degraded),
-        restarts=dict(fleet.restarts),
+        runs=fleet.runs, stats=fleet.stats, workers=workers
     )
 
 
 __all__ = [
-    "CRASH_POLICIES",
-    "MAX_WORKER_RESTARTS",
     "ParallelIngestResult",
     "RowResolver",
     "START_METHOD_ENV",

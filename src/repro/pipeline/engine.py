@@ -24,6 +24,7 @@ import numpy as np
 from repro.analysis.elephants import ElephantSeries, ElephantSeriesBuilder
 from repro.core.engine import EngineConfig, Feature, Scheme, make_detector
 from repro.core.streaming import OnlineClassifier, SlotVerdict
+from repro.errors import InsufficientDataError
 from repro.net.prefix import Prefix
 from repro.pipeline.sampling import EVIDENCE_BYTES, UNSAMPLED, SamplingSpec
 from repro.pipeline.sources import SlotFrame, SlotSource
@@ -112,9 +113,14 @@ class StreamingPipeline:
         pipeline double-classifies slots.
         """
         if self.classifier is None:
+            if frame.num_flows == 0:
+                # the batch engine fails on this slot's column alike
+                raise InsufficientDataError(
+                    f"no active flows in slot {frame.slot}"
+                )
             self.classifier = OnlineClassifier(
                 make_detector(self.scheme, beta=self.config.beta),
-                num_flows=max(1, frame.num_flows),
+                num_flows=frame.num_flows,
                 alpha=self.config.alpha,
                 window=self.config.window,
                 use_latent_heat=self.feature is Feature.LATENT_HEAT,

@@ -7,13 +7,11 @@ The acceptance bar for the resilience layer, end to end:
   ``MonitorClient(retries=…)`` — answers ``query`` field-for-field
   identically to an uninterrupted run and to the offline ``merge_runs``
   baseline;
-- a ``parallel_ingest`` fleet that loses a worker before the caller
-  holds any summary of it, under ``on_worker_crash="restart"``,
-  produces byte-identical slot summaries to a crash-free fleet; one
-  that loses it later conserves every slot's bytes, and the restarted
-  worker's summaries are a fresh table's over its sub-stream from the
-  resume point (an exact table names the crash-free entries, a sketch
-  table may not);
+- a ``parallel_ingest`` fleet that loses a worker — in any crash
+  mode, under either start method, before or after the caller holds a
+  summary of it, or while a send waits on its full ring — ends the run
+  in seconds with one ``ReproError`` naming the worker, no child left
+  running and no ``/dev/shm`` segment left behind;
 - severed/corrupted/black-holed client sockets either recover to the
   exact uninterrupted answers or degrade to the exact partial ones.
 
@@ -46,10 +44,8 @@ from repro.errors import (
     ReproError,
     ServiceProtocolError,
 )
-from repro.distributed.summary import SlotSummary
 from repro.pipeline.aggregator import StreamingAggregator
-from repro.pipeline.sharded import shard_of
-from repro.pipeline.sources import ArrayPacketSource, PacketBatch
+from repro.pipeline.sources import ArrayPacketSource
 from repro.pipeline.spec import PipelineSpec
 from repro.routing.lpm import FixedLengthResolver
 from distributed.service_harness import ServiceHandle, publish_summaries
@@ -281,6 +277,29 @@ class TestResilientClient:
         # port 9 (discard) is closed: reaching it would raise OSError
         with pytest.raises(ClassificationError, match=">= 0"):
             MonitorClient(("127.0.0.1", 9), "mon-a", **bad)
+
+    def test_backoff_jitter_is_seeded_by_the_client_name(self, monkeypatch):
+        """Monitors that lose the same collector redial apart, and one
+        monitor's sleeps are the same on every run."""
+
+        def refuse(*args, **kwargs):
+            raise ConnectionRefusedError("no collector")
+
+        slept = []
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.setattr(time, "sleep", slept.append)
+
+        def sleeps(monitor, link=DEFAULT_LINK):
+            slept.clear()
+            with pytest.raises(ConnectionRefusedError):
+                MonitorClient(("127.0.0.1", 9), monitor, link=link, retries=4)
+            return list(slept)
+
+        first = sleeps("mon-a")
+        assert len(first) == 4
+        assert sleeps("mon-a") == first
+        assert sleeps("mon-b") != first
+        assert sleeps("mon-a", link="other") != first
 
     def test_handshake_failure_closes_the_socket(self, live, dialed):
         """Regression: a refused hello must not leak the socket."""
@@ -636,146 +655,56 @@ def assert_no_orphans():
     assert multiprocessing.active_children() == []
 
 
-class TestSupervisedWorkers:
-    def test_midslot_restart_is_byte_identical(self):
-        baseline = fleet_run()
-        crashed = fleet_run(
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:0:midslot"),
-        )
-        assert crashed.restarts == {0: 1}
-        assert crashed.degraded == []
-        assert run_bytes(crashed) == run_bytes(baseline)
+@pytest.mark.usefixtures("wall_clock_bound")
+class TestWorkerCrashAborts:
+    """A dead worker ends the run: one ``ReproError`` naming it, every
+    child reaped and every ring unlinked, under either start method."""
 
-    def test_hard_crash_restart_is_byte_identical(self):
-        baseline = fleet_run()
-        crashed = fleet_run(
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:1:hard"),
-        )
-        assert crashed.restarts == {1: 1}
-        assert run_bytes(crashed) == run_bytes(baseline)
-
-    def test_restart_under_spawn_start_method(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_START_METHOD", "spawn")
-        baseline = fleet_run()
-        crashed = fleet_run(
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:0:midslot"),
-        )
-        assert crashed.restarts == {0: 1}
-        assert run_bytes(crashed) == run_bytes(baseline)
-
-    def test_degrade_drops_the_shard_and_completes(self):
-        baseline = fleet_run()
-        degraded = fleet_run(
-            on_worker_crash="degrade",
-            faults=FaultPlan.parse("worker:1:hard"),
-        )
-        assert degraded.degraded == [1]
-        assert degraded.restarts == {}
-        # the surviving shard is untouched by its peer's death
-        assert run_bytes(degraded)[0] == run_bytes(baseline)[0]
-        # the merged classification still runs over what survived
-        assert list(degraded.collector().events())
-
-    def test_restart_budget_exhaustion_aborts(self):
-        # a rule per incarnation: the original and all three restarts
-        # die, one more death than the budget allows
-        assert runner.MAX_WORKER_RESTARTS == 3
-        loop = FaultPlan.parse("worker:0@0,worker:0@1,worker:0@2,worker:0@3")
-        with pytest.raises(
-            ReproError, match=r"worker 0 crashed 4 times \(restart budget 3\)"
-        ):
-            fleet_run(on_worker_crash="restart", faults=loop)
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "plan, error",
+        [
+            ("worker:0", r"in worker0: injected worker fault$"),
+            ("worker:1:hard", r"worker 1 exited without finishing"),
+            ("worker:0:midslot", r"worker 0 exited without finishing"),
+        ],
+        ids=["clean", "hard", "midslot"],
+    )
+    def test_each_crash_mode_aborts_cleanly(
+        self, monkeypatch, method, plan, error
+    ):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setenv(runner.START_METHOD_ENV, method)
+        with pytest.raises(ReproError, match=error):
+            fleet_run(faults=FaultPlan.parse(plan))
         assert_no_orphans()
         assert_no_ring_segments()
 
-    def test_restart_budget_is_per_incarnation_rule(self):
-        # three deaths are within the budget: the fourth incarnation
-        # finishes the run byte-identical to a crash-free one
-        baseline = fleet_run()
-        crashed = fleet_run(
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:0@0,worker:0@1,worker:0:hard@2"),
-        )
-        assert crashed.restarts == {0: 3}
-        assert run_bytes(crashed) == run_bytes(baseline)
-        assert_no_orphans()
-
     def test_reader_crash_always_aborts(self):
         with pytest.raises(ReproError, match="reader"):
-            fleet_run(
-                on_worker_crash="restart",
-                faults=FaultPlan.parse("reader"),
-            )
+            fleet_run(faults=FaultPlan.parse("reader"))
         assert_no_orphans()
-
-    def test_unknown_policy_is_refused(self):
-        with pytest.raises(ClassificationError, match="on_worker_crash"):
-            fleet_run(on_worker_crash="panic")
-
-
-def fresh_table_from(resume, origin, spec):
-    """Worker 0's summaries from a fresh table fed its sub-stream of
-    :func:`fleet_trace` from ``resume`` on, dealt as the caller deals
-    it: one span per reader batch, keyed by the caller's rows."""
-    stamps, dests, sizes = fleet_trace()
-    resolver = FixedLengthResolver(16)
-    keys = resolver.lookup(dests)
-    row_resolver = runner.RowResolver()
-    row_resolver.extend(resolver.prefixes.network, resolver.prefixes.length)
-    aggregator = StreamingAggregator(
-        row_resolver,
-        slot_seconds=SLOT_SECONDS,
-        start=origin,
-        backend=spec.build_shard(),
-    )
-    mine = shard_of(keys, 2) == 0
-    frames = []
-    for lo in range(0, stamps.size, FLEET_CHUNK):
-        span = slice(lo, lo + FLEET_CHUNK)
-        keep = mine[span] & (stamps[span] >= resume)
-        batch = PacketBatch(
-            stamps[span][keep], keys[span][keep], sizes[span][keep],
-            int(keep.sum()),
-        )
-        frames.extend(aggregator.ingest(batch))
-    frames.extend(aggregator.finish())
-    return [
-        SlotSummary.from_frame(frame, SLOT_SECONDS, monitor="worker0")
-        for frame in frames
-    ]
-
-
-def cell_totals(result):
-    totals = {}
-    for run in result.runs:
-        for summary in run:
-            totals[summary.start] = (
-                totals.get(summary.start, 0.0) + summary.total_bytes
-            )
-    return totals
 
 
 @pytest.mark.usefixtures("wall_clock_bound")
 class TestLateWorkerCrash:
     """Worker 0 dies once the caller has absorbed its first summary:
-    the restart resumes at the end of that summary's slot. Patches of
-    ``_Fleet.absorb`` (in this process) and ``StreamingAggregator.ingest``
-    (inherited by the forked workers) place the crash; no fault
-    directive can, since every directive fires before the first seal."""
+    what it delivered does not save the run, which aborts all the
+    same. Patches of ``_Fleet.absorb`` (in this process) and
+    ``StreamingAggregator.ingest`` (inherited by the forked workers)
+    place the crash; no fault directive can, since every directive
+    fires before the first seal."""
 
     @pytest.mark.parametrize(
         "spec_fields",
         [{}, {"backend": "space-saving", "capacity": 16}],
         ids=["exact", "space-saving"],
     )
-    def test_restart_after_a_delivered_summary(self, monkeypatch, spec_fields):
+    def test_abort_after_a_delivered_summary(self, monkeypatch, spec_fields):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the crash is placed by patches a fork inherits")
         monkeypatch.delenv(runner.START_METHOD_ENV, raising=False)
-        baseline = fleet_run(spec_fields=spec_fields)
 
         context = multiprocessing.get_context("fork")
         absorbed = context.Event()  # the caller holds a worker-0 summary
@@ -802,39 +731,13 @@ class TestLateWorkerCrash:
 
         monkeypatch.setattr(runner._Fleet, "absorb", absorbing)
         monkeypatch.setattr(StreamingAggregator, "ingest", ingesting)
-        crashed = fleet_run(spec_fields=spec_fields, on_worker_crash="restart")
+        with pytest.raises(
+            ReproError, match="worker 0 exited without finishing"
+        ):
+            fleet_run(spec_fields=spec_fields)
         monkeypatch.undo()
 
-        assert absorbed.is_set() and crashed.restarts == {0: 1}
-        shipped = delivered.value
-        assert shipped >= 1
-        # what worker 0 sealed before it died is the crash-free run's
-        before, after = crashed.runs[0][:shipped], crashed.runs[0][shipped:]
-        crashed_bytes, baseline_bytes = run_bytes(crashed), run_bytes(baseline)
-        assert crashed_bytes[0][:shipped] == baseline_bytes[0][:shipped]
-        assert crashed_bytes[1] == baseline_bytes[1]
-        # the restart is a fresh table from the end of its last slot on
-        last = before[-1]
-        expected = fresh_table_from(
-            last.start + last.slot_seconds,
-            last.start - last.slot * last.slot_seconds,
-            PipelineSpec(workers=2, **spec_fields),
-        )
-        assert [s.to_bytes() for s in after] == [
-            s.to_bytes() for s in expected
-        ]
-        # every slot's bytes are conserved
-        totals = cell_totals(baseline)
-        assert cell_totals(crashed) == pytest.approx(totals, rel=1e-12)
-        if not spec_fields:
-            # an exact table names the crash-free entries, in any order
-            def entries(run):
-                return [
-                    sorted(zip(map(str, s.prefixes), s.volumes.tolist()))
-                    for s in run
-                ]
-
-            assert entries(crashed.runs[0]) == entries(baseline.runs[0])
+        assert absorbed.is_set() and delivered.value >= 1
         assert_no_orphans()
         assert_no_ring_segments()
 
@@ -898,21 +801,6 @@ class Truncated:
             yield batch
 
 
-@pytest.fixture
-def fleets(monkeypatch):
-    """Every ``_Fleet`` a run builds, for the tests that look at what
-    the caller retained."""
-    made = []
-
-    class Recorded(runner._Fleet):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(runner, "_Fleet", Recorded)
-    return made
-
-
 @pytest.mark.usefixtures("wall_clock_bound")
 class TestCallerReads:
     def test_a_fleet_is_the_caller_and_its_workers(self):
@@ -946,46 +834,15 @@ class TestCallerReads:
         assert_no_orphans()
         assert_no_ring_segments()
 
-    def test_full_ring_of_a_dead_worker_restarts_byte_identical(self):
-        baseline = fleet_run(ring_slots=1)
-        crashed = fleet_run(
-            ring_slots=1,
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:0:midslot"),
-        )
-        assert crashed.restarts == {0: 1}
-        assert run_bytes(crashed) == run_bytes(baseline)
-        assert_no_ring_segments()
-
-    def test_full_ring_of_a_dead_worker_degrades(self):
-        baseline = fleet_run(ring_slots=1)
-        degraded = fleet_run(
-            ring_slots=1,
-            on_worker_crash="degrade",
-            faults=FaultPlan.parse("worker:0:midslot"),
-        )
-        assert degraded.degraded == [0]
-        assert run_bytes(degraded)[1] == run_bytes(baseline)[1]
-        assert_no_ring_segments()
-
-    def test_worker_dying_during_its_own_replay_restarts_twice(self):
-        # incarnation 1 dies on the first replayed span, holding the
-        # one slot the second replayed span needs
-        baseline = fleet_run(ring_slots=1)
-        crashed = fleet_run(
-            ring_slots=1,
-            on_worker_crash="restart",
-            faults=FaultPlan.parse("worker:0:midslot@0,worker:0:midslot@1"),
-        )
-        assert crashed.restarts == {0: 2}
-        assert run_bytes(crashed) == run_bytes(baseline)
-        assert_no_orphans()
-        assert_no_ring_segments()
-
-    @pytest.mark.parametrize("policy", ["abort", "restart", "degrade"])
-    def test_source_error_after_dealing_keeps_text_and_cause(self, policy):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_source_error_after_dealing_keeps_text_and_cause(
+        self, monkeypatch, method
+    ):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setenv(runner.START_METHOD_ENV, method)
         with pytest.raises(ReproError) as raised:
-            fleet_run(wrap=Truncated, on_worker_crash=policy)
+            fleet_run(wrap=Truncated)
         assert str(raised.value) == (
             "parallel ingestion failed in reader: truncated packet record"
         )
@@ -1007,34 +864,3 @@ class TestCallerReads:
         spawned = fleet_run(wrap=wrap)
         assert run_bytes(spawned) == run_bytes(forked)
         assert spawned.stats == forked.stats
-
-    @pytest.mark.parametrize("plan", [None, "worker:1:hard"])
-    def test_degrade_retains_nothing(self, fleets, plan):
-        retained = []
-
-        def watch():
-            retained.extend(len(spans) for spans in fleets[-1].spans)
-
-        result = fleet_run(
-            wrap=lambda s: Observed(s, watch),
-            on_worker_crash="degrade",
-            faults=None if plan is None else FaultPlan.parse(plan),
-        )
-        assert result.degraded == ([] if plan is None else [1])
-        assert retained and not any(retained)
-        assert fleets[-1].spans == [[], []]
-
-    def test_restart_retains_only_the_unsealed_tail(self, fleets):
-        dealt = []
-
-        def watch():
-            fleet = fleets[-1]
-            dealt.append(sum(len(spans) for spans in fleet.spans))
-            for run, spans in zip(fleet.runs, fleet.spans):
-                if run:
-                    sealed = run[-1].start + run[-1].slot_seconds
-                    assert all(span[0] >= sealed for span in spans)
-
-        fleet_run(wrap=lambda s: Observed(s, watch), on_worker_crash="restart")
-        assert any(dealt)  # spans were held while their slots were open
-        assert fleets[-1].spans == [[], []]  # and every one was sealed

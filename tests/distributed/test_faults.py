@@ -34,7 +34,7 @@ from repro.errors import FaultPlanError, ReproError, SummaryFormatError
 class TestDirectiveParsing:
     def test_full_grammar_round_trip(self):
         plan = FaultPlan.parse(
-            "reader, worker:0, worker:1:hard, worker:2:midslot@1, "
+            "reader, worker:0, worker:1:hard, worker:2:midslot, "
             "sever:mon-a:3, blackhole:mon-b:0, delay-ack:mon-c:0.05, "
             "corrupt:mon-d:2"
         )
@@ -52,9 +52,8 @@ class TestDirectiveParsing:
         assert plan.reader_crash()
         assert plan.worker_crash(0) == "clean"
         assert plan.worker_crash(1) == "hard"
-        # incarnation-scoped: fires at incarnation 1 only
-        assert plan.worker_crash(2) is None
-        assert plan.worker_crash(2, incarnation=1) == "midslot"
+        assert plan.worker_crash(2) == "midslot"
+        assert plan.worker_crash(3) is None
         assert plan.ack_delay("mon-c") == pytest.approx(0.05)
         assert plan.ack_delay("mon-a") == 0.0
 
@@ -85,6 +84,21 @@ class TestDirectiveParsing:
     def test_bad_directives_raise(self, directive):
         with pytest.raises(FaultPlanError):
             FaultPlan.parse(directive)
+
+    @pytest.mark.parametrize(
+        "directive",
+        [
+            "worker:0@1",
+            "worker:0:hard@0",
+            "worker:1:midslot@2",
+            "reader@0",
+            "sever:mon-a:1@0",
+        ],
+    )
+    def test_no_directive_names_a_restart(self, directive):
+        # a dead worker ends the run: no rule can target a successor
+        with pytest.raises(FaultPlanError, match="'@' in fault directive"):
+            FaultPlan.parse(f"worker:1,{directive}")
 
     def test_fault_plan_error_is_a_repro_error(self):
         with pytest.raises(ReproError):
@@ -281,9 +295,4 @@ class TestFrameDecoderAdversarial:
 class TestFaultRuleDefaults:
     def test_rule_defaults(self):
         rule = FaultRule(kind="sever", target="m")
-        assert (rule.mode, rule.after, rule.delay, rule.incarnation) == (
-            "clean",
-            0,
-            0.0,
-            0,
-        )
+        assert (rule.mode, rule.after, rule.delay) == ("clean", 0, 0.0)

@@ -200,10 +200,10 @@ class TestFirstFrame:
         matrix = staggered_matrix()
         matrix.rates[:, 0] = 0.0
         pipeline = StreamingPipeline(DynamicSource(matrix))
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="^no active flows in slot 0$"):
             list(pipeline.events())
         assert pipeline.slots_seen == 0
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="no active flows in slot"):
             ClassificationEngine(matrix).run(
                 Scheme.CONSTANT_LOAD, Feature.LATENT_HEAT
             )

@@ -833,7 +833,9 @@ class TestStreamParallel:
         assert main(["stream", stream_capture["pcap"], "--workers", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("plan", ["worker:0", "worker:1:hard", "reader"])
+    @pytest.mark.parametrize(
+        "plan", ["worker:0", "worker:1:hard", "worker:0:midslot", "reader"]
+    )
     def test_injected_fleet_fault_exits_2_cleanly(
         self, stream_capture, monkeypatch, capsys, plan
     ):

@@ -223,6 +223,9 @@ REMOVED_SETTINGS = [
     ("repro.distributed.runner", "parallel_ingest", "start"),
     ("repro.distributed.runner", "parallel_ingest", "ring_slot_packets"),
     ("repro.distributed.runner", "parallel_ingest", "max_worker_restarts"),
+    ("repro.distributed.runner", "parallel_ingest", "on_worker_crash"),
+    ("repro.distributed.runner", "ParallelIngestResult", "degraded"),
+    ("repro.distributed.runner", "ParallelIngestResult", "restarts"),
     ("repro.distributed.runner", "RowResolver", "prefixes"),
     ("repro.distributed.runner", "ParallelIngestResult.collector", "k"),
     (
@@ -233,6 +236,9 @@ REMOVED_SETTINGS = [
     ("repro.distributed.runner", "_worker_main", "faults"),
     ("repro.distributed.runner", "_worker_main", "incarnation"),
     ("repro.distributed.runner", "_worker_main", "resume_time"),
+    ("repro.distributed.runner", "_worker_main", "start"),
+    ("repro.distributed.faults", "FaultRule", "incarnation"),
+    ("repro.distributed.faults", "FaultPlan.worker_crash", "incarnation"),
     ("repro.distributed.shm_ring", "RingWriter", "wait_poll_seconds"),
     ("repro.distributed.faults", "FaultPlan", "seed"),
     ("repro.distributed.faults", "FaultPlan.parse", "seed"),
@@ -256,6 +262,10 @@ REMOVED_ATTRIBUTES = [
     ("repro.core.engine", "ClassificationEngine", "run_all"),
     ("repro.pipeline.sampling", "SamplingSpec", "evidence_bytes"),
     ("repro.distributed.runner", "", "DEFAULT_MAX_WORKER_RESTARTS"),
+    ("repro.distributed.runner", "", "MAX_WORKER_RESTARTS"),
+    ("repro.distributed.runner", "", "CRASH_POLICIES"),
+    ("repro.distributed.runner", "", "_SendAborted"),
+    ("repro.distributed.runner", "_Fleet", "_restart"),
     ("repro.pipeline.sampling", "", "DEFAULT_GUARD_PACKETS"),
     ("repro.pipeline.sampling", "", "DEFAULT_GUARD_PACKET_BYTES"),
 ]
